@@ -11,10 +11,10 @@ from __future__ import annotations
 import uuid
 from dataclasses import dataclass
 
-from ..did import base_did
 from ..errors import DatacredError, SignatureInvalid
-from ..keys import KeyPair, MalformedKey, MalformedSignature
-from ..proofs import AUTHENTICATION, Proof, attach_proof, format_timestamp, utc_now, verify_proof
+from ..keys import KeyPair
+from ..proofs import AUTHENTICATION, Proof, attach_proof, check_proof, format_timestamp, utc_now
+from ..reports import CheckStatus
 from ..resolver import Resolver
 
 PROTOCOL = "datacred/1.0"
@@ -98,25 +98,7 @@ def verify_envelope(obj: dict, resolver: Resolver) -> MessageEnvelope:
     not resolve, the key is not the sender's, or the signature fails.
     """
     envelope = MessageEnvelope.from_json(obj)
-    if envelope.signature is None:
-        raise SignatureInvalid(f"envelope {envelope.id} is unsigned")
-    if base_did(envelope.signature.verification_method) != envelope.sender:
-        raise SignatureInvalid(
-            f"envelope {envelope.id} signed by {envelope.signature.verification_method}, "
-            f"not by sender {envelope.sender}"
-        )
-    try:
-        document = resolver.resolve(envelope.sender)
-        located = document.find_key(envelope.signature.verification_method)
-        if located is None:
-            raise SignatureInvalid(
-                f"{envelope.signature.verification_method} not published by {envelope.sender}"
-            )
-        ok = verify_proof(obj, located[0], proof_field=SIGNATURE_FIELD)
-    except SignatureInvalid:
-        raise
-    except (MalformedSignature, MalformedKey, DatacredError) as exc:
-        raise SignatureInvalid(f"envelope {envelope.id}: {exc}") from exc
-    if not ok:
-        raise SignatureInvalid(f"envelope {envelope.id}: signature does not verify")
+    result, _ = check_proof(obj, envelope.sender, resolver, SIGNATURE_FIELD, role="Sender")
+    if result.status is not CheckStatus.VALID:
+        raise SignatureInvalid(f"envelope {envelope.id}: {result.reason} {result.detail}".rstrip())
     return envelope

@@ -376,17 +376,17 @@ class Agent:
         challenge = new_challenge()
         with self._lock:
             self.state.nonces.issue(challenge)
-            self.state.save()
-        envelope = self._exchange(
-            target_did,
-            endpoint,
-            PROOF_REQUEST,
-            {"requestedAttributes": list(attributes), "challenge": challenge},
-            expect=PROOF_RESPONSE,
-        )
-        with self._lock:
-            fresh = self.state.nonces.consume(challenge)
-            self.state.save()
+        try:
+            envelope = self._exchange(
+                target_did,
+                endpoint,
+                PROOF_REQUEST,
+                {"requestedAttributes": list(attributes), "challenge": challenge},
+                expect=PROOF_RESPONSE,
+            )
+        finally:  # consumed even when the exchange fails, so none is left behind
+            with self._lock:
+                fresh = self.state.nonces.consume(challenge)
         if not fresh:
             raise ChallengeExpired(f"challenge {challenge} already consumed or expired")
 

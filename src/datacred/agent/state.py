@@ -1,8 +1,12 @@
-"""Durable agent state: connections, nonce ledger, issuance records, registry.
+"""Durable agent state: connections, issuance records, registry.
 
 None of this is secret (keys and credentials live in the encrypted wallet),
 but it must survive restarts so half-finished protocol flows fail loudly
 instead of silently diverging. Saved atomically next to the wallet.
+
+The nonce ledger is kept in memory only: a challenge is issued and consumed
+inside one proof request, so a nonce lost in a restart can only cause a
+rejection, never let a replay through.
 """
 
 from __future__ import annotations
@@ -83,18 +87,6 @@ class NonceLedger:
         expires = self._issued.pop(challenge, None)
         return expires is not None and time.time() < expires
 
-    def prune(self) -> None:
-        now = time.time()
-        for challenge in [c for c, exp in self._issued.items() if exp <= now]:
-            del self._issued[challenge]
-
-    def to_json(self) -> dict:
-        return dict(self._issued)
-
-    def load(self, obj: dict) -> None:
-        self._issued = {str(k): float(v) for k, v in obj.items()}
-        self.prune()
-
 
 class AgentState:
     """Everything an agent must remember between restarts, one JSON file."""
@@ -102,7 +94,7 @@ class AgentState:
     def __init__(self, path: str | Path, nonce_ttl: float = 120.0):
         self.path = Path(path)
         self.connections: dict[str, Connection] = {}
-        self.nonces = NonceLedger(ttl=nonce_ttl)
+        self.nonces = NonceLedger(ttl=nonce_ttl)  # in memory only, never saved
         self.registry: dict | None = None  # publisher's signed revocation registry
         self.issued: list[dict] = []  # publisher's issuance records
 
@@ -119,14 +111,12 @@ class AgentState:
         self.connections = {
             c["connectionId"]: Connection.from_json(c) for c in obj.get("connections", [])
         }
-        self.nonces.load(obj.get("nonces", {}))
         self.registry = obj.get("registry")
         self.issued = list(obj.get("issued", []))
 
     def save(self) -> None:
         obj = {
             "connections": [c.to_json() for c in self.connections.values()],
-            "nonces": self.nonces.to_json(),
             "registry": self.registry,
             "issued": self.issued,
         }

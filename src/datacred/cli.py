@@ -321,7 +321,9 @@ def verify(credential_file: str, data: str | None, offline_bundle: str | None,
     if data is not None:
         binding = check_binding_claim(credential, data)
         report_json["binding"] = binding.to_json()
-        ok = ok and binding.matched
+        if not binding.matched:
+            ok = False
+            report_json["overall"] = "Invalid"
     report_json["networkFetches"] = resolver.network_fetch_count
     _print_report(report_json, as_json, "credential")
     if not as_json and data is not None:

@@ -20,34 +20,30 @@ from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
 
-import requests
-
-from .did import Did, base_did, parse_did
+from .did import Did, parse_did
 from .errors import (
     BadDates,
     DatacredError,
-    DocumentInvalid,
     FetchFailed,
-    MalformedSignature,
     NoHashClaim,
-    NotFound,
     SchemaMismatch,
-    UnsupportedMethod,
     WrongIssuerKey,
 )
 from .fingerprint import BindingReport, DatasetFingerprint, check_binding, normalize_digest
-from .keys import KeyPair, MalformedKey
+from .keys import KeyPair
 from .proofs import (
     ASSERTION,
+    AUTHENTICATION,
     Proof,
     attach_proof,
+    check_proof,
     format_timestamp,
     parse_timestamp,
     utc_now,
     verify_proof,
 )
 from .reports import CheckResult, CheckStatus, VerificationReport
-from .resolver import Resolver, is_loopback_host
+from .resolver import Resolver, fetch_json
 
 CREDENTIAL_CONTEXT = "https://www.w3.org/2018/credentials/v1"
 CREDENTIAL_TYPE = "VerifiableCredential"
@@ -353,20 +349,7 @@ class HttpRegistrySource:
 
     def fetch(self, url: str) -> dict:
         self.fetch_count += 1
-        if url.startswith("http://"):
-            host = requests.utils.urlparse(url).hostname or ""
-            if not (self.allow_insecure_loopback and is_loopback_host(host)):
-                raise FetchFailed(f"{url}: plain http registry fetch not permitted")
-        try:
-            response = requests.get(url, timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise FetchFailed(f"{url}: {exc}") from exc
-        if response.status_code >= 400:
-            raise FetchFailed(f"{url}: HTTP {response.status_code}")
-        try:
-            return response.json()
-        except ValueError as exc:
-            raise FetchFailed(f"{url}: not JSON: {exc}") from exc
+        return fetch_json(url, self.allow_insecure_loopback, self.timeout)
 
 
 class StaticRegistrySource:
@@ -407,56 +390,6 @@ class FileRegistrySource:
 
 
 # --- verification ---
-
-
-def _check_signature(
-    vc: VerifiableCredential, resolver: Resolver, report: VerificationReport
-) -> None:
-    if vc.proof is None:
-        report.checks["signature"] = CheckResult(CheckStatus.INVALID, "MissingProof")
-        return
-    if base_did(vc.proof.verification_method) != vc.issuer:
-        report.checks["signature"] = CheckResult(
-            CheckStatus.INVALID,
-            "VerificationMethodNotIssuer",
-            f"{vc.proof.verification_method} is not a key of {vc.issuer}",
-        )
-        return
-    try:
-        document = resolver.resolve(vc.issuer)
-    except (FetchFailed, NotFound, UnsupportedMethod) as exc:
-        report.checks["signature"] = CheckResult(
-            CheckStatus.INDETERMINATE, "IssuerUnresolvable", str(exc)
-        )
-        return
-    except (DocumentInvalid, DatacredError) as exc:
-        report.checks["signature"] = CheckResult(
-            CheckStatus.INDETERMINATE, "IssuerDocumentInvalid", str(exc)
-        )
-        return
-
-    located = document.find_key(vc.proof.verification_method)
-    if located is None:
-        report.checks["signature"] = CheckResult(
-            CheckStatus.INVALID,
-            "UnknownVerificationMethod",
-            f"{vc.proof.verification_method} not published by {vc.issuer}",
-        )
-        return
-    public_key, published_purpose = located
-    if vc.proof.proof_purpose == ASSERTION and published_purpose == "authentication":
-        report.notes.append(
-            "issuer publishes an authentication key only; accepted for assertion"
-        )
-    try:
-        ok = verify_proof(vc.to_json(), public_key)
-    except (MalformedSignature, MalformedKey) as exc:
-        report.checks["signature"] = CheckResult(CheckStatus.INVALID, "MalformedProof", str(exc))
-        return
-    if ok:
-        report.checks["signature"] = CheckResult(CheckStatus.VALID, "SignatureValid")
-    else:
-        report.checks["signature"] = CheckResult(CheckStatus.INVALID, "SignatureMismatch")
 
 
 def _check_schema(vc: VerifiableCredential, report: VerificationReport) -> None:
@@ -521,20 +454,12 @@ def _check_revocation(
             f"registry issuer {registry.issuer} is not credential issuer {vc.issuer}",
         )
         return
-    try:
-        document = resolver.resolve(registry.issuer)
-        located = (
-            document.find_key(registry.proof.verification_method) if registry.proof else None
-        )
-        verified = located is not None and verify_proof(registry.to_json(), located[0])
-    except DatacredError as exc:
+    result, _ = check_proof(registry.to_json(), registry.issuer, resolver)
+    if result.status is not CheckStatus.VALID:
         report.checks["revocation"] = CheckResult(
-            CheckStatus.INDETERMINATE, "RegistryInvalid", str(exc)
-        )
-        return
-    if not verified:
-        report.checks["revocation"] = CheckResult(
-            CheckStatus.INDETERMINATE, "RegistryInvalid", "registry proof does not verify"
+            CheckStatus.INDETERMINATE,
+            "RegistryInvalid",
+            f"registry proof: {result.reason} {result.detail}".rstrip(),
         )
         return
     if vc.status.status_id in registry.revoked:
@@ -556,7 +481,9 @@ def verify_credential(
     report = VerificationReport(issuer=vc.issuer, credential_id=vc.id, claims=dict(vc.claims))
     if registry_source is None:
         registry_source = HttpRegistrySource()
-    _check_signature(vc, resolver, report)
+    report.checks["signature"], purpose = check_proof(vc.to_json(), vc.issuer, resolver)
+    if purpose == AUTHENTICATION and vc.proof.proof_purpose == ASSERTION:
+        report.notes.append("issuer publishes an authentication key only; accepted for assertion")
     _check_schema(vc, report)
     _check_temporal(vc, at or utc_now(), clock_skew, report)
     _check_revocation(vc, resolver, registry_source, report)

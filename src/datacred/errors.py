@@ -63,7 +63,7 @@ class NoSuchEntry(WalletError):
 # --- fingerprints ---
 
 class UnreadablePath(DatacredError):
-    """A path to be fingerprinted does not exist or cannot be read."""
+    """A path to be fingerprinted does not exist, cannot be read, or is a symlinked directory."""
 
 
 class SymlinkEscape(DatacredError):

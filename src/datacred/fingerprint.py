@@ -6,7 +6,9 @@ Two forms:
 - ``tree``: a manifest of every regular file under a root (sorted,
   slash-separated relative paths, each with its own digest); the top-level
   digest is the SHA-256 of the manifest's canonical JSON encoding, so it is
-  independent of filesystem enumeration order.
+  independent of filesystem enumeration order. A symbolic link to a file
+  inside the root is hashed as that file; a link that leaves the root, or
+  that points at a directory, is refused rather than silently left out.
 
 Digests are lowercase hex, no ``0x`` prefix.
 """
@@ -125,6 +127,8 @@ def _collect_files(root: Path) -> list[Path]:
             target = path.resolve()
             if not target.is_relative_to(root_resolved):
                 raise SymlinkEscape(f"{path} -> {target} escapes {root}")
+            if target.is_dir():
+                raise UnreadablePath(f"{path} -> {target}: symlinked directory not fingerprinted")
         if path.is_file():
             files.append(path)
     return files

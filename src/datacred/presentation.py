@@ -14,19 +14,10 @@ from dataclasses import dataclass, field
 from datetime import datetime
 
 from .credential import VerifiableCredential, verify_credential
-from .did import Did, base_did, parse_did
-from .errors import (
-    DatacredError,
-    DocumentInvalid,
-    EmptyChallenge,
-    EmptyCredentials,
-    FetchFailed,
-    MalformedSignature,
-    NotFound,
-    UnsupportedMethod,
-)
-from .keys import KeyPair, MalformedKey
-from .proofs import AUTHENTICATION, Proof, attach_proof, utc_now, verify_proof
+from .did import Did, parse_did
+from .errors import DatacredError, EmptyChallenge, EmptyCredentials
+from .keys import KeyPair
+from .proofs import AUTHENTICATION, Proof, attach_proof, check_proof, utc_now
 from .reports import CheckResult, CheckStatus, PresentationReport
 from .resolver import Resolver
 
@@ -103,53 +94,6 @@ def create_presentation(
     return VerifiablePresentation.from_json(signed)
 
 
-def _check_holder_signature(
-    vp: VerifiablePresentation, resolver: Resolver, report: PresentationReport
-) -> None:
-    if vp.proof is None:
-        report.checks["holderSignature"] = CheckResult(CheckStatus.INVALID, "MissingProof")
-        return
-    if base_did(vp.proof.verification_method) != vp.holder:
-        report.checks["holderSignature"] = CheckResult(
-            CheckStatus.INVALID,
-            "VerificationMethodNotHolder",
-            f"{vp.proof.verification_method} is not a key of {vp.holder}",
-        )
-        return
-    try:
-        document = resolver.resolve(vp.holder)
-    except (FetchFailed, NotFound, UnsupportedMethod) as exc:
-        report.checks["holderSignature"] = CheckResult(
-            CheckStatus.INDETERMINATE, "HolderUnresolvable", str(exc)
-        )
-        return
-    except (DocumentInvalid, DatacredError) as exc:
-        report.checks["holderSignature"] = CheckResult(
-            CheckStatus.INDETERMINATE, "HolderDocumentInvalid", str(exc)
-        )
-        return
-    located = document.find_key(vp.proof.verification_method)
-    if located is None:
-        report.checks["holderSignature"] = CheckResult(
-            CheckStatus.INVALID,
-            "UnknownVerificationMethod",
-            f"{vp.proof.verification_method} not published by {vp.holder}",
-        )
-        return
-    try:
-        ok = verify_proof(vp.to_json(), located[0])
-    except (MalformedSignature, MalformedKey) as exc:
-        report.checks["holderSignature"] = CheckResult(
-            CheckStatus.INVALID, "MalformedProof", str(exc)
-        )
-        return
-    report.checks["holderSignature"] = (
-        CheckResult(CheckStatus.VALID, "HolderSignatureValid")
-        if ok
-        else CheckResult(CheckStatus.INVALID, "SignatureMismatch")
-    )
-
-
 def verify_presentation(
     vp: VerifiablePresentation,
     expected_challenge: str,
@@ -167,7 +111,10 @@ def verify_presentation(
     report = PresentationReport(holder=vp.holder)
     at = at or utc_now()
 
-    _check_holder_signature(vp, resolver, report)
+    signature, _ = check_proof(vp.to_json(), vp.holder, resolver, role="Holder")
+    if signature.status is CheckStatus.VALID:
+        signature = CheckResult(CheckStatus.VALID, "HolderSignatureValid")
+    report.checks["holderSignature"] = signature
 
     presented = vp.proof.challenge if vp.proof else None
     if presented and expected_challenge and presented == expected_challenge:

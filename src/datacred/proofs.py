@@ -5,6 +5,9 @@ One sign-over rule everywhere: the signature covers the canonical bytes of
 the whole document with the proof block present but its ``signatureValue``
 removed. Verifying re-derives exactly those bytes.
 
+One check rule everywhere, too: ``check_proof`` resolves the signer's DID,
+finds the proof's key in that document and verifies the canonical bytes.
+
 Timestamps are RFC 3339 UTC at second precision with a trailing ``Z``.
 """
 
@@ -14,8 +17,17 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .canonical import canonicalize
-from .errors import MalformedSignature
+from .did import base_did
+from .errors import (
+    DatacredError,
+    FetchFailed,
+    MalformedKey,
+    MalformedSignature,
+    NotFound,
+    UnsupportedMethod,
+)
 from .keys import KeyPair, Signature, sign, verify_signature
+from .reports import CheckResult, CheckStatus
 
 PROOF_TYPE = "Ed25519Signature2018"
 ASSERTION = "assertionMethod"
@@ -124,3 +136,45 @@ def verify_proof(document: dict, public_key: bytes, proof_field: str = "proof") 
         raise MalformedSignature(f"document has no {proof_field} object")
     proof = Proof.from_json(proof_obj)
     return verify_signature(public_key, signing_bytes(document, proof_field), proof.signature())
+
+
+def check_proof(
+    document: dict, signer: str, resolver, proof_field: str = "proof", role: str = "Issuer"
+) -> tuple[CheckResult, str | None]:
+    """Check a document's proof against the key its signer's DID publishes.
+
+    Returns the result and the purpose the key was published for (None when
+    no key was found). ``role`` names the signer in the reason codes
+    ``VerificationMethodNot<role>``, ``<role>Unresolvable`` and
+    ``<role>DocumentInvalid``. Failures to resolve are Indeterminate; every
+    other failure is Invalid.
+    """
+    proof_obj = document.get(proof_field)
+    if not isinstance(proof_obj, dict):
+        return CheckResult(CheckStatus.INVALID, "MissingProof"), None
+    try:
+        proof = Proof.from_json(proof_obj)
+    except MalformedSignature as exc:
+        return CheckResult(CheckStatus.INVALID, "MalformedProof", str(exc)), None
+    method = proof.verification_method
+    if base_did(method) != signer:
+        detail = f"{method} is not a key of {signer}"
+        return CheckResult(CheckStatus.INVALID, f"VerificationMethodNot{role}", detail), None
+    try:
+        did_document = resolver.resolve(signer)
+    except (FetchFailed, NotFound, UnsupportedMethod) as exc:
+        return CheckResult(CheckStatus.INDETERMINATE, f"{role}Unresolvable", str(exc)), None
+    except DatacredError as exc:
+        return CheckResult(CheckStatus.INDETERMINATE, f"{role}DocumentInvalid", str(exc)), None
+    located = did_document.find_key(method)
+    if located is None:
+        detail = f"{method} not published by {signer}"
+        return CheckResult(CheckStatus.INVALID, "UnknownVerificationMethod", detail), None
+    public_key, purpose = located
+    try:
+        ok = verify_signature(public_key, signing_bytes(document, proof_field), proof.signature())
+    except (MalformedSignature, MalformedKey) as exc:
+        return CheckResult(CheckStatus.INVALID, "MalformedProof", str(exc)), purpose
+    if not ok:
+        return CheckResult(CheckStatus.INVALID, "SignatureMismatch"), purpose
+    return CheckResult(CheckStatus.VALID, "SignatureValid"), purpose

@@ -39,6 +39,32 @@ def is_loopback_host(host: str) -> bool:
         return False
 
 
+def fetch_json(url: str, allow_insecure_loopback: bool, timeout: float):
+    """GET a JSON document: the one HTTP fetch path for DID documents and registries.
+
+    Only https is fetched, or plain http to a loopback host when explicitly
+    enabled (tests). Redirects are refused, so the scheme and host checked
+    here are the ones that answer. 404 raises NotFound, a body that is not
+    JSON DocumentInvalid, and every other failure FetchFailed.
+    """
+    parts = urlsplit(url)
+    insecure_ok = allow_insecure_loopback and is_loopback_host(parts.hostname or "")
+    if parts.scheme != "https" and not (parts.scheme == "http" and insecure_ok):
+        raise FetchFailed(f"{url}: only https, or plain http to loopback when enabled")
+    try:
+        response = requests.get(url, timeout=timeout, allow_redirects=False)
+    except requests.RequestException as exc:
+        raise FetchFailed(f"{url}: {exc}") from exc
+    if response.status_code == 404:
+        raise NotFound(f"{url} returned 404")
+    if response.status_code >= 300:
+        raise FetchFailed(f"{url} returned {response.status_code}")
+    try:
+        return response.json()
+    except ValueError as exc:
+        raise DocumentInvalid(f"{url}: response is not JSON: {exc}") from exc
+
+
 class KeyBackend:
     """Synthesizes documents for did:key identifiers."""
 
@@ -82,19 +108,7 @@ class WebBackend:
 
     def fetch(self, did: Did) -> dict:
         self.fetch_count += 1
-        url = self._url(did)
-        try:
-            response = requests.get(url, timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise FetchFailed(f"{did.text}: {exc}") from exc
-        if response.status_code == 404:
-            raise NotFound(f"{did.text}: {url} returned 404")
-        if response.status_code >= 400:
-            raise FetchFailed(f"{did.text}: {url} returned {response.status_code}")
-        try:
-            return response.json()
-        except ValueError as exc:
-            raise DocumentInvalid(f"{did.text}: response is not JSON: {exc}") from exc
+        return fetch_json(self._url(did), self.allow_insecure_loopback, self.timeout)
 
 
 class StaticBackend:

@@ -46,10 +46,10 @@ def subject():
 
 
 class JsonServer:
-    """Serves a mutable {path: (status, json)} map on loopback."""
+    """Serves a mutable {path: (status, json, headers)} map on loopback."""
 
     def __init__(self):
-        self.routes: dict[str, tuple[int, object]] = {}
+        self.routes: dict[str, tuple[int, object, dict]] = {}
         self.request_count = 0
         outer = self
 
@@ -58,11 +58,13 @@ class JsonServer:
                 outer.request_count += 1
                 entry = outer.routes.get(self.path)
                 if entry is None:
-                    status, body = 404, {"error": "not found"}
+                    status, body, headers = 404, {"error": "not found"}, {}
                 else:
-                    status, body = entry
+                    status, body, headers = entry
                 payload = json.dumps(body).encode()
                 self.send_response(status)
+                for name, value in headers.items():
+                    self.send_header(name, value)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))
                 self.end_headers()
@@ -85,8 +87,8 @@ class JsonServer:
     def url(self, path: str) -> str:
         return f"http://{self.host}{path}"
 
-    def set(self, path: str, body: object, status: int = 200) -> None:
-        self.routes[path] = (status, body)
+    def set(self, path: str, body: object, status: int = 200, headers: dict | None = None) -> None:
+        self.routes[path] = (status, body, headers or {})
 
     def close(self) -> None:
         self.server.shutdown()

@@ -14,7 +14,7 @@ from datacred.agent.envelopes import (
     PROOF_REQUEST,
     build_envelope,
 )
-from datacred.agent.state import NonceLedger
+from datacred.agent.state import AgentState, NonceLedger
 from datacred.agent.config import AgentConfig, Policy
 from datacred.credential import DATASET_PROVENANCE_V1, issue_credential
 from datacred.errors import (
@@ -328,6 +328,35 @@ def test_nonce_single_use():
     ledger = NonceLedger(ttl=-1)
     ledger.issue("expired")
     assert not ledger.consume("expired")
+
+
+def test_request_proof_does_not_rewrite_state(agent_factory, monkeypatch):
+    publisher, dataset, connection = connected_pair(agent_factory)
+    publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
+    user = agent_factory("user")
+    user.connect(**dataset.invitation())
+    saves = []
+    original = AgentState.save
+    monkeypatch.setattr(AgentState, "save", lambda self: (saves.append(self.path), original(self)))
+    assert user.request_proof(dataset.did.text, ["Hash of Data"]).valid
+    with pytest.raises(NoMatchingCredential):
+        user.request_proof(dataset.did.text, ["License"])
+    assert saves == []
+    assert user.state.nonces._issued == {}  # both challenges consumed, even the failed one
+
+
+def test_state_file_with_nonces_still_loads(tmp_path):
+    path = tmp_path / "agent.state.json"
+    path.write_text(json.dumps({
+        "connections": [], "nonces": {"a" * 32: time.time() + 60},
+        "registry": None, "issued": [{"credentialId": "urn:uuid:1"}],
+    }))
+    state = AgentState(path)
+    state.load()
+    assert state.issued == [{"credentialId": "urn:uuid:1"}]
+    assert not state.nonces.consume("a" * 32)  # nonces are not restored
+    state.save()
+    assert "nonces" not in json.loads(path.read_text())
 
 
 def test_captured_response_cannot_satisfy_second_request(agent_factory):

@@ -118,9 +118,15 @@ def test_verify_modified_data_exits_1(runner, workspace):
     result = invoke(runner, "verify", "cred.json", "--data", "data.bin", "--json")
     assert result.exit_code == 1
     report = stdout_json(result)
-    assert report["overall"] == "Valid"  # signature still fine
+    assert report["overall"] == "Invalid"
+    assert all(check["status"] == "Valid" for check in report["checks"].values())
     assert report["binding"]["matched"] is False
     assert report["binding"]["expectedDigest"] != report["binding"]["actualDigest"]
+
+    text = invoke(runner, "verify", "cred.json", "--data", "data.bin")
+    assert text.exit_code == 1
+    assert "credential: Invalid" in text.stdout
+    assert "data binding: MISMATCH" in text.stdout
 
 
 def test_verify_tampered_credential_exits_1(runner, workspace):

@@ -138,6 +138,16 @@ def test_internal_symlink_allowed(tmp_path):
     assert {e.path for e in fp.manifest} == {"real.txt", "alias"}
 
 
+def test_symlinked_directory_refused(tmp_path):
+    """Retargeting a directory link must not leave the tree digest unchanged."""
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "x").write_text(name)
+    (tmp_path / "link").symlink_to(tmp_path / "a")
+    with pytest.raises(UnreadablePath, match="link"):
+        fingerprint_tree(tmp_path)
+
+
 def test_unreadable_path(tmp_path):
     with pytest.raises(UnreadablePath):
         fingerprint_tree(tmp_path / "missing")

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from datacred.base58 import b58encode
+from datacred.credential import HttpRegistrySource
 from datacred.did import generate_did_key, parse_did
 from datacred.errors import DocumentInvalid, FetchFailed, NotFound, UnsupportedMethod
 from datacred.keys import generate_keypair
@@ -108,6 +109,28 @@ def test_web_resolution_unreachable_host():
     )
     with pytest.raises(FetchFailed):
         resolver.resolve("did:web:127.0.0.1%3A1")  # nothing listens on port 1
+
+
+def test_redirects_are_refused(json_server):
+    did_text = f"did:web:127.0.0.1%3A{json_server.port}"
+    moved = json_server.url("/moved.json")
+    document = listing_shaped_document(did_text, generate_keypair().public_key)
+    json_server.set("/moved.json", document)
+    json_server.set("/.well-known/did.json", {}, status=302, headers={"Location": moved})
+    json_server.set("/registry", {}, status=302, headers={"Location": moved})
+    resolver = Resolver(backends=[WebBackend(allow_insecure_loopback=True)])
+    with pytest.raises(FetchFailed, match="302"):
+        resolver.resolve(did_text)
+    with pytest.raises(FetchFailed, match="302"):
+        HttpRegistrySource(allow_insecure_loopback=True).fetch(json_server.url("/registry"))
+    assert json_server.request_count == 2  # neither fetch followed its redirect
+
+
+def test_plain_http_only_to_loopback_when_enabled():
+    with pytest.raises(FetchFailed, match="plain http"):
+        HttpRegistrySource(allow_insecure_loopback=True).fetch("http://example.com/registry")
+    with pytest.raises(FetchFailed, match="plain http"):
+        HttpRegistrySource().fetch("http://127.0.0.1:1/registry")
 
 
 def test_web_backend_requires_https_unless_loopback_test_mode():
