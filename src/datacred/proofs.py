@@ -76,7 +76,7 @@ class Proof:
     @classmethod
     def from_json(cls, obj: dict) -> "Proof":
         try:
-            return cls(
+            proof = cls(
                 type=obj["type"],
                 created=obj["created"],
                 verification_method=obj["verificationMethod"],
@@ -86,6 +86,11 @@ class Proof:
             )
         except KeyError as exc:
             raise MalformedSignature(f"proof missing field {exc}") from exc
+        fields = (proof.type, proof.created, proof.verification_method, proof.proof_purpose,
+                  proof.signature_value, proof.challenge or "")
+        if not all(isinstance(value, str) for value in fields):
+            raise MalformedSignature("proof fields must be strings")
+        return proof
 
     def signature(self) -> Signature:
         return Signature.from_base58(self.signature_value)

@@ -23,11 +23,11 @@ from datacred.credential import (
     verify_credential,
 )
 from datacred.did import DidDocument, VerificationMethod, generate_did_key
-from datacred.errors import SignatureInvalid
+from datacred.errors import DatacredError, SignatureInvalid
 from datacred.fingerprint import fingerprint_bytes
 from datacred.keys import generate_keypair
 from datacred.presentation import VerifiablePresentation, create_presentation, verify_presentation
-from datacred.proofs import ASSERTION, AUTHENTICATION, attach_proof
+from datacred.proofs import ASSERTION, AUTHENTICATION, attach_proof, check_proof
 from datacred.resolver import KeyBackend, Resolver, StaticBackend
 
 SIGNER = "did:web:signer.example"
@@ -125,12 +125,15 @@ def check_registry(case: str):
     return check.status.value, check.reason
 
 
-def check_envelope(case: str):
-    unsigned = MessageEnvelope(
+def _unsigned_envelope() -> dict:
+    return MessageEnvelope(
         id="envelope-1", type="datacred/1.0/proof-request", sender=SIGNER,
         recipient=OTHER, created_at="2026-01-01T00:00:00Z", body={"challenge": CHALLENGE},
     ).to_json()
-    raw = _sign(unsigned, case, AUTHENTICATION, field=SIGNATURE_FIELD)
+
+
+def check_envelope(case: str):
+    raw = _sign(_unsigned_envelope(), case, AUTHENTICATION, field=SIGNATURE_FIELD)
     try:
         verify_envelope(raw, _resolver(case))
     except SignatureInvalid:
@@ -184,3 +187,17 @@ def test_authentication_key_accepted_for_assertion_with_note():
     report = verify_credential(vc, _resolver("unknown-method"))
     assert report.checks["signature"].reason == "SignatureValid"
     assert report.notes == []
+
+
+@pytest.mark.parametrize("field", ["verificationMethod", "signatureValue"])
+def test_non_string_proof_field_is_malformed_not_a_crash(field):
+    document = _sign(_unsigned_credential(), "valid", ASSERTION)
+    document["proof"][field] = 5
+    result, _ = check_proof(document, SIGNER, _resolver("valid"))
+    assert (result.status.value, result.reason) == ("Invalid", "MalformedProof")
+
+    # An agent answers DatacredError with a SignatureInvalid problem report.
+    envelope = _sign(_unsigned_envelope(), "valid", AUTHENTICATION, field=SIGNATURE_FIELD)
+    envelope[SIGNATURE_FIELD][field] = 5
+    with pytest.raises(DatacredError):
+        verify_envelope(envelope, _resolver("valid"))
