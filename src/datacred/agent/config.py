@@ -19,7 +19,6 @@ class Policy:
 
     auto_accept_connections: bool = True
     sharable_credential_ids: str | list[str] = "all"  # "all" or explicit ids
-    nonce_ttl: float = 120.0
 
     def may_share(self, credential_id: str) -> bool:
         if self.sharable_credential_ids == "all":
@@ -30,7 +29,6 @@ class Policy:
         return {
             "autoAcceptConnections": self.auto_accept_connections,
             "sharableCredentialIds": self.sharable_credential_ids,
-            "nonceTtl": self.nonce_ttl,
         }
 
     @classmethod
@@ -38,7 +36,6 @@ class Policy:
         return cls(
             auto_accept_connections=obj.get("autoAcceptConnections", True),
             sharable_credential_ids=obj.get("sharableCredentialIds", "all"),
-            nonce_ttl=obj.get("nonceTtl", 120.0),
         )
 
 

@@ -66,7 +66,7 @@ class MessageEnvelope:
                 body=dict(obj["body"]),
                 signature=Proof.from_json(signature) if signature else None,
             )
-        except (KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:  # AttributeError: not an object
             raise DatacredError(f"malformed envelope: {exc}") from exc
 
 

@@ -1,9 +1,15 @@
 """The agent process: HTTP service plus client-side protocol operations.
 
 Transport is one POST /inbox endpoint per agent taking a signed envelope and
-returning the signed response envelope (or a 4xx problem-report). Agents
-also serve their own did:web document and, for publishers, the revocation
-registry, so the whole trust root stays on the agent's origin.
+returning the signed response envelope (or a 4xx problem-report, also for a
+body field of the wrong type). Request bodies are bounded before they are
+read, and envelope POSTs never follow redirects. Agents also serve their own
+did:web document and, for publishers, the revocation registry, so the whole
+trust root stays on the agent's origin.
+
+A connection is stored once the peer has accepted it, so a failed connect
+leaves no record. A proof request keeps its challenge only for the call:
+the exact comparison in verify_presentation is the replay protection.
 
 Admin endpoints are loopback-only and drive the automated workflows:
 connect, issue, request-proof, revoke, plus read-only listings.
@@ -37,7 +43,6 @@ from ..did import Did, DidDocument, VerificationMethod, generate_did_key, parse_
 from ..errors import (
     AgentError,
     BadConfig,
-    ChallengeExpired,
     ConnectionInactive,
     CredentialRejected,
     DatacredError,
@@ -72,12 +77,13 @@ from .envelopes import (
     build_envelope,
     verify_envelope,
 )
-from .state import AgentState, Connection, new_connection
+from .state import AgentState, Connection
 
 log = logging.getLogger(__name__)
 
 CREDENTIAL_LABEL_PREFIX = "credential:"
 _HTTP_TIMEOUT = 10.0
+MAX_BODY_BYTES = 1 << 20  # inbound request bodies; a signed envelope is a few KiB
 
 _PROBLEM_ERRORS = {
     "PolicyRejected": PolicyRejected,
@@ -97,6 +103,16 @@ class _Problem(Exception):
         self.code = code
         self.detail = detail
         self.http_status = http_status
+
+
+def _field(body: dict, name: str, kind: type, default):
+    """body[name], or default when absent; a value of another type is a BadRequest."""
+    value = body.get(name, default)
+    if not isinstance(value, kind):
+        raise _Problem(
+            "BadRequest", f"{name} must be a {kind.__name__}, not {type(value).__name__}"
+        )
+    return value
 
 
 class Agent:
@@ -179,9 +195,7 @@ class Agent:
             self.did_document = DidDocument(id=did.text, authentication=[method])
         self._write_did_document()
 
-        self.state = AgentState(
-            config.resolved_state_path(), nonce_ttl=config.policy.nonce_ttl
-        )
+        self.state = AgentState(config.resolved_state_path())
         self.state.load()
         if config.role == "publisher" and self.state.registry is None:
             self.state.registry = new_registry(self.did, self.key).to_json()
@@ -263,9 +277,14 @@ class Agent:
     def _post(self, endpoint: str, payload: dict) -> dict:
         url = endpoint.rstrip("/") + "/inbox"
         try:
-            response = requests.post(url, json=payload, timeout=_HTTP_TIMEOUT)
+            response = requests.post(
+                url, json=payload, timeout=_HTTP_TIMEOUT, allow_redirects=False
+            )
         except requests.RequestException as exc:
             raise Unreachable(f"{url}: {exc}") from exc
+        # A redirect would re-post the signed envelope to wherever it points.
+        if 300 <= response.status_code < 400:
+            raise Unreachable(f"{url}: refused redirect ({response.status_code})")
         try:
             return response.json()
         except ValueError as exc:
@@ -286,30 +305,21 @@ class Agent:
         return envelope
 
     def connect(self, did: str, endpoint: str) -> Connection:
-        """Initiate a connection from an invitation; active on both sides on success."""
+        """Connect from an invitation; recorded only once the peer has accepted."""
         if self.config.role == "dataset":
             raise RoleForbidden("dataset agents never initiate connections")
-        their_did = did
-        connection = new_connection(self.did.text, their_did, endpoint)
-        with self._lock:
-            self.state.connections[connection.connection_id] = connection
-            self.state.save()
-        connection.advance("requested")
-        with self._lock:
-            self.state.save()
+        connection = Connection(str(uuid.uuid4()), self.did.text, did, endpoint)
         envelope = self._exchange(
-            their_did,
+            did,
             endpoint,
             CONNECTION_REQUEST,
             {"connectionId": connection.connection_id, "endpoint": self.base_url},
             expect=CONNECTION_RESPONSE,
         )
-        if envelope.sender != their_did:
-            raise SignatureInvalid(
-                f"connection response from {envelope.sender}, expected {their_did}"
-            )
-        connection.advance("active")
+        if envelope.sender != did:
+            raise SignatureInvalid(f"connection response from {envelope.sender}, expected {did}")
         with self._lock:
+            self.state.connections[connection.connection_id] = connection
             self.state.save()
         return connection
 
@@ -325,7 +335,7 @@ class Agent:
         if self.config.role != "publisher":
             raise RoleForbidden("only publisher agents issue credentials")
         connection = self.state.connections.get(connection_id)
-        if connection is None or not connection.active:
+        if connection is None:
             raise ConnectionInactive(f"no active connection {connection_id}")
         status = None
         if with_status:
@@ -373,23 +383,15 @@ class Agent:
         else:
             raise Unreachable(f"no connection to {target_did} and no endpoint given")
 
+        # The exact comparison in verify_presentation is the replay protection.
         challenge = new_challenge()
-        with self._lock:
-            self.state.nonces.issue(challenge)
-        try:
-            envelope = self._exchange(
-                target_did,
-                endpoint,
-                PROOF_REQUEST,
-                {"requestedAttributes": list(attributes), "challenge": challenge},
-                expect=PROOF_RESPONSE,
-            )
-        finally:  # consumed even when the exchange fails, so none is left behind
-            with self._lock:
-                fresh = self.state.nonces.consume(challenge)
-        if not fresh:
-            raise ChallengeExpired(f"challenge {challenge} already consumed or expired")
-
+        envelope = self._exchange(
+            target_did,
+            endpoint,
+            PROOF_REQUEST,
+            {"requestedAttributes": list(attributes), "challenge": challenge},
+            expect=PROOF_RESPONSE,
+        )
         try:
             presentation = VerifiablePresentation.from_json(envelope.body["presentation"])
         except (KeyError, DatacredError) as exc:
@@ -471,10 +473,10 @@ class Agent:
                 "PolicyRejected", "connections are not auto-accepted", http_status=403
             )
         body = envelope.body
-        endpoint = body.get("endpoint")
+        endpoint = _field(body, "endpoint", str, "")
         if not endpoint:
             raise _Problem("BadRequest", "connection request carries no endpoint")
-        connection_id = body.get("connectionId") or str(uuid.uuid4())
+        connection_id = _field(body, "connectionId", str, "") or str(uuid.uuid4())
         with self._lock:
             existing = self.state.connections.get(connection_id)
             # A proposed id may only reuse a record with the same peer;
@@ -483,25 +485,20 @@ class Agent:
                 raise _Problem(
                     "BadRequest", f"connection id {connection_id} is taken"
                 )
-            connection = Connection(
-                connection_id=connection_id,
-                my_did=self.did.text,
-                their_did=envelope.sender,
-                their_endpoint=endpoint,
-                state="requested",
+            self.state.connections[connection_id] = Connection(
+                connection_id, self.did.text, envelope.sender, endpoint
             )
-            connection.advance("active")
-            self.state.connections[connection.connection_id] = connection
             self.state.save()
-        return {"connectionId": connection.connection_id, "endpoint": self.base_url}
+        return {"connectionId": connection_id, "endpoint": self.base_url}
 
     def _on_credential_issue(self, envelope: MessageEnvelope) -> dict:
         body = envelope.body
-        connection = self.state.connections.get(body.get("connectionId", ""))
-        if connection is None or not connection.active or connection.their_did != envelope.sender:
+        connection_id = _field(body, "connectionId", str, "")
+        connection = self.state.connections.get(connection_id)
+        if connection is None or connection.their_did != envelope.sender:
             raise _Problem(
                 "ConnectionInactive",
-                f"no active connection {body.get('connectionId')!r} with {envelope.sender}",
+                f"no active connection {connection_id!r} with {envelope.sender}",
             )
         try:
             credential = VerifiableCredential.from_json(body["credential"])
@@ -529,14 +526,15 @@ class Agent:
         return {"credentialId": credential.id}
 
     def _on_proof_request(self, envelope: MessageEnvelope) -> dict:
-        body = envelope.body
-        challenge = body.get("challenge", "")
-        requested = body.get("requestedAttributes", [])
         # Only connection-protocol messages may arrive outside an active connection.
         if self.state.connection_for_did(envelope.sender) is None:
             raise _Problem(
                 "ConnectionInactive", f"no active connection with {envelope.sender}"
             )
+        challenge = _field(envelope.body, "challenge", str, "")
+        requested = _field(envelope.body, "requestedAttributes", list, [])
+        if not all(isinstance(attr, str) for attr in requested):
+            raise _Problem("BadRequest", "requestedAttributes must all be strings")
         if not challenge:
             raise _Problem("BadRequest", "proof request carries no challenge")
         candidates = [
@@ -569,18 +567,31 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def log_message(self, fmt: str, *args) -> None:  # noqa: N802 - stdlib name
         log.debug("%s %s", self.address_string(), fmt % args)
 
-    def _send_json(self, status: int, obj: dict | list) -> None:
+    def _send_json(self, status: int, obj: dict | list, close: bool = False) -> None:
         payload = json.dumps(obj).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", "0"))
-        raw = self.rfile.read(length)
-        return json.loads(raw.decode("utf-8"))
+        """The JSON body; a bad or oversized Content-Length is refused unread."""
+        try:
+            length = int(self.headers["Content-Length"])
+        except (TypeError, ValueError):
+            length = -1
+        if length < 0:
+            raise _Problem("BadRequest", "Content-Length must be a non-negative integer")
+        if length > MAX_BODY_BYTES:
+            raise _Problem(
+                "PayloadTooLarge",
+                f"body of {length} bytes exceeds {MAX_BODY_BYTES}",
+                http_status=413,
+            )
+        return json.loads(self.rfile.read(length).decode("utf-8"))
 
     def _admin_guard(self) -> bool:
         if is_loopback_host(self.client_address[0]):
@@ -613,6 +624,12 @@ class _RequestHandler(BaseHTTPRequestHandler):
         agent = self.agent
         try:
             body = self._read_json()
+        except _Problem as problem:
+            # The unread body would be parsed as the next request, so hang up.
+            self._send_json(
+                problem.http_status, {"error": problem.code, "detail": problem.detail}, close=True
+            )
+            return
         except (ValueError, UnicodeDecodeError) as exc:
             self._send_json(400, {"error": "BadRequest", "detail": f"invalid JSON: {exc}"})
             return

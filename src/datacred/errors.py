@@ -63,7 +63,8 @@ class NoSuchEntry(WalletError):
 # --- fingerprints ---
 
 class UnreadablePath(DatacredError):
-    """A path to be fingerprinted does not exist, cannot be read, or is a symlinked directory."""
+    """A path to be fingerprinted does not exist, cannot be read, or is not a regular file or a
+    plain directory (a symlinked directory, a FIFO, a socket or a device)."""
 
 
 class SymlinkEscape(DatacredError):
@@ -168,10 +169,6 @@ class CredentialRejected(AgentError):
 
 class NoMatchingCredential(AgentError):
     """No stored credential covers the requested attributes."""
-
-
-class ChallengeExpired(AgentError):
-    """Proof-response challenge is unknown, already consumed, or past expiry."""
 
 
 class RoleForbidden(AgentError):

@@ -7,8 +7,10 @@ Two forms:
   slash-separated relative paths, each with its own digest); the top-level
   digest is the SHA-256 of the manifest's canonical JSON encoding, so it is
   independent of filesystem enumeration order. A symbolic link to a file
-  inside the root is hashed as that file; a link that leaves the root, or
-  that points at a directory, is refused rather than silently left out.
+  inside the root is hashed as that file; a link that leaves the root or
+  points at a directory, and any entry that is neither a regular file nor a
+  directory (a FIFO, a socket, a device, a dangling link), is refused rather
+  than silently left out. Empty directories carry no bytes and are not bound.
 
 Digests are lowercase hex, no ``0x`` prefix.
 """
@@ -131,6 +133,8 @@ def _collect_files(root: Path) -> list[Path]:
                 raise UnreadablePath(f"{path} -> {target}: symlinked directory not fingerprinted")
         if path.is_file():
             files.append(path)
+        elif not path.is_dir():  # a FIFO, socket, device or dangling link has no bytes to bind
+            raise UnreadablePath(f"{path}: not a regular file or directory")
     return files
 
 

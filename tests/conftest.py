@@ -46,7 +46,7 @@ def subject():
 
 
 class JsonServer:
-    """Serves a mutable {path: (status, json, headers)} map on loopback."""
+    """Serves a mutable {path: (status, json, headers)} map on loopback, to GET or POST."""
 
     def __init__(self):
         self.routes: dict[str, tuple[int, object, dict]] = {}
@@ -55,6 +55,13 @@ class JsonServer:
 
         class Handler(BaseHTTPRequestHandler):
             def do_GET(self):  # noqa: N802
+                self.answer()
+
+            def do_POST(self):  # noqa: N802
+                self.rfile.read(int(self.headers.get("Content-Length", "0")))
+                self.answer()
+
+            def answer(self):
                 outer.request_count += 1
                 entry = outer.routes.get(self.path)
                 if entry is None:

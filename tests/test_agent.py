@@ -2,7 +2,9 @@
 
 import json
 import pathlib
+import socket
 import time
+from urllib.parse import urlsplit
 
 import pytest
 import requests
@@ -14,7 +16,8 @@ from datacred.agent.envelopes import (
     PROOF_REQUEST,
     build_envelope,
 )
-from datacred.agent.state import AgentState, NonceLedger
+from datacred.agent.service import MAX_BODY_BYTES
+from datacred.agent.state import AgentState
 from datacred.agent.config import AgentConfig, Policy
 from datacred.credential import DATASET_PROVENANCE_V1, issue_credential
 from datacred.errors import (
@@ -105,11 +108,51 @@ def test_interrupted_config_save_keeps_previous_config(tmp_path, monkeypatch):
 
 def test_connect_active_on_both_sides(agent_factory):
     publisher, dataset, connection = connected_pair(agent_factory)
-    assert connection.state == "active"
+    assert publisher.state.connections == {connection.connection_id: connection}
     theirs = dataset.state.connections[connection.connection_id]
-    assert theirs.state == "active"
     assert theirs.their_did == publisher.did.text
     assert publisher.list_connections()[0]["theirDid"] == dataset.did.text
+    assert publisher.list_connections()[0]["state"] == "active"
+
+
+def count_saves(monkeypatch) -> list:
+    """Paths of every AgentState.save from now on, in call order."""
+    saves = []
+    original = AgentState.save
+    monkeypatch.setattr(AgentState, "save", lambda self: (saves.append(self.path), original(self)))
+    return saves
+
+
+def test_connect_saves_state_once(agent_factory, monkeypatch):
+    publisher = agent_factory("publisher")
+    dataset = agent_factory("dataset")
+    saves = count_saves(monkeypatch)
+    publisher.connect(**dataset.invitation())
+    assert saves.count(publisher.state.path) == 1
+
+
+def test_failed_connect_records_nothing(agent_factory, monkeypatch):
+    publisher = agent_factory("publisher")
+    saves = count_saves(monkeypatch)
+    with pytest.raises(Unreachable):
+        publisher.connect(did="did:web:127.0.0.1%3A1", endpoint="http://127.0.0.1:1")
+    assert saves == []
+    assert publisher.list_connections() == []
+    assert json.loads(publisher.state.path.read_text())["connections"] == []
+
+
+def test_redirected_envelope_post_refused(agent_factory, json_server):
+    """A redirect must not re-post a signed envelope to wherever it points."""
+    publisher = agent_factory("publisher")
+    json_server.set("/inbox", {}, status=307, headers={"Location": json_server.url("/target")})
+    json_server.set("/target", {})
+    with pytest.raises(Unreachable, match="307"):
+        publisher.connect(
+            did="did:web:" + json_server.host.replace(":", "%3A"),
+            endpoint=json_server.url(""),
+        )
+    assert json_server.request_count == 1  # the POST to /inbox; none reached /target
+    assert publisher.list_connections() == []
 
 
 def test_dataset_agents_never_initiate(agent_factory):
@@ -309,40 +352,16 @@ def test_newest_covering_credential_wins(agent_factory):
     assert report.credential_reports[0].claims["Data Ethically Sourced"] == "YES"
 
 
-def test_challenge_ttl_zero_expires_immediately(agent_factory):
-    publisher, dataset, connection = connected_pair(agent_factory)
-    publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
-    user = agent_factory("user", policy=Policy(nonce_ttl=0.0))
-    from datacred.errors import ChallengeExpired
-
-    with pytest.raises(ChallengeExpired):
-        user.request_proof(dataset.did.text, ["Hash of Data"], endpoint=dataset.base_url)
-
-
-def test_nonce_single_use():
-    ledger = NonceLedger(ttl=60)
-    ledger.issue("abc")
-    assert ledger.consume("abc")
-    assert not ledger.consume("abc")  # second use rejected
-    assert not ledger.consume("never-issued")
-    ledger = NonceLedger(ttl=-1)
-    ledger.issue("expired")
-    assert not ledger.consume("expired")
-
-
 def test_request_proof_does_not_rewrite_state(agent_factory, monkeypatch):
     publisher, dataset, connection = connected_pair(agent_factory)
     publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
     user = agent_factory("user")
     user.connect(**dataset.invitation())
-    saves = []
-    original = AgentState.save
-    monkeypatch.setattr(AgentState, "save", lambda self: (saves.append(self.path), original(self)))
+    saves = count_saves(monkeypatch)
     assert user.request_proof(dataset.did.text, ["Hash of Data"]).valid
     with pytest.raises(NoMatchingCredential):
         user.request_proof(dataset.did.text, ["License"])
     assert saves == []
-    assert user.state.nonces._issued == {}  # both challenges consumed, even the failed one
 
 
 def test_state_file_with_nonces_still_loads(tmp_path):
@@ -354,21 +373,47 @@ def test_state_file_with_nonces_still_loads(tmp_path):
     state = AgentState(path)
     state.load()
     assert state.issued == [{"credentialId": "urn:uuid:1"}]
-    assert not state.nonces.consume("a" * 32)  # nonces are not restored
     state.save()
     assert "nonces" not in json.loads(path.read_text())
 
 
+def test_state_file_drops_unfinished_connections(tmp_path):
+    """Records a failed connect left behind under the invited/requested states."""
+    def record(connection_id, state):
+        return {"connectionId": connection_id, "myDid": "did:key:za", "theirDid": "did:key:zb",
+                "theirEndpoint": "http://127.0.0.1:1", "state": state, "createdAt": 1.0}
+
+    path = tmp_path / "agent.state.json"
+    path.write_text(json.dumps({
+        "connections": [record("done", "active"), record("stuck", "requested"),
+                        record("new", "invited")],
+        "nonces": {"a" * 32: time.time() + 60}, "registry": None, "issued": [],
+    }))
+    state = AgentState(path)
+    state.load()
+    assert list(state.connections) == ["done"]
+    state.save()
+    assert [c["connectionId"] for c in json.loads(path.read_text())["connections"]] == ["done"]
+
+
+def test_config_with_nonce_ttl_still_loads():
+    config = AgentConfig.from_json(
+        {"role": "user", "walletPath": "u.wallet",
+         "policy": {"autoAcceptConnections": False, "nonceTtl": 120}}
+    )
+    assert config.policy == Policy(auto_accept_connections=False)
+    assert "nonceTtl" not in config.to_json()["policy"]
+
+
 def test_captured_response_cannot_satisfy_second_request(agent_factory):
-    """A proof-response is bound to one recorded challenge; replaying the
-    response against any later request fails the challenge comparison."""
+    """A proof-response is bound to the challenge of the request it answers;
+    replaying the response against any later request fails the comparison."""
     publisher, dataset, connection = connected_pair(agent_factory)
     publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
     user = agent_factory("user")
     connection_to_ds = user.connect(**dataset.invitation())
 
     challenge = "a" * 32
-    user.state.nonces.issue(challenge)
     envelope = build_envelope(
         user.key, user.did.text, dataset.did.text, PROOF_REQUEST,
         {"requestedAttributes": ["Hash of Data"], "challenge": challenge},
@@ -376,15 +421,13 @@ def test_captured_response_cannot_satisfy_second_request(agent_factory):
     captured = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5).json()
     presentation = captured["body"]["presentation"]
 
-    # verifying against the recorded challenge succeeds exactly once
-    assert user.state.nonces.consume(challenge)
+    # verifying against the challenge it answers succeeds
     from datacred.presentation import VerifiablePresentation, verify_presentation
 
     vp = VerifiablePresentation.from_json(presentation)
     assert verify_presentation(vp, challenge, user.resolver,
                                registry_source=user.registry_source).valid
-    # a second request records a different nonce; the captured response fails
-    assert not user.state.nonces.consume(challenge)
+    # a second request carries a fresh challenge; the captured response fails
     fresh = "b" * 32
     report = verify_presentation(vp, fresh, user.resolver,
                                  registry_source=user.registry_source)
@@ -405,6 +448,63 @@ def test_proof_request_without_connection_rejected(agent_factory):
     assert response.json()["body"]["code"] == "ConnectionInactive"
 
 
+@pytest.mark.parametrize("message_type, body", [
+    (PROOF_REQUEST, {"requestedAttributes": ["Hash of Data"], "challenge": 5}),
+    (PROOF_REQUEST, {"requestedAttributes": 7, "challenge": "e" * 32}),
+    (PROOF_REQUEST, {"requestedAttributes": [["Hash of Data"]], "challenge": "e" * 32}),
+    (CREDENTIAL_ISSUE, {"connectionId": [1], "credential": {}}),
+    (CONNECTION_REQUEST, {"connectionId": [1], "endpoint": "http://127.0.0.1:1"}),
+    (CONNECTION_REQUEST, {"endpoint": 5}),
+], ids=["challenge-int", "attributes-int", "attribute-list", "issue-connection-id-list",
+        "connect-connection-id-list", "endpoint-int"])
+def test_malformed_body_gets_problem_report(agent_factory, message_type, body):
+    """A signed envelope from a connected peer with a mistyped field is answered, not dropped."""
+    publisher, dataset, connection = connected_pair(agent_factory)
+    publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
+    envelope = build_envelope(
+        publisher.key, publisher.did.text, dataset.did.text, message_type, body
+    )
+    response = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5)
+    assert response.status_code == 400
+    assert response.json()["type"] == PROBLEM_REPORT
+    assert response.json()["body"]["code"] == "BadRequest"
+    assert len(dataset.list_connections()) == 1
+
+
+@pytest.mark.parametrize("payload", [5, [], "envelope"], ids=["int", "list", "string"])
+def test_non_object_envelope_gets_problem_report(agent_factory, payload):
+    dataset = agent_factory("dataset")
+    response = requests.post(dataset.base_url + "/inbox", json=payload, timeout=5)
+    assert response.status_code == 400
+    assert response.json()["body"]["code"] == "SignatureInvalid"
+
+
+def raw_post(base_url: str, content_length: str) -> bytes:
+    """POST /inbox with only headers sent; everything the agent answers before hanging up."""
+    parts = urlsplit(base_url)
+    with socket.create_connection((parts.hostname, parts.port), timeout=3) as sock:
+        sock.sendall(
+            f"POST /inbox HTTP/1.1\r\nHost: {parts.netloc}\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode()
+        )
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize("content_length, status", [
+    ("-1", 400),
+    ("twelve", 400),
+    (str(MAX_BODY_BYTES + 1), 413),
+])
+def test_inbound_body_length_checked_before_reading(agent_factory, content_length, status):
+    dataset = agent_factory("dataset")
+    answer = raw_post(dataset.base_url, content_length)
+    assert answer.startswith(f"HTTP/1.1 {status} ".encode())
+    assert b"Connection: close" in answer
+
+
 def test_concurrent_proof_requests(agent_factory):
     import concurrent.futures
 
@@ -422,20 +522,6 @@ def test_concurrent_proof_requests(agent_factory):
         )
     assert all(report.valid for report in reports)
     assert {tuple(report.issuers) for report in reports} == {(publisher.did.text,)}
-
-
-def test_connection_state_only_advances():
-    from datacred.agent.state import Connection
-
-    connection = Connection(
-        connection_id="c", my_did="did:key:za", their_did="did:key:zb",
-        their_endpoint="http://x", state="invited",
-    )
-    connection.advance("requested")
-    connection.advance("active")
-    connection.advance("active")  # staying put is fine
-    with pytest.raises(ValueError):
-        connection.advance("requested")
 
 
 # --- revocation via agents ---

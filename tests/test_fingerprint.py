@@ -1,6 +1,7 @@
 """Content fingerprints: published SHA-256 vectors, tree manifests, binding checks."""
 
 import hashlib
+import os
 import random
 
 import pytest
@@ -145,6 +146,22 @@ def test_symlinked_directory_refused(tmp_path):
         (tmp_path / name / "x").write_text(name)
     (tmp_path / "link").symlink_to(tmp_path / "a")
     with pytest.raises(UnreadablePath, match="link"):
+        fingerprint_tree(tmp_path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_fifo_in_tree_refused(tmp_path):
+    """A FIFO has no bytes to bind; leaving it out would hide it from the digest."""
+    (tmp_path / "a").write_text("a")
+    os.mkfifo(tmp_path / "pipe")
+    with pytest.raises(UnreadablePath, match="pipe"):
+        fingerprint_tree(tmp_path)
+
+
+def test_dangling_link_in_tree_refused(tmp_path):
+    (tmp_path / "a").write_text("a")
+    (tmp_path / "gone").symlink_to(tmp_path / "missing")
+    with pytest.raises(UnreadablePath, match="gone"):
         fingerprint_tree(tmp_path)
 
 
