@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..errors import BadConfig
+from ..errors import BadConfig, DocumentInvalid, FetchFailed
+from ..jsonfile import read_json, write_json
 
 ROLES = ("publisher", "dataset", "user")
 DEFAULT_PASSPHRASE_ENV = "DATACRED_PASSPHRASE"
@@ -117,13 +117,9 @@ class AgentConfig:
     @classmethod
     def load(cls, path: str | Path) -> "AgentConfig":
         try:
-            return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise BadConfig(f"{path}: {exc}") from exc
+            return cls.from_json(read_json(path))
+        except (FetchFailed, DocumentInvalid) as exc:
+            raise BadConfig(str(exc)) from exc
 
     def save(self, path: str | Path) -> None:
-        # Write-then-rename: a reader or a crash never sees a half-written config.
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(self.to_json(), indent=2) + "\n", encoding="utf-8")
-        os.replace(tmp, path)
+        write_json(path, self.to_json())

@@ -53,6 +53,7 @@ from ..errors import (
     SignatureInvalid,
     Unreachable,
 )
+from ..jsonfile import write_json
 from ..keys import KeyPair, generate_keypair
 from ..presentation import (
     VerifiablePresentation,
@@ -231,10 +232,7 @@ class Agent:
 
     def _write_did_document(self) -> None:
         path = self.config.resolved_state_path().with_suffix(".did.json")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(self.did_document.to_json(), indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(path, self.did_document.to_json())
 
     def invitation(self) -> dict:
         """What a peer needs to connect to this agent."""
@@ -319,8 +317,7 @@ class Agent:
         if envelope.sender != did:
             raise SignatureInvalid(f"connection response from {envelope.sender}, expected {did}")
         with self._lock:
-            self.state.connections[connection.connection_id] = connection
-            self.state.save()
+            self.state.add_connection(connection)
         return connection
 
     def issue_over_connection(
@@ -485,10 +482,9 @@ class Agent:
                 raise _Problem(
                     "BadRequest", f"connection id {connection_id} is taken"
                 )
-            self.state.connections[connection_id] = Connection(
-                connection_id, self.did.text, envelope.sender, endpoint
+            self.state.add_connection(
+                Connection(connection_id, self.did.text, envelope.sender, endpoint)
             )
-            self.state.save()
         return {"connectionId": connection_id, "endpoint": self.base_url}
 
     def _on_credential_issue(self, envelope: MessageEnvelope) -> dict:
@@ -640,6 +636,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
             return
 
         if not self._admin_guard():
+            return
+        if not isinstance(body, dict):
+            self._send_json(400, {"error": "BadRequest", "detail": "body must be a JSON object"})
             return
         try:
             if self.path == "/connect":

@@ -3,18 +3,19 @@
 None of this is secret (keys and credentials live in the encrypted wallet),
 but it must survive restarts, so it holds only what is settled. A connection
 is recorded once both sides have agreed to it, so a failed connect leaves
-nothing behind. Challenges are never recorded: a proof request checks the
-presented challenge byte for byte against the one it generated, within the
-same call. Saved atomically next to the wallet.
+nothing behind, and a reconnect replaces the peer's earlier record.
+Challenges are never recorded: a proof request checks the presented
+challenge byte for byte against the one it generated, within the same call.
+Saved atomically next to the wallet.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from ..jsonfile import read_json, write_json
 
 
 @dataclass
@@ -63,10 +64,16 @@ class AgentState:
                 return connection
         return None
 
+    def add_connection(self, connection: Connection) -> None:
+        """Store and save a connection; it replaces any earlier one with the same peer."""
+        kept = {k: c for k, c in self.connections.items() if c.their_did != connection.their_did}
+        self.connections = {**kept, connection.connection_id: connection}
+        self.save()
+
     def load(self) -> None:
         if not self.path.exists():
             return
-        obj = json.loads(self.path.read_text(encoding="utf-8"))
+        obj = read_json(self.path)
         # Records in another state were left by connects that never completed.
         self.connections = {
             c["connectionId"]: Connection.from_json(c)
@@ -82,7 +89,4 @@ class AgentState:
             "registry": self.registry,
             "issued": self.issued,
         }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
-        os.replace(tmp, self.path)
+        write_json(self.path, obj)

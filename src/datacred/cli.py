@@ -33,6 +33,7 @@ from .credential import (
 from .did import DidDocument, VerificationMethod, parse_did
 from .errors import DatacredError
 from .fingerprint import fingerprint_path, normalize_digest
+from .jsonfile import read_json, write_json
 from .keys import KeyPair, generate_keypair
 from .presentation import VerifiablePresentation, create_presentation, verify_presentation
 from .proofs import parse_timestamp
@@ -91,21 +92,11 @@ def _get_keypair(wallet: Wallet, label: str) -> KeyPair:
     return entry
 
 
-def _read_json_file(path: str) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise OperationalError(f"{path}: invalid JSON: {exc}") from exc
-    except OSError as exc:
-        raise OperationalError(str(exc)) from exc
-
-
 def _emit(obj, out: str | None = None) -> None:
-    text = json.dumps(obj, indent=2)
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        write_json(out, obj)
     else:
-        click.echo(text)
+        click.echo(json.dumps(obj, indent=2))
 
 
 def _parse_claims(pairs: tuple[str, ...]) -> dict:
@@ -121,7 +112,7 @@ def _parse_claims(pairs: tuple[str, ...]) -> dict:
 def _load_schema(name_or_path: str) -> CredentialSchema:
     if name_or_path == DATASET_PROVENANCE_V1.name:
         return DATASET_PROVENANCE_V1
-    return CredentialSchema.from_json(_read_json_file(name_or_path))
+    return CredentialSchema.from_json(read_json(name_or_path))
 
 
 class _PinnedRegistrySource:
@@ -130,10 +121,6 @@ class _PinnedRegistrySource:
     def __init__(self, inner, url: str):
         self._inner = inner
         self._url = url
-
-    @property
-    def network(self):
-        return self._inner.network
 
     def fetch(self, _url: str) -> dict:
         return self._inner.fetch(self._url)
@@ -308,7 +295,7 @@ def verify(credential_file: str, data: str | None, offline_bundle: str | None,
            registry: str | None, at_time: str | None, insecure_http: bool,
            as_json: bool) -> None:
     """Verify a credential; exit 1 when any check is not Valid."""
-    credential = VerifiableCredential.from_json(_read_json_file(credential_file))
+    credential = VerifiableCredential.from_json(read_json(credential_file))
     resolver, registry_source = _build_verification_context(
         offline_bundle, insecure_http, registry
     )
@@ -348,7 +335,7 @@ def present(wallet: str, passphrase_env: str, credential_files: tuple[str, ...],
     store = _open_wallet(wallet, passphrase_env)
     keypair = _get_keypair(store, key_label)
     credentials = [
-        VerifiableCredential.from_json(_read_json_file(path)) for path in credential_files
+        VerifiableCredential.from_json(read_json(path)) for path in credential_files
     ]
     holder_did = parse_did(holder) if holder else parse_did(credentials[0].subject_id)
     presentation = create_presentation(keypair, holder_did, credentials, challenge)
@@ -369,7 +356,7 @@ def verify_presentation_command(presentation_file: str, challenge: str,
                                 at_time: str | None, insecure_http: bool,
                                 as_json: bool) -> None:
     """Verify a presentation against a challenge; exit 1 on any failure."""
-    presentation = VerifiablePresentation.from_json(_read_json_file(presentation_file))
+    presentation = VerifiablePresentation.from_json(read_json(presentation_file))
     resolver, registry_source = _build_verification_context(
         offline_bundle, insecure_http, registry
     )
@@ -418,7 +405,7 @@ def revoke_command(registry_file: str, status_id: str, wallet: str,
     """Add a status id to a registry file and re-sign it."""
     store = _open_wallet(wallet, passphrase_env)
     keypair = _get_keypair(store, key_label)
-    document = RevocationRegistry.from_json(_read_json_file(registry_file))
+    document = RevocationRegistry.from_json(read_json(registry_file))
     updated = revoke_registry_entry(document, status_id, keypair)
     _emit(updated.to_json(), registry_file)
     click.echo(f"revoked {status_id}", err=True)
@@ -440,20 +427,14 @@ def bundle_create(credential_file: str, did_documents: tuple[str, ...],
                   registry_file: str | None, out: str) -> None:
     """Lay out credential.json, dids.json, and registry.json for offline use."""
     directory = Path(out)
-    directory.mkdir(parents=True, exist_ok=True)
-    credential = _read_json_file(credential_file)
-    (directory / "credential.json").write_text(
-        json.dumps(credential, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(directory / "credential.json", read_json(credential_file))
     index = {}
     for path in did_documents:
-        document = _read_json_file(path)
+        document = read_json(path)
         index[document["id"]] = document
-    (directory / "dids.json").write_text(json.dumps(index, indent=2) + "\n", encoding="utf-8")
+    write_json(directory / "dids.json", index)
     if registry_file:
-        (directory / "registry.json").write_text(
-            json.dumps(_read_json_file(registry_file), indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(directory / "registry.json", read_json(registry_file))
     click.echo(f"bundle written to {directory}", err=True)
 
 

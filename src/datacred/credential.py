@@ -13,7 +13,6 @@ Indeterminate for the affected check, never a silent pass or fail.
 
 from __future__ import annotations
 
-import json
 import re
 import uuid
 from dataclasses import dataclass, field
@@ -30,6 +29,7 @@ from .errors import (
     WrongIssuerKey,
 )
 from .fingerprint import BindingReport, DatasetFingerprint, check_binding, normalize_digest
+from .jsonfile import read_json
 from .keys import KeyPair
 from .proofs import (
     ASSERTION,
@@ -298,7 +298,7 @@ class RevocationRegistry:
                 updated=obj["updated"],
                 proof=Proof.from_json(proof) if proof else None,
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, AttributeError) as exc:  # AttributeError: not an object
             raise DatacredError(f"malformed registry: {exc}") from exc
 
 
@@ -340,33 +340,25 @@ class HttpRegistrySource:
     to loopback hosts (test mode).
     """
 
-    network = True
-
     def __init__(self, allow_insecure_loopback: bool = False, timeout: float = 5.0):
         self.allow_insecure_loopback = allow_insecure_loopback
         self.timeout = timeout
-        self.fetch_count = 0
 
     def fetch(self, url: str) -> dict:
-        self.fetch_count += 1
         return fetch_json(url, self.allow_insecure_loopback, self.timeout)
 
 
 class StaticRegistrySource:
     """In-memory url-to-registry map for tests."""
 
-    network = False
-
     def __init__(self, registries: dict[str, dict] | None = None):
         self.registries = dict(registries or {})
-        self.fetch_count = 0
 
     def register(self, url: str, registry: RevocationRegistry | dict) -> None:
         obj = registry.to_json() if isinstance(registry, RevocationRegistry) else registry
         self.registries[url] = obj
 
     def fetch(self, url: str) -> dict:
-        self.fetch_count += 1
         try:
             return self.registries[url]
         except KeyError:
@@ -376,17 +368,11 @@ class StaticRegistrySource:
 class FileRegistrySource:
     """Registry from an offline bundle's registry.json, whatever URL is asked."""
 
-    network = False
-
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.fetch_count = 0
 
     def fetch(self, url: str) -> dict:
-        self.fetch_count += 1
-        if not self.path.is_file():
-            raise FetchFailed(f"{self.path}: no registry file in bundle")
-        return json.loads(self.path.read_text(encoding="utf-8"))
+        return read_json(self.path)
 
 
 # --- verification ---

@@ -94,7 +94,7 @@ class UnsupportedMethod(DatacredError):
 
 
 class FetchFailed(DatacredError):
-    """Network or HTTP failure while fetching a DID document."""
+    """Network or HTTP failure fetching a DID document or registry, or an unreadable local file."""
 
 
 class NotFound(DatacredError):
@@ -102,7 +102,7 @@ class NotFound(DatacredError):
 
 
 class DocumentInvalid(DatacredError):
-    """Fetched DID document fails integrity validation."""
+    """A fetched DID document fails validation, or a JSON file is not JSON or not an object."""
 
 
 # --- credentials ---

@@ -15,7 +15,6 @@ prove offline verification performed zero network operations.
 from __future__ import annotations
 
 import ipaddress
-import json
 import threading
 import time
 from pathlib import Path
@@ -25,6 +24,7 @@ import requests
 
 from .did import Did, DidDocument, did_key_public_key, did_web_url, generate_did_key, parse_did
 from .errors import DocumentInvalid, FetchFailed, NotFound, UnsupportedMethod
+from .jsonfile import read_json
 
 DEFAULT_CACHE_TTL = 300.0
 _HTTP_TIMEOUT = 5.0
@@ -148,10 +148,7 @@ class DirectoryBackend:
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.fetch_count = 0
-        index = self.directory / self.INDEX_NAME
-        if not index.is_file():
-            raise FetchFailed(f"{index}: offline bundle has no {self.INDEX_NAME}")
-        self._documents: dict[str, dict] = json.loads(index.read_text(encoding="utf-8"))
+        self._documents: dict[str, dict] = read_json(self.directory / self.INDEX_NAME)
 
     def supports(self, did: Did) -> bool:
         return did.text in self._documents

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import base64
 import json
-import os
 import secrets
 from pathlib import Path
 from typing import Iterator
@@ -25,7 +24,8 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.scrypt import Scrypt
 
 from .canonical import canonicalize
-from .errors import CorruptWallet, NoSuchEntry, WrongPassphrase
+from .errors import CorruptWallet, DocumentInvalid, NoSuchEntry, WrongPassphrase
+from .jsonfile import read_json, write_json
 from .keys import KeyPair
 
 FORMAT_VERSION = 1
@@ -76,7 +76,7 @@ class Wallet:
         if not path.exists():
             return cls(path, passphrase)
         try:
-            envelope = json.loads(path.read_text(encoding="utf-8"))
+            envelope = read_json(path)
             version = envelope["version"]
             if version != FORMAT_VERSION:
                 raise CorruptWallet(f"unsupported wallet version {version}")
@@ -85,8 +85,10 @@ class Wallet:
             nonce = base64.b64decode(envelope["nonce"], validate=True)
             ciphertext = base64.b64decode(envelope["ciphertext"], validate=True)
             wallet_id = envelope["walletId"]
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CorruptWallet(f"{path}: {exc}") from exc
+        except DocumentInvalid as exc:
+            raise CorruptWallet(str(exc)) from exc
 
         key = _derive_key(passphrase, salt, kdf_params)
         try:
@@ -139,7 +141,4 @@ class Wallet:
             "nonce": base64.b64encode(nonce).decode("ascii"),
             "ciphertext": base64.b64encode(ciphertext).decode("ascii"),
         }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text(json.dumps(envelope, indent=2) + "\n", encoding="utf-8")
-        os.replace(tmp, self.path)
+        write_json(self.path, envelope)

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 import socket
 import time
 from urllib.parse import urlsplit
@@ -23,6 +24,7 @@ from datacred.credential import DATASET_PROVENANCE_V1, issue_credential
 from datacred.errors import (
     ConnectionInactive,
     CredentialRejected,
+    DatacredError,
     NoMatchingCredential,
     PolicyRejected,
     PortInUse,
@@ -102,6 +104,14 @@ def test_interrupted_config_save_keeps_previous_config(tmp_path, monkeypatch):
         AgentConfig(role="dataset", wallet_path="w.json", listen_port=9456).save(path)
 
     assert AgentConfig.load(path).listen_port == 8123
+
+
+def test_state_file_that_is_not_json_names_the_file(agent_factory):
+    dataset = agent_factory("dataset", start=False)
+    path = dataset.config.resolved_state_path()
+    path.write_text("{not json")
+    with pytest.raises(DatacredError, match=re.escape(str(path))):
+        dataset.start()
 
 
 # --- connections ---
@@ -215,6 +225,25 @@ def test_connection_id_cannot_be_hijacked(agent_factory):
     # the publisher's connection record is untouched
     record = dataset.state.connections[connection.connection_id]
     assert record.their_did == publisher.did.text
+
+
+def test_reconnect_after_peer_moves_replaces_its_record(agent_factory):
+    publisher = agent_factory("publisher")
+    dataset = agent_factory("dataset", did_method="key")
+    connection = publisher.connect(**dataset.invitation())
+    publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
+    user = agent_factory("user")
+    user.connect(**dataset.invitation())
+    # The same wallet and state on a new port: a did:key agent keeps its DID when it moves.
+    moved = agent_factory("dataset", did_method="key")
+    dataset.stop()
+    assert moved.did == dataset.did and moved.base_url != dataset.base_url
+
+    user.connect(**moved.invitation())
+    assert [c.their_endpoint for c in user.state.connections.values()] == [moved.base_url]
+    peers = [c.their_did for c in moved.state.connections.values()]
+    assert sorted(peers) == sorted([publisher.did.text, user.did.text])
+    assert user.request_proof(moved.did.text, ["Hash of Data"]).valid
 
 
 def test_connect_unreachable(agent_factory):
@@ -618,3 +647,11 @@ def test_admin_bad_json(agent_factory):
         timeout=5,
     )
     assert response.status_code == 400
+
+
+@pytest.mark.parametrize("route", ["/connect", "/issue", "/request-proof", "/revoke"])
+def test_admin_post_with_non_object_body_is_bad_request(agent_factory, route):
+    publisher = agent_factory("publisher")
+    response = requests.post(publisher.base_url + route, json=[], timeout=5)
+    assert response.status_code == 400
+    assert response.json()["error"] == "BadRequest"

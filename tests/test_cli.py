@@ -208,6 +208,31 @@ def test_registry_init_issue_revoke_verify(runner, workspace):
     assert stdout_json(after)["checks"]["revocation"]["reason"] == "Revoked"
 
 
+def test_interrupted_revoke_keeps_previous_registry(runner, workspace, monkeypatch):
+    """`revoke` rewrites the publisher's registry; a crash mid-write must not tear it."""
+    issuer, _ = make_identities(runner)
+    must(
+        runner, "registry", "init", "--issuer", issuer["did"],
+        "--wallet", "w.json", "--key-label", "issuer", "--registry", "reg.json",
+    )
+    before = (workspace / "reg.json").read_text()
+
+    def write_half_then_fail(self, data, *args, **kwargs):
+        with open(self, "w", encoding="utf-8") as handle:
+            handle.write(data[: len(data) // 2])
+        raise OSError("No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "write_text", write_half_then_fail)
+        result = invoke(
+            runner, "revoke", "--registry", "reg.json", "--status-id", "s1",
+            "--wallet", "w.json", "--key-label", "issuer",
+        )
+    assert isinstance(result.exception, OSError)
+    assert (workspace / "reg.json").read_text() == before
+    assert json.loads(before)["revoked"] == []
+
+
 def test_did_create_web_and_offline_bundle(runner, workspace):
     issuer, subject = make_identities(runner)
     digest = stdout_json(must(runner, "hash", "data.bin"))["digest"]
@@ -248,6 +273,61 @@ def test_did_create_web_and_offline_bundle(runner, workspace):
         runner, "did", "resolve", "did:web:uniofscience.com", "--offline-bundle", "bundle"
     )
     assert stdout_json(resolved)["id"] == "did:web:uniofscience.com"
+
+
+def make_offline_bundle(runner):
+    """bundle/ for a did:web issuer's credential that names a revocation registry."""
+    _, subject = make_identities(runner)
+    digest = stdout_json(must(runner, "hash", "data.bin"))["digest"]
+    must(
+        runner, "did", "create-web", "--domain", "uniofscience.com",
+        "--wallet", "w.json", "--label", "issuer", "--out", "issuer-did.json",
+    )
+    must(runner, *issue_args(
+        "did:web:uniofscience.com", subject["did"], digest,
+        "--status-registry", "https://uniofscience.com/registry", "--status-id", "s1",
+    ))
+    must(
+        runner, "registry", "init", "--issuer", "did:web:uniofscience.com",
+        "--wallet", "w.json", "--key-label", "issuer", "--registry", "reg.json",
+    )
+    must(
+        runner, "bundle", "create", "--credential", "cred.json",
+        "--did-document", "issuer-did.json", "--registry", "reg.json", "--out", "bundle",
+    )
+
+
+OFFLINE_VERIFY = ("verify", "bundle/credential.json", "--offline-bundle", "bundle", "--json")
+
+
+@pytest.mark.parametrize("content", ["not json", "[]", None], ids=["not-json", "array", "missing"])
+def test_malformed_bundle_registry_is_unavailable(runner, workspace, content):
+    """A bad registry.json leaves revocation Indeterminate; the other checks still report."""
+    make_offline_bundle(runner)
+    intact = stdout_json(must(runner, *OFFLINE_VERIFY))["checks"]
+    registry = workspace / "bundle" / "registry.json"
+    if content is None:
+        registry.unlink()
+    else:
+        registry.write_text(content)
+    result = invoke(runner, *OFFLINE_VERIFY)
+    assert result.exit_code == 1, result.output
+    checks = stdout_json(result)["checks"]
+    revocation = checks.pop("revocation")
+    assert (revocation["status"], revocation["reason"]) == ("Indeterminate", "RegistryUnavailable")
+    assert "registry.json" in revocation["detail"]
+    del intact["revocation"]
+    assert checks == intact
+
+
+@pytest.mark.parametrize("content", ["not json", "[]"], ids=["not-json", "array"])
+def test_malformed_bundle_dids_exits_2(runner, workspace, content):
+    make_offline_bundle(runner)
+    (workspace / "bundle" / "dids.json").write_text(content)
+    result = invoke(runner, *OFFLINE_VERIFY)
+    assert result.exit_code == 2, result.output
+    assert "DocumentInvalid" in result.stderr
+    assert "dids.json" in result.stderr
 
 
 def test_did_resolve_unsupported_exits_2(runner, workspace):

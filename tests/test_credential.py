@@ -288,6 +288,26 @@ def test_http_registry_source_refuses_plain_http_off_loopback(issuer, subject, k
     assert report.checks["revocation"].reason == "RegistryUnavailable"
 
 
+@pytest.mark.parametrize("body", [[], "registry", 5, None], ids=["array", "string", "int", "null"])
+def test_non_object_registry_over_http_is_unavailable(
+    issuer, subject, key_resolver, json_server, body
+):
+    from datacred.credential import HttpRegistrySource
+
+    issuer_key, issuer_did, _ = issuer
+    json_server.set("/registry", body)
+    vc = issue_credential(
+        issuer_key, issuer_did, subject[1], DATASET_PROVENANCE_V1, listing_claims(),
+        status=CredentialStatus(registry_url=json_server.url("/registry"), status_id="s-1"),
+    )
+    report = verify_credential(
+        vc, key_resolver, registry_source=HttpRegistrySource(allow_insecure_loopback=True)
+    )
+    assert report.checks["revocation"].status is CheckStatus.INDETERMINATE
+    assert report.checks["revocation"].reason == "RegistryUnavailable"
+    assert report.checks["signature"].status is CheckStatus.VALID
+
+
 def test_check_binding_claim_roundtrip(issuer, subject, tmp_path):
     issuer_key, issuer_did, _ = issuer
     data = b"exact dataset bytes"
