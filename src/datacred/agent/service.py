@@ -3,9 +3,10 @@
 Transport is one POST /inbox endpoint per agent taking a signed envelope and
 returning the signed response envelope (or a 4xx problem-report, also for a
 body field of the wrong type). Request bodies are bounded before they are
-read, and envelope POSTs never follow redirects. Agents also serve their own
-did:web document and, for publishers, the revocation registry, so the whole
-trust root stays on the agent's origin.
+read. Envelope POSTs go through resolver.request_json: https, or plain http
+to loopback under allowInsecureHttp, and no redirects. Agents also serve
+their own did:web document and, for publishers, the revocation registry, so
+the whole trust root stays on the agent's origin.
 
 A connection is stored once the peer has accepted it, so a failed connect
 leaves no record. A proof request keeps its challenge only for the call:
@@ -25,8 +26,6 @@ import uuid
 from datetime import datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-import requests
-
 from ..credential import (
     DATASET_PROVENANCE_V1,
     CredentialSchema,
@@ -37,7 +36,6 @@ from ..credential import (
     issue_credential,
     new_registry,
     revoke,
-    verify_credential,
 )
 from ..did import Did, DidDocument, VerificationMethod, generate_did_key, parse_did
 from ..errors import (
@@ -46,10 +44,12 @@ from ..errors import (
     ConnectionInactive,
     CredentialRejected,
     DatacredError,
+    DocumentInvalid,
     NoMatchingCredential,
     PolicyRejected,
     PortInUse,
     RoleForbidden,
+    SchemaMismatch,
     SignatureInvalid,
     Unreachable,
 )
@@ -61,9 +61,9 @@ from ..presentation import (
     new_challenge,
     verify_presentation,
 )
-from ..proofs import parse_timestamp
+from ..proofs import check_proof, parse_timestamp
 from ..reports import CheckResult, CheckStatus, PresentationReport
-from ..resolver import KeyBackend, Resolver, WebBackend, is_loopback_host
+from ..resolver import KeyBackend, Resolver, WebBackend, is_loopback_host, request_json
 from ..wallet import Wallet
 from .config import AgentConfig
 from .envelopes import (
@@ -272,27 +272,18 @@ class Agent:
 
     # --- outbound protocol operations ---
 
-    def _post(self, endpoint: str, payload: dict) -> dict:
-        url = endpoint.rstrip("/") + "/inbox"
-        try:
-            response = requests.post(
-                url, json=payload, timeout=_HTTP_TIMEOUT, allow_redirects=False
-            )
-        except requests.RequestException as exc:
-            raise Unreachable(f"{url}: {exc}") from exc
-        # A redirect would re-post the signed envelope to wherever it points.
-        if 300 <= response.status_code < 400:
-            raise Unreachable(f"{url}: refused redirect ({response.status_code})")
-        try:
-            return response.json()
-        except ValueError as exc:
-            raise AgentError(f"{url}: non-JSON response ({response.status_code})") from exc
-
     def _exchange(
         self, their_did: str, endpoint: str, message_type: str, body: dict, expect: str
     ) -> MessageEnvelope:
         payload = build_envelope(self.key, self.did.text, their_did, message_type, body)
-        raw = self._post(endpoint, payload)
+        url = endpoint.rstrip("/") + "/inbox"
+        try:
+            # A redirect would re-post the signed envelope to wherever it points.
+            _, raw = request_json(url, self.config.allow_insecure_http, _HTTP_TIMEOUT, payload)
+        except DocumentInvalid as exc:  # a reply that is not JSON
+            raise AgentError(str(exc)) from exc
+        except DatacredError as exc:  # refused URL, transport failure, redirect, error status
+            raise Unreachable(str(exc)) from exc
         envelope = verify_envelope(raw, self.resolver)
         if envelope.type == PROBLEM_REPORT:
             code = envelope.body.get("code", "")
@@ -371,7 +362,7 @@ class Agent:
     ) -> PresentationReport:
         """Challenge the target for proof of attributes and verify the response."""
         if self.config.role == "dataset":
-            raise RoleForbidden("dataset agents respond to proof requests, not send them")
+            raise RoleForbidden("a dataset agent never asks for a proof")
         connection = self.state.connection_for_did(target_did)
         if connection is not None:
             endpoint = connection.their_endpoint
@@ -507,15 +498,15 @@ class Agent:
             )
         # Receipt check: signature and schema must hold before the wallet
         # accepts it; temporal/revocation are the verifier's business later.
-        report = verify_credential(
-            credential, self.resolver, registry_source=self.registry_source
-        )
-        for check in ("signature", "schema"):
-            if report.checks[check].status is not CheckStatus.VALID:
-                raise _Problem(
-                    "CredentialRejected",
-                    f"{check}: {report.checks[check].reason} {report.checks[check].detail}",
-                )
+        signature, _ = check_proof(credential.to_json(), credential.issuer, self.resolver)
+        if signature.status is not CheckStatus.VALID:
+            raise _Problem(
+                "CredentialRejected", f"signature: {signature.reason} {signature.detail}"
+            )
+        try:
+            credential.schema.validate_claims(credential.claims)
+        except SchemaMismatch as exc:
+            raise _Problem("CredentialRejected", f"schema: SchemaViolation {exc}") from exc
         with self._lock:
             self.wallet.put(CREDENTIAL_LABEL_PREFIX + credential.id, credential.to_json())
             self.wallet.save()

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import sys
+import threading
+import uuid
 from pathlib import Path
 
 import click
-import requests
 
 from .agent import AgentConfig, provision_agent
 from .credential import (
@@ -30,14 +32,14 @@ from .credential import (
     revoke as revoke_registry_entry,
     verify_credential,
 )
-from .did import DidDocument, VerificationMethod, parse_did
+from .did import DidDocument, VerificationMethod, generate_did_key, parse_did
 from .errors import DatacredError
 from .fingerprint import fingerprint_path, normalize_digest
 from .jsonfile import read_json, write_json
 from .keys import KeyPair, generate_keypair
 from .presentation import VerifiablePresentation, create_presentation, verify_presentation
 from .proofs import parse_timestamp
-from .resolver import DirectoryBackend, KeyBackend, Resolver, WebBackend
+from .resolver import DirectoryBackend, KeyBackend, Resolver, WebBackend, request_json
 from .wallet import Wallet
 
 PASSPHRASE_ENV = "DATACRED_PASSPHRASE"
@@ -50,13 +52,13 @@ class OperationalError(click.ClickException):
 
 
 def operational_errors(command):
-    """Map toolkit errors to exit code 2, keeping 1 for Invalid outcomes."""
+    """Map toolkit and I/O errors to exit code 2, keeping 1 for Invalid outcomes."""
 
     @functools.wraps(command)
     def wrapper(*args, **kwargs):
         try:
             return command(*args, **kwargs)
-        except DatacredError as exc:
+        except (DatacredError, OSError) as exc:
             raise OperationalError(f"{type(exc).__name__}: {exc}") from exc
 
     return wrapper
@@ -73,8 +75,6 @@ json_option = click.option("--json", "as_json", is_flag=True, help="Emit the rep
 
 
 def _open_wallet(path: str, passphrase_env: str) -> Wallet:
-    import os
-
     passphrase = os.environ.get(passphrase_env)
     if not passphrase and sys.stdin.isatty():
         passphrase = click.prompt("Wallet passphrase", hide_input=True)
@@ -182,8 +182,6 @@ def keygen(wallet: str, passphrase_env: str, label: str, seed_hex: str | None) -
     keypair = generate_keypair(seed)
     store.put(label, keypair)
     store.save()
-    from .did import generate_did_key
-
     did, _ = generate_did_key(keypair.public_key)
     _emit({"label": label, "publicKeyBase58": keypair.public_key_base58, "did": did.text})
 
@@ -257,8 +255,6 @@ def issue(wallet: str, passphrase_env: str, issuer: str, subject: str, schema: s
     keypair = _get_keypair(store, key_label)
     status = None
     if status_registry:
-        import uuid
-
         status = CredentialStatus(
             registry_url=status_registry, status_id=status_id or str(uuid.uuid4())
         )
@@ -425,16 +421,24 @@ def bundle() -> None:
 @operational_errors
 def bundle_create(credential_file: str, did_documents: tuple[str, ...],
                   registry_file: str | None, out: str) -> None:
-    """Lay out credential.json, dids.json, and registry.json for offline use."""
-    directory = Path(out)
-    write_json(directory / "credential.json", read_json(credential_file))
+    """Lay out credential.json, dids.json, and registry.json for offline use.
+
+    Every input is read, and each DID document parsed, before the first write.
+    """
+    credential = read_json(credential_file)
     index = {}
     for path in did_documents:
         document = read_json(path)
-        index[document["id"]] = document
+        try:
+            index[DidDocument.from_json(document).id] = document
+        except DatacredError as exc:
+            raise OperationalError(f"{path}: {type(exc).__name__}: {exc}") from exc
+    registry_doc = read_json(registry_file) if registry_file else None
+    directory = Path(out)
+    write_json(directory / "credential.json", credential)
     write_json(directory / "dids.json", index)
-    if registry_file:
-        write_json(directory / "registry.json", read_json(registry_file))
+    if registry_doc is not None:
+        write_json(directory / "registry.json", registry_doc)
     click.echo(f"bundle written to {directory}", err=True)
 
 
@@ -448,23 +452,16 @@ def _admin_url(admin: str | None, config: str | None) -> str:
         return admin.rstrip("/")
     if config:
         cfg = AgentConfig.load(config)
-        return f"http://{cfg.listen_host}:{cfg.listen_port}"
+        # An agent listening on every interface answers its admin API on loopback.
+        host = "127.0.0.1" if cfg.listen_host == "0.0.0.0" else cfg.listen_host
+        return f"http://{host}:{cfg.listen_port}"
     raise OperationalError("provide --admin URL or --config FILE")
 
 
-def _admin_request(method: str, url: str, body: dict | None = None) -> dict | list:
-    try:
-        if method == "GET":
-            response = requests.get(url, timeout=10)
-        else:
-            response = requests.post(url, json=body or {}, timeout=30)
-    except requests.RequestException as exc:
-        raise OperationalError(f"{url}: {exc}") from exc
-    try:
-        payload = response.json()
-    except ValueError as exc:
-        raise OperationalError(f"{url}: non-JSON response") from exc
-    if response.status_code >= 400:
+def _admin_request(url: str, body: dict | None = None) -> dict | list:
+    """GET url, or POST body to it; plain http is fine, as the admin API is loopback-only."""
+    status, payload = request_json(url, True, 10 if body is None else 30, body)
+    if status >= 400:
         detail = payload.get("detail", payload) if isinstance(payload, dict) else payload
         raise OperationalError(f"{url}: {detail}")
     return payload
@@ -480,8 +477,6 @@ def agent_serve(config_file: str) -> None:
     config.save(config_file)  # pin the bound port so restarts keep the DID
     click.echo(json.dumps(running.status(), indent=2))
     try:
-        import threading
-
         threading.Event().wait()
     except KeyboardInterrupt:
         running.stop()
@@ -492,7 +487,7 @@ def agent_serve(config_file: str) -> None:
 @click.option("--config", "config_file", default=None, type=click.Path(exists=True))
 @operational_errors
 def agent_status(admin: str | None, config_file: str | None) -> None:
-    _emit(_admin_request("GET", _admin_url(admin, config_file) + "/status"))
+    _emit(_admin_request(_admin_url(admin, config_file) + "/status"))
 
 
 @agent.command("connect")
@@ -504,7 +499,7 @@ def agent_status(admin: str | None, config_file: str | None) -> None:
 def agent_connect(admin: str | None, config_file: str | None, target_did: str,
                   endpoint: str) -> None:
     url = _admin_url(admin, config_file)
-    _emit(_admin_request("POST", url + "/connect", {"did": target_did, "endpoint": endpoint}))
+    _emit(_admin_request(url + "/connect", {"did": target_did, "endpoint": endpoint}))
 
 
 @agent.command("issue")
@@ -516,7 +511,7 @@ def agent_connect(admin: str | None, config_file: str | None, target_did: str,
 def agent_issue(admin: str | None, config_file: str | None, connection_id: str,
                 claims: tuple[str, ...]) -> None:
     url = _admin_url(admin, config_file)
-    _emit(_admin_request("POST", url + "/issue",
+    _emit(_admin_request(url + "/issue",
                          {"connectionId": connection_id, "claims": _parse_claims(claims)}))
 
 
@@ -535,7 +530,7 @@ def agent_request_proof(admin: str | None, config_file: str | None, target: str,
     body = {"target": target, "attributes": [a.strip() for a in attrs.split(",") if a.strip()]}
     if endpoint:
         body["endpoint"] = endpoint
-    report = _admin_request("POST", url + "/request-proof", body)
+    report = _admin_request(url + "/request-proof", body)
     _print_report(report, as_json, "proof")
     sys.exit(0 if report.get("overall") == "Valid" else 1)
 
@@ -554,7 +549,7 @@ def agent_revoke(admin: str | None, config_file: str | None, status_id: str | No
         body["statusId"] = status_id
     if credential_id:
         body["credentialId"] = credential_id
-    _emit(_admin_request("POST", url + "/revoke", body))
+    _emit(_admin_request(url + "/revoke", body))
 
 
 if __name__ == "__main__":

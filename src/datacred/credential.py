@@ -334,11 +334,7 @@ def revoke(
 
 
 class HttpRegistrySource:
-    """Fetch revocation registries over HTTP(S).
-
-    Plain http:// URLs are refused unless explicitly enabled, and then only
-    to loopback hosts (test mode).
-    """
+    """Fetch revocation registries under resolver.request_json's transport policy."""
 
     def __init__(self, allow_insecure_loopback: bool = False, timeout: float = 5.0):
         self.allow_insecure_loopback = allow_insecure_loopback

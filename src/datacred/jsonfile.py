@@ -1,9 +1,10 @@
 """How datacred stores JSON files: wallets, agent state and config, DID
 documents, registries, credentials and offline bundles.
 
-A write goes to a ``.tmp`` sibling that is renamed over the target, so no
-reader or crash sees a torn file. A read yields a JSON object or an error
-naming the file: FetchFailed when it cannot be read, else DocumentInvalid.
+A write goes to a ``.tmp`` sibling, renamed over the target or removed if
+the write fails, so no reader or crash sees a torn file. A read yields a
+JSON object or an error naming the file: FetchFailed when it cannot be read,
+else DocumentInvalid.
 """
 
 from __future__ import annotations
@@ -33,5 +34,9 @@ def write_json(path: str | Path, obj: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -3,13 +3,15 @@
 Backends, tried in order:
 
 - KeyBackend        did:key, synthesized locally, never touches the network
-- WebBackend        did:web over HTTPS (plain HTTP only to loopback, and only
-                    when explicitly enabled for tests)
+- WebBackend        did:web over HTTPS
 - StaticBackend     in-memory map, for tests
 - DirectoryBackend  documents read from an offline bundle's dids.json
 
 Every backend counts its fetches so callers can assert cache behavior and
 prove offline verification performed zero network operations.
+
+``request_json`` is datacred's only HTTP client, with one transport policy
+for DID documents, registries, agent envelopes and the admin client.
 """
 
 from __future__ import annotations
@@ -39,30 +41,43 @@ def is_loopback_host(host: str) -> bool:
         return False
 
 
-def fetch_json(url: str, allow_insecure_loopback: bool, timeout: float):
-    """GET a JSON document: the one HTTP fetch path for DID documents and registries.
+def request_json(url: str, allow_insecure_loopback: bool, timeout: float, body=None):
+    """GET url, or POST body to it as JSON; returns (status, JSON reply).
 
-    Only https is fetched, or plain http to a loopback host when explicitly
-    enabled (tests). Redirects are refused, so the scheme and host checked
-    here are the ones that answer. 404 raises NotFound, a body that is not
-    JSON DocumentInvalid, and every other failure FetchFailed.
+    Only https, or plain http to a loopback host when allowed. Redirects are
+    refused, so the host checked here is the one that answers. A refused URL,
+    a transport failure or a 3xx raise FetchFailed. A reply that is not JSON
+    raises DocumentInvalid, or for a status of 400 or more NotFound (404) or
+    FetchFailed.
     """
     parts = urlsplit(url)
     insecure_ok = allow_insecure_loopback and is_loopback_host(parts.hostname or "")
     if parts.scheme != "https" and not (parts.scheme == "http" and insecure_ok):
         raise FetchFailed(f"{url}: only https, or plain http to loopback when enabled")
     try:
-        response = requests.get(url, timeout=timeout, allow_redirects=False)
+        response = requests.request(
+            "GET" if body is None else "POST", url, json=body, timeout=timeout,
+            allow_redirects=False,
+        )
     except requests.RequestException as exc:
         raise FetchFailed(f"{url}: {exc}") from exc
-    if response.status_code == 404:
-        raise NotFound(f"{url} returned 404")
-    if response.status_code >= 300:
-        raise FetchFailed(f"{url} returned {response.status_code}")
+    status = response.status_code
+    if 300 <= status < 400:
+        raise FetchFailed(f"{url}: refused redirect ({status})")
     try:
-        return response.json()
+        return status, response.json()
     except ValueError as exc:
-        raise DocumentInvalid(f"{url}: response is not JSON: {exc}") from exc
+        if status >= 400:
+            raise (NotFound if status == 404 else FetchFailed)(f"{url} returned {status}")
+        raise DocumentInvalid(f"{url}: response ({status}) is not JSON: {exc}") from exc
+
+
+def fetch_json(url: str, allow_insecure_loopback: bool, timeout: float):
+    """GET a DID document or registry; a 404 is NotFound and any other 4xx/5xx FetchFailed."""
+    status, document = request_json(url, allow_insecure_loopback, timeout)
+    if status >= 400:
+        raise (NotFound if status == 404 else FetchFailed)(f"{url} returned {status}")
+    return document
 
 
 class KeyBackend:
@@ -100,10 +115,8 @@ class WebBackend:
 
     def _url(self, did: Did) -> str:
         url = did_web_url(did)
-        if self.allow_insecure_loopback:
-            host = urlsplit(url).hostname or ""
-            if is_loopback_host(host):
-                url = "http" + url[len("https"):]
+        if self.allow_insecure_loopback and is_loopback_host(urlsplit(url).hostname or ""):
+            return "http" + url[len("https"):]
         return url
 
     def fetch(self, did: Did) -> dict:

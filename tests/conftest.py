@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -11,7 +12,7 @@ import pytest
 from datacred.agent import Agent, AgentConfig, Policy
 from datacred.did import generate_did_key
 from datacred.keys import generate_keypair
-from datacred.resolver import KeyBackend, Resolver
+from datacred.resolver import KeyBackend, Resolver, is_loopback_host
 
 PASSPHRASE = "correct horse battery staple"
 
@@ -22,6 +23,26 @@ def fast_wallet_kdf(monkeypatch):
     monkeypatch.setattr(
         "datacred.wallet._DEFAULT_KDF", {"name": "scrypt", "n": 2**11, "r": 8, "p": 1}
     )
+
+
+@pytest.fixture
+def loopback_only(monkeypatch):
+    """Refuse to look up, and so to connect to, any host that is not loopback.
+
+    Yields the refused host names, so a test can show it opened nothing.
+    """
+    refused = []
+    lookup = socket.getaddrinfo
+
+    def guarded(host, *args, **kwargs):
+        name = host.decode() if isinstance(host, bytes) else host
+        if name and not is_loopback_host(name):
+            refused.append(name)
+            raise OSError(f"test refused a connection to {name}")
+        return lookup(host, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "getaddrinfo", guarded)
+    yield refused
 
 
 @pytest.fixture
@@ -116,13 +137,14 @@ def agent_factory(tmp_path, monkeypatch):
     running: list[Agent] = []
 
     def build(role: str, name: str | None = None, did_method: str = "web",
-              policy: Policy | None = None, start: bool = True, **overrides) -> Agent:
+              policy: Policy | None = None, start: bool = True,
+              allow_insecure_http: bool = True, **overrides) -> Agent:
         name = name or role
         config = AgentConfig(
             role=role,
             wallet_path=str(tmp_path / f"{name}.wallet"),
             did_method=did_method,
-            allow_insecure_http=True,
+            allow_insecure_http=allow_insecure_http,
             policy=policy or Policy(),
             **overrides,
         )

@@ -32,6 +32,7 @@ from datacred.errors import (
     Unreachable,
 )
 from datacred.fingerprint import fingerprint_bytes
+from datacred.proofs import ASSERTION, attach_proof
 from datacred.resolver import KeyBackend, Resolver, WebBackend
 
 pytestmark = pytest.mark.usefixtures("fast_wallet_kdf")
@@ -165,6 +166,22 @@ def test_redirected_envelope_post_refused(agent_factory, json_server):
     assert publisher.list_connections() == []
 
 
+def test_envelope_post_to_plain_http_remote_host_refused(agent_factory, loopback_only):
+    publisher = agent_factory("publisher")
+    with pytest.raises(Unreachable, match="only https"):
+        publisher.connect(did="did:web:example.com", endpoint="http://example.com")
+    assert loopback_only == []  # refused before any lookup or connection
+    assert publisher.list_connections() == []
+
+
+def test_agent_without_insecure_http_refuses_loopback_http(agent_factory):
+    strict = agent_factory("publisher", allow_insecure_http=False)
+    dataset = agent_factory("dataset")
+    with pytest.raises(Unreachable, match="only https"):
+        strict.connect(**dataset.invitation())
+    assert dataset.list_connections() == []  # the envelope was never posted
+
+
 def test_dataset_agents_never_initiate(agent_factory):
     dataset = agent_factory("dataset")
     other = agent_factory("dataset", name="dataset2")
@@ -263,6 +280,41 @@ def test_issue_stores_credential_on_dataset_agent(agent_factory):
     assert stored[0]["credentialSubject"]["id"] == dataset.did.text
     assert credential.issuer == publisher.did.text
     assert publisher.find_status_id(credential.id)
+
+
+def test_receipt_check_fetches_no_registry(agent_factory, monkeypatch):
+    """Receiving a credential checks its signature and schema; currency is the verifier's."""
+    publisher, dataset, connection = connected_pair(agent_factory)
+    fetched = []
+    monkeypatch.setattr(dataset.registry_source, "fetch", fetched.append)
+    publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
+    assert fetched == []
+    assert len(dataset.list_credentials()) == 1
+
+
+@pytest.mark.parametrize("resign, reason", [
+    (False, "signature: SignatureMismatch"),
+    (True, "schema: SchemaViolation"),
+], ids=["tampered", "re-signed"])
+def test_receipt_rejection_names_the_failed_check(agent_factory, resign, reason):
+    publisher, dataset, connection = connected_pair(agent_factory)
+    credential = issue_credential(
+        publisher.key, publisher.did, dataset.did, DATASET_PROVENANCE_V1, LISTING_CLAIMS
+    ).to_json()
+    credential["credentialSubject"]["Data Ethically Sourced"] = "MAYBE"
+    if resign:  # a valid signature over claims the schema does not allow
+        del credential["proof"]
+        credential = attach_proof(credential, publisher.key, publisher.did.text, ASSERTION)
+    envelope = build_envelope(
+        publisher.key, publisher.did.text, dataset.did.text, CREDENTIAL_ISSUE,
+        {"connectionId": connection.connection_id, "credential": credential},
+    )
+    response = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5)
+    assert response.status_code == 400
+    body = response.json()["body"]
+    assert body["code"] == "CredentialRejected"
+    assert body["detail"].startswith(reason)
+    assert dataset.list_credentials() == []
 
 
 def test_issue_requires_publisher_role(agent_factory):

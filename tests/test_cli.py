@@ -12,6 +12,7 @@ import requests
 from click.testing import CliRunner
 
 import datacred
+from datacred.agent import AgentConfig
 from datacred.cli import main
 from conftest import PASSPHRASE
 
@@ -228,9 +229,18 @@ def test_interrupted_revoke_keeps_previous_registry(runner, workspace, monkeypat
             runner, "revoke", "--registry", "reg.json", "--status-id", "s1",
             "--wallet", "w.json", "--key-label", "issuer",
         )
-    assert isinstance(result.exception, OSError)
+    assert result.exit_code == 2, result.output
+    assert "No space left on device" in result.stderr
     assert (workspace / "reg.json").read_text() == before
     assert json.loads(before)["revoked"] == []
+
+
+def test_unwritable_out_exits_2_and_leaves_no_tmp(runner, workspace):
+    (workspace / "b").mkdir()
+    result = invoke(runner, "hash", "data.bin", "--out", "b")
+    assert result.exit_code == 2, result.output
+    assert "IsADirectoryError" in result.stderr
+    assert not (workspace / "b.tmp").exists()
 
 
 def test_did_create_web_and_offline_bundle(runner, workspace):
@@ -298,6 +308,21 @@ def make_offline_bundle(runner):
 
 
 OFFLINE_VERIFY = ("verify", "bundle/credential.json", "--offline-bundle", "bundle", "--json")
+
+
+def test_bundle_with_bad_did_document_writes_nothing(runner, workspace):
+    issuer, subject = make_identities(runner)
+    digest = stdout_json(must(runner, "hash", "data.bin"))["digest"]
+    must(runner, *issue_args(issuer["did"], subject["did"], digest))
+    (workspace / "bad-did.json").write_text(json.dumps({"notid": 1}))
+    result = invoke(
+        runner, "bundle", "create", "--credential", "cred.json",
+        "--did-document", "bad-did.json", "--out", "bundle",
+    )
+    assert result.exit_code == 2, result.output
+    assert "DocumentInvalid" in result.stderr
+    assert "bad-did.json" in result.stderr
+    assert not (workspace / "bundle" / "credential.json").exists()
 
 
 @pytest.mark.parametrize("content", ["not json", "[]", None], ids=["not-json", "array", "missing"])
@@ -460,6 +485,31 @@ def wait_for_config_port(process, path, stderr_path, timeout=10.0):
     raise TimeoutError(
         f"agent at {path} never came up; stderr:\n" + stderr_path.read_text(errors="replace")
     )
+
+
+def test_admin_client_refuses_redirects(runner, json_server):
+    json_server.set("/status", {}, status=302, headers={"Location": json_server.url("/moved")})
+    json_server.set("/moved", {"role": "publisher"})
+    result = invoke(runner, "agent", "status", "--admin", json_server.url(""))
+    assert result.exit_code == 2, result.output
+    assert "302" in result.stderr
+    assert json_server.request_count == 1  # /moved was never asked
+
+
+def test_admin_client_refuses_plain_http_to_remote_host(runner, loopback_only):
+    result = invoke(runner, "agent", "status", "--admin", "http://example.com")
+    assert result.exit_code == 2, result.output
+    assert "only https" in result.stderr
+    assert loopback_only == []
+
+
+def test_admin_client_reaches_agent_listening_on_all_interfaces(runner, tmp_path, agent_factory):
+    dataset = agent_factory("dataset")
+    config = AgentConfig(role="dataset", wallet_path=dataset.config.wallet_path,
+                         listen_host="0.0.0.0", listen_port=dataset.config.listen_port)
+    config.save(tmp_path / "all-interfaces.json")
+    result = must(runner, "agent", "status", "--config", str(tmp_path / "all-interfaces.json"))
+    assert stdout_json(result)["did"] == dataset.did.text
 
 
 def test_agent_serve_and_request_proof_cli(tmp_path, monkeypatch):
