@@ -11,7 +11,7 @@ from __future__ import annotations
 import uuid
 from dataclasses import dataclass
 
-from ..errors import DatacredError, SignatureInvalid
+from ..errors import SignatureInvalid
 from ..keys import KeyPair
 from ..proofs import AUTHENTICATION, Proof, attach_proof, check_proof, format_timestamp, utc_now
 from ..reports import CheckStatus
@@ -67,7 +67,7 @@ class MessageEnvelope:
                 signature=Proof.from_json(signature) if signature else None,
             )
         except (AttributeError, KeyError, TypeError) as exc:  # AttributeError: not an object
-            raise DatacredError(f"malformed envelope: {exc}") from exc
+            raise SignatureInvalid(f"malformed envelope: {exc}") from exc
 
 
 def build_envelope(
@@ -94,8 +94,9 @@ def build_envelope(
 def verify_envelope(obj: dict, resolver: Resolver) -> MessageEnvelope:
     """Parse an envelope and verify its signature against the sender's DID.
 
-    Raises SignatureInvalid when the envelope is unsigned, the sender does
-    not resolve, the key is not the sender's, or the signature fails.
+    Raises SignatureInvalid when the envelope is malformed or unsigned, the
+    sender does not resolve, the key is not the sender's, or the signature
+    fails.
     """
     envelope = MessageEnvelope.from_json(obj)
     result, _ = check_proof(obj, envelope.sender, resolver, SIGNATURE_FIELD, role="Sender")

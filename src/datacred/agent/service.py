@@ -85,6 +85,7 @@ log = logging.getLogger(__name__)
 CREDENTIAL_LABEL_PREFIX = "credential:"
 _HTTP_TIMEOUT = 10.0
 MAX_BODY_BYTES = 1 << 20  # inbound request bodies; a signed envelope is a few KiB
+_WILDCARD_HOSTS = ("0.0.0.0", "::", "")  # bind every interface, but name no reachable host
 
 _PROBLEM_ERRORS = {
     "PolicyRejected": PolicyRejected,
@@ -139,6 +140,12 @@ class Agent:
     def start(self) -> "Agent":
         """Open the wallet, bind the listener, and establish the agent DID."""
         config = self.config
+        if config.listen_host in _WILDCARD_HOSTS:
+            # Otherwise the endpoint and did:web would name the wildcard address.
+            if not config.public_base_url:
+                raise BadConfig(f"listenHost {config.listen_host!r} needs a publicBaseUrl")
+            if config.did_method == "web" and not config.web_domain:
+                raise BadConfig(f"listenHost {config.listen_host!r} needs a webDomain for did:web")
         passphrase = config.resolve_passphrase()
         self.wallet = Wallet.open(config.wallet_path, passphrase)
         if config.key_label in self.wallet:
@@ -423,7 +430,7 @@ class Agent:
         """Process one inbound envelope; returns (http status, response JSON)."""
         try:
             envelope = verify_envelope(raw, self.resolver)
-        except (SignatureInvalid, DatacredError) as exc:
+        except DatacredError as exc:
             log.warning("dropping inbound envelope: %s", exc)
             return 400, self._problem_payload("unknown", "SignatureInvalid", str(exc))
         try:

@@ -9,6 +9,12 @@ The ciphertext is the canonical JSON of the entry map encrypted with
 AES-256-GCM under a key derived from the passphrase by scrypt (memory-hard,
 per-file random salt). Authenticated encryption means corruption and wrong
 passphrases are detected rather than yielding garbage.
+
+The key is derived once per open wallet: ``open`` keeps the file's salt and
+key, and a new wallet derives them at its first save. Every save encrypts
+under that key with a fresh random 96-bit nonce (NIST SP 800-38D section 8.3
+allows 2^32 such invocations per key). A file with other scrypt parameters
+than the default is re-keyed under the default at its first save.
 """
 
 from __future__ import annotations
@@ -65,7 +71,8 @@ class Wallet:
 
     def __init__(self, path: str | Path, passphrase: str, wallet_id: str | None = None):
         self.path = Path(path)
-        self._passphrase = passphrase
+        self._passphrase: str | None = passphrase  # dropped once the key is derived
+        self._key: tuple[bytes, AESGCM] | None = None  # (salt, cipher) under _DEFAULT_KDF
         self.wallet_id = wallet_id or secrets.token_hex(8)
         self._entries: dict[str, KeyPair | dict] = {}
 
@@ -90,13 +97,15 @@ class Wallet:
         except DocumentInvalid as exc:
             raise CorruptWallet(str(exc)) from exc
 
-        key = _derive_key(passphrase, salt, kdf_params)
+        cipher = AESGCM(_derive_key(passphrase, salt, kdf_params))
         try:
-            plaintext = AESGCM(key).decrypt(nonce, ciphertext, None)
+            plaintext = cipher.decrypt(nonce, ciphertext, None)
         except InvalidTag as exc:
             raise WrongPassphrase(f"{path}: cannot decrypt with given passphrase") from exc
 
         wallet = cls(path, passphrase, wallet_id=wallet_id)
+        if kdf_params == _DEFAULT_KDF:
+            wallet._passphrase, wallet._key = None, (salt, cipher)
         raw = json.loads(plaintext.decode("utf-8"))
         wallet._entries = {label: _decode_entry(obj) for label, obj in raw.items()}
         return wallet
@@ -126,13 +135,15 @@ class Wallet:
         return iter(self._entries.items())
 
     def save(self) -> None:
-        """Encrypt and atomically write the wallet file."""
+        """Encrypt under the wallet's key with a fresh nonce and atomically write the file."""
+        if self._key is None:
+            salt = secrets.token_bytes(16)
+            key = _derive_key(self._passphrase, salt, _DEFAULT_KDF)
+            self._passphrase, self._key = None, (salt, AESGCM(key))
+        salt, cipher = self._key
         raw = {label: _encode_entry(entry) for label, entry in self._entries.items()}
-        plaintext = canonicalize(raw)
-        salt = secrets.token_bytes(16)
         nonce = secrets.token_bytes(12)
-        key = _derive_key(self._passphrase, salt, _DEFAULT_KDF)
-        ciphertext = AESGCM(key).encrypt(nonce, plaintext, None)
+        ciphertext = cipher.encrypt(nonce, canonicalize(raw), None)
         envelope = {
             "version": FORMAT_VERSION,
             "walletId": self.wallet_id,

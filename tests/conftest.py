@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from datacred import wallet
 from datacred.agent import Agent, AgentConfig, Policy
 from datacred.did import generate_did_key
 from datacred.keys import generate_keypair
@@ -23,6 +24,15 @@ def fast_wallet_kdf(monkeypatch):
     monkeypatch.setattr(
         "datacred.wallet._DEFAULT_KDF", {"name": "scrypt", "n": 2**11, "r": 8, "p": 1}
     )
+
+
+@pytest.fixture
+def key_derivations(monkeypatch):
+    """Arguments of every wallet key derivation, in call order."""
+    calls = []
+    derive = wallet._derive_key
+    monkeypatch.setattr(wallet, "_derive_key", lambda *args: (calls.append(args), derive(*args))[1])
+    return calls
 
 
 @pytest.fixture

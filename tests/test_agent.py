@@ -22,6 +22,8 @@ from datacred.agent.state import AgentState
 from datacred.agent.config import AgentConfig, Policy
 from datacred.credential import DATASET_PROVENANCE_V1, issue_credential
 from datacred.errors import (
+    AgentError,
+    BadConfig,
     ConnectionInactive,
     CredentialRejected,
     DatacredError,
@@ -29,6 +31,7 @@ from datacred.errors import (
     PolicyRejected,
     PortInUse,
     RoleForbidden,
+    SignatureInvalid,
     Unreachable,
 )
 from datacred.fingerprint import fingerprint_bytes
@@ -115,6 +118,27 @@ def test_state_file_that_is_not_json_names_the_file(agent_factory):
         dataset.start()
 
 
+@pytest.mark.parametrize("host", ["0.0.0.0", "::", ""])
+def test_wildcard_listen_host_without_public_base_url_refused(agent_factory, host):
+    agent = agent_factory("dataset", did_method="key", start=False, listen_host=host)
+    with pytest.raises(BadConfig, match="publicBaseUrl"):
+        agent.start()
+    assert not pathlib.Path(agent.config.wallet_path).exists()  # refused before anything else
+
+
+def test_wildcard_listen_host_without_web_domain_refused_for_did_web(agent_factory):
+    agent = agent_factory("dataset", start=False, listen_host="0.0.0.0",
+                          public_base_url="https://data.example")
+    with pytest.raises(BadConfig, match="webDomain"):
+        agent.start()
+
+
+def test_wildcard_listen_host_with_public_names_starts(agent_factory):
+    agent = agent_factory("dataset", listen_host="0.0.0.0",
+                          public_base_url="https://data.example", web_domain="data.example")
+    assert agent.invitation() == {"did": "did:web:data.example", "endpoint": "https://data.example"}
+
+
 # --- connections ---
 
 def test_connect_active_on_both_sides(agent_factory):
@@ -163,6 +187,18 @@ def test_redirected_envelope_post_refused(agent_factory, json_server):
             endpoint=json_server.url(""),
         )
     assert json_server.request_count == 1  # the POST to /inbox; none reached /target
+    assert publisher.list_connections() == []
+
+
+def test_reply_that_is_not_an_envelope_is_an_agent_error(agent_factory, json_server):
+    publisher = agent_factory("publisher")
+    json_server.set("/inbox", [])
+    with pytest.raises(AgentError, match="malformed envelope") as excinfo:
+        publisher.connect(
+            did="did:web:" + json_server.host.replace(":", "%3A"),
+            endpoint=json_server.url(""),
+        )
+    assert isinstance(excinfo.value, SignatureInvalid)
     assert publisher.list_connections() == []
 
 
@@ -280,6 +316,22 @@ def test_issue_stores_credential_on_dataset_agent(agent_factory):
     assert stored[0]["credentialSubject"]["id"] == dataset.did.text
     assert credential.issuer == publisher.did.text
     assert publisher.find_status_id(credential.id)
+
+
+def test_dataset_agent_derives_its_wallet_key_once_per_start(agent_factory, key_derivations):
+    """Each received credential re-encrypts the wallet under the key derived at start."""
+    publisher = agent_factory("publisher")
+    key_derivations.clear()
+    dataset = agent_factory("dataset")
+    connection = publisher.connect(**dataset.invitation())
+    for _ in range(3):
+        publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
+    assert len(key_derivations) == 1
+    dataset = agent_factory.restart(dataset)
+    for _ in range(3):
+        publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
+    assert len(key_derivations) == 2
+    assert len(dataset.list_credentials()) == 6
 
 
 def test_receipt_check_fetches_no_registry(agent_factory, monkeypatch):
