@@ -11,6 +11,7 @@ from ..jsonfile import read_json, write_json
 
 ROLES = ("publisher", "dataset", "user")
 DEFAULT_PASSPHRASE_ENV = "DATACRED_PASSPHRASE"
+WILDCARD_HOSTS = ("0.0.0.0", "::", "")  # bind every interface, but name no reachable host
 
 
 @dataclass

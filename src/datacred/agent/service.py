@@ -65,7 +65,7 @@ from ..proofs import check_proof, parse_timestamp
 from ..reports import CheckResult, CheckStatus, PresentationReport
 from ..resolver import KeyBackend, Resolver, WebBackend, is_loopback_host, request_json
 from ..wallet import Wallet
-from .config import AgentConfig
+from .config import WILDCARD_HOSTS, AgentConfig
 from .envelopes import (
     CONNECTION_REQUEST,
     CONNECTION_RESPONSE,
@@ -85,7 +85,6 @@ log = logging.getLogger(__name__)
 CREDENTIAL_LABEL_PREFIX = "credential:"
 _HTTP_TIMEOUT = 10.0
 MAX_BODY_BYTES = 1 << 20  # inbound request bodies; a signed envelope is a few KiB
-_WILDCARD_HOSTS = ("0.0.0.0", "::", "")  # bind every interface, but name no reachable host
 
 _PROBLEM_ERRORS = {
     "PolicyRejected": PolicyRejected,
@@ -108,12 +107,23 @@ class _Problem(Exception):
 
 
 def _field(body: dict, name: str, kind: type, default):
-    """body[name], or default when absent; a value of another type is a BadRequest."""
+    """body[name], or default when absent (a None default makes the field required);
+    a value of another type is a BadRequest."""
+    if default is None and name not in body:
+        raise _Problem("BadRequest", f"missing field {name!r}")
     value = body.get(name, default)
     if not isinstance(value, kind):
         raise _Problem(
             "BadRequest", f"{name} must be a {kind.__name__}, not {type(value).__name__}"
         )
+    return value
+
+
+def _string_list(body: dict, name: str) -> list[str]:
+    """body[name] as a list of strings, [] when absent; anything else is a BadRequest."""
+    value = _field(body, name, list, [])
+    if not all(isinstance(item, str) for item in value):
+        raise _Problem("BadRequest", f"{name} must all be strings")
     return value
 
 
@@ -140,7 +150,7 @@ class Agent:
     def start(self) -> "Agent":
         """Open the wallet, bind the listener, and establish the agent DID."""
         config = self.config
-        if config.listen_host in _WILDCARD_HOSTS:
+        if config.listen_host in WILDCARD_HOSTS:
             # Otherwise the endpoint and did:web would name the wildcard address.
             if not config.public_base_url:
                 raise BadConfig(f"listenHost {config.listen_host!r} needs a publicBaseUrl")
@@ -526,9 +536,7 @@ class Agent:
                 "ConnectionInactive", f"no active connection with {envelope.sender}"
             )
         challenge = _field(envelope.body, "challenge", str, "")
-        requested = _field(envelope.body, "requestedAttributes", list, [])
-        if not all(isinstance(attr, str) for attr in requested):
-            raise _Problem("BadRequest", "requestedAttributes must all be strings")
+        requested = _string_list(envelope.body, "requestedAttributes")
         if not challenge:
             raise _Problem("BadRequest", "proof request carries no challenge")
         candidates = [
@@ -640,39 +648,42 @@ class _RequestHandler(BaseHTTPRequestHandler):
             return
         try:
             if self.path == "/connect":
-                connection = agent.connect(body["did"], body["endpoint"])
+                connection = agent.connect(
+                    _field(body, "did", str, None), _field(body, "endpoint", str, None)
+                )
                 self._send_json(200, connection.to_json())
             elif self.path == "/issue":
-                schema = (
-                    CredentialSchema.from_json(body["schema"]) if "schema" in body else None
-                )
+                schema = None
+                if "schema" in body:
+                    schema = CredentialSchema.from_json(_field(body, "schema", dict, None))
                 credential = agent.issue_over_connection(
-                    body["connectionId"],
-                    body["claims"],
+                    _field(body, "connectionId", str, None),
+                    _field(body, "claims", dict, None),
                     schema=schema,
-                    expiration_date=body.get("expirationDate"),
-                    with_status=body.get("withStatus", True),
+                    expiration_date=_field(body, "expirationDate", str, "") or None,
+                    with_status=_field(body, "withStatus", bool, True),
                 )
                 self._send_json(200, credential.to_json())
             elif self.path == "/request-proof":
                 report = agent.request_proof(
-                    body["target"],
-                    body.get("attributes", []),
-                    endpoint=body.get("endpoint"),
+                    _field(body, "target", str, None),
+                    _string_list(body, "attributes"),
+                    endpoint=_field(body, "endpoint", str, "") or None,
                 )
                 self._send_json(200, report.to_json())
             elif self.path == "/revoke":
-                status_id = body.get("statusId")
-                if not status_id and body.get("credentialId"):
-                    status_id = agent.find_status_id(body["credentialId"])
+                status_id = _field(body, "statusId", str, "")
+                credential_id = _field(body, "credentialId", str, "")
+                if not status_id and credential_id:
+                    status_id = agent.find_status_id(credential_id)
                 if not status_id:
                     raise AgentError("revoke needs a statusId or a known credentialId")
                 registry = agent.revoke_status(status_id)
                 self._send_json(200, registry.to_json())
             else:
                 self._send_json(404, {"error": "NotFound", "detail": self.path})
-        except KeyError as exc:
-            self._send_json(400, {"error": "BadRequest", "detail": f"missing field {exc}"})
+        except _Problem as problem:
+            self._send_json(problem.http_status, {"error": problem.code, "detail": problem.detail})
         except RoleForbidden as exc:
             self._send_json(403, {"error": "RoleForbidden", "detail": str(exc)})
         except DatacredError as exc:

@@ -18,6 +18,7 @@ from pathlib import Path
 import click
 
 from .agent import AgentConfig, provision_agent
+from .agent.config import WILDCARD_HOSTS
 from .credential import (
     DATASET_PROVENANCE_V1,
     CredentialSchema,
@@ -453,7 +454,7 @@ def _admin_url(admin: str | None, config: str | None) -> str:
     if config:
         cfg = AgentConfig.load(config)
         # An agent listening on every interface answers its admin API on loopback.
-        host = "127.0.0.1" if cfg.listen_host == "0.0.0.0" else cfg.listen_host
+        host = "127.0.0.1" if cfg.listen_host in WILDCARD_HOSTS else cfg.listen_host
         return f"http://{host}:{cfg.listen_port}"
     raise OperationalError("provide --admin URL or --config FILE")
 

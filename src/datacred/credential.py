@@ -28,7 +28,13 @@ from .errors import (
     SchemaMismatch,
     WrongIssuerKey,
 )
-from .fingerprint import BindingReport, DatasetFingerprint, check_binding, normalize_digest
+from .fingerprint import (
+    BindingReport,
+    DatasetFingerprint,
+    check_binding,
+    data_form,
+    normalize_digest,
+)
 from .jsonfile import read_json
 from .keys import KeyPair
 from .proofs import (
@@ -199,7 +205,10 @@ class VerifiableCredential:
             types = obj["type"]
             if CREDENTIAL_TYPE not in types:
                 raise DatacredError(f"type {types!r} does not include {CREDENTIAL_TYPE}")
-            subject = dict(obj["credentialSubject"])
+            subject = obj["credentialSubject"]
+            if not isinstance(subject, dict):  # dict() would also take a list of pairs
+                raise TypeError(f"credentialSubject is a {type(subject).__name__}")
+            subject = dict(subject)
             subject_id = subject.pop("id")
             status = obj.get("credentialStatus")
             proof = obj.get("proof")
@@ -216,7 +225,7 @@ class VerifiableCredential:
                 context=list(obj["@context"]),
                 type=list(types),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DatacredError(f"malformed credential: {exc}") from exc
 
 
@@ -473,14 +482,9 @@ def verify_credential(
 
 
 def check_binding_claim(vc: VerifiableCredential, data: bytes | str | Path) -> BindingReport:
-    """Recheck the credential's dataset-hash claim against actual data."""
+    """Recheck the credential's dataset-hash claim, in the data's own form, against the data."""
     raw = vc.claims.get(HASH_CLAIM)
     if not raw:
         raise NoHashClaim(f"credential {vc.id} carries no {HASH_CLAIM!r} claim")
-    digest = normalize_digest(raw)
-    if isinstance(data, (str, Path)) and Path(data).is_dir():
-        form = "tree"
-    else:
-        form = "file"
-    fp = DatasetFingerprint(algorithm="sha256", digest=digest, form=form)
+    fp = DatasetFingerprint(algorithm="sha256", digest=normalize_digest(raw), form=data_form(data))
     return check_binding(fp, data)

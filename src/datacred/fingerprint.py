@@ -7,10 +7,14 @@ Two forms:
   slash-separated relative paths, each with its own digest); the top-level
   digest is the SHA-256 of the manifest's canonical JSON encoding, so it is
   independent of filesystem enumeration order. A symbolic link to a file
-  inside the root is hashed as that file; a link that leaves the root or
-  points at a directory, and any entry that is neither a regular file nor a
-  directory (a FIFO, a socket, a device, a dangling link), is refused rather
-  than silently left out. Empty directories carry no bytes and are not bound.
+  inside the root is hashed as that file. Nothing readable is silently left
+  out: a link that leaves the root or points at a directory, any entry that
+  is neither a regular file nor a directory (a FIFO, a socket, a device, a
+  dangling link) and a directory that cannot be listed are refused. Empty
+  directories carry no bytes and are not bound.
+
+``check_binding`` fingerprints the data once, in the form the data has, and
+matches only when form and digest both agree.
 
 Digests are lowercase hex, no ``0x`` prefix.
 """
@@ -18,11 +22,12 @@ Digests are lowercase hex, no ``0x`` prefix.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .canonical import canonicalize
-from .errors import AlgorithmUnsupported, SymlinkEscape, UnreadablePath
+from .errors import AlgorithmUnsupported, DatacredError, SymlinkEscape, UnreadablePath
 
 ALGORITHM = "sha256"
 _READ_CHUNK = 1 << 20
@@ -97,10 +102,10 @@ def _sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _sha256_file(path: Path) -> str:
+def _sha256_file(path: str | Path) -> str:
     digest = hashlib.sha256()
     try:
-        with path.open("rb") as handle:
+        with open(path, "rb") as handle:
             while chunk := handle.read(_READ_CHUNK):
                 digest.update(chunk)
     except OSError as exc:
@@ -121,34 +126,51 @@ def fingerprint_file(path: str | Path) -> DatasetFingerprint:
     return DatasetFingerprint(algorithm=ALGORITHM, digest=_sha256_file(path), form="file")
 
 
-def _collect_files(root: Path) -> list[Path]:
-    root_resolved = root.resolve()
-    files = []
-    for path in sorted(root.rglob("*")):
-        if path.is_symlink():
-            target = path.resolve()
-            if not target.is_relative_to(root_resolved):
-                raise SymlinkEscape(f"{path} -> {target} escapes {root}")
-            if target.is_dir():
-                raise UnreadablePath(f"{path} -> {target}: symlinked directory not fingerprinted")
-        if path.is_file():
-            files.append(path)
-        elif not path.is_dir():  # a FIFO, socket, device or dangling link has no bytes to bind
-            raise UnreadablePath(f"{path}: not a regular file or directory")
-    return files
+def _refusal(path: str, root: Path) -> DatacredError | None:
+    """Why an entry that is neither a plain file nor a plain directory cannot be
+    bound; None for a symbolic link to a file inside root."""
+    target = os.path.realpath(path)
+    if not Path(target).is_relative_to(root):
+        return SymlinkEscape(f"{path} -> {target} escapes {root}")
+    if os.path.isdir(target):
+        return UnreadablePath(f"{path} -> {target}: symlinked directory not fingerprinted")
+    if not os.path.isfile(target):  # a FIFO, socket, device or dangling link has no bytes to bind
+        return UnreadablePath(f"{path}: not a regular file or directory")
+    return None
 
 
 def build_manifest(root: str | Path) -> tuple[ManifestEntry, ...]:
-    """List every regular file under root with its digest, sorted by path."""
-    root = Path(root)
-    if not root.is_dir():
-        raise UnreadablePath(f"{root}: not a readable directory")
-    entries = []
-    for path in _collect_files(root):
-        rel = path.relative_to(root).as_posix()
-        entries.append(ManifestEntry(path=rel, digest=_sha256_file(path)))
-    entries.sort(key=lambda entry: entry.path)
-    return tuple(entries)
+    """List every regular file under root with its digest, sorted by path.
+
+    One walk lists each directory once. Every entry that cannot be bound is
+    refused before any file is read; of several, the first in path order is
+    reported.
+    """
+    root_real = Path(os.path.realpath(root))
+    files, refused = [], []
+    pending = [(root, "")]  # (directory, its relative path plus "/")
+    while pending:
+        directory, prefix = pending.pop()
+        try:
+            with os.scandir(directory) as listing:
+                children = list(listing)
+        except OSError as exc:
+            refused.append((prefix, UnreadablePath(f"{directory}: cannot list: {exc}")))
+            continue
+        for child in children:
+            rel = prefix + child.name
+            if child.is_dir(follow_symlinks=False):
+                pending.append((child.path, rel + "/"))
+            elif child.is_file(follow_symlinks=False):
+                files.append((rel, child.path))
+            elif problem := _refusal(child.path, root_real):
+                refused.append((rel, problem))
+            else:
+                files.append((rel, child.path))  # a link to a file inside the root
+    if refused:
+        raise min(refused, key=lambda item: item[0])[1]
+    files.sort()
+    return tuple(ManifestEntry(path=rel, digest=_sha256_file(path)) for rel, path in files)
 
 
 def manifest_digest(manifest: tuple[ManifestEntry, ...]) -> str:
@@ -166,78 +188,51 @@ def fingerprint_tree(root: str | Path) -> DatasetFingerprint:
     )
 
 
+def data_form(data: bytes | str | Path) -> str:
+    """The form data is fingerprinted in: "tree" for a directory, "file" otherwise.
+
+    Known limit: a bare digest claim takes its form from here, so a file whose
+    bytes are a tree's canonical manifest matches that tree's digest.
+    """
+    return "tree" if not isinstance(data, bytes) and Path(data).is_dir() else "file"
+
+
 def fingerprint_path(path: str | Path) -> DatasetFingerprint:
     """Fingerprint a path, auto-detecting file versus directory."""
-    path = Path(path)
-    if path.is_dir():
-        return fingerprint_tree(path)
-    return fingerprint_file(path)
+    return fingerprint_tree(path) if data_form(path) == "tree" else fingerprint_file(path)
 
 
 def normalize_digest(digest: str) -> str:
     """Lowercase and strip an optional 0x prefix from a presented digest."""
-    digest = digest.strip().lower()
-    if digest.startswith("0x"):
-        digest = digest[2:]
-    return digest
+    return digest.strip().lower().removeprefix("0x")
 
 
 def check_binding(fp: DatasetFingerprint, data: bytes | str | Path) -> BindingReport:
-    """Recompute the fingerprint of data and compare with fp.
+    """Fingerprint data once and compare it with fp.
 
-    For tree fingerprints the report names every per-file mismatch, missing
-    file, and extra file.
+    The data matches when its form and digest both equal fp's. On a form
+    mismatch ``detail`` names both forms and ``actual_digest`` is the data's
+    digest in its own form. When fp carries a manifest, the report names every
+    mismatched, missing and extra file (data that is not a tree misses them all).
     """
     if fp.algorithm != ALGORITHM:
         raise AlgorithmUnsupported(fp.algorithm)
-
-    if fp.form == "file":
-        if isinstance(data, bytes):
-            actual = fingerprint_bytes(data)
-        else:
-            path = Path(data)
-            if path.is_dir():
-                return BindingReport(
-                    matched=False,
-                    expected_digest=fp.digest,
-                    detail="fingerprint is for a single file but data is a directory",
-                )
-            actual = fingerprint_file(path)
-        return BindingReport(
-            matched=actual.digest == fp.digest,
-            expected_digest=fp.digest,
-            actual_digest=actual.digest,
+    if fp.form not in ("file", "tree"):
+        raise AlgorithmUnsupported(f"unknown fingerprint form {fp.form!r}")
+    actual = fingerprint_bytes(data) if isinstance(data, bytes) else fingerprint_path(data)
+    report = BindingReport(
+        matched=(actual.form, actual.digest) == (fp.form, fp.digest),
+        expected_digest=fp.digest,
+        actual_digest=actual.digest,
+    )
+    if actual.form != fp.form:
+        report.detail = f"fingerprint is for a {fp.form} but data is a {actual.form}"
+    if fp.manifest is not None:
+        expected = {entry.path: entry.digest for entry in fp.manifest}
+        found = {entry.path: entry.digest for entry in actual.manifest or ()}
+        report.missing = sorted(expected.keys() - found.keys())
+        report.extra = sorted(found.keys() - expected.keys())
+        report.mismatched = sorted(
+            p for p in expected.keys() & found.keys() if expected[p] != found[p]
         )
-
-    if fp.form == "tree":
-        if isinstance(data, bytes):
-            return BindingReport(
-                matched=False,
-                expected_digest=fp.digest,
-                detail="fingerprint is for a file tree but data is a byte stream",
-            )
-        path = Path(data)
-        if not path.is_dir():
-            return BindingReport(
-                matched=False,
-                expected_digest=fp.digest,
-                detail="fingerprint is for a file tree but data is a single file",
-            )
-        actual_manifest = build_manifest(path)
-        actual_digest = manifest_digest(actual_manifest)
-        report = BindingReport(
-            matched=actual_digest == fp.digest,
-            expected_digest=fp.digest,
-            actual_digest=actual_digest,
-        )
-        if fp.manifest is not None:
-            expected = {entry.path: entry.digest for entry in fp.manifest}
-            actual = {entry.path: entry.digest for entry in actual_manifest}
-            report.missing = sorted(set(expected) - set(actual))
-            report.extra = sorted(set(actual) - set(expected))
-            report.mismatched = sorted(
-                p for p in set(expected) & set(actual) if expected[p] != actual[p]
-            )
-        return report
-
-    raise AlgorithmUnsupported(f"unknown fingerprint form {fp.form!r}")
+    return report

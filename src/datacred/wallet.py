@@ -38,9 +38,16 @@ FORMAT_VERSION = 1
 _DEFAULT_KDF = {"name": "scrypt", "n": 2**14, "r": 8, "p": 1}
 
 
+def _is_scrypt(params) -> bool:
+    """A kdf block naming scrypt with integer n, r and p."""
+    return (
+        isinstance(params, dict)
+        and params.get("name") == "scrypt"
+        and all(type(params.get(key)) is int for key in ("n", "r", "p"))
+    )
+
+
 def _derive_key(passphrase: str, salt: bytes, params: dict) -> bytes:
-    if params.get("name") != "scrypt":
-        raise CorruptWallet(f"unknown kdf {params.get('name')!r}")
     kdf = Scrypt(salt=salt, length=32, n=params["n"], r=params["r"], p=params["p"])
     return kdf.derive(passphrase.encode("utf-8"))
 
@@ -88,6 +95,8 @@ class Wallet:
             if version != FORMAT_VERSION:
                 raise CorruptWallet(f"unsupported wallet version {version}")
             kdf_params = envelope["kdf"]
+            if not _is_scrypt(kdf_params):
+                raise ValueError(f"unsupported kdf {kdf_params!r}")
             salt = base64.b64decode(envelope["salt"], validate=True)
             nonce = base64.b64decode(envelope["nonce"], validate=True)
             ciphertext = base64.b64decode(envelope["ciphertext"], validate=True)
@@ -97,11 +106,13 @@ class Wallet:
         except DocumentInvalid as exc:
             raise CorruptWallet(str(exc)) from exc
 
-        cipher = AESGCM(_derive_key(passphrase, salt, kdf_params))
         try:
+            cipher = AESGCM(_derive_key(passphrase, salt, kdf_params))
             plaintext = cipher.decrypt(nonce, ciphertext, None)
         except InvalidTag as exc:
             raise WrongPassphrase(f"{path}: cannot decrypt with given passphrase") from exc
+        except (ValueError, OverflowError) as exc:  # scrypt parameters or nonce refused
+            raise CorruptWallet(f"{path}: {exc}") from exc
 
         wallet = cls(path, passphrase, wallet_id=wallet_id)
         if kdf_params == _DEFAULT_KDF:

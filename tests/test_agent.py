@@ -604,6 +604,20 @@ def test_malformed_body_gets_problem_report(agent_factory, message_type, body):
     assert len(dataset.list_connections()) == 1
 
 
+def test_credential_with_non_object_subject_gets_problem_report(agent_factory):
+    publisher, dataset, connection = connected_pair(agent_factory)
+    credential = {"type": ["VerifiableCredential"], "credentialSubject": ["abc"]}
+    envelope = build_envelope(
+        publisher.key, publisher.did.text, dataset.did.text, CREDENTIAL_ISSUE,
+        {"connectionId": connection.connection_id, "credential": credential},
+    )
+    response = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5)
+    assert response.status_code == 400
+    assert response.json()["type"] == PROBLEM_REPORT
+    assert response.json()["body"]["code"] == "CredentialRejected"
+    assert dataset.list_credentials() == []
+
+
 @pytest.mark.parametrize("payload", [5, [], "envelope"], ids=["int", "list", "string"])
 def test_non_object_envelope_gets_problem_report(agent_factory, payload):
     dataset = agent_factory("dataset")
@@ -759,3 +773,28 @@ def test_admin_post_with_non_object_body_is_bad_request(agent_factory, route):
     response = requests.post(publisher.base_url + route, json=[], timeout=5)
     assert response.status_code == 400
     assert response.json()["error"] == "BadRequest"
+
+
+@pytest.mark.parametrize("route, body", [
+    ("/connect", {"did": 5, "endpoint": "http://127.0.0.1:1"}),
+    ("/connect", {"endpoint": "http://127.0.0.1:1"}),
+    ("/issue", {"connectionId": [1], "claims": {}}),
+    ("/issue", {"connectionId": "c", "claims": ["Hash of Data"]}),
+    ("/issue", {"connectionId": "c", "claims": {}, "schema": "dataset-provenance-v1"}),
+    ("/issue", {"connectionId": "c", "claims": {}, "withStatus": "no"}),
+    ("/request-proof", {"target": "did:key:z6Mk", "attributes": "Hash of Data"}),
+    ("/request-proof", {"target": "did:key:z6Mk", "attributes": [1]}),
+    ("/request-proof", {"target": ["did:key:z6Mk"]}),
+    ("/revoke", {"statusId": 5}),
+    ("/revoke", {"credentialId": {"id": "urn:uuid:x"}}),
+], ids=["connect-did-int", "connect-did-missing", "issue-connection-id-list",
+        "issue-claims-list", "issue-schema-string", "issue-with-status-string",
+        "proof-attributes-string", "proof-attribute-int", "proof-target-list",
+        "revoke-status-id-int", "revoke-credential-id-object"])
+def test_admin_post_with_mistyped_field_is_bad_request(agent_factory, route, body):
+    """Admin bodies follow the inbox's type rule: answered 400, never dropped or coerced."""
+    publisher = agent_factory("publisher")
+    response = requests.post(publisher.base_url + route, json=body, timeout=5)
+    assert response.status_code == 400, response.text
+    assert response.json()["error"] == "BadRequest"
+    assert publisher.list_connections() == []

@@ -78,6 +78,17 @@ def test_keygen_deterministic_seed(runner, workspace):
     assert info["did"] == "did:key:z6MkiTBz1ymuepAQ4HEHYSF1H8quG5GLVVQR3djdX3mDooWp"
 
 
+@pytest.mark.parametrize("kdf", [{"name": "scrypt"}, "scrypt"], ids=["without-cost", "string"])
+def test_keygen_on_wallet_with_malformed_kdf_exits_2(runner, workspace, kdf):
+    must(runner, "keygen", "--wallet", "w.json", "--label", "k1")
+    envelope = json.loads((workspace / "w.json").read_text())
+    envelope["kdf"] = kdf
+    (workspace / "w.json").write_text(json.dumps(envelope))
+    result = invoke(runner, "keygen", "--wallet", "w.json", "--label", "k2")
+    assert result.exit_code == 2, result.output
+    assert "CorruptWallet" in result.stderr and "w.json" in result.stderr
+
+
 def test_hash_empty_file(runner, workspace):
     (workspace / "empty.bin").write_bytes(b"")
     fp = stdout_json(must(runner, "hash", "empty.bin"))
@@ -509,6 +520,16 @@ def test_admin_client_reaches_agent_listening_on_all_interfaces(runner, tmp_path
                          listen_host="0.0.0.0", listen_port=dataset.config.listen_port)
     config.save(tmp_path / "all-interfaces.json")
     result = must(runner, "agent", "status", "--config", str(tmp_path / "all-interfaces.json"))
+    assert stdout_json(result)["did"] == dataset.did.text
+
+
+@pytest.mark.parametrize("host", ["0.0.0.0", "::", ""], ids=["ipv4-any", "ipv6-any", "empty"])
+def test_admin_client_maps_every_wildcard_host_to_loopback(runner, tmp_path, agent_factory, host):
+    dataset = agent_factory("dataset")
+    config = AgentConfig(role="dataset", wallet_path=dataset.config.wallet_path,
+                         listen_host=host, listen_port=dataset.config.listen_port)
+    config.save(tmp_path / "wildcard.json")
+    result = must(runner, "agent", "status", "--config", str(tmp_path / "wildcard.json"))
     assert stdout_json(result)["did"] == dataset.did.text
 
 

@@ -19,7 +19,7 @@ from datacred.credential import (
     revoke,
     verify_credential,
 )
-from datacred.errors import BadDates, NoHashClaim, SchemaMismatch, WrongIssuerKey
+from datacred.errors import BadDates, DatacredError, NoHashClaim, SchemaMismatch, WrongIssuerKey
 from datacred.fingerprint import fingerprint_bytes
 from datacred.keys import generate_keypair
 from datacred.proofs import parse_timestamp
@@ -350,6 +350,15 @@ def test_check_binding_claim_missing(issuer, subject):
 def test_credential_json_roundtrip(issued):
     again = VerifiableCredential.from_json(json.loads(json.dumps(issued.to_json())))
     assert again.to_json() == issued.to_json()
+
+
+@pytest.mark.parametrize("value", [["abc"], "abc", 5, [["id", "did:key:z6Mk"]]],
+                         ids=["list", "string", "int", "list-of-pairs"])
+def test_non_object_credential_subject_is_malformed(issued, value):
+    obj = issued.to_json()
+    obj["credentialSubject"] = value
+    with pytest.raises(DatacredError, match="malformed credential"):
+        VerifiableCredential.from_json(obj)
 
 
 def test_registry_json_roundtrip(issuer):

@@ -1,10 +1,16 @@
 """Content fingerprints: published SHA-256 vectors, tree manifests, binding checks."""
 
+import errno
 import hashlib
+import json
 import os
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from datacred.canonical import canonicalize
 from datacred.errors import AlgorithmUnsupported, SymlinkEscape, UnreadablePath
@@ -165,6 +171,91 @@ def test_dangling_link_in_tree_refused(tmp_path):
         fingerprint_tree(tmp_path)
 
 
+def test_retargeting_a_symlink_is_refused_or_changes_the_digest(tmp_path):
+    (tmp_path / "outside.txt").write_text("outside")
+    root = tmp_path / "root"
+    (root / "dir").mkdir(parents=True)
+    (root / "a").write_text("a")
+    (root / "b").write_text("b")
+    (root / "link").symlink_to(root / "a")
+    before = fingerprint_tree(root).digest
+    (root / "link").unlink()
+    (root / "link").symlink_to(root / "b")
+    assert fingerprint_tree(root).digest != before
+    (root / "link").unlink()
+    (root / "link").symlink_to(root / "dir")
+    with pytest.raises(UnreadablePath, match="link"):
+        fingerprint_tree(root)
+    (root / "link").unlink()
+    (root / "link").symlink_to(tmp_path / "outside.txt")
+    with pytest.raises(SymlinkEscape, match="link"):
+        fingerprint_tree(root)
+
+
+def test_symlink_loop_in_tree_refused(tmp_path):
+    (tmp_path / "a").write_text("a")
+    (tmp_path / "loop").symlink_to(tmp_path / "loop")
+    with pytest.raises(UnreadablePath, match="loop"):
+        fingerprint_tree(tmp_path)
+
+
+def refuse_listing(monkeypatch, name: str) -> list:
+    """Make os.scandir fail with EACCES on directories called name, even as root.
+
+    Returns the list of every directory listed, in call order."""
+    scandir, listed = os.scandir, []
+
+    def guarded(path="."):
+        listed.append(os.fspath(path))
+        if os.path.basename(os.fspath(path)) == name:
+            raise PermissionError(errno.EACCES, "Permission denied", os.fspath(path))
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", guarded)
+    return listed
+
+
+def test_unlistable_directory_refused(tmp_path, monkeypatch):
+    """A directory that cannot be listed must not drop out of the manifest."""
+    (tmp_path / "a").write_text("a")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "x").write_text("x")
+    refuse_listing(monkeypatch, "sub")
+    with pytest.raises(UnreadablePath, match="sub"):
+        fingerprint_tree(tmp_path)
+
+
+def test_each_directory_listed_once(tmp_path, monkeypatch):
+    for rel in ("a", "d/b", "d/e/c", "f/g"):
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(rel)
+    listed = refuse_listing(monkeypatch, "no such directory")
+    fp = fingerprint_tree(tmp_path)
+    assert [e.path for e in fp.manifest] == ["a", "d/b", "d/e/c", "f/g"]
+    assert sorted(listed) == sorted(
+        str(tmp_path / rel) if rel else str(tmp_path) for rel in ("", "d", "d/e", "f")
+    )
+
+
+def test_first_bad_entry_in_path_order_is_reported(tmp_path, monkeypatch):
+    """Whatever order the filesystem lists them in, the refusal is the same one."""
+    (tmp_path / "outside.txt").write_text("secret")
+    root = tmp_path / "root"
+    (root / "m").mkdir(parents=True)
+    (root / "a-ok").write_text("fine")
+    (root / "z-escape").symlink_to(tmp_path / "outside.txt")
+    (root / "b-dangling").symlink_to(root / "missing")
+    refuse_listing(monkeypatch, "m")
+    with pytest.raises(UnreadablePath, match="b-dangling"):
+        fingerprint_tree(root)
+    (root / "b-dangling").unlink()
+    with pytest.raises(UnreadablePath, match="cannot list"):
+        fingerprint_tree(root)
+    monkeypatch.undo()
+    with pytest.raises(SymlinkEscape, match="z-escape"):
+        fingerprint_tree(root)
+
+
 def test_unreadable_path(tmp_path):
     with pytest.raises(UnreadablePath):
         fingerprint_tree(tmp_path / "missing")
@@ -206,6 +297,21 @@ def test_check_binding_form_mismatch(tmp_path):
     assert not check_binding(file_fp, tmp_path).matched
 
 
+def test_check_binding_form_mismatch_reports_both_forms(tmp_path):
+    (tmp_path / "a").write_bytes(b"abc")
+    tree_fp = fingerprint_tree(tmp_path)
+    report = check_binding(tree_fp, b"abc")
+    assert not report.matched
+    assert report.detail == "fingerprint is for a tree but data is a file"
+    assert report.actual_digest == ABC_SHA256
+    assert (report.missing, report.extra, report.mismatched) == (["a"], [], [])
+
+    report = check_binding(fingerprint_bytes(b"abc"), tmp_path)
+    assert not report.matched
+    assert report.detail == "fingerprint is for a file but data is a tree"
+    assert report.actual_digest == tree_fp.digest
+
+
 def test_unsupported_algorithm():
     fp = DatasetFingerprint(algorithm="md5", digest="00" * 16, form="file")
     with pytest.raises(AlgorithmUnsupported):
@@ -230,3 +336,79 @@ def test_fingerprint_json_roundtrip(tmp_path):
     assert DatasetFingerprint.from_json(fp.to_json()) == fp
     file_fp = fingerprint_bytes(b"z")
     assert DatasetFingerprint.from_json(file_fp.to_json()) == file_fp
+
+
+# --- properties of the tree digest ---
+
+NAMES = st.text("abAB-._0", min_size=1, max_size=3).filter(lambda name: name not in (".", ".."))
+
+
+def no_file_is_a_directory(files: dict) -> bool:
+    return not any(other.startswith(path + "/") for path in files for other in files)
+
+
+TREES = st.dictionaries(
+    st.lists(NAMES, min_size=1, max_size=3).map("/".join), st.binary(max_size=32), max_size=6
+).filter(no_file_is_a_directory)
+
+
+def documented_digest(files: dict) -> str:
+    """The tree rule from the module docstring, computed with hashlib and json alone."""
+    manifest = [
+        {"path": path, "digest": hashlib.sha256(files[path]).hexdigest()} for path in sorted(files)
+    ]
+    encoded = json.dumps(manifest, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
+def write_tree(root: Path, files: dict, order) -> Path:
+    for rel in order:
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_bytes(files[rel])
+    return root
+
+
+@given(TREES)
+@settings(max_examples=40, deadline=None)
+def test_tree_digest_is_the_documented_rule(files):
+    with tempfile.TemporaryDirectory() as scratch:
+        root = write_tree(Path(scratch), files, files)
+        assert fingerprint_tree(root).digest == documented_digest(files)
+
+
+@given(TREES.filter(bool), st.sampled_from(["flip", "rename", "add", "delete"]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_any_change_to_a_tree_changes_its_digest(files, change, data):
+    with tempfile.TemporaryDirectory() as scratch:
+        root = write_tree(Path(scratch), files, files)
+        before = fingerprint_tree(root).digest
+        path = data.draw(st.sampled_from(sorted(files)))
+        changed = dict(files)
+        if change == "flip":
+            content = bytearray(files[path] or b"\0")
+            index = data.draw(st.integers(0, len(content) - 1))
+            content[index] ^= 1 << data.draw(st.integers(0, 7))
+            changed[path] = bytes(content)
+            (root / path).write_bytes(changed[path])
+        elif change == "rename":  # "~" is outside NAMES, so the new name is free
+            changed[path + "~"] = changed.pop(path)
+            (root / path).rename(root / (path + "~"))
+        elif change == "add":
+            changed["new~"] = data.draw(st.binary(max_size=8))
+            (root / "new~").write_bytes(changed["new~"])
+        else:
+            del changed[path]
+            (root / path).unlink()
+        after = fingerprint_tree(root).digest
+        assert after != before
+        assert after == documented_digest(changed)
+
+
+@given(TREES, st.data())
+@settings(max_examples=40, deadline=None)
+def test_tree_digest_does_not_depend_on_creation_order(files, data):
+    order = data.draw(st.permutations(sorted(files)))
+    with tempfile.TemporaryDirectory() as first, tempfile.TemporaryDirectory() as second:
+        one = write_tree(Path(first), files, sorted(files))
+        two = write_tree(Path(second), files, order)
+        assert fingerprint_tree(one).digest == fingerprint_tree(two).digest

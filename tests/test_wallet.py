@@ -73,6 +73,31 @@ def test_corrupt_envelope(tmp_path):
         Wallet.open(tmp_path / "w2.json", "pw")
 
 
+CHEAP_KDF = {"name": "scrypt", "n": 2**4, "r": 8, "p": 1}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kdf", {"name": "scrypt"}),
+    ("kdf", "scrypt"),
+    ("kdf", {"name": "scrypt", "n": "16", "r": 8, "p": 1}),
+    ("kdf", {"name": "scrypt", "n": 16, "r": True, "p": 1}),
+    ("kdf", {"name": "argon2id", "n": 16, "r": 8, "p": 1}),
+    ("kdf", {"name": "scrypt", "n": 3, "r": 8, "p": 1}),
+    ("kdf", {"name": "scrypt", "n": -16, "r": 8, "p": 1}),
+    ("nonce", base64.b64encode(b"abc").decode()),
+], ids=["kdf-without-cost", "kdf-string", "n-string", "r-bool", "kdf-unknown",
+        "n-not-power-of-2", "n-negative", "nonce-3-bytes"])
+def test_malformed_kdf_or_nonce_is_corrupt_wallet_naming_the_file(tmp_path, field, value):
+    path = tmp_path / "w.json"
+    write_version_1(path, "pw", {"c": {"kind": "credential", "credential": {}}}, kdf=CHEAP_KDF)
+    envelope = envelope_of(path)
+    envelope[field] = value
+    path.write_text(json.dumps(envelope), encoding="utf-8")
+    with pytest.raises(CorruptWallet) as caught:
+        Wallet.open(path, "pw")
+    assert str(path) in str(caught.value)
+
+
 def test_tampered_ciphertext_detected(tmp_path):
     path = tmp_path / "w.json"
     wallet = Wallet.open(path, "pw")
