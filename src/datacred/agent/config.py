@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ipaddress
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -11,7 +12,14 @@ from ..jsonfile import read_json, write_json
 
 ROLES = ("publisher", "dataset", "user")
 DEFAULT_PASSPHRASE_ENV = "DATACRED_PASSPHRASE"
-WILDCARD_HOSTS = ("0.0.0.0", "::", "")  # bind every interface, but name no reachable host
+WILDCARD_HOSTS = ("0.0.0.0", "")  # bind every interface, but name no reachable host
+
+
+def _is_ipv6_literal(host: str) -> bool:
+    try:
+        return ipaddress.ip_address(host.strip("[]")).version == 6
+    except ValueError:
+        return False
 
 
 @dataclass
@@ -63,6 +71,9 @@ class AgentConfig:
             raise BadConfig(f"did method must be key or web, got {self.did_method!r}")
         if not self.wallet_path:
             raise BadConfig("wallet path is required")
+        if _is_ipv6_literal(self.listen_host):
+            # The server binds IPv4, and http://<host>:<port> would need brackets.
+            raise BadConfig(f"listenHost {self.listen_host!r} is IPv6; agents listen on IPv4")
 
     def resolve_passphrase(self) -> str:
         passphrase = os.environ.get(self.passphrase_env)

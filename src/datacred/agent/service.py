@@ -14,6 +14,10 @@ the exact comparison in verify_presentation is the replay protection.
 
 Admin endpoints are loopback-only and drive the automated workflows:
 connect, issue, request-proof, revoke, plus read-only listings.
+
+Connections are kept alive, with Nagle's algorithm off. A connection that
+sends no request for IDLE_TIMEOUT seconds is closed, and stop() hangs up
+every open connection, so no peer reaches a stopped agent.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import errno
 import json
 import logging
+import socket
 import threading
 import uuid
 from datetime import datetime
@@ -85,6 +90,7 @@ log = logging.getLogger(__name__)
 CREDENTIAL_LABEL_PREFIX = "credential:"
 _HTTP_TIMEOUT = 10.0
 MAX_BODY_BYTES = 1 << 20  # inbound request bodies; a signed envelope is a few KiB
+IDLE_TIMEOUT = 5.0  # seconds a kept-alive connection may wait for its next request
 
 _PROBLEM_ERRORS = {
     "PolicyRejected": PolicyRejected,
@@ -141,7 +147,7 @@ class Agent:
         self.state: AgentState | None = None
         self.resolver: Resolver | None = None
         self.registry_source: HttpRegistrySource | None = None
-        self._server: ThreadingHTTPServer | None = None
+        self._server: _AgentServer | None = None
         self._thread: threading.Thread | None = None
         self._lock = threading.RLock()
 
@@ -170,16 +176,13 @@ class Agent:
 
         handler = type("AgentHandler", (_RequestHandler,), {"agent": self})
         try:
-            self._server = ThreadingHTTPServer(
-                (config.listen_host, config.listen_port), handler
-            )
+            self._server = _AgentServer((config.listen_host, config.listen_port), handler)
         except OSError as exc:
             if exc.errno == errno.EADDRINUSE:
                 raise PortInUse(
                     f"{config.listen_host}:{config.listen_port} is already bound"
                 ) from exc
             raise
-        self._server.daemon_threads = True
         try:
             self._finish_start()
         except BaseException:
@@ -561,10 +564,42 @@ def provision_agent(config: AgentConfig) -> Agent:
     return Agent(config).start()
 
 
+class _AgentServer(ThreadingHTTPServer):
+    """A threading server whose server_close also hangs up every open connection."""
+
+    daemon_threads = True
+
+    def __init__(self, address, handler):
+        self._open: set[socket.socket] = set()  # before binding, which may call server_close
+        self._open_lock = threading.Lock()
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address):
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        super().server_close()
+        with self._open_lock:
+            for request in self._open:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)  # the handler thread reads EOF and ends
+                except OSError:
+                    pass
+
+
 class _RequestHandler(BaseHTTPRequestHandler):
     agent: Agent  # bound per-agent via a subclass attribute
 
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT
 
     def log_message(self, fmt: str, *args) -> None:  # noqa: N802 - stdlib name
         log.debug("%s %s", self.address_string(), fmt % args)

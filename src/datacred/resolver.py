@@ -11,14 +11,22 @@ Every backend counts its fetches so callers can assert cache behavior and
 prove offline verification performed zero network operations.
 
 ``request_json`` is datacred's only HTTP client, with one transport policy
-for DID documents, registries, agent envelopes and the admin client.
+for DID documents, registries, agent envelopes and the admin client. Each
+thread sends through its own pooled session, so connections are kept alive
+between requests. The proxy (``HTTP_PROXY``, ``HTTPS_PROXY``, ``NO_PROXY``)
+and CA bundle (``REQUESTS_CA_BUNDLE``, then ``CURL_CA_BUNDLE``) environment
+is read once, when a thread's session is made; ``~/.netrc`` is not consulted,
+and cookies are never stored.
 """
 
 from __future__ import annotations
 
 import ipaddress
+import json
+import os
 import threading
 import time
+from http.cookiejar import DefaultCookiePolicy
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -30,6 +38,12 @@ from .jsonfile import read_json
 
 DEFAULT_CACHE_TTL = 300.0
 _HTTP_TIMEOUT = 5.0
+# Replies are read up to this size: a registry of 400,000 revoked ids at
+# about 40 bytes each, far above any DID document or envelope.
+MAX_RESPONSE_BYTES = 16 << 20
+_CHUNK_BYTES = 1 << 16
+
+_local = threading.local()
 
 
 def is_loopback_host(host: str) -> bool:
@@ -41,31 +55,54 @@ def is_loopback_host(host: str) -> bool:
         return False
 
 
+def _session() -> tuple[requests.Session, dict]:
+    """This thread's pooled session and the proxy environment read when it was made."""
+    pooled = getattr(_local, "pooled", None)
+    if pooled is None:
+        session = requests.Session()
+        session.trust_env = False  # the environment is read here, once
+        session.verify = (
+            os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE") or True
+        )
+        session.cookies.set_policy(DefaultCookiePolicy(allowed_domains=[]))
+        pooled = _local.pooled = (session, requests.utils.getproxies_environment())
+    return pooled
+
+
 def request_json(url: str, allow_insecure_loopback: bool, timeout: float, body=None):
     """GET url, or POST body to it as JSON; returns (status, JSON reply).
 
     Only https, or plain http to a loopback host when allowed. Redirects are
     refused, so the host checked here is the one that answers. A refused URL,
-    a transport failure or a 3xx raise FetchFailed. A reply that is not JSON
-    raises DocumentInvalid, or for a status of 400 or more NotFound (404) or
-    FetchFailed.
+    a transport failure, a 3xx or a reply over MAX_RESPONSE_BYTES raise
+    FetchFailed. A reply that is not JSON raises DocumentInvalid, or for a
+    status of 400 or more NotFound (404) or FetchFailed.
     """
     parts = urlsplit(url)
     insecure_ok = allow_insecure_loopback and is_loopback_host(parts.hostname or "")
     if parts.scheme != "https" and not (parts.scheme == "http" and insecure_ok):
         raise FetchFailed(f"{url}: only https, or plain http to loopback when enabled")
+    session, proxies = _session()
+    if requests.utils.proxy_bypass_environment(parts.hostname or "", proxies):
+        proxies = {}
     try:
-        response = requests.request(
+        with session.request(
             "GET" if body is None else "POST", url, json=body, timeout=timeout,
-            allow_redirects=False,
-        )
+            allow_redirects=False, stream=True, proxies=proxies,
+        ) as response:
+            status = response.status_code
+            if 300 <= status < 400:
+                raise FetchFailed(f"{url}: refused redirect ({status})")
+            # Read to the end, so the connection goes back to the pool.
+            content = bytearray()
+            for chunk in response.iter_content(_CHUNK_BYTES):
+                content += chunk
+                if len(content) > MAX_RESPONSE_BYTES:
+                    raise FetchFailed(f"{url}: reply exceeds {MAX_RESPONSE_BYTES} bytes")
     except requests.RequestException as exc:
         raise FetchFailed(f"{url}: {exc}") from exc
-    status = response.status_code
-    if 300 <= status < 400:
-        raise FetchFailed(f"{url}: refused redirect ({status})")
     try:
-        return status, response.json()
+        return status, json.loads(content)
     except ValueError as exc:
         if status >= 400:
             raise (NotFound if status == 404 else FetchFailed)(f"{url} returned {status}")

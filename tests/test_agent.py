@@ -118,7 +118,7 @@ def test_state_file_that_is_not_json_names_the_file(agent_factory):
         dataset.start()
 
 
-@pytest.mark.parametrize("host", ["0.0.0.0", "::", ""])
+@pytest.mark.parametrize("host", ["0.0.0.0", ""])
 def test_wildcard_listen_host_without_public_base_url_refused(agent_factory, host):
     agent = agent_factory("dataset", did_method="key", start=False, listen_host=host)
     with pytest.raises(BadConfig, match="publicBaseUrl"):
@@ -131,6 +131,14 @@ def test_wildcard_listen_host_without_web_domain_refused_for_did_web(agent_facto
                           public_base_url="https://data.example")
     with pytest.raises(BadConfig, match="webDomain"):
         agent.start()
+
+
+@pytest.mark.parametrize("host", ["::", "::1", "[::1]", "fe80::1"])
+def test_ipv6_listen_host_refused(agent_factory, host):
+    """The server binds IPv4 only; an IPv6 listenHost used to fail in start() with gaierror."""
+    with pytest.raises(BadConfig, match="IPv6"):
+        agent_factory("dataset", listen_host=host, public_base_url="https://data.example",
+                      web_domain="data.example")
 
 
 def test_wildcard_listen_host_with_public_names_starts(agent_factory):

@@ -523,7 +523,7 @@ def test_admin_client_reaches_agent_listening_on_all_interfaces(runner, tmp_path
     assert stdout_json(result)["did"] == dataset.did.text
 
 
-@pytest.mark.parametrize("host", ["0.0.0.0", "::", ""], ids=["ipv4-any", "ipv6-any", "empty"])
+@pytest.mark.parametrize("host", ["0.0.0.0", ""], ids=["ipv4-any", "empty"])
 def test_admin_client_maps_every_wildcard_host_to_loopback(runner, tmp_path, agent_factory, host):
     dataset = agent_factory("dataset")
     config = AgentConfig(role="dataset", wallet_path=dataset.config.wallet_path,
@@ -531,6 +531,14 @@ def test_admin_client_maps_every_wildcard_host_to_loopback(runner, tmp_path, age
     config.save(tmp_path / "wildcard.json")
     result = must(runner, "agent", "status", "--config", str(tmp_path / "wildcard.json"))
     assert stdout_json(result)["did"] == dataset.did.text
+
+
+def test_admin_client_refuses_ipv6_listen_host_config(runner, tmp_path):
+    config = AgentConfig(role="dataset", wallet_path=str(tmp_path / "w.wallet"), listen_host="::")
+    config.save(tmp_path / "ipv6.json")
+    result = invoke(runner, "agent", "status", "--config", str(tmp_path / "ipv6.json"))
+    assert result.exit_code == 2, result.output
+    assert "IPv6" in result.output
 
 
 def test_agent_serve_and_request_proof_cli(tmp_path, monkeypatch):
