@@ -150,6 +150,7 @@ class Agent:
         self._server: _AgentServer | None = None
         self._thread: threading.Thread | None = None
         self._lock = threading.RLock()
+        self._parsed: dict[str, tuple[dict, VerifiableCredential]] = {}  # label -> (entry, parsed)
 
     # --- lifecycle ---
 
@@ -261,12 +262,22 @@ class Agent:
     # --- wallet-backed credential store ---
 
     def stored_credentials(self) -> list[VerifiableCredential]:
-        out = []
+        """The wallet's credentials, in label order; each entry is parsed once.
+
+        A parse is kept while its label still holds the same entry object, so
+        a put straight into the wallet, or a replaced label, is parsed afresh.
+        """
         with self._lock:
+            parsed = {}
             for label in self.wallet.list():
                 if label.startswith(CREDENTIAL_LABEL_PREFIX):
-                    out.append(VerifiableCredential.from_json(self.wallet.get(label)))
-        return out
+                    entry = self.wallet.get(label)
+                    known = self._parsed.get(label)
+                    if known is None or known[0] is not entry:
+                        known = (entry, VerifiableCredential.from_json(entry))
+                    parsed[label] = known
+            self._parsed = parsed
+        return [credential for _, credential in parsed.values()]
 
     # --- status / listings (admin surface) ---
 
@@ -360,14 +371,13 @@ class Agent:
             status=status,
         )
         with self._lock:
-            self.state.issued.append(
+            self.state.record_issued(
                 {
                     "credentialId": credential.id,
                     "statusId": status.status_id if status else None,
                     "subject": connection.their_did,
                 }
             )
-            self.state.save()
         self._exchange(
             connection.their_did,
             connection.their_endpoint,

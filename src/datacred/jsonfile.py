@@ -1,10 +1,15 @@
 """How datacred stores JSON files: wallets, agent state and config, DID
 documents, registries, credentials and offline bundles.
 
-A write goes to a ``.tmp`` sibling, renamed over the target or removed if
-the write fails, so no reader or crash sees a torn file. A read yields a
-JSON object or an error naming the file: FetchFailed when it cannot be read,
-else DocumentInvalid.
+A document write goes to a ``.tmp`` sibling, renamed over the target or
+removed if the write fails, so no reader or crash sees a torn file. A read
+yields a JSON object or an error naming the file: FetchFailed when it cannot
+be read, else DocumentInvalid.
+
+Logs (the wallet and the issuance log) are JSON-lines files that grow by
+appending one line. A crash mid-append can leave a last line with no newline;
+that torn tail is not part of the log: ``read_lines`` leaves it out and the
+next ``append_line`` cuts it off before writing. No write is fsynced.
 """
 
 from __future__ import annotations
@@ -29,14 +34,46 @@ def read_json(path: str | Path) -> dict:
     return obj
 
 
-def write_json(path: str | Path, obj: dict) -> None:
-    """Replace the file at path with obj, creating its directory if needed."""
-    path = Path(path)
+def _replace(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+        tmp.write_text(text, encoding="utf-8", newline="\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: str | Path, obj: dict) -> None:
+    """Replace the file at path with obj, creating its directory if needed."""
+    _replace(Path(path), json.dumps(obj, indent=2) + "\n")
+
+
+def read_lines(path: str | Path) -> tuple[list[bytes], int]:
+    """The complete lines of a log, without their newlines, and the offset where they end."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise FetchFailed(f"{path}: {exc.strerror or exc}") from exc
+    end = data.rfind(b"\n") + 1
+    return data[:end].split(b"\n")[:-1], end
+
+
+def write_lines(path: str | Path, lines: list[bytes]) -> int:
+    """Replace the log at path with lines, as write_json replaces a document; its length."""
+    data = b"".join(line + b"\n" for line in lines)
+    _replace(Path(path), data.decode("utf-8"))
+    return len(data)
+
+
+def append_line(path: str | Path, line: bytes, at: int) -> int:
+    """Cut the log at path to its first ``at`` bytes, then append line; the new length.
+
+    ``at`` is where the log's complete lines end, so a torn tail is dropped.
+    The file is created when absent (``at`` is then 0).
+    """
+    with open(path, "ab") as file:
+        file.truncate(at)
+        file.write(line + b"\n")
+    return at + len(line) + 1

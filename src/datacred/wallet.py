@@ -1,20 +1,47 @@
-"""Encrypted single-file wallet for private keys and received credentials.
+"""Encrypted append-only wallet for private keys and received credentials.
 
-File format is a versioned JSON envelope::
+File format version 2 is one JSON-lines file (see jsonfile)::
 
-    {"version": 1, "walletId": ..., "kdf": {"name": "scrypt", "n", "r", "p"},
-     "salt": <base64>, "nonce": <base64>, "ciphertext": <base64>}
+    {"version": 2, "walletId": ..., "kdf": {"name": "scrypt", "n", "r", "p"}, "salt": <base64>}
+    {"nonce": <base64>, "ciphertext": <base64>}    record 0: a snapshot of every entry
+    {"nonce": <base64>, "ciphertext": <base64>}    one record for each later save
+    ...
 
-The ciphertext is the canonical JSON of the entry map encrypted with
-AES-256-GCM under a key derived from the passphrase by scrypt (memory-hard,
-per-file random salt). Authenticated encryption means corruption and wrong
-passphrases are detected rather than yielding garbage.
+Each record is the JSON ``{"put": {label: entry}, "remove": [label]}``
+encrypted with AES-256-GCM under a key derived from the passphrase by scrypt
+(memory-hard, per-file random salt). Authenticated encryption means
+corruption and wrong passphrases are detected rather than yielding garbage.
+A record's associated data is the nonce of the record before it, or the
+header line's bytes for record 0, so a record cannot be reordered, dropped
+from the middle, or spliced in from another wallet or from an earlier
+rewrite of this one. Record 0 always exists, so a wrong passphrase raises
+WrongPassphrase even for an empty wallet; any later complete line that fails
+to authenticate raises CorruptWallet.
+
+``save`` appends one record holding exactly the puts and removes made since
+the last save, so its cost follows what changed, not how much the wallet
+holds. It rewrites header and snapshot instead, atomically through a temp
+file and a rename, on a new wallet's first save, on the first save of a
+version-1 file or of a file with other scrypt parameters than the default
+(which is re-keyed under the default), and when appending would leave more
+records after the snapshot than live entries. A save that fails keeps its
+changes pending for the next one.
+
+Torn tail: a crash mid-append can leave a last line with no newline.
+``open`` ignores it, so the wallet reads as of its last completed save, and
+leaves the file as it is; the next save cuts it off before appending. No
+write is fsynced.
 
 The key is derived once per open wallet: ``open`` keeps the file's salt and
-key, and a new wallet derives them at its first save. Every save encrypts
-under that key with a fresh random 96-bit nonce (NIST SP 800-38D section 8.3
-allows 2^32 such invocations per key). A file with other scrypt parameters
-than the default is re-keyed under the default at its first save.
+key, and a new wallet derives them at its first save. Every record is
+sealed under that key with a fresh random 96-bit nonce (NIST SP 800-38D
+section 8.3 allows 2^32 such invocations per key).
+
+Version 1 was a single JSON envelope ``{"version": 1, "walletId", "kdf",
+"salt", "nonce", "ciphertext"}`` holding the whole entry map in one
+ciphertext. It is still read, so an old wallet migrates: its first save
+writes version 2 with the same walletId and, under the default scrypt
+parameters, the same salt and key.
 """
 
 from __future__ import annotations
@@ -29,13 +56,13 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.scrypt import Scrypt
 
-from .canonical import canonicalize
 from .errors import CorruptWallet, DocumentInvalid, NoSuchEntry, WrongPassphrase
-from .jsonfile import read_json, write_json
+from .jsonfile import append_line, read_json, read_lines, write_lines
 from .keys import KeyPair
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _DEFAULT_KDF = {"name": "scrypt", "n": 2**14, "r": 8, "p": 1}
+_REMOVED = object()  # a pending change that deletes its label
 
 
 def _is_scrypt(params) -> bool:
@@ -50,6 +77,14 @@ def _is_scrypt(params) -> bool:
 def _derive_key(passphrase: str, salt: bytes, params: dict) -> bytes:
     kdf = Scrypt(salt=salt, length=32, n=params["n"], r=params["r"], p=params["p"])
     return kdf.derive(passphrase.encode("utf-8"))
+
+
+def _b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+def _unb64(text: str) -> bytes:
+    return base64.b64decode(text, validate=True)
 
 
 def _encode_entry(entry: KeyPair | dict) -> dict:
@@ -72,8 +107,8 @@ def _decode_entry(obj: dict) -> KeyPair | dict:
 class Wallet:
     """Label-addressed store of keypairs and credentials, one encrypted file.
 
-    Single writer; ``save`` writes a temp file and renames it into place so a
-    crash never leaves a half-written wallet.
+    Single writer: ``save`` appends to the file, or atomically replaces it, as
+    the module docstring describes.
     """
 
     def __init__(self, path: str | Path, passphrase: str, wallet_id: str | None = None):
@@ -82,47 +117,80 @@ class Wallet:
         self._key: tuple[bytes, AESGCM] | None = None  # (salt, cipher) under _DEFAULT_KDF
         self.wallet_id = wallet_id or secrets.token_hex(8)
         self._entries: dict[str, KeyPair | dict] = {}
+        self._pending: dict[str, object] = {}  # label -> entry or _REMOVED, since the last save
+        self._end: int | None = None  # where the file's complete records end; None: rewrite it
+        self._records = 0  # records after the snapshot
+        self._chain = b""  # associated data of the next record: the last record's nonce
 
     @classmethod
     def open(cls, path: str | Path, passphrase: str) -> "Wallet":
-        """Open an existing wallet file, or start a fresh one if absent."""
+        """Open an existing wallet file, or start a fresh one if absent; never writes."""
         path = Path(path)
         if not path.exists():
             return cls(path, passphrase)
+        lines, end = read_lines(path)
         try:
-            envelope = read_json(path)
-            version = envelope["version"]
-            if version != FORMAT_VERSION:
-                raise CorruptWallet(f"unsupported wallet version {version}")
-            kdf_params = envelope["kdf"]
+            header = json.loads(lines[0]) if lines else None
+        except ValueError:
+            header = None
+        try:
+            if not isinstance(header, dict):  # version 1 is one indented JSON document
+                header = read_json(path)
+            version = header.get("version")
+            if version == 1:
+                records = [(header["nonce"], header["ciphertext"])]
+            elif version == FORMAT_VERSION:
+                records = [(record["nonce"], record["ciphertext"])
+                           for record in map(json.loads, lines[1:])]
+            else:
+                raise CorruptWallet(f"{path}: unsupported wallet version {version!r}")
+            kdf_params = header["kdf"]
             if not _is_scrypt(kdf_params):
                 raise ValueError(f"unsupported kdf {kdf_params!r}")
-            salt = base64.b64decode(envelope["salt"], validate=True)
-            nonce = base64.b64decode(envelope["nonce"], validate=True)
-            ciphertext = base64.b64decode(envelope["ciphertext"], validate=True)
-            wallet_id = envelope["walletId"]
+            salt = _unb64(header["salt"])
+            wallet_id = header["walletId"]
+            records = [(_unb64(nonce), _unb64(ciphertext)) for nonce, ciphertext in records]
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptWallet(f"{path}: {exc}") from exc
         except DocumentInvalid as exc:
             raise CorruptWallet(str(exc)) from exc
+        if not records:
+            raise CorruptWallet(f"{path}: no snapshot record")
 
+        raw: dict[str, dict] = {}
+        chain = lines[0] if version == FORMAT_VERSION else None
         try:
             cipher = AESGCM(_derive_key(passphrase, salt, kdf_params))
-            plaintext = cipher.decrypt(nonce, ciphertext, None)
-        except InvalidTag as exc:
-            raise WrongPassphrase(f"{path}: cannot decrypt with given passphrase") from exc
+            for index, (nonce, ciphertext) in enumerate(records):
+                try:
+                    plaintext = cipher.decrypt(nonce, ciphertext, chain)
+                except InvalidTag as exc:
+                    if index == 0:
+                        raise WrongPassphrase(
+                            f"{path}: cannot decrypt with given passphrase"
+                        ) from exc
+                    raise CorruptWallet(f"{path}: record {index} fails to authenticate") from exc
+                change = json.loads(plaintext)
+                if version == 1:
+                    change = {"put": change, "remove": []}
+                raw.update(change["put"])
+                for label in change["remove"]:
+                    raw.pop(label, None)
+                chain = nonce
         except (ValueError, OverflowError) as exc:  # scrypt parameters or nonce refused
             raise CorruptWallet(f"{path}: {exc}") from exc
 
         wallet = cls(path, passphrase, wallet_id=wallet_id)
+        wallet._entries = {label: _decode_entry(obj) for label, obj in raw.items()}
         if kdf_params == _DEFAULT_KDF:
             wallet._passphrase, wallet._key = None, (salt, cipher)
-        raw = json.loads(plaintext.decode("utf-8"))
-        wallet._entries = {label: _decode_entry(obj) for label, obj in raw.items()}
+            if version == FORMAT_VERSION:
+                wallet._end, wallet._records, wallet._chain = end, len(records) - 1, chain
         return wallet
 
     def put(self, label: str, entry: KeyPair | dict) -> None:
         self._entries[label] = entry
+        self._pending[label] = entry
 
     def get(self, label: str) -> KeyPair | dict:
         try:
@@ -135,6 +203,7 @@ class Wallet:
             del self._entries[label]
         except KeyError:
             raise NoSuchEntry(label) from None
+        self._pending[label] = _REMOVED
 
     def list(self) -> list[str]:
         return sorted(self._entries)
@@ -146,21 +215,38 @@ class Wallet:
         return iter(self._entries.items())
 
     def save(self) -> None:
-        """Encrypt under the wallet's key with a fresh nonce and atomically write the file."""
+        """Append the changes since the last save as one record, or rewrite the file."""
         if self._key is None:
             salt = secrets.token_bytes(16)
             key = _derive_key(self._passphrase, salt, _DEFAULT_KDF)
             self._passphrase, self._key = None, (salt, AESGCM(key))
-        salt, cipher = self._key
-        raw = {label: _encode_entry(entry) for label, entry in self._entries.items()}
+        if self._end is not None and not self._pending:
+            return
+        # Rewrite when appending would leave more records than live entries.
+        if self._end is None or self._records >= len(self._entries):
+            header = json.dumps({
+                "version": FORMAT_VERSION,
+                "walletId": self.wallet_id,
+                "kdf": _DEFAULT_KDF,
+                "salt": _b64(self._key[0]),
+            }).encode("ascii")
+            snapshot, nonce = self._seal(self._entries.items(), [], header)
+            end, records = write_lines(self.path, [header, snapshot]), 0
+        else:
+            puts = [(label, e) for label, e in self._pending.items() if e is not _REMOVED]
+            removes = [label for label, e in self._pending.items() if e is _REMOVED]
+            record, nonce = self._seal(puts, removes, self._chain)
+            end, records = append_line(self.path, record, self._end), self._records + 1
+        self._end, self._records, self._chain = end, records, nonce
+        self._pending.clear()
+
+    def _seal(self, puts, removes: list[str], associated: bytes) -> tuple[bytes, bytes]:
+        """One record line putting and removing these entries, and its nonce."""
+        change = {"put": {label: _encode_entry(entry) for label, entry in puts},
+                  "remove": removes}
         nonce = secrets.token_bytes(12)
-        ciphertext = cipher.encrypt(nonce, canonicalize(raw), None)
-        envelope = {
-            "version": FORMAT_VERSION,
-            "walletId": self.wallet_id,
-            "kdf": _DEFAULT_KDF,
-            "salt": base64.b64encode(salt).decode("ascii"),
-            "nonce": base64.b64encode(nonce).decode("ascii"),
-            "ciphertext": base64.b64encode(ciphertext).decode("ascii"),
-        }
-        write_json(self.path, envelope)
+        ciphertext = self._key[1].encrypt(
+            nonce, json.dumps(change, separators=(",", ":")).encode("utf-8"), associated
+        )
+        record = {"nonce": _b64(nonce), "ciphertext": _b64(ciphertext)}
+        return json.dumps(record).encode("ascii"), nonce

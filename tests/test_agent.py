@@ -17,16 +17,17 @@ from datacred.agent.envelopes import (
     PROOF_REQUEST,
     build_envelope,
 )
-from datacred.agent.service import MAX_BODY_BYTES
+from datacred.agent.service import CREDENTIAL_LABEL_PREFIX, MAX_BODY_BYTES
 from datacred.agent.state import AgentState
 from datacred.agent.config import AgentConfig, Policy
-from datacred.credential import DATASET_PROVENANCE_V1, issue_credential
+from datacred.credential import DATASET_PROVENANCE_V1, VerifiableCredential, issue_credential
 from datacred.errors import (
     AgentError,
     BadConfig,
     ConnectionInactive,
     CredentialRejected,
     DatacredError,
+    DocumentInvalid,
     NoMatchingCredential,
     PolicyRejected,
     PortInUse,
@@ -516,6 +517,11 @@ def test_state_file_with_nonces_still_loads(tmp_path):
     assert state.issued == [{"credentialId": "urn:uuid:1"}]
     state.save()
     assert "nonces" not in json.loads(path.read_text())
+    # The issuance records moved to the log and leave the document at its next save.
+    assert "issued" not in json.loads(path.read_text())
+    reloaded = AgentState(path)
+    reloaded.load()
+    assert reloaded.issued == [{"credentialId": "urn:uuid:1"}]
 
 
 def test_state_file_drops_unfinished_connections(tmp_path):
@@ -535,6 +541,98 @@ def test_state_file_drops_unfinished_connections(tmp_path):
     assert list(state.connections) == ["done"]
     state.save()
     assert [c["connectionId"] for c in json.loads(path.read_text())["connections"]] == ["done"]
+
+
+@pytest.mark.parametrize("document", [
+    {"connections": [{"state": "active"}]},
+    {"connections": "active"},
+    {"connections": {"a": 1}},
+    {"connections": [1]},
+    {"connections": [{"connectionId": 1, "myDid": "did:key:za", "theirDid": "did:key:zb",
+                      "theirEndpoint": "http://127.0.0.1:1", "state": "active",
+                      "createdAt": 1.0}]},
+    {"registry": "r"},
+    {"issued": {"x": 1}},
+    {"issued": ["x"]},
+], ids=["connection-without-id", "connections-string", "connections-object",
+        "connection-number", "connection-id-number", "registry-string", "issued-object",
+        "issued-string"])
+def test_damaged_state_file_is_document_invalid_naming_it(tmp_path, document):
+    path = tmp_path / "agent.state.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(DocumentInvalid, match=re.escape(str(path))):
+        AgentState(path).load()
+
+
+@pytest.mark.parametrize("line", [b"[1]\n", b"{not json\n"], ids=["array", "not-json"])
+def test_damaged_issuance_log_is_document_invalid_naming_it(tmp_path, line):
+    state = AgentState(tmp_path / "agent.state.json")
+    state.issued_path.write_bytes(b'{"credentialId": "urn:uuid:1"}\n' + line)
+    with pytest.raises(DocumentInvalid, match=re.escape(f"{state.issued_path}: line 2")):
+        state.load()
+
+
+def test_issuance_log_torn_tail_is_ignored_and_cut_by_the_next_append(tmp_path):
+    path = tmp_path / "agent.state.json"
+    state = AgentState(path)
+    state.load()
+    records = [{"credentialId": f"urn:uuid:{n}", "statusId": None} for n in range(3)]
+    for record in records:
+        state.record_issued(record)
+    whole = state.issued_path.read_bytes()
+    last_start = whole.rindex(b"\n", 0, len(whole) - 1) + 1
+    for cut in range(last_start, len(whole)):
+        state.issued_path.write_bytes(whole[:cut])
+        reopened = AgentState(path)
+        reopened.load()
+        assert reopened.issued == records[:2]
+        reopened.record_issued({"credentialId": "urn:uuid:after", "statusId": None})
+        again = AgentState(path)
+        again.load()
+        assert again.issued == records[:2] + [{"credentialId": "urn:uuid:after", "statusId": None}]
+
+
+def test_issue_appends_one_issuance_record_and_saves_no_state(agent_factory, monkeypatch):
+    publisher, dataset, connection = connected_pair(agent_factory)
+    saves = count_saves(monkeypatch)
+    document = publisher.state.path.read_bytes()
+    credentials = [publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
+                   for _ in range(2)]
+    assert saves == []
+    assert publisher.state.path.read_bytes() == document
+    lines = publisher.state.issued_path.read_bytes().splitlines()
+    assert [json.loads(line)["credentialId"] for line in lines] == [c.id for c in credentials]
+    assert [r["credentialId"] for r in publisher.status()["issued"]] == [c.id for c in credentials]
+    publisher = agent_factory.restart(publisher)
+    assert all(publisher.find_status_id(c.id) for c in credentials)
+
+
+def test_stored_credentials_follow_direct_wallet_changes(agent_factory, monkeypatch):
+    publisher, dataset, connection = connected_pair(agent_factory)
+    first = publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
+    assert [vc.id for vc in dataset.stored_credentials()] == [first.id]
+    parses = []
+    parse = VerifiableCredential.from_json
+    monkeypatch.setattr(VerifiableCredential, "from_json",
+                        classmethod(lambda cls, obj: (parses.append(obj), parse(obj))[1]))
+    assert [vc.id for vc in dataset.stored_credentials()] == [first.id]
+    assert parses == []  # parsed once, at the first call
+
+    def direct(claims):
+        return issue_credential(publisher.key, publisher.did, dataset.did,
+                                DATASET_PROVENANCE_V1, claims)
+
+    added = direct(LISTING_CLAIMS)
+    dataset.wallet.put(CREDENTIAL_LABEL_PREFIX + added.id, added.to_json())
+    replacement = direct(dict(LISTING_CLAIMS, **{"Data Ethically Sourced": "NO"}))
+    dataset.wallet.put(CREDENTIAL_LABEL_PREFIX + first.id, replacement.to_json())
+    parses.clear()  # issuing parses too
+    held = {vc.id: vc for vc in dataset.stored_credentials()}
+    assert set(held) == {added.id, replacement.id}
+    assert held[replacement.id].claims["Data Ethically Sourced"] == "NO"
+    assert len(parses) == 2
+    dataset.wallet.remove(CREDENTIAL_LABEL_PREFIX + added.id)
+    assert [vc.id for vc in dataset.stored_credentials()] == [replacement.id]
 
 
 def test_config_with_nonce_ttl_still_loads():

@@ -81,9 +81,10 @@ def test_keygen_deterministic_seed(runner, workspace):
 @pytest.mark.parametrize("kdf", [{"name": "scrypt"}, "scrypt"], ids=["without-cost", "string"])
 def test_keygen_on_wallet_with_malformed_kdf_exits_2(runner, workspace, kdf):
     must(runner, "keygen", "--wallet", "w.json", "--label", "k1")
-    envelope = json.loads((workspace / "w.json").read_text())
-    envelope["kdf"] = kdf
-    (workspace / "w.json").write_text(json.dumps(envelope))
+    header, records = (workspace / "w.json").read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    header["kdf"] = kdf
+    (workspace / "w.json").write_bytes(json.dumps(header).encode() + b"\n" + records)
     result = invoke(runner, "keygen", "--wallet", "w.json", "--label", "k2")
     assert result.exit_code == 2, result.output
     assert "CorruptWallet" in result.stderr and "w.json" in result.stderr
