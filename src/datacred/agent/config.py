@@ -13,6 +13,22 @@ from ..jsonfile import read_json, write_json
 ROLES = ("publisher", "dataset", "user")
 DEFAULT_PASSPHRASE_ENV = "DATACRED_PASSPHRASE"
 WILDCARD_HOSTS = ("0.0.0.0", "")  # bind every interface, but name no reachable host
+_TEXT, _OPTIONAL = (str,), (str, type(None))
+# Config key -> (attribute, accepted types). A type must match exactly, so
+# True is no port and a truthy "false" no boolean.
+_KEYS = {
+    "role": ("role", _TEXT),
+    "walletPath": ("wallet_path", _TEXT),
+    "passphraseEnv": ("passphrase_env", _TEXT),
+    "listenHost": ("listen_host", _TEXT),
+    "listenPort": ("listen_port", (int,)),
+    "publicBaseUrl": ("public_base_url", _OPTIONAL),
+    "didMethod": ("did_method", _TEXT),
+    "webDomain": ("web_domain", _OPTIONAL),
+    "allowInsecureHttp": ("allow_insecure_http", (bool,)),
+    "statePath": ("state_path", _OPTIONAL),
+    "keyLabel": ("key_label", _TEXT),
+}
 
 
 def _is_ipv6_literal(host: str) -> bool:
@@ -42,6 +58,8 @@ class Policy:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Policy":
+        if not isinstance(obj, dict):
+            raise BadConfig(f"policy must be an object, got {obj!r}")
         return cls(
             auto_accept_connections=obj.get("autoAcceptConnections", True),
             sharable_credential_ids=obj.get("sharableCredentialIds", "all"),
@@ -59,12 +77,25 @@ class AgentConfig:
     did_method: str = "key"  # "key" | "web"
     web_domain: str | None = None
     allow_insecure_http: bool = False  # plain http to loopback, test mode only
-    cache_ttl: float = 300.0
     state_path: str | None = None
     key_label: str = "agent-key"
     policy: Policy = field(default_factory=Policy)
 
     def validate(self) -> None:
+        for key, (attribute, kinds) in _KEYS.items():
+            value = getattr(self, attribute)
+            if type(value) not in kinds:
+                raise BadConfig(f"{key} has the wrong type ({type(value).__name__}): {value!r}")
+        if not 0 <= self.listen_port <= 65535:
+            raise BadConfig(f"listenPort must be in 0-65535, got {self.listen_port}")
+        policy = self.policy
+        if not isinstance(policy, Policy):
+            raise BadConfig(f"policy must be an object, got {policy!r}")
+        if type(policy.auto_accept_connections) is not bool:
+            raise BadConfig("policy autoAcceptConnections must be true or false")
+        ids = policy.sharable_credential_ids
+        if ids != "all" and not (type(ids) is list and all(type(i) is str for i in ids)):
+            raise BadConfig('policy sharableCredentialIds must be "all" or a list of strings')
         if self.role not in ROLES:
             raise BadConfig(f"role must be one of {ROLES}, got {self.role!r}")
         if self.did_method not in ("key", "web"):
@@ -87,42 +118,16 @@ class AgentConfig:
         return Path(self.wallet_path + ".state.json")
 
     def to_json(self) -> dict:
-        return {
-            "role": self.role,
-            "walletPath": self.wallet_path,
-            "passphraseEnv": self.passphrase_env,
-            "listenHost": self.listen_host,
-            "listenPort": self.listen_port,
-            "publicBaseUrl": self.public_base_url,
-            "didMethod": self.did_method,
-            "webDomain": self.web_domain,
-            "allowInsecureHttp": self.allow_insecure_http,
-            "cacheTtl": self.cache_ttl,
-            "statePath": self.state_path,
-            "keyLabel": self.key_label,
-            "policy": self.policy.to_json(),
-        }
+        out = {key: getattr(self, attribute) for key, (attribute, _) in _KEYS.items()}
+        return dict(out, policy=self.policy.to_json())
 
     @classmethod
     def from_json(cls, obj: dict) -> "AgentConfig":
-        try:
-            config = cls(
-                role=obj["role"],
-                wallet_path=obj["walletPath"],
-                passphrase_env=obj.get("passphraseEnv", DEFAULT_PASSPHRASE_ENV),
-                listen_host=obj.get("listenHost", "127.0.0.1"),
-                listen_port=obj.get("listenPort", 0),
-                public_base_url=obj.get("publicBaseUrl"),
-                did_method=obj.get("didMethod", "key"),
-                web_domain=obj.get("webDomain"),
-                allow_insecure_http=obj.get("allowInsecureHttp", False),
-                cache_ttl=obj.get("cacheTtl", 300.0),
-                state_path=obj.get("statePath"),
-                key_label=obj.get("keyLabel", "agent-key"),
-                policy=Policy.from_json(obj.get("policy", {})),
-            )
-        except KeyError as exc:
-            raise BadConfig(f"config missing field {exc}") from exc
+        for required in ("role", "walletPath"):
+            if required not in obj:
+                raise BadConfig(f"config missing field {required!r}")
+        values = {attribute: obj[key] for key, (attribute, _) in _KEYS.items() if key in obj}
+        config = cls(**values, policy=Policy.from_json(obj.get("policy", {})))
         config.validate()
         return config
 

@@ -28,7 +28,7 @@ import logging
 import socket
 import threading
 import uuid
-from datetime import datetime
+from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..credential import (
@@ -46,17 +46,21 @@ from ..did import Did, DidDocument, VerificationMethod, generate_did_key, parse_
 from ..errors import (
     AgentError,
     BadConfig,
+    BadRequest,
     ConnectionInactive,
     CredentialRejected,
     DatacredError,
     DocumentInvalid,
     NoMatchingCredential,
+    PayloadTooLarge,
     PolicyRejected,
     PortInUse,
+    Refused,
     RoleForbidden,
     SchemaMismatch,
     SignatureInvalid,
     Unreachable,
+    UnsupportedMessage,
 )
 from ..jsonfile import write_json
 from ..keys import KeyPair, generate_keypair
@@ -92,36 +96,17 @@ _HTTP_TIMEOUT = 10.0
 MAX_BODY_BYTES = 1 << 20  # inbound request bodies; a signed envelope is a few KiB
 IDLE_TIMEOUT = 5.0  # seconds a kept-alive connection may wait for its next request
 
-_PROBLEM_ERRORS = {
-    "PolicyRejected": PolicyRejected,
-    "ConnectionInactive": ConnectionInactive,
-    "CredentialRejected": CredentialRejected,
-    "NoMatchingCredential": NoMatchingCredential,
-    "SignatureInvalid": SignatureInvalid,
-    "RoleForbidden": RoleForbidden,
-}
-
-
-class _Problem(Exception):
-    """Internal: a protocol failure to be answered with a problem-report."""
-
-    def __init__(self, code: str, detail: str, http_status: int = 400):
-        super().__init__(detail)
-        self.code = code
-        self.detail = detail
-        self.http_status = http_status
+_PEER_ERRORS = {cls.__name__: cls for cls in Refused.__subclasses__()}  # code -> error
 
 
 def _field(body: dict, name: str, kind: type, default):
     """body[name], or default when absent (a None default makes the field required);
     a value of another type is a BadRequest."""
     if default is None and name not in body:
-        raise _Problem("BadRequest", f"missing field {name!r}")
+        raise BadRequest(f"missing field {name!r}")
     value = body.get(name, default)
     if not isinstance(value, kind):
-        raise _Problem(
-            "BadRequest", f"{name} must be a {kind.__name__}, not {type(value).__name__}"
-        )
+        raise BadRequest(f"{name} must be a {kind.__name__}, not {type(value).__name__}")
     return value
 
 
@@ -129,8 +114,16 @@ def _string_list(body: dict, name: str) -> list[str]:
     """body[name] as a list of strings, [] when absent; anything else is a BadRequest."""
     value = _field(body, name, list, [])
     if not all(isinstance(item, str) for item in value):
-        raise _Problem("BadRequest", f"{name} must all be strings")
+        raise BadRequest(f"{name} must all be strings")
     return value
+
+
+def _issued_at(vc: VerifiableCredential) -> datetime:
+    """When vc was issued; an unreadable date counts as earliest, so vc is chosen last."""
+    try:
+        return parse_timestamp(vc.issuance_date)
+    except (TypeError, ValueError):
+        return datetime.min.replace(tzinfo=timezone.utc)
 
 
 class Agent:
@@ -215,7 +208,8 @@ class Agent:
             )
             self.did = did
             self.did_document = DidDocument(id=did.text, authentication=[method])
-        self._write_did_document()
+        did_path = config.resolved_state_path().with_suffix(".did.json")
+        write_json(did_path, self.did_document.to_json())
 
         self.state = AgentState(config.resolved_state_path())
         self.state.load()
@@ -223,16 +217,9 @@ class Agent:
             self.state.registry = new_registry(self.did, self.key).to_json()
             self.state.save()
 
-        self.resolver = Resolver(
-            backends=[
-                KeyBackend(),
-                WebBackend(allow_insecure_loopback=config.allow_insecure_http),
-            ],
-            cache_ttl=config.cache_ttl,
-        )
-        self.registry_source = HttpRegistrySource(
-            allow_insecure_loopback=config.allow_insecure_http
-        )
+        insecure = config.allow_insecure_http
+        self.resolver = Resolver([KeyBackend(), WebBackend(allow_insecure_loopback=insecure)])
+        self.registry_source = HttpRegistrySource(allow_insecure_loopback=insecure)
 
         self._thread = threading.Thread(
             target=lambda: self._server.serve_forever(poll_interval=0.05),
@@ -250,10 +237,6 @@ class Agent:
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
-
-    def _write_did_document(self) -> None:
-        path = self.config.resolved_state_path().with_suffix(".did.json")
-        write_json(path, self.did_document.to_json())
 
     def invitation(self) -> dict:
         """What a peer needs to connect to this agent."""
@@ -304,8 +287,9 @@ class Agent:
     # --- outbound protocol operations ---
 
     def _exchange(
-        self, their_did: str, endpoint: str, message_type: str, body: dict, expect: str
+        self, their_did: str, endpoint: str, message_type: str, body: dict
     ) -> MessageEnvelope:
+        """Send a request; returns the verified reply _PROTOCOL pairs with its type."""
         payload = build_envelope(self.key, self.did.text, their_did, message_type, body)
         url = endpoint.rstrip("/") + "/inbox"
         try:
@@ -319,7 +303,8 @@ class Agent:
         if envelope.type == PROBLEM_REPORT:
             code = envelope.body.get("code", "")
             detail = envelope.body.get("detail", "")
-            raise _PROBLEM_ERRORS.get(code, AgentError)(f"{code}: {detail}")
+            raise _PEER_ERRORS.get(str(code), AgentError)(f"{code}: {detail}")
+        expect = _PROTOCOL[message_type][0]
         if envelope.type != expect:
             raise AgentError(f"expected {expect}, got {envelope.type}")
         return envelope
@@ -334,7 +319,6 @@ class Agent:
             endpoint,
             CONNECTION_REQUEST,
             {"connectionId": connection.connection_id, "endpoint": self.base_url},
-            expect=CONNECTION_RESPONSE,
         )
         if envelope.sender != did:
             raise SignatureInvalid(f"connection response from {envelope.sender}, expected {did}")
@@ -383,7 +367,6 @@ class Agent:
             connection.their_endpoint,
             CREDENTIAL_ISSUE,
             {"connectionId": connection_id, "credential": credential.to_json()},
-            expect=CREDENTIAL_ACK,
         )
         return credential
 
@@ -408,7 +391,6 @@ class Agent:
             endpoint,
             PROOF_REQUEST,
             {"requestedAttributes": list(attributes), "challenge": challenge},
-            expect=PROOF_RESPONSE,
         )
         try:
             presentation = VerifiablePresentation.from_json(envelope.body["presentation"])
@@ -450,59 +432,42 @@ class Agent:
     # --- inbound envelope handling ---
 
     def handle_envelope(self, raw: dict) -> tuple[int, dict]:
-        """Process one inbound envelope; returns (http status, response JSON)."""
-        try:
-            envelope = verify_envelope(raw, self.resolver)
-        except DatacredError as exc:
-            log.warning("dropping inbound envelope: %s", exc)
-            return 400, self._problem_payload("unknown", "SignatureInvalid", str(exc))
-        try:
-            if envelope.type == CONNECTION_REQUEST:
-                body = self._on_connection_request(envelope)
-                reply = CONNECTION_RESPONSE
-            elif envelope.type == CREDENTIAL_ISSUE:
-                body = self._on_credential_issue(envelope)
-                reply = CREDENTIAL_ACK
-            elif envelope.type == PROOF_REQUEST:
-                body = self._on_proof_request(envelope)
-                reply = PROOF_RESPONSE
-            else:
-                raise _Problem("UnsupportedMessage", f"no handler for {envelope.type}")
-        except _Problem as problem:
-            log.info("problem handling %s from %s: %s: %s",
-                     envelope.type, envelope.sender, problem.code, problem.detail)
-            return problem.http_status, self._problem_payload(
-                envelope.sender, problem.code, problem.detail
-            )
-        return 200, build_envelope(self.key, self.did.text, envelope.sender, reply, body)
+        """Process one inbound envelope; returns (http status, response JSON).
 
-    def _problem_payload(self, recipient: str, code: str, detail: str) -> dict:
-        return build_envelope(
-            self.key,
-            self.did.text,
-            recipient,
-            PROBLEM_REPORT,
-            {"code": code, "detail": detail},
-        )
+        A failure is answered with a problem report: its code is the
+        AgentError's class name and its status the error's http_status.
+        """
+        status, sender = 200, "unknown"
+        try:
+            try:
+                envelope = verify_envelope(raw, self.resolver)
+            except DatacredError as exc:
+                raise SignatureInvalid(str(exc)) from exc
+            sender = envelope.sender
+            if not isinstance(envelope.type, str) or envelope.type not in _PROTOCOL:
+                raise UnsupportedMessage(f"no handler for {envelope.type}")
+            reply, handler = _PROTOCOL[envelope.type]
+            body = handler(self, envelope)
+        except AgentError as exc:
+            status, reply = exc.http_status, PROBLEM_REPORT
+            body = {"code": type(exc).__name__, "detail": str(exc)}
+            log.info("problem answering %s: %s: %s", sender, body["code"], exc)
+        return status, build_envelope(self.key, self.did.text, sender, reply, body)
 
     def _on_connection_request(self, envelope: MessageEnvelope) -> dict:
         if not self.config.policy.auto_accept_connections:
-            raise _Problem(
-                "PolicyRejected", "connections are not auto-accepted", http_status=403
-            )
+            raise PolicyRejected("connections are not auto-accepted")
         body = envelope.body
         endpoint = _field(body, "endpoint", str, "")
         if not endpoint:
-            raise _Problem("BadRequest", "connection request carries no endpoint")
+            raise BadRequest("connection request carries no endpoint")
         connection_id = _field(body, "connectionId", str, "") or str(uuid.uuid4())
         with self._lock:
             existing = self.state.connections.get(connection_id)
             # A proposed id may only reuse a record with the same peer;
             # anything else would let a sender hijack someone's connection.
             if existing is not None and existing.their_did != envelope.sender:
-                raise _Problem(
-                    "BadRequest", f"connection id {connection_id} is taken"
-                )
+                raise BadRequest(f"connection id {connection_id} is taken")
             self.state.add_connection(
                 Connection(connection_id, self.did.text, envelope.sender, endpoint)
             )
@@ -513,30 +478,32 @@ class Agent:
         connection_id = _field(body, "connectionId", str, "")
         connection = self.state.connections.get(connection_id)
         if connection is None or connection.their_did != envelope.sender:
-            raise _Problem(
-                "ConnectionInactive",
-                f"no active connection {connection_id!r} with {envelope.sender}",
+            raise ConnectionInactive(
+                f"no active connection {connection_id!r} with {envelope.sender}"
             )
         try:
             credential = VerifiableCredential.from_json(body["credential"])
         except (KeyError, DatacredError) as exc:
-            raise _Problem("CredentialRejected", f"malformed credential: {exc}") from exc
+            raise CredentialRejected(f"malformed credential: {exc}") from exc
         if credential.subject_id != self.did.text:
-            raise _Problem(
-                "CredentialRejected",
-                f"credential subject {credential.subject_id} is not this agent",
+            raise CredentialRejected(
+                f"credential subject {credential.subject_id} is not this agent"
             )
-        # Receipt check: signature and schema must hold before the wallet
-        # accepts it; temporal/revocation are the verifier's business later.
+        # Receipt check: signature, schema and readable dates must hold before the
+        # wallet accepts it; expiry and revocation are the verifier's business later.
         signature, _ = check_proof(credential.to_json(), credential.issuer, self.resolver)
         if signature.status is not CheckStatus.VALID:
-            raise _Problem(
-                "CredentialRejected", f"signature: {signature.reason} {signature.detail}"
-            )
+            raise CredentialRejected(f"signature: {signature.reason} {signature.detail}")
         try:
             credential.schema.validate_claims(credential.claims)
         except SchemaMismatch as exc:
-            raise _Problem("CredentialRejected", f"schema: SchemaViolation {exc}") from exc
+            raise CredentialRejected(f"schema: SchemaViolation {exc}") from exc
+        try:
+            parse_timestamp(credential.issuance_date)
+            if credential.expiration_date:
+                parse_timestamp(credential.expiration_date)
+        except (TypeError, ValueError) as exc:
+            raise CredentialRejected(f"temporal: BadTimestamps {exc}") from exc
         with self._lock:
             self.wallet.put(CREDENTIAL_LABEL_PREFIX + credential.id, credential.to_json())
             self.wallet.save()
@@ -545,13 +512,11 @@ class Agent:
     def _on_proof_request(self, envelope: MessageEnvelope) -> dict:
         # Only connection-protocol messages may arrive outside an active connection.
         if self.state.connection_for_did(envelope.sender) is None:
-            raise _Problem(
-                "ConnectionInactive", f"no active connection with {envelope.sender}"
-            )
+            raise ConnectionInactive(f"no active connection with {envelope.sender}")
         challenge = _field(envelope.body, "challenge", str, "")
         requested = _string_list(envelope.body, "requestedAttributes")
         if not challenge:
-            raise _Problem("BadRequest", "proof request carries no challenge")
+            raise BadRequest("proof request carries no challenge")
         candidates = [
             vc
             for vc in self.stored_credentials()
@@ -559,14 +524,18 @@ class Agent:
             and all(attr in vc.claims for attr in requested)
         ]
         if not candidates:
-            raise _Problem(
-                "NoMatchingCredential",
-                f"no sharable credential covers {requested!r}",
-                http_status=404,
-            )
-        chosen = max(candidates, key=lambda vc: parse_timestamp(vc.issuance_date))
+            raise NoMatchingCredential(f"no sharable credential covers {requested!r}")
+        chosen = max(candidates, key=_issued_at)
         presentation = create_presentation(self.key, self.did, [chosen], challenge)
         return {"presentation": presentation.to_json()}
+
+
+# The protocol: request type -> (reply type, the receiving agent's handler).
+_PROTOCOL = {
+    CONNECTION_REQUEST: (CONNECTION_RESPONSE, Agent._on_connection_request),
+    CREDENTIAL_ISSUE: (CREDENTIAL_ACK, Agent._on_credential_issue),
+    PROOF_REQUEST: (PROOF_RESPONSE, Agent._on_proof_request),
+}
 
 
 def provision_agent(config: AgentConfig) -> Agent:
@@ -624,6 +593,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
+    def _send_error(self, status: int, exc: DatacredError, close: bool = False) -> None:
+        self._send_json(status, {"error": type(exc).__name__, "detail": str(exc)}, close)
+
     def _read_json(self) -> dict:
         """The JSON body; a bad or oversized Content-Length is refused unread."""
         try:
@@ -631,13 +603,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
         except (TypeError, ValueError):
             length = -1
         if length < 0:
-            raise _Problem("BadRequest", "Content-Length must be a non-negative integer")
+            raise BadRequest("Content-Length must be a non-negative integer")
         if length > MAX_BODY_BYTES:
-            raise _Problem(
-                "PayloadTooLarge",
-                f"body of {length} bytes exceeds {MAX_BODY_BYTES}",
-                http_status=413,
-            )
+            raise PayloadTooLarge(f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
         return json.loads(self.rfile.read(length).decode("utf-8"))
 
     def _admin_guard(self) -> bool:
@@ -671,14 +639,12 @@ class _RequestHandler(BaseHTTPRequestHandler):
         agent = self.agent
         try:
             body = self._read_json()
-        except _Problem as problem:
+        except AgentError as exc:
             # The unread body would be parsed as the next request, so hang up.
-            self._send_json(
-                problem.http_status, {"error": problem.code, "detail": problem.detail}, close=True
-            )
+            self._send_error(exc.http_status, exc, close=True)
             return
         except (ValueError, UnicodeDecodeError) as exc:
-            self._send_json(400, {"error": "BadRequest", "detail": f"invalid JSON: {exc}"})
+            self._send_error(400, BadRequest(f"invalid JSON: {exc}"))
             return
 
         if self.path == "/inbox":
@@ -688,10 +654,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
         if not self._admin_guard():
             return
-        if not isinstance(body, dict):
-            self._send_json(400, {"error": "BadRequest", "detail": "body must be a JSON object"})
-            return
         try:
+            if not isinstance(body, dict):
+                raise BadRequest("body must be a JSON object")
             if self.path == "/connect":
                 connection = agent.connect(
                     _field(body, "did", str, None), _field(body, "endpoint", str, None)
@@ -727,9 +692,5 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 self._send_json(200, registry.to_json())
             else:
                 self._send_json(404, {"error": "NotFound", "detail": self.path})
-        except _Problem as problem:
-            self._send_json(problem.http_status, {"error": problem.code, "detail": problem.detail})
-        except RoleForbidden as exc:
-            self._send_json(403, {"error": "RoleForbidden", "detail": str(exc)})
-        except DatacredError as exc:
-            self._send_json(400, {"error": type(exc).__name__, "detail": str(exc)})
+        except DatacredError as exc:  # a relayed refusal too: its inbox status is the peer's
+            self._send_error(403 if isinstance(exc, RoleForbidden) else 400, exc)

@@ -345,12 +345,11 @@ def revoke(
 class HttpRegistrySource:
     """Fetch revocation registries under resolver.request_json's transport policy."""
 
-    def __init__(self, allow_insecure_loopback: bool = False, timeout: float = 5.0):
+    def __init__(self, allow_insecure_loopback: bool = False):
         self.allow_insecure_loopback = allow_insecure_loopback
-        self.timeout = timeout
 
     def fetch(self, url: str) -> dict:
-        return fetch_json(url, self.allow_insecure_loopback, self.timeout)
+        return fetch_json(url, self.allow_insecure_loopback)
 
 
 class StaticRegistrySource:
@@ -484,7 +483,7 @@ def verify_credential(
 def check_binding_claim(vc: VerifiableCredential, data: bytes | str | Path) -> BindingReport:
     """Recheck the credential's dataset-hash claim, in the data's own form, against the data."""
     raw = vc.claims.get(HASH_CLAIM)
-    if not raw:
-        raise NoHashClaim(f"credential {vc.id} carries no {HASH_CLAIM!r} claim")
+    if not isinstance(raw, str) or not raw:
+        raise NoHashClaim(f"credential {vc.id} carries no {HASH_CLAIM!r} string claim")
     fp = DatasetFingerprint(algorithm="sha256", digest=normalize_digest(raw), form=data_form(data))
     return check_binding(fp, data)

@@ -136,7 +136,13 @@ class EmptyChallenge(DatacredError):
 # --- agent service ---
 
 class AgentError(DatacredError):
-    """Base class for agent protocol and lifecycle failures."""
+    """Base class for agent protocol and lifecycle failures.
+
+    An inbox answers a failure with a problem report whose code is the
+    class name and whose HTTP status is the class's http_status.
+    """
+
+    http_status = 400
 
 
 class BadConfig(AgentError):
@@ -151,25 +157,51 @@ class Unreachable(AgentError):
     """Peer endpoint could not be contacted."""
 
 
-class SignatureInvalid(AgentError):
-    """Message envelope signature failed verification."""
+class RoleForbidden(AgentError):
+    """Operation is not permitted for this agent role."""
 
 
-class PolicyRejected(AgentError):
+class Refused(AgentError):
+    """Base class for the failures an inbox reports to its peer.
+
+    A caller turns a problem report back into the subclass its code names;
+    any other code becomes a plain AgentError.
+    """
+
+
+class SignatureInvalid(Refused):
+    """Message envelope is malformed or its signature failed verification."""
+
+
+class BadRequest(Refused):
+    """A request body or field is missing, mistyped or empty."""
+
+
+class UnsupportedMessage(Refused):
+    """No handler exists for the envelope's message type."""
+
+
+class PayloadTooLarge(Refused):
+    """A request body exceeds the inbound size bound."""
+
+    http_status = 413
+
+
+class PolicyRejected(Refused):
     """Peer policy refused the request."""
 
+    http_status = 403
 
-class ConnectionInactive(AgentError):
+
+class ConnectionInactive(Refused):
     """Operation requires an active connection."""
 
 
-class CredentialRejected(AgentError):
+class CredentialRejected(Refused):
     """Received credential failed verification on receipt."""
 
 
-class NoMatchingCredential(AgentError):
+class NoMatchingCredential(Refused):
     """No stored credential covers the requested attributes."""
 
-
-class RoleForbidden(AgentError):
-    """Operation is not permitted for this agent role."""
+    http_status = 404

@@ -109,9 +109,9 @@ def request_json(url: str, allow_insecure_loopback: bool, timeout: float, body=N
         raise DocumentInvalid(f"{url}: response ({status}) is not JSON: {exc}") from exc
 
 
-def fetch_json(url: str, allow_insecure_loopback: bool, timeout: float):
+def fetch_json(url: str, allow_insecure_loopback: bool):
     """GET a DID document or registry; a 404 is NotFound and any other 4xx/5xx FetchFailed."""
-    status, document = request_json(url, allow_insecure_loopback, timeout)
+    status, document = request_json(url, allow_insecure_loopback, _HTTP_TIMEOUT)
     if status >= 400:
         raise (NotFound if status == 404 else FetchFailed)(f"{url} returned {status}")
     return document
@@ -142,9 +142,8 @@ class WebBackend:
 
     network = True
 
-    def __init__(self, allow_insecure_loopback: bool = False, timeout: float = _HTTP_TIMEOUT):
+    def __init__(self, allow_insecure_loopback: bool = False):
         self.allow_insecure_loopback = allow_insecure_loopback
-        self.timeout = timeout
         self.fetch_count = 0
 
     def supports(self, did: Did) -> bool:
@@ -158,7 +157,7 @@ class WebBackend:
 
     def fetch(self, did: Did) -> dict:
         self.fetch_count += 1
-        return fetch_json(self._url(did), self.allow_insecure_loopback, self.timeout)
+        return fetch_json(self._url(did), self.allow_insecure_loopback)
 
 
 class StaticBackend:

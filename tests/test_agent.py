@@ -17,7 +17,7 @@ from datacred.agent.envelopes import (
     PROOF_REQUEST,
     build_envelope,
 )
-from datacred.agent.service import CREDENTIAL_LABEL_PREFIX, MAX_BODY_BYTES
+from datacred.agent.service import CREDENTIAL_LABEL_PREFIX, MAX_BODY_BYTES, Agent
 from datacred.agent.state import AgentState
 from datacred.agent.config import AgentConfig, Policy
 from datacred.credential import DATASET_PROVENANCE_V1, VerifiableCredential, issue_credential
@@ -378,6 +378,51 @@ def test_receipt_rejection_names_the_failed_check(agent_factory, resign, reason)
     assert dataset.list_credentials() == []
 
 
+def signed_credential(publisher, dataset, **dates) -> dict:
+    """A credential from publisher to dataset, re-signed after its dates are replaced."""
+    credential = issue_credential(
+        publisher.key, publisher.did, dataset.did, DATASET_PROVENANCE_V1, LISTING_CLAIMS
+    ).to_json()
+    del credential["proof"]
+    credential.update(dates)
+    return attach_proof(credential, publisher.key, publisher.did.text, ASSERTION)
+
+
+@pytest.mark.parametrize("dates", [
+    {"issuanceDate": "yesterday"},
+    {"issuanceDate": 5},
+    {"expirationDate": "2030-01-01"},
+], ids=["issuance-word", "issuance-int", "expiration-date-only"])
+def test_credential_with_unreadable_dates_rejected_on_receipt(agent_factory, dates):
+    publisher, dataset, connection = connected_pair(agent_factory)
+    envelope = build_envelope(
+        publisher.key, publisher.did.text, dataset.did.text, CREDENTIAL_ISSUE,
+        {"connectionId": connection.connection_id,
+         "credential": signed_credential(publisher, dataset, **dates)},
+    )
+    response = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5)
+    assert response.status_code == 400
+    body = response.json()["body"]
+    assert body["code"] == "CredentialRejected"
+    assert body["detail"].startswith("temporal: BadTimestamps")
+    assert dataset.list_credentials() == []
+
+
+def test_stored_credential_with_unreadable_date_does_not_break_proofs(agent_factory):
+    """One such entry used to make every later proof request drop the connection."""
+    publisher, dataset, connection = connected_pair(agent_factory)
+    readable = publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
+    unreadable = signed_credential(publisher, dataset, issuanceDate="yesterday")
+    dataset.wallet.put(CREDENTIAL_LABEL_PREFIX + unreadable["id"], unreadable)
+    user = agent_factory("user")
+    report = user.request_proof(dataset.did.text, ["Hash of Data"], endpoint=dataset.base_url)
+    assert report.valid
+    assert [r.credential_id for r in report.credential_reports] == [readable.id]
+    dataset.wallet.remove(CREDENTIAL_LABEL_PREFIX + readable.id)
+    report = user.request_proof(dataset.did.text, ["Hash of Data"])
+    assert "BadTimestamps" in report.reasons()
+
+
 def test_issue_requires_publisher_role(agent_factory):
     user = agent_factory("user")
     dataset = agent_factory("dataset")
@@ -633,6 +678,45 @@ def test_stored_credentials_follow_direct_wallet_changes(agent_factory, monkeypa
     assert len(parses) == 2
     dataset.wallet.remove(CREDENTIAL_LABEL_PREFIX + added.id)
     assert [vc.id for vc in dataset.stored_credentials()] == [replacement.id]
+
+
+@pytest.mark.parametrize("change, key", [
+    ({"allowInsecureHttp": "false"}, "allowInsecureHttp"),
+    ({"policy": {"autoAcceptConnections": "false"}}, "autoAcceptConnections"),
+    ({"listenPort": "8080"}, "listenPort"),
+    ({"listenPort": True}, "listenPort"),
+    ({"listenPort": 65536}, "listenPort"),
+    ({"listenPort": -1}, "listenPort"),
+    ({"walletPath": 5}, "walletPath"),
+    ({"passphraseEnv": None}, "passphraseEnv"),
+    ({"listenHost": 127}, "listenHost"),
+    ({"publicBaseUrl": ["https://data.example"]}, "publicBaseUrl"),
+    ({"webDomain": 1}, "webDomain"),
+    ({"statePath": False}, "statePath"),
+    ({"keyLabel": None}, "keyLabel"),
+    ({"policy": []}, "policy"),
+    ({"policy": {"sharableCredentialIds": "urn:uuid:1"}}, "sharableCredentialIds"),
+    ({"policy": {"sharableCredentialIds": [1]}}, "sharableCredentialIds"),
+], ids=["insecure-string", "auto-accept-string", "port-string", "port-bool", "port-high",
+        "port-negative", "wallet-int", "passphrase-env-null", "host-int", "base-url-list",
+        "web-domain-int", "state-path-bool", "key-label-null", "policy-list",
+        "sharable-string", "sharable-int"])
+def test_config_value_of_wrong_type_is_bad_config_naming_the_key(change, key):
+    """A truthy "false" used to turn on plain http and auto-accepted connections."""
+    with pytest.raises(BadConfig, match=key):
+        AgentConfig.from_json({"role": "dataset", "walletPath": "w", **change})
+
+
+def test_agent_refuses_a_config_of_wrong_type():
+    with pytest.raises(BadConfig, match="autoAcceptConnections"):
+        Agent(AgentConfig(role="dataset", wallet_path="w",
+                          policy=Policy(auto_accept_connections="false")))
+
+
+def test_config_with_cache_ttl_still_loads():
+    config = AgentConfig.from_json({"role": "user", "walletPath": "u.wallet", "cacheTtl": 0})
+    assert "cacheTtl" not in config.to_json()
+    assert config == AgentConfig(role="user", wallet_path="u.wallet")
 
 
 def test_config_with_nonce_ttl_still_loads():

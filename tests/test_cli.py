@@ -386,6 +386,20 @@ def test_issue_strips_0x_digest_prefix(runner, workspace):
     assert invoke(runner, "verify", "cred.json", "--data", "data.bin").exit_code == 0
 
 
+@pytest.mark.parametrize("claim", [5, ["x"], ""], ids=["int", "list", "empty"])
+def test_verify_data_with_unusable_hash_claim_exits_2(runner, workspace, claim):
+    """A non-string claim used to crash with an AttributeError traceback and exit 1."""
+    issuer, subject = make_identities(runner)
+    digest = stdout_json(must(runner, "hash", "data.bin"))["digest"]
+    must(runner, *issue_args(issuer["did"], subject["did"], digest))
+    credential = json.loads((workspace / "cred.json").read_text())
+    credential["credentialSubject"]["Hash of Data"] = claim
+    (workspace / "cred.json").write_text(json.dumps(credential))
+    result = invoke(runner, "verify", "cred.json", "--data", "data.bin")
+    assert result.exit_code == 2, result.output
+    assert "NoHashClaim" in result.stderr
+
+
 def test_cli_json_output_parses_with_module_readers(runner, workspace):
     from datacred.credential import VerifiableCredential
     from datacred.did import DidDocument

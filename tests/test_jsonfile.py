@@ -32,7 +32,7 @@ def scratch(tmp_path_factory):
 
 
 @given(json_objects)
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 def test_write_then_read_returns_the_object(scratch, obj):
     path = scratch / "object.json"
     write_json(path, obj)
@@ -40,7 +40,7 @@ def test_write_then_read_returns_the_object(scratch, obj):
 
 
 @given(non_objects)
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 def test_any_non_object_is_document_invalid(scratch, value):
     path = scratch / "value.json"
     path.write_text(json.dumps(value), encoding="utf-8")

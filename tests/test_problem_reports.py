@@ -1,0 +1,165 @@
+"""What an agent answers a refused request with: the HTTP status and code on every surface.
+
+The inbox answers with a signed problem report, a bad request body with a
+JSON error, and the admin API with a JSON error that relays a peer's refusal.
+"""
+
+import json
+
+import pytest
+import requests
+
+from datacred.agent.config import Policy
+from datacred.agent.envelopes import (
+    CONNECTION_REQUEST,
+    CREDENTIAL_ACK,
+    CREDENTIAL_ISSUE,
+    PROBLEM_REPORT,
+    PROOF_REQUEST,
+    build_envelope,
+)
+from datacred.agent.service import MAX_BODY_BYTES
+from datacred.did import generate_did_key
+from datacred.errors import AgentError, ConnectionInactive, PolicyRejected
+from datacred.keys import generate_keypair
+from test_agent import connected_pair, raw_post
+
+pytestmark = pytest.mark.usefixtures("fast_wallet_kdf")
+
+
+def inbox(receiver, payload):
+    response = requests.post(receiver.base_url + "/inbox", json=payload, timeout=5)
+    assert response.json()["type"] == PROBLEM_REPORT
+    return response.status_code, response.json()["body"]["code"]
+
+
+def send(sender, receiver, message_type, body):
+    envelope = build_envelope(sender.key, sender.did.text, receiver.did.text, message_type, body)
+    return inbox(receiver, envelope)
+
+
+def admin(agent, route, body):
+    response = requests.post(agent.base_url + route, json=body, timeout=30)
+    return response.status_code, response.json()["error"]
+
+
+def body_with_length(agent, content_length):
+    head, _, body = raw_post(agent.base_url, content_length).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)["error"]
+
+
+def signature_invalid(agent_factory):
+    return inbox(agent_factory("dataset"), 5)
+
+
+def bad_request(agent_factory):
+    publisher, dataset, _ = connected_pair(agent_factory)
+    return send(publisher, dataset, PROOF_REQUEST, {"challenge": 5})
+
+
+def unsupported_message(agent_factory):
+    publisher, dataset, _ = connected_pair(agent_factory)
+    return send(publisher, dataset, CREDENTIAL_ACK, {"credentialId": "urn:uuid:1"})
+
+
+def unsupported_type_not_a_string(agent_factory):
+    publisher, dataset, _ = connected_pair(agent_factory)
+    return send(publisher, dataset, [PROOF_REQUEST], {"challenge": "e" * 32})
+
+
+def policy_rejected(agent_factory):
+    publisher = agent_factory("publisher")
+    dataset = agent_factory("dataset", policy=Policy(auto_accept_connections=False))
+    return send(publisher, dataset, CONNECTION_REQUEST,
+                {"connectionId": "c", "endpoint": publisher.base_url})
+
+
+def connection_inactive(agent_factory):
+    dataset = agent_factory("dataset")
+    stranger = agent_factory("user")
+    return send(stranger, dataset, PROOF_REQUEST, {"challenge": "e" * 32})
+
+
+def credential_rejected(agent_factory):
+    publisher, dataset, connection = connected_pair(agent_factory)
+    return send(publisher, dataset, CREDENTIAL_ISSUE, {"connectionId": connection.connection_id,
+                                                       "credential": {"credentialSubject": []}})
+
+
+def no_matching_credential(agent_factory):
+    publisher, dataset, _ = connected_pair(agent_factory)
+    return send(publisher, dataset, PROOF_REQUEST,
+                {"requestedAttributes": ["Hash of Data"], "challenge": "e" * 32})
+
+
+def bad_content_length(agent_factory):
+    return body_with_length(agent_factory("dataset"), "twelve")
+
+
+def oversized_body(agent_factory):
+    return body_with_length(agent_factory("dataset"), str(MAX_BODY_BYTES + 1))
+
+
+def admin_role_forbidden(agent_factory):
+    return admin(agent_factory("user"), "/revoke", {"statusId": "s"})
+
+
+def admin_relayed_policy_rejected(agent_factory):
+    publisher = agent_factory("publisher")
+    dataset = agent_factory("dataset", policy=Policy(auto_accept_connections=False))
+    return admin(publisher, "/connect", dataset.invitation())
+
+
+def admin_relayed_no_matching_credential(agent_factory):
+    dataset = agent_factory("dataset")
+    user = agent_factory("user")
+    return admin(user, "/request-proof", {"target": dataset.did.text,
+                                          "attributes": ["Hash of Data"],
+                                          "endpoint": dataset.base_url})
+
+
+def admin_bad_request(agent_factory):
+    return admin(agent_factory("publisher"), "/connect", {"did": 5, "endpoint": "http://x"})
+
+
+@pytest.mark.parametrize("case, status, code", [
+    (signature_invalid, 400, "SignatureInvalid"),
+    (bad_request, 400, "BadRequest"),
+    (unsupported_message, 400, "UnsupportedMessage"),
+    (unsupported_type_not_a_string, 400, "UnsupportedMessage"),
+    (policy_rejected, 403, "PolicyRejected"),
+    (connection_inactive, 400, "ConnectionInactive"),
+    (credential_rejected, 400, "CredentialRejected"),
+    (no_matching_credential, 404, "NoMatchingCredential"),
+    (bad_content_length, 400, "BadRequest"),
+    (oversized_body, 413, "PayloadTooLarge"),
+    (admin_role_forbidden, 403, "RoleForbidden"),
+    (admin_relayed_policy_rejected, 400, "PolicyRejected"),
+    (admin_relayed_no_matching_credential, 400, "NoMatchingCredential"),
+    (admin_bad_request, 400, "BadRequest"),
+], ids=lambda value: value.__name__ if callable(value) else None)
+def test_refusal_status_and_code(agent_factory, case, status, code):
+    assert case(agent_factory) == (status, code)
+
+
+@pytest.mark.parametrize("code, error", [
+    ("PolicyRejected", PolicyRejected),
+    ("ConnectionInactive", ConnectionInactive),
+    ("BadConfig", AgentError),
+    ("RoleForbidden", AgentError),
+    ("NoSuchProblem", AgentError),
+    (["PolicyRejected"], AgentError),
+], ids=["PolicyRejected", "ConnectionInactive", "BadConfig", "RoleForbidden", "unknown",
+        "list"])
+def test_peer_code_maps_back_only_to_an_inbox_refusal(agent_factory, json_server, code, error):
+    """A code no inbox sends, such as a local failure's name, is a plain AgentError."""
+    publisher = agent_factory("publisher")
+    key = generate_keypair()
+    did, _ = generate_did_key(key.public_key)
+    report = build_envelope(key, did.text, publisher.did.text, PROBLEM_REPORT,
+                            {"code": code, "detail": "refused"})
+    json_server.set("/inbox", report)
+    with pytest.raises(AgentError, match="refused") as excinfo:
+        publisher.connect(did=did.text, endpoint=json_server.url(""))
+    assert type(excinfo.value) is error
+    assert publisher.list_connections() == []

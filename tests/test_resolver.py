@@ -104,9 +104,7 @@ def test_web_resolution_not_found(json_server):
 
 
 def test_web_resolution_unreachable_host():
-    resolver = Resolver(
-        backends=[WebBackend(allow_insecure_loopback=True, timeout=0.3)]
-    )
+    resolver = Resolver(backends=[WebBackend(allow_insecure_loopback=True)])
     with pytest.raises(FetchFailed):
         resolver.resolve("did:web:127.0.0.1%3A1")  # nothing listens on port 1
 
