@@ -12,6 +12,10 @@ A connection is stored once the peer has accepted it, so a failed connect
 leaves no record. A proof request keeps its challenge only for the call:
 the exact comparison in verify_presentation is the replay protection.
 
+A dataset agent stores a received credential only if credential.check_receipt
+passes, the verifier's own signature, schema and date checks; a refusal names
+the failed check and the verifier's reason.
+
 Admin endpoints are loopback-only and drive the automated workflows:
 connect, issue, request-proof, revoke, plus read-only listings.
 
@@ -38,6 +42,7 @@ from ..credential import (
     HttpRegistrySource,
     RevocationRegistry,
     VerifiableCredential,
+    check_receipt,
     issue_credential,
     new_registry,
     revoke,
@@ -57,7 +62,6 @@ from ..errors import (
     PortInUse,
     Refused,
     RoleForbidden,
-    SchemaMismatch,
     SignatureInvalid,
     Unreachable,
     UnsupportedMessage,
@@ -70,7 +74,7 @@ from ..presentation import (
     new_challenge,
     verify_presentation,
 )
-from ..proofs import check_proof, parse_timestamp
+from ..proofs import parse_timestamp
 from ..reports import CheckResult, CheckStatus, PresentationReport
 from ..resolver import KeyBackend, Resolver, WebBackend, is_loopback_host, request_json
 from ..wallet import Wallet
@@ -122,7 +126,7 @@ def _issued_at(vc: VerifiableCredential) -> datetime:
     """When vc was issued; an unreadable date counts as earliest, so vc is chosen last."""
     try:
         return parse_timestamp(vc.issuance_date)
-    except (TypeError, ValueError):
+    except ValueError:
         return datetime.min.replace(tzinfo=timezone.utc)
 
 
@@ -489,21 +493,9 @@ class Agent:
             raise CredentialRejected(
                 f"credential subject {credential.subject_id} is not this agent"
             )
-        # Receipt check: signature, schema and readable dates must hold before the
-        # wallet accepts it; expiry and revocation are the verifier's business later.
-        signature, _ = check_proof(credential.to_json(), credential.issuer, self.resolver)
-        if signature.status is not CheckStatus.VALID:
-            raise CredentialRejected(f"signature: {signature.reason} {signature.detail}")
-        try:
-            credential.schema.validate_claims(credential.claims)
-        except SchemaMismatch as exc:
-            raise CredentialRejected(f"schema: SchemaViolation {exc}") from exc
-        try:
-            parse_timestamp(credential.issuance_date)
-            if credential.expiration_date:
-                parse_timestamp(credential.expiration_date)
-        except (TypeError, ValueError) as exc:
-            raise CredentialRejected(f"temporal: BadTimestamps {exc}") from exc
+        for name, result in check_receipt(credential, self.resolver).items():
+            if result.status is not CheckStatus.VALID:
+                raise CredentialRejected(f"{name}: {result.reason} {result.detail}")
         with self._lock:
             self.wallet.put(CREDENTIAL_LABEL_PREFIX + credential.id, credential.to_json())
             self.wallet.save()

@@ -8,7 +8,9 @@ withdrawn.
 
 Verification runs four independent checks (signature, schema, temporal,
 revocation) and reports each one separately; network trouble yields
-Indeterminate for the affected check, never a silent pass or fail.
+Indeterminate for the affected check, never a silent pass or fail. They are
+the only acceptance rule: ``check_receipt`` is the part a holder runs before
+storing a credential, and ``issue_credential`` refuses dates they reject.
 """
 
 from __future__ import annotations
@@ -161,7 +163,10 @@ class CredentialStatus:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CredentialStatus":
-        return cls(registry_url=obj["registry"], status_id=obj["statusId"])
+        status = cls(registry_url=obj["registry"], status_id=obj["statusId"])
+        if not (isinstance(status.registry_url, str) and isinstance(status.status_id, str)):
+            raise TypeError("credentialStatus registry and statusId must be strings")
+        return status
 
 
 @dataclass
@@ -248,28 +253,24 @@ def issue_credential(
     subject = subject_did.text if isinstance(subject_did, Did) else parse_did(subject_did).text
     schema.validate_claims(claims)
 
-    if isinstance(issuance_date, datetime):
-        issuance_date = format_timestamp(issuance_date)
-    issued_at = issuance_date or format_timestamp(utc_now())
+    if issuance_date is None or isinstance(issuance_date, datetime):
+        issuance_date = format_timestamp(issuance_date or utc_now())
     if isinstance(expiration_date, datetime):
         expiration_date = format_timestamp(expiration_date)
-    if expiration_date is not None:
-        try:
-            if parse_timestamp(expiration_date) <= parse_timestamp(issued_at):
-                raise BadDates(f"expiration {expiration_date} not after issuance {issued_at}")
-        except ValueError as exc:
-            raise BadDates(str(exc)) from exc
 
     credential = VerifiableCredential(
         id=f"urn:uuid:{uuid.uuid4()}",
         issuer=issuer,
-        issuance_date=issued_at,
+        issuance_date=issuance_date,
         expiration_date=expiration_date,
         subject_id=subject,
         claims=dict(claims),
         schema=schema,
         status=status,
     )
+    dates = _check_temporal(credential)
+    if dates.status is not CheckStatus.VALID:
+        raise BadDates(dates.detail)
     signed = attach_proof(
         credential.to_json(),
         issuer_key,
@@ -382,82 +383,63 @@ class FileRegistrySource:
 # --- verification ---
 
 
-def _check_schema(vc: VerifiableCredential, report: VerificationReport) -> None:
+def _check_schema(vc: VerifiableCredential) -> CheckResult:
     try:
         vc.schema.validate_claims(vc.claims)
     except SchemaMismatch as exc:
-        report.checks["schema"] = CheckResult(CheckStatus.INVALID, "SchemaViolation", str(exc))
-        return
-    report.checks["schema"] = CheckResult(CheckStatus.VALID, "SchemaConformant")
+        return CheckResult(CheckStatus.INVALID, "SchemaViolation", str(exc))
+    return CheckResult(CheckStatus.VALID, "SchemaConformant")
 
 
 def _check_temporal(
-    vc: VerifiableCredential, at: datetime, clock_skew: float, report: VerificationReport
-) -> None:
+    vc: VerifiableCredential, at: datetime | None = None, clock_skew: float = 0.0
+) -> CheckResult:
+    """Both dates parse and expiration follows issuance; given a moment, vc is valid then."""
     try:
         issued = parse_timestamp(vc.issuance_date)
-        expires = parse_timestamp(vc.expiration_date) if vc.expiration_date else None
+        expires = None if vc.expiration_date is None else parse_timestamp(vc.expiration_date)
     except ValueError as exc:
-        report.checks["temporal"] = CheckResult(CheckStatus.INVALID, "BadTimestamps", str(exc))
-        return
+        return CheckResult(CheckStatus.INVALID, "BadTimestamps", str(exc))
     if expires is not None and expires <= issued:
-        report.checks["temporal"] = CheckResult(
-            CheckStatus.INVALID, "BadTimestamps", "expiration not after issuance"
-        )
-        return
+        detail = f"expiration {vc.expiration_date} not after issuance {vc.issuance_date}"
+        return CheckResult(CheckStatus.INVALID, "BadTimestamps", detail)
+    if at is None:
+        return CheckResult(CheckStatus.VALID, "TimestampsWellFormed")
     if (at - issued).total_seconds() < -clock_skew:
-        report.checks["temporal"] = CheckResult(
-            CheckStatus.INVALID, "NotYetValid", f"checked at {format_timestamp(at)}"
-        )
-        return
+        return CheckResult(CheckStatus.INVALID, "NotYetValid", f"checked at {format_timestamp(at)}")
     if expires is not None and (at - expires).total_seconds() >= clock_skew:
-        report.checks["temporal"] = CheckResult(
-            CheckStatus.INVALID, "Expired", f"expired {vc.expiration_date}"
-        )
-        return
-    report.checks["temporal"] = CheckResult(CheckStatus.VALID, "TemporallyValid")
+        return CheckResult(CheckStatus.INVALID, "Expired", f"expired {vc.expiration_date}")
+    return CheckResult(CheckStatus.VALID, "TemporallyValid")
 
 
 def _check_revocation(
-    vc: VerifiableCredential,
-    resolver: Resolver,
-    registry_source,
-    report: VerificationReport,
-) -> None:
+    vc: VerifiableCredential, resolver: Resolver, registry_source
+) -> CheckResult:
     if vc.status is None:
-        report.checks["revocation"] = CheckResult(CheckStatus.VALID, "NoStatus")
-        return
+        return CheckResult(CheckStatus.VALID, "NoStatus")
     try:
-        raw = registry_source.fetch(vc.status.registry_url)
-        registry = RevocationRegistry.from_json(raw)
+        registry = RevocationRegistry.from_json(registry_source.fetch(vc.status.registry_url))
     except (FetchFailed, DatacredError) as exc:
-        report.checks["revocation"] = CheckResult(
-            CheckStatus.INDETERMINATE, "RegistryUnavailable", str(exc)
-        )
-        return
+        return CheckResult(CheckStatus.INDETERMINATE, "RegistryUnavailable", str(exc))
 
     # Never trust a status list until it verifies under the issuer's key.
     if registry.issuer != vc.issuer:
-        report.checks["revocation"] = CheckResult(
-            CheckStatus.INDETERMINATE,
-            "RegistryInvalid",
-            f"registry issuer {registry.issuer} is not credential issuer {vc.issuer}",
-        )
-        return
+        detail = f"registry issuer {registry.issuer} is not credential issuer {vc.issuer}"
+        return CheckResult(CheckStatus.INDETERMINATE, "RegistryInvalid", detail)
     result, _ = check_proof(registry.to_json(), registry.issuer, resolver)
     if result.status is not CheckStatus.VALID:
-        report.checks["revocation"] = CheckResult(
-            CheckStatus.INDETERMINATE,
-            "RegistryInvalid",
-            f"registry proof: {result.reason} {result.detail}".rstrip(),
-        )
-        return
+        detail = f"registry proof: {result.reason} {result.detail}".rstrip()
+        return CheckResult(CheckStatus.INDETERMINATE, "RegistryInvalid", detail)
     if vc.status.status_id in registry.revoked:
-        report.checks["revocation"] = CheckResult(
-            CheckStatus.INVALID, "Revoked", f"status id {vc.status.status_id}"
-        )
-    else:
-        report.checks["revocation"] = CheckResult(CheckStatus.VALID, "NotRevoked")
+        return CheckResult(CheckStatus.INVALID, "Revoked", f"status id {vc.status.status_id}")
+    return CheckResult(CheckStatus.VALID, "NotRevoked")
+
+
+def check_receipt(vc: VerifiableCredential, resolver: Resolver) -> dict[str, CheckResult]:
+    """verify_credential's checks a holder runs before storing vc: signature, schema and
+    dates, but not the validity window or revocation, so no registry is fetched."""
+    signature, _ = check_proof(vc.to_json(), vc.issuer, resolver)
+    return {"signature": signature, "schema": _check_schema(vc), "temporal": _check_temporal(vc)}
 
 
 def verify_credential(
@@ -474,9 +456,9 @@ def verify_credential(
     report.checks["signature"], purpose = check_proof(vc.to_json(), vc.issuer, resolver)
     if purpose == AUTHENTICATION and vc.proof.proof_purpose == ASSERTION:
         report.notes.append("issuer publishes an authentication key only; accepted for assertion")
-    _check_schema(vc, report)
-    _check_temporal(vc, at or utc_now(), clock_skew, report)
-    _check_revocation(vc, resolver, registry_source, report)
+    report.checks["schema"] = _check_schema(vc)
+    report.checks["temporal"] = _check_temporal(vc, at or utc_now(), clock_skew)
+    report.checks["revocation"] = _check_revocation(vc, resolver, registry_source)
     return report
 
 

@@ -47,6 +47,9 @@ def format_timestamp(moment: datetime) -> str:
 
 
 def parse_timestamp(text: str) -> datetime:
+    """The moment text names; ValueError for anything else, a non-string included."""
+    if not isinstance(text, str):
+        raise ValueError(f"timestamp must be a string, not {type(text).__name__}")
     return datetime.strptime(text, _TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
 
 

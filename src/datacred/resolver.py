@@ -7,8 +7,8 @@ Backends, tried in order:
 - StaticBackend     in-memory map, for tests
 - DirectoryBackend  documents read from an offline bundle's dids.json
 
-Every backend counts its fetches so callers can assert cache behavior and
-prove offline verification performed zero network operations.
+The resolver counts its backend fetches, network ones apart, so callers can
+assert cache behavior and prove offline verification made no network fetch.
 
 ``request_json`` is datacred's only HTTP client, with one transport policy
 for DID documents, registries, agent envelopes and the admin client. Each
@@ -120,16 +120,10 @@ def fetch_json(url: str, allow_insecure_loopback: bool):
 class KeyBackend:
     """Synthesizes documents for did:key identifiers."""
 
-    network = False
-
-    def __init__(self) -> None:
-        self.fetch_count = 0
-
     def supports(self, did: Did) -> bool:
         return did.method == "key"
 
     def fetch(self, did: Did) -> dict:
-        self.fetch_count += 1
         public_key = did_key_public_key(did)
         _, document = generate_did_key(public_key)
         if document.id != did.text:
@@ -144,7 +138,6 @@ class WebBackend:
 
     def __init__(self, allow_insecure_loopback: bool = False):
         self.allow_insecure_loopback = allow_insecure_loopback
-        self.fetch_count = 0
 
     def supports(self, did: Did) -> bool:
         return did.method == "web"
@@ -156,18 +149,14 @@ class WebBackend:
         return url
 
     def fetch(self, did: Did) -> dict:
-        self.fetch_count += 1
         return fetch_json(self._url(did), self.allow_insecure_loopback)
 
 
 class StaticBackend:
     """In-memory DID-to-document map for tests and fixtures."""
 
-    network = False
-
     def __init__(self, documents: dict[str, dict] | None = None):
         self.documents = dict(documents or {})
-        self.fetch_count = 0
 
     def register(self, document: DidDocument | dict) -> None:
         obj = document.to_json() if isinstance(document, DidDocument) else document
@@ -177,7 +166,6 @@ class StaticBackend:
         return did.text in self.documents
 
     def fetch(self, did: Did) -> dict:
-        self.fetch_count += 1
         try:
             return self.documents[did.text]
         except KeyError:
@@ -191,19 +179,16 @@ class DirectoryBackend:
     documents, shipped alongside the credential it supports.
     """
 
-    network = False
     INDEX_NAME = "dids.json"
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        self.fetch_count = 0
         self._documents: dict[str, dict] = read_json(self.directory / self.INDEX_NAME)
 
     def supports(self, did: Did) -> bool:
         return did.text in self._documents
 
     def fetch(self, did: Did) -> dict:
-        self.fetch_count += 1
         try:
             return self._documents[did.text]
         except KeyError:
@@ -218,11 +203,8 @@ class Resolver:
         self.cache_ttl = cache_ttl
         self._cache: dict[str, tuple[DidDocument, float]] = {}
         self._lock = threading.Lock()
-
-    @property
-    def network_fetch_count(self) -> int:
-        """Total fetches performed by network-touching backends."""
-        return sum(b.fetch_count for b in self.backends if getattr(b, "network", False))
+        self.fetch_count = 0  # documents asked of a backend
+        self.network_fetch_count = 0  # of those, asked of a backend with network = True
 
     def clear_cache(self) -> None:
         with self._lock:
@@ -247,6 +229,10 @@ class Resolver:
         if backend is None:
             raise UnsupportedMethod(f"no backend resolves did:{did.method}")
 
+        with self._lock:  # counted before the fetch, so a failed one counts too
+            self.fetch_count += 1
+            if getattr(backend, "network", False):
+                self.network_fetch_count += 1
         raw = backend.fetch(did)
         document = DidDocument.from_json(raw)
         if document.id != did.text:

@@ -392,7 +392,9 @@ def signed_credential(publisher, dataset, **dates) -> dict:
     {"issuanceDate": "yesterday"},
     {"issuanceDate": 5},
     {"expirationDate": "2030-01-01"},
-], ids=["issuance-word", "issuance-int", "expiration-date-only"])
+    # Accepted once, then presented as the newest credential, and refused by the verifier.
+    {"issuanceDate": "2026-01-02T00:00:00Z", "expirationDate": "2026-01-01T00:00:00Z"},
+], ids=["issuance-word", "issuance-int", "expiration-date-only", "expiration-before-issuance"])
 def test_credential_with_unreadable_dates_rejected_on_receipt(agent_factory, dates):
     publisher, dataset, connection = connected_pair(agent_factory)
     envelope = build_envelope(

@@ -14,6 +14,11 @@ from click.testing import CliRunner
 import datacred
 from datacred.agent import AgentConfig
 from datacred.cli import main
+from datacred.credential import DATASET_PROVENANCE_V1, issue_credential
+from datacred.did import generate_did_key
+from datacred.fingerprint import fingerprint_bytes
+from datacred.keys import generate_keypair
+from datacred.proofs import ASSERTION, attach_proof
 from conftest import PASSPHRASE
 
 pytestmark = pytest.mark.usefixtures("fast_wallet_kdf")
@@ -153,6 +158,35 @@ def test_verify_tampered_credential_exits_1(runner, workspace):
     result = invoke(runner, "verify", "cred.json", "--json")
     assert result.exit_code == 1
     assert stdout_json(result)["checks"]["signature"]["reason"] == "SignatureMismatch"
+
+
+def write_resigned_credential(workspace, **fields):
+    """cred.json from a fresh did:key issuer, signed over these replaced fields."""
+    key = generate_keypair()
+    issuer_did = generate_did_key(key.public_key)[0]
+    subject_did = generate_did_key(generate_keypair().public_key)[0]
+    claims = {"Hash of Data": fingerprint_bytes(b"d").digest, "Data Ethically Sourced": "YES"}
+    credential = issue_credential(key, issuer_did, subject_did, DATASET_PROVENANCE_V1, claims)
+    obj = {**credential.to_json(), **fields}
+    del obj["proof"]
+    signed = attach_proof(obj, key, issuer_did.text, ASSERTION)
+    (workspace / "cred.json").write_text(json.dumps(signed))
+
+
+def test_verify_non_string_issuance_date_exits_1_with_bad_timestamps(runner, workspace):
+    """It used to print a TypeError traceback."""
+    write_resigned_credential(workspace, issuanceDate=5)
+    result = invoke(runner, "verify", "cred.json", "--json")
+    assert result.exit_code == 1, result.output
+    assert stdout_json(result)["checks"]["temporal"]["reason"] == "BadTimestamps"
+
+
+def test_verify_non_string_status_registry_exits_2(runner, workspace):
+    """It used to print an AttributeError traceback from the registry fetch and exit 1."""
+    write_resigned_credential(workspace, credentialStatus={"registry": 5, "statusId": "s"})
+    result = invoke(runner, "verify", "cred.json")
+    assert result.exit_code == 2, result.output
+    assert "malformed credential" in result.stderr
 
 
 def test_malformed_json_input_exits_2_with_location(runner, workspace):

@@ -2,8 +2,11 @@
 
 import json
 import random
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from datacred.credential import (
     DATASET_PROVENANCE_V1,
@@ -14,16 +17,19 @@ from datacred.credential import (
     StaticRegistrySource,
     VerifiableCredential,
     check_binding_claim,
+    check_receipt,
     issue_credential,
     new_registry,
     revoke,
     verify_credential,
 )
+from datacred.did import generate_did_key
 from datacred.errors import BadDates, DatacredError, NoHashClaim, SchemaMismatch, WrongIssuerKey
 from datacred.fingerprint import fingerprint_bytes
 from datacred.keys import generate_keypair
-from datacred.proofs import parse_timestamp
+from datacred.proofs import ASSERTION, attach_proof, format_timestamp, parse_timestamp
 from datacred.reports import CheckStatus
+from datacred.resolver import KeyBackend, Resolver
 from docgen import leaf_paths, mutate_leaf, random_credential
 
 REGISTRY_URL = "https://publisher.example/registry"
@@ -94,6 +100,18 @@ def test_issue_rejects_bad_dates(issuer, subject):
         issue_credential(
             issuer_key, issuer_did, subject[1], DATASET_PROVENANCE_V1, listing_claims(),
             issuance_date="2026-01-02T00:00:00Z", expiration_date="2026-01-01T00:00:00Z",
+        )
+
+
+@pytest.mark.parametrize("issuance", ["yesterday", "", "2026-01-01", 5],
+                         ids=["word", "empty", "date-only", "int"])
+def test_issue_refuses_an_unreadable_issuance_date(issuer, subject, issuance):
+    """It used to sign a credential that every verifier rejects as BadTimestamps."""
+    issuer_key, issuer_did, _ = issuer
+    with pytest.raises(BadDates):
+        issue_credential(
+            issuer_key, issuer_did, subject[1], DATASET_PROVENANCE_V1, listing_claims(),
+            issuance_date=issuance,
         )
 
 
@@ -195,6 +213,79 @@ def test_issuance_boundary_is_valid(issuer, subject, key_resolver):
     )
     report = verify_credential(vc, key_resolver, at=parse_timestamp("2026-01-01T00:00:00Z"))
     assert report.valid
+
+
+def signed_with_dates(issuer, subject, issuance, expiration=None) -> VerifiableCredential:
+    """A credential signed over these raw date values; no expirationDate when None."""
+    issuer_key, issuer_did, _ = issuer
+    obj = issue_credential(
+        issuer_key, issuer_did, subject[1], DATASET_PROVENANCE_V1, listing_claims()
+    ).to_json()
+    del obj["proof"]
+    obj["issuanceDate"] = issuance
+    if expiration is not None:
+        obj["expirationDate"] = expiration
+    signed = attach_proof(obj, issuer_key, issuer_did.text, ASSERTION)
+    return VerifiableCredential.from_json(signed)
+
+
+@pytest.mark.parametrize("issuance", [5, None, ["2026-01-01T00:00:00Z"]],
+                         ids=["int", "null", "list"])
+def test_non_string_issuance_date_is_bad_timestamps(issuer, subject, key_resolver, issuance):
+    """An int issuanceDate used to make verify_credential raise TypeError."""
+    report = verify_credential(signed_with_dates(issuer, subject, issuance), key_resolver)
+    assert report.checks["signature"].status is CheckStatus.VALID
+    assert report.checks["temporal"].reason == "BadTimestamps"
+    assert not report.valid
+
+
+def test_receipt_runs_the_verifier_checks_without_the_window(issuer, subject, key_resolver):
+    expired = signed_with_dates(issuer, subject, "2001-01-01T00:00:00Z", "2002-01-01T00:00:00Z")
+    assert verify_credential(expired, key_resolver).checks["temporal"].reason == "Expired"
+    receipt = check_receipt(expired, key_resolver)
+    assert list(receipt) == ["signature", "schema", "temporal"]
+    assert all(result.status is CheckStatus.VALID for result in receipt.values())
+
+    inverted = signed_with_dates(issuer, subject, "2026-01-02T00:00:00Z", "2026-01-01T00:00:00Z")
+    assert check_receipt(inverted, key_resolver)["temporal"].reason == "BadTimestamps"
+
+
+_KEY = generate_keypair()
+_IDENTITY = (_KEY, generate_did_key(_KEY.public_key)[0], None)
+_SUBJECT = (None, generate_did_key(generate_keypair().public_key)[0], None)
+_RESOLVER = Resolver(backends=[KeyBackend()])
+_DAY = datetime(2026, 1, 1, tzinfo=timezone.utc)
+# Few distinct moments, so equal and inverted pairs are drawn often.
+TIMESTAMPS = st.integers(0, 3).map(lambda days: format_timestamp(_DAY + timedelta(days=days)))
+DATE_VALUES = st.one_of(
+    TIMESTAMPS,
+    st.integers(-(2**53), 2**53),
+    st.none(),
+    st.lists(st.one_of(TIMESTAMPS, st.integers(0, 9)), max_size=2),
+    st.sampled_from(["", "yesterday", "2026-01-01", "2026-01-01T00:00:00",
+                     "2026-01-01T00:00:00+00:00", "2026-13-01T00:00:00Z"]),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(issuance=DATE_VALUES, expiration=DATE_VALUES)
+def test_issue_receipt_and_verify_share_the_date_rule(issuance, expiration):
+    vc = signed_with_dates(_IDENTITY, _SUBJECT, issuance, expiration)
+    report = verify_credential(vc, _RESOLVER)  # never raises
+    receipt = check_receipt(vc, _RESOLVER)
+    assert receipt["signature"].status is CheckStatus.VALID
+    refused = receipt["temporal"].status is not CheckStatus.VALID
+    assert (report.checks["temporal"].reason == "BadTimestamps") == refused
+    if issuance is None:  # issue_credential dates a credential now when given None
+        return
+    try:
+        issue_credential(_KEY, _IDENTITY[1], _SUBJECT[1], DATASET_PROVENANCE_V1,
+                         listing_claims(), issuance_date=issuance, expiration_date=expiration)
+    except BadDates:
+        assert refused
+    else:
+        assert not refused
 
 
 def test_revocation_flow(issuer, subject, key_resolver):
@@ -357,6 +448,19 @@ def test_credential_json_roundtrip(issued):
 def test_non_object_credential_subject_is_malformed(issued, value):
     obj = issued.to_json()
     obj["credentialSubject"] = value
+    with pytest.raises(DatacredError, match="malformed credential"):
+        VerifiableCredential.from_json(obj)
+
+
+@pytest.mark.parametrize("status", [
+    {"registry": 5, "statusId": "s"},
+    {"registry": REGISTRY_URL, "statusId": ["s"]},
+    {"registry": None, "statusId": "s"},
+], ids=["int-registry", "list-status-id", "null-registry"])
+def test_non_string_status_fields_are_malformed(issued, status):
+    """An int registry used to reach the registry fetch and raise AttributeError."""
+    obj = issued.to_json()
+    obj["credentialStatus"] = status
     with pytest.raises(DatacredError, match="malformed credential"):
         VerifiableCredential.from_json(obj)
 

@@ -55,12 +55,14 @@ def test_static_backend_and_cache_window():
     first = resolver.resolve(did)
     second = resolver.resolve(did.text)
     assert first is second
-    assert backend.fetch_count == 1  # one fetch inside the cache window
+    assert resolver.fetch_count == 1  # one fetch inside the cache window
 
     expired = Resolver(backends=[backend], cache_ttl=0)
     expired.resolve(did)
     expired.resolve(did)
-    assert backend.fetch_count == 3  # ttl 0 never serves from cache
+    assert expired.fetch_count == 2  # ttl 0 never serves from cache
+    assert resolver.fetch_count + expired.fetch_count == 3
+    assert resolver.network_fetch_count == expired.network_fetch_count == 0
 
 
 def test_id_mismatch_rejected():
@@ -107,6 +109,15 @@ def test_web_resolution_unreachable_host():
     resolver = Resolver(backends=[WebBackend(allow_insecure_loopback=True)])
     with pytest.raises(FetchFailed):
         resolver.resolve("did:web:127.0.0.1%3A1")  # nothing listens on port 1
+
+
+def test_failed_network_fetch_is_counted():
+    resolver = Resolver(backends=[KeyBackend(), WebBackend(allow_insecure_loopback=True)])
+    with pytest.raises(FetchFailed):
+        resolver.resolve("did:web:127.0.0.1%3A1")  # connection refused
+    assert (resolver.fetch_count, resolver.network_fetch_count) == (1, 1)
+    resolver.resolve(generate_did_key(generate_keypair().public_key)[0])
+    assert (resolver.fetch_count, resolver.network_fetch_count) == (2, 1)
 
 
 def test_redirects_are_refused(json_server):
