@@ -31,38 +31,51 @@ from .errors import (
 MAX_SAFE_INTEGER = 2**53
 
 
-def _validate(value: Any, path: str) -> Any:
-    """Check value is canonicalizable; return it with floats demoted to ints."""
+def _validate(value: Any) -> Any:
+    """Check value is canonicalizable; return it with floats demoted to ints. A refusal's args
+    are its reason, then its path segments innermost first, added as it unwinds."""
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, int):
         if abs(value) > MAX_SAFE_INTEGER:
-            raise IntegerOutOfRange(f"{path}: integer magnitude exceeds 2**53")
+            raise IntegerOutOfRange("integer magnitude exceeds 2**53")
         return value
     if isinstance(value, float):
         if math.isnan(value) or math.isinf(value):
-            raise NonFiniteNumber(f"{path}: non-finite number")
+            raise NonFiniteNumber("non-finite number")
         if not value.is_integer():
-            raise NonIntegerNumber(f"{path}: non-integer number {value!r}")
-        as_int = int(value)
-        if abs(as_int) > MAX_SAFE_INTEGER:
-            raise IntegerOutOfRange(f"{path}: integer magnitude exceeds 2**53")
-        return as_int
+            raise NonIntegerNumber(f"non-integer number {value!r}")
+        return _validate(int(value))
     if isinstance(value, (list, tuple)):
-        return [_validate(item, f"{path}[{i}]") for i, item in enumerate(value)]
+        out = []
+        try:
+            for item in value:
+                out.append(item if type(item) is str else _validate(item))
+        except CanonicalizationError as exc:
+            exc.args += (f"[{len(out)}]",)
+            raise
+        return out
     if isinstance(value, dict):
         out = {}
         for key, item in value.items():
             if not isinstance(key, str):
-                raise CanonicalizationError(f"{path}: object key {key!r} is not a string")
-            out[key] = _validate(item, f"{path}.{key}")
+                raise CanonicalizationError(f"object key {key!r} is not a string")
+            try:
+                out[key] = item if type(item) is str else _validate(item)
+            except CanonicalizationError as exc:
+                exc.args += (f".{key}",)
+                raise
         return out
-    raise CanonicalizationError(f"{path}: unsupported type {type(value).__name__}")
+    raise CanonicalizationError(f"unsupported type {type(value).__name__}")
 
 
 def canonicalize(value: Any) -> bytes:
     """Serialize a JSON value to its unique canonical byte sequence."""
-    cleaned = _validate(value, "$")
+    try:
+        cleaned = _validate(value)
+    except CanonicalizationError as exc:  # message "<JSON path from $>: <reason>"
+        reason, *segments = exc.args
+        raise type(exc)(f"${''.join(reversed(segments))}: {reason}") from None
     # sort_keys on Python strings compares code points, matching the canonical
     # ordering rule; ensure_ascii=False keeps escaping minimal.
     text = json.dumps(

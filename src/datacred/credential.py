@@ -215,6 +215,9 @@ class VerifiableCredential:
                 raise TypeError(f"credentialSubject is a {type(subject).__name__}")
             subject = dict(subject)
             subject_id = subject.pop("id")
+            for key in ("expirationDate", "credentialStatus", "proof"):
+                if key in obj and obj[key] is None:  # to_json leaves None out: not what was signed
+                    raise ValueError(f"{key} is null")
             status = obj.get("credentialStatus")
             proof = obj.get("proof")
             return cls(
@@ -225,8 +228,8 @@ class VerifiableCredential:
                 subject_id=subject_id,
                 claims=subject,
                 schema=CredentialSchema.from_json(obj["credentialSchema"]),
-                status=CredentialStatus.from_json(status) if status else None,
-                proof=Proof.from_json(proof) if proof else None,
+                status=CredentialStatus.from_json(status) if status is not None else None,
+                proof=Proof.from_json(proof) if proof is not None else None,
                 context=list(obj["@context"]),
                 type=list(types),
             )

@@ -30,7 +30,8 @@ from .canonical import canonicalize
 from .errors import AlgorithmUnsupported, DatacredError, SymlinkEscape, UnreadablePath
 
 ALGORITHM = "sha256"
-_READ_CHUNK = 1 << 20
+_READ_CHUNK = 1 << 18  # unbuffered os.read size: most files take one read
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)  # O_BINARY: no newline mapping on Windows
 
 
 @dataclass(frozen=True)
@@ -105,9 +106,12 @@ def _sha256_hex(data: bytes) -> str:
 def _sha256_file(path: str | Path) -> str:
     digest = hashlib.sha256()
     try:
-        with open(path, "rb") as handle:
-            while chunk := handle.read(_READ_CHUNK):
+        fd = os.open(path, _READ_FLAGS)
+        try:
+            while chunk := os.read(fd, _READ_CHUNK):
                 digest.update(chunk)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise UnreadablePath(f"{path}: {exc}") from exc
     return digest.hexdigest()

@@ -81,6 +81,19 @@ def test_unsupported_types_rejected():
         canonicalize({"x": b"bytes"})
 
 
+@pytest.mark.parametrize("value, error, path", [
+    ({"a": [1, {"b": 1.5}]}, NonIntegerNumber, r"\$\.a\[1\]\.b: non-integer number 1\.5"),
+    ([0, {"k": [{1: "a"}]}], CanonicalizationError, r"\$\[1\]\.k\[0\]: object key 1 is not"),
+    (2**53 + 1, IntegerOutOfRange, r"\$: integer magnitude exceeds 2\*\*53"),
+    ({"x": [None, float("nan")]}, NonFiniteNumber, r"\$\.x\[1\]: non-finite number"),
+    ((("t", b"raw"),), CanonicalizationError, r"\$\[0\]\[1\]: unsupported type bytes"),
+], ids=["float-in-list-in-object", "int-key-in-list", "top-level-int", "nan", "bytes-in-tuple"])
+def test_refusal_names_its_json_path(value, error, path):
+    with pytest.raises(error, match=f"^{path}") as refused:
+        canonicalize(value)
+    assert type(refused.value) is error
+
+
 json_values = st.recursive(
     st.none()
     | st.booleans()

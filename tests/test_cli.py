@@ -189,6 +189,28 @@ def test_verify_non_string_status_registry_exits_2(runner, workspace):
     assert "malformed credential" in result.stderr
 
 
+@pytest.mark.parametrize("fields", [{"credentialStatus": {}}, {"expirationDate": None}],
+                         ids=["empty-status", "null-expiration"])
+def test_verify_signed_empty_optional_field_exits_2(runner, workspace, fields):
+    """Its issuer signed the field; parsing used to drop it, so the credential
+    verified as tampered (signature SignatureMismatch, exit 1)."""
+    write_resigned_credential(workspace, **fields)
+    result = invoke(runner, "verify", "cred.json")
+    assert result.exit_code == 2, result.output
+    assert "malformed credential" in result.stderr
+
+
+def test_verify_empty_proof_exits_2(runner, workspace):
+    """An empty proof used to read as no proof at all."""
+    write_resigned_credential(workspace)
+    credential = json.loads((workspace / "cred.json").read_text())
+    credential["proof"] = {}
+    (workspace / "cred.json").write_text(json.dumps(credential))
+    result = invoke(runner, "verify", "cred.json")
+    assert result.exit_code == 2, result.output
+    assert "proof missing field" in result.stderr
+
+
 def test_malformed_json_input_exits_2_with_location(runner, workspace):
     (workspace / "broken.json").write_text('{"a": ')
     result = invoke(runner, "verify", "broken.json")

@@ -10,7 +10,8 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "datacred"
 WRITE_METHODS = {"write_text", "write_bytes"}
-OS_WRITES = {"replace", "rename", "truncate"}
+OS_WRITES = {"replace", "rename", "truncate", "write"}
+READ_ONLY_FLAGS = {"O_RDONLY", "O_BINARY"}
 
 
 def writing_mode(node: ast.Call) -> bool:
@@ -27,9 +28,30 @@ def writing_mode(node: ast.Call) -> bool:
     )
 
 
+def read_only_flags(expr: ast.expr, constants: dict) -> bool:
+    """Whether os.open flags provably name nothing beyond O_RDONLY (and O_BINARY, which
+    only turns off newline mapping). Module constants are followed; anything else writes."""
+    if isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.BitOr):
+        return read_only_flags(expr.left, constants) and read_only_flags(expr.right, constants)
+    if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name) and expr.value.id == "os":
+        return expr.attr in READ_ONLY_FLAGS
+    if isinstance(expr, ast.Name):
+        return expr.id in constants and read_only_flags(constants[expr.id], constants)
+    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name) and expr.func.id == "getattr":
+        return all(read_only_flags(arg, constants) for arg in expr.args[1:])  # (os, "O_X", 0)
+    return isinstance(expr, ast.Constant) and (expr.value == 0 or expr.value in READ_ONLY_FLAGS)
+
+
 def writes(path: Path):
     """Every file-writing call or import a module makes."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    constants = {
+        node.targets[0].id: node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+    }
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "os":
             yield from (f"os.{a.name}" for a in node.names if a.name in OS_WRITES)
         if not isinstance(node, ast.Call):
@@ -40,6 +62,11 @@ def writes(path: Path):
         elif (isinstance(func, ast.Attribute) and func.attr in OS_WRITES
               and isinstance(func.value, ast.Name) and func.value.id == "os"):
             yield f"os.{func.attr}"
+        elif (isinstance(func, ast.Attribute) and func.attr == "open"
+              and isinstance(func.value, ast.Name) and func.value.id == "os"):
+            flags = node.args[1:2] + [k.value for k in node.keywords if k.arg == "flags"]
+            if not all(read_only_flags(expr, constants) for expr in flags):
+                yield "os.open"  # os.open(path, flags) that may write, create, append or truncate
         elif ((isinstance(func, ast.Name) and func.id == "open")
               or (isinstance(func, ast.Attribute) and func.attr == "open")) and writing_mode(node):
             yield "open"
@@ -56,6 +83,27 @@ def test_only_jsonfile_writes_files():
         ("jsonfile.py", "os.replace"),
         ("jsonfile.py", "open"),
     }
+
+
+def test_the_guard_sees_each_writing_os_open(tmp_path):
+    module = tmp_path / "fd_writer.py"
+    module.write_text(
+        "import os\n"
+        "APPEND = os.O_APPEND | os.O_CREAT\n"
+        "READ = os.O_RDONLY | getattr(os, 'O_BINARY', 0)\n"
+        "os.open(p, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)\n"
+        "os.open(p, flags=os.O_RDWR)\n"
+        "os.open(p, APPEND)\n"
+        "os.open(p, flags)\n"
+        "os.open(p, 1)\n"
+        "os.open(p, os.O_RDONLY | getattr(os, 'O_WRONLY', 0))\n"
+        "os.write(fd, b'')\n"
+        "os.open(p, os.O_RDONLY)\n"
+        "os.open(p, READ)\n"
+        "os.open(p, flags=0)\n",
+        encoding="utf-8",
+    )
+    assert list(writes(module)) == ["os.open"] * 6 + ["os.write"]
 
 
 def test_the_guard_sees_each_kind_of_write(tmp_path):

@@ -9,15 +9,18 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from datacred.canonical import canonicalize
 from datacred.errors import AlgorithmUnsupported, SymlinkEscape, UnreadablePath
 from datacred.fingerprint import (
+    _READ_CHUNK,
     DatasetFingerprint,
+    build_manifest,
     check_binding,
     fingerprint_bytes,
+    fingerprint_file,
     fingerprint_path,
     fingerprint_tree,
     normalize_digest,
@@ -336,6 +339,70 @@ def test_fingerprint_json_roundtrip(tmp_path):
     assert DatasetFingerprint.from_json(fp.to_json()) == fp
     file_fp = fingerprint_bytes(b"z")
     assert DatasetFingerprint.from_json(file_fp.to_json()) == file_fp
+
+
+@given(st.integers(0, 3 * _READ_CHUNK))
+@example(0)
+@example(_READ_CHUNK - 1)
+@example(_READ_CHUNK)
+@example(_READ_CHUNK + 1)
+@example(2 * _READ_CHUNK + 1)
+@settings(max_examples=15, deadline=None)
+def test_file_digest_is_sha256_of_its_bytes_across_read_chunks(size):
+    data = random.Random(size).randbytes(size)
+    expected = hashlib.sha256(data).hexdigest()
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        (root / "data.bin").write_bytes(data)
+        (root / "sub").mkdir()
+        (root / "sub" / "copy.bin").write_bytes(data)
+        assert fingerprint_file(root / "data.bin").digest == expected
+        assert [(e.path, e.digest) for e in build_manifest(root)] == [
+            ("data.bin", expected), ("sub/copy.bin", expected)
+        ]
+
+
+def test_file_that_cannot_be_opened_is_unreadable(tmp_path, monkeypatch):
+    """chmod 000 does not stop a root reader, so the refusal is made at os.open."""
+    (tmp_path / "a").write_text("a")
+    (tmp_path / "locked").write_text("x")
+    real_open = os.open
+
+    def guarded(path, flags, *args, **kwargs):
+        if os.path.basename(os.fspath(path)) == "locked":
+            raise PermissionError(errno.EACCES, "Permission denied", os.fspath(path))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", guarded)
+    with pytest.raises(UnreadablePath, match="locked"):
+        fingerprint_tree(tmp_path)
+    with pytest.raises(UnreadablePath, match="locked"):
+        fingerprint_file(tmp_path / "locked")
+    assert fingerprint_file(tmp_path / "a").digest == hashlib.sha256(b"a").hexdigest()
+
+
+def test_failed_read_still_closes_the_file(tmp_path, monkeypatch):
+    (tmp_path / "f").write_bytes(b"data")
+    opened, closed = [], []
+    real_open, real_close = os.open, os.close
+
+    def record_open(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    def failing_read(fd, size):
+        raise OSError(errno.EIO, "Input/output error")
+
+    def record_close(fd):
+        closed.append(fd)
+        real_close(fd)
+
+    monkeypatch.setattr(os, "open", record_open)
+    monkeypatch.setattr(os, "read", failing_read)
+    monkeypatch.setattr(os, "close", record_close)
+    with pytest.raises(UnreadablePath, match="Input/output error"):
+        fingerprint_file(tmp_path / "f")
+    assert len(opened) == 1 and closed == opened
 
 
 # --- properties of the tree digest ---
