@@ -3,10 +3,10 @@
 Transport is one POST /inbox endpoint per agent taking a signed envelope and
 returning the signed response envelope (or a 4xx problem-report, also for a
 body field of the wrong type). Request bodies are bounded before they are
-read. Envelope POSTs go through resolver.request_json: https, or plain http
-to loopback under allowInsecureHttp, and no redirects. Agents also serve
-their own did:web document and, for publishers, the revocation registry, so
-the whole trust root stays on the agent's origin.
+read. Envelope POSTs go over resolver.request_json's kept-alive connections:
+https, or plain http to loopback under allowInsecureHttp, and no redirects.
+Agents also serve their own did:web document and, for publishers, the
+revocation registry, so the whole trust root stays on the agent's origin.
 
 A connection is stored once the peer has accepted it, so a failed connect
 leaves no record. A proof request keeps its challenge only for the call:
@@ -147,7 +147,7 @@ class Agent:
         self._server: _AgentServer | None = None
         self._thread: threading.Thread | None = None
         self._lock = threading.RLock()
-        self._parsed: dict[str, tuple[dict, VerifiableCredential]] = {}  # label -> (entry, parsed)
+        self._parsed: dict[str, tuple] = {}  # label -> (entry, parsed, issuance date)
 
     # --- lifecycle ---
 
@@ -251,8 +251,8 @@ class Agent:
     def stored_credentials(self) -> list[VerifiableCredential]:
         """The wallet's credentials, in label order; each entry is parsed once.
 
-        A parse is kept while its label still holds the same entry object, so
-        a put straight into the wallet, or a replaced label, is parsed afresh.
+        A parse (issuance date included) is kept while its label holds the same
+        entry object; a direct wallet put or a replaced label is parsed afresh.
         """
         with self._lock:
             parsed = {}
@@ -261,10 +261,11 @@ class Agent:
                     entry = self.wallet.get(label)
                     known = self._parsed.get(label)
                     if known is None or known[0] is not entry:
-                        known = (entry, VerifiableCredential.from_json(entry))
+                        vc = VerifiableCredential.from_json(entry)
+                        known = (entry, vc, _issued_at(vc))
                     parsed[label] = known
             self._parsed = parsed
-        return [credential for _, credential in parsed.values()]
+        return [credential for _, credential, _ in parsed.values()]
 
     # --- status / listings (admin surface) ---
 
@@ -509,15 +510,16 @@ class Agent:
         requested = _string_list(envelope.body, "requestedAttributes")
         if not challenge:
             raise BadRequest("proof request carries no challenge")
+        self.stored_credentials()  # brings self._parsed up to date with the wallet
         candidates = [
-            vc
-            for vc in self.stored_credentials()
+            (vc, issued)
+            for _, vc, issued in self._parsed.values()
             if self.config.policy.may_share(vc.id)
             and all(attr in vc.claims for attr in requested)
         ]
         if not candidates:
             raise NoMatchingCredential(f"no sharable credential covers {requested!r}")
-        chosen = max(candidates, key=_issued_at)
+        chosen, _ = max(candidates, key=lambda held: held[1])
         presentation = create_presentation(self.key, self.did, [chosen], challenge)
         return {"presentation": presentation.to_json()}
 

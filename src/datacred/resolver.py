@@ -10,27 +10,28 @@ Backends, tried in order:
 The resolver counts its backend fetches, network ones apart, so callers can
 assert cache behavior and prove offline verification made no network fetch.
 
-``request_json`` is datacred's only HTTP client, with one transport policy
-for DID documents, registries, agent envelopes and the admin client. Each
-thread sends through its own pooled session, so connections are kept alive
-between requests. The proxy (``HTTP_PROXY``, ``HTTPS_PROXY``, ``NO_PROXY``)
-and CA bundle (``REQUESTS_CA_BUNDLE``, then ``CURL_CA_BUNDLE``) environment
-is read once, when a thread's session is made; ``~/.netrc`` is not consulted,
-and cookies are never stored.
+``request_json`` is datacred's only HTTP client, with one transport policy for
+DID documents, registries, agent envelopes and the admin client. Each thread
+keeps its own pool of ``http.client`` connections alive, one per origin and
+proxy. The proxy (``HTTP_PROXY``, ``HTTPS_PROXY``, ``NO_PROXY``) and CA bundle
+(``REQUESTS_CA_BUNDLE``, then ``CURL_CA_BUNDLE``, else OpenSSL's default
+store) environment is read once per thread; ``~/.netrc`` is not consulted, and
+cookies are never stored.
 """
 
 from __future__ import annotations
 
+import http.client
 import ipaddress
 import json
 import os
+import select
+import ssl
 import threading
 import time
-from http.cookiejar import DefaultCookiePolicy
 from pathlib import Path
 from urllib.parse import urlsplit
-
-import requests
+from urllib.request import getproxies_environment, proxy_bypass_environment
 
 from .did import Did, DidDocument, did_key_public_key, did_web_url, generate_did_key, parse_did
 from .errors import DocumentInvalid, FetchFailed, NotFound, UnsupportedMethod
@@ -41,9 +42,6 @@ _HTTP_TIMEOUT = 5.0
 # Replies are read up to this size: a registry of 400,000 revoked ids at
 # about 40 bytes each, far above any DID document or envelope.
 MAX_RESPONSE_BYTES = 16 << 20
-_CHUNK_BYTES = 1 << 16
-
-_local = threading.local()
 
 
 def is_loopback_host(host: str) -> bool:
@@ -55,18 +53,47 @@ def is_loopback_host(host: str) -> bool:
         return False
 
 
-def _session() -> tuple[requests.Session, dict]:
-    """This thread's pooled session and the proxy environment read when it was made."""
-    pooled = getattr(_local, "pooled", None)
-    if pooled is None:
-        session = requests.Session()
-        session.trust_env = False  # the environment is read here, once
-        session.verify = (
-            os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE") or True
-        )
-        session.cookies.set_policy(DefaultCookiePolicy(allowed_domains=[]))
-        pooled = _local.pooled = (session, requests.utils.getproxies_environment())
-    return pooled
+class _Sockets(dict):
+    """Kept-alive sockets by (scheme, host, port, proxy), closed with their thread's pool."""
+
+    def __del__(self):
+        for sock in self.values():
+            sock.close()
+
+
+class _Pool(threading.local):
+    """Each thread's kept-alive sockets, and the environment read when its pool was made."""
+
+    def __init__(self):
+        bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+        self.trust = {"capath" if bundle and os.path.isdir(bundle) else "cafile": bundle}
+        self.proxies = getproxies_environment()
+        self.sockets = _Sockets()
+        self.tls: ssl.SSLContext | None = None  # made at the first https connection
+
+    def take(self, scheme: str, host: str, port: int, proxy: str | None, timeout: float):
+        """The pooled socket for this origin and proxy unless its peer hung up, else a new one."""
+        sock = self.sockets.pop((scheme, host, port, proxy), None)
+        if sock is not None:
+            poller = select.poll()
+            poller.register(sock, select.POLLIN)
+            if not poller.poll(0):  # an idle socket turns readable only when it is closed
+                return sock
+            sock.close()
+        via = urlsplit(proxy if "://" in proxy else "http://" + proxy) if proxy else None
+        address = (via.hostname, via.port or 80) if via else (host, port)
+        if scheme == "http":
+            connection = http.client.HTTPConnection(*address, timeout=timeout)
+        else:  # certificates and host names verified against the CA bundle
+            self.tls = self.tls or ssl.create_default_context(**self.trust)
+            connection = http.client.HTTPSConnection(*address, timeout=timeout, context=self.tls)
+            if proxy:
+                connection.set_tunnel(host, port)  # CONNECT host:port through the proxy
+        connection.connect()  # sets TCP_NODELAY
+        return connection.sock
+
+
+_pool = _Pool()  # made now for the importing thread, at first use for any other
 
 
 def request_json(url: str, allow_insecure_loopback: bool, timeout: float, body=None):
@@ -79,28 +106,45 @@ def request_json(url: str, allow_insecure_loopback: bool, timeout: float, body=N
     status of 400 or more NotFound (404) or FetchFailed.
     """
     parts = urlsplit(url)
-    insecure_ok = allow_insecure_loopback and is_loopback_host(parts.hostname or "")
+    host = parts.hostname or ""
+    insecure_ok = allow_insecure_loopback and is_loopback_host(host)
     if parts.scheme != "https" and not (parts.scheme == "http" and insecure_ok):
         raise FetchFailed(f"{url}: only https, or plain http to loopback when enabled")
-    session, proxies = _session()
-    if requests.utils.proxy_bypass_environment(parts.hostname or "", proxies):
-        proxies = {}
+    if " " in url or not url.isprintable():
+        raise FetchFailed(f"{url}: a space or control character in the URL")
+    proxies = {} if proxy_bypass_environment(host, _pool.proxies) else _pool.proxies
+    proxy = proxies.get(parts.scheme) or proxies.get("all")
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    if proxy and parts.scheme == "http":
+        target = f"http://{parts.netloc}{target}"  # an HTTP proxy takes the absolute URL
+    host_header = parts.netloc.rpartition("@")[2]
+    head = f"{'GET' if body is None else 'POST'} {target} HTTP/1.1\r\nHost: {host_header}\r\n"
+    sock = None
     try:
-        with session.request(
-            "GET" if body is None else "POST", url, json=body, timeout=timeout,
-            allow_redirects=False, stream=True, proxies=proxies,
-        ) as response:
-            status = response.status_code
-            if 300 <= status < 400:
-                raise FetchFailed(f"{url}: refused redirect ({status})")
-            # Read to the end, so the connection goes back to the pool.
-            content = bytearray()
-            for chunk in response.iter_content(_CHUNK_BYTES):
-                content += chunk
-                if len(content) > MAX_RESPONSE_BYTES:
-                    raise FetchFailed(f"{url}: reply exceeds {MAX_RESPONSE_BYTES} bytes")
-    except requests.RequestException as exc:
+        payload = b"" if body is None else json.dumps(body, allow_nan=False).encode("utf-8")
+        if body is not None:
+            head += f"Content-Type: application/json\r\nContent-Length: {len(payload)}\r\n"
+        key = (parts.scheme, host, parts.port or (443 if parts.scheme == "https" else 80), proxy)
+        sock = _pool.take(*key, timeout)
+        sock.settimeout(timeout)
+        sock.sendall(f"{head}User-Agent: datacred\r\n\r\n".encode("ascii") + payload)  # one write
+        with http.client.HTTPResponse(sock) as reply:
+            reply.begin()
+            if 300 <= reply.status < 400:
+                raise FetchFailed(f"{url}: refused redirect ({reply.status})")
+            content = reply.read(MAX_RESPONSE_BYTES + 1)
+            if reply.isclosed() and not (reply.will_close or reply.length):  # read to its end
+                _pool.sockets[key], sock = sock, None
+        if len(content) > MAX_RESPONSE_BYTES:
+            raise FetchFailed(f"{url}: reply exceeds {MAX_RESPONSE_BYTES} bytes")
+        if reply.length:
+            raise FetchFailed(f"{url}: reply ended {reply.length} bytes short")
+    except (OSError, ValueError, http.client.HTTPException) as exc:
         raise FetchFailed(f"{url}: {exc}") from exc
+    finally:
+        if sock is not None:  # not back in the pool: hang up
+            sock.close()
+    status = reply.status
     try:
         return status, json.loads(content)
     except ValueError as exc:

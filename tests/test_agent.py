@@ -36,7 +36,7 @@ from datacred.errors import (
     Unreachable,
 )
 from datacred.fingerprint import fingerprint_bytes
-from datacred.proofs import ASSERTION, attach_proof
+from datacred.proofs import ASSERTION, attach_proof, parse_timestamp
 from datacred.resolver import KeyBackend, Resolver, WebBackend
 
 pytestmark = pytest.mark.usefixtures("fast_wallet_kdf")
@@ -539,6 +539,21 @@ def test_newest_covering_credential_wins(agent_factory):
                                 endpoint=dataset.base_url)
     assert report.valid
     assert report.credential_reports[0].claims["Data Ethically Sourced"] == "YES"
+
+
+def test_a_stored_credential_date_is_parsed_once_across_proofs(agent_factory, monkeypatch):
+    publisher, dataset, connection = connected_pair(agent_factory)
+    held = 3
+    for _ in range(held):
+        publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
+    user = agent_factory("user")
+    user.connect(**dataset.invitation())
+    parsed = []
+    monkeypatch.setattr("datacred.agent.service.parse_timestamp",
+                        lambda text: (parsed.append(text), parse_timestamp(text))[1])
+    for _ in range(2):
+        assert user.request_proof(dataset.did.text, ["Hash of Data"]).valid
+    assert len(parsed) == held
 
 
 def test_request_proof_does_not_rewrite_state(agent_factory, monkeypatch):

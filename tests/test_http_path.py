@@ -1,15 +1,22 @@
 """The HTTP path: resolver.request_json is datacred's only HTTP client, it keeps
-one pooled session per thread, and agents close the connections it keeps."""
+one pool of connections per thread, and agents close the connections it keeps."""
 
 import ast
+import ipaddress
 import socket
+import ssl
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from datetime import datetime, timedelta, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from cryptography import x509
+from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.x509.oid import NameOID
 
 from datacred import resolver
 from datacred.agent import service
@@ -18,7 +25,11 @@ from datacred.resolver import MAX_RESPONSE_BYTES, request_json
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "datacred"
 HTTP_CLIENTS = ("requests", "urllib3", "http.client", "urllib.request")
-REQUESTS_VERBS = ("request", "get", "post", "put", "patch", "delete", "head", "options")
+# Calls that open a connection or send a request outside a kept-alive pool.
+CONNECTION_MAKERS = (
+    "HTTPConnection", "HTTPSConnection", "create_connection", "socket.socket", "urlopen",
+    "build_opener", "Session",
+)
 
 
 def imports(path: Path):
@@ -36,15 +47,22 @@ def test_only_the_resolver_imports_an_http_client():
         for name in imports(path)
         if any(name == client or name.startswith(client + ".") for client in HTTP_CLIENTS)
     }
-    assert importers == {("resolver.py", "requests")}
+    # http.client speaks HTTP; urllib.request lends only its proxy-environment helpers.
+    assert importers == {("resolver.py", "http.client"), ("resolver.py", "urllib.request")}
 
 
-def test_the_resolver_sends_through_one_pooled_session():
+def test_the_resolver_makes_connections_in_one_place():
     path = PACKAGE / "resolver.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    called = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
-    assert not {f"requests.{verb}" for verb in REQUESTS_VERBS} & set(called)
-    assert called.count("requests.Session") == 1
+    makers = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(CONNECTION_MAKERS)
+    ]
+    take = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "take")
+    assert makers and all(node in set(ast.walk(take)) for node in makers)
+    assert {ast.unparse(node.func) for node in makers} == {
+        "http.client.HTTPConnection", "http.client.HTTPSConnection"}
 
 
 class Stub(ThreadingHTTPServer):
@@ -158,7 +176,7 @@ def test_proxy_environment_is_read_when_a_thread_starts(stub, monkeypatch, tmp_p
 
     bundle = tmp_path / "ca.pem"
     monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(bundle))
-    assert in_fresh_thread(lambda: resolver._session()[0].verify) == str(bundle)
+    assert in_fresh_thread(lambda: resolver._pool.trust) == {"cafile": str(bundle)}
 
 
 def test_stopped_agent_answers_no_kept_alive_connection(agent_factory):
@@ -178,3 +196,143 @@ def test_agent_closes_an_idle_connection(agent_factory, monkeypatch):
         started = time.monotonic()
         assert idle.recv(1) == b""  # the agent hung up without a request
     assert time.monotonic() - started < 4
+
+
+def test_an_idle_closed_connection_is_replaced_not_reported(agent_factory, monkeypatch):
+    monkeypatch.setattr(service._RequestHandler, "timeout", 0.2)
+    accepted = []
+    process = service._AgentServer.process_request
+    monkeypatch.setattr(service._AgentServer, "process_request",
+                        lambda server, *args: (accepted.append(args), process(server, *args)))
+    dataset = agent_factory("dataset")
+    url = dataset.base_url + "/.well-known/did.json"
+    assert request_json(url, True, 5)[0] == 200
+    time.sleep(0.6)  # the agent hangs up the idle connection
+    assert request_json(url, True, 5)[0] == 200
+    assert len(accepted) == 2
+
+
+# --- https: a real TLS handshake against a self-signed certificate on loopback ---
+
+LOOPBACK_SAN = x509.IPAddress(ipaddress.ip_address("127.0.0.1"))
+PROXY_VARIABLES = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
+
+
+def certificate(directory: Path, san: x509.GeneralName) -> tuple[Path, Path]:
+    """A self-signed certificate for `san`, and its key: (certificate.pem, key.pem)."""
+    key = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "stub")])
+    now = datetime.now(timezone.utc)
+    cert = (
+        x509.CertificateBuilder()
+        .subject_name(name).issuer_name(name).public_key(key.public_key())
+        .serial_number(x509.random_serial_number())
+        .not_valid_before(now - timedelta(minutes=5)).not_valid_after(now + timedelta(days=1))
+        .add_extension(x509.SubjectAlternativeName([san]), critical=False)
+        .add_extension(x509.BasicConstraints(ca=True, path_length=None), critical=True)
+        .add_extension(x509.SubjectKeyIdentifier.from_public_key(key.public_key()), critical=False)
+        .add_extension(x509.AuthorityKeyIdentifier.from_issuer_public_key(key.public_key()),
+                       critical=False)
+        .sign(key, hashes.SHA256())
+    )
+    directory.mkdir(exist_ok=True)
+    cert_path, key_path = directory / "certificate.pem", directory / "key.pem"
+    cert_path.write_bytes(cert.public_bytes(serialization.Encoding.PEM))
+    key_path.write_bytes(key.private_bytes(
+        serialization.Encoding.PEM, serialization.PrivateFormat.PKCS8,
+        serialization.NoEncryption()))
+    return cert_path, key_path
+
+
+class TlsStub(Stub):
+    """Stub behind TLS; the handshake runs in the handler thread."""
+
+    def __init__(self, cert: Path, key: Path):
+        self.tls = ssl.create_default_context(ssl.Purpose.CLIENT_AUTH)
+        self.tls.load_cert_chain(cert, key)
+        super().__init__(b'{"via": "tls"}')
+
+    @property
+    def url(self) -> str:
+        return f"https://127.0.0.1:{self.port}/doc"
+
+    def get_request(self):
+        sock, address = super().get_request()
+        return self.tls.wrap_socket(sock, server_side=True, do_handshake_on_connect=False), address
+
+
+class TunnelHandler(BaseHTTPRequestHandler):
+    """A CONNECT proxy: records each tunnel's target, then relays bytes both ways."""
+
+    def do_CONNECT(self):  # noqa: N802
+        self.server.requests.append((self.path, dict(self.headers)))
+        host, port = self.path.rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=5) as upstream:
+            self.send_response(200)
+            self.end_headers()
+            self.wfile.flush()
+            back = threading.Thread(target=relay, args=(upstream, self.connection), daemon=True)
+            back.start()
+            relay(self.connection, upstream)
+            back.join(5)
+        self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+def relay(source: socket.socket, sink: socket.socket) -> None:
+    try:
+        while data := source.recv(1 << 16):
+            sink.sendall(data)
+        sink.shutdown(socket.SHUT_WR)
+    except OSError:
+        pass
+
+
+@pytest.fixture
+def tls_environment(monkeypatch):
+    """No proxy and no CA bundle in the environment; each test sets what it needs."""
+    for name in (*PROXY_VARIABLES, *(v.upper() for v in PROXY_VARIABLES),
+                 "REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"):
+        monkeypatch.delenv(name, raising=False)
+    return monkeypatch
+
+
+def test_https_verifies_the_certificate_and_its_host_name(tls_environment, tmp_path):
+    cert, key = certificate(tmp_path / "loopback", LOOPBACK_SAN)
+    elsewhere, elsewhere_key = certificate(tmp_path / "elsewhere", x509.DNSName("data.example"))
+    server, mismatched = TlsStub(cert, key), TlsStub(elsewhere, elsewhere_key)
+    try:
+        with pytest.raises(FetchFailed):  # a self-signed certificate is in no default store
+            in_fresh_thread(lambda: request_json(server.url, False, 5))
+        tls_environment.setenv("REQUESTS_CA_BUNDLE", str(cert))
+        reply, trusted = in_fresh_thread(
+            lambda: (request_json(server.url, False, 5), resolver._pool.tls))
+        assert reply == (200, {"via": "tls"})
+        assert [c["subject"] for c in trusted.get_ca_certs()] == [((("commonName", "stub"),),)]
+        assert (trusted.verify_mode, trusted.check_hostname) == (ssl.CERT_REQUIRED, True)
+        tls_environment.setenv("REQUESTS_CA_BUNDLE", str(tmp_path))  # a directory of CAs
+        assert in_fresh_thread(lambda: resolver._pool.trust) == {"capath": str(tmp_path)}
+        tls_environment.setenv("REQUESTS_CA_BUNDLE", str(elsewhere))
+        with pytest.raises(FetchFailed):  # trusted, but not issued for 127.0.0.1
+            in_fresh_thread(lambda: request_json(mismatched.url, False, 5))
+        assert [len(server.requests), len(mismatched.requests)] == [1, 0]
+    finally:
+        server.close()
+        mismatched.close()
+
+
+def test_https_goes_through_a_connect_tunnel_to_the_proxy(tls_environment, tmp_path):
+    cert, key = certificate(tmp_path, LOOPBACK_SAN)
+    server, proxy = TlsStub(cert, key), Stub()
+    proxy.RequestHandlerClass = TunnelHandler
+    try:
+        tls_environment.setenv("REQUESTS_CA_BUNDLE", str(cert))
+        tls_environment.setenv("HTTPS_PROXY", f"http://127.0.0.1:{proxy.port}")
+        assert in_fresh_thread(lambda: request_json(server.url, False, 5)) == (200, {"via": "tls"})
+        assert [target for target, _ in proxy.requests] == [f"127.0.0.1:{server.port}"]
+        assert [target for target, _ in server.requests] == ["/doc"]
+    finally:
+        server.close()
+        proxy.close()
