@@ -7,7 +7,7 @@ returned presentation against their own challenge. No human in the loop.
 
 from .config import AgentConfig, Policy
 from .envelopes import MessageEnvelope
-from .service import Agent, provision_agent
+from .service import Agent
 from .state import Connection
 
 __all__ = [
@@ -16,5 +16,4 @@ __all__ = [
     "Connection",
     "MessageEnvelope",
     "Policy",
-    "provision_agent",
 ]

@@ -16,8 +16,10 @@ A dataset agent stores a received credential only if credential.check_receipt
 passes, the verifier's own signature, schema and date checks; a refusal names
 the failed check and the verifier's reason.
 
-Admin endpoints are loopback-only and drive the automated workflows:
-connect, issue, request-proof, revoke, plus read-only listings.
+GET /.well-known/did.json, GET /registry and POST /inbox are public. Every
+other route is in the admin table, _ADMIN_ROUTES: (method, path) -> handler,
+loopback-only, driving the automated workflows (connect, issue, request-proof,
+revoke) plus read-only listings. Any other GET or POST answers 404.
 
 Connections are kept alive, with Nagle's algorithm off. A connection that
 sends no request for IDLE_TIMEOUT seconds is closed, and stop() hangs up
@@ -47,7 +49,7 @@ from ..credential import (
     new_registry,
     revoke,
 )
-from ..did import Did, DidDocument, VerificationMethod, generate_did_key, parse_did
+from ..did import Did, DidDocument, generate_did_key, one_key_document, parse_did
 from ..errors import (
     AgentError,
     BadConfig,
@@ -204,14 +206,8 @@ class Agent:
             domain = config.web_domain or (
                 f"{config.listen_host}%3A{config.listen_port}"
             )
-            did = parse_did(f"did:web:{domain}")
-            method = VerificationMethod(
-                id=did.text,
-                controller=did.text,
-                public_key_base58=self.key.public_key_base58,
-            )
-            self.did = did
-            self.did_document = DidDocument(id=did.text, authentication=[method])
+            self.did = parse_did(f"did:web:{domain}")
+            self.did_document = one_key_document(self.did, self.key.public_key)
         did_path = config.resolved_state_path().with_suffix(".did.json")
         write_json(did_path, self.did_document.to_json())
 
@@ -299,11 +295,14 @@ class Agent:
         url = endpoint.rstrip("/") + "/inbox"
         try:
             # A redirect would re-post the signed envelope to wherever it points.
-            _, raw = request_json(url, self.config.allow_insecure_http, _HTTP_TIMEOUT, payload)
+            status, raw = request_json(url, self.config.allow_insecure_http, _HTTP_TIMEOUT, payload)
         except DocumentInvalid as exc:  # a reply that is not JSON
             raise AgentError(str(exc)) from exc
         except DatacredError as exc:  # refused URL, transport failure, redirect, error status
             raise Unreachable(str(exc)) from exc
+        if status >= 400 and isinstance(raw, dict) and "error" in raw:  # refused before signing
+            code, detail = raw["error"], raw.get("detail", "")
+            raise _PEER_ERRORS.get(str(code), AgentError)(f"{code} ({status}): {detail}")
         envelope = verify_envelope(raw, self.resolver)
         if envelope.type == PROBLEM_REPORT:
             code = envelope.body.get("code", "")
@@ -532,9 +531,52 @@ _PROTOCOL = {
 }
 
 
-def provision_agent(config: AgentConfig) -> Agent:
-    """Configure and launch an agent process ready for connections."""
-    return Agent(config).start()
+def _admin_connect(agent: Agent, body: dict) -> dict:
+    did, endpoint = _field(body, "did", str, None), _field(body, "endpoint", str, None)
+    return agent.connect(did, endpoint).to_json()
+
+
+def _admin_issue(agent: Agent, body: dict) -> dict:
+    schema = None
+    if "schema" in body:
+        schema = CredentialSchema.from_json(_field(body, "schema", dict, None))
+    return agent.issue_over_connection(
+        _field(body, "connectionId", str, None),
+        _field(body, "claims", dict, None),
+        schema=schema,
+        expiration_date=_field(body, "expirationDate", str, "") or None,
+        with_status=_field(body, "withStatus", bool, True),
+    ).to_json()
+
+
+def _admin_request_proof(agent: Agent, body: dict) -> dict:
+    return agent.request_proof(
+        _field(body, "target", str, None),
+        _string_list(body, "attributes"),
+        endpoint=_field(body, "endpoint", str, "") or None,
+    ).to_json()
+
+
+def _admin_revoke(agent: Agent, body: dict) -> dict:
+    status_id = _field(body, "statusId", str, "")
+    credential_id = _field(body, "credentialId", str, "")
+    if not status_id and credential_id:
+        status_id = agent.find_status_id(credential_id)
+    if not status_id:
+        raise AgentError("revoke needs a statusId or a known credentialId")
+    return agent.revoke_status(status_id).to_json()
+
+
+# The admin API, loopback-only: (method, path) -> handler(agent, JSON object body).
+_ADMIN_ROUTES = {
+    ("GET", "/status"): lambda agent, _: agent.status(),
+    ("GET", "/connections"): lambda agent, _: agent.list_connections(),
+    ("GET", "/credentials"): lambda agent, _: agent.list_credentials(),
+    ("POST", "/connect"): _admin_connect,
+    ("POST", "/issue"): _admin_issue,
+    ("POST", "/request-proof"): _admin_request_proof,
+    ("POST", "/revoke"): _admin_revoke,
+}
 
 
 class _AgentServer(ThreadingHTTPServer):
@@ -602,89 +644,39 @@ class _RequestHandler(BaseHTTPRequestHandler):
             raise PayloadTooLarge(f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
         return json.loads(self.rfile.read(length).decode("utf-8"))
 
-    def _admin_guard(self) -> bool:
-        if is_loopback_host(self.client_address[0]):
-            return True
-        self._send_json(403, {"error": "Forbidden", "detail": "admin API is loopback-only"})
-        return False
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib name
-        agent = self.agent
-        if self.path == "/.well-known/did.json":
+    def _dispatch(self) -> None:
+        """Answer a GET or POST: a public route, else a row of the admin table."""
+        agent, body = self.agent, {}
+        if self.command == "POST":
+            try:
+                body = self._read_json()
+            except AgentError as exc:
+                # The unread body would be parsed as the next request, so hang up.
+                self._send_error(exc.http_status, exc, close=True)
+                return
+            except (ValueError, UnicodeDecodeError) as exc:
+                self._send_error(400, BadRequest(f"invalid JSON: {exc}"))
+                return
+            if self.path == "/inbox":
+                self._send_json(*agent.handle_envelope(body))
+                return
+        elif self.path == "/.well-known/did.json":
             self._send_json(200, agent.did_document.to_json())
-        elif self.path == "/registry":
-            if agent.config.role == "publisher" and agent.state.registry is not None:
-                self._send_json(200, agent.state.registry)
-            else:
-                self._send_json(404, {"error": "NotFound", "detail": "no registry here"})
-        elif self.path == "/status":
-            if self._admin_guard():
-                self._send_json(200, agent.status())
-        elif self.path == "/connections":
-            if self._admin_guard():
-                self._send_json(200, agent.list_connections())
-        elif self.path == "/credentials":
-            if self._admin_guard():
-                self._send_json(200, agent.list_credentials())
-        else:
+            return
+        elif self.path == "/registry" and agent.config.role == "publisher" and agent.state.registry:
+            self._send_json(200, agent.state.registry)
+            return
+        route = _ADMIN_ROUTES.get((self.command, self.path))
+        if route is None:
             self._send_json(404, {"error": "NotFound", "detail": self.path})
+        elif not is_loopback_host(self.client_address[0]):
+            self._send_json(403, {"error": "Forbidden", "detail": "admin API is loopback-only"})
+        else:
+            try:
+                if not isinstance(body, dict):
+                    raise BadRequest("body must be a JSON object")
+                self._send_json(200, route(agent, body))
+            except DatacredError as exc:  # a relayed refusal too: its inbox status is the peer's
+                self._send_error(403 if isinstance(exc, RoleForbidden) else 400, exc)
 
-    def do_POST(self) -> None:  # noqa: N802 - stdlib name
-        agent = self.agent
-        try:
-            body = self._read_json()
-        except AgentError as exc:
-            # The unread body would be parsed as the next request, so hang up.
-            self._send_error(exc.http_status, exc, close=True)
-            return
-        except (ValueError, UnicodeDecodeError) as exc:
-            self._send_error(400, BadRequest(f"invalid JSON: {exc}"))
-            return
-
-        if self.path == "/inbox":
-            status, response = agent.handle_envelope(body)
-            self._send_json(status, response)
-            return
-
-        if not self._admin_guard():
-            return
-        try:
-            if not isinstance(body, dict):
-                raise BadRequest("body must be a JSON object")
-            if self.path == "/connect":
-                connection = agent.connect(
-                    _field(body, "did", str, None), _field(body, "endpoint", str, None)
-                )
-                self._send_json(200, connection.to_json())
-            elif self.path == "/issue":
-                schema = None
-                if "schema" in body:
-                    schema = CredentialSchema.from_json(_field(body, "schema", dict, None))
-                credential = agent.issue_over_connection(
-                    _field(body, "connectionId", str, None),
-                    _field(body, "claims", dict, None),
-                    schema=schema,
-                    expiration_date=_field(body, "expirationDate", str, "") or None,
-                    with_status=_field(body, "withStatus", bool, True),
-                )
-                self._send_json(200, credential.to_json())
-            elif self.path == "/request-proof":
-                report = agent.request_proof(
-                    _field(body, "target", str, None),
-                    _string_list(body, "attributes"),
-                    endpoint=_field(body, "endpoint", str, "") or None,
-                )
-                self._send_json(200, report.to_json())
-            elif self.path == "/revoke":
-                status_id = _field(body, "statusId", str, "")
-                credential_id = _field(body, "credentialId", str, "")
-                if not status_id and credential_id:
-                    status_id = agent.find_status_id(credential_id)
-                if not status_id:
-                    raise AgentError("revoke needs a statusId or a known credentialId")
-                registry = agent.revoke_status(status_id)
-                self._send_json(200, registry.to_json())
-            else:
-                self._send_json(404, {"error": "NotFound", "detail": self.path})
-        except DatacredError as exc:  # a relayed refusal too: its inbox status is the peer's
-            self._send_error(403 if isinstance(exc, RoleForbidden) else 400, exc)
+    do_GET = do_POST = _dispatch  # noqa: N815 - stdlib names

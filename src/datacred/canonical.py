@@ -86,10 +86,3 @@ def canonicalize(value: Any) -> bytes:
         allow_nan=False,
     )
     return text.encode("utf-8")
-
-
-def parse(data: bytes | str) -> Any:
-    """Parse JSON bytes produced by (or destined for) canonicalize."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return json.loads(data)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import click
 
-from .agent import AgentConfig, provision_agent
+from .agent import Agent, AgentConfig
 from .agent.config import WILDCARD_HOSTS
 from .credential import (
     DATASET_PROVENANCE_V1,
@@ -33,7 +33,7 @@ from .credential import (
     revoke as revoke_registry_entry,
     verify_credential,
 )
-from .did import DidDocument, VerificationMethod, generate_did_key, parse_did
+from .did import DidDocument, generate_did_key, one_key_document, parse_did
 from .errors import DatacredError
 from .fingerprint import fingerprint_path, normalize_digest
 from .jsonfile import read_json, write_json
@@ -203,13 +203,7 @@ def did_create_web(domain: str, wallet: str, passphrase_env: str, label: str, ou
     """Emit a did:web document for the operator to host at the well-known path."""
     store = _open_wallet(wallet, passphrase_env)
     keypair = _get_keypair(store, label)
-    identifier = parse_did(f"did:web:{domain}")
-    method = VerificationMethod(
-        id=identifier.text,
-        controller=identifier.text,
-        public_key_base58=keypair.public_key_base58,
-    )
-    document = DidDocument(id=identifier.text, authentication=[method])
+    document = one_key_document(parse_did(f"did:web:{domain}"), keypair.public_key)
     _emit(document.to_json(), out)
 
 
@@ -474,7 +468,7 @@ def _admin_request(url: str, body: dict | None = None) -> dict | list:
 def agent_serve(config_file: str) -> None:
     """Provision an agent from a config file and serve until interrupted."""
     config = AgentConfig.load(config_file)
-    running = provision_agent(config)
+    running = Agent(config).start()
     config.save(config_file)  # pin the bound port so restarts keep the DID
     click.echo(json.dumps(running.status(), indent=2))
     try:

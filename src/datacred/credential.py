@@ -362,10 +362,6 @@ class StaticRegistrySource:
     def __init__(self, registries: dict[str, dict] | None = None):
         self.registries = dict(registries or {})
 
-    def register(self, url: str, registry: RevocationRegistry | dict) -> None:
-        obj = registry.to_json() if isinstance(registry, RevocationRegistry) else registry
-        self.registries[url] = obj
-
     def fetch(self, url: str) -> dict:
         try:
             return self.registries[url]
@@ -394,9 +390,7 @@ def _check_schema(vc: VerifiableCredential) -> CheckResult:
     return CheckResult(CheckStatus.VALID, "SchemaConformant")
 
 
-def _check_temporal(
-    vc: VerifiableCredential, at: datetime | None = None, clock_skew: float = 0.0
-) -> CheckResult:
+def _check_temporal(vc: VerifiableCredential, at: datetime | None = None) -> CheckResult:
     """Both dates parse and expiration follows issuance; given a moment, vc is valid then."""
     try:
         issued = parse_timestamp(vc.issuance_date)
@@ -408,9 +402,9 @@ def _check_temporal(
         return CheckResult(CheckStatus.INVALID, "BadTimestamps", detail)
     if at is None:
         return CheckResult(CheckStatus.VALID, "TimestampsWellFormed")
-    if (at - issued).total_seconds() < -clock_skew:
+    if at < issued:
         return CheckResult(CheckStatus.INVALID, "NotYetValid", f"checked at {format_timestamp(at)}")
-    if expires is not None and (at - expires).total_seconds() >= clock_skew:
+    if expires is not None and at >= expires:
         return CheckResult(CheckStatus.INVALID, "Expired", f"expired {vc.expiration_date}")
     return CheckResult(CheckStatus.VALID, "TemporallyValid")
 
@@ -450,7 +444,6 @@ def verify_credential(
     resolver: Resolver,
     at: datetime | None = None,
     registry_source=None,
-    clock_skew: float = 0.0,
 ) -> VerificationReport:
     """Run the four independent credential checks and report each outcome."""
     report = VerificationReport(issuer=vc.issuer, credential_id=vc.id, claims=dict(vc.claims))
@@ -460,7 +453,7 @@ def verify_credential(
     if purpose == AUTHENTICATION and vc.proof.proof_purpose == ASSERTION:
         report.notes.append("issuer publishes an authentication key only; accepted for assertion")
     report.checks["schema"] = _check_schema(vc)
-    report.checks["temporal"] = _check_temporal(vc, at or utc_now(), clock_skew)
+    report.checks["temporal"] = _check_temporal(vc, at or utc_now())
     report.checks["revocation"] = _check_revocation(vc, resolver, registry_source)
     return report
 

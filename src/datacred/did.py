@@ -63,7 +63,7 @@ def base_did(did_url: str) -> str:
     return did_url.split("#", 1)[0]
 
 
-def did_web_url(did: Did, scheme: str = "https") -> str:
+def did_web_url(did: Did) -> str:
     """Map a did:web identifier to the URL of its document.
 
     ``did:web:host`` uses the well-known path; extra colon-separated
@@ -74,9 +74,9 @@ def did_web_url(did: Did, scheme: str = "https") -> str:
     segments = did.method_specific_id.split(":")
     host = segments[0].replace("%3A", ":")
     if len(segments) == 1:
-        return f"{scheme}://{host}/.well-known/did.json"
+        return f"https://{host}/.well-known/did.json"
     path = "/".join(segments[1:])
-    return f"{scheme}://{host}/{path}/did.json"
+    return f"https://{host}/{path}/did.json"
 
 
 @dataclass(frozen=True)
@@ -191,19 +191,20 @@ class DidDocument:
         return doc
 
 
+def one_key_document(did: Did, public_key: bytes) -> DidDocument:
+    """The minimal document: one authentication key, published under the DID itself."""
+    key = b58encode(public_key)
+    method = VerificationMethod(id=did.text, controller=did.text, public_key_base58=key)
+    return DidDocument(id=did.text, authentication=[method])
+
+
 def generate_did_key(public_key: bytes) -> tuple[Did, DidDocument]:
     """Derive a did:key identifier and its self-contained document."""
     if not isinstance(public_key, bytes) or len(public_key) != 32:
         raise BadKey("did:key requires a raw 32-byte Ed25519 public key")
     msid = "z" + b58encode(_MULTICODEC_ED25519 + public_key)
     did = Did(method="key", method_specific_id=msid)
-    method = VerificationMethod(
-        id=did.text,
-        controller=did.text,
-        public_key_base58=b58encode(public_key),
-    )
-    document = DidDocument(id=did.text, authentication=[method])
-    return did, document
+    return did, one_key_document(did, public_key)
 
 
 def did_key_public_key(did: Did) -> bytes:

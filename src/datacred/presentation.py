@@ -100,7 +100,6 @@ def verify_presentation(
     resolver: Resolver,
     at: datetime | None = None,
     registry_source=None,
-    clock_skew: float = 0.0,
 ) -> PresentationReport:
     """Verify holder signature, challenge, subject binding, and every credential.
 
@@ -143,7 +142,6 @@ def verify_presentation(
 
     for vc in vp.credentials:
         report.credential_reports.append(
-            verify_credential(vc, resolver, at=at, registry_source=registry_source,
-                              clock_skew=clock_skew)
+            verify_credential(vc, resolver, at=at, registry_source=registry_source)
         )
     return report

@@ -1,4 +1,4 @@
-"""DID resolution with pluggable backends and a TTL cache.
+"""DID resolution with pluggable backends and a cache.
 
 Backends, tried in order:
 
@@ -7,8 +7,10 @@ Backends, tried in order:
 - StaticBackend     in-memory map, for tests
 - DirectoryBackend  documents read from an offline bundle's dids.json
 
-The resolver counts its backend fetches, network ones apart, so callers can
-assert cache behavior and prove offline verification made no network fetch.
+A resolved document is served from the resolver's cache for CACHE_TTL
+seconds, a module constant. The resolver counts its backend fetches, network
+ones apart, so callers can assert cache behavior and prove offline
+verification made no network fetch.
 
 ``request_json`` is datacred's only HTTP client, with one transport policy for
 DID documents, registries, agent envelopes and the admin client. Each thread
@@ -37,7 +39,7 @@ from .did import Did, DidDocument, did_key_public_key, did_web_url, generate_did
 from .errors import DocumentInvalid, FetchFailed, NotFound, UnsupportedMethod
 from .jsonfile import read_json
 
-DEFAULT_CACHE_TTL = 300.0
+CACHE_TTL = 300.0  # seconds a resolved document is served from the cache
 _HTTP_TIMEOUT = 5.0
 # Replies are read up to this size: a registry of 400,000 revoked ids at
 # about 40 bytes each, far above any DID document or envelope.
@@ -167,11 +169,8 @@ class KeyBackend:
     def supports(self, did: Did) -> bool:
         return did.method == "key"
 
-    def fetch(self, did: Did) -> dict:
-        public_key = did_key_public_key(did)
-        _, document = generate_did_key(public_key)
-        if document.id != did.text:
-            raise DocumentInvalid(f"{did.text}: identifier does not round-trip")
+    def fetch(self, did: Did) -> dict:  # Resolver.resolve refuses a key that does not round-trip
+        _, document = generate_did_key(did_key_public_key(did))
         return document.to_json()
 
 
@@ -201,10 +200,6 @@ class StaticBackend:
 
     def __init__(self, documents: dict[str, dict] | None = None):
         self.documents = dict(documents or {})
-
-    def register(self, document: DidDocument | dict) -> None:
-        obj = document.to_json() if isinstance(document, DidDocument) else document
-        self.documents[obj["id"]] = obj
 
     def supports(self, did: Did) -> bool:
         return did.text in self.documents
@@ -242,17 +237,12 @@ class DirectoryBackend:
 class Resolver:
     """Resolve DIDs to validated documents through ordered backends."""
 
-    def __init__(self, backends: list | None = None, cache_ttl: float = DEFAULT_CACHE_TTL):
-        self.backends = backends if backends is not None else [KeyBackend(), WebBackend()]
-        self.cache_ttl = cache_ttl
+    def __init__(self, backends: list):
+        self.backends = backends
         self._cache: dict[str, tuple[DidDocument, float]] = {}
         self._lock = threading.Lock()
         self.fetch_count = 0  # documents asked of a backend
         self.network_fetch_count = 0  # of those, asked of a backend with network = True
-
-    def clear_cache(self) -> None:
-        with self._lock:
-            self._cache.clear()
 
     def resolve(self, did: Did | str) -> DidDocument:
         """Fetch, validate, and cache the document for a DID.
@@ -266,7 +256,7 @@ class Resolver:
         now = time.monotonic()
         with self._lock:
             cached = self._cache.get(did.text)
-            if cached is not None and now - cached[1] < self.cache_ttl:
+            if cached is not None and now - cached[1] < CACHE_TTL:
                 return cached[0]
 
         backend = next((b for b in self.backends if b.supports(did)), None)

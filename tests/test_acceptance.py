@@ -337,12 +337,12 @@ def test_criterion_6_did_web_resolution(json_server):
              id="did:web:somewhere.else", controller="did:web:somewhere.else")
     ]
     json_server.set("/.well-known/did.json", mismatched)
-    resolver.clear_cache()
+    resolver = Resolver(backends=[WebBackend(allow_insecure_loopback=True)])  # nothing cached
     with pytest.raises(DocumentInvalid):
         resolver.resolve(did_text)
 
     del json_server.routes["/.well-known/did.json"]
-    resolver.clear_cache()
+    resolver = Resolver(backends=[WebBackend(allow_insecure_loopback=True)])
     with pytest.raises(NotFound):
         resolver.resolve(did_text)
     report_line(6, "did:web resolution", "document, id-mismatch, and 404 cases")

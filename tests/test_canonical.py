@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from datacred.canonical import canonicalize, parse
+from datacred.canonical import canonicalize
 from datacred.errors import (
     CanonicalizationError,
     IntegerOutOfRange,
@@ -109,7 +109,7 @@ json_values = st.recursive(
 @settings(max_examples=200)
 def test_idempotent(value):
     first = canonicalize(value)
-    assert canonicalize(parse(first)) == first
+    assert canonicalize(json.loads(first)) == first
 
 
 @given(json_values)

@@ -5,7 +5,7 @@ import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from datacred.credential import (
@@ -198,12 +198,6 @@ def test_temporal_checks(issuer, subject, key_resolver):
     after = verify_credential(vc, key_resolver, at=parse_timestamp("2027-01-01T00:00:00Z"))
     assert after.checks["temporal"].reason == "Expired"
 
-    # configurable skew forgives a boundary violation
-    skewed = verify_credential(
-        vc, key_resolver, at=parse_timestamp("2026-06-01T00:00:10Z"), clock_skew=30
-    )
-    assert skewed.checks["temporal"].status is CheckStatus.VALID
-
 
 def test_issuance_boundary_is_valid(issuer, subject, key_resolver):
     issuer_key, issuer_did, _ = issuer
@@ -288,11 +282,45 @@ def test_issue_receipt_and_verify_share_the_date_rule(issuance, expiration):
         assert not refused
 
 
+_LIFETIME = timedelta(days=30)
+# One credential issued at _DAY, with and without an expiration _LIFETIME later.
+_WINDOW = {
+    expiring: issue_credential(
+        _KEY, _IDENTITY[1], _SUBJECT[1], DATASET_PROVENANCE_V1, listing_claims(),
+        issuance_date=format_timestamp(_DAY),
+        expiration_date=format_timestamp(_DAY + _LIFETIME) if expiring else None,
+    )
+    for expiring in (False, True)
+}
+_LIFETIME_MS = _LIFETIME // timedelta(milliseconds=1)
+# Milliseconds from issuance: anywhere in a wide span, or within a second of either edge.
+_OFFSETS = st.one_of(
+    st.integers(-(10**11), 10**11),
+    st.tuples(st.sampled_from([0, _LIFETIME_MS]), st.integers(-1000, 1000)).map(sum),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(offset_ms=_OFFSETS, expiring=st.booleans())
+@example(offset_ms=0, expiring=True)
+@example(offset_ms=-1, expiring=False)
+@example(offset_ms=_LIFETIME_MS, expiring=True)
+@example(offset_ms=_LIFETIME_MS - 1, expiring=True)
+def test_validity_window_is_issuance_inclusive_expiration_exclusive(offset_ms, expiring):
+    at = _DAY + timedelta(milliseconds=offset_ms)
+    temporal = verify_credential(_WINDOW[expiring], _RESOLVER, at=at).checks["temporal"]
+    if at < _DAY:
+        assert temporal.reason == "NotYetValid"
+    elif expiring and at >= _DAY + _LIFETIME:
+        assert temporal.reason == "Expired"
+    else:
+        assert (temporal.status, temporal.reason) == (CheckStatus.VALID, "TemporallyValid")
+
+
 def test_revocation_flow(issuer, subject, key_resolver):
     issuer_key, issuer_did, _ = issuer
     registry = new_registry(issuer_did, issuer_key)
-    source = StaticRegistrySource()
-    source.register(REGISTRY_URL, registry)
+    source = StaticRegistrySource({REGISTRY_URL: registry.to_json()})
     vc = issue_credential(
         issuer_key, issuer_did, subject[1], DATASET_PROVENANCE_V1, listing_claims(),
         status=CredentialStatus(registry_url=REGISTRY_URL, status_id="s-7"),
@@ -300,7 +328,7 @@ def test_revocation_flow(issuer, subject, key_resolver):
     assert verify_credential(vc, key_resolver, registry_source=source).valid
 
     revoked_registry = revoke(registry, "s-7", issuer_key)
-    source.register(REGISTRY_URL, revoked_registry)
+    source.registries[REGISTRY_URL] = revoked_registry.to_json()
     report = verify_credential(vc, key_resolver, registry_source=source)
     assert not report.valid
     assert report.checks["revocation"].reason == "Revoked"
@@ -349,8 +377,7 @@ def test_unverifiable_registry_is_indeterminate(issuer, subject, key_resolver):
     mallory_did, _ = generate_did_key(mallory.public_key)
     forged = new_registry(mallory_did, mallory)
     forged = revoke(forged, "s-1", mallory)
-    source = StaticRegistrySource()
-    source.register(REGISTRY_URL, forged)
+    source = StaticRegistrySource({REGISTRY_URL: forged.to_json()})
     report = verify_credential(vc, key_resolver, registry_source=source)
     assert report.checks["revocation"].status is CheckStatus.INDETERMINATE
     assert not report.valid

@@ -19,8 +19,15 @@ from datacred.agent.envelopes import (
     build_envelope,
 )
 from datacred.agent.service import MAX_BODY_BYTES
+from datacred.credential import CredentialSchema, SchemaAttribute
 from datacred.did import generate_did_key
-from datacred.errors import AgentError, ConnectionInactive, PolicyRejected
+from datacred.errors import (
+    AgentError,
+    BadRequest,
+    ConnectionInactive,
+    PayloadTooLarge,
+    PolicyRejected,
+)
 from datacred.keys import generate_keypair
 from test_agent import connected_pair, raw_post
 
@@ -160,6 +167,34 @@ def test_peer_code_maps_back_only_to_an_inbox_refusal(agent_factory, json_server
                             {"code": code, "detail": "refused"})
     json_server.set("/inbox", report)
     with pytest.raises(AgentError, match="refused") as excinfo:
+        publisher.connect(did=did.text, endpoint=json_server.url(""))
+    assert type(excinfo.value) is error
+    assert publisher.list_connections() == []
+
+
+def test_peer_refusal_before_any_envelope_keeps_its_code(agent_factory):
+    """An inbox that refuses a body unread answers plain JSON, not a forged-message error."""
+    publisher, dataset, connection = connected_pair(agent_factory)
+    schema = CredentialSchema(id="urn:test:blob", name="blob",
+                              attributes=(SchemaAttribute("blob", "string"),))
+    with pytest.raises(PayloadTooLarge, match="413"):
+        publisher.issue_over_connection(connection.connection_id, {"blob": "x" * (2 << 20)},
+                                        schema=schema)
+    assert dataset.list_credentials() == []
+
+
+@pytest.mark.parametrize("status, reply, error", [
+    (400, {"error": "BadRequest", "detail": "invalid JSON"}, BadRequest),
+    (413, {"error": "PayloadTooLarge"}, PayloadTooLarge),
+    (400, {"error": "RoleForbidden", "detail": "invalid JSON"}, AgentError),
+    (404, {"error": "NotFound", "detail": "/inbox"}, AgentError),
+], ids=["BadRequest", "PayloadTooLarge", "not-an-inbox-code", "NotFound"])
+def test_plain_json_refusal_maps_back_by_its_code(agent_factory, json_server, status, reply,
+                                                  error):
+    publisher = agent_factory("publisher")
+    did, _ = generate_did_key(generate_keypair().public_key)
+    json_server.set("/inbox", reply, status=status)
+    with pytest.raises(AgentError, match=f"\\({status}\\)") as excinfo:
         publisher.connect(did=did.text, endpoint=json_server.url(""))
     assert type(excinfo.value) is error
     assert publisher.list_connections() == []

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from datacred import resolver as resolver_module
 from datacred.base58 import b58encode
 from datacred.credential import HttpRegistrySource
 from datacred.did import generate_did_key, parse_did
@@ -47,17 +48,17 @@ def test_unsupported_method():
         resolver.resolve("did:web:example.com")
 
 
-def test_static_backend_and_cache_window():
+def test_static_backend_and_cache_window(monkeypatch):
     did, document = generate_did_key(generate_keypair().public_key)
-    backend = StaticBackend()
-    backend.register(document)
-    resolver = Resolver(backends=[backend], cache_ttl=300)
+    backend = StaticBackend({did.text: document.to_json()})
+    resolver = Resolver(backends=[backend])
     first = resolver.resolve(did)
     second = resolver.resolve(did.text)
     assert first is second
     assert resolver.fetch_count == 1  # one fetch inside the cache window
 
-    expired = Resolver(backends=[backend], cache_ttl=0)
+    monkeypatch.setattr(resolver_module, "CACHE_TTL", 0)
+    expired = Resolver(backends=[backend])
     expired.resolve(did)
     expired.resolve(did)
     assert expired.fetch_count == 2  # ttl 0 never serves from cache
