@@ -32,8 +32,9 @@ MAX_SAFE_INTEGER = 2**53
 
 
 def _validate(value: Any) -> Any:
-    """Check value is canonicalizable; return it with floats demoted to ints. A refusal's args
-    are its reason, then its path segments innermost first, added as it unwinds."""
+    """Check value is canonicalizable; return it, copied only along the paths that hold an
+    integral float, which the copy demotes to an int. A refusal's args are its reason, then
+    its path segments innermost first, added as it unwinds."""
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, int):
@@ -46,25 +47,23 @@ def _validate(value: Any) -> Any:
         if not value.is_integer():
             raise NonIntegerNumber(f"non-integer number {value!r}")
         return _validate(int(value))
-    if isinstance(value, (list, tuple)):
-        out = []
-        try:
-            for item in value:
-                out.append(item if type(item) is str else _validate(item))
-        except CanonicalizationError as exc:
-            exc.args += (f"[{len(out)}]",)
-            raise
-        return out
-    if isinstance(value, dict):
-        out = {}
-        for key, item in value.items():
-            if not isinstance(key, str):
+    if isinstance(value, (list, tuple, dict)):
+        is_object = isinstance(value, dict)
+        out = value
+        for key, item in value.items() if is_object else enumerate(value):
+            if is_object and not isinstance(key, str):
                 raise CanonicalizationError(f"object key {key!r} is not a string")
+            if type(item) is str:
+                continue
             try:
-                out[key] = item if type(item) is str else _validate(item)
+                checked = _validate(item)
             except CanonicalizationError as exc:
-                exc.args += (f".{key}",)
+                exc.args += (f".{key}" if is_object else f"[{key}]",)
                 raise
+            if checked is not item:
+                if out is value:
+                    out = dict(value) if is_object else list(value)
+                out[key] = checked
         return out
     raise CanonicalizationError(f"unsupported type {type(value).__name__}")
 

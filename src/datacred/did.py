@@ -87,15 +87,19 @@ class VerificationMethod:
     controller: str
     public_key_base58: str
     type: str = KEY_TYPE
+    _raw: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def public_key_bytes(self) -> bytes:
-        try:
-            raw = b58decode(self.public_key_base58)
-        except ValueError as exc:
-            raise DocumentInvalid(f"{self.id}: bad key encoding: {exc}") from exc
-        if len(raw) != 32:
-            raise DocumentInvalid(f"{self.id}: key decodes to {len(raw)} bytes, want 32")
-        return raw
+        """The decoded key; decoded once, at the first call (DidDocument.validate's)."""
+        if self._raw is None:
+            try:
+                raw = b58decode(self.public_key_base58)
+            except ValueError as exc:
+                raise DocumentInvalid(f"{self.id}: bad key encoding: {exc}") from exc
+            if len(raw) != 32:
+                raise DocumentInvalid(f"{self.id}: key decodes to {len(raw)} bytes, want 32")
+            object.__setattr__(self, "_raw", raw)
+        return self._raw
 
     def to_json(self) -> dict:
         return {

@@ -3,15 +3,15 @@
 The only signature suite in this toolkit is Ed25519 (fixed by the
 ``Ed25519VerificationKey2018`` verification-method type used throughout).
 Keys are 32-byte seeds/points; signatures are 64 bytes, carried in
-documents as base58 strings.
+documents as base58 strings. A ``KeyPair`` parses its seed into a signing key
+once, when it is made, and signs with that key from then on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -30,12 +30,17 @@ class KeyPair:
     """An Ed25519 keypair as raw 32-byte seed and derived public key."""
 
     public_key: bytes
-    private_key: bytes
+    private_key: bytes = field(repr=False)
+    # The parsed seed; generate_keypair hands over the key it already parsed.
+    _signer: Ed25519PrivateKey | None = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        derived = _derive_public(self.private_key)
-        if derived != self.public_key:
+        signer = self._signer or _parse_seed(self.private_key)
+        if signer.private_bytes_raw() != self.private_key:
+            raise MalformedKey("signing key does not hold the private seed")
+        if signer.public_key().public_bytes_raw() != self.public_key:
             raise MalformedKey("public key does not match the private seed")
+        object.__setattr__(self, "_signer", signer)
 
     @property
     def public_key_base58(self) -> str:
@@ -79,32 +84,25 @@ class Signature:
         return cls(raw)
 
 
-def _derive_public(seed: bytes) -> bytes:
+def _parse_seed(seed: bytes) -> Ed25519PrivateKey:
     if len(seed) != SEED_LENGTH:
         raise BadSeedLength(f"seed must be {SEED_LENGTH} bytes, got {len(seed)}")
-    private = Ed25519PrivateKey.from_private_bytes(seed)
-    return private.public_key().public_bytes(
-        encoding=serialization.Encoding.Raw,
-        format=serialization.PublicFormat.Raw,
-    )
+    return Ed25519PrivateKey.from_private_bytes(seed)
 
 
 def generate_keypair(seed: bytes | None = None) -> KeyPair:
     """Create a keypair; deterministic when a 32-byte seed is supplied."""
-    if seed is None:
-        private = Ed25519PrivateKey.generate()
-        seed = private.private_bytes(
-            encoding=serialization.Encoding.Raw,
-            format=serialization.PrivateFormat.Raw,
-            encryption_algorithm=serialization.NoEncryption(),
-        )
-    return KeyPair(public_key=_derive_public(seed), private_key=seed)
+    signer = Ed25519PrivateKey.generate() if seed is None else _parse_seed(seed)
+    return KeyPair(
+        public_key=signer.public_key().public_bytes_raw(),
+        private_key=signer.private_bytes_raw(),
+        _signer=signer,
+    )
 
 
 def sign(key: KeyPair, message: bytes) -> Signature:
     """Sign message bytes; deterministic for a fixed (key, message)."""
-    private = Ed25519PrivateKey.from_private_bytes(key.private_key)
-    return Signature(private.sign(message))
+    return Signature(key._signer.sign(message))
 
 
 def verify_signature(public_key: bytes, message: bytes, sig: Signature | bytes) -> bool:

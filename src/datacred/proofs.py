@@ -7,12 +7,18 @@ removed. Verifying re-derives exactly those bytes.
 
 One check rule everywhere, too: ``check_proof`` resolves the signer's DID,
 finds the proof's key in that document and verifies the canonical bytes.
+A signature that verified once is not verified again by the same
+``Resolver``: each resolver remembers, in a bounded set of its own, the
+successes it saw, keyed by the key the signer publishes now, the signature
+and the SHA-256 of the signing bytes. A failure is never remembered, and no
+two resolvers share what they remember.
 
 Timestamps are RFC 3339 UTC at second precision with a trailing ``Z``.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -179,8 +185,12 @@ def check_proof(
         detail = f"{method} not published by {signer}"
         return CheckResult(CheckStatus.INVALID, "UnknownVerificationMethod", detail), None
     public_key, purpose = located
+    message = signing_bytes(document, proof_field)
+    seen = (public_key, proof.signature_value, hashlib.sha256(message).digest())
     try:
-        ok = verify_signature(public_key, signing_bytes(document, proof_field), proof.signature())
+        ok = resolver.verified_once(
+            seen, lambda: verify_signature(public_key, message, proof.signature())
+        )
     except (MalformedSignature, MalformedKey) as exc:
         return CheckResult(CheckStatus.INVALID, "MalformedProof", str(exc)), purpose
     if not ok:

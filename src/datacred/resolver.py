@@ -10,7 +10,8 @@ Backends, tried in order:
 A resolved document is served from the resolver's cache for CACHE_TTL
 seconds, a module constant. The resolver counts its backend fetches, network
 ones apart, so callers can assert cache behavior and prove offline
-verification made no network fetch.
+verification made no network fetch. It also remembers, for ``verified_once``, the
+last VERIFIED_PROOFS signatures it saw verify.
 
 ``request_json`` is datacred's only HTTP client, with one transport policy for
 DID documents, registries, agent envelopes and the admin client. Each thread
@@ -31,6 +32,7 @@ import select
 import ssl
 import threading
 import time
+from collections import OrderedDict
 from pathlib import Path
 from urllib.parse import urlsplit
 from urllib.request import getproxies_environment, proxy_bypass_environment
@@ -40,6 +42,7 @@ from .errors import DocumentInvalid, FetchFailed, NotFound, UnsupportedMethod
 from .jsonfile import read_json
 
 CACHE_TTL = 300.0  # seconds a resolved document is served from the cache
+VERIFIED_PROOFS = 1024  # verified signatures a Resolver remembers, least recently used out
 _HTTP_TIMEOUT = 5.0
 # Replies are read up to this size: a registry of 400,000 revoked ids at
 # about 40 bytes each, far above any DID document or envelope.
@@ -240,6 +243,7 @@ class Resolver:
     def __init__(self, backends: list):
         self.backends = backends
         self._cache: dict[str, tuple[DidDocument, float]] = {}
+        self._verified: OrderedDict[tuple, None] = OrderedDict()
         self._lock = threading.Lock()
         self.fetch_count = 0  # documents asked of a backend
         self.network_fetch_count = 0  # of those, asked of a backend with network = True
@@ -276,3 +280,18 @@ class Resolver:
         with self._lock:
             self._cache[did.text] = (document, time.monotonic())
         return document
+
+    def verified_once(self, key: tuple, verify) -> bool:
+        """verify(), unless it returned True for key before in this resolver: then True.
+        Only a True is remembered, for the VERIFIED_PROOFS keys last used."""
+        with self._lock:
+            if key in self._verified:
+                self._verified.move_to_end(key)
+                return True
+        ok = verify()
+        if ok:
+            with self._lock:
+                self._verified[key] = None
+                if len(self._verified) > VERIFIED_PROOFS:
+                    self._verified.popitem(last=False)
+        return ok

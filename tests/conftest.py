@@ -9,7 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from datacred import wallet
+from datacred import proofs, wallet
 from datacred.agent import Agent, AgentConfig, Policy
 from datacred.did import generate_did_key
 from datacred.keys import generate_keypair
@@ -32,6 +32,16 @@ def key_derivations(monkeypatch):
     calls = []
     derive = wallet._derive_key
     monkeypatch.setattr(wallet, "_derive_key", lambda *args: (calls.append(args), derive(*args))[1])
+    return calls
+
+
+@pytest.fixture
+def verifies(monkeypatch):
+    """Arguments of every Ed25519 verify check_proof runs, in call order."""
+    calls = []
+    verify = proofs.verify_signature
+    monkeypatch.setattr(proofs, "verify_signature",
+                        lambda *args: (calls.append(args), verify(*args))[1])
     return calls
 
 

@@ -556,6 +556,19 @@ def test_a_stored_credential_date_is_parsed_once_across_proofs(agent_factory, mo
     assert len(parsed) == held
 
 
+def test_a_second_proof_verifies_only_the_fresh_signatures(agent_factory, verifies):
+    publisher, dataset, connection = connected_pair(agent_factory)
+    publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
+    user = agent_factory("user")
+    user.connect(**dataset.invitation())
+    assert user.request_proof(dataset.did.text, ["Hash of Data"]).valid
+    verifies.clear()
+    assert user.request_proof(dataset.did.text, ["Hash of Data"]).valid
+    # The request and reply envelopes and the holder's proof carry fresh signatures; the
+    # credential and the registry verified on the first proof.
+    assert len(verifies) == 3
+
+
 def test_request_proof_does_not_rewrite_state(agent_factory, monkeypatch):
     publisher, dataset, connection = connected_pair(agent_factory)
     publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)

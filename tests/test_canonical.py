@@ -1,12 +1,13 @@
 """Canonical JSON serialization rules and properties."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from datacred.canonical import canonicalize
+from datacred.canonical import MAX_SAFE_INTEGER, canonicalize
 from datacred.errors import (
     CanonicalizationError,
     IntegerOutOfRange,
@@ -150,3 +151,95 @@ def test_injective_on_distinct_values(a, b):
 def test_output_always_parseable():
     value = {"nested": [{"deep": {"key": "value", "n": 7}}, None, True]}
     assert json.loads(canonicalize(value)) == value
+
+
+def reference_validate(value):
+    """The validating walk canonicalize used before it stopped copying: it rebuilds every
+    list and object. Kept as the reference the in-place walk must agree with."""
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, int):
+        if abs(value) > MAX_SAFE_INTEGER:
+            raise IntegerOutOfRange("integer magnitude exceeds 2**53")
+        return value
+    if isinstance(value, float):
+        if math.isnan(value) or math.isinf(value):
+            raise NonFiniteNumber("non-finite number")
+        if not value.is_integer():
+            raise NonIntegerNumber(f"non-integer number {value!r}")
+        return reference_validate(int(value))
+    if isinstance(value, (list, tuple)):
+        out = []
+        try:
+            for item in value:
+                out.append(item if type(item) is str else reference_validate(item))
+        except CanonicalizationError as exc:
+            exc.args += (f"[{len(out)}]",)
+            raise
+        return out
+    if isinstance(value, dict):
+        out = {}
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise CanonicalizationError(f"object key {key!r} is not a string")
+            try:
+                out[key] = item if type(item) is str else reference_validate(item)
+            except CanonicalizationError as exc:
+                exc.args += (f".{key}",)
+                raise
+        return out
+    raise CanonicalizationError(f"unsupported type {type(value).__name__}")
+
+
+def reference_canonicalize(value) -> bytes:
+    try:
+        cleaned = reference_validate(value)
+    except CanonicalizationError as exc:
+        reason, *segments = exc.args
+        raise type(exc)(f"${''.join(reversed(segments))}: {reason}") from None
+    return json.dumps(cleaned, sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+                      allow_nan=False).encode("utf-8")
+
+
+def outcome(serialize, value):
+    try:
+        return serialize(value)
+    except CanonicalizationError as exc:
+        return type(exc), str(exc)
+
+
+loose_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**54), max_value=2**54)
+    | st.integers(min_value=-(2**53), max_value=2**53).map(float)
+    | st.floats()
+    | st.text(max_size=6)
+    | st.binary(max_size=2),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4)
+    | st.dictionaries(st.text(max_size=2) | st.integers(0, 3), children, max_size=3),
+    max_leaves=16,
+)
+
+
+@given(loose_values)
+@settings(max_examples=300)
+def test_in_place_walk_agrees_with_the_copying_reference(value):
+    before = repr(value)
+    assert outcome(canonicalize, value) == outcome(reference_canonicalize, value)
+    assert repr(value) == before  # the value given is never changed
+
+
+def test_a_value_without_integral_floats_is_serialized_as_given(monkeypatch):
+    value = {"a": [1, {"b": "c"}, None], "d": {"e": True}}
+    dumped = []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda obj, **kw: (dumped.append(obj), dumps(obj, **kw))[1])
+    assert canonicalize(value) == b'{"a":[1,{"b":"c"},null],"d":{"e":true}}'
+    assert dumped[-1] is value
+    demoted = {"a": [1, {"b": 2.0}], "d": {"e": True}}
+    assert canonicalize(demoted) == b'{"a":[1,{"b":2}],"d":{"e":true}}'
+    assert dumped[-1]["d"] is demoted["d"]  # only the path to the float is copied
+    assert demoted["a"][1]["b"] == 2.0 and type(demoted["a"][1]["b"]) is float

@@ -8,6 +8,7 @@ code with the implementation under test.
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 import ed25519_oracle as oracle
 from datacred.base58 import b58decode, b58encode
@@ -134,3 +135,30 @@ def test_base58_known_values():
     assert b58decode(b58encode(bytes(range(256)))) == bytes(range(256))
     with pytest.raises(ValueError):
         b58decode("0OIl")  # characters outside the alphabet
+
+
+def test_keypair_repr_hides_the_seed():
+    seed = bytes(32)
+    keypair = generate_keypair(seed)
+    assert repr(seed) not in repr(keypair)
+    assert b58encode(seed) not in repr(keypair)
+    assert keypair == KeyPair(public_key=bytes.fromhex(ZERO_SEED_PUBLIC), private_key=seed)
+    assert keypair != generate_keypair(b"\x01" * 32)
+    assert keypair.to_json() == {
+        "publicKeyBase58": b58encode(bytes.fromhex(ZERO_SEED_PUBLIC)),
+        "privateKeyBase58": b58encode(seed),
+    }
+
+
+def test_a_keypair_parses_its_seed_once(monkeypatch):
+    parsed = []
+    parse = Ed25519PrivateKey.from_private_bytes
+    monkeypatch.setattr(Ed25519PrivateKey, "from_private_bytes",
+                        staticmethod(lambda seed: (parsed.append(seed), parse(seed))[1]))
+    keypair = generate_keypair(bytes(32))
+    assert len(parsed) == 1
+    for message in (b"one", b"two"):
+        assert verify_signature(keypair.public_key, message, sign(keypair, message))
+    assert len(parsed) == 1
+    generate_keypair()  # a fresh key is generated, not parsed from its own seed
+    assert len(parsed) == 1

@@ -1,10 +1,19 @@
 """Presentations: challenge freshness, subject binding, tamper completeness."""
 
+import json
 import random
 
 import pytest
 
-from datacred.credential import DATASET_PROVENANCE_V1, issue_credential
+from datacred.credential import (
+    DATASET_PROVENANCE_V1,
+    CredentialStatus,
+    FileRegistrySource,
+    issue_credential,
+    new_registry,
+    verify_credential,
+)
+from datacred.did import one_key_document, parse_did
 from datacred.errors import EmptyChallenge, EmptyCredentials
 from datacred.fingerprint import fingerprint_bytes
 from datacred.presentation import (
@@ -13,7 +22,9 @@ from datacred.presentation import (
     new_challenge,
     verify_presentation,
 )
+from datacred.keys import generate_keypair
 from datacred.reports import CheckStatus
+from datacred.resolver import DirectoryBackend, KeyBackend, Resolver
 from docgen import leaf_paths, mutate_leaf, random_identity, random_presentation
 
 
@@ -129,3 +140,24 @@ def test_presentation_json_roundtrip(holder_credential):
     vp = create_presentation(holder_key, holder_did, [vc], new_challenge())
     again = VerifiablePresentation.from_json(vp.to_json())
     assert again.to_json() == vp.to_json()
+
+
+def test_one_resolver_verifies_a_bundle_credential_once(tmp_path, subject, verifies):
+    publisher = parse_did("did:web:publisher.example")
+    publisher_key = generate_keypair()
+    subject_key, subject_did, _ = subject
+    status = CredentialStatus(registry_url="https://publisher.example/registry", status_id="s1")
+    vc = issue_credential(publisher_key, publisher, subject_did, DATASET_PROVENANCE_V1,
+                          claims(), status=status)
+    (tmp_path / "dids.json").write_text(json.dumps(
+        {publisher.text: one_key_document(publisher, publisher_key.public_key).to_json()}))
+    (tmp_path / "registry.json").write_text(
+        json.dumps(new_registry(publisher, publisher_key).to_json()))
+    context = Resolver([KeyBackend(), DirectoryBackend(tmp_path)])
+    registry = FileRegistrySource(tmp_path / "registry.json")
+
+    assert verify_credential(vc, context, registry_source=registry).valid
+    assert len(verifies) == 2  # the credential and its registry
+    vp = create_presentation(subject_key, subject_did, [vc], "c" * 32)
+    assert verify_presentation(vp, "c" * 32, context, registry_source=registry).valid
+    assert len(verifies) == 3  # the holder's proof only

@@ -8,8 +8,15 @@ revocation-registry check and envelope verification, and the reason each
 caller reports is pinned.
 """
 
-import pytest
+import copy
+import sys
+import threading
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from datacred import resolver
 from datacred.agent.envelopes import SIGNATURE_FIELD, MessageEnvelope, verify_envelope
 from datacred.base58 import b58decode, b58encode
 from datacred.credential import (
@@ -29,6 +36,7 @@ from datacred.keys import generate_keypair
 from datacred.presentation import VerifiablePresentation, create_presentation, verify_presentation
 from datacred.proofs import ASSERTION, AUTHENTICATION, attach_proof, check_proof
 from datacred.resolver import KeyBackend, Resolver, StaticBackend
+from docgen import leaf_paths, mutate_leaf
 
 SIGNER = "did:web:signer.example"
 OTHER = "did:web:other.example"
@@ -201,3 +209,121 @@ def test_non_string_proof_field_is_malformed_not_a_crash(field):
     envelope[SIGNATURE_FIELD][field] = 5
     with pytest.raises(DatacredError):
         verify_envelope(envelope, _resolver("valid"))
+
+
+# --- the verified-proof memo each Resolver keeps ---
+
+def _outcome(document, context=None, field="proof"):
+    result, purpose = check_proof(document, SIGNER, context or _resolver("valid"), field)
+    return result.status.value, result.reason, purpose
+
+
+def test_a_rotated_key_is_not_served_a_success_of_the_old_one(monkeypatch):
+    credential = _sign(_unsigned_credential(), "valid", ASSERTION)
+    context = _resolver("valid")
+    assert _outcome(credential, context=context)[:2] == ("Valid", "SignatureValid")
+
+    monkeypatch.setattr(resolver, "CACHE_TTL", 0)  # the signer's document expires at once
+    rotated = generate_keypair(b"\x02" * 32)
+    method = VerificationMethod(id=f"{SIGNER}#key-1", controller=SIGNER,
+                                public_key_base58=rotated.public_key_base58)
+    context.backends[1].documents[SIGNER] = DidDocument(
+        id=SIGNER, authentication=[method]).to_json()
+    assert _outcome(credential, context=context)[:2] == ("Invalid", "SignatureMismatch")
+
+
+def test_a_claim_changed_after_a_warm_hit_is_a_mismatch(verifies):
+    credential = _sign(_unsigned_credential(), "valid", ASSERTION)
+    context = _resolver("valid")
+    for _ in range(2):
+        assert _outcome(credential, context=context)[:2] == ("Valid", "SignatureValid")
+    assert len(verifies) == 1
+    assert _outcome(credential)[:2] == ("Valid", "SignatureValid")  # a resolver of its own
+    assert len(verifies) == 2
+
+    credential["credentialSubject"]["Data Ethically Sourced"] = "NO"
+    assert _outcome(credential, context=context)[:2] == ("Invalid", "SignatureMismatch")
+
+
+def test_a_failing_proof_is_verified_every_time(verifies):
+    flipped = _sign(_unsigned_credential(), "flipped-byte", ASSERTION)
+    context = _resolver("valid")
+    for _ in range(2):
+        assert _outcome(flipped, context=context)[:2] == ("Invalid", "SignatureMismatch")
+    assert len(verifies) == 2
+
+
+def test_the_memo_is_bounded_and_keeps_what_is_used():
+    context = _resolver("valid")
+    hot = []
+    for index in range(3 * resolver.VERIFIED_PROOFS):
+        assert context.verified_once(("hot",), lambda: hot.append(index) or True)
+        assert context.verified_once(("cold", index), lambda: True)
+        assert len(context._verified) <= resolver.VERIFIED_PROOFS
+    assert hot == [0]
+    assert not context.verified_once(("failed",), lambda: False)
+    assert ("failed",) not in context._verified
+
+
+def _documents_to_check() -> list[tuple[dict, str]]:
+    documents = []
+    for case in ("valid", "flipped-byte", "malformed-signature", "missing", "other-did"):
+        documents.append((_sign(_unsigned_credential(), case, ASSERTION), "proof"))
+        documents.append((_sign(_unsigned_envelope(), case, AUTHENTICATION,
+                                field=SIGNATURE_FIELD), SIGNATURE_FIELD))
+    tampered = _sign(_unsigned_credential(), "valid", ASSERTION)
+    tampered["credentialSubject"]["Data Ethically Sourced"] = "NO"
+    return documents + [(tampered, "proof")]
+
+
+def test_four_threads_on_one_resolver_agree_with_one_thread():
+    documents = _documents_to_check()
+    expected = [_outcome(doc, field=field) for doc, field in documents]
+    context = _resolver("valid")
+    seen: list[list] = [[] for _ in range(4)]
+
+    def check(worker: int):
+        for _ in range(5):
+            seen[worker].append([_outcome(doc, context=context, field=field)
+                                 for doc, field in documents])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=check, args=(worker,)) for worker in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [[expected] * 5] * 4
+
+
+_SIGNED = {
+    "credential": (_sign(_unsigned_credential(), "valid", ASSERTION), "proof"),
+    "envelope": (_sign(_unsigned_envelope(), "valid", AUTHENTICATION, field=SIGNATURE_FIELD),
+                 SIGNATURE_FIELD),
+}
+_REPLACEMENTS = st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=4)
+
+
+@given(kind=st.sampled_from(sorted(_SIGNED)), data=st.data())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_a_warm_resolver_answers_a_mutation_as_a_fresh_one(kind, data):
+    original, field = _SIGNED[kind]
+    path = data.draw(st.sampled_from(leaf_paths(original)))
+    how = data.draw(st.sampled_from(["changed", "replaced", "removed"]))
+    mutated = mutate_leaf(original, path) if how == "changed" else copy.deepcopy(original)
+    if how != "changed":
+        parent = mutated
+        for step in path[:-1]:
+            parent = parent[step]
+        if how == "removed":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_REPLACEMENTS)
+    warm = _resolver("valid")
+    assert _outcome(original, context=warm, field=field)[0] == "Valid"
+    assert _outcome(mutated, context=warm, field=field) == _outcome(mutated, field=field)
