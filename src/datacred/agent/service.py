@@ -21,9 +21,13 @@ other route is in the admin table, _ADMIN_ROUTES: (method, path) -> handler,
 loopback-only, driving the automated workflows (connect, issue, request-proof,
 revoke) plus read-only listings. Any other GET or POST answers 404.
 
-Connections are kept alive, with Nagle's algorithm off. A connection that
-sends no request for IDLE_TIMEOUT seconds is closed, and stop() hangs up
-every open connection, so no peer reaches a stopped agent.
+The server frames HTTP/1.1 itself on a socketserver.ThreadingTCPServer: a
+request head is read by resolver.read_head, within its MAX_LINE and
+MAX_HEADERS limits, and each response is one write. Connections are kept
+alive, with Nagle's algorithm off. A request refused as malformed or unread
+is answered, and the connection closed once what the peer still sends is
+read. A connection that sends no request for IDLE_TIMEOUT seconds is closed,
+and stop() hangs up every open connection, so no peer reaches a stopped agent.
 """
 
 from __future__ import annotations
@@ -32,10 +36,12 @@ import errno
 import json
 import logging
 import socket
+import socketserver
 import threading
+import time
 import uuid
 from datetime import datetime, timezone
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 
 from ..credential import (
     DATASET_PROVENANCE_V1,
@@ -78,7 +84,8 @@ from ..presentation import (
 )
 from ..proofs import parse_timestamp
 from ..reports import CheckResult, CheckStatus, PresentationReport
-from ..resolver import KeyBackend, Resolver, WebBackend, is_loopback_host, request_json
+from ..resolver import HeadRefused, KeyBackend, Resolver, WebBackend, is_loopback_host
+from ..resolver import read_head, request_json
 from ..wallet import Wallet
 from .config import WILDCARD_HOSTS, AgentConfig
 from .envelopes import (
@@ -101,6 +108,7 @@ CREDENTIAL_LABEL_PREFIX = "credential:"
 _HTTP_TIMEOUT = 10.0
 MAX_BODY_BYTES = 1 << 20  # inbound request bodies; a signed envelope is a few KiB
 IDLE_TIMEOUT = 5.0  # seconds a kept-alive connection may wait for its next request
+_DRAIN_BYTES = 16 * MAX_BODY_BYTES  # read and dropped after a refusal, before hanging up
 
 _PEER_ERRORS = {cls.__name__: cls for cls in Refused.__subclasses__()}  # code -> error
 
@@ -579,9 +587,10 @@ _ADMIN_ROUTES = {
 }
 
 
-class _AgentServer(ThreadingHTTPServer):
+class _AgentServer(socketserver.ThreadingTCPServer):
     """A threading server whose server_close also hangs up every open connection."""
 
+    allow_reuse_address = True
     daemon_threads = True
 
     def __init__(self, address, handler):
@@ -609,40 +618,72 @@ class _AgentServer(ThreadingHTTPServer):
                     pass
 
 
-class _RequestHandler(BaseHTTPRequestHandler):
+class _RequestHandler(socketserver.StreamRequestHandler):
+    """Answers one connection's requests until one asks to close or is refused."""
+
     agent: Agent  # bound per-agent via a subclass attribute
 
-    protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
     timeout = IDLE_TIMEOUT
 
-    def log_message(self, fmt: str, *args) -> None:  # noqa: N802 - stdlib name
-        log.debug("%s %s", self.address_string(), fmt % args)
+    def handle(self) -> None:
+        self.close_connection = False
+        try:
+            while not self.close_connection:
+                try:
+                    start, self.headers = read_head(self.rfile)
+                except HeadRefused as exc:
+                    return self._refuse(exc.status, BadRequest(str(exc)))
+                if not start:  # the peer hung up between requests
+                    return
+                words = start.split(" ")
+                if len(words) != 3 or words[2] not in ("HTTP/1.1", "HTTP/1.0"):
+                    return self._refuse(400, BadRequest(f"bad request line {start[:64]!r}"))
+                self.command, self.path, version = words
+                connection = self.headers.get("connection", "").lower()
+                self.close_connection = version != "HTTP/1.1" or "close" in connection
+                if self.command not in ("GET", "POST"):
+                    return self._refuse(501, BadRequest(f"unsupported method {self.command!r}"))
+                self._dispatch()
+        except OSError:  # idle past the timeout, or the connection broke
+            pass
 
-    def _send_json(self, status: int, obj: dict | list, close: bool = False) -> None:
+    def _send_json(self, status: int, obj: dict | list) -> None:
+        """The whole response in one write: status line, headers and JSON body."""
         payload = json.dumps(obj).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        if close:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(payload)
+        head = (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+                f"Content-Type: application/json\r\nContent-Length: {len(payload)}\r\n")
+        if self.close_connection:
+            head += "Connection: close\r\n"
+        self.wfile.write(f"{head}\r\n".encode("latin-1") + payload)
 
-    def _send_error(self, status: int, exc: DatacredError, close: bool = False) -> None:
-        self._send_json(status, {"error": type(exc).__name__, "detail": str(exc)}, close)
+    def _send_error(self, status: int, exc: DatacredError) -> None:
+        self._send_json(status, {"error": type(exc).__name__, "detail": str(exc)})
+
+    def _refuse(self, status: int, exc: DatacredError) -> None:
+        """Answer status and hang up, reading what the peer still sends (at most
+        _DRAIN_BYTES, for at most IDLE_TIMEOUT seconds): closing on unread bytes
+        would reset the connection before the peer reads the answer."""
+        self.close_connection = True
+        self._send_error(status, exc)
+        self.connection.shutdown(socket.SHUT_WR)
+        deadline, left = time.monotonic() + self.timeout, _DRAIN_BYTES
+        while left > 0 and (wait := deadline - time.monotonic()) > 0:
+            self.connection.settimeout(wait)
+            if not (data := self.rfile.read1(min(left, 1 << 16))):
+                break
+            left -= len(data)
 
     def _read_json(self) -> dict:
         """The JSON body; a bad or oversized Content-Length is refused unread."""
-        try:
-            length = int(self.headers["Content-Length"])
-        except (TypeError, ValueError):
-            length = -1
-        if length < 0:
+        length = self.headers.get("content-length", "")
+        if not length.isdecimal():
             raise BadRequest("Content-Length must be a non-negative integer")
-        if length > MAX_BODY_BYTES:
-            raise PayloadTooLarge(f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
-        return json.loads(self.rfile.read(length).decode("utf-8"))
+        if (size := int(length)) > MAX_BODY_BYTES:
+            raise PayloadTooLarge(f"body of {size} bytes exceeds {MAX_BODY_BYTES}")
+        if self.headers.get("expect", "").lower() == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        return json.loads(self.rfile.read(size).decode("utf-8"))
 
     def _dispatch(self) -> None:
         """Answer a GET or POST: a public route, else a row of the admin table."""
@@ -652,9 +693,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 body = self._read_json()
             except AgentError as exc:
                 # The unread body would be parsed as the next request, so hang up.
-                self._send_error(exc.http_status, exc, close=True)
+                self._refuse(exc.http_status, exc)
                 return
-            except (ValueError, UnicodeDecodeError) as exc:
+            except (ValueError, UnicodeDecodeError, RecursionError) as exc:
                 self._send_error(400, BadRequest(f"invalid JSON: {exc}"))
                 return
             if self.path == "/inbox":
@@ -678,5 +719,3 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 self._send_json(200, route(agent, body))
             except DatacredError as exc:  # a relayed refusal too: its inbox status is the peer's
                 self._send_error(403 if isinstance(exc, RoleForbidden) else 400, exc)
-
-    do_GET = do_POST = _dispatch  # noqa: N815 - stdlib names

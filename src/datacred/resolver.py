@@ -8,18 +8,22 @@ Backends, tried in order:
 - DirectoryBackend  documents read from an offline bundle's dids.json
 
 A resolved document is served from the resolver's cache for CACHE_TTL
-seconds, a module constant. The resolver counts its backend fetches, network
-ones apart, so callers can assert cache behavior and prove offline
-verification made no network fetch. It also remembers, for ``verified_once``, the
-last VERIFIED_PROOFS signatures it saw verify.
+seconds, a module constant, and the cache keeps the CACHED_DOCUMENTS documents
+last used. The resolver counts its backend fetches, network ones apart, so
+callers can assert cache behavior and prove offline verification made no
+network fetch. It also remembers, for ``verified_once``, the last
+VERIFIED_PROOFS signatures it saw verify.
 
 ``request_json`` is datacred's only HTTP client, with one transport policy for
 DID documents, registries, agent envelopes and the admin client. Each thread
-keeps its own pool of ``http.client`` connections alive, one per origin and
-proxy. The proxy (``HTTP_PROXY``, ``HTTPS_PROXY``, ``NO_PROXY``) and CA bundle
-(``REQUESTS_CA_BUNDLE``, then ``CURL_CA_BUNDLE``, else OpenSSL's default
-store) environment is read once per thread; ``~/.netrc`` is not consulted, and
-cookies are never stored.
+keeps its own pool of sockets alive, one per origin and proxy, which
+``http.client`` only opens (TLS, CONNECT tunnel). The proxy (``HTTP_PROXY``,
+``HTTPS_PROXY``, ``NO_PROXY``) and CA bundle (``REQUESTS_CA_BUNDLE``, then
+``CURL_CA_BUNDLE``, else OpenSSL's default store) environment is read once per
+thread; ``~/.netrc`` is not consulted, and cookies are never stored. This
+module frames HTTP/1.1 (RFC 9112) for both ends of datacred's wire:
+``read_head`` reads a reply's head here and a request's in the agent, within
+MAX_LINE and MAX_HEADERS, and a request or response is sent in one write.
 """
 
 from __future__ import annotations
@@ -42,11 +46,14 @@ from .errors import DocumentInvalid, FetchFailed, NotFound, UnsupportedMethod
 from .jsonfile import read_json
 
 CACHE_TTL = 300.0  # seconds a resolved document is served from the cache
+CACHED_DOCUMENTS = 1024  # resolved documents a Resolver keeps, least recently used out
 VERIFIED_PROOFS = 1024  # verified signatures a Resolver remembers, least recently used out
 _HTTP_TIMEOUT = 5.0
 # Replies are read up to this size: a registry of 400,000 revoked ids at
 # about 40 bytes each, far above any DID document or envelope.
 MAX_RESPONSE_BYTES = 16 << 20
+MAX_LINE = 65536  # bytes in a start, field or chunk-size line, on both ends, as in http.client
+MAX_HEADERS = 100  # field lines in a message head, on both ends, as in http.client
 
 
 def is_loopback_host(host: str) -> bool:
@@ -56,6 +63,84 @@ def is_loopback_host(host: str) -> bool:
         return ipaddress.ip_address(host).is_loopback
     except ValueError:
         return False
+
+
+class HeadRefused(ValueError):
+    """A message head or chunk line refused by its framing; status is a server's answer."""
+
+    def __init__(self, status: int, reason: str):
+        super().__init__(reason)
+        self.status = status
+
+
+def _line(fp, status: int) -> bytes:
+    if len(line := fp.readline(MAX_LINE + 1)) > MAX_LINE:
+        raise HeadRefused(status, f"a line over {MAX_LINE} bytes")
+    return line
+
+
+def _fields(fp) -> dict[str, str]:
+    """Field lines up to a blank one, names lower-cased; a repeated field's values joined."""
+    fields: dict[str, str] = {}
+    for _ in range(MAX_HEADERS + 1):
+        if (line := _line(fp, 431)) in (b"\r\n", b"\n"):
+            return fields
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon or not name or " " in name or not name.isprintable():
+            raise HeadRefused(400, f"malformed field line {line[:64]!r}")
+        name, value = name.lower(), value.strip()
+        fields[name] = f"{fields[name]}, {value}" if name in fields else value
+    raise HeadRefused(431, f"more than {MAX_HEADERS} header fields")
+
+
+def read_head(fp) -> tuple[str, dict[str, str]]:
+    """The start line and header fields, names lower-cased, of one HTTP/1.1 message read
+    from the binary file fp; ("", {}) if fp ends first. A start line over MAX_LINE bytes
+    is refused with 414, a longer field line or more than MAX_HEADERS fields with 431,
+    and a field line without a name and colon, or a head cut short, with 400."""
+    start = _line(fp, 414)
+    return (start.decode("latin-1").rstrip("\r\n"), _fields(fp)) if start else ("", {})
+
+
+def _size(text, base: int) -> int:
+    if not text.strip().isalnum():  # int() would take a sign, inner spaces or underscores
+        raise ValueError(f"malformed size {text[:64]!r}")
+    return int(text, base)
+
+
+def _read_reply(fp) -> tuple[int, bytes, bool]:
+    """(status, body, reusable) of the final reply read from fp, after any 1xx ones;
+    reusable means an HTTP/1.1 keep-alive reply that ended where its framing said.
+    A body framed over MAX_RESPONSE_BYTES + 1 bytes is refused unread: that, bad
+    framing and a body cut short raise ValueError."""
+    status = 100
+    while status < 200:
+        start, fields = read_head(fp)
+        version, _, rest = start.partition(" ")
+        status = int(rest[:3]) if rest[:3].isdecimal() else 0
+        if not version.startswith("HTTP/1.") or status < 100 or rest[3:4] not in ("", " "):
+            raise ValueError(f"malformed status line {start[:64]!r}" if start else "no reply")
+    keep = version == "HTTP/1.1" and "close" not in fields.get("connection", "").lower()
+    limit = MAX_RESPONSE_BYTES + 1
+    if status in (204, 304):
+        return status, b"", keep
+    if fields.get("transfer-encoding", "").lower() == "chunked":
+        body = bytearray()
+        while size := _size(_line(fp, 400).split(b";")[0], 16):  # then any extensions
+            if len(body) + size > limit:
+                raise ValueError(f"reply exceeds {MAX_RESPONSE_BYTES} bytes")
+            body += (chunk := fp.read(size))
+            if len(chunk) < size or _line(fp, 400) not in (b"\r\n", b"\n"):
+                raise ValueError("reply ended inside a chunk")
+        _fields(fp)  # trailer fields, unused
+        return status, body, keep
+    if "content-length" not in fields:
+        return status, fp.read(limit), False  # up to the peer's close
+    if (length := _size(fields["content-length"], 10)) > limit:
+        raise ValueError(f"reply exceeds {MAX_RESPONSE_BYTES} bytes")
+    if len(body := fp.read(length)) < length:
+        raise ValueError(f"reply ended {length - len(body)} bytes short")
+    return status, body, keep
 
 
 class _Sockets(dict):
@@ -133,26 +218,22 @@ def request_json(url: str, allow_insecure_loopback: bool, timeout: float, body=N
         sock = _pool.take(*key, timeout)
         sock.settimeout(timeout)
         sock.sendall(f"{head}User-Agent: datacred\r\n\r\n".encode("ascii") + payload)  # one write
-        with http.client.HTTPResponse(sock) as reply:
-            reply.begin()
-            if 300 <= reply.status < 400:
-                raise FetchFailed(f"{url}: refused redirect ({reply.status})")
-            content = reply.read(MAX_RESPONSE_BYTES + 1)
-            if reply.isclosed() and not (reply.will_close or reply.length):  # read to its end
-                _pool.sockets[key], sock = sock, None
+        with sock.makefile("rb") as fp:
+            status, content, reusable = _read_reply(fp)
+        if 300 <= status < 400:
+            raise FetchFailed(f"{url}: refused redirect ({status})")
+        if reusable:
+            _pool.sockets[key], sock = sock, None
         if len(content) > MAX_RESPONSE_BYTES:
             raise FetchFailed(f"{url}: reply exceeds {MAX_RESPONSE_BYTES} bytes")
-        if reply.length:
-            raise FetchFailed(f"{url}: reply ended {reply.length} bytes short")
     except (OSError, ValueError, http.client.HTTPException) as exc:
         raise FetchFailed(f"{url}: {exc}") from exc
     finally:
         if sock is not None:  # not back in the pool: hang up
             sock.close()
-    status = reply.status
     try:
         return status, json.loads(content)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, or nested too deep to parse
         if status >= 400:
             raise (NotFound if status == 404 else FetchFailed)(f"{url} returned {status}")
         raise DocumentInvalid(f"{url}: response ({status}) is not JSON: {exc}") from exc
@@ -242,7 +323,7 @@ class Resolver:
 
     def __init__(self, backends: list):
         self.backends = backends
-        self._cache: dict[str, tuple[DidDocument, float]] = {}
+        self._cache: OrderedDict[str, tuple[DidDocument, float]] = OrderedDict()
         self._verified: OrderedDict[tuple, None] = OrderedDict()
         self._lock = threading.Lock()
         self.fetch_count = 0  # documents asked of a backend
@@ -260,8 +341,11 @@ class Resolver:
         now = time.monotonic()
         with self._lock:
             cached = self._cache.get(did.text)
-            if cached is not None and now - cached[1] < CACHE_TTL:
-                return cached[0]
+            if cached is not None:
+                if now - cached[1] < CACHE_TTL:
+                    self._cache.move_to_end(did.text)
+                    return cached[0]
+                del self._cache[did.text]
 
         backend = next((b for b in self.backends if b.supports(did)), None)
         if backend is None:
@@ -278,7 +362,7 @@ class Resolver:
                 f"document id {document.id} does not match requested {did.text}"
             )
         with self._lock:
-            self._cache[did.text] = (document, time.monotonic())
+            _keep(self._cache, did.text, (document, time.monotonic()), CACHED_DOCUMENTS)
         return document
 
     def verified_once(self, key: tuple, verify) -> bool:
@@ -291,7 +375,13 @@ class Resolver:
         ok = verify()
         if ok:
             with self._lock:
-                self._verified[key] = None
-                if len(self._verified) > VERIFIED_PROOFS:
-                    self._verified.popitem(last=False)
+                _keep(self._verified, key, None, VERIFIED_PROOFS)
         return ok
+
+
+def _keep(lru: OrderedDict, key, value, bound: int) -> None:
+    """lru[key] = value as its most recently used entry; the least recent go past bound."""
+    lru[key] = value
+    lru.move_to_end(key)
+    if len(lru) > bound:
+        lru.popitem(last=False)

@@ -165,3 +165,20 @@ def test_directory_backend_reads_bundle(tmp_path):
 def test_directory_backend_requires_index(tmp_path):
     with pytest.raises(FetchFailed):
         DirectoryBackend(tmp_path / "nothing-here")
+
+
+def test_cache_keeps_only_the_documents_last_used(monkeypatch):
+    """Fresh DIDs, as untrusted senders bring, cannot grow the cache past its bound."""
+    resolver = Resolver(backends=[KeyBackend()])
+    kept, _ = generate_did_key(generate_keypair().public_key)
+    fresh = resolver_module.CACHED_DOCUMENTS + 200
+    for _ in range(fresh):
+        resolver.resolve(generate_did_key(generate_keypair().public_key)[0])
+        resolver.resolve(kept)
+    assert len(resolver._cache) == resolver_module.CACHED_DOCUMENTS
+    assert resolver.fetch_count == fresh + 1  # the DID resolved every round stayed cached
+
+    monkeypatch.setattr(resolver_module, "CACHE_TTL", 0)
+    resolver.resolve(kept)
+    assert resolver.fetch_count == fresh + 2
+    assert len(resolver._cache) == resolver_module.CACHED_DOCUMENTS  # the stale entry replaced
