@@ -301,11 +301,17 @@ def verify(credential_file: str, data: str | None, offline_bundle: str | None,
         report_json["binding"] = binding.to_json()
         if not binding.matched:
             ok = False
-            report_json["overall"] = "Invalid"
+            if not binding.ambiguous:
+                report_json["overall"] = "Invalid"
+            elif report.valid:
+                report_json["overall"] = "Indeterminate"
     report_json["networkFetches"] = resolver.network_fetch_count
     _print_report(report_json, as_json, "credential")
     if not as_json and data is not None:
-        click.echo(f"  data binding: {'match' if report_json['binding']['matched'] else 'MISMATCH'}")
+        outcome = "match" if binding.matched else "MISMATCH"
+        if binding.ambiguous:
+            outcome = f"AMBIGUOUS - {binding.detail}"
+        click.echo(f"  data binding: {outcome}")
     sys.exit(0 if ok else 1)
 
 

@@ -63,8 +63,9 @@ class NoSuchEntry(WalletError):
 # --- fingerprints ---
 
 class UnreadablePath(DatacredError):
-    """A path to be fingerprinted does not exist, cannot be read, or is not a regular file or a
-    plain directory (a symlinked directory, a FIFO, a socket or a device)."""
+    """A path to be fingerprinted does not exist, cannot be read, is not a regular file or a
+    plain directory (a symlinked directory, a FIFO, a socket or a device), or has a name that
+    is not valid UTF-8 inside a tree."""
 
 
 class SymlinkEscape(DatacredError):

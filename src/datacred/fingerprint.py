@@ -10,11 +10,13 @@ Two forms:
   inside the root is hashed as that file. Nothing readable is silently left
   out: a link that leaves the root or points at a directory, any entry that
   is neither a regular file nor a directory (a FIFO, a socket, a device, a
-  dangling link) and a directory that cannot be listed are refused. Empty
-  directories carry no bytes and are not bound.
+  dangling link), a directory that cannot be listed and a name that is not
+  valid UTF-8 (it has no canonical JSON form) are refused. Empty directories
+  carry no bytes and are not bound.
 
 ``check_binding`` fingerprints the data once, in the form the data has, and
-matches only when form and digest both agree.
+matches only when form and digest both agree. A file whose bytes are also a
+tree's canonical manifest is reported as ambiguous, never as a match.
 
 Digests are lowercase hex, no ``0x`` prefix.
 """
@@ -22,20 +24,22 @@ Digests are lowercase hex, no ``0x`` prefix.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
+from typing import NamedTuple
 
-from .canonical import canonicalize
 from .errors import AlgorithmUnsupported, DatacredError, SymlinkEscape, UnreadablePath
 
 ALGORITHM = "sha256"
 _READ_CHUNK = 1 << 18  # unbuffered os.read size: most files take one read
 _READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)  # O_BINARY: no newline mapping on Windows
+_MANIFEST_HEAD = b'[{"digest":"'  # how every non-empty canonical manifest starts
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
+class ManifestEntry(NamedTuple):
     path: str
     digest: str
 
@@ -86,10 +90,12 @@ class BindingReport:
     missing: list[str] = field(default_factory=list)
     extra: list[str] = field(default_factory=list)
     detail: str = ""
+    ambiguous: bool = False  # the data reads both as a file and as a tree manifest
 
     def to_json(self) -> dict:
         return {
             "matched": self.matched,
+            "ambiguous": self.ambiguous,
             "expectedDigest": self.expected_digest,
             "actualDigest": self.actual_digest,
             "mismatched": self.mismatched,
@@ -163,7 +169,9 @@ def build_manifest(root: str | Path) -> tuple[ManifestEntry, ...]:
             continue
         for child in children:
             rel = prefix + child.name
-            if child.is_dir(follow_symlinks=False):
+            if not child.name.isascii() and not _is_utf8(child.name):
+                refused.append((rel, UnreadablePath(f"{child.path!r}: name is not valid UTF-8")))
+            elif child.is_dir(follow_symlinks=False):
                 pending.append((child.path, rel + "/"))
             elif child.is_file(follow_symlinks=False):
                 files.append((rel, child.path))
@@ -177,8 +185,22 @@ def build_manifest(root: str | Path) -> tuple[ManifestEntry, ...]:
     return tuple(ManifestEntry(path=rel, digest=_sha256_file(path)) for rel, path in files)
 
 
+def _is_utf8(name: str) -> bool:
+    """False for a name holding lone surrogates: bytes os.fsdecode could not decode."""
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def manifest_digest(manifest: tuple[ManifestEntry, ...]) -> str:
-    return _sha256_hex(canonicalize([entry.to_json() for entry in manifest]))
+    # canonicalize([entry.to_json() for entry in manifest]), built directly: an entry's keys
+    # are already in code-point order, and encode_basestring is the escaper json.dumps uses
+    # with ensure_ascii=False. test_manifest_encoding_is_canonical pins the equality.
+    enc = encode_basestring
+    text = ",".join(['{"digest":' + enc(d) + ',"path":' + enc(p) + "}" for p, d in manifest])
+    return _sha256_hex(f"[{text}]".encode("utf-8"))
 
 
 def fingerprint_tree(root: str | Path) -> DatasetFingerprint:
@@ -193,11 +215,7 @@ def fingerprint_tree(root: str | Path) -> DatasetFingerprint:
 
 
 def data_form(data: bytes | str | Path) -> str:
-    """The form data is fingerprinted in: "tree" for a directory, "file" otherwise.
-
-    Known limit: a bare digest claim takes its form from here, so a file whose
-    bytes are a tree's canonical manifest matches that tree's digest.
-    """
+    """The form data is fingerprinted in: "tree" for a directory, "file" otherwise."""
     return "tree" if not isinstance(data, bytes) and Path(data).is_dir() else "file"
 
 
@@ -211,6 +229,32 @@ def normalize_digest(digest: str) -> str:
     return digest.strip().lower().removeprefix("0x")
 
 
+def _manifest_reading(data: bytes | str | Path, digest: str) -> tuple[int, int] | None:
+    """(bytes, entries) when the file data also reads as a tree manifest with this digest.
+
+    Every canonical manifest is ``[]`` or starts with _MANIFEST_HEAD, so only
+    such data is read whole and parsed.
+    """
+    if isinstance(data, bytes):
+        head = data[:len(_MANIFEST_HEAD)]
+    else:
+        with open(data, "rb") as file:
+            head = file.read(len(_MANIFEST_HEAD))
+            if head in (b"[]", _MANIFEST_HEAD):
+                data = head + file.read()
+    if head not in (b"[]", _MANIFEST_HEAD):
+        return None
+    try:
+        items = json.loads(data.decode("utf-8"))
+        same = isinstance(items, list) and all(
+            isinstance(item, dict) and isinstance(item.get("path"), str)
+            and isinstance(item.get("digest"), str) for item in items
+        ) and manifest_digest([ManifestEntry.from_json(item) for item in items]) == digest
+    except (ValueError, RecursionError):  # not UTF-8 or JSON, nested too deep, or a lone surrogate
+        return None
+    return (len(data), len(items)) if same else None
+
+
 def check_binding(fp: DatasetFingerprint, data: bytes | str | Path) -> BindingReport:
     """Fingerprint data once and compare it with fp.
 
@@ -218,6 +262,10 @@ def check_binding(fp: DatasetFingerprint, data: bytes | str | Path) -> BindingRe
     mismatch ``detail`` names both forms and ``actual_digest`` is the data's
     digest in its own form. When fp carries a manifest, the report names every
     mismatched, missing and extra file (data that is not a tree misses them all).
+    A file whose bytes are also a canonical tree manifest has the digest of that
+    tree too, so a bare digest cannot say which was meant: such a report is
+    ``ambiguous``, not matched, and ``detail`` (starting ``AmbiguousForm:``)
+    names both readings.
     """
     if fp.algorithm != ALGORITHM:
         raise AlgorithmUnsupported(fp.algorithm)
@@ -231,6 +279,12 @@ def check_binding(fp: DatasetFingerprint, data: bytes | str | Path) -> BindingRe
     )
     if actual.form != fp.form:
         report.detail = f"fingerprint is for a {fp.form} but data is a {actual.form}"
+    elif report.matched and fp.form == "file" and (reading := _manifest_reading(data, fp.digest)):
+        report.matched, report.ambiguous = False, True
+        report.detail = (
+            "AmbiguousForm: the data reads as a file of {} bytes and as a tree manifest"
+            " of {} entries".format(*reading)
+        )
     if fp.manifest is not None:
         expected = {entry.path: entry.digest for entry in fp.manifest}
         found = {entry.path: entry.digest for entry in actual.manifest or ()}

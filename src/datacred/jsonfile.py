@@ -27,7 +27,7 @@ def read_json(path: str | Path) -> dict:
         obj = json.loads(Path(path).read_bytes())
     except OSError as exc:
         raise FetchFailed(f"{path}: {exc.strerror or exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or bytes that decode as no text
+    except (ValueError, RecursionError) as exc:  # not JSON, not text, or nested too deep
         raise DocumentInvalid(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise DocumentInvalid(f"{path}: expected a JSON object, got {type(obj).__name__}")

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 import datacred
 from datacred.agent import AgentConfig
+from datacred.canonical import canonicalize
 from datacred.cli import main
 from datacred.credential import DATASET_PROVENANCE_V1, issue_credential
 from datacred.did import generate_did_key
@@ -108,6 +109,45 @@ def test_hash_directory(runner, workspace):
     fp = stdout_json(must(runner, "hash", "tree"))
     assert fp["form"] == "tree"
     assert fp["manifest"][0]["path"] == "a.txt"
+
+
+def test_hash_tree_with_name_that_is_not_utf8_exits_2(runner, workspace):
+    """It used to die with a UnicodeEncodeError traceback from the manifest encoding."""
+    (workspace / "tree").mkdir()
+    try:
+        os.close(os.open(b"tree/\xff.csv", os.O_CREAT | os.O_WRONLY))
+    except OSError as exc:
+        pytest.skip(f"this filesystem refuses a name that is not UTF-8: {exc}")
+    issuer, subject = make_identities(runner)
+    must(runner, *issue_args(issuer["did"], subject["did"], "ab" * 32))
+    for command in (("hash", "tree"), ("verify", "cred.json", "--data", "tree")):
+        result = invoke(runner, *command)
+        assert result.exit_code == 2, result.output
+        assert "UnreadablePath" in result.stderr and "not valid UTF-8" in result.stderr
+
+
+def test_verify_file_holding_a_tree_manifest_is_indeterminate(runner, workspace):
+    """A tree's canonical manifest, saved as a file, has the tree's digest."""
+    issuer, subject = make_identities(runner)
+    (workspace / "tree").mkdir()
+    (workspace / "tree" / "a").write_text("hi")
+    tree = stdout_json(must(runner, "hash", "tree"))
+    (workspace / "manifest.bin").write_bytes(canonicalize(tree["manifest"]))
+    must(runner, *issue_args(issuer["did"], subject["did"], tree["digest"]))
+    must(runner, "verify", "cred.json", "--data", "tree")
+
+    result = invoke(runner, "verify", "cred.json", "--data", "manifest.bin", "--json")
+    assert result.exit_code == 1, result.output
+    report = stdout_json(result)
+    assert report["overall"] == "Indeterminate"
+    assert all(check["status"] == "Valid" for check in report["checks"].values())
+    assert (report["binding"]["matched"], report["binding"]["ambiguous"]) == (False, True)
+    assert report["binding"]["detail"].startswith("AmbiguousForm:")
+
+    text = invoke(runner, "verify", "cred.json", "--data", "manifest.bin")
+    assert text.exit_code == 1
+    assert "credential: Indeterminate" in text.stdout
+    assert "data binding: AMBIGUOUS - AmbiguousForm:" in text.stdout
 
 
 def test_issue_verify_roundtrip(runner, workspace):
@@ -393,7 +433,11 @@ def test_bundle_with_bad_did_document_writes_nothing(runner, workspace):
     assert not (workspace / "bundle" / "credential.json").exists()
 
 
-@pytest.mark.parametrize("content", ["not json", "[]", None], ids=["not-json", "array", "missing"])
+@pytest.mark.parametrize(
+    "content",
+    ["not json", "[]", None, "[" * 100_000],
+    ids=["not-json", "array", "missing", "too-deep"],
+)
 def test_malformed_bundle_registry_is_unavailable(runner, workspace, content):
     """A bad registry.json leaves revocation Indeterminate; the other checks still report."""
     make_offline_bundle(runner)
@@ -413,7 +457,9 @@ def test_malformed_bundle_registry_is_unavailable(runner, workspace, content):
     assert checks == intact
 
 
-@pytest.mark.parametrize("content", ["not json", "[]"], ids=["not-json", "array"])
+@pytest.mark.parametrize(
+    "content", ["not json", "[]", "[" * 100_000], ids=["not-json", "array", "too-deep"]
+)
 def test_malformed_bundle_dids_exits_2(runner, workspace, content):
     make_offline_bundle(runner)
     (workspace / "bundle" / "dids.json").write_text(content)

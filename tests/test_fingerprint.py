@@ -17,12 +17,15 @@ from datacred.errors import AlgorithmUnsupported, SymlinkEscape, UnreadablePath
 from datacred.fingerprint import (
     _READ_CHUNK,
     DatasetFingerprint,
+    ManifestEntry,
     build_manifest,
     check_binding,
+    data_form,
     fingerprint_bytes,
     fingerprint_file,
     fingerprint_path,
     fingerprint_tree,
+    manifest_digest,
     normalize_digest,
 )
 
@@ -259,6 +262,23 @@ def test_first_bad_entry_in_path_order_is_reported(tmp_path, monkeypatch):
         fingerprint_tree(root)
 
 
+def test_name_that_is_not_utf8_is_refused(tmp_path):
+    """Such a name has no canonical JSON form; it used to crash the manifest encoding."""
+    (tmp_path / "a").write_text("a")
+    (tmp_path / "\ue000").symlink_to(tmp_path / "missing")  # refused too, but later in path order
+    root = os.fsencode(tmp_path)
+    try:
+        os.close(os.open(os.path.join(root, b"\xff.csv"), os.O_CREAT | os.O_WRONLY))
+    except OSError as exc:
+        pytest.skip(f"this filesystem refuses a name that is not UTF-8: {exc}")
+    with pytest.raises(UnreadablePath, match=r"\\udcff\.csv.*not valid UTF-8"):
+        fingerprint_tree(tmp_path)
+    os.rename(os.path.join(root, b"\xff.csv"), tmp_path / "b")
+    os.mkdir(os.path.join(root, b"d\xff"))
+    with pytest.raises(UnreadablePath, match=r"d\\udcff'"):
+        fingerprint_tree(tmp_path)
+
+
 def test_unreadable_path(tmp_path):
     with pytest.raises(UnreadablePath):
         fingerprint_tree(tmp_path / "missing")
@@ -313,6 +333,62 @@ def test_check_binding_form_mismatch_reports_both_forms(tmp_path):
     assert not report.matched
     assert report.detail == "fingerprint is for a file but data is a tree"
     assert report.actual_digest == tree_fp.digest
+
+
+def claimed(digest: str, data) -> DatasetFingerprint:
+    """A bare digest claim, which takes its form from the data (check_binding_claim)."""
+    return DatasetFingerprint(algorithm="sha256", digest=digest, form=data_form(data))
+
+
+def test_file_holding_a_tree_manifest_is_ambiguous(tmp_path):
+    """Such a file has the tree's digest, so a bare digest cannot tell them apart."""
+    (tmp_path / "tree").mkdir()
+    (tmp_path / "tree" / "a").write_text("hi")
+    tree = fingerprint_tree(tmp_path / "tree")
+    manifest = canonicalize([entry.to_json() for entry in tree.manifest])
+    (tmp_path / "manifest.bin").write_bytes(manifest)
+    for data in (tmp_path / "manifest.bin", str(tmp_path / "manifest.bin"), manifest):
+        report = check_binding(claimed(tree.digest, data), data)
+        assert (report.matched, report.ambiguous, report.actual_digest) == (
+            False, True, tree.digest
+        )
+        assert report.detail.startswith("AmbiguousForm:")
+        assert f"file of {len(manifest)} bytes" in report.detail
+        assert "manifest of 1 entries" in report.detail
+        assert report.to_json()["ambiguous"] is True
+    assert check_binding(claimed(tree.digest, tmp_path / "tree"), tmp_path / "tree").matched
+    report = check_binding(claimed(hashlib.sha256(b"[]").hexdigest(), b"[]"), b"[]")
+    assert report.ambiguous and "file of 2 bytes" in report.detail  # the empty tree's manifest
+    assert "manifest of 0 entries" in report.detail
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(b'[{"path":"a","digest":"b"}]', id="keys-out-of-order"),
+    pytest.param(b'[{"digest":"b","path":"a","x":1}]', id="extra-key"),
+    pytest.param(b'[{"digest":"b","path":"a"}] ', id="trailing-space"),
+    pytest.param(b'[{"digest":"b","path":1}]', id="path-not-a-string"),
+    pytest.param(b'[{"digest":"b","path":"\\ud800"}]', id="lone-surrogate"),
+    pytest.param(b'[{"digest":"' + b"[" * 100_000, id="too-deep"),
+    pytest.param(b'[{"digest":"\xff"}]', id="not-utf8"),
+    pytest.param(b"[1, 2]", id="other-list"),
+    pytest.param(b"[", id="bracket"),
+    pytest.param(b"", id="empty"),
+])
+def test_file_that_is_not_a_canonical_manifest_matches(data):
+    fp = fingerprint_bytes(data)
+    report = check_binding(fp, data)
+    assert (report.matched, report.ambiguous, report.detail) == (True, False, "")
+
+
+def test_only_a_file_that_starts_as_a_manifest_is_parsed(tmp_path, monkeypatch):
+    """A JSON array dataset, however large, costs only a read of its first bytes."""
+    parsed = []
+    monkeypatch.setattr(json, "loads", lambda text: parsed.append(text) or [])
+    for data in (b'[{"id":1}]', b"[1, 2]", b"[" + b" " * _READ_CHUNK + b"]"):
+        (tmp_path / "data.json").write_bytes(data)
+        assert check_binding(fingerprint_bytes(data), tmp_path / "data.json").matched
+        assert check_binding(fingerprint_bytes(data), data).matched
+    assert parsed == []
 
 
 def test_unsupported_algorithm():
@@ -479,3 +555,31 @@ def test_tree_digest_does_not_depend_on_creation_order(files, data):
         one = write_tree(Path(first), files, sorted(files))
         two = write_tree(Path(second), files, order)
         assert fingerprint_tree(one).digest == fingerprint_tree(two).digest
+
+
+# --- the manifest encoding ---
+
+PATHS = st.text(st.characters(exclude_categories=["Cs"]))  # any text a str.encode accepts
+DIGESTS = st.text("0123456789abcdef", min_size=64, max_size=64) | st.text("0123456789abcdef")
+AWKWARD_PATHS = ("", '"', "\\", "\x00\x1f\x7f", "\u2028\u2029", "\U0001f600")
+
+
+@given(st.lists(st.builds(ManifestEntry, PATHS, DIGESTS)))
+@example([ManifestEntry(path, "00") for path in AWKWARD_PATHS])
+@example([ManifestEntry("b", "1"), ManifestEntry("a", "2"), ManifestEntry("b", "1")])
+@settings(max_examples=300, deadline=None)
+def test_manifest_encoding_is_canonical(entries):
+    """manifest_digest encodes entries directly; the bytes are canonicalize's, any path."""
+    expected = hashlib.sha256(canonicalize([entry.to_json() for entry in entries])).hexdigest()
+    assert manifest_digest(tuple(entries)) == expected
+
+
+def test_manifest_digest_vector():
+    entries = (
+        ManifestEntry("z/\u00e9t\u00e9.csv", hashlib.sha256(b"1").hexdigest()),
+        ManifestEntry('a "q"\\\t\u2028', EMPTY_SHA256),
+        ManifestEntry("\U0001f600/x", "0" * 64),
+    )
+    assert manifest_digest(entries) == (
+        "089460155e4b779272cbc30c68953506f16802cac0f0a16bf423bfe89e5acded"
+    )

@@ -167,6 +167,13 @@ def test_directory_backend_requires_index(tmp_path):
         DirectoryBackend(tmp_path / "nothing-here")
 
 
+def test_directory_backend_refuses_an_index_nested_too_deep(tmp_path):
+    """json.loads raises RecursionError here; it used to escape DirectoryBackend."""
+    (tmp_path / "dids.json").write_text("[" * 100_000)
+    with pytest.raises(DocumentInvalid, match="dids.json"):
+        DirectoryBackend(tmp_path)
+
+
 def test_cache_keeps_only_the_documents_last_used(monkeypatch):
     """Fresh DIDs, as untrusted senders bring, cannot grow the cache past its bound."""
     resolver = Resolver(backends=[KeyBackend()])
