@@ -16,23 +16,29 @@ A dataset agent stores a received credential only if credential.check_receipt
 passes, the verifier's own signature, schema and date checks; a refusal names
 the failed check and the verifier's reason.
 
-GET /.well-known/did.json, GET /registry and POST /inbox are public. Every
-other route is in the admin table, _ADMIN_ROUTES: (method, path) -> handler,
-loopback-only, driving the automated workflows (connect, issue, request-proof,
-revoke) plus read-only listings. Any other GET or POST answers 404.
+GET /.well-known/did.json, GET /registry and POST /inbox are public. A
+publisher encodes its registry once per change and serves those bytes with
+an ETag, the quoted hex SHA-256 of the bytes; a GET whose If-None-Match
+names it is answered 304 with no body. Every other route is in the admin
+table, _ADMIN_ROUTES: (method, path) -> handler, loopback-only, driving the
+automated workflows (connect, issue, request-proof, revoke) plus read-only
+listings. Any other GET or POST answers 404.
 
 The server frames HTTP/1.1 itself on a socketserver.ThreadingTCPServer: a
 request head is read by resolver.read_head, within its MAX_LINE and
 MAX_HEADERS limits, and each response is one write. Connections are kept
-alive, with Nagle's algorithm off. A request refused as malformed or unread
-is answered, and the connection closed once what the peer still sends is
-read. A connection that sends no request for IDLE_TIMEOUT seconds is closed,
-and stop() hangs up every open connection, so no peer reaches a stopped agent.
+alive, with Nagle's algorithm off. A request with any Transfer-Encoding is
+refused with 501, and a GET with a body with 400 (RFC 9112 §6). A request
+refused as malformed or unread is answered, and the connection closed once
+what the peer still sends is read. A connection that sends no request for
+IDLE_TIMEOUT seconds is closed, and stop() hangs up every open connection, so
+no peer reaches a stopped agent.
 """
 
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import logging
 import socket
@@ -158,6 +164,7 @@ class Agent:
         self._thread: threading.Thread | None = None
         self._lock = threading.RLock()
         self._parsed: dict[str, tuple] = {}  # label -> (entry, parsed, issuance date)
+        self._registry_reply: tuple | None = None  # (registry, its JSON bytes, their ETag)
 
     # --- lifecycle ---
 
@@ -435,6 +442,16 @@ class Agent:
             self.state.save()
         return updated
 
+    def registry_reply(self) -> tuple[bytes, str]:
+        """The registry's JSON bytes and their ETag, the quoted hex SHA-256 of the
+        bytes; encoded at the first call after each change of the registry."""
+        registry, reply = self.state.registry, self._registry_reply
+        if reply is None or reply[0] is not registry:
+            payload = json.dumps(registry).encode("utf-8")
+            reply = (registry, payload, f'"{hashlib.sha256(payload).hexdigest()}"')
+            self._registry_reply = reply
+        return reply[1], reply[2]
+
     def find_status_id(self, credential_id: str) -> str | None:
         for record in self.state.issued:
             if record["credentialId"] == credential_id:
@@ -644,18 +661,29 @@ class _RequestHandler(socketserver.StreamRequestHandler):
                 self.close_connection = version != "HTTP/1.1" or "close" in connection
                 if self.command not in ("GET", "POST"):
                     return self._refuse(501, BadRequest(f"unsupported method {self.command!r}"))
+                # RFC 9112 §6.1, §6.3: framing that two readers could split differently.
+                if "transfer-encoding" in self.headers:
+                    return self._refuse(501, BadRequest("a request transfer coding"))
+                if self.command == "GET" and self.headers.get("content-length", "0") != "0":
+                    return self._refuse(400, BadRequest("a GET with a body"))
                 self._dispatch()
         except OSError:  # idle past the timeout, or the connection broke
             pass
 
-    def _send_json(self, status: int, obj: dict | list) -> None:
-        """The whole response in one write: status line, headers and JSON body."""
-        payload = json.dumps(obj).encode("utf-8")
-        head = (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
-                f"Content-Type: application/json\r\nContent-Length: {len(payload)}\r\n")
+    def _send(self, status: int, payload: bytes, fields: str = "") -> None:
+        """The whole response in one write: status line, headers and JSON body; a 304
+        has no body."""
+        head = f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n{fields}"
+        if status == 304:
+            payload = b""
+        else:
+            head += f"Content-Type: application/json\r\nContent-Length: {len(payload)}\r\n"
         if self.close_connection:
             head += "Connection: close\r\n"
         self.wfile.write(f"{head}\r\n".encode("latin-1") + payload)
+
+    def _send_json(self, status: int, obj: dict | list) -> None:
+        self._send(status, json.dumps(obj).encode("utf-8"))
 
     def _send_error(self, status: int, exc: DatacredError) -> None:
         self._send_json(status, {"error": type(exc).__name__, "detail": str(exc)})
@@ -705,7 +733,10 @@ class _RequestHandler(socketserver.StreamRequestHandler):
             self._send_json(200, agent.did_document.to_json())
             return
         elif self.path == "/registry" and agent.config.role == "publisher" and agent.state.registry:
-            self._send_json(200, agent.state.registry)
+            payload, etag = agent.registry_reply()
+            tags = self.headers.get("if-none-match", "").split(",")
+            fresh = etag in (tag.strip().removeprefix("W/") for tag in tags)
+            self._send(304 if fresh else 200, payload, f"ETag: {etag}\r\n")
             return
         route = _ADMIN_ROUTES.get((self.command, self.path))
         if route is None:

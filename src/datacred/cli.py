@@ -117,14 +117,17 @@ def _load_schema(name_or_path: str) -> CredentialSchema:
 
 
 class _PinnedRegistrySource:
-    """Fetches whatever URL the credential names from one fixed override URL."""
+    """Fetches whatever URL the credential names from one fixed override URL, its path:
+    a malformed reply's error names it, as it names a bundle's registry file."""
+
+    network = True
 
     def __init__(self, inner, url: str):
         self._inner = inner
-        self._url = url
+        self.path = url
 
-    def fetch(self, _url: str) -> dict:
-        return self._inner.fetch(self._url)
+    def fetch(self, _url: str, etag: str | None = None) -> bytes | None:
+        return self._inner.fetch(self.path, etag)
 
 
 def _build_verification_context(

@@ -11,10 +11,17 @@ revocation) and reports each one separately; network trouble yields
 Indeterminate for the affected check, never a silent pass or fail. They are
 the only acceptance rule: ``check_receipt`` is the part a holder runs before
 storing a credential, and ``issue_credential`` refuses dates they reject.
+
+Every revocation check fetches the registry's bytes and matches its issuer and
+the status id. A ``Resolver`` parses and verifies a registry once per change of
+those bytes: it reuses the last one that verified at a URL for the same SHA-256
+(or a 304 to a GET conditional on it) while the issuer still publishes its key.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import re
 import uuid
 from dataclasses import dataclass, field
@@ -37,7 +44,7 @@ from .fingerprint import (
     data_form,
     normalize_digest,
 )
-from .jsonfile import read_json
+from .jsonfile import parse_json, read_bytes
 from .keys import KeyPair
 from .proofs import (
     ASSERTION,
@@ -45,13 +52,14 @@ from .proofs import (
     Proof,
     attach_proof,
     check_proof,
+    check_proof_key,
     format_timestamp,
     parse_timestamp,
     utc_now,
     verify_proof,
 )
 from .reports import CheckResult, CheckStatus, VerificationReport
-from .resolver import Resolver, fetch_json
+from .resolver import Resolver, fetch_bytes
 
 CREDENTIAL_CONTEXT = "https://www.w3.org/2018/credentials/v1"
 CREDENTIAL_TYPE = "VerifiableCredential"
@@ -304,15 +312,19 @@ class RevocationRegistry:
     @classmethod
     def from_json(cls, obj: dict) -> "RevocationRegistry":
         try:
-            proof = obj.get("proof")
-            return cls(
+            revoked, proof = obj["revoked"], obj.get("proof")
+            registry = cls(
                 issuer=obj["issuer"],
-                revoked=list(obj["revoked"]),
+                revoked=list(revoked),
                 updated=obj["updated"],
                 proof=Proof.from_json(proof) if proof else None,
             )
         except (KeyError, TypeError, AttributeError) as exc:  # AttributeError: not an object
             raise DatacredError(f"malformed registry: {exc}") from exc
+        if not (isinstance(registry.issuer, str) and isinstance(registry.updated, str)
+                and isinstance(revoked, list) and set(map(type, revoked)) <= {str}):
+            raise DatacredError("malformed registry: issuer, updated and revoked ids are strings")
+        return registry
 
 
 def new_registry(issuer_did: Did | str, issuer_key: KeyPair) -> RevocationRegistry:
@@ -347,13 +359,16 @@ def revoke(
 
 
 class HttpRegistrySource:
-    """Fetch revocation registries under resolver.request_json's transport policy."""
+    """Fetch revocation registries under resolver.request_bytes's transport policy. A
+    source's fetch(url, etag=None) gives the bytes; this one None for a 304 to etag."""
+
+    network = True
 
     def __init__(self, allow_insecure_loopback: bool = False):
         self.allow_insecure_loopback = allow_insecure_loopback
 
-    def fetch(self, url: str) -> dict:
-        return fetch_json(url, self.allow_insecure_loopback)
+    def fetch(self, url: str, etag: str | None = None) -> bytes | None:
+        return fetch_bytes(url, self.allow_insecure_loopback, etag)
 
 
 class StaticRegistrySource:
@@ -362,9 +377,9 @@ class StaticRegistrySource:
     def __init__(self, registries: dict[str, dict] | None = None):
         self.registries = dict(registries or {})
 
-    def fetch(self, url: str) -> dict:
+    def fetch(self, url: str, etag: str | None = None) -> bytes:
         try:
-            return self.registries[url]
+            return json.dumps(self.registries[url]).encode("utf-8")
         except KeyError:
             raise FetchFailed(f"{url}: no registry registered") from None
 
@@ -375,8 +390,8 @@ class FileRegistrySource:
     def __init__(self, path: str | Path):
         self.path = Path(path)
 
-    def fetch(self, url: str) -> dict:
-        return read_json(self.path)
+    def fetch(self, url: str, etag: str | None = None) -> bytes:
+        return read_bytes(self.path)
 
 
 # --- verification ---
@@ -414,20 +429,30 @@ def _check_revocation(
 ) -> CheckResult:
     if vc.status is None:
         return CheckResult(CheckStatus.VALID, "NoStatus")
+    url = vc.status.registry_url
     try:
-        registry = RevocationRegistry.from_json(registry_source.fetch(vc.status.registry_url))
+        reply, known = resolver.fetch_registry(registry_source, url)
+        digest = known[0] if reply is None else hashlib.sha256(reply).digest()
+        if known is not None and digest == known[0]:  # bytes parsed and verified before
+            _, key, registry, revoked = known
+        else:
+            name = getattr(registry_source, "path", url)  # a bundle's file, else the URL
+            key, registry = None, RevocationRegistry.from_json(parse_json(reply, name)).to_json()
     except (FetchFailed, DatacredError) as exc:
         return CheckResult(CheckStatus.INDETERMINATE, "RegistryUnavailable", str(exc))
 
     # Never trust a status list until it verifies under the issuer's key.
-    if registry.issuer != vc.issuer:
-        detail = f"registry issuer {registry.issuer} is not credential issuer {vc.issuer}"
+    if (issuer := registry["issuer"]) != vc.issuer:
+        detail = f"registry issuer {issuer} is not credential issuer {vc.issuer}"
         return CheckResult(CheckStatus.INDETERMINATE, "RegistryInvalid", detail)
-    result, _ = check_proof(registry.to_json(), registry.issuer, resolver)
+    result, located = check_proof_key(registry, issuer, resolver, verified=key)
     if result.status is not CheckStatus.VALID:
         detail = f"registry proof: {result.reason} {result.detail}".rstrip()
         return CheckResult(CheckStatus.INDETERMINATE, "RegistryInvalid", detail)
-    if vc.status.status_id in registry.revoked:
+    if located[0] != key:  # its signature was checked just now: remember it
+        revoked = frozenset(registry["revoked"])
+        resolver.remember_registry(url, (digest, located[0], registry, revoked))
+    if vc.status.status_id in revoked:
         return CheckResult(CheckStatus.INVALID, "Revoked", f"status id {vc.status.status_id}")
     return CheckResult(CheckStatus.VALID, "NotRevoked")
 

@@ -21,17 +21,28 @@ from pathlib import Path
 from .errors import DocumentInvalid, FetchFailed
 
 
-def read_json(path: str | Path) -> dict:
-    """The JSON object stored at path."""
+def read_bytes(path: str | Path) -> bytes:
+    """The bytes stored at path."""
     try:
-        obj = json.loads(Path(path).read_bytes())
+        return Path(path).read_bytes()
     except OSError as exc:
         raise FetchFailed(f"{path}: {exc.strerror or exc}") from exc
+
+
+def parse_json(data: bytes, name) -> dict:
+    """The JSON object data holds; name says where the bytes came from."""
+    try:
+        obj = json.loads(data)
     except (ValueError, RecursionError) as exc:  # not JSON, not text, or nested too deep
-        raise DocumentInvalid(f"{path}: invalid JSON: {exc}") from exc
+        raise DocumentInvalid(f"{name}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise DocumentInvalid(f"{path}: expected a JSON object, got {type(obj).__name__}")
+        raise DocumentInvalid(f"{name}: expected a JSON object, got {type(obj).__name__}")
     return obj
+
+
+def read_json(path: str | Path) -> dict:
+    """The JSON object stored at path."""
+    return parse_json(read_bytes(path), path)
 
 
 def _replace(path: Path, text: str) -> None:
@@ -52,10 +63,7 @@ def write_json(path: str | Path, obj: dict) -> None:
 
 def read_lines(path: str | Path) -> tuple[list[bytes], int]:
     """The complete lines of a log, without their newlines, and the offset where they end."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise FetchFailed(f"{path}: {exc.strerror or exc}") from exc
+    data = read_bytes(path)
     end = data.rfind(b"\n") + 1
     return data[:end].split(b"\n")[:-1], end
 

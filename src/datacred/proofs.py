@@ -11,7 +11,9 @@ A signature that verified once is not verified again by the same
 ``Resolver``: each resolver remembers, in a bounded set of its own, the
 successes it saw, keyed by the key the signer publishes now, the signature
 and the SHA-256 of the signing bytes. A failure is never remembered, and no
-two resolvers share what they remember.
+two resolvers share what they remember. A caller that keeps a document which
+verified passes its key to ``check_proof_key``, which then skips the signing
+bytes too while the signer still publishes that key.
 
 Timestamps are RFC 3339 UTC at second precision with a trailing ``Z``.
 """
@@ -163,6 +165,17 @@ def check_proof(
     ``<role>DocumentInvalid``. Failures to resolve are Indeterminate; every
     other failure is Invalid.
     """
+    result, located = check_proof_key(document, signer, resolver, proof_field, role)
+    return result, located and located[1]
+
+
+def check_proof_key(
+    document: dict, signer: str, resolver, proof_field: str = "proof", role: str = "Issuer",
+    verified: bytes | None = None,
+) -> tuple[CheckResult, tuple[bytes, str] | None]:
+    """check_proof, returning the (public key, purpose) found in place of the purpose.
+    verified is a key this very document's proof verified under before: while the
+    signer publishes it, the signature is not checked again."""
     proof_obj = document.get(proof_field)
     if not isinstance(proof_obj, dict):
         return CheckResult(CheckStatus.INVALID, "MissingProof"), None
@@ -184,7 +197,9 @@ def check_proof(
     if located is None:
         detail = f"{method} not published by {signer}"
         return CheckResult(CheckStatus.INVALID, "UnknownVerificationMethod", detail), None
-    public_key, purpose = located
+    public_key, _ = located
+    if public_key == verified:
+        return CheckResult(CheckStatus.VALID, "SignatureValid"), located
     message = signing_bytes(document, proof_field)
     seen = (public_key, proof.signature_value, hashlib.sha256(message).digest())
     try:
@@ -192,7 +207,7 @@ def check_proof(
             seen, lambda: verify_signature(public_key, message, proof.signature())
         )
     except (MalformedSignature, MalformedKey) as exc:
-        return CheckResult(CheckStatus.INVALID, "MalformedProof", str(exc)), purpose
+        return CheckResult(CheckStatus.INVALID, "MalformedProof", str(exc)), located
     if not ok:
-        return CheckResult(CheckStatus.INVALID, "SignatureMismatch"), purpose
-    return CheckResult(CheckStatus.VALID, "SignatureValid"), purpose
+        return CheckResult(CheckStatus.INVALID, "SignatureMismatch"), located
+    return CheckResult(CheckStatus.VALID, "SignatureValid"), located

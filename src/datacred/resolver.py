@@ -11,11 +11,13 @@ A resolved document is served from the resolver's cache for CACHE_TTL
 seconds, a module constant, and the cache keeps the CACHED_DOCUMENTS documents
 last used. The resolver counts its backend fetches, network ones apart, so
 callers can assert cache behavior and prove offline verification made no
-network fetch. It also remembers, for ``verified_once``, the last
-VERIFIED_PROOFS signatures it saw verify.
+network fetch; registry GETs count as network fetches too. It also
+remembers, for ``verified_once``, the last VERIFIED_PROOFS signatures it saw
+verify and, for ``fetch_registry``, the last VERIFIED_REGISTRIES registries.
 
-``request_json`` is datacred's only HTTP client, with one transport policy for
-DID documents, registries, agent envelopes and the admin client. Each thread
+``request_bytes`` is datacred's only HTTP client, with one transport policy for
+DID documents, registries, agent envelopes and the admin client; a registry
+GET may be conditional, and ``request_json`` parses the reply. Each thread
 keeps its own pool of sockets alive, one per origin and proxy, which
 ``http.client`` only opens (TLS, CONNECT tunnel). The proxy (``HTTP_PROXY``,
 ``HTTPS_PROXY``, ``NO_PROXY``) and CA bundle (``REQUESTS_CA_BUNDLE``, then
@@ -43,11 +45,12 @@ from urllib.request import getproxies_environment, proxy_bypass_environment
 
 from .did import Did, DidDocument, did_key_public_key, did_web_url, generate_did_key, parse_did
 from .errors import DocumentInvalid, FetchFailed, NotFound, UnsupportedMethod
-from .jsonfile import read_json
+from .jsonfile import parse_json, read_json
 
 CACHE_TTL = 300.0  # seconds a resolved document is served from the cache
 CACHED_DOCUMENTS = 1024  # resolved documents a Resolver keeps, least recently used out
 VERIFIED_PROOFS = 1024  # verified signatures a Resolver remembers, least recently used out
+VERIFIED_REGISTRIES = 4  # verified registries a Resolver keeps, least recently used out
 _HTTP_TIMEOUT = 5.0
 # Replies are read up to this size: a registry of 400,000 revoked ids at
 # about 40 bytes each, far above any DID document or envelope.
@@ -110,9 +113,11 @@ def _size(text, base: int) -> int:
 
 def _read_reply(fp) -> tuple[int, bytes, bool]:
     """(status, body, reusable) of the final reply read from fp, after any 1xx ones;
-    reusable means an HTTP/1.1 keep-alive reply that ended where its framing said.
+    reusable means an HTTP/1.1 keep-alive reply that ended where its framing said,
+    and did not carry both Transfer-Encoding and Content-Length (RFC 9112 §6.1).
     A body framed over MAX_RESPONSE_BYTES + 1 bytes is refused unread: that, bad
-    framing and a body cut short raise ValueError."""
+    framing, a transfer coding other than chunked and a body cut short raise
+    ValueError."""
     status = 100
     while status < 200:
         start, fields = read_head(fp)
@@ -124,7 +129,9 @@ def _read_reply(fp) -> tuple[int, bytes, bool]:
     limit = MAX_RESPONSE_BYTES + 1
     if status in (204, 304):
         return status, b"", keep
-    if fields.get("transfer-encoding", "").lower() == "chunked":
+    if (coding := fields.get("transfer-encoding")) is not None:  # it overrides Content-Length
+        if coding.lower() != "chunked":
+            raise ValueError(f"unsupported transfer coding {coding[:64]!r}")
         body = bytearray()
         while size := _size(_line(fp, 400).split(b";")[0], 16):  # then any extensions
             if len(body) + size > limit:
@@ -133,7 +140,7 @@ def _read_reply(fp) -> tuple[int, bytes, bool]:
             if len(chunk) < size or _line(fp, 400) not in (b"\r\n", b"\n"):
                 raise ValueError("reply ended inside a chunk")
         _fields(fp)  # trailer fields, unused
-        return status, body, keep
+        return status, body, keep and "content-length" not in fields  # both: never reused
     if "content-length" not in fields:
         return status, fp.read(limit), False  # up to the peer's close
     if (length := _size(fields["content-length"], 10)) > limit:
@@ -186,14 +193,15 @@ class _Pool(threading.local):
 _pool = _Pool()  # made now for the importing thread, at first use for any other
 
 
-def request_json(url: str, allow_insecure_loopback: bool, timeout: float, body=None):
-    """GET url, or POST body to it as JSON; returns (status, JSON reply).
+def request_bytes(url: str, allow_insecure_loopback: bool, timeout: float, body=None,
+                  etag: str | None = None) -> tuple[int, bytes]:
+    """GET url, with If-None-Match: etag when given, or POST body to it as JSON;
+    returns (status, reply bytes).
 
     Only https, or plain http to a loopback host when allowed. Redirects are
     refused, so the host checked here is the one that answers. A refused URL,
-    a transport failure, a 3xx or a reply over MAX_RESPONSE_BYTES raise
-    FetchFailed. A reply that is not JSON raises DocumentInvalid, or for a
-    status of 400 or more NotFound (404) or FetchFailed.
+    a transport failure, a 3xx (a 304 too, unless etag was sent) or a reply
+    over MAX_RESPONSE_BYTES raise FetchFailed.
     """
     parts = urlsplit(url)
     host = parts.hostname or ""
@@ -209,6 +217,8 @@ def request_json(url: str, allow_insecure_loopback: bool, timeout: float, body=N
         target = f"http://{parts.netloc}{target}"  # an HTTP proxy takes the absolute URL
     host_header = parts.netloc.rpartition("@")[2]
     head = f"{'GET' if body is None else 'POST'} {target} HTTP/1.1\r\nHost: {host_header}\r\n"
+    if etag is not None:
+        head += f"If-None-Match: {etag}\r\n"
     sock = None
     try:
         payload = b"" if body is None else json.dumps(body, allow_nan=False).encode("utf-8")
@@ -220,7 +230,7 @@ def request_json(url: str, allow_insecure_loopback: bool, timeout: float, body=N
         sock.sendall(f"{head}User-Agent: datacred\r\n\r\n".encode("ascii") + payload)  # one write
         with sock.makefile("rb") as fp:
             status, content, reusable = _read_reply(fp)
-        if 300 <= status < 400:
+        if 300 <= status < 400 and not (status == 304 and etag is not None):
             raise FetchFailed(f"{url}: refused redirect ({status})")
         if reusable:
             _pool.sockets[key], sock = sock, None
@@ -231,6 +241,14 @@ def request_json(url: str, allow_insecure_loopback: bool, timeout: float, body=N
     finally:
         if sock is not None:  # not back in the pool: hang up
             sock.close()
+    return status, content
+
+
+def request_json(url: str, allow_insecure_loopback: bool, timeout: float, body=None):
+    """request_bytes, then the reply parsed: (status, JSON reply). A reply that is not
+    JSON raises DocumentInvalid, or for a status of 400 or more NotFound (404) or
+    FetchFailed."""
+    status, content = request_bytes(url, allow_insecure_loopback, timeout, body)
     try:
         return status, json.loads(content)
     except (ValueError, RecursionError) as exc:  # not JSON, or nested too deep to parse
@@ -239,12 +257,13 @@ def request_json(url: str, allow_insecure_loopback: bool, timeout: float, body=N
         raise DocumentInvalid(f"{url}: response ({status}) is not JSON: {exc}") from exc
 
 
-def fetch_json(url: str, allow_insecure_loopback: bool):
-    """GET a DID document or registry; a 404 is NotFound and any other 4xx/5xx FetchFailed."""
-    status, document = request_json(url, allow_insecure_loopback, _HTTP_TIMEOUT)
+def fetch_bytes(url: str, allow_insecure_loopback: bool, etag: str | None = None):
+    """GET a DID document or registry: its bytes, or None for a 304 to etag; a 404 is
+    NotFound and any other 4xx/5xx FetchFailed."""
+    status, content = request_bytes(url, allow_insecure_loopback, _HTTP_TIMEOUT, etag=etag)
     if status >= 400:
         raise (NotFound if status == 404 else FetchFailed)(f"{url} returned {status}")
-    return document
+    return None if status == 304 else content
 
 
 class KeyBackend:
@@ -276,7 +295,8 @@ class WebBackend:
         return url
 
     def fetch(self, did: Did) -> dict:
-        return fetch_json(self._url(did), self.allow_insecure_loopback)
+        url = self._url(did)
+        return parse_json(fetch_bytes(url, self.allow_insecure_loopback), url)
 
 
 class StaticBackend:
@@ -325,9 +345,10 @@ class Resolver:
         self.backends = backends
         self._cache: OrderedDict[str, tuple[DidDocument, float]] = OrderedDict()
         self._verified: OrderedDict[tuple, None] = OrderedDict()
+        self._registries: OrderedDict[str, tuple] = OrderedDict()
         self._lock = threading.Lock()
         self.fetch_count = 0  # documents asked of a backend
-        self.network_fetch_count = 0  # of those, asked of a backend with network = True
+        self.network_fetch_count = 0  # of those, and registries, asked with network = True
 
     def resolve(self, did: Did | str) -> DidDocument:
         """Fetch, validate, and cache the document for a DID.
@@ -377,6 +398,28 @@ class Resolver:
             with self._lock:
                 _keep(self._verified, key, None, VERIFIED_PROOFS)
         return ok
+
+    def fetch_registry(self, source, url: str) -> tuple:
+        """(source.fetch(url, etag), the entry remember_registry last kept for url or None).
+
+        etag is the quoted hex of the entry's digest, which a publisher agent answers
+        with a 304 (fetch returns None) while its registry has those bytes. A fetch
+        from a source with network = True is counted in network_fetch_count."""
+        with self._lock:
+            if (entry := self._registries.get(url)) is not None:
+                self._registries.move_to_end(url)
+            if getattr(source, "network", False):
+                self.network_fetch_count += 1
+        return source.fetch(url, entry and f'"{entry[0].hex()}"'), entry
+
+    def remember_registry(self, url: str, entry: tuple) -> None:
+        """Keep entry, (SHA-256 of the bytes, key, registry, frozenset of its revoked
+        ids), of a registry that verified, for the VERIFIED_REGISTRIES URLs last used.
+        A reply is at most MAX_RESPONSE_BYTES. Kept, one of that size takes about
+        55 MiB when its ids are UUIDs (430,000 of them) and at worst about 190 MiB
+        (3.4 million two-character ids), so at worst about 760 MiB per resolver."""
+        with self._lock:
+            _keep(self._registries, url, entry, VERIFIED_REGISTRIES)
 
 
 def _keep(lru: OrderedDict, key, value, bound: int) -> None:

@@ -15,7 +15,8 @@ import datacred
 from datacred.agent import AgentConfig
 from datacred.canonical import canonicalize
 from datacred.cli import main
-from datacred.credential import DATASET_PROVENANCE_V1, issue_credential
+from datacred.credential import DATASET_PROVENANCE_V1, CredentialStatus, issue_credential
+from datacred.credential import new_registry
 from datacred.did import generate_did_key
 from datacred.fingerprint import fingerprint_bytes
 from datacred.keys import generate_keypair
@@ -550,12 +551,37 @@ def test_cli_verify_against_live_publisher(runner, workspace, agent_factory):
     assert ok.exit_code == 0, ok.output
     report = stdout_json(ok)
     assert report["overall"] == "Valid"
-    assert report["networkFetches"] >= 1  # resolved the publisher's did:web live
+    assert report["networkFetches"] == 2  # the publisher's did:web document and its registry
 
     publisher.revoke_status(publisher.find_status_id(credential.id))
     revoked = invoke(runner, "verify", "live-cred.json", "--insecure-http", "--json")
     assert revoked.exit_code == 1
     assert stdout_json(revoked)["checks"]["revocation"]["reason"] == "Revoked"
+
+
+def test_cli_counts_a_registry_get_as_a_network_fetch(runner, workspace, json_server):
+    """A did:key issuer resolves locally, so its http registry is the one network fetch."""
+    key = generate_keypair()
+    did, _ = generate_did_key(key.public_key)
+    json_server.set("/registry", new_registry(did, key).to_json())
+    credential = issue_credential(
+        key, did, did, DATASET_PROVENANCE_V1,
+        {"Hash of Data": fingerprint_bytes(b"x").digest, "Data Ethically Sourced": "YES"},
+        status=CredentialStatus(json_server.url("/registry"), "s-1"),
+    )
+    (workspace / "cred.json").write_text(json.dumps(credential.to_json()))
+    report = stdout_json(must(runner, "verify", "cred.json", "--insecure-http", "--json"))
+    assert (report["overall"], report["networkFetches"]) == ("Valid", 1)
+    assert json_server.request_count == 1
+
+    json_server.set("/pinned", ["not", "a", "registry"])
+    pinned = json_server.url("/pinned")
+    result = invoke(runner, "verify", "cred.json", "--insecure-http", "--json",
+                    "--registry", pinned)
+    report = stdout_json(result)
+    revocation = report["checks"]["revocation"]
+    assert (revocation["reason"], report["networkFetches"]) == ("RegistryUnavailable", 1)
+    assert revocation["detail"].startswith(f"{pinned}: expected a JSON object")
 
 
 def child_env():

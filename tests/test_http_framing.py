@@ -1,6 +1,7 @@
 """HTTP/1.1 framing on both ends of the agent wire: request_json reading replies from
 a raw-socket server, and the agent's server reading requests from a raw socket."""
 
+import hashlib
 import json
 import socket
 import threading
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from datacred.agent.service import MAX_BODY_BYTES
 from datacred.errors import DocumentInvalid, FetchFailed, NotFound
-from datacred.resolver import MAX_HEADERS, MAX_LINE, MAX_RESPONSE_BYTES, request_json
+from datacred.resolver import MAX_HEADERS, MAX_LINE, MAX_RESPONSE_BYTES, read_head, request_json
 from test_http_path import in_fresh_thread
 
 pytestmark = pytest.mark.usefixtures("fast_wallet_kdf")
@@ -106,7 +107,9 @@ def test_reply_without_length_is_read_until_close_and_not_pooled(raw_stub):
 @pytest.mark.parametrize("reply", [
     b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\n{}",
     b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\n{}",
-], ids=["connection-close", "http-1.0"])
+    b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nTransfer-Encoding: chunked\r\n\r\n"
+    b"2\r\n{}\r\n0\r\n\r\n",
+], ids=["connection-close", "http-1.0", "chunked-and-length"])
 def test_closing_reply_is_not_pooled(raw_stub, reply):
     assert twice(raw_stub(reply)) == ([(200, {})] * 2, 2)
 
@@ -129,10 +132,12 @@ def test_a_head_of_max_headers_fields_is_read(raw_stub):
     b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n{}",
     b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-2\r\n{}\r\n0\r\n\r\n",
     b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\n{}",
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip, chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: identity\r\nContent-Length: 2\r\n\r\n{}",
     b"",
 ], ids=["status-without-code", "not-http", "field-without-colon", "too-many-fields",
         "line-over-the-limit", "body-cut-short", "negative-length", "negative-chunk",
-        "chunk-cut-short", "no-reply"])
+        "chunk-cut-short", "coding-before-chunked", "coding-not-chunked", "no-reply"])
 def test_malformed_reply_is_fetch_failed(raw_stub, reply):
     stub = raw_stub(reply, close=True)
     with pytest.raises(FetchFailed):
@@ -232,6 +237,46 @@ def test_request_is_answered_then_the_connection_closed(agent_factory, request_b
     if status == 200:
         assert json.loads(body) == dataset.did_document.to_json()
     assert still_answers(dataset)
+
+
+@pytest.mark.parametrize("smuggled, status", [
+    (b"POST /connect HTTP/1.1\r\nHost: agent\r\nTransfer-Encoding: chunked\r\n"
+     b"Content-Length: 7\r\n\r\n0\r\n\r\n", 501),
+    (b"POST /inbox HTTP/1.1\r\nHost: agent\r\nTransfer-Encoding: chunked\r\n\r\n"
+     b"2\r\n{}\r\n0\r\n\r\n", 501),
+    (GET_DID + b"Content-Length: 33\r\n\r\nGET /status HTTP/1.1\r\nHost: a\r\n\r\n", 400),
+], ids=["chunked-and-length", "chunked", "get-with-a-body"])
+def test_request_framing_two_readers_could_split_is_refused_and_closed(
+    agent_factory, smuggled, status
+):
+    """RFC 9112 §6.1 and §6.3: nothing after such a request is read as another request."""
+    dataset = agent_factory("dataset")
+    answer = exchange(dataset, smuggled + GET_DID + b"\r\n", half_close=True)
+    head, _, body = answer.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 %d " % status)
+    assert b"\r\nConnection: close" in head
+    assert answer.count(b"HTTP/1.1 ") == 1  # no second answer: the connection was closed
+    assert json.loads(body)["error"] == "BadRequest"
+    assert still_answers(dataset)
+
+
+def test_registry_is_served_with_its_digest_as_etag_and_a_304(agent_factory):
+    publisher = agent_factory("publisher")
+    get = b"GET /registry HTTP/1.1\r\nHost: agent\r\n"
+    with socket.create_connection(("127.0.0.1", publisher.config.listen_port), timeout=3) as sock:
+        sock.sendall(get + b"\r\n")
+        lines = sock.makefile("rb")
+        start, fields = read_head(lines)
+        body = lines.read(int(fields["content-length"]))
+        etag = fields["etag"]
+        assert (start, json.loads(body)) == ("HTTP/1.1 200 OK", publisher.state.registry)
+        assert etag == '"%s"' % hashlib.sha256(body).hexdigest()
+        for tags in (etag, f'"other", W/{etag}'):
+            sock.sendall(get + f"If-None-Match: {tags}\r\n\r\n".encode())
+            assert read_head(lines) == ("HTTP/1.1 304 Not Modified", {"etag": etag})
+        sock.sendall(get + b'If-None-Match: "other"\r\nConnection: close\r\n\r\n')
+        start, fields = read_head(lines)
+        assert (start, lines.read()) == ("HTTP/1.1 200 OK", body)
 
 
 def test_body_nested_too_deep_to_parse_is_a_bad_request(agent_factory):
