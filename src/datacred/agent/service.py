@@ -57,9 +57,9 @@ from ..credential import (
     RevocationRegistry,
     VerifiableCredential,
     check_receipt,
+    check_registry_key,
     issue_credential,
-    new_registry,
-    revoke,
+    sign_registry,
 )
 from ..did import Did, DidDocument, generate_did_key, one_key_document, parse_did
 from ..errors import (
@@ -79,6 +79,7 @@ from ..errors import (
     SignatureInvalid,
     Unreachable,
     UnsupportedMessage,
+    WrongIssuerKey,
 )
 from ..jsonfile import write_json
 from ..keys import KeyPair, generate_keypair
@@ -88,7 +89,7 @@ from ..presentation import (
     new_challenge,
     verify_presentation,
 )
-from ..proofs import parse_timestamp
+from ..proofs import Proof, parse_timestamp
 from ..reports import CheckResult, CheckStatus, PresentationReport
 from ..resolver import HeadRefused, KeyBackend, Resolver, WebBackend, is_loopback_host
 from ..resolver import read_head, request_json
@@ -229,8 +230,14 @@ class Agent:
         self.state = AgentState(config.resolved_state_path())
         self.state.load()
         if config.role == "publisher" and self.state.registry is None:
-            self.state.registry = new_registry(self.did, self.key).to_json()
+            self.state.record_registry(sign_registry(self.did.text, [], self.key))
             self.state.save()
+        elif config.role == "publisher":
+            # Checked once here, so revoke_status extends only a registry this key signed.
+            try:
+                check_registry_key(self.state.registry, self.key)
+            except WrongIssuerKey as exc:
+                raise DocumentInvalid(f"{self.state.registry_path}: {exc}") from exc
 
         insecure = config.allow_insecure_http
         self.resolver = Resolver([KeyBackend(), WebBackend(allow_insecure_loopback=insecure)])
@@ -432,15 +439,18 @@ class Agent:
         return report
 
     def revoke_status(self, status_id: str) -> RevocationRegistry:
-        """Revoke a status id and republish the registry document."""
+        """Revoke a status id and republish the registry document: one signature and
+        one line on the registry log. An id revoked before leaves the registry as it is."""
         if self.config.role != "publisher":
             raise RoleForbidden("only publisher agents hold a revocation registry")
         with self._lock:
-            registry = RevocationRegistry.from_json(self.state.registry)
-            updated = revoke(registry, status_id, self.key)
-            self.state.registry = updated.to_json()
-            self.state.save()
-        return updated
+            state = self.state
+            if status_id not in state.revoked:
+                issuer, revoked = state.registry["issuer"], state.registry["revoked"]
+                state.record_registry(sign_registry(issuer, [*revoked, status_id], self.key))
+            registry = state.registry
+        return RevocationRegistry(registry["issuer"], list(registry["revoked"]),
+                                  registry["updated"], Proof.from_json(registry["proof"]))
 
     def registry_reply(self) -> tuple[bytes, str]:
         """The registry's JSON bytes and their ETag, the quoted hex SHA-256 of the
@@ -453,10 +463,7 @@ class Agent:
         return reply[1], reply[2]
 
     def find_status_id(self, credential_id: str) -> str | None:
-        for record in self.state.issued:
-            if record["credentialId"] == credential_id:
-                return record["statusId"]
-        return None
+        return self.state.status_ids.get(credential_id)
 
     # --- inbound envelope handling ---
 

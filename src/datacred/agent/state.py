@@ -1,4 +1,4 @@
-"""Durable agent state: connections, registry, and an issuance log.
+"""Durable agent state: connections, an issuance log and a registry log.
 
 None of this is secret (keys and credentials live in the encrypted wallet),
 but it must survive restarts, so it holds only what is settled. A connection
@@ -7,21 +7,29 @@ nothing behind, and a reconnect replaces the peer's earlier record.
 Challenges are never recorded: a proof request checks the presented
 challenge byte for byte against the one it generated, within the same call.
 
-Two files sit next to the wallet:
+Three files sit next to the wallet:
 
 - the state document (``<wallet>.state.json`` unless configured) holds the
-  connections and the publisher's registry; ``save`` replaces it atomically.
+  connections; ``save`` replaces it atomically.
 - the issuance log (the state path with suffix ``.issued.jsonl``) holds the
   publisher's issuance records, one JSON object per line. ``record_issued``
   appends one line, so an issue never rewrites the state document.
+- the registry log (suffix ``.registry.jsonl``) holds the publisher's signed
+  registry: a snapshot, the whole registry, then one line per id revoked since,
+  ``{"revoke": id, "updated": ..., "proof": ...}``, the last of which holds the
+  registry's ``updated`` and ``proof``. ``record_registry`` appends a line, unless
+  the appended lines would then outnumber the snapshot's ids: then the registry
+  is written as the new snapshot, so n revocations rewrite the log about log2(n)
+  times.
 
 Torn tail: a crash mid-append can leave a last line with no newline. ``load``
 ignores it and the next append cuts it off. No write is fsynced.
 
-A state document written before the log existed carries ``issued`` itself.
-``load`` copies those records into a new log when there is none yet, and
-the next ``save`` drops them from the document. A damaged state document or
-log raises DocumentInvalid naming the file.
+A state document written before the logs existed carries ``issued`` and
+``registry`` itself. ``load`` copies each into a new log when there is none
+yet (an existing log wins), and the next ``save`` drops them from the
+document. A damaged state document or log raises DocumentInvalid naming the
+file; whether the registry verifies is the agent's check.
 """
 
 from __future__ import annotations
@@ -31,7 +39,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..errors import DocumentInvalid
+from ..credential import RevocationRegistry
+from ..errors import DatacredError, DocumentInvalid
 from ..jsonfile import append_line, read_json, read_lines, write_json, write_lines
 
 
@@ -69,16 +78,42 @@ def _objects(value) -> bool:
     return isinstance(value, list) and all(isinstance(item, dict) for item in value)
 
 
+def _encode(obj: dict) -> bytes:
+    return json.dumps(obj).encode("ascii")
+
+
+def _log_object(path: Path, number: int, line: bytes) -> dict:
+    try:
+        obj = json.loads(line)
+    except ValueError as exc:
+        raise DocumentInvalid(f"{path}: line {number}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DocumentInvalid(f"{path}: line {number} is not a JSON object")
+    return obj
+
+
+def _check_registry(registry, name: str) -> None:
+    try:
+        RevocationRegistry.from_json(registry)
+    except DatacredError as exc:
+        raise DocumentInvalid(f"{name}: {exc}") from exc
+
+
 class AgentState:
-    """Everything an agent must remember between restarts: a document and a log."""
+    """Everything an agent must remember between restarts: a document and two logs."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.issued_path = self.path.with_suffix(".issued.jsonl")
+        self.registry_path = self.path.with_suffix(".registry.jsonl")
         self.connections: dict[str, Connection] = {}
         self.registry: dict | None = None  # publisher's signed revocation registry
+        self.revoked: set[str] = set()  # the registry's revoked ids
         self.issued: list[dict] = []  # publisher's issuance records, as in the log
-        self._issued_end = 0  # where the log's complete lines end
+        self.status_ids: dict = {}  # credential id -> status id, of the first record for it
+        self._issued_end = 0  # where the issuance log's complete lines end
+        self._registry_end = 0  # where the registry log's complete lines end
+        self._snapshot_ids = 0  # revoked ids in the registry log's snapshot
 
     def connection_for_did(self, their_did: str) -> Connection | None:
         for connection in self.connections.values():
@@ -94,20 +129,34 @@ class AgentState:
 
     def record_issued(self, record: dict) -> None:
         """Append one issuance record to the log."""
-        line = json.dumps(record).encode("ascii")
-        self._issued_end = append_line(self.issued_path, line, self._issued_end)
+        self._issued_end = append_line(self.issued_path, _encode(record), self._issued_end)
         self.issued.append(record)
+        self.status_ids.setdefault(record.get("credentialId"), record.get("statusId"))
+
+    def record_registry(self, registry: dict) -> None:
+        """Make registry, a signed registry's JSON, the publisher's: the first one, or
+        the current one with one more id at the end of its revoked list."""
+        revoked = registry["revoked"]
+        if self.registry is not None and len(revoked) <= 2 * self._snapshot_ids:
+            line = {"revoke": revoked[-1], "updated": registry["updated"],
+                    "proof": registry["proof"]}
+            self._registry_end = append_line(self.registry_path, _encode(line), self._registry_end)
+            self.revoked.add(revoked[-1])
+        else:
+            self._registry_end = write_lines(self.registry_path, [_encode(registry)])
+            self._snapshot_ids, self.revoked = len(revoked), set(revoked)
+        self.registry = registry
 
     def load(self) -> None:
-        legacy: list = []
+        legacy, registry = [], None
         if self.path.exists():
             obj = read_json(self.path)
             connections, registry = obj.get("connections", []), obj.get("registry")
             legacy = obj.get("issued", [])
             if not _objects(connections):
                 raise DocumentInvalid(f"{self.path}: connections must be a list of objects")
-            if registry is not None and not isinstance(registry, dict):
-                raise DocumentInvalid(f"{self.path}: registry must be an object")
+            if registry is not None:
+                _check_registry(registry, f"{self.path}: registry")
             if not _objects(legacy):
                 raise DocumentInvalid(f"{self.path}: issued must be a list of objects")
             try:
@@ -119,29 +168,35 @@ class AgentState:
                 }
             except (KeyError, TypeError) as exc:
                 raise DocumentInvalid(f"{self.path}: bad connection record: {exc}") from exc
-            self.registry = registry
         if self.issued_path.exists():
             lines, self._issued_end = read_lines(self.issued_path)
-            self.issued = [self._issued_record(number, line) for number, line in
+            self.issued = [_log_object(self.issued_path, n, line) for n, line in
                            enumerate(lines, 1)]
         elif legacy:
-            lines = [json.dumps(record).encode("ascii") for record in legacy]
-            self._issued_end = write_lines(self.issued_path, lines)
+            self._issued_end = write_lines(self.issued_path, [_encode(r) for r in legacy])
             self.issued = list(legacy)
+        self.status_ids = {r.get("credentialId"): r.get("statusId") for r in reversed(self.issued)}
+        if self.registry_path.exists():
+            self._load_registry()
+        elif registry is not None:
+            self.record_registry(registry)
 
-    def _issued_record(self, number: int, line: bytes) -> dict:
-        try:
-            record = json.loads(line)
-        except ValueError as exc:
-            raise DocumentInvalid(f"{self.issued_path}: line {number}: invalid JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise DocumentInvalid(f"{self.issued_path}: line {number} is not a JSON object")
-        return record
+    def _load_registry(self) -> None:
+        path = self.registry_path
+        lines, self._registry_end = read_lines(path)
+        if not lines:
+            raise DocumentInvalid(f"{path}: no registry snapshot")
+        registry = _log_object(path, 1, lines[0])
+        _check_registry(registry, f"{path}: line 1")
+        entries = [_log_object(path, n, line) for n, line in enumerate(lines[1:], 2)]
+        revoked = [*registry["revoked"], *(entry.get("revoke") for entry in entries)]
+        if entries:
+            registry = {"issuer": registry["issuer"], "revoked": revoked,
+                        "updated": entries[-1].get("updated"), "proof": entries[-1].get("proof")}
+            _check_registry(registry, str(path))
+        self._snapshot_ids = len(revoked) - len(entries)
+        self.registry, self.revoked = registry, set(revoked)
 
     def save(self) -> None:
-        """Replace the state document; issuance records stay in the log."""
-        obj = {
-            "connections": [c.to_json() for c in self.connections.values()],
-            "registry": self.registry,
-        }
-        write_json(self.path, obj)
+        """Replace the state document; issuance records and the registry stay in their logs."""
+        write_json(self.path, {"connections": [c.to_json() for c in self.connections.values()]})

@@ -33,6 +33,7 @@ from .errors import (
     BadDates,
     DatacredError,
     FetchFailed,
+    MalformedSignature,
     NoHashClaim,
     SchemaMismatch,
     WrongIssuerKey,
@@ -327,12 +328,27 @@ class RevocationRegistry:
         return registry
 
 
+def sign_registry(issuer: str, revoked: list[str], issuer_key: KeyPair) -> dict:
+    """The JSON of issuer's registry of the revoked ids, updated now and signed."""
+    registry = {"issuer": issuer, "revoked": revoked, "updated": format_timestamp(utc_now())}
+    return attach_proof(registry, issuer_key, issuer, ASSERTION)
+
+
 def new_registry(issuer_did: Did | str, issuer_key: KeyPair) -> RevocationRegistry:
     """Create an empty, signed revocation registry for an issuer."""
     issuer = issuer_did.text if isinstance(issuer_did, Did) else parse_did(issuer_did).text
-    registry = RevocationRegistry(issuer=issuer, revoked=[], updated=format_timestamp(utc_now()))
-    signed = attach_proof(registry.to_json(), issuer_key, issuer, ASSERTION)
-    return RevocationRegistry.from_json(signed)
+    return RevocationRegistry.from_json(sign_registry(issuer, [], issuer_key))
+
+
+def check_registry_key(registry: dict, issuer_key: KeyPair) -> None:
+    """Raise WrongIssuerKey unless the registry's proof verifies under issuer_key, which
+    ties the key to the registry's issuer without a resolver round-trip."""
+    try:
+        if verify_proof(registry, issuer_key.public_key):
+            return
+    except MalformedSignature:
+        pass
+    raise WrongIssuerKey(f"key does not control registry for {registry.get('issuer')}")
 
 
 def revoke(
@@ -340,19 +356,13 @@ def revoke(
 ) -> RevocationRegistry:
     """Add a status id to the revoked list and re-sign; idempotent.
 
-    The supplied key must verify the registry's current proof, which is what
-    ties it to the registry's issuer without a resolver round-trip.
+    The supplied key must verify the registry's current proof (check_registry_key).
     """
-    if registry.proof is None or not verify_proof(registry.to_json(), issuer_key.public_key):
-        raise WrongIssuerKey(f"key does not control registry for {registry.issuer}")
+    check_registry_key(registry.to_json(), issuer_key)
     revoked = list(registry.revoked)
     if status_id not in revoked:
         revoked.append(status_id)
-    updated = RevocationRegistry(
-        issuer=registry.issuer, revoked=revoked, updated=format_timestamp(utc_now())
-    )
-    signed = attach_proof(updated.to_json(), issuer_key, registry.issuer, ASSERTION)
-    return RevocationRegistry.from_json(signed)
+    return RevocationRegistry.from_json(sign_registry(registry.issuer, revoked, issuer_key))
 
 
 # --- registry sources ---
@@ -434,7 +444,7 @@ def _check_revocation(
         reply, known = resolver.fetch_registry(registry_source, url)
         digest = known[0] if reply is None else hashlib.sha256(reply).digest()
         if known is not None and digest == known[0]:  # bytes parsed and verified before
-            _, key, registry, revoked = known
+            _, key, registry, revoked, _ = known
         else:
             name = getattr(registry_source, "path", url)  # a bundle's file, else the URL
             key, registry = None, RevocationRegistry.from_json(parse_json(reply, name)).to_json()
@@ -451,7 +461,7 @@ def _check_revocation(
         return CheckResult(CheckStatus.INDETERMINATE, "RegistryInvalid", detail)
     if located[0] != key:  # its signature was checked just now: remember it
         revoked = frozenset(registry["revoked"])
-        resolver.remember_registry(url, (digest, located[0], registry, revoked))
+        resolver.remember_registry(url, (digest, located[0], registry, revoked, len(reply)))
     if vc.status.status_id in revoked:
         return CheckResult(CheckStatus.INVALID, "Revoked", f"status id {vc.status.status_id}")
     return CheckResult(CheckStatus.VALID, "NotRevoked")

@@ -6,10 +6,10 @@ removed if the write fails, so no reader or crash sees a torn file. A read
 yields a JSON object or an error naming the file: FetchFailed when it cannot
 be read, else DocumentInvalid.
 
-Logs (the wallet and the issuance log) are JSON-lines files that grow by
-appending one line. A crash mid-append can leave a last line with no newline;
-that torn tail is not part of the log: ``read_lines`` leaves it out and the
-next ``append_line`` cuts it off before writing. No write is fsynced.
+Logs (the wallet, and an agent's issuance and registry logs) are JSON-lines
+files that grow by appending one line. A crash mid-append can leave a last
+line with no newline; that torn tail is not part of the log: ``read_lines``
+leaves it out and the next ``append_line`` cuts it off. No write is fsynced.
 """
 
 from __future__ import annotations

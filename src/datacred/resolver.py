@@ -13,7 +13,8 @@ last used. The resolver counts its backend fetches, network ones apart, so
 callers can assert cache behavior and prove offline verification made no
 network fetch; registry GETs count as network fetches too. It also
 remembers, for ``verified_once``, the last VERIFIED_PROOFS signatures it saw
-verify and, for ``fetch_registry``, the last VERIFIED_REGISTRIES registries.
+verify and, for ``fetch_registry``, the last VERIFIED_REGISTRIES registries
+within VERIFIED_REGISTRY_BYTES of replies.
 
 ``request_bytes`` is datacred's only HTTP client, with one transport policy for
 DID documents, registries, agent envelopes and the admin client; a registry
@@ -51,6 +52,7 @@ CACHE_TTL = 300.0  # seconds a resolved document is served from the cache
 CACHED_DOCUMENTS = 1024  # resolved documents a Resolver keeps, least recently used out
 VERIFIED_PROOFS = 1024  # verified signatures a Resolver remembers, least recently used out
 VERIFIED_REGISTRIES = 4  # verified registries a Resolver keeps, least recently used out
+VERIFIED_REGISTRY_BYTES = 4 << 20  # and the reply bytes they may total
 _HTTP_TIMEOUT = 5.0
 # Replies are read up to this size: a registry of 400,000 revoked ids at
 # about 40 bytes each, far above any DID document or envelope.
@@ -414,12 +416,16 @@ class Resolver:
 
     def remember_registry(self, url: str, entry: tuple) -> None:
         """Keep entry, (SHA-256 of the bytes, key, registry, frozenset of its revoked
-        ids), of a registry that verified, for the VERIFIED_REGISTRIES URLs last used.
-        A reply is at most MAX_RESPONSE_BYTES. Kept, one of that size takes about
-        55 MiB when its ids are UUIDs (430,000 of them) and at worst about 190 MiB
-        (3.4 million two-character ids), so at worst about 760 MiB per resolver."""
+        ids, reply size), of a registry that verified, for the VERIFIED_REGISTRIES URLs
+        last used while their replies total at most VERIFIED_REGISTRY_BYTES; a larger
+        reply is not kept. Kept, 4 MiB of replies take about 14 MiB with UUID ids and at
+        worst 47 MiB (840,000 two-character ids), as tracemalloc measures them."""
         with self._lock:
-            _keep(self._registries, url, entry, VERIFIED_REGISTRIES)
+            self._registries.pop(url, None)
+            if entry[-1] <= VERIFIED_REGISTRY_BYTES:
+                _keep(self._registries, url, entry, VERIFIED_REGISTRIES)
+            while sum(kept[-1] for kept in self._registries.values()) > VERIFIED_REGISTRY_BYTES:
+                self._registries.popitem(last=False)
 
 
 def _keep(lru: OrderedDict, key, value, bound: int) -> None:

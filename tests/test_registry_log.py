@@ -1,0 +1,249 @@
+"""The publisher's registry log: a signed snapshot, then one line per revocation,
+compacted into a new snapshot before the appended lines outnumber its ids."""
+
+import json
+import math
+import re
+import sys
+import threading
+
+import pytest
+import requests
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from datacred import proofs
+from datacred.agent import Agent
+from datacred.agent import state as state_module
+from datacred.agent.state import AgentState
+from datacred.credential import check_registry_key
+from datacred.errors import DocumentInvalid
+from datacred.fingerprint import fingerprint_bytes
+from datacred.jsonfile import read_lines
+
+pytestmark = pytest.mark.usefixtures("fast_wallet_kdf")
+
+CLAIMS = {"Hash of Data": fingerprint_bytes(b"the published dataset").digest,
+          "Data Ethically Sourced": "YES"}
+
+
+def log_lines(publisher) -> list[dict]:
+    """The registry log's complete lines."""
+    return [json.loads(line) for line in read_lines(publisher.state.registry_path)[0]]
+
+
+def write_log(publisher, lines: list[dict]) -> None:
+    publisher.state.registry_path.write_bytes(
+        b"".join(json.dumps(line).encode() + b"\n" for line in lines))
+
+
+def assert_registry(publisher, revoked: list[str]) -> None:
+    """The publisher holds and serves registry of exactly these ids, signed by its key."""
+    registry = publisher.state.registry
+    check_registry_key(registry, publisher.key)
+    assert registry["revoked"] == revoked and publisher.state.revoked == set(revoked)
+    assert json.loads(publisher.registry_reply()[0]) == registry
+
+
+@pytest.fixture
+def peer(agent_factory):
+    return agent_factory("dataset", name="peer")
+
+
+STEPS = ["new", "repeat", "connect", "restart", "tear", "cross"]
+_examples = iter(range(1 << 30))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(steps=st.lists(st.tuples(st.sampled_from(STEPS), st.integers(0, 99)), max_size=8))
+def test_registry_after_any_steps_is_the_completed_revocations(agent_factory, peer, steps):
+    publisher = agent_factory("publisher", name=f"publisher{next(_examples)}")
+    model, fresh = [], iter(f"s-{n}" for n in range(1 << 30))
+
+    def restart():
+        nonlocal publisher
+        publisher = agent_factory.restart(publisher)
+        assert_registry(publisher, model)
+
+    for kind, n in steps:
+        if kind == "new":
+            model.append(next(fresh))
+            publisher.revoke_status(model[-1])
+        elif kind == "repeat" and model:
+            publisher.revoke_status(model[n % len(model)])
+        elif kind == "connect":
+            publisher.connect(**peer.invitation())
+        elif kind == "restart":
+            restart()
+        elif kind == "tear" and len(log_lines(publisher)) > 1:
+            # A crash while appending the last revocation: it never completed.
+            path = publisher.state.registry_path
+            data = path.read_bytes()
+            data = data[:data.rindex(b"\n") + 1]  # without a tail an earlier tear left
+            last = data.rindex(b"\n", 0, len(data) - 1) + 1
+            path.write_bytes(data[:last + n % (len(data) - last)])
+            model.pop()
+            restart()
+            model.append(next(fresh))  # appended where the torn tail began
+            publisher.revoke_status(model[-1])
+        elif kind == "cross":
+            lines = log_lines(publisher)
+            for _ in range(len(lines[0]["revoked"]) - (len(lines) - 1) + 1):
+                model.append(next(fresh))
+                publisher.revoke_status(model[-1])
+            assert len(log_lines(publisher)) == 1
+        assert publisher.state.registry["revoked"] == model
+    restart()
+
+
+def test_revocations_cost_one_signature_each_and_rewrite_the_log_rarely(
+    agent_factory, monkeypatch, verifies
+):
+    publisher = agent_factory("publisher")
+    signs, saves, rewrites = [], [], []
+    sign, save, write_lines = proofs.sign, AgentState.save, state_module.write_lines
+    monkeypatch.setattr(proofs, "sign", lambda *args: (signs.append(1), sign(*args))[1])
+    monkeypatch.setattr(AgentState, "save", lambda self: (saves.append(1), save(self))[1])
+    monkeypatch.setattr(state_module, "write_lines",
+                        lambda path, lines: (rewrites.append(path), write_lines(path, lines))[1])
+    count = 40
+    for n in range(count):
+        publisher.revoke_status(f"s-{n}")
+    assert (len(verifies), len(saves), len(signs)) == (0, 0, count)
+    assert 0 < len(rewrites) <= math.ceil(math.log2(count + 1)) + 1
+    assert set(rewrites) == {publisher.state.registry_path}
+    assert_registry(publisher, [f"s-{n}" for n in range(count)])
+
+
+def test_a_repeated_revocation_changes_nothing(agent_factory):
+    publisher = agent_factory("publisher")
+    for status_id in ("s-1", "s-2"):
+        publisher.revoke_status(status_id)
+    log, registry = publisher.state.registry_path.read_bytes(), publisher.state.registry
+    assert publisher.revoke_status("s-1").to_json() == registry
+    assert publisher.state.registry is registry
+    assert publisher.state.registry_path.read_bytes() == log
+
+
+def test_threads_revoking_at_once_lose_and_repeat_no_id(agent_factory):
+    """More threads than CPUs, half of each one's ids shared, a switch every microsecond."""
+    publisher = agent_factory("publisher")
+    batches = [[f"s-{n}" for n in range(t * 10, t * 10 + 20)] for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda ids=ids: [publisher.revoke_status(i)
+                                                            for i in ids]) for ids in batches]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    revoked = publisher.state.registry["revoked"]
+    assert sorted(revoked) == sorted(f"s-{n}" for n in range(50))
+    assert_registry(agent_factory.restart(publisher), revoked)
+
+
+def _drop_snapshot_id(lines):
+    lines[0]["revoked"].pop(1)
+
+
+def _drop_middle_line(lines):
+    del lines[2]
+
+
+def _swap_last_lines(lines):
+    lines[-2], lines[-1] = lines[-1], lines[-2]
+
+
+def _earlier_proof(lines):
+    lines[-1]["proof"] = lines[-2]["proof"]
+
+
+def _no_snapshot(lines):
+    lines.clear()
+
+
+@pytest.mark.parametrize("tamper", [_drop_snapshot_id, _drop_middle_line, _swap_last_lines,
+                                    _earlier_proof, _no_snapshot],
+                         ids=["snapshot-id-removed", "line-removed", "lines-swapped",
+                              "earlier-proof", "empty"])
+def test_a_tampered_log_stops_the_publisher(agent_factory, tamper):
+    publisher = agent_factory("publisher")
+    for n in range(6):
+        publisher.revoke_status(f"s-{n}")
+    lines = log_lines(publisher)
+    assert [len(line.get("revoked", [])) for line in lines] == [3, 0, 0, 0]
+    publisher.stop()
+    tamper(lines)
+    write_log(publisher, lines)
+    with pytest.raises(DocumentInvalid, match=re.escape(str(publisher.state.registry_path))):
+        Agent(publisher.config).start()
+
+
+def test_a_state_document_with_its_registry_inline_moves_it_to_the_log(agent_factory):
+    publisher = agent_factory("publisher")
+    for n in range(3):
+        publisher.revoke_status(f"s-{n}")
+    registry, path = publisher.state.registry, publisher.state.path
+    publisher.stop()
+    # The document as earlier versions wrote it, with no registry log beside it.
+    document = {**json.loads(path.read_text()), "registry": registry}
+    path.write_text(json.dumps(document, indent=2) + "\n")
+    publisher.state.registry_path.unlink()
+    publisher = agent_factory.restart(publisher)
+    assert_registry(publisher, ["s-0", "s-1", "s-2"])
+    served = requests.get(publisher.base_url + "/registry", timeout=5).json()
+    assert served == registry
+    assert log_lines(publisher) == [registry]
+    publisher.revoke_status("s-3")
+    publisher.state.save()
+    assert "registry" not in json.loads(path.read_text())
+    assert_registry(agent_factory.restart(publisher), ["s-0", "s-1", "s-2", "s-3"])
+
+
+def test_the_registry_log_wins_over_an_inline_registry(agent_factory):
+    publisher = agent_factory("publisher")
+    publisher.revoke_status("s-0")
+    stale, path = publisher.state.registry, publisher.state.path
+    publisher.revoke_status("s-1")
+    publisher.stop()
+    path.write_text(json.dumps({**json.loads(path.read_text()), "registry": stale}))
+    assert_registry(agent_factory.restart(publisher), ["s-0", "s-1"])
+
+
+def test_revocation_holds_across_a_publisher_restart(agent_factory):
+    publisher, dataset = agent_factory("publisher"), agent_factory("dataset")
+    connection = publisher.connect(**dataset.invitation())
+    credential = publisher.issue_over_connection(connection.connection_id, CLAIMS)
+    user = agent_factory("user")
+    assert user.request_proof(dataset.did.text, ["Hash of Data"], endpoint=dataset.base_url).valid
+    publisher.revoke_status("unrelated")
+    publisher.revoke_status(publisher.find_status_id(credential.id))
+    assert len(log_lines(publisher)) == 2  # a snapshot and an appended line
+    assert "Revoked" in user.request_proof(dataset.did.text, ["Hash of Data"]).reasons()
+    publisher = agent_factory.restart(publisher)
+    assert "Revoked" in user.request_proof(dataset.did.text, ["Hash of Data"]).reasons()
+    stranger = agent_factory("user", name="stranger")
+    report = stranger.request_proof(dataset.did.text, ["Hash of Data"], endpoint=dataset.base_url)
+    assert "Revoked" in report.reasons()
+
+
+class Unscannable(list):
+    def __iter__(self):
+        raise AssertionError("the issuance records were scanned")
+
+
+def test_find_status_id_reads_an_index_not_the_issuance_records(agent_factory, monkeypatch):
+    publisher, dataset = agent_factory("publisher"), agent_factory("dataset")
+    connection = publisher.connect(**dataset.invitation())
+    before = publisher.issue_over_connection(connection.connection_id, CLAIMS)
+    publisher = agent_factory.restart(publisher)
+    monkeypatch.setattr(publisher.state, "issued", Unscannable(publisher.state.issued))
+    after = publisher.issue_over_connection(connection.connection_id, CLAIMS)
+    assert publisher.find_status_id(before.id) == before.status.status_id
+    assert publisher.find_status_id(after.id) == after.status.status_id
+    assert publisher.find_status_id("urn:uuid:unknown") is None

@@ -22,6 +22,7 @@ from datacred.credential import (
     issue_credential,
     new_registry,
     revoke,
+    sign_registry,
 )
 from datacred.did import DidDocument, VerificationMethod, one_key_document, parse_did
 from datacred.fingerprint import fingerprint_bytes
@@ -139,6 +140,49 @@ def test_the_memo_keeps_the_registries_used_last(canonicalizations):
     assert canonicalizations == []
     outcome(vcs[0], warm, source)  # the least recently used went out
     assert canonicalizations == [1]
+
+
+def test_the_memo_keeps_replies_within_its_byte_budget(monkeypatch, canonicalizations):
+    reply = registry_bytes()
+    monkeypatch.setattr(resolver, "VERIFIED_REGISTRY_BYTES", 2 * len(reply) + len(reply) // 2)
+    urls = [f"https://issuer.example/registry/{n}" for n in range(3)]
+    source = StaticRegistrySource({url: json.loads(reply) for url in urls})
+    vcs, warm = [credential(url=url) for url in urls], context()
+    for vc in vcs:
+        assert outcome(vc, warm, source) == ("Valid", "NotRevoked")
+    assert list(warm._registries) == urls[1:]
+    canonicalizations.clear()
+    outcome(vcs[-1], warm, source)
+    assert canonicalizations == []
+    outcome(vcs[0], warm, source)  # the least recently used went out
+    assert canonicalizations == [1]
+
+
+def test_a_reply_over_the_byte_budget_is_checked_in_full_and_not_kept(
+    monkeypatch, canonicalizations
+):
+    reply = registry_bytes(["other", "s-2"])
+    monkeypatch.setattr(resolver, "VERIFIED_REGISTRY_BYTES", len(reply) - 1)
+    source, warm = StaticRegistrySource({REGISTRY_URL: json.loads(reply)}), context()
+    kept, revoked = credential(), credential("s-2")
+    canonicalizations.clear()
+    assert outcome(kept, warm, source) == ("Valid", "NotRevoked")
+    assert outcome(revoked, warm, source) == ("Invalid", "Revoked")
+    assert canonicalizations == [1, 1] and len(warm._registries) == 0
+
+
+def test_registries_of_the_benchmark_sizes_all_stay_in_the_memo(canonicalizations):
+    """Four registries of 2,000 UUIDs, more than any benchmark workload's."""
+    urls = [f"https://issuer.example/registry/{n}" for n in range(resolver.VERIFIED_REGISTRIES)]
+    ids = [f"{n:08d}-0000-4000-8000-000000000000" for n in range(2000)]
+    source = StaticRegistrySource({url: sign_registry(ISSUER, ids, ISSUER_KEY) for url in urls})
+    vcs, warm = [credential(url=url) for url in urls], context()
+    for vc in vcs:
+        assert outcome(vc, warm, source) == ("Valid", "NotRevoked")
+    canonicalizations.clear()
+    for vc in vcs:
+        assert outcome(vc, warm, source) == ("Valid", "NotRevoked")
+    assert canonicalizations == [] and list(warm._registries) == urls
 
 
 def test_a_failing_registry_is_checked_again(bundle_registry, canonicalizations, verifies):
