@@ -40,14 +40,12 @@ from __future__ import annotations
 import errno
 import hashlib
 import json
-import logging
 import socket
 import socketserver
 import threading
 import time
 import uuid
 from datetime import datetime, timezone
-from http import HTTPStatus
 
 from ..credential import (
     DATASET_PROVENANCE_V1,
@@ -108,8 +106,6 @@ from .envelopes import (
     verify_envelope,
 )
 from .state import AgentState, Connection
-
-log = logging.getLogger(__name__)
 
 CREDENTIAL_LABEL_PREFIX = "credential:"
 _HTTP_TIMEOUT = 10.0
@@ -249,7 +245,9 @@ class Agent:
             daemon=True,
         )
         self._thread.start()
-        log.info("%s agent listening on %s as %s", config.role, self.base_url, self.did.text)
+        import logging  # loaded only by a running agent, like the network code
+        logging.getLogger(__name__).info(
+            "%s agent listening on %s as %s", config.role, self.base_url, self.did.text)
 
     def stop(self) -> None:
         if self._server is not None:
@@ -487,7 +485,9 @@ class Agent:
         except AgentError as exc:
             status, reply = exc.http_status, PROBLEM_REPORT
             body = {"code": type(exc).__name__, "detail": str(exc)}
-            log.info("problem answering %s: %s: %s", sender, body["code"], exc)
+            import logging
+            logging.getLogger(__name__).info("problem answering %s: %s: %s", sender,
+                                             body["code"], exc)
         return status, build_envelope(self.key, self.did.text, sender, reply, body)
 
     def _on_connection_request(self, envelope: MessageEnvelope) -> dict:
@@ -680,6 +680,7 @@ class _RequestHandler(socketserver.StreamRequestHandler):
     def _send(self, status: int, payload: bytes, fields: str = "") -> None:
         """The whole response in one write: status line, headers and JSON body; a 304
         has no body."""
+        from http import HTTPStatus
         head = f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n{fields}"
         if status == 304:
             payload = b""

@@ -17,8 +17,6 @@ from pathlib import Path
 
 import click
 
-from .agent import Agent, AgentConfig
-from .agent.config import WILDCARD_HOSTS
 from .credential import (
     DATASET_PROVENANCE_V1,
     CredentialSchema,
@@ -455,6 +453,7 @@ def _admin_url(admin: str | None, config: str | None) -> str:
     if admin:
         return admin.rstrip("/")
     if config:
+        from .agent.config import WILDCARD_HOSTS, AgentConfig
         cfg = AgentConfig.load(config)
         # An agent listening on every interface answers its admin API on loopback.
         host = "127.0.0.1" if cfg.listen_host in WILDCARD_HOSTS else cfg.listen_host
@@ -476,6 +475,7 @@ def _admin_request(url: str, body: dict | None = None) -> dict | list:
 @operational_errors
 def agent_serve(config_file: str) -> None:
     """Provision an agent from a config file and serve until interrupted."""
+    from .agent import Agent, AgentConfig
     config = AgentConfig.load(config_file)
     running = Agent(config).start()
     config.save(config_file)  # pin the bound port so restarts keep the DID

@@ -16,6 +16,7 @@ Every revocation check fetches the registry's bytes and matches its issuer and
 the status id. A ``Resolver`` parses and verifies a registry once per change of
 those bytes: it reuses the last one that verified at a URL for the same SHA-256
 (or a 304 to a GET conditional on it) while the issuer still publishes its key.
+A registry older than the one kept for its URL, by the same issuer, is a rollback.
 """
 
 from __future__ import annotations
@@ -434,6 +435,15 @@ def _check_temporal(vc: VerifiableCredential, at: datetime | None = None) -> Che
     return CheckResult(CheckStatus.VALID, "TemporallyValid")
 
 
+def _updated_before(registry: dict, seen: dict) -> bool:
+    """Whether registry is seen's issuer's and was updated before it."""
+    try:  # a date that does not parse is not compared
+        earlier = parse_timestamp(registry["updated"]) < parse_timestamp(seen["updated"])
+    except ValueError:
+        return False
+    return earlier and registry["issuer"] == seen["issuer"]
+
+
 def _check_revocation(
     vc: VerifiableCredential, resolver: Resolver, registry_source
 ) -> CheckResult:
@@ -459,7 +469,10 @@ def _check_revocation(
     if result.status is not CheckStatus.VALID:
         detail = f"registry proof: {result.reason} {result.detail}".rstrip()
         return CheckResult(CheckStatus.INDETERMINATE, "RegistryInvalid", detail)
-    if located[0] != key:  # its signature was checked just now: remember it
+    if located[0] != key:  # its signature was checked just now: remember it, unless older
+        if known is not None and _updated_before(registry, known[2]):
+            detail = f"updated {registry['updated']}, before {known[2]['updated']} seen at {url}"
+            return CheckResult(CheckStatus.INDETERMINATE, "RegistryRollback", detail)
         revoked = frozenset(registry["revoked"])
         resolver.remember_registry(url, (digest, located[0], registry, revoked, len(reply)))
     if vc.status.status_id in revoked:

@@ -20,10 +20,11 @@ within VERIFIED_REGISTRY_BYTES of replies.
 DID documents, registries, agent envelopes and the admin client; a registry
 GET may be conditional, and ``request_json`` parses the reply. Each thread
 keeps its own pool of sockets alive, one per origin and proxy, which
-``http.client`` only opens (TLS, CONNECT tunnel). The proxy (``HTTP_PROXY``,
-``HTTPS_PROXY``, ``NO_PROXY``) and CA bundle (``REQUESTS_CA_BUNDLE``, then
-``CURL_CA_BUNDLE``, else OpenSSL's default store) environment is read once per
-thread; ``~/.netrc`` is not consulted, and cookies are never stored. This
+``http.client`` only opens (TLS, CONNECT tunnel); it, ``ssl`` and
+``urllib.request`` load at the first request, when the thread reads the proxy
+(``HTTP_PROXY``, ``HTTPS_PROXY``, ``NO_PROXY``) and CA bundle
+(``REQUESTS_CA_BUNDLE``, then ``CURL_CA_BUNDLE``, else OpenSSL's default store)
+environment; ``~/.netrc`` is not consulted, and cookies are never stored. This
 module frames HTTP/1.1 (RFC 9112) for both ends of datacred's wire:
 ``read_head`` reads a reply's head here and a request's in the agent, within
 MAX_LINE and MAX_HEADERS, and a request or response is sent in one write.
@@ -31,18 +32,15 @@ MAX_LINE and MAX_HEADERS, and a request or response is sent in one write.
 
 from __future__ import annotations
 
-import http.client
 import ipaddress
 import json
 import os
 import select
-import ssl
 import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
 from urllib.parse import urlsplit
-from urllib.request import getproxies_environment, proxy_bypass_environment
 
 from .did import Did, DidDocument, did_key_public_key, did_web_url, generate_did_key, parse_did
 from .errors import DocumentInvalid, FetchFailed, NotFound, UnsupportedMethod
@@ -161,14 +159,20 @@ class _Sockets(dict):
 
 
 class _Pool(threading.local):
-    """Each thread's kept-alive sockets, and the environment read when its pool was made."""
+    """Each thread's kept-alive sockets, and the environment read at its first request."""
 
     def __init__(self):
+        self.sockets = _Sockets()
+        self.tls = None  # an ssl.SSLContext, made at the first https connection
+
+    def __getattr__(self, name: str):  # trust, proxies, bypass: at the thread's first request
+        if name not in ("trust", "proxies", "bypass"):
+            raise AttributeError(name)
+        from urllib.request import getproxies_environment, proxy_bypass_environment
         bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
         self.trust = {"capath" if bundle and os.path.isdir(bundle) else "cafile": bundle}
-        self.proxies = getproxies_environment()
-        self.sockets = _Sockets()
-        self.tls: ssl.SSLContext | None = None  # made at the first https connection
+        self.proxies, self.bypass = getproxies_environment(), proxy_bypass_environment
+        return getattr(self, name)
 
     def take(self, scheme: str, host: str, port: int, proxy: str | None, timeout: float):
         """The pooled socket for this origin and proxy unless its peer hung up, else a new one."""
@@ -179,20 +183,25 @@ class _Pool(threading.local):
             if not poller.poll(0):  # an idle socket turns readable only when it is closed
                 return sock
             sock.close()
+        import http.client
         via = urlsplit(proxy if "://" in proxy else "http://" + proxy) if proxy else None
         address = (via.hostname, via.port or 80) if via else (host, port)
         if scheme == "http":
             connection = http.client.HTTPConnection(*address, timeout=timeout)
         else:  # certificates and host names verified against the CA bundle
+            import ssl
             self.tls = self.tls or ssl.create_default_context(**self.trust)
             connection = http.client.HTTPSConnection(*address, timeout=timeout, context=self.tls)
             if proxy:
                 connection.set_tunnel(host, port)  # CONNECT host:port through the proxy
-        connection.connect()  # sets TCP_NODELAY
+        try:
+            connection.connect()  # sets TCP_NODELAY
+        except http.client.HTTPException as exc:  # the proxy's reply to CONNECT was malformed
+            raise OSError(exc) from exc
         return connection.sock
 
 
-_pool = _Pool()  # made now for the importing thread, at first use for any other
+_pool = _Pool()  # each thread reads its environment and opens sockets at its first request
 
 
 def request_bytes(url: str, allow_insecure_loopback: bool, timeout: float, body=None,
@@ -212,7 +221,7 @@ def request_bytes(url: str, allow_insecure_loopback: bool, timeout: float, body=
         raise FetchFailed(f"{url}: only https, or plain http to loopback when enabled")
     if " " in url or not url.isprintable():
         raise FetchFailed(f"{url}: a space or control character in the URL")
-    proxies = {} if proxy_bypass_environment(host, _pool.proxies) else _pool.proxies
+    proxies = {} if _pool.bypass(host, _pool.proxies) else _pool.proxies
     proxy = proxies.get(parts.scheme) or proxies.get("all")
     target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
     if proxy and parts.scheme == "http":
@@ -238,7 +247,7 @@ def request_bytes(url: str, allow_insecure_loopback: bool, timeout: float, body=
             _pool.sockets[key], sock = sock, None
         if len(content) > MAX_RESPONSE_BYTES:
             raise FetchFailed(f"{url}: reply exceeds {MAX_RESPONSE_BYTES} bytes")
-    except (OSError, ValueError, http.client.HTTPException) as exc:
+    except (OSError, ValueError) as exc:
         raise FetchFailed(f"{url}: {exc}") from exc
     finally:
         if sock is not None:  # not back in the pool: hang up

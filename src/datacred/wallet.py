@@ -32,10 +32,11 @@ Torn tail: a crash mid-append can leave a last line with no newline.
 leaves the file as it is; the next save cuts it off before appending. No
 write is fsynced.
 
-The key is derived once per open wallet: ``open`` keeps the file's salt and
-key, and a new wallet derives them at its first save. Every record is
-sealed under that key with a fresh random 96-bit nonce (NIST SP 800-38D
-section 8.3 allows 2^32 such invocations per key).
+The key is derived once per open wallet, and AES-GCM and scrypt are imported
+only then: ``open`` keeps the file's salt and key, and a new wallet derives
+them at its first save. Every record is sealed under that key with a fresh
+random 96-bit nonce (NIST SP 800-38D section 8.3 allows 2^32 such invocations
+per key).
 
 Version 1 was a single JSON envelope ``{"version": 1, "walletId", "kdf",
 "salt", "nonce", "ciphertext"}`` holding the whole entry map in one
@@ -53,8 +54,6 @@ from pathlib import Path
 from typing import Iterator
 
 from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-from cryptography.hazmat.primitives.kdf.scrypt import Scrypt
 
 from .errors import CorruptWallet, DocumentInvalid, NoSuchEntry, WrongPassphrase
 from .jsonfile import append_line, read_json, read_lines, write_lines
@@ -74,9 +73,12 @@ def _is_scrypt(params) -> bool:
     )
 
 
-def _derive_key(passphrase: str, salt: bytes, params: dict) -> bytes:
+def _derive_key(passphrase: str, salt: bytes, params: dict):
+    """An AES-256-GCM cipher under the key scrypt derives from passphrase and salt."""
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+    from cryptography.hazmat.primitives.kdf.scrypt import Scrypt
     kdf = Scrypt(salt=salt, length=32, n=params["n"], r=params["r"], p=params["p"])
-    return kdf.derive(passphrase.encode("utf-8"))
+    return AESGCM(kdf.derive(passphrase.encode("utf-8")))
 
 
 def _b64(data: bytes) -> str:
@@ -114,7 +116,7 @@ class Wallet:
     def __init__(self, path: str | Path, passphrase: str, wallet_id: str | None = None):
         self.path = Path(path)
         self._passphrase: str | None = passphrase  # dropped once the key is derived
-        self._key: tuple[bytes, AESGCM] | None = None  # (salt, cipher) under _DEFAULT_KDF
+        self._key: tuple | None = None  # (salt, AESGCM cipher) under _DEFAULT_KDF
         self.wallet_id = wallet_id or secrets.token_hex(8)
         self._entries: dict[str, KeyPair | dict] = {}
         self._pending: dict[str, object] = {}  # label -> entry or _REMOVED, since the last save
@@ -160,7 +162,7 @@ class Wallet:
         raw: dict[str, dict] = {}
         chain = lines[0] if version == FORMAT_VERSION else None
         try:
-            cipher = AESGCM(_derive_key(passphrase, salt, kdf_params))
+            cipher = _derive_key(passphrase, salt, kdf_params)
             for index, (nonce, ciphertext) in enumerate(records):
                 try:
                     plaintext = cipher.decrypt(nonce, ciphertext, chain)
@@ -218,8 +220,8 @@ class Wallet:
         """Append the changes since the last save as one record, or rewrite the file."""
         if self._key is None:
             salt = secrets.token_bytes(16)
-            key = _derive_key(self._passphrase, salt, _DEFAULT_KDF)
-            self._passphrase, self._key = None, (salt, AESGCM(key))
+            cipher = _derive_key(self._passphrase, salt, _DEFAULT_KDF)
+            self._passphrase, self._key = None, (salt, cipher)
         if self._end is not None and not self._pending:
             return
         # Rewrite when appending would leave more records than live entries.

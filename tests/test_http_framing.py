@@ -90,6 +90,16 @@ def test_chunked_reply_gives_its_json_and_is_pooled(raw_stub):
     assert twice(stub) == ([(200, {"a": 1})] * 2, 1)
 
 
+def test_a_malformed_reply_to_connect_is_a_fetch_failure(raw_stub, monkeypatch):
+    proxy = raw_stub(b"not a status line\r\n\r\n", close=True)
+    for name in ("https_proxy", "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTPS_PROXY", proxy.url.removesuffix("/doc"))
+    with pytest.raises(FetchFailed, match="not a status line"):
+        in_fresh_thread(lambda: request_json("https://datacred.example/doc", False, 5))
+    assert proxy.connections == 1
+
+
 def test_chunked_reply_over_the_cap_is_refused(raw_stub):
     first = 1 << 20
     stub = raw_stub(f"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n{first:x}\r\n".encode()

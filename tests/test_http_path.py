@@ -24,7 +24,7 @@ from datacred.errors import FetchFailed
 from datacred.resolver import MAX_RESPONSE_BYTES, request_json
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "datacred"
-HTTP_CLIENTS = ("requests", "urllib3", "http.client", "urllib.request")
+HTTP_CLIENTS = ("requests", "urllib3", "http.client", "urllib.request", "ssl")
 # Calls that open a connection or send a request outside a kept-alive pool.
 CONNECTION_MAKERS = (
     "HTTPConnection", "HTTPSConnection", "create_connection", "socket.socket", "urlopen",
@@ -47,8 +47,10 @@ def test_only_the_resolver_imports_an_http_client():
         for name in imports(path)
         if any(name == client or name.startswith(client + ".") for client in HTTP_CLIENTS)
     }
-    # http.client speaks HTTP; urllib.request lends only its proxy-environment helpers.
-    assert importers == {("resolver.py", "http.client"), ("resolver.py", "urllib.request")}
+    # http.client speaks HTTP; urllib.request lends only its proxy-environment helpers,
+    # and ssl makes the TLS context, so TLS stays behind the one transport too.
+    assert importers == {
+        ("resolver.py", "http.client"), ("resolver.py", "urllib.request"), ("resolver.py", "ssl")}
 
 
 def test_the_resolver_makes_connections_in_one_place():
@@ -138,6 +140,11 @@ def test_cookies_are_not_carried_between_requests(stub):
     request_json(url, True, 5)
     request_json(url, True, 5)
     assert [headers.get("Cookie") for _, headers in stub.requests] == [None, None]
+
+
+def test_a_body_json_refuses_is_a_fetch_failure_before_any_connection():
+    with pytest.raises(FetchFailed, match="not JSON compliant"):
+        request_json("http://127.0.0.1:9/x", True, 1, {"x": float("nan")})
 
 
 def test_reply_over_the_cap_is_refused_and_not_pooled(stub):
