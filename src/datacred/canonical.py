@@ -12,6 +12,11 @@ independent serializations of the same document must agree bit for bit:
 Signed documents in this system only ever contain strings, integers,
 booleans, nulls, arrays and objects, which is what makes the number
 restriction safe to impose.
+
+A plain document, made only of exact dicts with str keys, lists, str, bool,
+None and ints within 2**53, goes to ``json.dumps`` as it is after one recursive
+scan. Any other value takes the validating walk, which demotes integral
+floats and names a refusal by its JSON path.
 """
 
 from __future__ import annotations
@@ -29,6 +34,34 @@ from .errors import (
 
 # Largest integer exactly representable by every IEEE-754 double parser.
 MAX_SAFE_INTEGER = 2**53
+
+_join = "".join  # raises TypeError at the first item that is not a str
+
+
+def _plain(value: Any) -> bool:
+    """Whether value is a plain document all the way down, so json.dumps can take it as it
+    is. Recursive, so a cycle raises RecursionError."""
+    kind = type(value)
+    if kind is dict:
+        try:
+            _join(value)  # every key a str
+        except TypeError:
+            return False
+        value = value.values()
+    elif kind is list:
+        if value and type(value[0]) is str:  # most likely all strings: one C-level check
+            try:
+                _join(value)
+                return True
+            except TypeError:
+                pass
+    else:
+        return value is None or kind is str or kind is bool or (
+            kind is int and -MAX_SAFE_INTEGER <= value <= MAX_SAFE_INTEGER)
+    for item in value:
+        if type(item) is not str and not _plain(item):
+            return False
+    return True
 
 
 def _validate(value: Any) -> Any:
@@ -70,18 +103,21 @@ def _validate(value: Any) -> Any:
 
 def canonicalize(value: Any) -> bytes:
     """Serialize a JSON value to its unique canonical byte sequence."""
-    try:
-        cleaned = _validate(value)
-    except CanonicalizationError as exc:  # message "<JSON path from $>: <reason>"
-        reason, *segments = exc.args
-        raise type(exc)(f"${''.join(reversed(segments))}: {reason}") from None
+    if not _plain(value):
+        try:
+            value = _validate(value)
+        except CanonicalizationError as exc:  # message "<JSON path from $>: <reason>"
+            reason, *segments = exc.args
+            raise type(exc)(f"${''.join(reversed(segments))}: {reason}") from None
     # sort_keys on Python strings compares code points, matching the canonical
-    # ordering rule; ensure_ascii=False keeps escaping minimal.
+    # ordering rule; ensure_ascii=False keeps escaping minimal. Either check
+    # above recursed through the whole value, so it holds no cycle.
     text = json.dumps(
-        cleaned,
+        value,
         sort_keys=True,
         separators=(",", ":"),
         ensure_ascii=False,
         allow_nan=False,
+        check_circular=False,
     )
     return text.encode("utf-8")

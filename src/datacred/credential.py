@@ -69,7 +69,7 @@ HASH_CLAIM = "Hash of Data"
 ETHICS_CLAIM = "Data Ethically Sourced"
 
 ATTRIBUTE_KINDS = ("string", "hex-digest", "yes-no", "date")
-_HEX_DIGEST_RE = re.compile(r"^[0-9a-f]{64}$|^[0-9a-f]{128}$")
+_HEX_DIGEST_RE = re.compile(r"[0-9a-f]{64}|[0-9a-f]{128}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ class CredentialSchema:
                 raise SchemaMismatch(f"unknown attribute {name!r}")
             if not isinstance(value, str):
                 raise SchemaMismatch(f"{name!r}: values are strings, got {type(value).__name__}")
-            if attribute.kind == "hex-digest" and not _HEX_DIGEST_RE.match(value):
+            if attribute.kind == "hex-digest" and not _HEX_DIGEST_RE.fullmatch(value):
                 raise SchemaMismatch(f"{name!r}: not a lowercase 256/512-bit hex digest")
             if attribute.kind == "yes-no" and value not in ("YES", "NO"):
                 raise SchemaMismatch(f"{name!r}: expected YES or NO, got {value!r}")

@@ -25,8 +25,8 @@ DID_CONTEXT = "https://w3id.org/did/v1"
 KEY_TYPE = "Ed25519VerificationKey2018"
 _MULTICODEC_ED25519 = b"\xed\x01"
 
-_METHOD_RE = re.compile(r"^[a-z0-9]+$")
-_SEGMENT_RE = re.compile(r"^[A-Za-z0-9._%-]+$")
+_METHOD_RE = re.compile(r"[a-z0-9]+")
+_SEGMENT_RE = re.compile(r"[A-Za-z0-9._%-]+")
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,12 @@ def parse_did(text: str) -> Did:
         raise MalformedDid(f"{text!r}: missing did: prefix")
     rest = text[len("did:"):]
     method, sep, msid = rest.partition(":")
-    if not sep or not _METHOD_RE.match(method):
+    if not sep or not _METHOD_RE.fullmatch(method):
         raise MalformedDid(f"{text!r}: bad method")
     if not msid:
         raise MalformedDid(f"{text!r}: empty method-specific id")
     for segment in msid.split(":"):
-        if not _SEGMENT_RE.match(segment):
+        if not _SEGMENT_RE.fullmatch(segment):
             raise MalformedDid(f"{text!r}: illegal segment {segment!r}")
     return Did(method=method, method_specific_id=msid)
 

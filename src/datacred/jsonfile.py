@@ -24,7 +24,8 @@ from .errors import DocumentInvalid, FetchFailed
 def read_bytes(path: str | Path) -> bytes:
     """The bytes stored at path."""
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as file:
+            return file.read()
     except OSError as exc:
         raise FetchFailed(f"{path}: {exc.strerror or exc}") from exc
 

@@ -91,7 +91,8 @@ def create_presentation(
         proof_purpose=AUTHENTICATION,
         challenge=challenge,
     )
-    return VerifiablePresentation.from_json(signed)
+    presentation.proof = Proof.from_json(signed["proof"])
+    return presentation
 
 
 def verify_presentation(

@@ -16,11 +16,15 @@ verified passes its key to ``check_proof_key``, which then skips the signing
 bytes too while the signer still publishes that key.
 
 Timestamps are RFC 3339 UTC at second precision with a trailing ``Z``.
+``parse_timestamp`` builds the moment straight from the exact ASCII form
+``format_timestamp`` writes; other text, or a date of that form that does not
+exist, goes to ``strptime``, whose accepted set and messages stay the rule.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -42,6 +46,7 @@ ASSERTION = "assertionMethod"
 AUTHENTICATION = "authentication"
 
 _TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+_TIMESTAMP_RE = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z", re.ASCII)
 
 
 def utc_now() -> datetime:
@@ -58,6 +63,11 @@ def parse_timestamp(text: str) -> datetime:
     """The moment text names; ValueError for anything else, a non-string included."""
     if not isinstance(text, str):
         raise ValueError(f"timestamp must be a string, not {type(text).__name__}")
+    if fields := _TIMESTAMP_RE.fullmatch(text):
+        try:
+            return datetime(*map(int, fields.groups()), tzinfo=timezone.utc)
+        except ValueError:  # strptime raises its own message
+            pass
     return datetime.strptime(text, _TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
 
 

@@ -42,7 +42,7 @@ from collections import OrderedDict
 from pathlib import Path
 from urllib.parse import urlsplit
 
-from .did import Did, DidDocument, did_key_public_key, did_web_url, generate_did_key, parse_did
+from .did import Did, DidDocument, did_key_public_key, did_web_url, one_key_document, parse_did
 from .errors import DocumentInvalid, FetchFailed, NotFound, UnsupportedMethod
 from .jsonfile import parse_json, read_json
 
@@ -283,9 +283,8 @@ class KeyBackend:
     def supports(self, did: Did) -> bool:
         return did.method == "key"
 
-    def fetch(self, did: Did) -> dict:  # Resolver.resolve refuses a key that does not round-trip
-        _, document = generate_did_key(did_key_public_key(did))
-        return document.to_json()
+    def fetch(self, did: Did) -> dict:  # every id did_key_public_key accepts re-encodes to itself
+        return one_key_document(did, did_key_public_key(did)).to_json()
 
 
 class WebBackend:
@@ -367,17 +366,16 @@ class Resolver:
         The returned document's id always equals the requested DID; anything
         else is rejected as DocumentInvalid.
         """
-        if isinstance(did, str):
-            did = parse_did(did)
-
+        text = did if isinstance(did, str) else did.text  # the cache holds parsed DIDs only
         now = time.monotonic()
         with self._lock:
-            cached = self._cache.get(did.text)
+            cached = self._cache.get(text)
             if cached is not None:
                 if now - cached[1] < CACHE_TTL:
-                    self._cache.move_to_end(did.text)
+                    self._cache.move_to_end(text)
                     return cached[0]
-                del self._cache[did.text]
+                del self._cache[text]
+        did = parse_did(did) if did is text else did
 
         backend = next((b for b in self.backends if b.supports(did)), None)
         if backend is None:

@@ -107,14 +107,14 @@ json_values = st.recursive(
 
 
 @given(json_values)
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 def test_idempotent(value):
     first = canonicalize(value)
     assert canonicalize(json.loads(first)) == first
 
 
 @given(json_values)
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 def test_order_independent(value):
     def shuffle(obj):
         if isinstance(obj, dict):
@@ -140,7 +140,7 @@ def same_json_value(a, b) -> bool:
 
 
 @given(json_values, json_values)
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 def test_injective_on_distinct_values(a, b):
     if same_json_value(a, b):
         assert canonicalize(a) == canonicalize(b)
@@ -225,7 +225,7 @@ loose_values = st.recursive(
 
 
 @given(loose_values)
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 def test_in_place_walk_agrees_with_the_copying_reference(value):
     before = repr(value)
     assert outcome(canonicalize, value) == outcome(reference_canonicalize, value)

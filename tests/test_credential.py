@@ -94,6 +94,14 @@ def test_issue_rejects_nonconforming_claims(issuer, subject):
         )
 
 
+@pytest.mark.parametrize("digest", ["ab" * 32 + "\n", "ab" * 64 + "\n"], ids=["256", "512"])
+def test_a_digest_with_a_trailing_newline_is_not_a_hex_digest(digest):
+    claims = {"Hash of Data": digest, "Data Ethically Sourced": "YES"}
+    with pytest.raises(SchemaMismatch, match="not a lowercase 256/512-bit hex digest"):
+        DATASET_PROVENANCE_V1.validate_claims(claims)
+    DATASET_PROVENANCE_V1.validate_claims({**claims, "Hash of Data": digest.rstrip()})
+
+
 def test_issue_rejects_bad_dates(issuer, subject):
     issuer_key, issuer_did, _ = issuer
     with pytest.raises(BadDates):

@@ -39,6 +39,9 @@ def test_parse_web_did():
         "did:web:a:",         # trailing empty segment
         "did:web:spa ce",     # illegal character
         "",
+        "did:web:example.com\n",  # a trailing newline, in the last segment
+        "did:web\n:x",            # or in the method
+        "did:web:a\n:b",          # or in an inner segment
     ],
 )
 def test_parse_rejects_malformed(bad):
@@ -157,6 +160,23 @@ def test_document_rejects_short_key():
         ],
     }
     with pytest.raises(DocumentInvalid):
+        DidDocument.from_json(obj)
+
+
+@pytest.mark.parametrize("key", [5, None, list("11111111111111111111111111111111")])
+def test_document_rejects_a_key_that_is_not_a_string(key):
+    obj = {
+        "id": "did:web:a.example",
+        "authentication": [
+            {
+                "id": "did:web:a.example",
+                "type": "Ed25519VerificationKey2018",
+                "controller": "did:web:a.example",
+                "publicKeyBase58": key,
+            }
+        ],
+    }
+    with pytest.raises(DocumentInvalid, match="bad key encoding"):
         DidDocument.from_json(obj)
 
 
