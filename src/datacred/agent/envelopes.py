@@ -57,6 +57,8 @@ class MessageEnvelope:
     def from_json(cls, obj: dict) -> "MessageEnvelope":
         try:
             signature = obj.get(SIGNATURE_FIELD)
+            if not isinstance(obj["body"], dict):
+                raise SignatureInvalid("malformed envelope: body must be an object")
             return cls(
                 id=obj["id"],
                 type=obj["type"],

@@ -111,6 +111,8 @@ class VerificationMethod:
 
     @classmethod
     def from_json(cls, obj: dict) -> "VerificationMethod":
+        if not isinstance(obj, dict):
+            raise DocumentInvalid(f"verification method must be an object, not {type(obj).__name__}")
         try:
             return cls(
                 id=obj["id"],

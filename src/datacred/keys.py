@@ -5,6 +5,12 @@ The only signature suite in this toolkit is Ed25519 (fixed by the
 Keys are 32-byte seeds/points; signatures are 64 bytes, carried in
 documents as base58 strings. A ``KeyPair`` parses its seed into a signing key
 once, when it is made, and signs with that key from then on.
+
+Signing uses ``cryptography``. Verifying uses libsodium's detached verify,
+loaded with ``ctypes`` at the first verify, when one of ``_SONAMES`` loads, and
+``cryptography`` otherwise. libsodium's acceptance rule runs in front of both:
+a key with y >= 2^255-19 or a small-order key is ``MalformedKey``, a small-order
+``R`` is a rejection, and ``S`` must be below the group order.
 """
 
 from __future__ import annotations
@@ -23,6 +29,15 @@ from .errors import BadSeedLength, MalformedKey, MalformedSignature
 SEED_LENGTH = 32
 PUBLIC_KEY_LENGTH = 32
 SIGNATURE_LENGTH = 64
+_P = 2**255 - 19
+_Y = (1 << 255) - 1  # an encoding's y: its sign bit cleared
+# y of the encodings libsodium blocks as small order (ge25519_has_small_order)
+_SMALL_ORDER = frozenset(int.from_bytes(bytes.fromhex(order_8), "little") for order_8 in (
+    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+    "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+)) | {0, 1, _P - 1, _P, _P + 1}
+_SONAMES = ("libsodium.so.23", "libsodium.so.26", "libsodium.23.dylib", "libsodium.26.dylib")
+_sodium = None  # libsodium's detached verify once looked up; False when no library loads
 
 
 @dataclass(frozen=True)
@@ -105,12 +120,29 @@ def sign(key: KeyPair, message: bytes) -> Signature:
     return Signature(key._signer.sign(message))
 
 
+def _load_sodium():
+    import ctypes
+
+    for name in _SONAMES:
+        try:
+            library = ctypes.CDLL(name)
+        except OSError:
+            continue
+        if library.sodium_init() >= 0:
+            verify = library.crypto_sign_ed25519_verify_detached
+            verify.argtypes = (ctypes.c_char_p,) * 2 + (ctypes.c_ulonglong, ctypes.c_char_p)
+            verify.restype = ctypes.c_int
+            return verify
+    return False
+
+
 def verify_signature(public_key: bytes, message: bytes, sig: Signature | bytes) -> bool:
     """True iff sig is a valid Ed25519 signature on message under public_key.
 
     Structurally bad inputs raise MalformedKey / MalformedSignature rather
     than reporting a (false) rejection.
     """
+    global _sodium
     if isinstance(sig, Signature):
         raw = sig.value
     else:
@@ -123,12 +155,17 @@ def verify_signature(public_key: bytes, message: bytes, sig: Signature | bytes) 
         raise MalformedKey(
             f"public key must be {PUBLIC_KEY_LENGTH} bytes, got {len(public_key)}"
         )
-    try:
-        point = Ed25519PublicKey.from_public_bytes(public_key)
-    except ValueError as exc:
-        raise MalformedKey(str(exc)) from exc
-    try:
-        point.verify(raw, message)
+    if (y := int.from_bytes(public_key, "little") & _Y) >= _P or y in _SMALL_ORDER:
+        raise MalformedKey(f"public key is {'not canonical' if y >= _P else 'of small order'}")
+    if int.from_bytes(raw[:32], "little") & _Y in _SMALL_ORDER:
+        return False
+    if _sodium is None:
+        _sodium = _load_sodium()
+    if _sodium:
+        message = message if isinstance(message, bytes) else memoryview(message).tobytes()
+        return _sodium(bytes(raw), message, len(message), public_key) == 0
+    try:  # from_public_bytes refuses only a length, checked above
+        Ed25519PublicKey.from_public_bytes(public_key).verify(raw, message)
         return True
     except InvalidSignature:
         return False

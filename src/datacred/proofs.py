@@ -108,7 +108,7 @@ class Proof:
         except KeyError as exc:
             raise MalformedSignature(f"proof missing field {exc}") from exc
         fields = (proof.type, proof.created, proof.verification_method, proof.proof_purpose,
-                  proof.signature_value, proof.challenge or "")
+                  proof.signature_value, "" if proof.challenge is None else proof.challenge)
         if not all(isinstance(value, str) for value in fields):
             raise MalformedSignature("proof fields must be strings")
         return proof

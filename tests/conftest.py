@@ -9,13 +9,36 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from datacred import proofs, wallet
+from datacred import keys, proofs, wallet
 from datacred.agent import Agent, AgentConfig, Policy
 from datacred.did import generate_did_key
 from datacred.keys import generate_keypair
 from datacred.resolver import KeyBackend, Resolver, is_loopback_host
 
 PASSPHRASE = "correct horse battery staple"
+
+
+def pytest_addoption(parser):
+    parser.addoption("--without-libsodium", action="store_true",
+                     help="verify every Ed25519 signature through cryptography")
+
+
+@pytest.fixture(autouse=True)
+def _ed25519_backend_choice(request, monkeypatch):
+    """Under --without-libsodium, keys.verify_signature finds no libsodium, as on a
+    system without one; datacred subprocesses that tests start still look for it."""
+    if request.config.getoption("--without-libsodium"):
+        monkeypatch.setattr(keys, "_sodium", False)
+
+
+@pytest.fixture(params=["libsodium", "cryptography"])
+def ed25519_backend(request, monkeypatch):
+    """Runs a test once through each verify backend; the libsodium run skips when
+    no libsodium loads."""
+    loaded = keys._load_sodium() if request.param == "libsodium" else False
+    if request.param == "libsodium" and not loaded:
+        pytest.skip("no libsodium loads on this system")
+    monkeypatch.setattr(keys, "_sodium", loaded)
 
 
 @pytest.fixture

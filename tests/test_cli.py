@@ -470,6 +470,21 @@ def test_malformed_bundle_dids_exits_2(runner, workspace, content):
     assert "dids.json" in result.stderr
 
 
+@pytest.mark.parametrize("entry", [None, "did:web:uniofscience.com#key-1"], ids=["null", "string"])
+def test_a_method_that_is_not_an_object_leaves_the_issuer_indeterminate(runner, workspace, entry):
+    make_offline_bundle(runner)
+    dids = workspace / "bundle" / "dids.json"
+    documents = json.loads(dids.read_text())
+    documents["did:web:uniofscience.com"]["authentication"] = [entry]
+    dids.write_text(json.dumps(documents))
+    result = invoke(runner, *OFFLINE_VERIFY)
+    assert result.exit_code == 1, result.output
+    assert not isinstance(result.exception, Exception)  # an exit, not a traceback
+    signature = stdout_json(result)["checks"]["signature"]
+    assert (signature["status"], signature["reason"]) == ("Indeterminate", "IssuerDocumentInvalid")
+    assert "verification method must be an object" in signature["detail"]
+
+
 def test_did_resolve_unsupported_exits_2(runner, workspace):
     result = invoke(runner, "did", "resolve", "did:banana:x")
     assert result.exit_code == 2

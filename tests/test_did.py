@@ -180,6 +180,15 @@ def test_document_rejects_a_key_that_is_not_a_string(key):
         DidDocument.from_json(obj)
 
 
+@pytest.mark.parametrize("listing", ["authentication", "assertionMethod"])
+@pytest.mark.parametrize("entry", [None, "did:web:a.example#key-1", 5, []],
+                         ids=["null", "string", "number", "list"])
+def test_document_rejects_a_method_that_is_not_an_object(listing, entry):
+    obj = {"id": "did:web:a.example", "authentication": [], listing: [entry]}
+    with pytest.raises(DocumentInvalid, match="verification method must be an object"):
+        DidDocument.from_json(obj)
+
+
 def test_document_requires_a_key():
     with pytest.raises(DocumentInvalid):
         DidDocument(id="did:web:a.example", authentication=[]).validate()

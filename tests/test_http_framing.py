@@ -300,6 +300,21 @@ def test_body_nested_too_deep_to_parse_is_a_bad_request(agent_factory):
     assert still_answers(dataset)
 
 
+@pytest.mark.parametrize("body", ["0", "ab", [["k", 1]], None],
+                         ids=["digit", "string", "pairs", "null"])
+def test_an_unsigned_envelope_whose_body_is_not_an_object_is_answered(agent_factory, body):
+    dataset = agent_factory("dataset")
+    envelope = json.dumps({"id": "e-1", "type": "datacred/1.0/proof-request",
+                           "from": "did:web:peer.example", "to": dataset.did.text,
+                           "createdAt": "2026-01-01T00:00:00Z", "body": body}).encode()
+    answer = exchange(dataset, b"POST /inbox HTTP/1.1\r\nHost: agent\r\nConnection: close\r\n"
+                               b"Content-Length: %d\r\n\r\n%s" % (len(envelope), envelope))
+    head, _, reply = answer.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert json.loads(reply)["body"]["code"] == "SignatureInvalid"
+    assert still_answers(dataset)
+
+
 def test_expect_continue_is_answered_before_the_body_is_read(agent_factory):
     dataset = agent_factory("dataset")
     with socket.create_connection(("127.0.0.1", dataset.config.listen_port), timeout=3) as sock:

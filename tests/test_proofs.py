@@ -30,11 +30,11 @@ from datacred.credential import (
     verify_credential,
 )
 from datacred.did import DidDocument, VerificationMethod, generate_did_key
-from datacred.errors import DatacredError, SignatureInvalid
+from datacred.errors import DatacredError, MalformedSignature, SignatureInvalid
 from datacred.fingerprint import fingerprint_bytes
 from datacred.keys import generate_keypair
 from datacred.presentation import VerifiablePresentation, create_presentation, verify_presentation
-from datacred.proofs import ASSERTION, AUTHENTICATION, attach_proof, check_proof
+from datacred.proofs import ASSERTION, AUTHENTICATION, Proof, attach_proof, check_proof
 from datacred.resolver import KeyBackend, Resolver, StaticBackend
 from docgen import leaf_paths, mutate_leaf
 
@@ -209,6 +209,16 @@ def test_non_string_proof_field_is_malformed_not_a_crash(field):
     envelope[SIGNATURE_FIELD][field] = 5
     with pytest.raises(DatacredError):
         verify_envelope(envelope, _resolver("valid"))
+
+
+@pytest.mark.parametrize("challenge", [0, False, [], {}], ids=["zero", "false", "list", "object"])
+def test_a_falsy_challenge_that_is_not_a_string_is_malformed(challenge):
+    document = _sign(_unsigned_credential(), "valid", ASSERTION)
+    document["proof"]["challenge"] = challenge
+    with pytest.raises(MalformedSignature, match="must be strings"):
+        Proof.from_json(document["proof"])
+    result, _ = check_proof(document, SIGNER, _resolver("valid"))
+    assert (result.status.value, result.reason) == ("Invalid", "MalformedProof")
 
 
 # --- the verified-proof memo each Resolver keeps ---
