@@ -14,7 +14,8 @@ the exact comparison in verify_presentation is the replay protection.
 
 A dataset agent stores a received credential only if credential.check_receipt
 passes, the verifier's own signature, schema and date checks; a refusal names
-the failed check and the verifier's reason.
+the failed check and the verifier's reason. It answers proof requests from its
+credentials kept newest first, an index rebuilt only when the wallet changes.
 
 GET /.well-known/did.json, GET /registry and POST /inbox are public. A
 publisher encodes its registry once per change and serves those bytes with
@@ -161,6 +162,7 @@ class Agent:
         self._thread: threading.Thread | None = None
         self._lock = threading.RLock()
         self._parsed: dict[str, tuple] = {}  # label -> (entry, parsed, issuance date)
+        self._newest: tuple = (None, -1, [])  # wallet, its changes read, _parsed newest first
         self._registry_reply: tuple | None = None  # (registry, its JSON bytes, their ETag)
 
     # --- lifecycle ---
@@ -265,23 +267,25 @@ class Agent:
     # --- wallet-backed credential store ---
 
     def stored_credentials(self) -> list[VerifiableCredential]:
-        """The wallet's credentials, in label order; each entry is parsed once.
-
-        A parse (issuance date included) is kept while its label holds the same
-        entry object; a direct wallet put or a replaced label is parsed afresh.
-        """
+        """The wallet's credential dicts under CREDENTIAL_LABEL_PREFIX, newest issuance first,
+        in label order among equal dates; read again only after a wallet put or remove, and
+        each parse kept (issuance date included) while its label holds the same object."""
         with self._lock:
-            parsed = {}
-            for label in self.wallet.list():
-                if label.startswith(CREDENTIAL_LABEL_PREFIX):
+            wallet, changes, newest = self._newest
+            if wallet is not self.wallet or changes != self.wallet.changes:
+                parsed = {}
+                for label in self.wallet.list():
                     entry = self.wallet.get(label)
-                    known = self._parsed.get(label)
-                    if known is None or known[0] is not entry:
-                        vc = VerifiableCredential.from_json(entry)
-                        known = (entry, vc, _issued_at(vc))
-                    parsed[label] = known
-            self._parsed = parsed
-        return [credential for _, credential, _ in parsed.values()]
+                    if label.startswith(CREDENTIAL_LABEL_PREFIX) and isinstance(entry, dict):
+                        known = self._parsed.get(label)
+                        if known is None or known[0] is not entry:
+                            vc = VerifiableCredential.from_json(entry)
+                            known = (entry, vc, _issued_at(vc))
+                        parsed[label] = known
+                newest = [vc for _, vc, _ in  # a stable sort: label order among equal dates
+                          sorted(parsed.values(), key=lambda held: held[2], reverse=True)]
+                self._parsed, self._newest = parsed, (self.wallet, self.wallet.changes, newest)
+            return list(newest)
 
     # --- status / listings (admin surface) ---
 
@@ -541,16 +545,12 @@ class Agent:
         requested = _string_list(envelope.body, "requestedAttributes")
         if not challenge:
             raise BadRequest("proof request carries no challenge")
-        self.stored_credentials()  # brings self._parsed up to date with the wallet
-        candidates = [
-            (vc, issued)
-            for _, vc, issued in self._parsed.values()
-            if self.config.policy.may_share(vc.id)
-            and all(attr in vc.claims for attr in requested)
-        ]
-        if not candidates:
+        may_share = self.config.policy.may_share
+        chosen = next((vc for vc in self.stored_credentials()  # the newest that covers it
+                       if may_share(vc.id) and all(attr in vc.claims for attr in requested)),
+                      None)
+        if chosen is None:
             raise NoMatchingCredential(f"no sharable credential covers {requested!r}")
-        chosen, _ = max(candidates, key=lambda held: held[1])
         presentation = create_presentation(self.key, self.did, [chosen], challenge)
         return {"presentation": presentation.to_json()}
 

@@ -4,11 +4,12 @@ The only signature suite in this toolkit is Ed25519 (fixed by the
 ``Ed25519VerificationKey2018`` verification-method type used throughout).
 Keys are 32-byte seeds/points; signatures are 64 bytes, carried in
 documents as base58 strings. A ``KeyPair`` parses its seed into a signing key
-once, when it is made, and signs with that key from then on.
+and joins seed and public key into libsodium's secret key once, when it is made.
 
-Signing uses ``cryptography``. Verifying uses libsodium's detached verify,
-loaded with ``ctypes`` at the first verify, when one of ``_SONAMES`` loads, and
-``cryptography`` otherwise. libsodium's acceptance rule runs in front of both:
+Signing and verifying use libsodium, loaded with ``ctypes`` at the first call when
+one of ``_SONAMES`` loads, and ``cryptography``, which also generates keys, otherwise;
+Ed25519 signing is deterministic (RFC 8032 section 5.1.6), so both sign the same
+bytes. libsodium's acceptance rule runs in front of both verify backends:
 a key with y >= 2^255-19 or a small-order key is ``MalformedKey``, a small-order
 ``R`` is a rejection, and ``S`` must be below the group order.
 """
@@ -37,7 +38,7 @@ _SMALL_ORDER = frozenset(int.from_bytes(bytes.fromhex(order_8), "little") for or
     "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
 )) | {0, 1, _P - 1, _P, _P + 1}
 _SONAMES = ("libsodium.so.23", "libsodium.so.26", "libsodium.23.dylib", "libsodium.26.dylib")
-_sodium = None  # libsodium's detached verify once looked up; False when no library loads
+_sodium = None  # libsodium's (detached sign, detached verify) once looked up; False without it
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,7 @@ class KeyPair:
     private_key: bytes = field(repr=False)
     # The parsed seed; generate_keypair hands over the key it already parsed.
     _signer: Ed25519PrivateKey | None = field(default=None, kw_only=True, repr=False, compare=False)
+    _secret: bytes = field(init=False, repr=False, compare=False)  # libsodium's: seed, public key
 
     def __post_init__(self) -> None:
         signer = self._signer or _parse_seed(self.private_key)
@@ -56,6 +58,7 @@ class KeyPair:
         if signer.public_key().public_bytes_raw() != self.public_key:
             raise MalformedKey("public key does not match the private seed")
         object.__setattr__(self, "_signer", signer)
+        object.__setattr__(self, "_secret", self.private_key + self.public_key)
 
     @property
     def public_key_base58(self) -> str:
@@ -117,6 +120,8 @@ def generate_keypair(seed: bytes | None = None) -> KeyPair:
 
 def sign(key: KeyPair, message: bytes) -> Signature:
     """Sign message bytes; deterministic for a fixed (key, message)."""
+    if sodium := _backend():
+        return Signature(sodium[0](memoryview(message).tobytes(), key._secret))
     return Signature(key._signer.sign(message))
 
 
@@ -129,11 +134,28 @@ def _load_sodium():
         except OSError:
             continue
         if library.sodium_init() >= 0:
+            detached = library.crypto_sign_ed25519_detached
+            detached.argtypes = (ctypes.c_char_p, ctypes.c_void_p, ctypes.c_char_p,
+                                 ctypes.c_ulonglong, ctypes.c_char_p)
             verify = library.crypto_sign_ed25519_verify_detached
             verify.argtypes = (ctypes.c_char_p,) * 2 + (ctypes.c_ulonglong, ctypes.c_char_p)
-            verify.restype = ctypes.c_int
-            return verify
+            verify.restype = detached.restype = ctypes.c_int
+
+            def sign_detached(message: bytes, secret: bytes) -> bytes:
+                signature = ctypes.create_string_buffer(SIGNATURE_LENGTH)
+                detached(signature, None, message, len(message), secret)
+                return signature.raw
+
+            return sign_detached, verify
     return False
+
+
+def _backend():
+    """libsodium's (sign, verify), looked up at the first call, or False without it."""
+    global _sodium
+    if _sodium is None:
+        _sodium = _load_sodium()
+    return _sodium
 
 
 def verify_signature(public_key: bytes, message: bytes, sig: Signature | bytes) -> bool:
@@ -142,7 +164,6 @@ def verify_signature(public_key: bytes, message: bytes, sig: Signature | bytes) 
     Structurally bad inputs raise MalformedKey / MalformedSignature rather
     than reporting a (false) rejection.
     """
-    global _sodium
     if isinstance(sig, Signature):
         raw = sig.value
     else:
@@ -159,11 +180,9 @@ def verify_signature(public_key: bytes, message: bytes, sig: Signature | bytes) 
         raise MalformedKey(f"public key is {'not canonical' if y >= _P else 'of small order'}")
     if int.from_bytes(raw[:32], "little") & _Y in _SMALL_ORDER:
         return False
-    if _sodium is None:
-        _sodium = _load_sodium()
-    if _sodium:
+    if sodium := _backend():
         message = message if isinstance(message, bytes) else memoryview(message).tobytes()
-        return _sodium(bytes(raw), message, len(message), public_key) == 0
+        return sodium[1](bytes(raw), message, len(message), public_key) == 0
     try:  # from_public_bytes refuses only a length, checked above
         Ed25519PublicKey.from_public_bytes(public_key).verify(raw, message)
         return True

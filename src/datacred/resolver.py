@@ -20,7 +20,9 @@ within VERIFIED_REGISTRY_BYTES of replies.
 DID documents, registries, agent envelopes and the admin client; a registry
 GET may be conditional, and ``request_json`` parses the reply. Each thread
 keeps its own pool of sockets alive, one per origin and proxy, which
-``http.client`` only opens (TLS, CONNECT tunnel); it, ``ssl`` and
+``http.client`` only opens (TLS, CONNECT tunnel). A socket keeps the reader made
+when it opened, and is pooled again only after a reusable reply that left no unread
+byte (RFC 9112 section 9). ``http.client``, ``ssl`` and
 ``urllib.request`` load at the first request, when the thread reads the proxy
 (``HTTP_PROXY``, ``HTTPS_PROXY``, ``NO_PROXY``) and CA bundle
 (``REQUESTS_CA_BUNDLE``, then ``CURL_CA_BUNDLE``, else OpenSSL's default store)
@@ -32,6 +34,7 @@ MAX_LINE and MAX_HEADERS, and a request or response is sent in one write.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import json
 import os
@@ -59,6 +62,7 @@ MAX_LINE = 65536  # bytes in a start, field or chunk-size line, on both ends, as
 MAX_HEADERS = 100  # field lines in a message head, on both ends, as in http.client
 
 
+@functools.lru_cache(maxsize=256)
 def is_loopback_host(host: str) -> bool:
     if host == "localhost":
         return True
@@ -150,12 +154,24 @@ def _read_reply(fp) -> tuple[int, bytes, bool]:
     return status, body, keep
 
 
+def _drained(sock, fp) -> bool:
+    """True when the reader fp holds no unread byte and none waits on sock."""
+    sock.setblocking(False)  # the next request sets its timeout again
+    try:
+        return not fp.peek(1)
+    except OSError as exc:  # an https socket with nothing to read says so with an error
+        import ssl
+        return isinstance(exc, ssl.SSLWantReadError)
+
+
 class _Sockets(dict):
-    """Kept-alive sockets by (scheme, host, port, proxy), closed with their thread's pool."""
+    """Kept-alive (reader, socket) pairs by (scheme, host, port, proxy), closed with their
+    thread's pool."""
 
     def __del__(self):
-        for sock in self.values():
-            sock.close()
+        for connection in self.values():
+            for part in connection:  # the reader, then the socket it holds open
+                part.close()
 
 
 class _Pool(threading.local):
@@ -175,14 +191,15 @@ class _Pool(threading.local):
         return getattr(self, name)
 
     def take(self, scheme: str, host: str, port: int, proxy: str | None, timeout: float):
-        """The pooled socket for this origin and proxy unless its peer hung up, else a new one."""
-        sock = self.sockets.pop((scheme, host, port, proxy), None)
-        if sock is not None:
+        """(reader, socket) pooled for this origin and proxy unless its peer hung up, else new."""
+        pooled = self.sockets.pop((scheme, host, port, proxy), None)
+        if pooled is not None:
             poller = select.poll()
-            poller.register(sock, select.POLLIN)
+            poller.register(pooled[1], select.POLLIN)
             if not poller.poll(0):  # an idle socket turns readable only when it is closed
-                return sock
-            sock.close()
+                return pooled
+            for part in pooled:
+                part.close()
         import http.client
         via = urlsplit(proxy if "://" in proxy else "http://" + proxy) if proxy else None
         address = (via.hostname, via.port or 80) if via else (host, port)
@@ -198,7 +215,7 @@ class _Pool(threading.local):
             connection.connect()  # sets TCP_NODELAY
         except http.client.HTTPException as exc:  # the proxy's reply to CONNECT was malformed
             raise OSError(exc) from exc
-        return connection.sock
+        return connection.sock.makefile("rb"), connection.sock
 
 
 _pool = _Pool()  # each thread reads its environment and opens sockets at its first request
@@ -230,28 +247,28 @@ def request_bytes(url: str, allow_insecure_loopback: bool, timeout: float, body=
     head = f"{'GET' if body is None else 'POST'} {target} HTTP/1.1\r\nHost: {host_header}\r\n"
     if etag is not None:
         head += f"If-None-Match: {etag}\r\n"
-    sock = None
+    connection = None
     try:
         payload = b"" if body is None else json.dumps(body, allow_nan=False).encode("utf-8")
         if body is not None:
             head += f"Content-Type: application/json\r\nContent-Length: {len(payload)}\r\n"
         key = (parts.scheme, host, parts.port or (443 if parts.scheme == "https" else 80), proxy)
-        sock = _pool.take(*key, timeout)
+        connection = fp, sock = _pool.take(*key, timeout)
         sock.settimeout(timeout)
         sock.sendall(f"{head}User-Agent: datacred\r\n\r\n".encode("ascii") + payload)  # one write
-        with sock.makefile("rb") as fp:
-            status, content, reusable = _read_reply(fp)
+        status, content, reusable = _read_reply(fp)
         if 300 <= status < 400 and not (status == 304 and etag is not None):
             raise FetchFailed(f"{url}: refused redirect ({status})")
-        if reusable:
-            _pool.sockets[key], sock = sock, None
+        if reusable and _drained(sock, fp):
+            _pool.sockets[key], connection = connection, None
         if len(content) > MAX_RESPONSE_BYTES:
             raise FetchFailed(f"{url}: reply exceeds {MAX_RESPONSE_BYTES} bytes")
     except (OSError, ValueError) as exc:
         raise FetchFailed(f"{url}: {exc}") from exc
     finally:
-        if sock is not None:  # not back in the pool: hang up
-            sock.close()
+        if connection is not None:  # not back in the pool: hang up
+            for part in connection:
+                part.close()
     return status, content
 
 

@@ -123,6 +123,7 @@ class Wallet:
         self._end: int | None = None  # where the file's complete records end; None: rewrite it
         self._records = 0  # records after the snapshot
         self._chain = b""  # associated data of the next record: the last record's nonce
+        self.changes = 0  # puts and removes so far, so a reader can tell the entries moved
 
     @classmethod
     def open(cls, path: str | Path, passphrase: str) -> "Wallet":
@@ -193,6 +194,7 @@ class Wallet:
     def put(self, label: str, entry: KeyPair | dict) -> None:
         self._entries[label] = entry
         self._pending[label] = entry
+        self.changes += 1
 
     def get(self, label: str) -> KeyPair | dict:
         try:
@@ -206,6 +208,7 @@ class Wallet:
         except KeyError:
             raise NoSuchEntry(label) from None
         self._pending[label] = _REMOVED
+        self.changes += 1
 
     def list(self) -> list[str]:
         return sorted(self._entries)

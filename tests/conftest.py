@@ -20,21 +20,21 @@ PASSPHRASE = "correct horse battery staple"
 
 def pytest_addoption(parser):
     parser.addoption("--without-libsodium", action="store_true",
-                     help="verify every Ed25519 signature through cryptography")
+                     help="sign and verify every Ed25519 signature through cryptography")
 
 
 @pytest.fixture(autouse=True)
 def _ed25519_backend_choice(request, monkeypatch):
-    """Under --without-libsodium, keys.verify_signature finds no libsodium, as on a
-    system without one; datacred subprocesses that tests start still look for it."""
+    """Under --without-libsodium, keys.sign and keys.verify_signature find no libsodium, as
+    on a system without one; datacred subprocesses that tests start still look for it."""
     if request.config.getoption("--without-libsodium"):
         monkeypatch.setattr(keys, "_sodium", False)
 
 
 @pytest.fixture(params=["libsodium", "cryptography"])
 def ed25519_backend(request, monkeypatch):
-    """Runs a test once through each verify backend; the libsodium run skips when
-    no libsodium loads."""
+    """Runs a test once through each Ed25519 backend, which signs and verifies; the
+    libsodium run skips when no libsodium loads."""
     loaded = keys._load_sodium() if request.param == "libsodium" else False
     if request.param == "libsodium" and not loaded:
         pytest.skip("no libsodium loads on this system")

@@ -5,10 +5,15 @@ import pathlib
 import re
 import socket
 import time
+from datetime import datetime, timezone
+from types import SimpleNamespace
 from urllib.parse import urlsplit
 
 import pytest
 import requests
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from datacred.agent.envelopes import (
     CONNECTION_REQUEST,
@@ -20,6 +25,7 @@ from datacred.agent.envelopes import (
 from datacred.agent.service import CREDENTIAL_LABEL_PREFIX, MAX_BODY_BYTES, Agent
 from datacred.agent.state import AgentState
 from datacred.agent.config import AgentConfig, Policy
+from datacred.cli import main
 from datacred.credential import DATASET_PROVENANCE_V1, VerifiableCredential, issue_credential
 from datacred.errors import (
     AgentError,
@@ -36,6 +42,7 @@ from datacred.errors import (
     Unreachable,
 )
 from datacred.fingerprint import fingerprint_bytes
+from datacred.keys import generate_keypair
 from datacred.proofs import ASSERTION, attach_proof, parse_timestamp
 from datacred.resolver import KeyBackend, Resolver, WebBackend
 
@@ -708,6 +715,106 @@ def test_stored_credentials_follow_direct_wallet_changes(agent_factory, monkeypa
     assert len(parses) == 2
     dataset.wallet.remove(CREDENTIAL_LABEL_PREFIX + added.id)
     assert [vc.id for vc in dataset.stored_credentials()] == [replacement.id]
+
+
+def test_a_keypair_under_a_credential_label_is_not_a_credential(agent_factory):
+    """A keypair stored as credential:k once made stored_credentials raise: the dataset
+    agent's handler died on every proof request and GET /credentials answered 400."""
+    publisher, dataset, connection = connected_pair(agent_factory)
+    credential = publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
+    dataset.stop()
+    keygen = CliRunner().invoke(main, ["keygen", "--wallet", dataset.config.wallet_path,
+                                       "--label", CREDENTIAL_LABEL_PREFIX + "k"])
+    assert keygen.exit_code == 0, keygen.output
+    dataset = agent_factory.restart(dataset)
+    user = agent_factory("user")
+    user.connect(**dataset.invitation())
+    report = user.request_proof(dataset.did.text, ["Hash of Data"])
+    assert report.valid and report.credential_reports[0].credential_id == credential.id
+    listed = requests.get(f"{dataset.base_url}/credentials", timeout=5)
+    assert (listed.status_code, [vc["id"] for vc in listed.json()]) == (200, [credential.id])
+
+
+def test_a_direct_put_and_remove_between_proofs_move_the_answer(agent_factory):
+    publisher, dataset, _ = connected_pair(agent_factory)
+    user = agent_factory("user")
+    user.connect(**dataset.invitation())
+    older, newer = (issue_credential(publisher.key, publisher.did, dataset.did,
+                                     DATASET_PROVENANCE_V1, LISTING_CLAIMS,
+                                     issuance_date=f"2024-01-0{day}T00:00:00Z")
+                    for day in (1, 2))
+
+    def presented() -> str:
+        report = user.request_proof(dataset.did.text, ["Hash of Data"])
+        assert report.valid, report.reasons()
+        return report.credential_reports[0].credential_id
+
+    dataset.wallet.put(CREDENTIAL_LABEL_PREFIX + older.id, older.to_json())
+    assert presented() == older.id
+    dataset.wallet.put(CREDENTIAL_LABEL_PREFIX + newer.id, newer.to_json())
+    assert presented() == newer.id
+    dataset.wallet.remove(CREDENTIAL_LABEL_PREFIX + newer.id)
+    assert presented() == older.id
+
+
+_DATES = ["2024-01-01T00:00:00Z", "2024-01-02T00:00:00Z", "2024-01-03T00:00:00Z", "unreadable"]
+_ATTRIBUTES = ["A", "B", "C"]
+
+
+@pytest.fixture
+def answering_dataset(agent_factory):
+    """A dataset agent connected to a publisher, and a credential of that publisher's."""
+    publisher, dataset, _ = connected_pair(agent_factory)
+    template = issue_credential(publisher.key, publisher.did, dataset.did,
+                                DATASET_PROVENANCE_V1, LISTING_CLAIMS).to_json()
+    return publisher, dataset, template
+
+
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(held=st.lists(st.tuples(st.text("abc", min_size=1, max_size=3), st.sampled_from(_DATES),
+                               st.sets(st.sampled_from(_ATTRIBUTES)), st.booleans()),
+                     max_size=8, unique_by=lambda entry: entry[0]),
+       requested=st.sets(st.sampled_from(_ATTRIBUTES), max_size=2),
+       explicit=st.booleans(), keypair_too=st.booleans())
+def test_the_answer_is_the_newest_covering_sharable_credential(
+        answering_dataset, held, requested, explicit, keypair_too):
+    """The presented credential is max(candidates, key=issuance date) over the sharable,
+    covering credentials in label order: on equal dates the first label wins, and an
+    unreadable date counts as earliest."""
+    publisher, dataset, template = answering_dataset
+    for label in dataset.wallet.list():
+        if label.startswith(CREDENTIAL_LABEL_PREFIX):
+            dataset.wallet.remove(label)
+    if keypair_too:
+        dataset.wallet.put(CREDENTIAL_LABEL_PREFIX + "key", generate_keypair(bytes(32)))
+    entries = {}
+    for n, (suffix, date, claims, _) in enumerate(held):
+        entries[CREDENTIAL_LABEL_PREFIX + suffix] = entry = dict(
+            template, id=f"urn:uuid:{n}", issuanceDate=date,
+            credentialSubject={"id": dataset.did.text, **{name: "v" for name in claims}})
+        dataset.wallet.put(CREDENTIAL_LABEL_PREFIX + suffix, entry)
+    sharable = [f"urn:uuid:{n}" for n, entry in enumerate(held) if entry[3]]
+    dataset.config.policy = Policy(sharable_credential_ids=sharable if explicit else "all")
+
+    def issued(entry):
+        try:
+            return parse_timestamp(entry["issuanceDate"])
+        except ValueError:
+            return datetime.min.replace(tzinfo=timezone.utc)
+
+    candidates = [entry for _, entry in sorted(entries.items())
+                  if (not explicit or entry["id"] in sharable)
+                  and all(name in entry["credentialSubject"] for name in requested)]
+    expected = max(candidates, key=issued)["id"] if candidates else None
+    request = SimpleNamespace(sender=publisher.did.text,
+                              body={"challenge": "c", "requestedAttributes": sorted(requested)})
+    try:
+        presentation = dataset._on_proof_request(request)["presentation"]
+        answer = presentation["verifiableCredential"][0]["id"]
+    except NoMatchingCredential:
+        answer = None
+    assert answer == expected
 
 
 @pytest.mark.parametrize("change, key", [

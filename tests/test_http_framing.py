@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from datacred.agent.service import MAX_BODY_BYTES
 from datacred.errors import DocumentInvalid, FetchFailed, NotFound
-from datacred.resolver import MAX_HEADERS, MAX_LINE, MAX_RESPONSE_BYTES, read_head, request_json
+from datacred.resolver import MAX_HEADERS, MAX_LINE, MAX_RESPONSE_BYTES, read_head, request_bytes
+from datacred.resolver import request_json
 from test_http_path import in_fresh_thread
 
 pytestmark = pytest.mark.usefixtures("fast_wallet_kdf")
@@ -122,6 +123,24 @@ def test_reply_without_length_is_read_until_close_and_not_pooled(raw_stub):
 ], ids=["connection-close", "http-1.0", "chunked-and-length"])
 def test_closing_reply_is_not_pooled(raw_stub, reply):
     assert twice(raw_stub(reply)) == ([(200, {})] * 2, 2)
+
+
+@pytest.mark.parametrize("unasked", [
+    b"HTTP/1.1 200 OK\r\nContent-Length: 8\r\n\r\n{\"b\": 2}",
+    b"HTTP/1.1 304 Not Modified\r\nContent-Length: 8\r\n\r\n{\"b\": 2}",
+], ids=["second-response", "304-with-a-body"])
+def test_a_reply_followed_by_unasked_bytes_is_not_pooled(raw_stub, unasked):
+    """RFC 9112 §9: what follows a reply is never read as the answer to the next request."""
+    stub = raw_stub(b"HTTP/1.1 200 OK\r\nContent-Length: 8\r\n\r\n{\"a\": 1}" + unasked)
+    assert twice(stub) == ([(200, {"a": 1})] * 2, 2)
+
+
+def test_a_304_that_carries_a_body_is_not_pooled(raw_stub):
+    """A 304 ends at its head (RFC 9110 §15.4.5), so the bytes after it taint the socket."""
+    stub = raw_stub(b"HTTP/1.1 304 Not Modified\r\nContent-Length: 8\r\n\r\n{\"b\": 2}")
+    replies = in_fresh_thread(lambda: [request_bytes(stub.url, True, 5, etag='"e"')
+                                       for _ in range(2)])
+    assert (replies, stub.connections) == ([(304, b"")] * 2, 2)
 
 
 def test_a_head_of_max_headers_fields_is_read(raw_stub):

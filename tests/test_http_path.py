@@ -330,6 +330,18 @@ def test_https_verifies_the_certificate_and_its_host_name(tls_environment, tmp_p
         mismatched.close()
 
 
+def test_https_connections_are_kept_alive(tls_environment, tmp_path):
+    """After a reply, a TLS socket with nothing left to read is pooled again."""
+    cert, key = certificate(tmp_path, LOOPBACK_SAN)
+    server = TlsStub(cert, key)
+    try:
+        tls_environment.setenv("REQUESTS_CA_BUNDLE", str(cert))
+        replies = in_fresh_thread(lambda: [request_json(server.url, False, 5) for _ in range(3)])
+        assert (replies, server.connections) == ([(200, {"via": "tls"})] * 3, 1)
+    finally:
+        server.close()
+
+
 def test_https_goes_through_a_connect_tunnel_to_the_proxy(tls_environment, tmp_path):
     cert, key = certificate(tmp_path, LOOPBACK_SAN)
     server, proxy = TlsStub(cert, key), Stub()

@@ -44,8 +44,9 @@ RFC8032_VECTORS = [
 ZERO_SEED_PUBLIC = "3b6a27bcceb6a42d62a3a8d02a6f0d73653215771de243a63ac048a18b59da29"
 
 
+@pytest.mark.parametrize("ed25519_backend", ["libsodium", "cryptography"], indirect=True)
 @pytest.mark.parametrize("seed_hex,public_hex,message_hex,signature_hex", RFC8032_VECTORS)
-def test_rfc8032_vectors(seed_hex, public_hex, message_hex, signature_hex):
+def test_rfc8032_vectors(seed_hex, public_hex, message_hex, signature_hex, ed25519_backend):
     keypair = generate_keypair(bytes.fromhex(seed_hex))
     assert keypair.public_key.hex() == public_hex
     message = bytes.fromhex(message_hex)
@@ -59,6 +60,7 @@ def test_zero_seed_derivation_matches_oracle_constant():
     assert keypair.public_key.hex() == ZERO_SEED_PUBLIC
 
 
+@pytest.mark.usefixtures("ed25519_backend")
 def test_sign_agrees_with_independent_oracle_on_random_messages():
     rng = random.Random(0xD474)
     for _ in range(5):

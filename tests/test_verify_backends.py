@@ -1,7 +1,8 @@
-"""One Ed25519 acceptance rule on both verify backends.
+"""One Ed25519 acceptance rule, and the same signatures, on both backends.
 
-keys.verify_signature verifies through libsodium when the system library
-loads and through cryptography when it does not, and applies libsodium's
+keys.sign and keys.verify_signature go through libsodium when the system library
+loads and through cryptography when it does not. Signing is deterministic, so
+both backends must give byte-identical signatures. verify_signature applies libsodium's
 strict rule in front of both. A corpus of honest, bit-flipped and edge-case
 signatures must get the same outcome on both backends, and the outcome
 libsodium's own verify gives with no rule in front of it. The small-order
@@ -10,6 +11,7 @@ ed25519_oracle.py.
 """
 
 import ctypes
+import random
 
 import pytest
 
@@ -140,7 +142,7 @@ def test_both_backends_give_every_case_the_same_outcome(monkeypatch):
     monkeypatch.setattr(keys, "_sodium", sodium)
     assert outcomes() == through_cryptography
     # The rule in front is libsodium's own: its verify, called bare, agrees on every case.
-    bare = {case: sodium(signature, message, len(message), public_key) == 0
+    bare = {case: sodium[1](signature, message, len(message), public_key) == 0
             for case, _, public_key, message, signature in CORPUS}
     assert bare == {case: outcome is True for case, outcome in through_cryptography.items()}
 
@@ -188,8 +190,34 @@ def test_bytes_like_messages_and_signatures_verify():
         verify_signature(key.public_key, "m", signature)
 
 
+def test_both_backends_sign_the_same_bytes(monkeypatch):
+    """RFC 8032 §5.1.6: a signature depends only on the key and the message, so libsodium
+    and cryptography sign byte-identically, and each backend verifies what either signed."""
+    sodium = keys._load_sodium()
+    if not sodium:
+        pytest.skip("no libsodium loads on this system")
+    rng = random.Random(0x5164)
+    corpus = [(generate_keypair(rng.randbytes(32)), rng.randbytes(size))
+              for _ in range(16) for size in (0, 1, 64, 1024, 65536)]
+    signed_by_sodium = []
+    counted = (lambda message, secret: (signed_by_sodium.append(message),
+                                        sodium[0](message, secret))[1], sodium[1])
+    signed = {}
+    for name, backend in (("libsodium", counted), ("cryptography", False)):
+        monkeypatch.setattr(keys, "_sodium", backend)
+        signed[name] = [sign(key, message).value for key, message in corpus]
+    assert len(signed_by_sodium) == len(corpus)  # the libsodium run signed through it
+    assert signed["libsodium"] == signed["cryptography"]
+    for backend in (sodium, False):
+        monkeypatch.setattr(keys, "_sodium", backend)
+        for signatures in signed.values():
+            assert all(verify_signature(key.public_key, message, signature)
+                       for (key, message), signature in zip(corpus, signatures))
+
+
 def test_loading_libsodium_twice_gives_the_same_function():
     first, second = keys._load_sodium(), keys._load_sodium()
     if not first:
         pytest.skip("no libsodium loads on this system")
-    assert ctypes.cast(first, ctypes.c_void_p).value == ctypes.cast(second, ctypes.c_void_p).value
+    verify_at = [ctypes.cast(loaded[1], ctypes.c_void_p).value for loaded in (first, second)]
+    assert verify_at[0] == verify_at[1]
