@@ -8,26 +8,27 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import BadConfig, DocumentInvalid, FetchFailed
-from ..jsonfile import read_json, write_json
+from ..jsonfile import ANY, OBJECT, TEXT, member, read_json, refusal, string_list, write_json
 
 ROLES = ("publisher", "dataset", "user")
 DEFAULT_PASSPHRASE_ENV = "DATACRED_PASSPHRASE"
 WILDCARD_HOSTS = ("0.0.0.0", "")  # bind every interface, but name no reachable host
-_TEXT, _OPTIONAL = (str,), (str, type(None))
-# Config key -> (attribute, accepted types). A type must match exactly, so
-# True is no port and a truthy "false" no boolean.
+_bad_policy = refusal(BadConfig, "policy ")
+_OPTIONAL = (str, type(None))
+# Config key -> (attribute, accepted types), checked by jsonfile.member: a type
+# must match exactly, so True is no port and a truthy "false" no boolean.
 _KEYS = {
-    "role": ("role", _TEXT),
-    "walletPath": ("wallet_path", _TEXT),
-    "passphraseEnv": ("passphrase_env", _TEXT),
-    "listenHost": ("listen_host", _TEXT),
+    "role": ("role", TEXT),
+    "walletPath": ("wallet_path", TEXT),
+    "passphraseEnv": ("passphrase_env", TEXT),
+    "listenHost": ("listen_host", TEXT),
     "listenPort": ("listen_port", (int,)),
     "publicBaseUrl": ("public_base_url", _OPTIONAL),
-    "didMethod": ("did_method", _TEXT),
+    "didMethod": ("did_method", TEXT),
     "webDomain": ("web_domain", _OPTIONAL),
     "allowInsecureHttp": ("allow_insecure_http", (bool,)),
     "statePath": ("state_path", _OPTIONAL),
-    "keyLabel": ("key_label", _TEXT),
+    "keyLabel": ("key_label", TEXT),
 }
 
 
@@ -58,8 +59,6 @@ class Policy:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Policy":
-        if not isinstance(obj, dict):
-            raise BadConfig(f"policy must be an object, got {obj!r}")
         return cls(
             auto_accept_connections=obj.get("autoAcceptConnections", True),
             sharable_credential_ids=obj.get("sharableCredentialIds", "all"),
@@ -82,20 +81,17 @@ class AgentConfig:
     policy: Policy = field(default_factory=Policy)
 
     def validate(self) -> None:
-        for key, (attribute, kinds) in _KEYS.items():
-            value = getattr(self, attribute)
-            if type(value) not in kinds:
-                raise BadConfig(f"{key} has the wrong type ({type(value).__name__}): {value!r}")
+        if not isinstance(self.policy, Policy):
+            raise BadConfig(f"policy must be a Policy, got {self.policy!r}")
+        obj = self.to_json()
+        for key, (_, kinds) in _KEYS.items():
+            member(obj, key, kinds, BadConfig)
+        policy = obj["policy"]
+        member(policy, "autoAcceptConnections", (bool,), _bad_policy)
+        if policy["sharableCredentialIds"] != "all":
+            string_list(policy, "sharableCredentialIds", _bad_policy)
         if not 0 <= self.listen_port <= 65535:
             raise BadConfig(f"listenPort must be in 0-65535, got {self.listen_port}")
-        policy = self.policy
-        if not isinstance(policy, Policy):
-            raise BadConfig(f"policy must be an object, got {policy!r}")
-        if type(policy.auto_accept_connections) is not bool:
-            raise BadConfig("policy autoAcceptConnections must be true or false")
-        ids = policy.sharable_credential_ids
-        if ids != "all" and not (type(ids) is list and all(type(i) is str for i in ids)):
-            raise BadConfig('policy sharableCredentialIds must be "all" or a list of strings')
         if self.role not in ROLES:
             raise BadConfig(f"role must be one of {ROLES}, got {self.role!r}")
         if self.did_method not in ("key", "web"):
@@ -124,10 +120,10 @@ class AgentConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "AgentConfig":
         for required in ("role", "walletPath"):
-            if required not in obj:
-                raise BadConfig(f"config missing field {required!r}")
+            member(obj, required, ANY, BadConfig)
         values = {attribute: obj[key] for key, (attribute, _) in _KEYS.items() if key in obj}
-        config = cls(**values, policy=Policy.from_json(obj.get("policy", {})))
+        policy = Policy.from_json(member(obj, "policy", OBJECT, BadConfig, {}))
+        config = cls(**values, policy=policy)
         config.validate()
         return config
 

@@ -12,6 +12,7 @@ import uuid
 from dataclasses import dataclass
 
 from ..errors import SignatureInvalid
+from ..jsonfile import ANY, OBJECT, TEXT, json_object, member, refusal
 from ..keys import KeyPair
 from ..proofs import AUTHENTICATION, Proof, attach_proof, check_proof, format_timestamp, utc_now
 from ..reports import CheckStatus
@@ -28,6 +29,7 @@ PROOF_RESPONSE = f"{PROTOCOL}/proof-response"
 PROBLEM_REPORT = f"{PROTOCOL}/problem-report"
 
 SIGNATURE_FIELD = "signature"
+_malformed = refusal(SignatureInvalid, "malformed envelope: ")
 
 
 @dataclass
@@ -55,21 +57,17 @@ class MessageEnvelope:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MessageEnvelope":
-        try:
-            signature = obj.get(SIGNATURE_FIELD)
-            if not isinstance(obj["body"], dict):
-                raise SignatureInvalid("malformed envelope: body must be an object")
-            return cls(
-                id=obj["id"],
-                type=obj["type"],
-                sender=obj["from"],
-                recipient=obj["to"],
-                created_at=obj["createdAt"],
-                body=dict(obj["body"]),
-                signature=Proof.from_json(signature) if signature else None,
-            )
-        except (AttributeError, KeyError, TypeError) as exc:  # AttributeError: not an object
-            raise SignatureInvalid(f"malformed envelope: {exc}") from exc
+        obj = json_object(obj, _malformed)
+        signature = member(obj, SIGNATURE_FIELD, OBJECT, _malformed, None)
+        return cls(
+            id=member(obj, "id", TEXT, _malformed),
+            type=member(obj, "type", ANY, _malformed),  # handle_envelope refuses an unknown type
+            sender=member(obj, "from", TEXT, _malformed),
+            recipient=member(obj, "to", TEXT, _malformed),
+            created_at=member(obj, "createdAt", TEXT, _malformed),
+            body=dict(member(obj, "body", OBJECT, _malformed)),
+            signature=None if signature is None else Proof.from_json(signature),
+        )
 
 
 def build_envelope(

@@ -80,7 +80,7 @@ from ..errors import (
     UnsupportedMessage,
     WrongIssuerKey,
 )
-from ..jsonfile import write_json
+from ..jsonfile import ANY, OBJECT, TEXT, json_object, member, refusal, string_list, write_json
 from ..keys import KeyPair, generate_keypair
 from ..presentation import (
     VerifiablePresentation,
@@ -88,7 +88,7 @@ from ..presentation import (
     new_challenge,
     verify_presentation,
 )
-from ..proofs import Proof, parse_timestamp
+from ..proofs import parse_timestamp
 from ..reports import CheckResult, CheckStatus, PresentationReport
 from ..resolver import HeadRefused, KeyBackend, Resolver, WebBackend, is_loopback_host
 from ..resolver import read_head, request_json
@@ -115,25 +115,6 @@ IDLE_TIMEOUT = 5.0  # seconds a kept-alive connection may wait for its next requ
 _DRAIN_BYTES = 16 * MAX_BODY_BYTES  # read and dropped after a refusal, before hanging up
 
 _PEER_ERRORS = {cls.__name__: cls for cls in Refused.__subclasses__()}  # code -> error
-
-
-def _field(body: dict, name: str, kind: type, default):
-    """body[name], or default when absent (a None default makes the field required);
-    a value of another type is a BadRequest."""
-    if default is None and name not in body:
-        raise BadRequest(f"missing field {name!r}")
-    value = body.get(name, default)
-    if not isinstance(value, kind):
-        raise BadRequest(f"{name} must be a {kind.__name__}, not {type(value).__name__}")
-    return value
-
-
-def _string_list(body: dict, name: str) -> list[str]:
-    """body[name] as a list of strings, [] when absent; anything else is a BadRequest."""
-    value = _field(body, name, list, [])
-    if not all(isinstance(item, str) for item in value):
-        raise BadRequest(f"{name} must all be strings")
-    return value
 
 
 def _issued_at(vc: VerifiableCredential) -> datetime:
@@ -267,19 +248,23 @@ class Agent:
     # --- wallet-backed credential store ---
 
     def stored_credentials(self) -> list[VerifiableCredential]:
-        """The wallet's credential dicts under CREDENTIAL_LABEL_PREFIX, newest issuance first,
-        in label order among equal dates; read again only after a wallet put or remove, and
-        each parse kept (issuance date included) while its label holds the same object."""
+        """The wallet's credentials under CREDENTIAL_LABEL_PREFIX, newest issuance first,
+        in label order among equal dates, leaving out an entry that does not parse; read
+        again only after a wallet put or remove, and each parse kept (issuance date
+        included) while its label holds the same object."""
         with self._lock:
             wallet, changes, newest = self._newest
             if wallet is not self.wallet or changes != self.wallet.changes:
                 parsed = {}
                 for label in self.wallet.list():
                     entry = self.wallet.get(label)
-                    if label.startswith(CREDENTIAL_LABEL_PREFIX) and isinstance(entry, dict):
+                    if label.startswith(CREDENTIAL_LABEL_PREFIX):
                         known = self._parsed.get(label)
                         if known is None or known[0] is not entry:
-                            vc = VerifiableCredential.from_json(entry)
+                            try:
+                                vc = VerifiableCredential.from_json(entry)
+                            except DatacredError:  # no credential, so never presented
+                                continue
                             known = (entry, vc, _issued_at(vc))
                         parsed[label] = known
                 newest = [vc for _, vc, _ in  # a stable sort: label order among equal dates
@@ -421,8 +406,9 @@ class Agent:
             {"requestedAttributes": list(attributes), "challenge": challenge},
         )
         try:
-            presentation = VerifiablePresentation.from_json(envelope.body["presentation"])
-        except (KeyError, DatacredError) as exc:
+            presentation = VerifiablePresentation.from_json(
+                member(envelope.body, "presentation", OBJECT, DatacredError))
+        except DatacredError as exc:
             raise AgentError(f"malformed proof response: {exc}") from exc
         report = verify_presentation(
             presentation,
@@ -451,8 +437,7 @@ class Agent:
                 issuer, revoked = state.registry["issuer"], state.registry["revoked"]
                 state.record_registry(sign_registry(issuer, [*revoked, status_id], self.key))
             registry = state.registry
-        return RevocationRegistry(registry["issuer"], list(registry["revoked"]),
-                                  registry["updated"], Proof.from_json(registry["proof"]))
+        return RevocationRegistry.from_json(registry)
 
     def registry_reply(self) -> tuple[bytes, str]:
         """The registry's JSON bytes and their ETag, the quoted hex SHA-256 of the
@@ -472,8 +457,9 @@ class Agent:
     def handle_envelope(self, raw: dict) -> tuple[int, dict]:
         """Process one inbound envelope; returns (http status, response JSON).
 
-        A failure is answered with a problem report: its code is the
-        AgentError's class name and its status the error's http_status.
+        A failure is answered with a problem report: its code is the error's
+        class name and its status an AgentError's http_status, or AgentError's
+        for any other DatacredError.
         """
         status, sender = 200, "unknown"
         try:
@@ -486,8 +472,9 @@ class Agent:
                 raise UnsupportedMessage(f"no handler for {envelope.type}")
             reply, handler = _PROTOCOL[envelope.type]
             body = handler(self, envelope)
-        except AgentError as exc:
-            status, reply = exc.http_status, PROBLEM_REPORT
+        except DatacredError as exc:
+            status = exc.http_status if isinstance(exc, AgentError) else AgentError.http_status
+            reply = PROBLEM_REPORT
             body = {"code": type(exc).__name__, "detail": str(exc)}
             import logging
             logging.getLogger(__name__).info("problem answering %s: %s: %s", sender,
@@ -498,10 +485,10 @@ class Agent:
         if not self.config.policy.auto_accept_connections:
             raise PolicyRejected("connections are not auto-accepted")
         body = envelope.body
-        endpoint = _field(body, "endpoint", str, "")
+        endpoint = member(body, "endpoint", TEXT, BadRequest, "")
         if not endpoint:
             raise BadRequest("connection request carries no endpoint")
-        connection_id = _field(body, "connectionId", str, "") or str(uuid.uuid4())
+        connection_id = member(body, "connectionId", TEXT, BadRequest, "") or str(uuid.uuid4())
         with self._lock:
             existing = self.state.connections.get(connection_id)
             # A proposed id may only reuse a record with the same peer;
@@ -515,15 +502,16 @@ class Agent:
 
     def _on_credential_issue(self, envelope: MessageEnvelope) -> dict:
         body = envelope.body
-        connection_id = _field(body, "connectionId", str, "")
+        connection_id = member(body, "connectionId", TEXT, BadRequest, "")
         connection = self.state.connections.get(connection_id)
         if connection is None or connection.their_did != envelope.sender:
             raise ConnectionInactive(
                 f"no active connection {connection_id!r} with {envelope.sender}"
             )
         try:
-            credential = VerifiableCredential.from_json(body["credential"])
-        except (KeyError, DatacredError) as exc:
+            credential = VerifiableCredential.from_json(
+                member(body, "credential", ANY, DatacredError))
+        except DatacredError as exc:
             raise CredentialRejected(f"malformed credential: {exc}") from exc
         if credential.subject_id != self.did.text:
             raise CredentialRejected(
@@ -541,8 +529,8 @@ class Agent:
         # Only connection-protocol messages may arrive outside an active connection.
         if self.state.connection_for_did(envelope.sender) is None:
             raise ConnectionInactive(f"no active connection with {envelope.sender}")
-        challenge = _field(envelope.body, "challenge", str, "")
-        requested = _string_list(envelope.body, "requestedAttributes")
+        challenge = member(envelope.body, "challenge", TEXT, BadRequest, "")
+        requested = string_list(envelope.body, "requestedAttributes", BadRequest, [])
         if not challenge:
             raise BadRequest("proof request carries no challenge")
         may_share = self.config.policy.may_share
@@ -564,34 +552,33 @@ _PROTOCOL = {
 
 
 def _admin_connect(agent: Agent, body: dict) -> dict:
-    did, endpoint = _field(body, "did", str, None), _field(body, "endpoint", str, None)
-    return agent.connect(did, endpoint).to_json()
+    return agent.connect(
+        member(body, "did", TEXT, BadRequest), member(body, "endpoint", TEXT, BadRequest)
+    ).to_json()
 
 
 def _admin_issue(agent: Agent, body: dict) -> dict:
-    schema = None
-    if "schema" in body:
-        schema = CredentialSchema.from_json(_field(body, "schema", dict, None))
+    schema = member(body, "schema", OBJECT, BadRequest, None)
     return agent.issue_over_connection(
-        _field(body, "connectionId", str, None),
-        _field(body, "claims", dict, None),
-        schema=schema,
-        expiration_date=_field(body, "expirationDate", str, "") or None,
-        with_status=_field(body, "withStatus", bool, True),
+        member(body, "connectionId", TEXT, BadRequest),
+        member(body, "claims", OBJECT, BadRequest),
+        schema=None if schema is None else CredentialSchema.from_json(schema),
+        expiration_date=member(body, "expirationDate", TEXT, BadRequest, "") or None,
+        with_status=member(body, "withStatus", (bool,), BadRequest, True),
     ).to_json()
 
 
 def _admin_request_proof(agent: Agent, body: dict) -> dict:
     return agent.request_proof(
-        _field(body, "target", str, None),
-        _string_list(body, "attributes"),
-        endpoint=_field(body, "endpoint", str, "") or None,
+        member(body, "target", TEXT, BadRequest),
+        string_list(body, "attributes", BadRequest, []),
+        endpoint=member(body, "endpoint", TEXT, BadRequest, "") or None,
     ).to_json()
 
 
 def _admin_revoke(agent: Agent, body: dict) -> dict:
-    status_id = _field(body, "statusId", str, "")
-    credential_id = _field(body, "credentialId", str, "")
+    status_id = member(body, "statusId", TEXT, BadRequest, "")
+    credential_id = member(body, "credentialId", TEXT, BadRequest, "")
     if not status_id and credential_id:
         status_id = agent.find_status_id(credential_id)
     if not status_id:
@@ -753,8 +740,7 @@ class _RequestHandler(socketserver.StreamRequestHandler):
             self._send_json(403, {"error": "Forbidden", "detail": "admin API is loopback-only"})
         else:
             try:
-                if not isinstance(body, dict):
-                    raise BadRequest("body must be a JSON object")
+                body = json_object(body, refusal(BadRequest, "body "))
                 self._send_json(200, route(agent, body))
             except DatacredError as exc:  # a relayed refusal too: its inbox status is the peer's
                 self._send_error(403 if isinstance(exc, RoleForbidden) else 400, exc)

@@ -41,7 +41,11 @@ from pathlib import Path
 
 from ..credential import RevocationRegistry
 from ..errors import DatacredError, DocumentInvalid
-from ..jsonfile import append_line, read_json, read_lines, write_json, write_lines
+from ..jsonfile import LIST, TEXT, append_line, json_object, member, parse_json, read_json
+from ..jsonfile import read_lines, refusal, write_json, write_lines
+
+_CONNECTION = ("connectionId", "myDid", "theirDid", "theirEndpoint")  # strings, and createdAt
+_bad_connection = refusal(DocumentInvalid, "bad connection record: ")
 
 
 @dataclass
@@ -66,37 +70,30 @@ class Connection:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Connection":
-        """A stored connection; KeyError or TypeError when a field is missing or mistyped."""
-        texts = [obj[key] for key in ("connectionId", "myDid", "theirDid", "theirEndpoint")]
-        created_at = obj["createdAt"]
-        if not all(isinstance(text, str) for text in texts) or type(created_at) not in (int, float):
-            raise TypeError("connection ids, DIDs and endpoint must be strings, createdAt a number")
-        return cls(*texts, created_at=created_at)
-
-
-def _objects(value) -> bool:
-    return isinstance(value, list) and all(isinstance(item, dict) for item in value)
+        """A stored connection; DocumentInvalid when a field is missing or mistyped."""
+        obj = json_object(obj, _bad_connection)
+        return cls(*(member(obj, name, TEXT, _bad_connection) for name in _CONNECTION),
+                   created_at=member(obj, "createdAt", (int, float), _bad_connection))
 
 
 def _encode(obj: dict) -> bytes:
     return json.dumps(obj).encode("ascii")
 
 
-def _log_object(path: Path, number: int, line: bytes) -> dict:
+def _parsed(parse, value, name):
+    """parse(value); a DatacredError it raises is raised again as DocumentInvalid naming name."""
     try:
-        obj = json.loads(line)
-    except ValueError as exc:
-        raise DocumentInvalid(f"{path}: line {number}: invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise DocumentInvalid(f"{path}: line {number} is not a JSON object")
-    return obj
-
-
-def _check_registry(registry, name: str) -> None:
-    try:
-        RevocationRegistry.from_json(registry)
+        return parse(value)
     except DatacredError as exc:
         raise DocumentInvalid(f"{name}: {exc}") from exc
+
+
+def _issuance_record(record, name: str) -> dict:
+    """record, which must be an object with a credentialId and an optional statusId."""
+    invalid = refusal(DocumentInvalid, f"{name}: ")
+    member(json_object(record, invalid), "credentialId", TEXT, invalid)
+    member(record, "statusId", (str, type(None)), invalid, None)
+    return record
 
 
 class AgentState:
@@ -150,28 +147,23 @@ class AgentState:
     def load(self) -> None:
         legacy, registry = [], None
         if self.path.exists():
-            obj = read_json(self.path)
-            connections, registry = obj.get("connections", []), obj.get("registry")
-            legacy = obj.get("issued", [])
-            if not _objects(connections):
-                raise DocumentInvalid(f"{self.path}: connections must be a list of objects")
+            obj, invalid = read_json(self.path), refusal(DocumentInvalid, f"{self.path}: ")
+            records = member(obj, "connections", LIST, invalid, [])
+            registry = member(obj, "registry", (dict, type(None)), invalid, None)
             if registry is not None:
-                _check_registry(registry, f"{self.path}: registry")
-            if not _objects(legacy):
-                raise DocumentInvalid(f"{self.path}: issued must be a list of objects")
-            try:
-                # Records in another state were left by connects that never completed.
-                self.connections = {
-                    c["connectionId"]: Connection.from_json(c)
-                    for c in connections
-                    if c.get("state") == "active"
-                }
-            except (KeyError, TypeError) as exc:
-                raise DocumentInvalid(f"{self.path}: bad connection record: {exc}") from exc
+                _parsed(RevocationRegistry.from_json, registry, f"{self.path}: registry")
+            legacy = [_issuance_record(record, f"{self.path}: issued")
+                      for record in member(obj, "issued", LIST, invalid, [])]
+            # Records in another state were left by connects that never completed.
+            active = [c for c in records if type(c) is not dict or c.get("state") == "active"]
+            connections = [_parsed(Connection.from_json, c, self.path) for c in active]
+            self.connections = {c.connection_id: c for c in connections}
         if self.issued_path.exists():
             lines, self._issued_end = read_lines(self.issued_path)
-            self.issued = [_log_object(self.issued_path, n, line) for n, line in
-                           enumerate(lines, 1)]
+            self.issued = []
+            for number, line in enumerate(lines, 1):
+                name = f"{self.issued_path}: line {number}"
+                self.issued.append(_issuance_record(parse_json(line, name), name))
         elif legacy:
             self._issued_end = write_lines(self.issued_path, [_encode(r) for r in legacy])
             self.issued = list(legacy)
@@ -186,14 +178,14 @@ class AgentState:
         lines, self._registry_end = read_lines(path)
         if not lines:
             raise DocumentInvalid(f"{path}: no registry snapshot")
-        registry = _log_object(path, 1, lines[0])
-        _check_registry(registry, f"{path}: line 1")
-        entries = [_log_object(path, n, line) for n, line in enumerate(lines[1:], 2)]
+        registry = parse_json(lines[0], f"{path}: line 1")
+        _parsed(RevocationRegistry.from_json, registry, f"{path}: line 1")
+        entries = [parse_json(line, f"{path}: line {n}") for n, line in enumerate(lines[1:], 2)]
         revoked = [*registry["revoked"], *(entry.get("revoke") for entry in entries)]
         if entries:
             registry = {"issuer": registry["issuer"], "revoked": revoked,
                         "updated": entries[-1].get("updated"), "proof": entries[-1].get("proof")}
-            _check_registry(registry, str(path))
+            _parsed(RevocationRegistry.from_json, registry, path)
         self._snapshot_ids = len(revoked) - len(entries)
         self.registry, self.revoked = registry, set(revoked)
 

@@ -28,6 +28,7 @@ import uuid
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
+from typing import NamedTuple
 
 from .did import Did, parse_did
 from .errors import (
@@ -46,7 +47,8 @@ from .fingerprint import (
     data_form,
     normalize_digest,
 )
-from .jsonfile import parse_json, read_bytes
+from .jsonfile import ANY, LIST, OBJECT, TEXT, VALUE, json_object, member, parse_json
+from .jsonfile import read_bytes, refusal, string_list
 from .keys import KeyPair
 from .proofs import (
     ASSERTION,
@@ -70,10 +72,12 @@ ETHICS_CLAIM = "Data Ethically Sourced"
 
 ATTRIBUTE_KINDS = ("string", "hex-digest", "yes-no", "date")
 _HEX_DIGEST_RE = re.compile(r"[0-9a-f]{64}|[0-9a-f]{128}")
+_malformed = refusal(DatacredError, "malformed credential: ")
+_malformed_schema = refusal(SchemaMismatch, "malformed schema: ")
+_malformed_registry = refusal(DatacredError, "malformed registry: ")
 
 
-@dataclass(frozen=True)
-class SchemaAttribute:
+class SchemaAttribute(NamedTuple):
     name: str
     kind: str
 
@@ -82,7 +86,9 @@ class SchemaAttribute:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SchemaAttribute":
-        return cls(name=obj["name"], kind=obj["kind"])
+        obj = json_object(obj, _malformed_schema)
+        return cls(member(obj, "name", TEXT, _malformed_schema),
+                   member(obj, "kind", TEXT, _malformed_schema))
 
 
 @dataclass(frozen=True)
@@ -141,14 +147,12 @@ class CredentialSchema:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CredentialSchema":
-        try:
-            return cls(
-                id=obj["id"],
-                name=obj["name"],
-                attributes=tuple(SchemaAttribute.from_json(a) for a in obj["attributes"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise SchemaMismatch(f"malformed schema: {exc}") from exc
+        return cls(
+            id=member(obj, "id", TEXT, _malformed_schema),
+            name=member(obj, "name", TEXT, _malformed_schema),
+            attributes=tuple(map(SchemaAttribute.from_json,
+                                 member(obj, "attributes", LIST, _malformed_schema))),
+        )
 
 
 DATASET_PROVENANCE_V1 = CredentialSchema(
@@ -161,8 +165,7 @@ DATASET_PROVENANCE_V1 = CredentialSchema(
 )
 
 
-@dataclass(frozen=True)
-class CredentialStatus:
+class CredentialStatus(NamedTuple):
     """Pointer to the issuer's revocation registry entry for a credential."""
 
     registry_url: str
@@ -173,10 +176,8 @@ class CredentialStatus:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CredentialStatus":
-        status = cls(registry_url=obj["registry"], status_id=obj["statusId"])
-        if not (isinstance(status.registry_url, str) and isinstance(status.status_id, str)):
-            raise TypeError("credentialStatus registry and statusId must be strings")
-        return status
+        return cls(member(obj, "registry", TEXT, _malformed),
+                   member(obj, "statusId", TEXT, _malformed))
 
 
 @dataclass
@@ -216,35 +217,27 @@ class VerifiableCredential:
 
     @classmethod
     def from_json(cls, obj: dict) -> "VerifiableCredential":
-        try:
-            types = obj["type"]
-            if CREDENTIAL_TYPE not in types:
-                raise DatacredError(f"type {types!r} does not include {CREDENTIAL_TYPE}")
-            subject = obj["credentialSubject"]
-            if not isinstance(subject, dict):  # dict() would also take a list of pairs
-                raise TypeError(f"credentialSubject is a {type(subject).__name__}")
-            subject = dict(subject)
-            subject_id = subject.pop("id")
-            for key in ("expirationDate", "credentialStatus", "proof"):
-                if key in obj and obj[key] is None:  # to_json leaves None out: not what was signed
-                    raise ValueError(f"{key} is null")
-            status = obj.get("credentialStatus")
-            proof = obj.get("proof")
-            return cls(
-                id=obj["id"],
-                issuer=obj["issuer"],
-                issuance_date=obj["issuanceDate"],
-                expiration_date=obj.get("expirationDate"),
-                subject_id=subject_id,
-                claims=subject,
-                schema=CredentialSchema.from_json(obj["credentialSchema"]),
-                status=CredentialStatus.from_json(status) if status is not None else None,
-                proof=Proof.from_json(proof) if proof is not None else None,
-                context=list(obj["@context"]),
-                type=list(types),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatacredError(f"malformed credential: {exc}") from exc
+        types = string_list(json_object(obj, _malformed), "type", _malformed)
+        if CREDENTIAL_TYPE not in types:
+            raise DatacredError(f"type {types!r} does not include {CREDENTIAL_TYPE}")
+        claims = dict(member(obj, "credentialSubject", OBJECT, _malformed))
+        subject_id = member(claims, "id", TEXT, _malformed)
+        del claims["id"]
+        status = member(obj, "credentialStatus", OBJECT, _malformed, None)
+        proof = member(obj, "proof", OBJECT, _malformed, None)
+        return cls(
+            id=member(obj, "id", TEXT, _malformed),
+            issuer=member(obj, "issuer", TEXT, _malformed),
+            issuance_date=member(obj, "issuanceDate", ANY, _malformed),  # _check_temporal judges it
+            expiration_date=member(obj, "expirationDate", VALUE, _malformed, None),
+            subject_id=subject_id,
+            claims=claims,
+            schema=CredentialSchema.from_json(member(obj, "credentialSchema", OBJECT, _malformed)),
+            status=None if status is None else CredentialStatus.from_json(status),
+            proof=None if proof is None else Proof.from_json(proof),
+            context=list(string_list(obj, "@context", _malformed)),
+            type=list(types),
+        )
 
 
 def issue_credential(
@@ -313,20 +306,14 @@ class RevocationRegistry:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RevocationRegistry":
-        try:
-            revoked, proof = obj["revoked"], obj.get("proof")
-            registry = cls(
-                issuer=obj["issuer"],
-                revoked=list(revoked),
-                updated=obj["updated"],
-                proof=Proof.from_json(proof) if proof else None,
-            )
-        except (KeyError, TypeError, AttributeError) as exc:  # AttributeError: not an object
-            raise DatacredError(f"malformed registry: {exc}") from exc
-        if not (isinstance(registry.issuer, str) and isinstance(registry.updated, str)
-                and isinstance(revoked, list) and set(map(type, revoked)) <= {str}):
-            raise DatacredError("malformed registry: issuer, updated and revoked ids are strings")
-        return registry
+        obj = json_object(obj, _malformed_registry)
+        proof = member(obj, "proof", OBJECT, _malformed_registry, None)
+        return cls(
+            issuer=member(obj, "issuer", TEXT, _malformed_registry),
+            revoked=list(string_list(obj, "revoked", _malformed_registry)),
+            updated=member(obj, "updated", TEXT, _malformed_registry),
+            proof=None if proof is None else Proof.from_json(proof),
+        )
 
 
 def sign_registry(issuer: str, revoked: list[str], issuer_key: KeyPair) -> dict:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from .base58 import b58decode, b58encode
 from .errors import BadKey, DocumentInvalid, MalformedDid, WrongMethod
+from .jsonfile import ANY, LIST, TEXT, json_object, member, refusal
 
 DID_CONTEXT = "https://w3id.org/did/v1"
 KEY_TYPE = "Ed25519VerificationKey2018"
@@ -27,6 +28,8 @@ _MULTICODEC_ED25519 = b"\xed\x01"
 
 _METHOD_RE = re.compile(r"[a-z0-9]+")
 _SEGMENT_RE = re.compile(r"[A-Za-z0-9._%-]+")
+_invalid_method = refusal(DocumentInvalid, "verification method ")
+_invalid_document = refusal(DocumentInvalid, "DID document ")
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ def did_web_url(did: Did) -> str:
     return f"https://{host}/{path}/did.json"
 
 
-@dataclass(frozen=True)
+@dataclass
 class VerificationMethod:
     """One public key published in a DID document."""
 
@@ -98,7 +101,7 @@ class VerificationMethod:
                 raise DocumentInvalid(f"{self.id}: bad key encoding: {exc}") from exc
             if len(raw) != 32:
                 raise DocumentInvalid(f"{self.id}: key decodes to {len(raw)} bytes, want 32")
-            object.__setattr__(self, "_raw", raw)
+            self._raw = raw
         return self._raw
 
     def to_json(self) -> dict:
@@ -111,17 +114,14 @@ class VerificationMethod:
 
     @classmethod
     def from_json(cls, obj: dict) -> "VerificationMethod":
-        if not isinstance(obj, dict):
-            raise DocumentInvalid(f"verification method must be an object, not {type(obj).__name__}")
-        try:
-            return cls(
-                id=obj["id"],
-                type=obj["type"],
-                controller=obj["controller"],
-                public_key_base58=obj["publicKeyBase58"],
-            )
-        except KeyError as exc:
-            raise DocumentInvalid(f"verification method missing {exc}") from exc
+        obj = json_object(obj, _invalid_method)
+        return cls(
+            id=member(obj, "id", TEXT, _invalid_method),
+            type=member(obj, "type", TEXT, _invalid_method),
+            controller=member(obj, "controller", TEXT, _invalid_method),
+            # Any key is read: public_key_bytes refuses one that is not base58 text.
+            public_key_base58=member(obj, "publicKeyBase58", ANY, _invalid_method),
+        )
 
 
 @dataclass
@@ -181,17 +181,14 @@ class DidDocument:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DidDocument":
-        if not isinstance(obj, dict) or "id" not in obj:
-            raise DocumentInvalid("document is not an object with an id")
-        auth = obj.get("authentication") or []
-        assertion = obj.get("assertionMethod") or []
-        if not isinstance(auth, list) or not isinstance(assertion, list):
-            raise DocumentInvalid(f"{obj.get('id')}: method lists malformed")
+        obj = json_object(obj, _invalid_document)
         doc = cls(
-            id=obj["id"],
-            authentication=[VerificationMethod.from_json(m) for m in auth],
-            assertion_method=[VerificationMethod.from_json(m) for m in assertion],
-            context=obj.get("@context", DID_CONTEXT),
+            id=member(obj, "id", TEXT, _invalid_document),
+            authentication=list(map(VerificationMethod.from_json,
+                                    member(obj, "authentication", LIST, _invalid_document, []))),
+            assertion_method=list(map(VerificationMethod.from_json,
+                                      member(obj, "assertionMethod", LIST, _invalid_document, []))),
+            context=member(obj, "@context", (str, list), _invalid_document, DID_CONTEXT),
         )
         doc.validate()
         return doc

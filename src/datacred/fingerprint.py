@@ -32,11 +32,13 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import AlgorithmUnsupported, DatacredError, SymlinkEscape, UnreadablePath
+from .jsonfile import LIST, TEXT, json_object, member, refusal
 
 ALGORITHM = "sha256"
 _READ_CHUNK = 1 << 18  # unbuffered os.read size: most files take one read
 _READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)  # O_BINARY: no newline mapping on Windows
 _MANIFEST_HEAD = b'[{"digest":"'  # how every non-empty canonical manifest starts
+_malformed = refusal(DatacredError, "malformed fingerprint: ")
 
 
 class ManifestEntry(NamedTuple):
@@ -48,7 +50,8 @@ class ManifestEntry(NamedTuple):
 
     @classmethod
     def from_json(cls, obj: dict) -> "ManifestEntry":
-        return cls(path=obj["path"], digest=obj["digest"])
+        obj = json_object(obj, _malformed)
+        return cls(member(obj, "path", TEXT, _malformed), member(obj, "digest", TEXT, _malformed))
 
 
 @dataclass(frozen=True)
@@ -68,14 +71,12 @@ class DatasetFingerprint:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DatasetFingerprint":
-        manifest = obj.get("manifest")
+        manifest = member(obj, "manifest", LIST, _malformed, None)
         return cls(
-            algorithm=obj["algorithm"],
-            digest=obj["digest"],
-            form=obj["form"],
-            manifest=tuple(ManifestEntry.from_json(e) for e in manifest)
-            if manifest is not None
-            else None,
+            algorithm=member(obj, "algorithm", TEXT, _malformed),
+            digest=member(obj, "digest", TEXT, _malformed),
+            form=member(obj, "form", TEXT, _malformed),
+            manifest=None if manifest is None else tuple(map(ManifestEntry.from_json, manifest)),
         )
 
 
@@ -244,15 +245,12 @@ def _manifest_reading(data: bytes | str | Path, digest: str) -> tuple[int, int] 
                 data = head + file.read()
     if head not in (b"[]", _MANIFEST_HEAD):
         return None
-    try:
-        items = json.loads(data.decode("utf-8"))
-        same = isinstance(items, list) and all(
-            isinstance(item, dict) and isinstance(item.get("path"), str)
-            and isinstance(item.get("digest"), str) for item in items
-        ) and manifest_digest([ManifestEntry.from_json(item) for item in items]) == digest
-    except (ValueError, RecursionError):  # not UTF-8 or JSON, nested too deep, or a lone surrogate
-        return None
-    return (len(data), len(items)) if same else None
+    try:  # JSON that starts with "[" is a list
+        entries = list(map(ManifestEntry.from_json, json.loads(data.decode("utf-8"))))
+        same = manifest_digest(entries) == digest
+    except (ValueError, RecursionError, DatacredError):
+        return None  # not UTF-8 or JSON, nested too deep, a lone surrogate, or not entries
+    return (len(data), len(entries)) if same else None
 
 
 def check_binding(fp: DatasetFingerprint, data: bytes | str | Path) -> BindingReport:

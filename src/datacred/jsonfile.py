@@ -10,6 +10,13 @@ Logs (the wallet, and an agent's issuance and registry logs) are JSON-lines
 files that grow by appending one line. A crash mid-append can leave a last
 line with no newline; that torn tail is not part of the log: ``read_lines``
 leaves it out and the next ``append_line`` cuts it off. No write is fsynced.
+
+Untrusted JSON has one shape rule, which every ``from_json`` applies through
+``member``, ``string_list`` and ``json_object``: a member that is present has its
+type, and a type matches exactly, so ``true`` is no integer, a string no list
+and ``null`` no absent member. A refusal raises the error the caller passes,
+called with ``missing field 'name'``, ``fields must be <kinds>: 'name' is
+<kind>`` or ``must be an object, not <kind>``.
 """
 
 from __future__ import annotations
@@ -39,6 +46,55 @@ def parse_json(data: bytes, name) -> dict:
     if not isinstance(obj, dict):
         raise DocumentInvalid(f"{name}: expected a JSON object, got {type(obj).__name__}")
     return obj
+
+
+REQUIRED = object()  # the default of a member that must be present, and what get finds absent
+TEXT, OBJECT, LIST = (str,), (dict,), (list,)
+ANY = (str, int, float, bool, list, dict, type(None))  # any JSON value
+VALUE = ANY[:-1]  # any JSON value but null
+_STRING = {str}
+_KINDS = {str: ("a string", "strings"), int: ("an integer", "integers"),
+          float: ("a number", "numbers"), bool: ("a boolean", "booleans"),
+          list: ("a list", "lists"), dict: ("an object", "objects"), type(None): ("null", "null")}
+
+
+def _kind(value) -> str:
+    return _KINDS[type(value)][0] if type(value) in _KINDS else type(value).__name__
+
+
+def member(obj: dict, name: str, kinds: tuple, error, default=REQUIRED):
+    """obj[name], whose type must be exactly one of kinds; default when the member is
+    absent, unless it is REQUIRED. Any other value raises error(message)."""
+    value = obj.get(name, REQUIRED)
+    if type(value) in kinds:
+        return value
+    if value is REQUIRED:
+        if default is REQUIRED:
+            raise error(f"missing field {name!r}")
+        return default
+    expected = " or ".join(_KINDS[kind][1] for kind in kinds)
+    raise error(f"fields must be {expected}: {name!r} is {_kind(value)}")
+
+
+def refusal(error: type, prefix: str):
+    """The error argument that raises error(prefix + message), naming the document."""
+    return lambda message: error(prefix + message)
+
+
+def json_object(value, error) -> dict:
+    """value, which must be a JSON object; else error("must be an object, not <kind>")."""
+    if type(value) is dict:
+        return value
+    raise error(f"must be an object, not {_kind(value)}")
+
+
+def string_list(obj: dict, name: str, error, default=REQUIRED) -> list[str]:
+    """member(obj, name, LIST, error, default), whose items must all be strings."""
+    value = member(obj, name, LIST, error, default)
+    if value is not default and not set(map(type, value)) <= _STRING:
+        item = next(item for item in value if type(item) is not str)
+        raise error(f"fields must be lists of strings: {name!r} holds {_kind(item)}")
+    return value
 
 
 def read_json(path: str | Path) -> dict:

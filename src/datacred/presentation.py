@@ -16,6 +16,7 @@ from datetime import datetime
 from .credential import VerifiableCredential, verify_credential
 from .did import Did, parse_did
 from .errors import DatacredError, EmptyChallenge, EmptyCredentials
+from .jsonfile import LIST, OBJECT, TEXT, member, refusal, string_list
 from .keys import KeyPair
 from .proofs import AUTHENTICATION, Proof, attach_proof, check_proof, utc_now
 from .reports import CheckResult, CheckStatus, PresentationReport
@@ -23,6 +24,7 @@ from .resolver import Resolver
 
 PRESENTATION_CONTEXT = "https://www.w3.org/2018/credentials/v1"
 PRESENTATION_TYPE = "VerifiablePresentation"
+_malformed = refusal(DatacredError, "malformed presentation: ")
 
 
 def new_challenge() -> str:
@@ -53,22 +55,18 @@ class VerifiablePresentation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "VerifiablePresentation":
-        try:
-            types = obj["type"]
-            if PRESENTATION_TYPE not in types:
-                raise DatacredError(f"type {types!r} does not include {PRESENTATION_TYPE}")
-            proof = obj.get("proof")
-            return cls(
-                holder=obj["holder"],
-                credentials=[
-                    VerifiableCredential.from_json(vc) for vc in obj["verifiableCredential"]
-                ],
-                proof=Proof.from_json(proof) if proof else None,
-                context=list(obj["@context"]),
-                type=list(types),
-            )
-        except (KeyError, TypeError) as exc:
-            raise DatacredError(f"malformed presentation: {exc}") from exc
+        types = string_list(obj, "type", _malformed)
+        if PRESENTATION_TYPE not in types:
+            raise DatacredError(f"type {types!r} does not include {PRESENTATION_TYPE}")
+        credentials = member(obj, "verifiableCredential", LIST, _malformed)
+        proof = member(obj, "proof", OBJECT, _malformed, None)
+        return cls(
+            holder=member(obj, "holder", TEXT, _malformed),
+            credentials=list(map(VerifiableCredential.from_json, credentials)),
+            proof=None if proof is None else Proof.from_json(proof),
+            context=list(string_list(obj, "@context", _malformed)),
+            type=list(types),
+        )
 
 
 def create_presentation(

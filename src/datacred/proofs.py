@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 from .canonical import canonicalize
 from .did import base_did
@@ -38,6 +38,7 @@ from .errors import (
     NotFound,
     UnsupportedMethod,
 )
+from .jsonfile import OBJECT, TEXT, member, refusal
 from .keys import KeyPair, Signature, sign, verify_signature
 from .reports import CheckResult, CheckStatus
 
@@ -47,6 +48,7 @@ AUTHENTICATION = "authentication"
 
 _TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 _TIMESTAMP_RE = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z", re.ASCII)
+_malformed = refusal(MalformedSignature, "proof ")
 
 
 def utc_now() -> datetime:
@@ -71,8 +73,7 @@ def parse_timestamp(text: str) -> datetime:
     return datetime.strptime(text, _TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
 
 
-@dataclass(frozen=True)
-class Proof:
+class Proof(NamedTuple):
     """Signature block embedded in a signed JSON document."""
 
     created: str
@@ -96,22 +97,14 @@ class Proof:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Proof":
-        try:
-            proof = cls(
-                type=obj["type"],
-                created=obj["created"],
-                verification_method=obj["verificationMethod"],
-                proof_purpose=obj["proofPurpose"],
-                signature_value=obj["signatureValue"],
-                challenge=obj.get("challenge"),
-            )
-        except KeyError as exc:
-            raise MalformedSignature(f"proof missing field {exc}") from exc
-        fields = (proof.type, proof.created, proof.verification_method, proof.proof_purpose,
-                  proof.signature_value, "" if proof.challenge is None else proof.challenge)
-        if not all(isinstance(value, str) for value in fields):
-            raise MalformedSignature("proof fields must be strings")
-        return proof
+        return cls(
+            type=member(obj, "type", TEXT, _malformed),
+            created=member(obj, "created", TEXT, _malformed),
+            verification_method=member(obj, "verificationMethod", TEXT, _malformed),
+            proof_purpose=member(obj, "proofPurpose", TEXT, _malformed),
+            signature_value=member(obj, "signatureValue", TEXT, _malformed),
+            challenge=member(obj, "challenge", TEXT, _malformed, None),
+        )
 
     def signature(self) -> Signature:
         return Signature.from_base58(self.signature_value)
@@ -157,10 +150,7 @@ def verify_proof(document: dict, public_key: bytes, proof_field: str = "proof") 
     Returns False for a failed signature; raises MalformedSignature when the
     proof block itself is structurally unusable.
     """
-    proof_obj = document.get(proof_field)
-    if not isinstance(proof_obj, dict):
-        raise MalformedSignature(f"document has no {proof_field} object")
-    proof = Proof.from_json(proof_obj)
+    proof = Proof.from_json(member(document, proof_field, OBJECT, MalformedSignature))
     return verify_signature(public_key, signing_bytes(document, proof_field), proof.signature())
 
 

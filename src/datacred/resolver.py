@@ -214,6 +214,7 @@ class _Pool(threading.local):
         try:
             connection.connect()  # sets TCP_NODELAY
         except http.client.HTTPException as exc:  # the proxy's reply to CONNECT was malformed
+            connection.close()
             raise OSError(exc) from exc
         return connection.sock.makefile("rb"), connection.sock
 

@@ -31,6 +31,7 @@ from datacred.errors import (
     AgentError,
     BadConfig,
     ConnectionInactive,
+    CorruptWallet,
     CredentialRejected,
     DatacredError,
     DocumentInvalid,
@@ -733,6 +734,38 @@ def test_a_keypair_under_a_credential_label_is_not_a_credential(agent_factory):
     assert report.valid and report.credential_reports[0].credential_id == credential.id
     listed = requests.get(f"{dataset.base_url}/credentials", timeout=5)
     assert (listed.status_code, [vc["id"] for vc in listed.json()]) == (200, [credential.id])
+
+
+@pytest.mark.parametrize("entry", [{"type": []}, {"type": "VerifiableCredential"}, [], "vc"],
+                         ids=["no-credential-type", "string-type", "list", "string"])
+def test_a_wallet_entry_that_does_not_parse_is_not_presented(agent_factory, entry):
+    """{"type": []} under a credential label used to kill the proof handler: request_proof
+    raised Unreachable (no reply) and GET /credentials answered 400."""
+    publisher, dataset, connection = connected_pair(agent_factory)
+    credential = publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
+    dataset.wallet.put(CREDENTIAL_LABEL_PREFIX + "bad", entry)
+    user = agent_factory("user")
+    user.connect(**dataset.invitation())
+    report = user.request_proof(dataset.did.text, ["Hash of Data"])
+    assert report.valid and report.credential_reports[0].credential_id == credential.id
+    listed = requests.get(f"{dataset.base_url}/credentials", timeout=5)
+    assert (listed.status_code, [vc["id"] for vc in listed.json()]) == (200, [credential.id])
+
+
+def test_a_handler_failing_with_any_datacred_error_answers_a_problem_report(agent_factory,
+                                                                           monkeypatch):
+    """A handler's DatacredError that is not an AgentError used to end the handler with no
+    reply, which the requester read as Unreachable."""
+    publisher, dataset, connection = connected_pair(agent_factory)
+    publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
+
+    def unreadable():
+        raise CorruptWallet("wallet record 3 fails to authenticate")
+
+    monkeypatch.setattr(dataset, "stored_credentials", unreadable)
+    with pytest.raises(AgentError, match="CorruptWallet: wallet record 3") as refused:
+        publisher.request_proof(dataset.did.text, ["Hash of Data"])
+    assert type(refused.value) is AgentError  # not Unreachable
 
 
 def test_a_direct_put_and_remove_between_proofs_move_the_answer(agent_factory):

@@ -1,10 +1,12 @@
 """HTTP/1.1 framing on both ends of the agent wire: request_json reading replies from
 a raw-socket server, and the agent's server reading requests from a raw socket."""
 
+import gc
 import hashlib
 import json
 import socket
 import threading
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,20 @@ def test_a_malformed_reply_to_connect_is_a_fetch_failure(raw_stub, monkeypatch):
     with pytest.raises(FetchFailed, match="not a status line"):
         in_fresh_thread(lambda: request_json("https://datacred.example/doc", False, 5))
     assert proxy.connections == 1
+
+
+def test_a_malformed_reply_to_connect_closes_the_socket(raw_stub, monkeypatch):
+    """The socket opened to the proxy used to be left for the garbage collector."""
+    proxy = raw_stub(b"not a status line\r\n\r\n", close=True)
+    for name in ("https_proxy", "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTPS_PROXY", proxy.url.removesuffix("/doc"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(FetchFailed):
+            in_fresh_thread(lambda: request_json("https://datacred.example/doc", False, 5))
+        gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 def test_chunked_reply_over_the_cap_is_refused(raw_stub):

@@ -1,0 +1,287 @@
+"""Untrusted JSON: one changed node of a signed document is refused with a DatacredError
+or parsed into exactly what it was.
+
+The seed corpus is a valid signed credential, presentation, registry and envelope, and a
+did:web document, all built from fixed seeds. A mutation deletes one node below the root
+or replaces it with one of REPLACEMENTS. Every entry point then gives a report or raises a
+DatacredError (the CLI exits 0, 1 or 2 with no traceback), and a signed document that
+from_json accepts has a to_json equal to its input.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from datacred.agent.envelopes import SIGNATURE_FIELD, MessageEnvelope, verify_envelope
+from datacred.agent.state import AgentState
+from datacred.cli import main
+from datacred.credential import (
+    CREDENTIAL_CONTEXT,
+    DATASET_PROVENANCE_V1,
+    RevocationRegistry,
+    StaticRegistrySource,
+    VerifiableCredential,
+    verify_credential,
+)
+from datacred.did import DidDocument, generate_did_key, one_key_document, parse_did
+from datacred.errors import DatacredError, DocumentInvalid, MalformedSignature
+from datacred.fingerprint import fingerprint_bytes
+from datacred.keys import generate_keypair
+from datacred.presentation import VerifiablePresentation, verify_presentation
+from datacred.proofs import ASSERTION, AUTHENTICATION, Proof, attach_proof, parse_timestamp
+from datacred.resolver import KeyBackend, Resolver, StaticBackend
+
+ISSUER = "did:web:issuer.example"
+REGISTRY_URL = "https://issuer.example/registry"
+CREATED = "2024-01-01T00:00:00Z"
+CHALLENGE = "c" * 32
+AT = parse_timestamp("2025-01-01T00:00:00Z")
+DELETE = object()
+REPLACEMENTS = [DELETE, None, True, 0, 5, 1.5, "ab", [], ["x"], {}, {"a": "b"}]
+
+ISSUER_KEY = generate_keypair(bytes([1]) * 32)
+HOLDER_KEY = generate_keypair(bytes([2]) * 32)
+HOLDER = generate_did_key(HOLDER_KEY.public_key)[0].text
+DID_DOCUMENT = one_key_document(parse_did(ISSUER), ISSUER_KEY.public_key).to_json()
+CREDENTIAL = attach_proof({
+    "@context": [CREDENTIAL_CONTEXT],
+    "id": "urn:uuid:00000000-0000-4000-8000-000000000001",
+    "type": ["VerifiableCredential"],
+    "issuer": ISSUER,
+    "issuanceDate": CREATED,
+    "expirationDate": "2030-01-01T00:00:00Z",
+    "credentialSubject": {"id": HOLDER, "Hash of Data": fingerprint_bytes(b"d").digest,
+                          "Data Ethically Sourced": "YES"},
+    "credentialSchema": DATASET_PROVENANCE_V1.to_json(),
+    "credentialStatus": {"registry": REGISTRY_URL, "statusId": "s-1"},
+}, ISSUER_KEY, ISSUER, ASSERTION, created=CREATED)
+PRESENTATION = attach_proof(
+    VerifiablePresentation(HOLDER, [VerifiableCredential.from_json(CREDENTIAL)]).to_json(),
+    HOLDER_KEY, HOLDER, AUTHENTICATION, challenge=CHALLENGE, created=CREATED,
+)
+REGISTRY = attach_proof({"issuer": ISSUER, "revoked": ["s-0", "s-9"], "updated": CREATED},
+                        ISSUER_KEY, ISSUER, ASSERTION, created=CREATED)
+ENVELOPE = attach_proof(
+    MessageEnvelope("00000000-0000-4000-8000-000000000002", "datacred/1.0/proof-request",
+                    HOLDER, ISSUER, CREATED, {"requestedAttributes": ["Hash of Data"],
+                                              "challenge": CHALLENGE}).to_json(),
+    HOLDER_KEY, HOLDER, AUTHENTICATION, created=CREATED, proof_field=SIGNATURE_FIELD,
+)
+CORPUS = {"credential": CREDENTIAL, "presentation": PRESENTATION, "registry": REGISTRY,
+          "envelope": ENVELOPE, "did": DID_DOCUMENT}
+
+
+def paths(value, prefix: tuple = ()) -> list[tuple]:
+    """The path of every node below the root of a JSON value."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return []
+    return [path for key, child in children
+            for path in [prefix + (key,), *paths(child, prefix + (key,))]]
+
+
+def mutated(document: dict, path: tuple, replacement) -> dict:
+    out = copy.deepcopy(document)
+    parent = out
+    for step in path[:-1]:
+        parent = parent[step]
+    if replacement is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(replacement)
+    return out
+
+
+def mutations(kind: str):
+    return st.tuples(st.sampled_from(paths(CORPUS[kind])), st.sampled_from(REPLACEMENTS))
+
+
+def documents(**changed) -> tuple[dict, dict, dict]:
+    """(credential, registry, DID document) with the changed ones in place of the corpus's."""
+    return (changed.get("credential", CREDENTIAL), changed.get("registry", REGISTRY),
+            changed.get("did", DID_DOCUMENT))
+
+
+def outcome(call):
+    """call(), or the DatacredError it raised; any other exception fails the test."""
+    try:
+        return call()
+    except DatacredError as exc:
+        return exc
+
+
+def verify(credential: dict, registry: dict, did: dict):
+    """verify_credential's report on credential, or the DatacredError that refused it."""
+    resolver = Resolver([KeyBackend(), StaticBackend({ISSUER: did})])
+    source = StaticRegistrySource({REGISTRY_URL: registry})
+    return outcome(lambda: verify_credential(VerifiableCredential.from_json(credential), resolver,
+                                             at=AT, registry_source=source))
+
+
+def parsed(parse, document: dict):
+    """parse(document), or None when a DatacredError refuses it; a document parse accepts
+    must come back from its to_json unchanged."""
+    try:
+        value = parse(document)
+    except DatacredError:
+        return None
+    assert value.to_json() == document
+    return value
+
+
+def test_the_corpus_verifies():
+    assert verify(*documents()).valid
+    vp = VerifiablePresentation.from_json(PRESENTATION)
+    assert verify_presentation(vp, CHALLENGE, Resolver([KeyBackend(), StaticBackend(
+        {ISSUER: DID_DOCUMENT})]), at=AT, registry_source=StaticRegistrySource(
+        {REGISTRY_URL: REGISTRY})).valid
+    assert verify_envelope(ENVELOPE, Resolver([KeyBackend()])).sender == HOLDER
+    assert len(paths(CREDENTIAL)) > 30
+
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=600, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@PROPERTY
+@given(mutations("credential"))
+def test_a_changed_credential_is_refused_or_parsed_as_it_is(mutation):
+    credential = mutated(CREDENTIAL, *mutation)
+    parsed(VerifiableCredential.from_json, credential)
+    verify(*documents(credential=credential))
+
+
+@PROPERTY
+@given(mutations("presentation"))
+def test_a_changed_presentation_is_refused_or_parsed_as_it_is(mutation):
+    vp = parsed(VerifiablePresentation.from_json, mutated(PRESENTATION, *mutation))
+    if vp is not None:
+        resolver = Resolver([KeyBackend(), StaticBackend({ISSUER: DID_DOCUMENT})])
+        source = StaticRegistrySource({REGISTRY_URL: REGISTRY})
+        outcome(lambda: verify_presentation(vp, CHALLENGE, resolver, at=AT,
+                                            registry_source=source))
+
+
+@PROPERTY
+@given(mutations("registry"))
+def test_a_changed_registry_is_refused_or_parsed_as_it_is(mutation):
+    registry = mutated(REGISTRY, *mutation)
+    parsed(RevocationRegistry.from_json, registry)
+    verify(*documents(registry=registry))
+
+
+@PROPERTY
+@given(mutations("envelope"))
+def test_a_changed_envelope_is_refused_or_parsed_as_it_is(mutation):
+    envelope = mutated(ENVELOPE, *mutation)
+    parsed(MessageEnvelope.from_json, envelope)
+    outcome(lambda: verify_envelope(envelope, Resolver([KeyBackend()])))
+
+
+@PROPERTY
+@given(mutations("did"))
+def test_a_changed_did_document_is_refused_or_resolved(mutation):
+    did = mutated(DID_DOCUMENT, *mutation)
+    outcome(lambda: DidDocument.from_json(did))
+    outcome(lambda: Resolver([StaticBackend({ISSUER: did})]).resolve(ISSUER))
+    verify(*documents(did=did))
+
+
+@pytest.fixture(scope="module")
+def bundle(tmp_path_factory):
+    return tmp_path_factory.mktemp("bundle")
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["credential", "registry", "did"]).flatmap(
+    lambda kind: st.tuples(st.just(kind), mutations(kind))))
+def test_offline_verify_of_a_changed_bundle_exits_0_1_or_2(bundle, change):
+    kind, mutation = change
+    credential, registry, did = documents(**{kind: mutated(CORPUS[kind], *mutation)})
+    (bundle / "credential.json").write_text(json.dumps(credential))
+    (bundle / "registry.json").write_text(json.dumps(registry))
+    (bundle / "dids.json").write_text(json.dumps({ISSUER: did}))
+    result = CliRunner().invoke(main, ["verify", str(bundle / "credential.json"),
+                                       "--offline-bundle", str(bundle), "--json"])
+    assert not isinstance(result.exception, Exception), result.exception  # an exit, no traceback
+    assert result.exit_code in (0, 1, 2)
+
+
+# --- the mis-parses the shape rule removed: each of these tests failed before it ---
+
+def resigned(document: dict, key, signer: str, purpose: str, **changed) -> dict:
+    """document with these members changed, then signed again by its signer."""
+    proof_field = SIGNATURE_FIELD if SIGNATURE_FIELD in document else "proof"
+    document = {**document, **changed}
+    challenge = document.pop(proof_field).get("challenge")
+    return attach_proof(document, key, signer, purpose, challenge=challenge, created=CREATED,
+                        proof_field=proof_field)
+
+
+@pytest.mark.parametrize("changed", [
+    {"type": "VerifiableCredential"},
+    {"@context": CREDENTIAL_CONTEXT},
+    {"@context": {CREDENTIAL_CONTEXT: "v1"}},
+], ids=["string-type", "string-context", "object-context"])
+def test_a_signed_credential_whose_type_or_context_is_no_list_is_malformed(tmp_path, changed):
+    """It was split into characters or keys, so its genuine signature read as tampered:
+    offline verify exited 1 with SignatureMismatch."""
+    credential = resigned(CREDENTIAL, ISSUER_KEY, ISSUER, ASSERTION, **changed)
+    with pytest.raises(DatacredError, match="malformed credential"):
+        VerifiableCredential.from_json(credential)
+    (tmp_path / "credential.json").write_text(json.dumps(credential))
+    (tmp_path / "registry.json").write_text(json.dumps(REGISTRY))
+    (tmp_path / "dids.json").write_text(json.dumps({ISSUER: DID_DOCUMENT}))
+    result = CliRunner().invoke(main, ["verify", str(tmp_path / "credential.json"),
+                                       "--offline-bundle", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "malformed credential" in result.output
+
+
+@pytest.mark.parametrize("changed", [
+    {"type": "VerifiablePresentation"},
+    {"@context": CREDENTIAL_CONTEXT},
+    {"verifiableCredential": {}},
+], ids=["string-type", "string-context", "object-credentials"])
+def test_a_signed_presentation_whose_lists_are_no_lists_is_malformed(changed):
+    """Each used to be read as a list: of characters, or no credentials at all."""
+    presentation = resigned(PRESENTATION, HOLDER_KEY, HOLDER, AUTHENTICATION, **changed)
+    with pytest.raises(DatacredError, match="malformed presentation"):
+        VerifiablePresentation.from_json(presentation)
+
+
+@pytest.mark.parametrize("falsy", [{}, 0, [], None], ids=["object", "zero", "list", "null"])
+@pytest.mark.parametrize("kind", ["presentation", "registry", "envelope"])
+def test_a_present_falsy_proof_is_refused_not_absent(kind, falsy):
+    """A falsy proof or signature used to parse as none, and the document then verified
+    as one that carried no proof."""
+    proof_field = SIGNATURE_FIELD if kind == "envelope" else "proof"
+    document = {**CORPUS[kind], proof_field: falsy}
+    parse = {"presentation": VerifiablePresentation.from_json,
+             "registry": RevocationRegistry.from_json, "envelope": MessageEnvelope.from_json}
+    with pytest.raises(DatacredError):
+        parse[kind](document)
+
+
+def test_a_null_challenge_is_refused_not_absent():
+    """It used to parse as no challenge, so to_json left out a member the holder signed."""
+    with pytest.raises(MalformedSignature, match="must be strings"):
+        Proof.from_json({**PRESENTATION["proof"], "challenge": None})
+
+
+def test_an_issuance_record_whose_credential_id_is_no_string_is_document_invalid(tmp_path):
+    """A list as credentialId used to raise a bare TypeError (unhashable) from load."""
+    state = AgentState(tmp_path / "agent.state.json")
+    state.issued_path.write_bytes(b'{"credentialId": ["urn:uuid:1"], "statusId": null}\n')
+    with pytest.raises(DocumentInvalid, match="line 1"):
+        state.load()
