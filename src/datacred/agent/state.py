@@ -25,11 +25,9 @@ Three files sit next to the wallet:
 Torn tail: a crash mid-append can leave a last line with no newline. ``load``
 ignores it and the next append cuts it off. No write is fsynced.
 
-A state document written before the logs existed carries ``issued`` and
-``registry`` itself. ``load`` copies each into a new log when there is none
-yet (an existing log wins), and the next ``save`` drops them from the
-document. A damaged state document or log raises DocumentInvalid naming the
-file; whether the registry verifies is the agent's check.
+A damaged state document or log raises DocumentInvalid naming the file, as
+does a document from before the logs, which carries ``issued`` or ``registry``;
+whether the registry verifies is the agent's check.
 """
 
 from __future__ import annotations
@@ -145,15 +143,11 @@ class AgentState:
         self.registry = registry
 
     def load(self) -> None:
-        legacy, registry = [], None
         if self.path.exists():
             obj, invalid = read_json(self.path), refusal(DocumentInvalid, f"{self.path}: ")
             records = member(obj, "connections", LIST, invalid, [])
-            registry = member(obj, "registry", (dict, type(None)), invalid, None)
-            if registry is not None:
-                _parsed(RevocationRegistry.from_json, registry, f"{self.path}: registry")
-            legacy = [_issuance_record(record, f"{self.path}: issued")
-                      for record in member(obj, "issued", LIST, invalid, [])]
+            for name in sorted(obj.keys() & {"issued", "registry"}):
+                raise invalid(f"{name!r} belongs to a state document from before the logs")
             # Records in another state were left by connects that never completed.
             active = [c for c in records if type(c) is not dict or c.get("state") == "active"]
             connections = [_parsed(Connection.from_json, c, self.path) for c in active]
@@ -164,14 +158,9 @@ class AgentState:
             for number, line in enumerate(lines, 1):
                 name = f"{self.issued_path}: line {number}"
                 self.issued.append(_issuance_record(parse_json(line, name), name))
-        elif legacy:
-            self._issued_end = write_lines(self.issued_path, [_encode(r) for r in legacy])
-            self.issued = list(legacy)
         self.status_ids = {r.get("credentialId"): r.get("statusId") for r in reversed(self.issued)}
         if self.registry_path.exists():
             self._load_registry()
-        elif registry is not None:
-            self.record_registry(registry)
 
     def _load_registry(self) -> None:
         path = self.registry_path

@@ -425,17 +425,21 @@ def bundle_create(credential_file: str, did_documents: tuple[str, ...],
                   registry_file: str | None, out: str) -> None:
     """Lay out credential.json, dids.json, and registry.json for offline use.
 
-    Every input is read, and each DID document parsed, before the first write.
+    Every input is read and parsed before the first write, which writes each as read.
     """
-    credential = read_json(credential_file)
-    index = {}
-    for path in did_documents:
+    def parsed(path, parse):
         document = read_json(path)
         try:
-            index[DidDocument.from_json(document).id] = document
+            return document, parse(document)
         except DatacredError as exc:
             raise OperationalError(f"{path}: {type(exc).__name__}: {exc}") from exc
-    registry_doc = read_json(registry_file) if registry_file else None
+
+    credential, _ = parsed(credential_file, VerifiableCredential.from_json)
+    index = {}
+    for path in did_documents:
+        document, did_document = parsed(path, DidDocument.from_json)
+        index[did_document.id] = document
+    registry_doc = parsed(registry_file, RevocationRegistry.from_json)[0] if registry_file else None
     directory = Path(out)
     write_json(directory / "credential.json", credential)
     write_json(directory / "dids.json", index)

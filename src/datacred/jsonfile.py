@@ -136,9 +136,14 @@ def append_line(path: str | Path, line: bytes, at: int) -> int:
     """Cut the log at path to its first ``at`` bytes, then append line; the new length.
 
     ``at`` is where the log's complete lines end, so a torn tail is dropped.
-    The file is created when absent (``at`` is then 0).
+    The file is created when absent (``at`` is then 0). A file shorter than
+    ``at`` was rewritten by another writer: DocumentInvalid, and nothing is written.
     """
     with open(path, "ab") as file:
-        file.truncate(at)
+        size = os.fstat(file.fileno()).st_size
+        if size < at:
+            raise DocumentInvalid(f"{path}: changed by another writer ({size} bytes, not {at})")
+        if size > at:
+            file.truncate(at)
         file.write(line + b"\n")
     return at + len(line) + 1

@@ -1,6 +1,7 @@
 """Encrypted append-only wallet for private keys and received credentials.
 
-File format version 2 is one JSON-lines file (see jsonfile)::
+File format version 2 is one JSON-lines file (see jsonfile); ``open`` refuses
+any other, version 1 included, with CorruptWallet naming the file::
 
     {"version": 2, "walletId": ..., "kdf": {"name": "scrypt", "n", "r", "p"}, "salt": <base64>}
     {"nonce": <base64>, "ciphertext": <base64>}    record 0: a snapshot of every entry
@@ -21,11 +22,11 @@ to authenticate raises CorruptWallet.
 ``save`` appends one record holding exactly the puts and removes made since
 the last save, so its cost follows what changed, not how much the wallet
 holds. It rewrites header and snapshot instead, atomically through a temp
-file and a rename, on a new wallet's first save, on the first save of a
-version-1 file or of a file with other scrypt parameters than the default
-(which is re-keyed under the default), and when appending would leave more
-records after the snapshot than live entries. A save that fails keeps its
-changes pending for the next one.
+file and a rename, on a new wallet's first save, on the first save of a file
+with other scrypt parameters than the default (which is re-keyed under the
+default), and when appending would leave more records after the snapshot
+than live entries. A save that fails keeps its changes pending for the next
+one.
 
 Torn tail: a crash mid-append can leave a last line with no newline.
 ``open`` ignores it, so the wallet reads as of its last completed save, and
@@ -37,12 +38,6 @@ only then: ``open`` keeps the file's salt and key, and a new wallet derives
 them at its first save. Every record is sealed under that key with a fresh
 random 96-bit nonce (NIST SP 800-38D section 8.3 allows 2^32 such invocations
 per key).
-
-Version 1 was a single JSON envelope ``{"version": 1, "walletId", "kdf",
-"salt", "nonce", "ciphertext"}`` holding the whole entry map in one
-ciphertext. It is still read, so an old wallet migrates: its first save
-writes version 2 with the same walletId and, under the default scrypt
-parameters, the same salt and key.
 """
 
 from __future__ import annotations
@@ -56,7 +51,7 @@ from typing import Iterator
 from cryptography.exceptions import InvalidTag
 
 from .errors import CorruptWallet, DocumentInvalid, NoSuchEntry, WrongPassphrase
-from .jsonfile import append_line, read_json, read_lines, write_lines
+from .jsonfile import append_line, parse_json, read_lines, write_lines
 from .keys import KeyPair
 
 FORMAT_VERSION = 2
@@ -133,20 +128,12 @@ class Wallet:
             return cls(path, passphrase)
         lines, end = read_lines(path)
         try:
-            header = json.loads(lines[0]) if lines else None
-        except ValueError:
-            header = None
-        try:
-            if not isinstance(header, dict):  # version 1 is one indented JSON document
-                header = read_json(path)
+            header = parse_json(lines[0] if lines else b"", path)
             version = header.get("version")
-            if version == 1:
-                records = [(header["nonce"], header["ciphertext"])]
-            elif version == FORMAT_VERSION:
-                records = [(record["nonce"], record["ciphertext"])
-                           for record in map(json.loads, lines[1:])]
-            else:
+            if version != FORMAT_VERSION:
                 raise CorruptWallet(f"{path}: unsupported wallet version {version!r}")
+            records = [(record["nonce"], record["ciphertext"])
+                       for record in map(json.loads, lines[1:])]
             kdf_params = header["kdf"]
             if not _is_scrypt(kdf_params):
                 raise ValueError(f"unsupported kdf {kdf_params!r}")
@@ -161,7 +148,7 @@ class Wallet:
             raise CorruptWallet(f"{path}: no snapshot record")
 
         raw: dict[str, dict] = {}
-        chain = lines[0] if version == FORMAT_VERSION else None
+        chain = lines[0]
         try:
             cipher = _derive_key(passphrase, salt, kdf_params)
             for index, (nonce, ciphertext) in enumerate(records):
@@ -174,8 +161,6 @@ class Wallet:
                         ) from exc
                     raise CorruptWallet(f"{path}: record {index} fails to authenticate") from exc
                 change = json.loads(plaintext)
-                if version == 1:
-                    change = {"put": change, "remove": []}
                 raw.update(change["put"])
                 for label in change["remove"]:
                     raw.pop(label, None)
@@ -187,8 +172,7 @@ class Wallet:
         wallet._entries = {label: _decode_entry(obj) for label, obj in raw.items()}
         if kdf_params == _DEFAULT_KDF:
             wallet._passphrase, wallet._key = None, (salt, cipher)
-            if version == FORMAT_VERSION:
-                wallet._end, wallet._records, wallet._chain = end, len(records) - 1, chain
+            wallet._end, wallet._records, wallet._chain = end, len(records) - 1, chain
         return wallet
 
     def put(self, label: str, entry: KeyPair | dict) -> None:

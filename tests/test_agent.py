@@ -27,6 +27,7 @@ from datacred.agent.state import AgentState
 from datacred.agent.config import AgentConfig, Policy
 from datacred.cli import main
 from datacred.credential import DATASET_PROVENANCE_V1, VerifiableCredential, issue_credential
+from datacred.credential import sign_registry
 from datacred.errors import (
     AgentError,
     BadConfig,
@@ -591,20 +592,12 @@ def test_request_proof_does_not_rewrite_state(agent_factory, monkeypatch):
 
 def test_state_file_with_nonces_still_loads(tmp_path):
     path = tmp_path / "agent.state.json"
-    path.write_text(json.dumps({
-        "connections": [], "nonces": {"a" * 32: time.time() + 60},
-        "registry": None, "issued": [{"credentialId": "urn:uuid:1"}],
-    }))
+    path.write_text(json.dumps({"connections": [], "nonces": {"a" * 32: time.time() + 60}}))
     state = AgentState(path)
     state.load()
-    assert state.issued == [{"credentialId": "urn:uuid:1"}]
     state.save()
     assert "nonces" not in json.loads(path.read_text())
-    # The issuance records moved to the log and leave the document at its next save.
-    assert "issued" not in json.loads(path.read_text())
-    reloaded = AgentState(path)
-    reloaded.load()
-    assert reloaded.issued == [{"credentialId": "urn:uuid:1"}]
+    AgentState(path).load()
 
 
 def test_state_file_drops_unfinished_connections(tmp_path):
@@ -617,7 +610,7 @@ def test_state_file_drops_unfinished_connections(tmp_path):
     path.write_text(json.dumps({
         "connections": [record("done", "active"), record("stuck", "requested"),
                         record("new", "invited")],
-        "nonces": {"a" * 32: time.time() + 60}, "registry": None, "issued": [],
+        "nonces": {"a" * 32: time.time() + 60},
     }))
     state = AgentState(path)
     state.load()
@@ -645,6 +638,26 @@ def test_damaged_state_file_is_document_invalid_naming_it(tmp_path, document):
     path.write_text(json.dumps(document))
     with pytest.raises(DocumentInvalid, match=re.escape(str(path))):
         AgentState(path).load()
+
+
+@pytest.mark.parametrize("members", [
+    {"issued": None}, {"issued": []}, {"issued": [{"credentialId": "urn:uuid:1"}]},
+    {"registry": None}, {"registry": {}}, {"issued": [], "registry": None},
+], ids=["issued-null", "issued-empty", "issued", "registry-null", "registry-empty", "both"])
+@pytest.mark.parametrize("logs", [False, True], ids=["no-logs", "logs"])
+def test_a_state_document_from_before_the_logs_is_document_invalid(tmp_path, members, logs):
+    path = tmp_path / "agent.state.json"
+    path.write_text(json.dumps({"connections": [], **members}))
+    state = AgentState(path)
+    if logs:
+        state.issued_path.write_bytes(b'{"credentialId": "urn:uuid:2"}\n')
+        registry = sign_registry("did:web:publisher.example", [], generate_keypair())
+        state.registry_path.write_bytes(json.dumps(registry).encode() + b"\n")
+    before = {p: p.read_bytes() for p in (path, state.issued_path, state.registry_path)
+              if p.exists()}
+    with pytest.raises(DocumentInvalid, match=re.escape(f"{path}: '{min(members)}'")):
+        state.load()
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("line", [b"[1]\n", b"{not json\n"], ids=["array", "not-json"])

@@ -1,5 +1,6 @@
 """Command-line workflows and the exit-code contract."""
 
+import base64
 import json
 import os
 import subprocess
@@ -95,6 +96,19 @@ def test_keygen_on_wallet_with_malformed_kdf_exits_2(runner, workspace, kdf):
     result = invoke(runner, "keygen", "--wallet", "w.json", "--label", "k2")
     assert result.exit_code == 2, result.output
     assert "CorruptWallet" in result.stderr and "w.json" in result.stderr
+
+
+def test_keygen_on_a_version_1_wallet_exits_2_and_leaves_it(runner, workspace):
+    envelope = {"version": 1, "walletId": "0123456789abcdef",
+                "kdf": {"name": "scrypt", "n": 2**14, "r": 8, "p": 1},
+                **{name: base64.b64encode(bytes(size)).decode()
+                   for name, size in [("salt", 16), ("nonce", 12), ("ciphertext", 32)]}}
+    (workspace / "w.json").write_text(json.dumps(envelope, indent=2) + "\n")
+    before = (workspace / "w.json").read_bytes()
+    result = invoke(runner, "keygen", "--wallet", "w.json", "--label", "k")
+    assert result.exit_code == 2, result.output
+    assert "CorruptWallet" in result.stderr and "w.json" in result.stderr
+    assert (workspace / "w.json").read_bytes() == before
 
 
 def test_hash_empty_file(runner, workspace):
@@ -434,6 +448,26 @@ def test_bundle_with_bad_did_document_writes_nothing(runner, workspace):
     assert not (workspace / "bundle" / "credential.json").exists()
 
 
+@pytest.mark.parametrize("option, content, error", [
+    ("--credential", {"not": "a credential"}, "missing field 'type'"),
+    ("--registry", {"issuer": 5}, "malformed registry"),
+], ids=["credential", "registry"])
+def test_bundle_with_an_input_that_does_not_parse_writes_nothing(runner, workspace, option,
+                                                                 content, error):
+    issuer, subject = make_identities(runner)
+    digest = stdout_json(must(runner, "hash", "data.bin"))["digest"]
+    must(runner, *issue_args(issuer["did"], subject["did"], digest))
+    must(runner, "registry", "init", "--issuer", issuer["did"], "--wallet", "w.json",
+         "--key-label", "issuer", "--registry", "reg.json")
+    inputs = {"--credential": "cred.json", "--registry": "reg.json", option: "bad.json"}
+    (workspace / "bad.json").write_text(json.dumps(content))
+    result = invoke(runner, "bundle", "create", *(a for pair in inputs.items() for a in pair),
+                    "--out", "bundle")
+    assert result.exit_code == 2, result.output
+    assert error in result.stderr and "bad.json" in result.stderr
+    assert not (workspace / "bundle").exists()
+
+
 @pytest.mark.parametrize(
     "content",
     ["not json", "[]", None, "[" * 100_000],
@@ -625,7 +659,7 @@ def serve_agent(tmp_path, role, port=0):
     with stderr_path.open("wb") as stderr:
         process = subprocess.Popen(
             [sys.executable, "-m", "datacred.cli", "agent", "serve", "--config", str(path)],
-            stdout=subprocess.PIPE,
+            stdout=subprocess.DEVNULL,
             stderr=stderr,
             env=child_env(),
             cwd=tmp_path,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from datacred.errors import DocumentInvalid, FetchFailed
-from datacred.jsonfile import read_json, write_json
+from datacred.jsonfile import append_line, read_json, write_json
 
 scalars = (
     st.none()
@@ -69,3 +69,13 @@ def test_unreadable_file_is_fetch_failed(tmp_path):
     for path in (tmp_path / "missing.json", tmp_path):
         with pytest.raises(FetchFailed, match=re.escape(str(path))):
             read_json(path)
+
+
+def test_append_to_a_log_another_writer_shortened_writes_nothing(tmp_path):
+    path = tmp_path / "log.jsonl"
+    end = append_line(path, b'{"b": 2}', append_line(path, b'{"a": 1}', 0))
+    path.write_bytes(b'{"a": 1}\n')
+    with pytest.raises(DocumentInvalid, match=re.escape(str(path))):
+        append_line(path, b'{"c": 3}', end)
+    assert path.read_bytes() == b'{"a": 1}\n'
+

@@ -4,15 +4,18 @@ compacted into a new snapshot before the appended lines outnumber its ids."""
 import json
 import math
 import re
+import socket
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 import requests
+from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from datacred import proofs
+from datacred import cli, proofs
 from datacred.agent import Agent
 from datacred.agent import state as state_module
 from datacred.agent.state import AgentState
@@ -184,35 +187,51 @@ def test_a_tampered_log_stops_the_publisher(agent_factory, tamper):
         Agent(publisher.config).start()
 
 
-def test_a_state_document_with_its_registry_inline_moves_it_to_the_log(agent_factory):
+@pytest.mark.parametrize("member", ["current", None, {}], ids=["current", "null", "empty"])
+@pytest.mark.parametrize("log", [True, False], ids=["log", "no-log"])
+def test_a_state_document_holding_a_registry_stops_the_publisher(agent_factory, member, log):
+    """It never starts with a fresh empty registry that reports revoked ids as NotRevoked."""
     publisher = agent_factory("publisher")
     for n in range(3):
         publisher.revoke_status(f"s-{n}")
     registry, path = publisher.state.registry, publisher.state.path
     publisher.stop()
-    # The document as earlier versions wrote it, with no registry log beside it.
-    document = {**json.loads(path.read_text()), "registry": registry}
+    # The document as earlier versions wrote it, with or without the log beside it.
+    stored = registry if member == "current" else member
+    document = {**json.loads(path.read_text()), "registry": stored}
     path.write_text(json.dumps(document, indent=2) + "\n")
-    publisher.state.registry_path.unlink()
-    publisher = agent_factory.restart(publisher)
-    assert_registry(publisher, ["s-0", "s-1", "s-2"])
-    served = requests.get(publisher.base_url + "/registry", timeout=5).json()
-    assert served == registry
-    assert log_lines(publisher) == [registry]
-    publisher.revoke_status("s-3")
-    publisher.state.save()
-    assert "registry" not in json.loads(path.read_text())
-    assert_registry(agent_factory.restart(publisher), ["s-0", "s-1", "s-2", "s-3"])
+    if not log:
+        publisher.state.registry_path.unlink()
+    logged = {p.read_bytes() for p in [publisher.state.registry_path] if p.exists()}
+    refused = Agent(publisher.config)
+    with pytest.raises(DocumentInvalid, match=re.escape(f"{path}: 'registry'")):
+        refused.start()
+    with socket.socket() as listener:  # the refused start closed its listener
+        listener.bind((publisher.config.listen_host, publisher.config.listen_port))
+    assert {p.read_bytes() for p in [publisher.state.registry_path] if p.exists()} == logged
+    assert json.loads(path.read_text()) == document
 
 
-def test_the_registry_log_wins_over_an_inline_registry(agent_factory):
+class Interrupted:
+    """A threading.Event whose wait is a Ctrl-C, so a serve that starts also returns."""
+
+    def wait(self):
+        raise KeyboardInterrupt
+
+
+def test_agent_serve_on_a_state_document_holding_a_registry_exits_2(agent_factory, tmp_path,
+                                                                    monkeypatch):
+    monkeypatch.setattr(cli, "threading", SimpleNamespace(Event=Interrupted))
     publisher = agent_factory("publisher")
     publisher.revoke_status("s-0")
-    stale, path = publisher.state.registry, publisher.state.path
-    publisher.revoke_status("s-1")
+    registry, path = publisher.state.registry, publisher.state.path
     publisher.stop()
-    path.write_text(json.dumps({**json.loads(path.read_text()), "registry": stale}))
-    assert_registry(agent_factory.restart(publisher), ["s-0", "s-1"])
+    path.write_text(json.dumps({**json.loads(path.read_text()), "registry": registry}))
+    config_file = tmp_path / "publisher.config.json"
+    publisher.config.save(config_file)
+    result = CliRunner().invoke(cli.main, ["agent", "serve", "--config", str(config_file)])
+    assert result.exit_code == 2, result.output
+    assert "DocumentInvalid" in result.stderr and str(path) in result.stderr
 
 
 def test_revocation_holds_across_a_publisher_restart(agent_factory):

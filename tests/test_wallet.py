@@ -2,6 +2,7 @@
 
 import base64
 import json
+import re
 import secrets
 import statistics
 import tempfile
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from datacred import wallet as wallet_module
 from datacred.canonical import canonicalize
-from datacred.errors import CorruptWallet, NoSuchEntry, WrongPassphrase
+from datacred.errors import CorruptWallet, DocumentInvalid, NoSuchEntry, WrongPassphrase
 from datacred.keys import generate_keypair
 from datacred.wallet import Wallet
 
@@ -91,10 +92,12 @@ CHEAP_KDF = {"name": "scrypt", "n": 2**4, "r": 8, "p": 1}
         "n-not-power-of-2", "n-negative", "nonce-3-bytes"])
 def test_malformed_kdf_or_nonce_is_corrupt_wallet_naming_the_file(tmp_path, field, value):
     path = tmp_path / "w.json"
-    write_version_1(path, "pw", {"c": {"kind": "credential", "credential": {}}}, kdf=CHEAP_KDF)
-    envelope = envelope_of(path)
-    envelope[field] = value
-    path.write_text(json.dumps(envelope), encoding="utf-8")
+    entries = {"c": {"kind": "credential", "credential": {}}}
+    if field == "kdf":  # sealed under CHEAP_KDF, with the header naming value
+        write_version_2(path, "pw", entries, kdf=CHEAP_KDF, stated_kdf=value)
+    else:
+        write_version_2(path, "pw", entries, kdf=CHEAP_KDF)
+        replace_line(path, 1, {**records_of(path)[0], field: value})
     with pytest.raises(CorruptWallet) as caught:
         Wallet.open(path, "pw")
     assert str(path) in str(caught.value)
@@ -159,23 +162,39 @@ def scrypt(passphrase: str, salt: bytes, kdf: dict) -> bytes:
     )
 
 
-def write_version_1(path: Path, passphrase: str, entries: dict, kdf: dict = DEFAULT_KDF) -> None:
-    """A wallet file in the version-1 layout, built from the format description alone."""
+def write_version_1(path: Path, passphrase: str, entries: dict, indent=None) -> None:
+    """A wallet file in the version-1 layout, built from its format description alone:
+    one JSON envelope holding the whole entry map in one ciphertext."""
     salt, nonce = secrets.token_bytes(16), secrets.token_bytes(12)
-    ciphertext = AESGCM(scrypt(passphrase, salt, kdf)).encrypt(nonce, canonicalize(entries), None)
+    key = scrypt(passphrase, salt, DEFAULT_KDF)
+    ciphertext = AESGCM(key).encrypt(nonce, canonicalize(entries), None)
     envelope = {
         "version": 1,
         "walletId": "0123456789abcdef",
-        "kdf": kdf,
+        "kdf": DEFAULT_KDF,
         "salt": base64.b64encode(salt).decode(),
         "nonce": base64.b64encode(nonce).decode(),
         "ciphertext": base64.b64encode(ciphertext).decode(),
     }
-    path.write_text(json.dumps(envelope), encoding="utf-8")
+    path.write_text(json.dumps(envelope, indent=indent) + "\n", encoding="utf-8")
 
 
-def envelope_of(path: Path) -> dict:
-    return json.loads(path.read_text(encoding="utf-8"))
+def write_version_2(path: Path, passphrase: str, entries: dict, kdf: dict = DEFAULT_KDF,
+                    stated_kdf=None) -> None:
+    """A version-2 file with one snapshot record, built from the format description alone.
+    The records are sealed under kdf; the header names stated_kdf when it is given."""
+    salt, nonce = secrets.token_bytes(16), secrets.token_bytes(12)
+    header = json.dumps({
+        "version": 2,
+        "walletId": "0123456789abcdef",
+        "kdf": kdf if stated_kdf is None else stated_kdf,
+        "salt": base64.b64encode(salt).decode(),
+    }).encode()
+    change = json.dumps({"put": entries, "remove": []}).encode()
+    ciphertext = AESGCM(scrypt(passphrase, salt, kdf)).encrypt(nonce, change, header)
+    record = json.dumps({"nonce": base64.b64encode(nonce).decode(),
+                         "ciphertext": base64.b64encode(ciphertext).decode()}).encode()
+    path.write_bytes(header + b"\n" + record + b"\n")
 
 
 def lines_of(path: Path) -> list[bytes]:
@@ -262,48 +281,20 @@ def test_saves_use_fresh_nonces_under_one_salt(tmp_path):
     assert dict(reopened.items()) == {"a": {"v": 1}, "b": {"v": 2}}
 
 
-def test_version_1_file_opens_and_resaves_both_ways(tmp_path):
+@pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indented"])
+def test_version_1_file_is_corrupt_wallet_naming_the_file(tmp_path, indent):
     path = tmp_path / "w.json"
-    keypair = generate_keypair()
-    write_version_1(path, "pw", {"k": {"kind": "keypair", "keypair": keypair.to_json()}})
-    wallet = Wallet.open(path, "pw")
-    assert wallet.get("k") == keypair
-    assert wallet.wallet_id == "0123456789abcdef"
-    salt = envelope_of(path)["salt"]
-    wallet.put("c", {"claim": "x"})
-    wallet.save()
-    assert header_of(path)["salt"] == salt
-    assert header_of(path)["kdf"] == DEFAULT_KDF
-    assert read_version_2(path, "pw") == {
-        "c": {"kind": "credential", "credential": {"claim": "x"}},
-        "k": {"kind": "keypair", "keypair": keypair.to_json()},
-    }
-    assert Wallet.open(path, "pw").list() == ["c", "k"]
-
-
-def test_version_1_file_becomes_version_2_at_first_save_without_another_derivation(
-    tmp_path, key_derivations
-):
-    path = tmp_path / "w.json"
-    entries = {"c": {"kind": "credential", "credential": {"claim": "x"}},
-               "k": {"kind": "keypair", "keypair": generate_keypair().to_json()}}
-    write_version_1(path, "pw", entries)
-    salt = envelope_of(path)["salt"]
-    wallet = Wallet.open(path, "pw")
-    wallet.save()
-    assert len(key_derivations) == 1  # the open's; the save reuses its key
-    header = header_of(path)
-    assert (header["version"], header["walletId"], header["salt"]) == (2, "0123456789abcdef", salt)
-    assert read_version_2(path, "pw") == entries
-    reopened = Wallet.open(path, "pw")
-    assert dict(reopened.items()) == dict(wallet.items())
-    assert reopened.wallet_id == "0123456789abcdef"
+    write_version_1(path, "pw", {"c": {"kind": "credential", "credential": {}}}, indent)
+    before = path.read_bytes()
+    with pytest.raises(CorruptWallet, match=re.escape(str(path))):
+        Wallet.open(path, "pw")
+    assert path.read_bytes() == before
 
 
 def test_non_default_kdf_is_rekeyed_at_first_save(tmp_path, key_derivations):
     path = tmp_path / "w.json"
     cheap = {"name": "scrypt", "n": 2**12, "r": 8, "p": 1}
-    write_version_1(path, "pw", {"c": {"kind": "credential", "credential": {"v": 1}}}, kdf=cheap)
+    write_version_2(path, "pw", {"c": {"kind": "credential", "credential": {"v": 1}}}, kdf=cheap)
     wallet = Wallet.open(path, "pw")
     assert wallet.get("c") == {"v": 1}
     wallet.save()
@@ -312,6 +303,24 @@ def test_non_default_kdf_is_rekeyed_at_first_save(tmp_path, key_derivations):
     header = header_of(path)
     assert header["kdf"] == DEFAULT_KDF
     assert read_version_2(path, "pw") == {"c": {"kind": "credential", "credential": {"v": 1}}}
+
+
+def test_a_save_over_a_file_another_wallet_shortened_refuses_and_writes_nothing(tmp_path):
+    path = tmp_path / "w.json"
+    first = Wallet.open(path, "pw")
+    for label in "ab":
+        first.put(label, {"v": label})
+        first.save()
+    second = Wallet.open(path, "pw")
+    second.remove("a")
+    second.remove("b")
+    second.save()  # rewritten as a shorter file
+    rewritten = path.read_bytes()
+    first.put("c", {"v": "c"})
+    with pytest.raises(DocumentInvalid, match=re.escape(str(path))):
+        first.save()
+    assert path.read_bytes() == rewritten
+    assert Wallet.open(path, "pw").list() == []
 
 
 def test_wrong_passphrase_after_several_saves(tmp_path):
