@@ -70,8 +70,11 @@ CREDENTIAL_TYPE = "VerifiableCredential"
 HASH_CLAIM = "Hash of Data"
 ETHICS_CLAIM = "Data Ethically Sourced"
 
+# A "date" value is YYYY-MM-DD or a timestamp parse_timestamp reads; date.fromisoformat's
+# wider forms (20260501, 2026-W18-5) depend on the Python version and are refused.
 ATTRIBUTE_KINDS = ("string", "hex-digest", "yes-no", "date")
 _HEX_DIGEST_RE = re.compile(r"[0-9a-f]{64}|[0-9a-f]{128}")
+_DATE_RE = re.compile(r"\d{4}-\d\d-\d\d", re.ASCII)
 _malformed = refusal(DatacredError, "malformed credential: ")
 _malformed_schema = refusal(SchemaMismatch, "malformed schema: ")
 _malformed_registry = refusal(DatacredError, "malformed registry: ")
@@ -130,13 +133,11 @@ class CredentialSchema:
             if attribute.kind == "yes-no" and value not in ("YES", "NO"):
                 raise SchemaMismatch(f"{name!r}: expected YES or NO, got {value!r}")
             if attribute.kind == "date":
+                parse = date.fromisoformat if _DATE_RE.fullmatch(value) else parse_timestamp
                 try:
-                    date.fromisoformat(value)
+                    parse(value)
                 except ValueError:
-                    try:
-                        parse_timestamp(value)
-                    except ValueError:
-                        raise SchemaMismatch(f"{name!r}: not a date: {value!r}") from None
+                    raise SchemaMismatch(f"{name!r}: not a date: {value!r}") from None
 
     def to_json(self) -> dict:
         return {

@@ -12,7 +12,8 @@ Two forms:
   is neither a regular file nor a directory (a FIFO, a socket, a device, a
   dangling link), a directory that cannot be listed and a name that is not
   valid UTF-8 (it has no canonical JSON form) are refused. Empty directories
-  carry no bytes and are not bound.
+  carry no bytes and are not bound. After the walk each directory is opened
+  once and its files are opened through that descriptor, one name per open.
 
 ``check_binding`` fingerprints the data once, in the form the data has, and
 matches only when form and digest both agree. A file whose bytes are also a
@@ -35,7 +36,7 @@ from .errors import AlgorithmUnsupported, DatacredError, SymlinkEscape, Unreadab
 from .jsonfile import LIST, TEXT, json_object, member, refusal
 
 ALGORITHM = "sha256"
-_READ_CHUNK = 1 << 18  # unbuffered os.read size: most files take one read
+_READ_CHUNK = 1 << 18  # unbuffered os.read size; the last read of every file returns EOF
 _READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)  # O_BINARY: no newline mapping on Windows
 _MANIFEST_HEAD = b'[{"digest":"'  # how every non-empty canonical manifest starts
 _malformed = refusal(DatacredError, "malformed fingerprint: ")
@@ -106,27 +107,24 @@ class BindingReport:
         }
 
 
-def _sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _sha256_file(path: str | Path) -> str:
+def _sha256_file(path: str | Path, dir_fd: int | None = None, directory: str | Path = "") -> str:
+    """SHA-256 of a file's bytes; with dir_fd, path is a name in the directory dir_fd holds."""
     digest = hashlib.sha256()
     try:
-        fd = os.open(path, _READ_FLAGS)
+        fd = os.open(path, _READ_FLAGS, dir_fd=dir_fd)
         try:
             while chunk := os.read(fd, _READ_CHUNK):
                 digest.update(chunk)
         finally:
             os.close(fd)
     except OSError as exc:
-        raise UnreadablePath(f"{path}: {exc}") from exc
+        raise UnreadablePath(f"{os.path.join(directory, path)}: {exc}") from exc
     return digest.hexdigest()
 
 
 def fingerprint_bytes(data: bytes) -> DatasetFingerprint:
     """Fingerprint a single byte sequence (empty input allowed)."""
-    return DatasetFingerprint(algorithm=ALGORITHM, digest=_sha256_hex(data), form="file")
+    return DatasetFingerprint(algorithm=ALGORITHM, digest=hashlib.sha256(data).hexdigest(), form="file")
 
 
 def fingerprint_file(path: str | Path) -> DatasetFingerprint:
@@ -158,8 +156,8 @@ def build_manifest(root: str | Path) -> tuple[ManifestEntry, ...]:
     reported.
     """
     root_real = Path(os.path.realpath(root))
-    files, refused = [], []
-    pending = [(root, "")]  # (directory, its relative path plus "/")
+    groups, refused = [], []  # groups: (directory, its relative path plus "/", file names)
+    pending = [(root, "")]
     while pending:
         directory, prefix = pending.pop()
         try:
@@ -168,6 +166,7 @@ def build_manifest(root: str | Path) -> tuple[ManifestEntry, ...]:
         except OSError as exc:
             refused.append((prefix, UnreadablePath(f"{directory}: cannot list: {exc}")))
             continue
+        names = []
         for child in children:
             rel = prefix + child.name
             if not child.name.isascii() and not _is_utf8(child.name):
@@ -175,15 +174,25 @@ def build_manifest(root: str | Path) -> tuple[ManifestEntry, ...]:
             elif child.is_dir(follow_symlinks=False):
                 pending.append((child.path, rel + "/"))
             elif child.is_file(follow_symlinks=False):
-                files.append((rel, child.path))
+                names.append(child.name)
             elif problem := _refusal(child.path, root_real):
                 refused.append((rel, problem))
             else:
-                files.append((rel, child.path))  # a link to a file inside the root
+                names.append(child.name)  # a link to a file inside the root
+        groups.append((directory, prefix, names))
     if refused:
         raise min(refused, key=lambda item: item[0])[1]
-    files.sort()
-    return tuple(ManifestEntry(path=rel, digest=_sha256_file(path)) for rel, path in files)
+    files = []
+    for directory, prefix, names in groups:
+        try:
+            dir_fd = os.open(directory, _READ_FLAGS)
+        except OSError as exc:
+            raise UnreadablePath(f"{directory}: cannot open: {exc}") from exc
+        try:
+            files += [(prefix + name, _sha256_file(name, dir_fd, directory)) for name in names]
+        finally:
+            os.close(dir_fd)
+    return tuple(map(ManifestEntry._make, sorted(files)))
 
 
 def _is_utf8(name: str) -> bool:
@@ -201,7 +210,7 @@ def manifest_digest(manifest: tuple[ManifestEntry, ...]) -> str:
     # with ensure_ascii=False. test_manifest_encoding_is_canonical pins the equality.
     enc = encode_basestring
     text = ",".join(['{"digest":' + enc(d) + ',"path":' + enc(p) + "}" for p, d in manifest])
-    return _sha256_hex(f"[{text}]".encode("utf-8"))
+    return hashlib.sha256(f"[{text}]".encode("utf-8")).hexdigest()
 
 
 def fingerprint_tree(root: str | Path) -> DatasetFingerprint:

@@ -133,8 +133,9 @@ def test_schema_kinds():
     )
     schema.validate_claims({"a": "anything", "d": "2026-05-01"})
     schema.validate_claims({"a": "", "d": "2026-05-01T12:00:00Z"})
-    with pytest.raises(SchemaMismatch):
-        schema.validate_claims({"a": "x", "d": "yesterday"})
+    for not_a_date in ("yesterday", "20260501", "2026-W18-5", "2026W185", "2026-05-01T12:00Z"):
+        with pytest.raises(SchemaMismatch, match="not a date"):
+            schema.validate_claims({"a": "x", "d": not_a_date})
     with pytest.raises(SchemaMismatch):
         schema.validate_claims({"a": 5, "d": "2026-05-01"})
     with pytest.raises(SchemaMismatch):

@@ -5,6 +5,8 @@ import hashlib
 import json
 import os
 import random
+import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -450,9 +452,10 @@ def test_file_that_cannot_be_opened_is_unreadable(tmp_path, monkeypatch):
         return real_open(path, flags, *args, **kwargs)
 
     monkeypatch.setattr(os, "open", guarded)
-    with pytest.raises(UnreadablePath, match="locked"):
+    full_path = re.escape(str(tmp_path / "locked"))  # a tree opens only the name, by descriptor
+    with pytest.raises(UnreadablePath, match=full_path):
         fingerprint_tree(tmp_path)
-    with pytest.raises(UnreadablePath, match="locked"):
+    with pytest.raises(UnreadablePath, match=full_path):
         fingerprint_file(tmp_path / "locked")
     assert fingerprint_file(tmp_path / "a").digest == hashlib.sha256(b"a").hexdigest()
 
@@ -479,6 +482,52 @@ def test_failed_read_still_closes_the_file(tmp_path, monkeypatch):
     with pytest.raises(UnreadablePath, match="Input/output error"):
         fingerprint_file(tmp_path / "f")
     assert len(opened) == 1 and closed == opened
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/fd")
+def test_no_descriptor_is_left_open(tmp_path, monkeypatch):
+    """Not after a tree is read, nor after any of the ways reading it can fail."""
+    root = tmp_path / "tree"
+    for rel in ("a", "d/b", "d/e/c", "f/g"):
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(rel)
+
+    def open_now() -> int:
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_now()
+    assert len(fingerprint_tree(root).manifest) == 4
+    assert open_now() == before
+
+    real_read, reads = os.read, []
+
+    def fail_after_the_first_file(fd, size):
+        reads.append(fd)
+        if len(reads) > 2:  # a file takes two reads, the second one at EOF
+            raise OSError(errno.EIO, "Input/output error")
+        return real_read(fd, size)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "read", fail_after_the_first_file)
+        with pytest.raises(UnreadablePath, match="Input/output error"):
+            fingerprint_tree(root)
+    assert open_now() == before
+
+    real_open = os.open
+
+    def move_out_after_the_walk(victim):
+        def opener(path, flags, *args, dir_fd=None, **kwargs):
+            if dir_fd is None and victim.exists():  # the first directory opened after the walk
+                victim.rename(tmp_path / victim.name)
+            return real_open(path, flags, *args, dir_fd=dir_fd, **kwargs)
+        return opener
+
+    for victim, message in ((root / "d" / "b", r"\[Errno 2\]"), (root / "f", "cannot open")):
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "open", move_out_after_the_walk(victim))
+            with pytest.raises(UnreadablePath, match=re.escape(f"{victim}: ") + message):
+                fingerprint_tree(root)
+        assert open_now() == before
 
 
 # --- properties of the tree digest ---
