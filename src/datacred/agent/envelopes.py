@@ -1,9 +1,9 @@
 """Signed message envelopes exchanged between agents.
 
 Authenticity lives at the message layer, not the transport: every envelope
-carries a proof by the sender's DID key over the canonical envelope bytes
-(signatureValue excluded). Receivers resolve the sender's DID and verify
-before touching the body.
+carries, under ``proof`` like every other signed document, a proof by the
+sender's DID key over the canonical envelope bytes (signatureValue excluded).
+Receivers resolve the sender's DID and verify before touching the body.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ PROOF_REQUEST = f"{PROTOCOL}/proof-request"
 PROOF_RESPONSE = f"{PROTOCOL}/proof-response"
 PROBLEM_REPORT = f"{PROTOCOL}/problem-report"
 
-SIGNATURE_FIELD = "signature"
 _malformed = refusal(SignatureInvalid, "malformed envelope: ")
 
 
@@ -40,7 +39,7 @@ class MessageEnvelope:
     recipient: str
     created_at: str
     body: dict
-    signature: Proof | None = None
+    proof: Proof | None = None
 
     def to_json(self) -> dict:
         out = {
@@ -51,14 +50,14 @@ class MessageEnvelope:
             "createdAt": self.created_at,
             "body": self.body,
         }
-        if self.signature is not None:
-            out[SIGNATURE_FIELD] = self.signature.to_json()
+        if self.proof is not None:
+            out["proof"] = self.proof.to_json()
         return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "MessageEnvelope":
         obj = json_object(obj, _malformed)
-        signature = member(obj, SIGNATURE_FIELD, OBJECT, _malformed, None)
+        proof = member(obj, "proof", OBJECT, _malformed, None)
         return cls(
             id=member(obj, "id", TEXT, _malformed),
             type=member(obj, "type", ANY, _malformed),  # handle_envelope refuses an unknown type
@@ -66,7 +65,7 @@ class MessageEnvelope:
             recipient=member(obj, "to", TEXT, _malformed),
             created_at=member(obj, "createdAt", TEXT, _malformed),
             body=dict(member(obj, "body", OBJECT, _malformed)),
-            signature=None if signature is None else Proof.from_json(signature),
+            proof=None if proof is None else Proof.from_json(proof),
         )
 
 
@@ -82,13 +81,7 @@ def build_envelope(
         created_at=format_timestamp(utc_now()),
         body=body,
     )
-    return attach_proof(
-        envelope.to_json(),
-        key,
-        verification_method=sender_did,
-        proof_purpose=AUTHENTICATION,
-        proof_field=SIGNATURE_FIELD,
-    )
+    return attach_proof(envelope.to_json(), key, sender_did, AUTHENTICATION)
 
 
 def verify_envelope(obj: dict, resolver: Resolver) -> MessageEnvelope:
@@ -99,7 +92,7 @@ def verify_envelope(obj: dict, resolver: Resolver) -> MessageEnvelope:
     fails.
     """
     envelope = MessageEnvelope.from_json(obj)
-    result, _ = check_proof(obj, envelope.sender, resolver, SIGNATURE_FIELD, role="Sender")
+    result, _ = check_proof(obj, envelope.sender, resolver, role="Sender")
     if result.status is not CheckStatus.VALID:
         raise SignatureInvalid(f"envelope {envelope.id}: {result.reason} {result.detail}".rstrip())
     return envelope

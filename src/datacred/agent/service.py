@@ -475,10 +475,12 @@ class Agent:
         except DatacredError as exc:
             status = exc.http_status if isinstance(exc, AgentError) else AgentError.http_status
             reply = PROBLEM_REPORT
-            body = {"code": type(exc).__name__, "detail": str(exc)}
+            # The report is signed, so a lone surrogate the sender put in is escaped.
+            detail = str(exc).encode("utf-8", "backslashreplace").decode("utf-8")
+            body = {"code": type(exc).__name__, "detail": detail}
             import logging
             logging.getLogger(__name__).info("problem answering %s: %s: %s", sender,
-                                             body["code"], exc)
+                                             body["code"], detail)
         return status, build_envelope(self.key, self.did.text, sender, reply, body)
 
     def _on_connection_request(self, envelope: MessageEnvelope) -> dict:

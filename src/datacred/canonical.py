@@ -8,6 +8,7 @@ independent serializations of the same document must agree bit for bit:
 - UTF-8 output, minimal string escaping (only ``"``, ``\\`` and controls)
 - integers rendered without exponent or fraction
 - non-integer and non-finite numbers rejected outright
+- a string holding a lone surrogate, which UTF-8 cannot encode, rejected too
 
 Signed documents in this system only ever contain strings, integers,
 booleans, nulls, arrays and objects, which is what makes the number
@@ -108,7 +109,8 @@ def canonicalize(value: Any) -> bytes:
             value = _validate(value)
         except CanonicalizationError as exc:  # message "<JSON path from $>: <reason>"
             reason, *segments = exc.args
-            raise type(exc)(f"${''.join(reversed(segments))}: {reason}") from None
+            path = "".join(reversed(segments)).encode("utf-8", "backslashreplace").decode()
+            raise type(exc)(f"${path}: {reason}") from None
     # sort_keys on Python strings compares code points, matching the canonical
     # ordering rule; ensure_ascii=False keeps escaping minimal. Either check
     # above recursed through the whole value, so it holds no cycle.
@@ -120,4 +122,7 @@ def canonicalize(value: Any) -> bytes:
         allow_nan=False,
         check_circular=False,
     )
-    return text.encode("utf-8")
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError:  # the text is left out: a refusal may itself be canonicalized
+        raise CanonicalizationError("$: a string holds a lone surrogate") from None

@@ -4,7 +4,10 @@ documents, registries, credentials and offline bundles.
 A document write goes to a ``.tmp`` sibling, renamed over the target or
 removed if the write fails, so no reader or crash sees a torn file. A read
 yields a JSON object or an error naming the file: FetchFailed when it cannot
-be read, else DocumentInvalid.
+be read, else DocumentInvalid. Following RFC 7493 (I-JSON), a read refuses an
+object that repeats a member name, so a forged ``credentialSubject`` cannot sit
+ahead of the signed one; ``NaN``, ``Infinity`` and ``-Infinity``, which are not
+JSON; and a string holding a lone surrogate, which no signature can cover.
 
 Logs (the wallet, and an agent's issuance and registry logs) are JSON-lines
 files that grow by appending one line. A crash mid-append can leave a last
@@ -37,10 +40,27 @@ def read_bytes(path: str | Path) -> bytes:
         raise FetchFailed(f"{path}: {exc.strerror or exc}") from exc
 
 
+def _unique_members(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        names = [name for name, _ in pairs]
+        repeated = next(name for at, name in enumerate(names) if name in names[:at])
+        raise ValueError(f"member {repeated!r} is repeated")
+    return obj
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def parse_json(data: bytes, name) -> dict:
     """The JSON object data holds; name says where the bytes came from."""
     try:
-        obj = json.loads(data)
+        obj = json.loads(data, object_pairs_hook=_unique_members, parse_constant=_no_constant)
+        if b"\\" in data or not data.isascii():  # else no string holds a lone surrogate
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:  # the string is left out, as canonicalize leaves it out
+        raise DocumentInvalid(f"{name}: a string holds a lone surrogate") from None
     except (ValueError, RecursionError) as exc:  # not JSON, not text, or nested too deep
         raise DocumentInvalid(f"{name}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):

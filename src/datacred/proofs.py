@@ -1,24 +1,23 @@
 """Linked-data style proofs shared by credentials, presentations, registries,
 and message envelopes.
 
-One sign-over rule everywhere: the signature covers the canonical bytes of
-the whole document with the proof block present but its ``signatureValue``
-removed. Verifying re-derives exactly those bytes.
+Every signed document carries its proof under ``proof``, as W3C Data
+Integrity puts it. One sign-over rule everywhere: the signature covers the
+canonical bytes of the whole document with the proof block present but its
+``signatureValue`` removed. Verifying re-derives exactly those bytes.
 
-One check rule everywhere, too: ``check_proof`` resolves the signer's DID,
-finds the proof's key in that document and verifies the canonical bytes.
-A signature that verified once is not verified again by the same
-``Resolver``: each resolver remembers, in a bounded set of its own, the
-successes it saw, keyed by the key the signer publishes now, the signature
-and the SHA-256 of the signing bytes. A failure is never remembered, and no
-two resolvers share what they remember. A caller that keeps a document which
-verified passes its key to ``check_proof_key``, which then skips the signing
-bytes too while the signer still publishes that key.
+One check everywhere, too: ``check_proof`` resolves the signer's DID, finds
+the proof's key in that document and verifies the canonical bytes. A
+signature that verified once is not verified again by the same ``Resolver``:
+each resolver remembers, in a bounded set of its own, the successes it saw,
+keyed by the key the signer publishes now, the signature and the SHA-256 of
+the signing bytes. A failure is never remembered, and no two resolvers share
+what they remember.
 
-Timestamps are RFC 3339 UTC at second precision with a trailing ``Z``.
-``parse_timestamp`` builds the moment straight from the exact ASCII form
-``format_timestamp`` writes; other text, or a date of that form that does not
-exist, goes to ``strptime``, whose accepted set and messages stay the rule.
+Timestamps are RFC 3339 §5.6 date-times in UTC at second precision:
+``YYYY-MM-DDTHH:MM:SSZ`` with ASCII digits, ``T`` and ``Z`` in either case.
+``parse_timestamp`` reads that form and nothing else; a date of that form
+that does not exist is refused too.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .errors import (
     NotFound,
     UnsupportedMethod,
 )
-from .jsonfile import OBJECT, TEXT, member, refusal
+from .jsonfile import TEXT, member, refusal
 from .keys import KeyPair, Signature, sign, verify_signature
 from .reports import CheckResult, CheckStatus
 
@@ -47,7 +46,7 @@ ASSERTION = "assertionMethod"
 AUTHENTICATION = "authentication"
 
 _TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
-_TIMESTAMP_RE = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z", re.ASCII)
+_TIMESTAMP_RE = re.compile(r"(\d{4})-(\d\d)-(\d\d)[Tt](\d\d):(\d\d):(\d\d)[Zz]", re.ASCII)
 _malformed = refusal(MalformedSignature, "proof ")
 
 
@@ -68,9 +67,9 @@ def parse_timestamp(text: str) -> datetime:
     if fields := _TIMESTAMP_RE.fullmatch(text):
         try:
             return datetime(*map(int, fields.groups()), tzinfo=timezone.utc)
-        except ValueError:  # strptime raises its own message
+        except ValueError:  # a date of that form that does not exist
             pass
-    return datetime.strptime(text, _TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
+    raise ValueError(f"{text!r} is not an RFC 3339 UTC timestamp")
 
 
 class Proof(NamedTuple):
@@ -110,13 +109,11 @@ class Proof(NamedTuple):
         return Signature.from_base58(self.signature_value)
 
 
-def signing_bytes(document: dict, proof_field: str = "proof") -> bytes:
+def signing_bytes(document: dict) -> bytes:
     """Canonical bytes the proof signs: the document minus signatureValue."""
-    stripped = dict(document)
-    proof = dict(stripped.get(proof_field) or {})
+    proof = dict(document.get("proof") or {})
     proof.pop("signatureValue", None)
-    stripped[proof_field] = proof
-    return canonicalize(stripped)
+    return canonicalize({**document, "proof": proof})
 
 
 def attach_proof(
@@ -126,7 +123,6 @@ def attach_proof(
     proof_purpose: str,
     challenge: str | None = None,
     created: str | None = None,
-    proof_field: str = "proof",
 ) -> dict:
     """Return a copy of document carrying a freshly computed proof."""
     proof = {
@@ -137,46 +133,25 @@ def attach_proof(
     }
     if challenge is not None:
         proof["challenge"] = challenge
-    signed = dict(document)
-    signed[proof_field] = proof
-    signature = sign(key, signing_bytes(signed, proof_field))
-    signed[proof_field] = {**proof, "signatureValue": signature.to_base58()}
+    signed = {**document, "proof": proof}
+    signature = sign(key, signing_bytes(signed))
+    signed["proof"] = {**proof, "signatureValue": signature.to_base58()}
     return signed
 
 
-def verify_proof(document: dict, public_key: bytes, proof_field: str = "proof") -> bool:
-    """Check the document's proof against a public key.
-
-    Returns False for a failed signature; raises MalformedSignature when the
-    proof block itself is structurally unusable.
-    """
-    proof = Proof.from_json(member(document, proof_field, OBJECT, MalformedSignature))
-    return verify_signature(public_key, signing_bytes(document, proof_field), proof.signature())
-
-
 def check_proof(
-    document: dict, signer: str, resolver, proof_field: str = "proof", role: str = "Issuer"
-) -> tuple[CheckResult, str | None]:
+    document: dict, signer: str, resolver, role: str = "Issuer", verified: bytes | None = None
+) -> tuple[CheckResult, tuple[bytes, str] | None]:
     """Check a document's proof against the key its signer's DID publishes.
 
-    Returns the result and the purpose the key was published for (None when
-    no key was found). ``role`` names the signer in the reason codes
-    ``VerificationMethodNot<role>``, ``<role>Unresolvable`` and
-    ``<role>DocumentInvalid``. Failures to resolve are Indeterminate; every
-    other failure is Invalid.
+    Returns the result and the (public key, purpose) the signer publishes for the
+    proof's method, None when no key was found. ``role`` names the signer in the reason
+    codes ``VerificationMethodNot<role>``, ``<role>Unresolvable`` and
+    ``<role>DocumentInvalid``. Failures to resolve are Indeterminate; every other failure
+    is Invalid. ``verified`` is a key this very document's proof verified under before:
+    while the signer publishes it, the signing bytes are not even made.
     """
-    result, located = check_proof_key(document, signer, resolver, proof_field, role)
-    return result, located and located[1]
-
-
-def check_proof_key(
-    document: dict, signer: str, resolver, proof_field: str = "proof", role: str = "Issuer",
-    verified: bytes | None = None,
-) -> tuple[CheckResult, tuple[bytes, str] | None]:
-    """check_proof, returning the (public key, purpose) found in place of the purpose.
-    verified is a key this very document's proof verified under before: while the
-    signer publishes it, the signature is not checked again."""
-    proof_obj = document.get(proof_field)
+    proof_obj = document.get("proof")
     if not isinstance(proof_obj, dict):
         return CheckResult(CheckStatus.INVALID, "MissingProof"), None
     try:
@@ -200,7 +175,7 @@ def check_proof_key(
     public_key, _ = located
     if public_key == verified:
         return CheckResult(CheckStatus.VALID, "SignatureValid"), located
-    message = signing_bytes(document, proof_field)
+    message = signing_bytes(document)
     seen = (public_key, proof.signature_value, hashlib.sha256(message).digest())
     try:
         ok = resolver.verified_once(

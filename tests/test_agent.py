@@ -15,6 +15,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from datacred import proofs
 from datacred.agent.envelopes import (
     CONNECTION_REQUEST,
     CREDENTIAL_ISSUE,
@@ -278,9 +279,35 @@ def test_unsigned_envelope_dropped(agent_factory):
         sender.key, sender.did.text, dataset.did.text, CONNECTION_REQUEST,
         {"connectionId": "c", "endpoint": sender.base_url},
     )
-    del envelope["signature"]
+    del envelope["proof"]
     response = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5)
     assert response.status_code == 400
+    assert dataset.list_connections() == []
+
+
+@pytest.mark.parametrize("where", ["value", "name", "id", "sender"])
+def test_a_lone_surrogate_is_answered_with_a_problem_report(agent_factory, where):
+    """A string UTF-8 cannot encode used to end the handler with a UnicodeEncodeError,
+    and the connection was dropped unanswered. The report does not echo the text."""
+    dataset = agent_factory("dataset")
+    sender = agent_factory("user")
+    envelope = build_envelope(
+        sender.key, sender.did.text, dataset.did.text, CONNECTION_REQUEST,
+        {"connectionId": "c", "endpoint": sender.base_url},
+    )
+    if where == "value":
+        envelope["body"]["endpoint"] = "\ud800"
+    elif where == "name":
+        envelope["body"]["\udfff"] = "x"
+    elif where == "id":
+        envelope["id"] = "\ud800"
+    else:
+        envelope["from"] = sender.did.text + "\ud800"
+    response = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5)
+    assert response.status_code == 400
+    assert response.json()["type"] == PROBLEM_REPORT
+    assert response.json()["body"]["code"] == "SignatureInvalid"
+    assert not {"\ud800", "\udfff"} & set(response.json()["body"]["detail"])
     assert dataset.list_connections() == []
 
 
@@ -576,6 +603,25 @@ def test_a_second_proof_verifies_only_the_fresh_signatures(agent_factory, verifi
     # The request and reply envelopes and the holder's proof carry fresh signatures; the
     # credential and the registry verified on the first proof.
     assert len(verifies) == 3
+
+
+def test_a_second_proof_canonicalizes_and_signs_a_fixed_amount(agent_factory, monkeypatch):
+    publisher, dataset, connection = connected_pair(agent_factory)
+    publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
+    user = agent_factory("user")
+    user.connect(**dataset.invitation())
+    assert user.request_proof(dataset.did.text, ["Hash of Data"]).valid
+    canonicalized, signed = [], []
+    canonical, sign = proofs.canonicalize, proofs.sign
+    monkeypatch.setattr(proofs, "canonicalize",
+                        lambda value: (canonicalized.append(value), canonical(value))[1])
+    monkeypatch.setattr(proofs, "sign", lambda *args: (signed.append(args), sign(*args))[1])
+    assert user.request_proof(dataset.did.text, ["Hash of Data"]).valid
+    # Signed, then checked: the request and reply envelopes and the holder's proof.
+    # Checked only: the credential, whose signature is remembered but whose bytes are
+    # hashed again. The registry is skipped whole: its bytes have not changed.
+    assert len(signed) == 3
+    assert len(canonicalized) == 7
 
 
 def test_request_proof_does_not_rewrite_state(agent_factory, monkeypatch):

@@ -215,6 +215,41 @@ def test_verify_tampered_credential_exits_1(runner, workspace):
     assert stdout_json(result)["checks"]["signature"]["reason"] == "SignatureMismatch"
 
 
+@pytest.mark.parametrize("where", ["value", "name", "issuer"])
+def test_verify_of_a_credential_holding_a_lone_surrogate_exits_2(runner, workspace, where):
+    """UTF-8 cannot encode a lone surrogate, so no signature covers it: verify used to end
+    in a UnicodeEncodeError traceback, from the signing bytes or from printing a reason
+    that named the issuer. The refusal does not echo the string."""
+    write_resigned_credential(workspace)
+    credential = json.loads((workspace / "cred.json").read_text())
+    if where == "value":
+        credential["credentialSubject"]["Data Ethically Sourced"] = "\ud800"
+    elif where == "name":
+        credential["credentialSubject"]["\ud800"] = "YES"
+    else:
+        credential["issuer"] += "\ud800"
+    (workspace / "cred.json").write_text(json.dumps(credential))
+
+    result = invoke(runner, "verify", "cred.json")
+    assert result.exit_code == 2, result.output
+    assert not isinstance(result.exception, Exception), result.exception
+    assert "DocumentInvalid: cred.json: a string holds a lone surrogate" in result.output
+
+
+def test_verify_of_a_credential_with_a_repeated_member_exits_2(runner, workspace):
+    """A forged credentialSubject ahead of the signed one: json.loads kept the last, so
+    the file verified Valid, while a reader that keeps the first sees the forgery."""
+    write_resigned_credential(workspace)
+    credential = json.loads((workspace / "cred.json").read_text())
+    forged = {**credential["credentialSubject"], "Data Ethically Sourced": "NO"}
+    text = f'{{"credentialSubject": {json.dumps(forged)}, {json.dumps(credential)[1:]}'
+    (workspace / "cred.json").write_text(text)
+
+    result = invoke(runner, "verify", "cred.json", "--json")
+    assert result.exit_code == 2, result.output
+    assert "cred.json: invalid JSON: member 'credentialSubject' is repeated" in result.output
+
+
 def write_resigned_credential(workspace, **fields):
     """cred.json from a fresh did:key issuer, signed over these replaced fields."""
     key = generate_keypair()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from datacred.errors import DocumentInvalid, FetchFailed
-from datacred.jsonfile import append_line, read_json, write_json
+from datacred.jsonfile import append_line, parse_json, read_json, write_json
 
 scalars = (
     st.none()
@@ -63,6 +63,31 @@ def test_bad_json_names_file_and_location(tmp_path):
     path.write_bytes(b"\xff\xfe\xfa")
     with pytest.raises(DocumentInvalid, match=r"broken\.json"):
         read_json(path)
+
+
+@pytest.mark.parametrize("text, reason", [
+    (b'{"a": 1, "a": 1}', "invalid JSON: member 'a' is repeated"),
+    (b'{"a": [{"b": 1, "c": 2, "b": 3}]}', "invalid JSON: member 'b' is repeated"),
+    (b'{"a": NaN}', "invalid JSON: NaN is not a JSON number"),
+    (b'{"a": [Infinity]}', "invalid JSON: Infinity is not a JSON number"),
+    (b'{"a": -Infinity}', "invalid JSON: -Infinity is not a JSON number"),
+    (b'{"a": "\\ud800"}', "a string holds a lone surrogate"),
+    (b'{"\\udfff": 1}', "a string holds a lone surrogate"),
+    (b'{"a": "\xed\xa0\x80"}', "a string holds a lone surrogate"),
+], ids=["repeated", "repeated-nested", "nan", "infinity", "minus-infinity",
+        "escaped-surrogate", "escaped-surrogate-name", "encoded-surrogate"])
+def test_text_that_is_not_i_json_is_document_invalid(tmp_path, text, reason):
+    """RFC 7493 sections 2.1 and 2.3 and RFC 8259 section 6; json.loads accepts each one."""
+    path = tmp_path / "doc.json"
+    path.write_bytes(text)
+    json.loads(text)
+    with pytest.raises(DocumentInvalid, match=rf"^{re.escape(str(path))}: {re.escape(reason)}$"):
+        read_json(path)
+
+
+def test_an_escaped_surrogate_pair_and_other_text_are_read():
+    assert parse_json(b'{"a": "\\ud83d\\ude00", "\xc3\xa9": "\\u00e9"}', "doc") == \
+        {"a": "\U0001f600", "\u00e9": "\u00e9"}
 
 
 def test_unreadable_file_is_fetch_failed(tmp_path):

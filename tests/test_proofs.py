@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from datacred import resolver
-from datacred.agent.envelopes import SIGNATURE_FIELD, MessageEnvelope, verify_envelope
+from datacred.agent.envelopes import MessageEnvelope, verify_envelope
 from datacred.base58 import b58decode, b58encode
 from datacred.credential import (
     DATASET_PROVENANCE_V1,
@@ -79,14 +79,13 @@ def _resolver(case: str) -> Resolver:
     return Resolver(backends=[KeyBackend(), StaticBackend(documents)])
 
 
-def _sign(document: dict, case: str, purpose: str, challenge=None, field="proof") -> dict:
+def _sign(document: dict, case: str, purpose: str, challenge=None) -> dict:
     """Sign an unsigned document, then break the proof the way case says."""
     method = {"other-did": OTHER, "unknown-method": f"{SIGNER}#key-2"}.get(case, SIGNER)
-    signed = attach_proof(document, SIGNER_KEY, method, purpose, challenge=challenge,
-                          proof_field=field)
-    proof = signed[field]
+    signed = attach_proof(document, SIGNER_KEY, method, purpose, challenge=challenge)
+    proof = signed["proof"]
     if case == "missing":
-        del signed[field]
+        del signed["proof"]
     elif case == "malformed-signature":
         proof["signatureValue"] = "0OIl"
     elif case == "flipped-byte":
@@ -141,7 +140,7 @@ def _unsigned_envelope() -> dict:
 
 
 def check_envelope(case: str):
-    raw = _sign(_unsigned_envelope(), case, AUTHENTICATION, field=SIGNATURE_FIELD)
+    raw = _sign(_unsigned_envelope(), case, AUTHENTICATION)
     try:
         verify_envelope(raw, _resolver(case))
     except SignatureInvalid:
@@ -205,8 +204,8 @@ def test_non_string_proof_field_is_malformed_not_a_crash(field):
     assert (result.status.value, result.reason) == ("Invalid", "MalformedProof")
 
     # An agent answers DatacredError with a SignatureInvalid problem report.
-    envelope = _sign(_unsigned_envelope(), "valid", AUTHENTICATION, field=SIGNATURE_FIELD)
-    envelope[SIGNATURE_FIELD][field] = 5
+    envelope = _sign(_unsigned_envelope(), "valid", AUTHENTICATION)
+    envelope["proof"][field] = 5
     with pytest.raises(DatacredError):
         verify_envelope(envelope, _resolver("valid"))
 
@@ -223,9 +222,9 @@ def test_a_falsy_challenge_that_is_not_a_string_is_malformed(challenge):
 
 # --- the verified-proof memo each Resolver keeps ---
 
-def _outcome(document, context=None, field="proof"):
-    result, purpose = check_proof(document, SIGNER, context or _resolver("valid"), field)
-    return result.status.value, result.reason, purpose
+def _outcome(document, context=None):
+    result, located = check_proof(document, SIGNER, context or _resolver("valid"))
+    return result.status.value, result.reason, located
 
 
 def test_a_rotated_key_is_not_served_a_success_of_the_old_one(monkeypatch):
@@ -275,27 +274,25 @@ def test_the_memo_is_bounded_and_keeps_what_is_used():
     assert ("failed",) not in context._verified
 
 
-def _documents_to_check() -> list[tuple[dict, str]]:
+def _documents_to_check() -> list[dict]:
     documents = []
     for case in ("valid", "flipped-byte", "malformed-signature", "missing", "other-did"):
-        documents.append((_sign(_unsigned_credential(), case, ASSERTION), "proof"))
-        documents.append((_sign(_unsigned_envelope(), case, AUTHENTICATION,
-                                field=SIGNATURE_FIELD), SIGNATURE_FIELD))
+        documents.append(_sign(_unsigned_credential(), case, ASSERTION))
+        documents.append(_sign(_unsigned_envelope(), case, AUTHENTICATION))
     tampered = _sign(_unsigned_credential(), "valid", ASSERTION)
     tampered["credentialSubject"]["Data Ethically Sourced"] = "NO"
-    return documents + [(tampered, "proof")]
+    return documents + [tampered]
 
 
 def test_four_threads_on_one_resolver_agree_with_one_thread():
     documents = _documents_to_check()
-    expected = [_outcome(doc, field=field) for doc, field in documents]
+    expected = [_outcome(doc) for doc in documents]
     context = _resolver("valid")
     seen: list[list] = [[] for _ in range(4)]
 
     def check(worker: int):
         for _ in range(5):
-            seen[worker].append([_outcome(doc, context=context, field=field)
-                                 for doc, field in documents])
+            seen[worker].append([_outcome(doc, context=context) for doc in documents])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -312,9 +309,8 @@ def test_four_threads_on_one_resolver_agree_with_one_thread():
 
 
 _SIGNED = {
-    "credential": (_sign(_unsigned_credential(), "valid", ASSERTION), "proof"),
-    "envelope": (_sign(_unsigned_envelope(), "valid", AUTHENTICATION, field=SIGNATURE_FIELD),
-                 SIGNATURE_FIELD),
+    "credential": _sign(_unsigned_credential(), "valid", ASSERTION),
+    "envelope": _sign(_unsigned_envelope(), "valid", AUTHENTICATION),
 }
 _REPLACEMENTS = st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=4)
 
@@ -322,7 +318,7 @@ _REPLACEMENTS = st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_siz
 @given(kind=st.sampled_from(sorted(_SIGNED)), data=st.data())
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_a_warm_resolver_answers_a_mutation_as_a_fresh_one(kind, data):
-    original, field = _SIGNED[kind]
+    original = _SIGNED[kind]
     path = data.draw(st.sampled_from(leaf_paths(original)))
     how = data.draw(st.sampled_from(["changed", "replaced", "removed"]))
     mutated = mutate_leaf(original, path) if how == "changed" else copy.deepcopy(original)
@@ -335,5 +331,5 @@ def test_a_warm_resolver_answers_a_mutation_as_a_fresh_one(kind, data):
         else:
             parent[path[-1]] = data.draw(_REPLACEMENTS)
     warm = _resolver("valid")
-    assert _outcome(original, context=warm, field=field)[0] == "Valid"
-    assert _outcome(mutated, context=warm, field=field) == _outcome(mutated, field=field)
+    assert _outcome(original, context=warm)[0] == "Valid"
+    assert _outcome(mutated, context=warm) == _outcome(mutated)

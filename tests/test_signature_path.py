@@ -21,6 +21,7 @@ from datacred.credential import (
     DATASET_PROVENANCE_V1,
     CredentialStatus,
     VerifiableCredential,
+    check_receipt,
     sign_registry,
 )
 from datacred.did import Did, did_key_public_key, generate_did_key, one_key_document
@@ -117,8 +118,29 @@ def oracle_b58decode(text: str) -> bytes:
     return b"\x00" * pad + body
 
 
+_TIMESTAMP_DIGITS = (0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18)
+
+
 def oracle_parse_timestamp(text: str) -> datetime:
-    return datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
+    """RFC 3339 section 5.6 date-time in UTC at second precision, read position by
+    position: ASCII digits, T and Z in either case; a date that does not exist is refused."""
+    if (len(text) != 20 or any(text[at] not in "0123456789" for at in _TIMESTAMP_DIGITS)
+            or text[4] + text[7] + text[13] + text[16] != "--::"
+            or text[10] not in "Tt" or text[19] not in "Zz"):
+        raise ValueError("not an RFC 3339 UTC timestamp")
+    return datetime(int(text[0:4]), int(text[5:7]), int(text[8:10]), int(text[11:13]),
+                    int(text[14:16]), int(text[17:19]), tzinfo=timezone.utc)
+
+
+def timestamp_outcome(fn, text: str):
+    """The moment fn reads from text, or ValueError; a refusal by parse_timestamp must
+    name the text."""
+    try:
+        return fn(text)
+    except ValueError as exc:
+        if fn is parse_timestamp:
+            assert str(exc) == f"{text!r} is not an RFC 3339 UTC timestamp"
+        return ValueError
 
 
 def outcome(fn, value, errors=(CanonicalizationError,)):
@@ -280,7 +302,7 @@ def near_timestamps(draw):
     zone = draw(st.sampled_from(["Z", "Z", "z", "", "+00:00"]))
     tail = draw(st.sampled_from(["", "", "\n", " ", ".5"]))
     text = date + separator + time + zone + tail
-    if draw(st.booleans()):  # a non-ASCII digit, which strptime reads as a digit
+    if draw(st.booleans()):  # a non-ASCII digit, which strptime reads as a digit but is none
         at = draw(st.integers(0, len(text) - 1))
         if text[at].isdigit():
             text = text[:at] + chr(0x0660 + int(text[at])) + text[at + 1:]
@@ -290,8 +312,13 @@ def near_timestamps(draw):
 @given(near_timestamps())
 @settings(max_examples=500, deadline=None)
 def test_parse_timestamp_matches_strptime(text):
-    assert outcome(parse_timestamp, text, ValueError) == \
-        outcome(oracle_parse_timestamp, text, ValueError)
+    """parse_timestamp reads what the reference grammar reads, the moment strptime reads
+    from it too, and refuses the rest, some of which strptime reads."""
+    expected = timestamp_outcome(oracle_parse_timestamp, text)
+    assert timestamp_outcome(parse_timestamp, text) == expected
+    if expected is not ValueError:
+        assert expected == datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(
+            tzinfo=timezone.utc)
 
 
 @pytest.mark.parametrize("text", [
@@ -299,8 +326,25 @@ def test_parse_timestamp_matches_strptime(text):
     "2024-01-01T00:00:60Z", "2024-13-01T00:00:00Z", "2024-1-1T1:1:1Z", "2024-01-01t00:00:00z",
 ])
 def test_a_near_miss_timestamp_keeps_strptime_answer(text):
-    assert outcome(parse_timestamp, text, ValueError) == \
-        outcome(oracle_parse_timestamp, text, ValueError)
+    """strptime's answer where the grammar agrees with it; "2024-1-1T1:1:1Z", which
+    strptime reads, is refused."""
+    assert timestamp_outcome(parse_timestamp, text) == \
+        timestamp_outcome(oracle_parse_timestamp, text)
+
+
+@pytest.mark.parametrize("text", ["2026-5-1T1:2:3Z", "\u0662\u0660\u0662\u0666-05-01T00:00:00Z"],
+                         ids=["one-digit-fields", "arabic-indic-digits"])
+def test_a_timestamp_strptime_reads_but_rfc_3339_does_not_is_refused(text):
+    with pytest.raises(ValueError, match="not an RFC 3339 UTC timestamp"):
+        parse_timestamp(text)
+    credential = VerifiableCredential(
+        id="urn:uuid:0", issuer="did:web:issuer.example", issuance_date=text,
+        expiration_date=None, subject_id="did:web:subject.example",
+        claims={"Hash of Data": "ab" * 32, "Data Ethically Sourced": "YES"},
+        schema=DATASET_PROVENANCE_V1,
+    )
+    temporal = check_receipt(credential, Resolver([KeyBackend()]))["temporal"]
+    assert (temporal.status.value, temporal.reason) == ("Invalid", "BadTimestamps")
 
 
 # --- the work of one offline verification ---

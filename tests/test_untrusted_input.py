@@ -5,7 +5,8 @@ The seed corpus is a valid signed credential, presentation, registry and envelop
 did:web document, all built from fixed seeds. A mutation deletes one node below the root
 or replaces it with one of REPLACEMENTS. Every entry point then gives a report or raises a
 DatacredError (the CLI exits 0, 1 or 2 with no traceback), and a signed document that
-from_json accepts has a to_json equal to its input.
+from_json accepts has a to_json equal to its input. A text-level mutation writes one
+member twice, a forged value first, and parse_json refuses that text.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from datacred.agent.envelopes import SIGNATURE_FIELD, MessageEnvelope, verify_envelope
+from datacred.agent.envelopes import MessageEnvelope, verify_envelope
 from datacred.agent.state import AgentState
 from datacred.cli import main
 from datacred.credential import (
@@ -32,6 +33,7 @@ from datacred.credential import (
 from datacred.did import DidDocument, generate_did_key, one_key_document, parse_did
 from datacred.errors import DatacredError, DocumentInvalid, MalformedSignature
 from datacred.fingerprint import fingerprint_bytes
+from datacred.jsonfile import parse_json
 from datacred.keys import generate_keypair
 from datacred.presentation import VerifiablePresentation, verify_presentation
 from datacred.proofs import ASSERTION, AUTHENTICATION, Proof, attach_proof, parse_timestamp
@@ -43,7 +45,8 @@ CREATED = "2024-01-01T00:00:00Z"
 CHALLENGE = "c" * 32
 AT = parse_timestamp("2025-01-01T00:00:00Z")
 DELETE = object()
-REPLACEMENTS = [DELETE, None, True, 0, 5, 1.5, "ab", [], ["x"], {}, {"a": "b"}]
+REPLACEMENTS = [DELETE, None, True, 0, 5, 1.5, "ab", "\ud800", [], ["x"], {}, {"a": "b"}]
+REPEATED = "\x00repeated"  # a member name no corpus document holds
 
 ISSUER_KEY = generate_keypair(bytes([1]) * 32)
 HOLDER_KEY = generate_keypair(bytes([2]) * 32)
@@ -71,7 +74,7 @@ ENVELOPE = attach_proof(
     MessageEnvelope("00000000-0000-4000-8000-000000000002", "datacred/1.0/proof-request",
                     HOLDER, ISSUER, CREATED, {"requestedAttributes": ["Hash of Data"],
                                               "challenge": CHALLENGE}).to_json(),
-    HOLDER_KEY, HOLDER, AUTHENTICATION, created=CREATED, proof_field=SIGNATURE_FIELD,
+    HOLDER_KEY, HOLDER, AUTHENTICATION, created=CREATED,
 )
 CORPUS = {"credential": CREDENTIAL, "presentation": PRESENTATION, "registry": REGISTRY,
           "envelope": ENVELOPE, "did": DID_DOCUMENT}
@@ -99,6 +102,22 @@ def mutated(document: dict, path: tuple, replacement) -> dict:
     else:
         parent[path[-1]] = copy.deepcopy(replacement)
     return out
+
+
+def repeated(document: dict, path: tuple, value) -> str:
+    """document's JSON text with the member at path written twice: value first, then its
+    own value, as a forger would put it ahead of the signed one."""
+    out = copy.deepcopy(document)
+    parent = out
+    for step in path[:-1]:
+        parent = parent[step]
+    members = list(parent.items())
+    parent.clear()
+    for name, item in members:
+        if name == path[-1]:
+            parent[REPEATED] = value
+        parent[name] = item
+    return json.dumps(out).replace(json.dumps(REPEATED), json.dumps(path[-1]))
 
 
 def mutations(kind: str):
@@ -217,15 +236,26 @@ def test_offline_verify_of_a_changed_bundle_exits_0_1_or_2(bundle, change):
     assert result.exit_code in (0, 1, 2)
 
 
+@pytest.mark.parametrize("kind", sorted(CORPUS))
+def test_a_member_repeated_with_another_value_is_refused(kind):
+    """json.loads kept the last of two members of one name; a reader that keeps the first
+    would see another document under the same signature."""
+    members = [path for path in paths(CORPUS[kind]) if isinstance(path[-1], str)]
+    assert members
+    for path in members:
+        text = repeated(CORPUS[kind], path, "forged")
+        assert json.loads(text) == CORPUS[kind]
+        with pytest.raises(DocumentInvalid, match=f"^{kind}.json: invalid JSON: member "):
+            parse_json(text.encode(), f"{kind}.json")
+
+
 # --- the mis-parses the shape rule removed: each of these tests failed before it ---
 
 def resigned(document: dict, key, signer: str, purpose: str, **changed) -> dict:
     """document with these members changed, then signed again by its signer."""
-    proof_field = SIGNATURE_FIELD if SIGNATURE_FIELD in document else "proof"
     document = {**document, **changed}
-    challenge = document.pop(proof_field).get("challenge")
-    return attach_proof(document, key, signer, purpose, challenge=challenge, created=CREATED,
-                        proof_field=proof_field)
+    challenge = document.pop("proof").get("challenge")
+    return attach_proof(document, key, signer, purpose, challenge=challenge, created=CREATED)
 
 
 @pytest.mark.parametrize("changed", [
@@ -263,10 +293,9 @@ def test_a_signed_presentation_whose_lists_are_no_lists_is_malformed(changed):
 @pytest.mark.parametrize("falsy", [{}, 0, [], None], ids=["object", "zero", "list", "null"])
 @pytest.mark.parametrize("kind", ["presentation", "registry", "envelope"])
 def test_a_present_falsy_proof_is_refused_not_absent(kind, falsy):
-    """A falsy proof or signature used to parse as none, and the document then verified
-    as one that carried no proof."""
-    proof_field = SIGNATURE_FIELD if kind == "envelope" else "proof"
-    document = {**CORPUS[kind], proof_field: falsy}
+    """A falsy proof used to parse as none, and the document then verified as one that
+    carried no proof."""
+    document = {**CORPUS[kind], "proof": falsy}
     parse = {"presentation": VerifiablePresentation.from_json,
              "registry": RevocationRegistry.from_json, "envelope": MessageEnvelope.from_json}
     with pytest.raises(DatacredError):
