@@ -81,7 +81,12 @@ def build_envelope(
         created_at=format_timestamp(utc_now()),
         body=body,
     )
-    return attach_proof(envelope.to_json(), key, sender_did, AUTHENTICATION)
+    return attach_proof(
+        envelope.to_json(),
+        key,
+        verification_method=sender_did,
+        proof_purpose=AUTHENTICATION,
+    )
 
 
 def verify_envelope(obj: dict, resolver: Resolver) -> MessageEnvelope:

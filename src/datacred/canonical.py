@@ -109,8 +109,7 @@ def canonicalize(value: Any) -> bytes:
             value = _validate(value)
         except CanonicalizationError as exc:  # message "<JSON path from $>: <reason>"
             reason, *segments = exc.args
-            path = "".join(reversed(segments)).encode("utf-8", "backslashreplace").decode()
-            raise type(exc)(f"${path}: {reason}") from None
+            raise type(exc)(f"${''.join(reversed(segments))}: {reason}") from None
     # sort_keys on Python strings compares code points, matching the canonical
     # ordering rule; ensure_ascii=False keeps escaping minimal. Either check
     # above recursed through the whole value, so it holds no cycle.

@@ -49,7 +49,7 @@ from .fingerprint import (
 )
 from .jsonfile import ANY, LIST, OBJECT, TEXT, VALUE, json_object, member, parse_json
 from .jsonfile import read_bytes, refusal, string_list
-from .keys import KeyPair, verify_signature
+from .keys import KeyPair
 from .proofs import (
     ASSERTION,
     AUTHENTICATION,
@@ -58,8 +58,8 @@ from .proofs import (
     check_proof,
     format_timestamp,
     parse_timestamp,
-    signing_bytes,
     utc_now,
+    verify_proof,
 )
 from .reports import CheckResult, CheckStatus, VerificationReport
 from .resolver import Resolver, fetch_bytes
@@ -277,8 +277,13 @@ def issue_credential(
     dates = _check_temporal(credential)
     if dates.status is not CheckStatus.VALID:
         raise BadDates(dates.detail)
-    return VerifiableCredential.from_json(
-        attach_proof(credential.to_json(), issuer_key, issuer, ASSERTION))
+    signed = attach_proof(
+        credential.to_json(),
+        issuer_key,
+        verification_method=issuer,
+        proof_purpose=ASSERTION,
+    )
+    return VerifiableCredential.from_json(signed)
 
 
 # --- revocation registry ---
@@ -327,8 +332,7 @@ def check_registry_key(registry: dict, issuer_key: KeyPair) -> None:
     """Raise WrongIssuerKey unless the registry's proof verifies under issuer_key, which
     ties the key to the registry's issuer without a resolver round-trip."""
     try:
-        proof = Proof.from_json(member(registry, "proof", OBJECT, MalformedSignature))
-        if verify_signature(issuer_key.public_key, signing_bytes(registry), proof.signature()):
+        if verify_proof(registry, issuer_key.public_key):
             return
     except MalformedSignature:
         pass

@@ -43,8 +43,8 @@ def read_bytes(path: str | Path) -> bytes:
 def _unique_members(pairs: list) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        names = [name for name, _ in pairs]
-        repeated = next(name for at, name in enumerate(names) if name in names[:at])
+        seen = set()
+        repeated = next(name for name, _ in pairs if name in seen or seen.add(name))
         raise ValueError(f"member {repeated!r} is repeated")
     return obj
 

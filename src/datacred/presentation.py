@@ -82,7 +82,13 @@ def create_presentation(
         raise EmptyChallenge("a presentation proof requires a challenge")
     holder = holder_did.text if isinstance(holder_did, Did) else parse_did(holder_did).text
     presentation = VerifiablePresentation(holder=holder, credentials=list(credentials))
-    signed = attach_proof(presentation.to_json(), holder_key, holder, AUTHENTICATION, challenge)
+    signed = attach_proof(
+        presentation.to_json(),
+        holder_key,
+        verification_method=holder,
+        proof_purpose=AUTHENTICATION,
+        challenge=challenge,
+    )
     presentation.proof = Proof.from_json(signed["proof"])
     return presentation
 

@@ -37,7 +37,7 @@ from .errors import (
     NotFound,
     UnsupportedMethod,
 )
-from .jsonfile import TEXT, member, refusal
+from .jsonfile import OBJECT, TEXT, member, refusal
 from .keys import KeyPair, Signature, sign, verify_signature
 from .reports import CheckResult, CheckStatus
 
@@ -137,6 +137,16 @@ def attach_proof(
     signature = sign(key, signing_bytes(signed))
     signed["proof"] = {**proof, "signatureValue": signature.to_base58()}
     return signed
+
+
+def verify_proof(document: dict, public_key: bytes) -> bool:
+    """Check the document's proof against a public key.
+
+    Returns False for a failed signature; raises MalformedSignature when the
+    proof block itself is structurally unusable.
+    """
+    proof = Proof.from_json(member(document, "proof", OBJECT, MalformedSignature))
+    return verify_signature(public_key, signing_bytes(document), proof.signature())
 
 
 def check_proof(

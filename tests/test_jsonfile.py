@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +84,16 @@ def test_text_that_is_not_i_json_is_document_invalid(tmp_path, text, reason):
     json.loads(text)
     with pytest.raises(DocumentInvalid, match=rf"^{re.escape(str(path))}: {re.escape(reason)}$"):
         read_json(path)
+
+
+def test_a_name_repeated_last_in_a_large_object_is_found_in_linear_time():
+    """A registry fetched from an issuer-chosen URL may hold 16 MiB: the search for the
+    repeated name must not rescan the names before each one."""
+    members = b", ".join(b'"m%d": 0' % at for at in range(200_000))
+    started = time.perf_counter()
+    with pytest.raises(DocumentInvalid, match=r"^doc: invalid JSON: member 'm0' is repeated$"):
+        parse_json(b"{" + members + b', "m0": 1}', "doc")
+    assert time.perf_counter() - started < 5
 
 
 def test_an_escaped_surrogate_pair_and_other_text_are_read():
