@@ -3,7 +3,13 @@
 Authenticity lives at the message layer, not the transport: every envelope
 carries, under ``proof`` like every other signed document, a proof by the
 sender's DID key over the canonical envelope bytes (signatureValue excluded).
-Receivers resolve the sender's DID and verify before touching the body.
+A receiver refuses an envelope addressed to another DID, then resolves the
+sender's DID and verifies before touching the body.
+
+One message is not an envelope: a proof response is the holder's presentation
+in an unsigned ``{"type", "from", "to", "body"}``, since the presentation's own
+proof, bound to the request by ``challenge`` and to the requester by
+``domain``, is what authenticates it (agent.service states the rule).
 """
 
 from __future__ import annotations
@@ -11,8 +17,8 @@ from __future__ import annotations
 import uuid
 from dataclasses import dataclass
 
-from ..errors import SignatureInvalid
-from ..jsonfile import ANY, OBJECT, TEXT, json_object, member, refusal
+from ..errors import DatacredError, SignatureInvalid, WrongRecipient
+from ..jsonfile import ANY, OBJECT, TEXT, json_object, known_members, member, refusal
 from ..keys import KeyPair
 from ..proofs import AUTHENTICATION, Proof, attach_proof, check_proof, format_timestamp, utc_now
 from ..reports import CheckStatus
@@ -29,6 +35,7 @@ PROOF_RESPONSE = f"{PROTOCOL}/proof-response"
 PROBLEM_REPORT = f"{PROTOCOL}/problem-report"
 
 _malformed = refusal(SignatureInvalid, "malformed envelope: ")
+_MEMBERS = frozenset({"id", "type", "from", "to", "createdAt", "body", "proof"})
 
 
 @dataclass
@@ -58,7 +65,7 @@ class MessageEnvelope:
     def from_json(cls, obj: dict) -> "MessageEnvelope":
         obj = json_object(obj, _malformed)
         proof = member(obj, "proof", OBJECT, _malformed, None)
-        return cls(
+        envelope = cls(
             id=member(obj, "id", TEXT, _malformed),
             type=member(obj, "type", ANY, _malformed),  # handle_envelope refuses an unknown type
             sender=member(obj, "from", TEXT, _malformed),
@@ -67,6 +74,8 @@ class MessageEnvelope:
             body=dict(member(obj, "body", OBJECT, _malformed)),
             proof=None if proof is None else Proof.from_json(proof),
         )
+        known_members(obj, _MEMBERS, _malformed)
+        return envelope
 
 
 def build_envelope(
@@ -89,15 +98,28 @@ def build_envelope(
     )
 
 
-def verify_envelope(obj: dict, resolver: Resolver) -> MessageEnvelope:
-    """Parse an envelope and verify its signature against the sender's DID.
+def verify_envelope(
+    obj: dict, resolver: Resolver, recipient: str | None = None
+) -> MessageEnvelope:
+    """Parse an envelope and verify its signature against the sender's DID; an agent
+    passes its own DID as recipient.
 
-    Raises SignatureInvalid when the envelope is malformed or unsigned, the
-    sender does not resolve, the key is not the sender's, or the signature
-    fails.
+    Raises WrongRecipient, before the sender is resolved, when the envelope is
+    addressed to another DID than a given recipient; SignatureInvalid for every
+    other refusal: the envelope or its proof is malformed, it is unsigned or has
+    no canonical form, the sender does not resolve, the key is not the sender's,
+    or the signature fails.
     """
-    envelope = MessageEnvelope.from_json(obj)
-    result, _ = check_proof(obj, envelope.sender, resolver, role="Sender")
+    try:
+        envelope = MessageEnvelope.from_json(obj)
+        if recipient is not None and envelope.recipient != recipient:
+            raise WrongRecipient(f"envelope {envelope.id} is addressed to "
+                                 f"{envelope.recipient}, not {recipient}")
+        result, _ = check_proof(obj, envelope.sender, resolver, role="Sender")
+    except (SignatureInvalid, WrongRecipient):
+        raise
+    except DatacredError as exc:  # a malformed proof, or a body with no canonical form
+        raise SignatureInvalid(f"malformed envelope: {exc}") from exc
     if result.status is not CheckStatus.VALID:
         raise SignatureInvalid(f"envelope {envelope.id}: {result.reason} {result.detail}".rstrip())
     return envelope

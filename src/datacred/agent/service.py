@@ -2,15 +2,19 @@
 
 Transport is one POST /inbox endpoint per agent taking a signed envelope and
 returning the signed response envelope (or a 4xx problem-report, also for a
-body field of the wrong type). Request bodies are bounded before they are
-read. Envelope POSTs go over resolver.request_json's kept-alive connections:
-https, or plain http to loopback under allowInsecureHttp, and no redirects.
+body field of the wrong type). The one reply that is not signed as an
+envelope is a proof response: the holder's presentation signs it, and
+_check_proof_response states what makes it the target's answer. Request
+bodies are bounded before they are read, and every body and reply is read by
+jsonfile.parse_json. Envelope POSTs go over resolver.request_bytes's kept-alive
+connections: https, or plain http to loopback under allowInsecureHttp, and no
+redirects.
 Agents also serve their own did:web document and, for publishers, the
 revocation registry, so the whole trust root stays on the agent's origin.
 
 A connection is stored once the peer has accepted it, so a failed connect
 leaves no record. A proof request keeps its challenge only for the call:
-the exact comparison in verify_presentation is the replay protection.
+the exact comparison with the presented one is the replay protection.
 
 A dataset agent stores a received credential only if credential.check_receipt
 passes, the verifier's own signature, schema and date checks; a refusal names
@@ -80,7 +84,7 @@ from ..errors import (
     UnsupportedMessage,
     WrongIssuerKey,
 )
-from ..jsonfile import ANY, OBJECT, TEXT, json_object, member, refusal, string_list, write_json
+from ..jsonfile import ANY, OBJECT, TEXT, member, parse_json, string_list, write_json
 from ..keys import KeyPair, generate_keypair
 from ..presentation import (
     VerifiablePresentation,
@@ -91,7 +95,7 @@ from ..presentation import (
 from ..proofs import parse_timestamp
 from ..reports import CheckResult, CheckStatus, PresentationReport
 from ..resolver import HeadRefused, KeyBackend, Resolver, WebBackend, is_loopback_host
-from ..resolver import read_head, request_json
+from ..resolver import read_head, request_bytes
 from ..wallet import Wallet
 from .config import WILDCARD_HOSTS, AgentConfig
 from .envelopes import (
@@ -298,26 +302,35 @@ class Agent:
 
     def _exchange(
         self, their_did: str, endpoint: str, message_type: str, body: dict
-    ) -> MessageEnvelope:
-        """Send a request; returns the verified reply _PROTOCOL pairs with its type."""
+    ) -> MessageEnvelope | dict:
+        """Send a request; returns the reply _PROTOCOL pairs with its type: an envelope
+        verified as addressed to this agent, or a proof response's JSON, which
+        _check_proof_response alone authenticates."""
         payload = build_envelope(self.key, self.did.text, their_did, message_type, body)
         url = endpoint.rstrip("/") + "/inbox"
         try:
             # A redirect would re-post the signed envelope to wherever it points.
-            status, raw = request_json(url, self.config.allow_insecure_http, _HTTP_TIMEOUT, payload)
-        except DocumentInvalid as exc:  # a reply that is not JSON
-            raise AgentError(str(exc)) from exc
-        except DatacredError as exc:  # refused URL, transport failure, redirect, error status
+            status, data = request_bytes(url, self.config.allow_insecure_http, _HTTP_TIMEOUT,
+                                         payload)
+        except DatacredError as exc:  # refused URL, transport failure, redirect
             raise Unreachable(str(exc)) from exc
-        if status >= 400 and isinstance(raw, dict) and "error" in raw:  # refused before signing
+        try:
+            raw = parse_json(data, url)
+        except DocumentInvalid as exc:
+            if status >= 400:  # an error page
+                raise Unreachable(f"{url} returned {status}") from exc
+            raise SignatureInvalid(f"malformed envelope: {exc}") from exc
+        if status >= 400 and "error" in raw:  # refused before signing
             code, detail = raw["error"], raw.get("detail", "")
             raise _PEER_ERRORS.get(str(code), AgentError)(f"{code} ({status}): {detail}")
-        envelope = verify_envelope(raw, self.resolver)
+        expect = _PROTOCOL[message_type][0]
+        if raw.get("type") == expect == PROOF_RESPONSE:
+            return raw
+        envelope = verify_envelope(raw, self.resolver, self.did.text)
         if envelope.type == PROBLEM_REPORT:
             code = envelope.body.get("code", "")
             detail = envelope.body.get("detail", "")
             raise _PEER_ERRORS.get(str(code), AgentError)(f"{code}: {detail}")
-        expect = _PROTOCOL[message_type][0]
         if envelope.type != expect:
             raise AgentError(f"expected {expect}, got {envelope.type}")
         return envelope
@@ -397,34 +410,15 @@ class Agent:
         else:
             raise Unreachable(f"no connection to {target_did} and no endpoint given")
 
-        # The exact comparison in verify_presentation is the replay protection.
+        # The exact comparison with the presented challenge is the replay protection.
         challenge = new_challenge()
-        envelope = self._exchange(
+        reply = self._exchange(
             target_did,
             endpoint,
             PROOF_REQUEST,
             {"requestedAttributes": list(attributes), "challenge": challenge},
         )
-        try:
-            presentation = VerifiablePresentation.from_json(
-                member(envelope.body, "presentation", OBJECT, DatacredError))
-        except DatacredError as exc:
-            raise AgentError(f"malformed proof response: {exc}") from exc
-        report = verify_presentation(
-            presentation,
-            expected_challenge=challenge,
-            resolver=self.resolver,
-            registry_source=self.registry_source,
-        )
-        if presentation.holder == target_did and envelope.sender == target_did:
-            report.checks["responder"] = CheckResult(CheckStatus.VALID, "ResponderIsTarget")
-        else:
-            report.checks["responder"] = CheckResult(
-                CheckStatus.INVALID,
-                "ResponderNotTarget",
-                f"presented by {presentation.holder}, requested from {target_did}",
-            )
-        return report
+        return _check_proof_response(self, reply, target_did, challenge)
 
     def revoke_status(self, status_id: str) -> RevocationRegistry:
         """Revoke a status id and republish the registry document: one signature and
@@ -457,31 +451,35 @@ class Agent:
     def handle_envelope(self, raw: dict) -> tuple[int, dict]:
         """Process one inbound envelope; returns (http status, response JSON).
 
-        A failure is answered with a problem report: its code is the error's
-        class name and its status an AgentError's http_status, or AgentError's
-        for any other DatacredError.
+        A failure is answered with problem_report, addressed to the envelope's
+        ``from`` when that is a string, so its sender can read the refusal. A proof
+        request that succeeds is answered with an unsigned proof response.
         """
-        status, sender = 200, "unknown"
+        sender = raw.get("from") if type(raw.get("from")) is str else "unknown"
         try:
-            try:
-                envelope = verify_envelope(raw, self.resolver)
-            except DatacredError as exc:
-                raise SignatureInvalid(str(exc)) from exc
-            sender = envelope.sender
+            envelope = verify_envelope(raw, self.resolver, self.did.text)
             if not isinstance(envelope.type, str) or envelope.type not in _PROTOCOL:
                 raise UnsupportedMessage(f"no handler for {envelope.type}")
             reply, handler = _PROTOCOL[envelope.type]
             body = handler(self, envelope)
         except DatacredError as exc:
-            status = exc.http_status if isinstance(exc, AgentError) else AgentError.http_status
-            reply = PROBLEM_REPORT
-            # The report is signed, so a lone surrogate the sender put in is escaped.
-            detail = str(exc).encode("utf-8", "backslashreplace").decode("utf-8")
-            body = {"code": type(exc).__name__, "detail": detail}
-            import logging
-            logging.getLogger(__name__).info("problem answering %s: %s: %s", sender,
-                                             body["code"], detail)
-        return status, build_envelope(self.key, self.did.text, sender, reply, body)
+            return self.problem_report(exc, sender)
+        if reply == PROOF_RESPONSE:  # signed once, by the presentation in its body
+            return 200, {"type": reply, "from": self.did.text, "to": sender, "body": body}
+        return 200, build_envelope(self.key, self.did.text, sender, reply, body)
+
+    def problem_report(self, exc: DatacredError, sender: str = "unknown") -> tuple[int, dict]:
+        """(http status, signed problem report) answering exc: its code is the error's class
+        name and its status an AgentError's http_status, or AgentError's for any other
+        DatacredError."""
+        status = exc.http_status if isinstance(exc, AgentError) else AgentError.http_status
+        # The report is signed, so a lone surrogate the sender put in is escaped.
+        detail = str(exc).encode("utf-8", "backslashreplace").decode("utf-8")
+        body = {"code": type(exc).__name__, "detail": detail}
+        import logging
+        logging.getLogger(__name__).info("problem answering %s: %s: %s", sender,
+                                         body["code"], detail)
+        return status, build_envelope(self.key, self.did.text, sender, PROBLEM_REPORT, body)
 
     def _on_connection_request(self, envelope: MessageEnvelope) -> dict:
         if not self.config.policy.auto_accept_connections:
@@ -541,16 +539,51 @@ class Agent:
                       None)
         if chosen is None:
             raise NoMatchingCredential(f"no sharable credential covers {requested!r}")
-        presentation = create_presentation(self.key, self.did, [chosen], challenge)
+        presentation = create_presentation(self.key, self.did, [chosen], challenge,
+                                           domain=envelope.sender)
         return {"presentation": presentation.to_json()}
 
 
-# The protocol: request type -> (reply type, the receiving agent's handler).
+# The protocol: request type -> (reply type, the receiving agent's handler). Every
+# reply is a signed envelope but a proof response, which _check_proof_response checks.
 _PROTOCOL = {
     CONNECTION_REQUEST: (CONNECTION_RESPONSE, Agent._on_connection_request),
     CREDENTIAL_ISSUE: (CREDENTIAL_ACK, Agent._on_credential_issue),
     PROOF_REQUEST: (PROOF_RESPONSE, Agent._on_proof_request),
 }
+
+
+def _check_proof_response(
+    agent: Agent, reply: dict, target: str, challenge: str
+) -> PresentationReport:
+    """The report on the presentation a proof response carries, if the response is the
+    target's answer to this request; else SignatureInvalid, as for a forged envelope.
+
+    A proof response is signed once, by the presentation in its body. It is the target's
+    answer only if the presentation's holder is the target and its proof's challenge is
+    this request's, its domain this agent's DID, and the holder's signature, which covers
+    both, checks. Nothing else of the reply is read: not its from, to or any proof.
+    """
+    try:
+        presentation = VerifiablePresentation.from_json(
+            member(member(reply, "body", OBJECT, DatacredError), "presentation", OBJECT,
+                   DatacredError))
+    except DatacredError as exc:
+        raise SignatureInvalid(f"malformed proof response: {exc}") from exc
+    proof = presentation.proof
+    if presentation.holder != target:
+        raise SignatureInvalid(f"proof response presented by {presentation.holder}, "
+                               f"requested from {target}")
+    bound = proof is not None and (proof.challenge, proof.domain) == (challenge, agent.did.text)
+    if not bound:
+        raise SignatureInvalid("proof response answers another request or requester")
+    report = verify_presentation(presentation, challenge, agent.resolver,
+                                 registry_source=agent.registry_source)
+    signature = report.checks["holderSignature"]
+    if signature.status is not CheckStatus.VALID:
+        raise SignatureInvalid(f"proof response: {signature.reason} {signature.detail}".rstrip())
+    report.checks["responder"] = CheckResult(CheckStatus.VALID, "ResponderIsTarget")
+    return report
 
 
 def _admin_connect(agent: Agent, body: dict) -> dict:
@@ -700,7 +733,8 @@ class _RequestHandler(socketserver.StreamRequestHandler):
             left -= len(data)
 
     def _read_json(self) -> dict:
-        """The JSON body; a bad or oversized Content-Length is refused unread."""
+        """The JSON object the body holds, read by parse_json; a bad or oversized
+        Content-Length is refused unread."""
         length = self.headers.get("content-length", "")
         if not length.isdecimal():
             raise BadRequest("Content-Length must be a non-negative integer")
@@ -708,7 +742,7 @@ class _RequestHandler(socketserver.StreamRequestHandler):
             raise PayloadTooLarge(f"body of {size} bytes exceeds {MAX_BODY_BYTES}")
         if self.headers.get("expect", "").lower() == "100-continue":
             self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        return json.loads(self.rfile.read(size).decode("utf-8"))
+        return parse_json(self.rfile.read(size), "request body")
 
     def _dispatch(self) -> None:
         """Answer a GET or POST: a public route, else a row of the admin table."""
@@ -720,8 +754,13 @@ class _RequestHandler(socketserver.StreamRequestHandler):
                 # The unread body would be parsed as the next request, so hang up.
                 self._refuse(exc.http_status, exc)
                 return
-            except (ValueError, UnicodeDecodeError, RecursionError) as exc:
-                self._send_error(400, BadRequest(f"invalid JSON: {exc}"))
+            except DocumentInvalid as exc:
+                # Text that is not JSON is refused plainly, as a body; JSON that is no object
+                # a signature can cover is a malformed envelope, answered as one.
+                if self.path == "/inbox" and exc.__cause__ is None:
+                    self._send_json(*agent.problem_report(SignatureInvalid(str(exc))))
+                else:
+                    self._send_error(400, BadRequest(str(exc)))
                 return
             if self.path == "/inbox":
                 self._send_json(*agent.handle_envelope(body))
@@ -742,7 +781,6 @@ class _RequestHandler(socketserver.StreamRequestHandler):
             self._send_json(403, {"error": "Forbidden", "detail": "admin API is loopback-only"})
         else:
             try:
-                body = json_object(body, refusal(BadRequest, "body "))
                 self._send_json(200, route(agent, body))
             except DatacredError as exc:  # a relayed refusal too: its inbox status is the peer's
                 self._send_error(403 if isinstance(exc, RoleForbidden) else 400, exc)

@@ -34,6 +34,7 @@ from .did import Did, parse_did
 from .errors import (
     BadDates,
     DatacredError,
+    DocumentInvalid,
     FetchFailed,
     MalformedSignature,
     NoHashClaim,
@@ -47,8 +48,8 @@ from .fingerprint import (
     data_form,
     normalize_digest,
 )
-from .jsonfile import ANY, LIST, OBJECT, TEXT, VALUE, json_object, member, parse_json
-from .jsonfile import read_bytes, refusal, string_list
+from .jsonfile import ANY, LIST, OBJECT, TEXT, VALUE, json_object, known_members, member
+from .jsonfile import parse_json, read_bytes, refusal, string_list
 from .keys import KeyPair
 from .proofs import (
     ASSERTION,
@@ -72,11 +73,22 @@ ETHICS_CLAIM = "Data Ethically Sourced"
 # A "date" value is YYYY-MM-DD or a timestamp parse_timestamp reads; date.fromisoformat's
 # wider forms (20260501, 2026-W18-5) depend on the Python version and are refused.
 ATTRIBUTE_KINDS = ("string", "hex-digest", "yes-no", "date")
+# The members each from_json reads; it refuses any other, which no check would see.
+_ATTRIBUTE_MEMBERS = frozenset({"name", "kind"})
+_SCHEMA_MEMBERS = frozenset({"id", "name", "attributes"})
+_STATUS_MEMBERS = frozenset({"registry", "statusId"})
+_CREDENTIAL_MEMBERS = frozenset({"@context", "id", "type", "issuer", "issuanceDate",
+                                 "expirationDate", "credentialSubject", "credentialSchema",
+                                 "credentialStatus", "proof"})
+_REGISTRY_MEMBERS = frozenset({"issuer", "revoked", "updated", "proof"})
 _HEX_DIGEST_RE = re.compile(r"[0-9a-f]{64}|[0-9a-f]{128}")
 _DATE_RE = re.compile(r"\d{4}-\d\d-\d\d", re.ASCII)
 _malformed = refusal(DatacredError, "malformed credential: ")
 _malformed_schema = refusal(SchemaMismatch, "malformed schema: ")
 _malformed_registry = refusal(DatacredError, "malformed registry: ")
+_unknown = refusal(DocumentInvalid, "malformed credential: ")
+_unknown_schema = refusal(DocumentInvalid, "malformed schema: ")
+_unknown_registry = refusal(DocumentInvalid, "malformed registry: ")
 
 
 class SchemaAttribute(NamedTuple):
@@ -89,8 +101,10 @@ class SchemaAttribute(NamedTuple):
     @classmethod
     def from_json(cls, obj: dict) -> "SchemaAttribute":
         obj = json_object(obj, _malformed_schema)
-        return cls(member(obj, "name", TEXT, _malformed_schema),
-                   member(obj, "kind", TEXT, _malformed_schema))
+        attribute = cls(member(obj, "name", TEXT, _malformed_schema),
+                        member(obj, "kind", TEXT, _malformed_schema))
+        known_members(obj, _ATTRIBUTE_MEMBERS, _unknown_schema)
+        return attribute
 
 
 @dataclass(frozen=True)
@@ -147,12 +161,14 @@ class CredentialSchema:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CredentialSchema":
-        return cls(
+        schema = cls(
             id=member(obj, "id", TEXT, _malformed_schema),
             name=member(obj, "name", TEXT, _malformed_schema),
             attributes=tuple(map(SchemaAttribute.from_json,
                                  member(obj, "attributes", LIST, _malformed_schema))),
         )
+        known_members(obj, _SCHEMA_MEMBERS, _unknown_schema)
+        return schema
 
 
 DATASET_PROVENANCE_V1 = CredentialSchema(
@@ -176,8 +192,10 @@ class CredentialStatus(NamedTuple):
 
     @classmethod
     def from_json(cls, obj: dict) -> "CredentialStatus":
-        return cls(member(obj, "registry", TEXT, _malformed),
-                   member(obj, "statusId", TEXT, _malformed))
+        status = cls(member(obj, "registry", TEXT, _malformed),
+                     member(obj, "statusId", TEXT, _malformed))
+        known_members(obj, _STATUS_MEMBERS, _unknown)
+        return status
 
 
 @dataclass
@@ -225,7 +243,7 @@ class VerifiableCredential:
         del claims["id"]
         status = member(obj, "credentialStatus", OBJECT, _malformed, None)
         proof = member(obj, "proof", OBJECT, _malformed, None)
-        return cls(
+        credential = cls(
             id=member(obj, "id", TEXT, _malformed),
             issuer=member(obj, "issuer", TEXT, _malformed),
             issuance_date=member(obj, "issuanceDate", ANY, _malformed),  # _check_temporal judges it
@@ -238,6 +256,8 @@ class VerifiableCredential:
             context=list(string_list(obj, "@context", _malformed)),
             type=list(types),
         )
+        known_members(obj, _CREDENTIAL_MEMBERS, _unknown)
+        return credential
 
 
 def issue_credential(
@@ -308,12 +328,14 @@ class RevocationRegistry:
     def from_json(cls, obj: dict) -> "RevocationRegistry":
         obj = json_object(obj, _malformed_registry)
         proof = member(obj, "proof", OBJECT, _malformed_registry, None)
-        return cls(
+        registry = cls(
             issuer=member(obj, "issuer", TEXT, _malformed_registry),
             revoked=list(string_list(obj, "revoked", _malformed_registry)),
             updated=member(obj, "updated", TEXT, _malformed_registry),
             proof=None if proof is None else Proof.from_json(proof),
         )
+        known_members(obj, _REGISTRY_MEMBERS, _unknown_registry)
+        return registry
 
 
 def sign_registry(issuer: str, revoked: list[str], issuer_key: KeyPair) -> dict:

@@ -174,6 +174,10 @@ class SignatureInvalid(Refused):
     """Message envelope is malformed or its signature failed verification."""
 
 
+class WrongRecipient(Refused):
+    """A signed envelope is addressed to another DID than the agent that reads it."""
+
+
 class BadRequest(Refused):
     """A request body or field is missing, mistyped or empty."""
 

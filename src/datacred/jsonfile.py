@@ -7,7 +7,10 @@ yields a JSON object or an error naming the file: FetchFailed when it cannot
 be read, else DocumentInvalid. Following RFC 7493 (I-JSON), a read refuses an
 object that repeats a member name, so a forged ``credentialSubject`` cannot sit
 ahead of the signed one; ``NaN``, ``Infinity`` and ``-Infinity``, which are not
-JSON; and a string holding a lone surrogate, which no signature can cover.
+JSON; and a string holding a lone surrogate, which no signature can cover. The
+refusal of text that is not JSON, of a repeated name or of a constant has the
+parser's error as its ``__cause__``; that of JSON which holds a lone surrogate
+or is not an object has none.
 
 Logs (the wallet, and an agent's issuance and registry logs) are JSON-lines
 files that grow by appending one line. A crash mid-append can leave a last
@@ -17,9 +20,12 @@ leaves it out and the next ``append_line`` cuts it off. No write is fsynced.
 Untrusted JSON has one shape rule, which every ``from_json`` applies through
 ``member``, ``string_list`` and ``json_object``: a member that is present has its
 type, and a type matches exactly, so ``true`` is no integer, a string no list
-and ``null`` no absent member. A refusal raises the error the caller passes,
-called with ``missing field 'name'``, ``fields must be <kinds>: 'name' is
-<kind>`` or ``must be an object, not <kind>``.
+and ``null`` no absent member. A signed document's ``from_json`` also refuses,
+through ``known_members``, a member it does not read: a signature is checked on
+what ``to_json`` writes back, so a member left out would pass unchecked. A
+refusal raises the error the caller passes, called with ``missing field 'name'``,
+``fields must be <kinds>: 'name' is <kind>``, ``must be an object, not <kind>``
+or ``unknown member 'name'``.
 """
 
 from __future__ import annotations
@@ -106,6 +112,13 @@ def json_object(value, error) -> dict:
     if type(value) is dict:
         return value
     raise error(f"must be an object, not {_kind(value)}")
+
+
+def known_members(obj: dict, names: frozenset, error) -> None:
+    """Refuse obj by error("unknown member 'name'") if it holds a member not in names."""
+    if not names.issuperset(obj):
+        unknown = next(name for name in obj if name not in names)
+        raise error(f"unknown member {unknown!r}")
 
 
 def string_list(obj: dict, name: str, error, default=REQUIRED) -> list[str]:

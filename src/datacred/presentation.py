@@ -4,7 +4,9 @@ Anyone holding a copy of a credential can forward it; a presentation proves
 the party presenting is the credential's subject and is presenting it *now*:
 the holder signs over a verifier-issued nonce, and the verifier checks the
 holder's DID against each embedded credential's subject. A stale capture
-fails on the challenge; a third party fails on the subject binding.
+fails on the challenge; a third party fails on the subject binding. A holder
+may also sign the verifier's DID, as the proof's ``domain``: an agent's answer
+to a proof request does, so a presentation relayed to another verifier fails.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from datetime import datetime
 
 from .credential import VerifiableCredential, verify_credential
 from .did import Did, parse_did
-from .errors import DatacredError, EmptyChallenge, EmptyCredentials
-from .jsonfile import LIST, OBJECT, TEXT, member, refusal, string_list
+from .errors import DatacredError, DocumentInvalid, EmptyChallenge, EmptyCredentials
+from .jsonfile import LIST, OBJECT, TEXT, known_members, member, refusal, string_list
 from .keys import KeyPair
 from .proofs import AUTHENTICATION, Proof, attach_proof, check_proof, utc_now
 from .reports import CheckResult, CheckStatus, PresentationReport
@@ -25,6 +27,8 @@ from .resolver import Resolver
 PRESENTATION_CONTEXT = "https://www.w3.org/2018/credentials/v1"
 PRESENTATION_TYPE = "VerifiablePresentation"
 _malformed = refusal(DatacredError, "malformed presentation: ")
+_unknown = refusal(DocumentInvalid, "malformed presentation: ")
+_MEMBERS = frozenset({"@context", "type", "holder", "verifiableCredential", "proof"})
 
 
 def new_challenge() -> str:
@@ -60,13 +64,15 @@ class VerifiablePresentation:
             raise DatacredError(f"type {types!r} does not include {PRESENTATION_TYPE}")
         credentials = member(obj, "verifiableCredential", LIST, _malformed)
         proof = member(obj, "proof", OBJECT, _malformed, None)
-        return cls(
+        presentation = cls(
             holder=member(obj, "holder", TEXT, _malformed),
             credentials=list(map(VerifiableCredential.from_json, credentials)),
             proof=None if proof is None else Proof.from_json(proof),
             context=list(string_list(obj, "@context", _malformed)),
             type=list(types),
         )
+        known_members(obj, _MEMBERS, _unknown)
+        return presentation
 
 
 def create_presentation(
@@ -74,8 +80,10 @@ def create_presentation(
     holder_did: Did | str,
     credentials: list[VerifiableCredential],
     challenge: str,
+    domain: str | None = None,
 ) -> VerifiablePresentation:
-    """Wrap credentials and sign them together with the verifier's challenge."""
+    """Wrap credentials and sign them together with the verifier's challenge and, when
+    given, the verifier's DID as the proof's domain."""
     if not credentials:
         raise EmptyCredentials("a presentation needs at least one credential")
     if not challenge:
@@ -88,6 +96,7 @@ def create_presentation(
         verification_method=holder,
         proof_purpose=AUTHENTICATION,
         challenge=challenge,
+        domain=domain,
     )
     presentation.proof = Proof.from_json(signed["proof"])
     return presentation

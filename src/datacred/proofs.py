@@ -4,7 +4,10 @@ and message envelopes.
 Every signed document carries its proof under ``proof``, as W3C Data
 Integrity puts it. One sign-over rule everywhere: the signature covers the
 canonical bytes of the whole document with the proof block present but its
-``signatureValue`` removed. Verifying re-derives exactly those bytes.
+``signatureValue`` removed. Verifying re-derives exactly those bytes. A proof
+may carry Data Integrity's ``challenge`` and ``domain`` options, which it signs
+like every other member: a presentation names the verifier's nonce and the
+verifier's DID in them, and a proof with any other member is refused.
 
 One check everywhere, too: ``check_proof`` resolves the signer's DID, finds
 the proof's key in that document and verifies the canonical bytes. A
@@ -31,13 +34,14 @@ from .canonical import canonicalize
 from .did import base_did
 from .errors import (
     DatacredError,
+    DocumentInvalid,
     FetchFailed,
     MalformedKey,
     MalformedSignature,
     NotFound,
     UnsupportedMethod,
 )
-from .jsonfile import OBJECT, TEXT, member, refusal
+from .jsonfile import OBJECT, TEXT, known_members, member, refusal
 from .keys import KeyPair, Signature, sign, verify_signature
 from .reports import CheckResult, CheckStatus
 
@@ -48,6 +52,9 @@ AUTHENTICATION = "authentication"
 _TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 _TIMESTAMP_RE = re.compile(r"(\d{4})-(\d\d)-(\d\d)[Tt](\d\d):(\d\d):(\d\d)[Zz]", re.ASCII)
 _malformed = refusal(MalformedSignature, "proof ")
+_unknown = refusal(DocumentInvalid, "malformed proof: ")
+_MEMBERS = frozenset({"type", "created", "verificationMethod", "proofPurpose", "signatureValue",
+                      "challenge", "domain"})
 
 
 def utc_now() -> datetime:
@@ -80,6 +87,7 @@ class Proof(NamedTuple):
     proof_purpose: str
     signature_value: str
     challenge: str | None = None
+    domain: str | None = None
     type: str = PROOF_TYPE
 
     def to_json(self) -> dict:
@@ -92,18 +100,23 @@ class Proof(NamedTuple):
         }
         if self.challenge is not None:
             out["challenge"] = self.challenge
+        if self.domain is not None:
+            out["domain"] = self.domain
         return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "Proof":
-        return cls(
+        proof = cls(
             type=member(obj, "type", TEXT, _malformed),
             created=member(obj, "created", TEXT, _malformed),
             verification_method=member(obj, "verificationMethod", TEXT, _malformed),
             proof_purpose=member(obj, "proofPurpose", TEXT, _malformed),
             signature_value=member(obj, "signatureValue", TEXT, _malformed),
             challenge=member(obj, "challenge", TEXT, _malformed, None),
+            domain=member(obj, "domain", TEXT, _malformed, None),
         )
+        known_members(obj, _MEMBERS, _unknown)
+        return proof
 
     def signature(self) -> Signature:
         return Signature.from_base58(self.signature_value)
@@ -123,6 +136,7 @@ def attach_proof(
     proof_purpose: str,
     challenge: str | None = None,
     created: str | None = None,
+    domain: str | None = None,
 ) -> dict:
     """Return a copy of document carrying a freshly computed proof."""
     proof = {
@@ -133,6 +147,8 @@ def attach_proof(
     }
     if challenge is not None:
         proof["challenge"] = challenge
+    if domain is not None:
+        proof["domain"] = domain
     signed = {**document, "proof": proof}
     signature = sign(key, signing_bytes(signed))
     signed["proof"] = {**proof, "signatureValue": signature.to_base58()}
@@ -166,7 +182,7 @@ def check_proof(
         return CheckResult(CheckStatus.INVALID, "MissingProof"), None
     try:
         proof = Proof.from_json(proof_obj)
-    except MalformedSignature as exc:
+    except (MalformedSignature, DocumentInvalid) as exc:
         return CheckResult(CheckStatus.INVALID, "MalformedProof", str(exc)), None
     method = proof.verification_method
     if base_did(method) != signer:

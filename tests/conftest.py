@@ -110,7 +110,8 @@ def subject():
 
 
 class JsonServer:
-    """Serves a mutable {path: (status, json, headers)} map on loopback, to GET or POST."""
+    """Serves a mutable {path: (status, json, headers)} map on loopback, to GET or POST;
+    bytes in place of the JSON are served as they are."""
 
     def __init__(self):
         self.routes: dict[str, tuple[int, object, dict]] = {}
@@ -132,7 +133,7 @@ class JsonServer:
                     status, body, headers = 404, {"error": "not found"}, {}
                 else:
                     status, body, headers = entry
-                payload = json.dumps(body).encode()
+                payload = body if isinstance(body, bytes) else json.dumps(body).encode()
                 self.send_response(status)
                 for name, value in headers.items():
                     self.send_header(name, value)

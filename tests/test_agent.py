@@ -18,13 +18,16 @@ from hypothesis import strategies as st
 from datacred import proofs
 from datacred.agent.envelopes import (
     CONNECTION_REQUEST,
+    CONNECTION_RESPONSE,
+    CREDENTIAL_ACK,
     CREDENTIAL_ISSUE,
     PROBLEM_REPORT,
     PROOF_REQUEST,
+    PROOF_RESPONSE,
     build_envelope,
 )
 from datacred.agent.service import CREDENTIAL_LABEL_PREFIX, MAX_BODY_BYTES, Agent
-from datacred.agent.state import AgentState
+from datacred.agent.state import AgentState, Connection
 from datacred.agent.config import AgentConfig, Policy
 from datacred.cli import main
 from datacred.credential import DATASET_PROVENANCE_V1, VerifiableCredential, issue_credential
@@ -43,9 +46,12 @@ from datacred.errors import (
     RoleForbidden,
     SignatureInvalid,
     Unreachable,
+    WrongRecipient,
 )
+from datacred.did import generate_did_key
 from datacred.fingerprint import fingerprint_bytes
 from datacred.keys import generate_keypair
+from datacred.presentation import create_presentation
 from datacred.proofs import ASSERTION, attach_proof, parse_timestamp
 from datacred.resolver import KeyBackend, Resolver, WebBackend
 
@@ -600,9 +606,10 @@ def test_a_second_proof_verifies_only_the_fresh_signatures(agent_factory, verifi
     assert user.request_proof(dataset.did.text, ["Hash of Data"]).valid
     verifies.clear()
     assert user.request_proof(dataset.did.text, ["Hash of Data"]).valid
-    # The request and reply envelopes and the holder's proof carry fresh signatures; the
-    # credential and the registry verified on the first proof.
-    assert len(verifies) == 3
+    # The request envelope and the holder's proof carry fresh signatures; the credential
+    # and the registry verified on the first proof. The reply is signed only by the
+    # holder's proof.
+    assert len(verifies) == 2
 
 
 def test_a_second_proof_canonicalizes_and_signs_a_fixed_amount(agent_factory, monkeypatch):
@@ -617,11 +624,12 @@ def test_a_second_proof_canonicalizes_and_signs_a_fixed_amount(agent_factory, mo
                         lambda value: (canonicalized.append(value), canonical(value))[1])
     monkeypatch.setattr(proofs, "sign", lambda *args: (signed.append(args), sign(*args))[1])
     assert user.request_proof(dataset.did.text, ["Hash of Data"]).valid
-    # Signed, then checked: the request and reply envelopes and the holder's proof.
-    # Checked only: the credential, whose signature is remembered but whose bytes are
-    # hashed again. The registry is skipped whole: its bytes have not changed.
-    assert len(signed) == 3
-    assert len(canonicalized) == 7
+    # Signed, then checked: the request envelope and the holder's proof, which is the
+    # reply's only signature. Checked only: the credential, whose signature is remembered
+    # but whose bytes are hashed again. The registry is skipped whole: its bytes have not
+    # changed.
+    assert len(signed) == 2
+    assert len(canonicalized) == 5
 
 
 def test_request_proof_does_not_rewrite_state(agent_factory, monkeypatch):
@@ -987,6 +995,78 @@ def test_captured_response_cannot_satisfy_second_request(agent_factory):
     assert report.checks["challenge"].reason == "ChallengeMismatch"
 
 
+def test_a_proof_response_is_signed_once_by_a_presentation_naming_the_requester(
+        agent_factory):
+    """The reply carried a signed envelope around the signed presentation."""
+    publisher, dataset, connection = connected_pair(agent_factory)
+    publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
+    user = agent_factory("user")
+    user.connect(**dataset.invitation())
+    envelope = build_envelope(user.key, user.did.text, dataset.did.text, PROOF_REQUEST,
+                              {"requestedAttributes": ["Hash of Data"], "challenge": "a" * 32})
+    response = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5)
+    reply = response.json()
+    assert response.status_code == 200
+    assert sorted(reply) == ["body", "from", "to", "type"]
+    assert (reply["type"], reply["from"], reply["to"]) == (PROOF_RESPONSE, dataset.did.text,
+                                                           user.did.text)
+    proof = reply["body"]["presentation"]["proof"]
+    assert (proof["challenge"], proof["domain"]) == ("a" * 32, user.did.text)
+
+
+def user_asking_through(agent_factory, endpoint: str):
+    """(publisher, dataset, user): the dataset agent holds a credential, and the user's
+    connection to it points at endpoint."""
+    publisher, dataset, connection = connected_pair(agent_factory)
+    publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
+    user = agent_factory("user")
+    user.state.add_connection(Connection("c-user", user.did.text, dataset.did.text, endpoint))
+    return publisher, dataset, user
+
+
+def test_a_presentation_relayed_from_another_requester_is_refused(agent_factory, json_server,
+                                                                  monkeypatch):
+    """A relay connected to the dataset agent passes on the user's challenge as its own and
+    hands the user the answer. The dataset agent had signed it as the envelope's sender, so
+    the user got a Valid report."""
+    _, dataset, user = user_asking_through(agent_factory, json_server.url(""))
+    relay = agent_factory("user", name="relay")
+    relay.connect(**dataset.invitation())
+    monkeypatch.setattr("datacred.agent.service.new_challenge", lambda: "c" * 32)
+    envelope = build_envelope(relay.key, relay.did.text, dataset.did.text, PROOF_REQUEST,
+                              {"requestedAttributes": ["Hash of Data"], "challenge": "c" * 32})
+    answer = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5).json()
+    json_server.set("/inbox", {**answer, "to": user.did.text})
+    with pytest.raises(SignatureInvalid, match="another request or requester"):
+        user.request_proof(dataset.did.text, ["Hash of Data"])
+
+
+def test_an_altered_presentation_is_refused_not_reported_invalid(agent_factory, monkeypatch):
+    """The reply's envelope signature held, so the altered presentation was an Invalid report."""
+    def altered(*args, **kwargs):
+        presentation = create_presentation(*args, **kwargs)
+        presentation.proof = presentation.proof._replace(created="2020-01-01T00:00:00Z")
+        return presentation
+
+    monkeypatch.setattr("datacred.agent.service.create_presentation", altered)
+    publisher, dataset, connection = connected_pair(agent_factory)
+    publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
+    user = agent_factory("user")
+    with pytest.raises(SignatureInvalid, match="SignatureMismatch"):
+        user.request_proof(dataset.did.text, ["Hash of Data"], endpoint=dataset.base_url)
+
+
+def test_an_unsigned_problem_report_answering_a_proof_request_is_refused(agent_factory,
+                                                                         json_server):
+    """Only a proof response goes without an envelope proof."""
+    _, dataset, user = user_asking_through(agent_factory, json_server.url(""))
+    json_server.set("/inbox", {"id": "r-1", "type": PROBLEM_REPORT, "from": dataset.did.text,
+                               "to": user.did.text, "createdAt": "2026-01-01T00:00:00Z",
+                               "body": {"code": "NoMatchingCredential", "detail": "none"}})
+    with pytest.raises(SignatureInvalid, match="MissingProof"):
+        user.request_proof(dataset.did.text, ["Hash of Data"])
+
+
 def test_proof_request_without_connection_rejected(agent_factory):
     publisher, dataset, connection = connected_pair(agent_factory)
     publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
@@ -1043,6 +1123,103 @@ def test_non_object_envelope_gets_problem_report(agent_factory, payload):
     response = requests.post(dataset.base_url + "/inbox", json=payload, timeout=5)
     assert response.status_code == 400
     assert response.json()["body"]["code"] == "SignatureInvalid"
+
+
+def stub_did(json_server) -> str:
+    """A did:web whose document would be fetched from json_server."""
+    return "did:web:" + json_server.host.replace(":", "%3A")
+
+
+def test_an_envelope_to_another_did_is_refused_before_its_sender_is_resolved(agent_factory,
+                                                                              json_server):
+    """The inbox fetched the sender's did:web document first."""
+    dataset = agent_factory("dataset")
+    envelope = build_envelope(generate_keypair(), stub_did(json_server), "did:web:other.example",
+                              CONNECTION_REQUEST, {"connectionId": "c", "endpoint": "http://x"})
+    response = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5)
+    assert response.status_code == 400
+    assert response.json()["body"]["code"] == "WrongRecipient"
+    assert json_server.request_count == 0
+    assert dataset.list_connections() == []
+
+
+# A body that is JSON to json.loads but not I-JSON: each change goes into the body member.
+NOT_I_JSON = {"repeated": '"body": {"endpoint": "http://evil.example", ',
+              "nan": '"body": {"n": NaN, ', "surrogate": '"body": {"s": "\\ud800", '}
+
+
+@pytest.mark.parametrize("change", sorted(NOT_I_JSON))
+def test_an_inbox_body_that_is_not_i_json_is_refused_before_its_sender_is_resolved(
+        agent_factory, json_server, change):
+    """json.loads read it, and the inbox fetched the sender's did:web document."""
+    dataset = agent_factory("dataset")
+    envelope = build_envelope(generate_keypair(), stub_did(json_server), dataset.did.text,
+                              CONNECTION_REQUEST, {"connectionId": "c", "endpoint": "http://x"})
+    text = json.dumps(envelope).replace('"body": {', NOT_I_JSON[change], 1)
+    response = requests.post(dataset.base_url + "/inbox", data=text.encode(), timeout=5,
+                             headers={"Content-Type": "application/json"})
+    assert response.status_code == 400
+    assert json_server.request_count == 0
+    assert dataset.list_connections() == []
+
+
+@pytest.mark.parametrize("change", sorted(NOT_I_JSON))
+def test_a_reply_that_is_not_i_json_is_refused_before_anything_is_resolved(
+        agent_factory, json_server, monkeypatch, change):
+    """json.loads read it: the signature was checked, and the connection recorded."""
+    publisher = agent_factory("publisher")
+    key = generate_keypair()
+    did = generate_did_key(key.public_key)[0].text
+    reply = build_envelope(key, did, publisher.did.text, CONNECTION_RESPONSE,
+                           {"connectionId": "c", "endpoint": json_server.url("")})
+    json_server.set("/inbox", json.dumps(reply).replace('"body": {', NOT_I_JSON[change], 1)
+                    .encode())
+    resolved = []
+    monkeypatch.setattr(publisher.resolver, "resolve", resolved.append)
+    with pytest.raises(SignatureInvalid, match="malformed envelope"):
+        publisher.connect(did=did, endpoint=json_server.url(""))
+    assert resolved == []
+    assert publisher.list_connections() == []
+
+
+@pytest.mark.parametrize("change", ["proof-field", "float"])
+def test_a_signed_reply_that_cannot_be_checked_is_signature_invalid(agent_factory, json_server,
+                                                                    change):
+    """MalformedSignature and NonIntegerNumber escaped from connect as themselves."""
+    publisher = agent_factory("publisher")
+    key = generate_keypair()
+    did = generate_did_key(key.public_key)[0].text
+    reply = build_envelope(key, did, publisher.did.text, CONNECTION_RESPONSE,
+                           {"connectionId": "c", "endpoint": json_server.url("")})
+    if change == "proof-field":
+        reply["proof"]["verificationMethod"] = 5
+    else:
+        reply["body"]["x"] = 1.5
+    json_server.set("/inbox", reply)
+    with pytest.raises(SignatureInvalid, match="malformed envelope"):
+        publisher.connect(did=did, endpoint=json_server.url(""))
+    assert publisher.list_connections() == []
+
+
+@pytest.mark.parametrize("reply_type", [CONNECTION_RESPONSE, CREDENTIAL_ACK, PROBLEM_REPORT])
+def test_a_signed_reply_addressed_to_another_did_is_refused(agent_factory, json_server,
+                                                            reply_type):
+    """A signed reply was read whatever its to said."""
+    publisher = agent_factory("publisher")
+    key = generate_keypair()
+    did = generate_did_key(key.public_key)[0].text
+    other = generate_did_key(generate_keypair().public_key)[0].text
+    body = {CONNECTION_RESPONSE: {"connectionId": "c-1", "endpoint": json_server.url("")},
+            CREDENTIAL_ACK: {"credentialId": "urn:uuid:1"},
+            PROBLEM_REPORT: {"code": "PolicyRejected", "detail": "refused"}}[reply_type]
+    json_server.set("/inbox", build_envelope(key, did, other, reply_type, body))
+    with pytest.raises(WrongRecipient, match=f"addressed to {other}"):
+        if reply_type == CREDENTIAL_ACK:
+            publisher.state.add_connection(
+                Connection("c-1", publisher.did.text, did, json_server.url("")))
+            publisher.issue_over_connection("c-1", LISTING_CLAIMS)
+        else:
+            publisher.connect(did=did, endpoint=json_server.url(""))
 
 
 def raw_post(base_url: str, content_length: str) -> bytes:

@@ -142,6 +142,20 @@ def test_presentation_json_roundtrip(holder_credential):
     assert again.to_json() == vp.to_json()
 
 
+def test_the_domain_is_signed_like_the_challenge(holder_credential, key_resolver):
+    holder_key, holder_did, vc = holder_credential
+    challenge = new_challenge()
+    vp = create_presentation(holder_key, holder_did, [vc], challenge, domain="did:web:a.example")
+    assert vp.to_json()["proof"]["domain"] == "did:web:a.example"
+    again = VerifiablePresentation.from_json(vp.to_json())
+    assert again.to_json() == vp.to_json()
+    assert verify_presentation(again, challenge, key_resolver).valid
+
+    again.proof = again.proof._replace(domain="did:web:b.example")
+    check = verify_presentation(again, challenge, key_resolver).checks["holderSignature"]
+    assert (check.status, check.reason) == (CheckStatus.INVALID, "SignatureMismatch")
+
+
 def test_one_resolver_verifies_a_bundle_credential_once(tmp_path, subject, verifies):
     publisher = parse_did("did:web:publisher.example")
     publisher_key = generate_keypair()

@@ -64,6 +64,13 @@ def bad_request(agent_factory):
     return send(publisher, dataset, PROOF_REQUEST, {"challenge": 5})
 
 
+def wrong_recipient(agent_factory):
+    publisher, dataset, _ = connected_pair(agent_factory)
+    envelope = build_envelope(publisher.key, publisher.did.text, publisher.did.text,
+                              PROOF_REQUEST, {"challenge": "e" * 32})
+    return inbox(dataset, envelope)
+
+
 def unsupported_message(agent_factory):
     publisher, dataset, _ = connected_pair(agent_factory)
     return send(publisher, dataset, CREDENTIAL_ACK, {"credentialId": "urn:uuid:1"})
@@ -132,6 +139,7 @@ def admin_bad_request(agent_factory):
 @pytest.mark.parametrize("case, status, code", [
     (signature_invalid, 400, "SignatureInvalid"),
     (bad_request, 400, "BadRequest"),
+    (wrong_recipient, 400, "WrongRecipient"),
     (unsupported_message, 400, "UnsupportedMessage"),
     (unsupported_type_not_a_string, 400, "UnsupportedMessage"),
     (policy_rejected, 403, "PolicyRejected"),

@@ -6,13 +6,16 @@ did:web document, all built from fixed seeds. A mutation deletes one node below 
 or replaces it with one of REPLACEMENTS. Every entry point then gives a report or raises a
 DatacredError (the CLI exits 0, 1 or 2 with no traceback), and a signed document that
 from_json accepts has a to_json equal to its input. A text-level mutation writes one
-member twice, a forged value first, and parse_json refuses that text.
+member twice, a forged value first, and parse_json refuses that text. A third adds one
+member to one object: a signed document is refused or reads it, and never verifies.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import json
+import operator
 
 import pytest
 from click.testing import CliRunner
@@ -47,6 +50,7 @@ AT = parse_timestamp("2025-01-01T00:00:00Z")
 DELETE = object()
 REPLACEMENTS = [DELETE, None, True, 0, 5, 1.5, "ab", "\ud800", [], ["x"], {}, {"a": "b"}]
 REPEATED = "\x00repeated"  # a member name no corpus document holds
+ADDED = "evidence"  # a member name no corpus document holds, and a real VC member
 
 ISSUER_KEY = generate_keypair(bytes([1]) * 32)
 HOLDER_KEY = generate_keypair(bytes([2]) * 32)
@@ -118,6 +122,19 @@ def repeated(document: dict, path: tuple, value) -> str:
             parent[REPEATED] = value
         parent[name] = item
     return json.dumps(out).replace(json.dumps(REPEATED), json.dumps(path[-1]))
+
+
+def objects(document: dict) -> list[tuple]:
+    """The path of every object in document, the root's () first."""
+    return [path for path in [(), *paths(document)]
+            if isinstance(functools.reduce(operator.getitem, path, document), dict)]
+
+
+def added(document: dict, path: tuple) -> dict:
+    """document with the member ADDED put into the object at path."""
+    out = copy.deepcopy(document)
+    functools.reduce(operator.getitem, path, out)[ADDED] = "x"
+    return out
 
 
 def mutations(kind: str):
@@ -247,6 +264,63 @@ def test_a_member_repeated_with_another_value_is_refused(kind):
         assert json.loads(text) == CORPUS[kind]
         with pytest.raises(DocumentInvalid, match=f"^{kind}.json: invalid JSON: member "):
             parse_json(text.encode(), f"{kind}.json")
+
+
+PARSERS = {"credential": VerifiableCredential.from_json, "presentation":
+           VerifiablePresentation.from_json, "registry": RevocationRegistry.from_json,
+           "envelope": MessageEnvelope.from_json}
+
+
+def verified(kind: str, document: dict) -> bool:
+    """Whether the signed document of this kind verifies, in place of the corpus's."""
+    if kind == "envelope":
+        return not isinstance(outcome(lambda: verify_envelope(document, Resolver([KeyBackend()]))),
+                              DatacredError)
+    if kind == "presentation":
+        resolver = Resolver([KeyBackend(), StaticBackend({ISSUER: DID_DOCUMENT})])
+        source = StaticRegistrySource({REGISTRY_URL: REGISTRY})
+        report = outcome(lambda: verify_presentation(
+            VerifiablePresentation.from_json(document), CHALLENGE, resolver, at=AT,
+            registry_source=source))
+    else:
+        report = verify(*documents(**{kind: document}))
+    return not isinstance(report, DatacredError) and report.valid
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+def test_a_member_added_to_any_object_of_a_signed_document_is_refused_or_read(kind):
+    """Each from_json used to drop a member it did not read, and the signature was then
+    checked on the document without it: a credential, a proof or a registry with an added
+    member verified."""
+    for path in objects(CORPUS[kind]):
+        document = added(CORPUS[kind], path)
+        parsed(PARSERS[kind], document)
+        assert not verified(kind, document), path
+
+
+def test_a_member_added_to_a_did_document_is_ignored():
+    """A DID document is not signed, so it stays lenient."""
+    for path in objects(DID_DOCUMENT):
+        assert verify(*documents(did=added(DID_DOCUMENT, path))).valid, path
+
+
+@pytest.mark.parametrize("kind, path, code, reason", [
+    ("credential", (), 2, "DocumentInvalid: malformed credential: unknown member 'evidence'"),
+    ("credential", ("proof",), 2, "DocumentInvalid: malformed proof: unknown member 'evidence'"),
+    ("registry", (), 1, "RegistryUnavailable"),
+], ids=["credential", "credential-proof", "registry"])
+def test_offline_verify_of_a_document_with_an_added_member_is_not_valid(tmp_path, kind, path,
+                                                                        code, reason):
+    """Each verified Valid and exited 0."""
+    credential, registry, did = documents(**{kind: added(CORPUS[kind], path)})
+    (tmp_path / "credential.json").write_text(json.dumps(credential))
+    (tmp_path / "registry.json").write_text(json.dumps(registry))
+    (tmp_path / "dids.json").write_text(json.dumps({ISSUER: did}))
+    result = CliRunner().invoke(main, ["verify", str(tmp_path / "credential.json"),
+                                       "--offline-bundle", str(tmp_path)])
+    assert result.exit_code == code, result.output
+    assert reason in result.output
+    assert "unknown member 'evidence'" in result.output
 
 
 # --- the mis-parses the shape rule removed: each of these tests failed before it ---
