@@ -576,7 +576,7 @@ def _check_proof_response(
                                f"requested from {target}")
     bound = proof is not None and (proof.challenge, proof.domain) == (challenge, agent.did.text)
     if not bound:
-        raise SignatureInvalid("proof response answers another request or requester")
+        raise SignatureInvalid("proof response is not bound to this challenge and requester")
     report = verify_presentation(presentation, challenge, agent.resolver,
                                  registry_source=agent.registry_source)
     signature = report.checks["holderSignature"]

@@ -1037,7 +1037,7 @@ def test_a_presentation_relayed_from_another_requester_is_refused(agent_factory,
                               {"requestedAttributes": ["Hash of Data"], "challenge": "c" * 32})
     answer = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5).json()
     json_server.set("/inbox", {**answer, "to": user.did.text})
-    with pytest.raises(SignatureInvalid, match="another request or requester"):
+    with pytest.raises(SignatureInvalid, match="not bound to this challenge and requester"):
         user.request_proof(dataset.did.text, ["Hash of Data"])
 
 
