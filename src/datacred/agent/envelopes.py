@@ -98,21 +98,19 @@ def build_envelope(
     )
 
 
-def verify_envelope(
-    obj: dict, resolver: Resolver, recipient: str | None = None
-) -> MessageEnvelope:
-    """Parse an envelope and verify its signature against the sender's DID; an agent
-    passes its own DID as recipient.
+def verify_envelope(obj: dict, resolver: Resolver, recipient: str) -> MessageEnvelope:
+    """Parse an envelope addressed to recipient, the receiving agent's DID, and verify
+    its signature against the sender's DID.
 
     Raises WrongRecipient, before the sender is resolved, when the envelope is
-    addressed to another DID than a given recipient; SignatureInvalid for every
-    other refusal: the envelope or its proof is malformed, it is unsigned or has
-    no canonical form, the sender does not resolve, the key is not the sender's,
-    or the signature fails.
+    addressed to another DID; SignatureInvalid for every other refusal: the
+    envelope or its proof is malformed, it is unsigned or has no canonical form,
+    the sender does not resolve, the key is not the sender's, or the signature
+    fails.
     """
     try:
         envelope = MessageEnvelope.from_json(obj)
-        if recipient is not None and envelope.recipient != recipient:
+        if envelope.recipient != recipient:
             raise WrongRecipient(f"envelope {envelope.id} is addressed to "
                                  f"{envelope.recipient}, not {recipient}")
         result, _ = check_proof(obj, envelope.sender, resolver, role="Sender")

@@ -5,10 +5,10 @@ returning the signed response envelope (or a 4xx problem-report, also for a
 body field of the wrong type). The one reply that is not signed as an
 envelope is a proof response: the holder's presentation signs it, and
 _check_proof_response states what makes it the target's answer. Request
-bodies are bounded before they are read, and every body and reply is read by
-jsonfile.parse_json. Envelope POSTs go over resolver.request_bytes's kept-alive
-connections: https, or plain http to loopback under allowInsecureHttp, and no
-redirects.
+bodies are bounded before they are read, and every body and reply is read under
+jsonfile's I-JSON rules. Envelope POSTs go through resolver.request_json, over
+request_bytes's kept-alive connections: https, or plain http to loopback under
+allowInsecureHttp, and no redirects.
 Agents also serve their own did:web document and, for publishers, the
 revocation registry, so the whole trust root stays on the agent's origin.
 
@@ -84,7 +84,7 @@ from ..errors import (
     UnsupportedMessage,
     WrongIssuerKey,
 )
-from ..jsonfile import ANY, OBJECT, TEXT, member, parse_json, string_list, write_json
+from ..jsonfile import ANY, OBJECT, TEXT, load_json, member, parse_json, string_list, write_json
 from ..keys import KeyPair, generate_keypair
 from ..presentation import (
     VerifiablePresentation,
@@ -95,7 +95,7 @@ from ..presentation import (
 from ..proofs import parse_timestamp
 from ..reports import CheckResult, CheckStatus, PresentationReport
 from ..resolver import HeadRefused, KeyBackend, Resolver, WebBackend, is_loopback_host
-from ..resolver import read_head, request_bytes
+from ..resolver import read_head, request_json
 from ..wallet import Wallet
 from .config import WILDCARD_HOSTS, AgentConfig
 from .envelopes import (
@@ -310,16 +310,12 @@ class Agent:
         url = endpoint.rstrip("/") + "/inbox"
         try:
             # A redirect would re-post the signed envelope to wherever it points.
-            status, data = request_bytes(url, self.config.allow_insecure_http, _HTTP_TIMEOUT,
-                                         payload)
-        except DatacredError as exc:  # refused URL, transport failure, redirect
-            raise Unreachable(str(exc)) from exc
-        try:
-            raw = parse_json(data, url)
+            status, raw = request_json(url, self.config.allow_insecure_http, _HTTP_TIMEOUT,
+                                       payload, lambda data: parse_json(data, "reply"))
         except DocumentInvalid as exc:
-            if status >= 400:  # an error page
-                raise Unreachable(f"{url} returned {status}") from exc
             raise SignatureInvalid(f"malformed envelope: {exc}") from exc
+        except DatacredError as exc:  # refused URL, transport failure, redirect, error page
+            raise Unreachable(str(exc)) from exc
         if status >= 400 and "error" in raw:  # refused before signing
             code, detail = raw["error"], raw.get("detail", "")
             raise _PEER_ERRORS.get(str(code), AgentError)(f"{code} ({status}): {detail}")
@@ -451,13 +447,15 @@ class Agent:
     def handle_envelope(self, raw: dict) -> tuple[int, dict]:
         """Process one inbound envelope; returns (http status, response JSON).
 
-        A failure is answered with problem_report, addressed to the envelope's
-        ``from`` when that is a string, so its sender can read the refusal. A proof
-        request that succeeds is answered with an unsigned proof response.
+        A failure is answered with problem_report, addressed to the verified sender,
+        or to ``unknown`` when the envelope itself is refused: this agent signs no
+        report to a DID that the envelope only claims. A proof request that succeeds
+        is answered with an unsigned proof response.
         """
-        sender = raw.get("from") if type(raw.get("from")) is str else "unknown"
+        sender = "unknown"
         try:
             envelope = verify_envelope(raw, self.resolver, self.did.text)
+            sender = envelope.sender
             if not isinstance(envelope.type, str) or envelope.type not in _PROTOCOL:
                 raise UnsupportedMessage(f"no handler for {envelope.type}")
             reply, handler = _PROTOCOL[envelope.type]
@@ -733,7 +731,7 @@ class _RequestHandler(socketserver.StreamRequestHandler):
             left -= len(data)
 
     def _read_json(self) -> dict:
-        """The JSON object the body holds, read by parse_json; a bad or oversized
+        """The JSON object the body holds, read by load_json; a bad or oversized
         Content-Length is refused unread."""
         length = self.headers.get("content-length", "")
         if not length.isdecimal():
@@ -742,7 +740,7 @@ class _RequestHandler(socketserver.StreamRequestHandler):
             raise PayloadTooLarge(f"body of {size} bytes exceeds {MAX_BODY_BYTES}")
         if self.headers.get("expect", "").lower() == "100-continue":
             self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        return parse_json(self.rfile.read(size), "request body")
+        return load_json(self.rfile.read(size), "request body")
 
     def _dispatch(self) -> None:
         """Answer a GET or POST: a public route, else a row of the admin table."""
@@ -754,10 +752,11 @@ class _RequestHandler(socketserver.StreamRequestHandler):
                 # The unread body would be parsed as the next request, so hang up.
                 self._refuse(exc.http_status, exc)
                 return
-            except DocumentInvalid as exc:
-                # Text that is not JSON is refused plainly, as a body; JSON that is no object
-                # a signature can cover is a malformed envelope, answered as one.
-                if self.path == "/inbox" and exc.__cause__ is None:
+            except (ValueError, RecursionError) as exc:  # bytes that are not JSON
+                self._send_error(400, BadRequest(f"request body: invalid JSON: {exc}"))
+                return
+            except DocumentInvalid as exc:  # at the inbox, a malformed envelope
+                if self.path == "/inbox":
                     self._send_json(*agent.problem_report(SignatureInvalid(str(exc))))
                 else:
                     self._send_error(400, BadRequest(str(exc)))

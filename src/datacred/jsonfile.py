@@ -7,10 +7,9 @@ yields a JSON object or an error naming the file: FetchFailed when it cannot
 be read, else DocumentInvalid. Following RFC 7493 (I-JSON), a read refuses an
 object that repeats a member name, so a forged ``credentialSubject`` cannot sit
 ahead of the signed one; ``NaN``, ``Infinity`` and ``-Infinity``, which are not
-JSON; and a string holding a lone surrogate, which no signature can cover. The
-refusal of text that is not JSON, of a repeated name or of a constant has the
-parser's error as its ``__cause__``; that of JSON which holds a lone surrogate
-or is not an object has none.
+JSON; and a string holding a lone surrogate, which no signature can cover.
+``load_json`` applies these rules but leaves a decoder's refusal as it is, for a
+reader that answers bytes that are not JSON otherwise.
 
 Logs (the wallet, and an agent's issuance and registry logs) are JSON-lines
 files that grow by appending one line. A crash mid-append can leave a last
@@ -51,27 +50,37 @@ def _unique_members(pairs: list) -> dict:
     if len(obj) < len(pairs):
         seen = set()
         repeated = next(name for name, _ in pairs if name in seen or seen.add(name))
-        raise ValueError(f"member {repeated!r} is repeated")
+        raise DocumentInvalid(f"member {repeated!r} is repeated")
     return obj
 
 
 def _no_constant(name: str):
-    raise ValueError(f"{name} is not a JSON number")
+    raise DocumentInvalid(f"{name} is not a JSON number")
 
 
-def parse_json(data: bytes, name) -> dict:
-    """The JSON object data holds; name says where the bytes came from."""
+def load_json(data: bytes, name) -> dict:
+    """The JSON object data holds, or DocumentInvalid naming the I-JSON rule it breaks;
+    name says where the bytes came from. Bytes that the decoder cannot read (not UTF-8
+    text, not JSON, or nested too deep) raise its ValueError or RecursionError."""
     try:
         obj = json.loads(data, object_pairs_hook=_unique_members, parse_constant=_no_constant)
         if b"\\" in data or not data.isascii():  # else no string holds a lone surrogate
             json.dumps(obj, ensure_ascii=False).encode("utf-8")
     except UnicodeEncodeError:  # the string is left out, as canonicalize leaves it out
         raise DocumentInvalid(f"{name}: a string holds a lone surrogate") from None
-    except (ValueError, RecursionError) as exc:  # not JSON, not text, or nested too deep
-        raise DocumentInvalid(f"{name}: invalid JSON: {exc}") from exc
+    except DocumentInvalid as exc:  # a repeated name or a constant
+        raise DocumentInvalid(f"{name}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise DocumentInvalid(f"{name}: expected a JSON object, got {type(obj).__name__}")
     return obj
+
+
+def parse_json(data: bytes, name) -> dict:
+    """load_json, with bytes that are not JSON refused as DocumentInvalid too."""
+    try:
+        return load_json(data, name)
+    except (ValueError, RecursionError) as exc:
+        raise DocumentInvalid(f"{name}: invalid JSON: {exc}") from exc
 
 
 REQUIRED = object()  # the default of a member that must be present, and what get finds absent

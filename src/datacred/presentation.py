@@ -113,7 +113,9 @@ def verify_presentation(
 
     The challenge comparison is exact byte equality against the value this
     verifier issued; presenting a captured response to any other challenge
-    fails, which is the replay protection.
+    fails, which is the replay protection. A presentation whose holder signature
+    does not hold is presented by no one, so its credentials are not verified:
+    no issuer is resolved and no registry fetched for it.
     """
     report = PresentationReport(holder=vp.holder)
     at = at or utc_now()
@@ -148,6 +150,9 @@ def verify_presentation(
         else:
             report.checks["subjectBinding"] = CheckResult(CheckStatus.VALID, "SubjectsMatch")
 
+    if signature.status is not CheckStatus.VALID:
+        report.notes.append("credentials not verified: the holder's signature does not hold")
+        return report
     for vc in vp.credentials:
         report.credential_reports.append(
             verify_credential(vc, resolver, at=at, registry_source=registry_source)

@@ -273,15 +273,16 @@ def request_bytes(url: str, allow_insecure_loopback: bool, timeout: float, body=
     return status, content
 
 
-def request_json(url: str, allow_insecure_loopback: bool, timeout: float, body=None):
-    """request_bytes, then the reply parsed: (status, JSON reply). A reply that is not
-    JSON raises DocumentInvalid, or for a status of 400 or more NotFound (404) or
-    FetchFailed."""
+def request_json(url: str, allow_insecure_loopback: bool, timeout: float, body=None,
+                 parse=json.loads):
+    """request_bytes, then the reply read by parse: (status, its value). A reply that
+    parse refuses (ValueError, RecursionError or DocumentInvalid) raises
+    DocumentInvalid, or for a status of 400 or more NotFound (404) or FetchFailed."""
     status, content = request_bytes(url, allow_insecure_loopback, timeout, body)
     try:
-        return status, json.loads(content)
-    except (ValueError, RecursionError) as exc:  # not JSON, or nested too deep to parse
-        if status >= 400:
+        return status, parse(content)
+    except (ValueError, RecursionError, DocumentInvalid) as exc:  # not JSON, or too deep
+        if status >= 400:  # an error page
             raise (NotFound if status == 404 else FetchFailed)(f"{url} returned {status}")
         raise DocumentInvalid(f"{url}: response ({status}) is not JSON: {exc}") from exc
 

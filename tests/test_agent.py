@@ -1052,8 +1052,14 @@ def test_an_altered_presentation_is_refused_not_reported_invalid(agent_factory, 
     publisher, dataset, connection = connected_pair(agent_factory)
     publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
     user = agent_factory("user")
+    user.connect(**dataset.invitation())
+    resolve, resolved, fetched = user.resolver.resolve, [], []
+    monkeypatch.setattr(user.resolver, "resolve", lambda did: resolved.append(did) or resolve(did))
+    monkeypatch.setattr(user.registry_source, "fetch", fetched.append)
     with pytest.raises(SignatureInvalid, match="SignatureMismatch"):
-        user.request_proof(dataset.did.text, ["Hash of Data"], endpoint=dataset.base_url)
+        user.request_proof(dataset.did.text, ["Hash of Data"])
+    # The issuer's DID and registry are read only for a presentation its holder signed.
+    assert (publisher.did.text in resolved, fetched) == (False, [])
 
 
 def test_an_unsigned_problem_report_answering_a_proof_request_is_refused(agent_factory,
@@ -1139,6 +1145,8 @@ def test_an_envelope_to_another_did_is_refused_before_its_sender_is_resolved(age
     response = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5)
     assert response.status_code == 400
     assert response.json()["body"]["code"] == "WrongRecipient"
+    # A refused envelope's from is only claimed, so the signed report is not addressed to it.
+    assert response.json()["to"] == "unknown"
     assert json_server.request_count == 0
     assert dataset.list_connections() == []
 
@@ -1159,6 +1167,7 @@ def test_an_inbox_body_that_is_not_i_json_is_refused_before_its_sender_is_resolv
     response = requests.post(dataset.base_url + "/inbox", data=text.encode(), timeout=5,
                              headers={"Content-Type": "application/json"})
     assert response.status_code == 400
+    assert response.json()["body"]["code"] == "SignatureInvalid"  # a malformed envelope
     assert json_server.request_count == 0
     assert dataset.list_connections() == []
 

@@ -106,6 +106,7 @@ def test_signature_by_key_not_in_holder_document(holder_credential, key_resolver
     )
     assert not report.valid
     assert report.checks["holderSignature"].status is CheckStatus.INVALID
+    assert report.credential_reports == []  # presented by no one, so not verified
 
 
 def test_tampering_any_leaf_fails(holder_credential, key_resolver):

@@ -142,7 +142,7 @@ def _unsigned_envelope() -> dict:
 def check_envelope(case: str):
     raw = _sign(_unsigned_envelope(), case, AUTHENTICATION)
     try:
-        verify_envelope(raw, _resolver(case))
+        verify_envelope(raw, _resolver(case), OTHER)
     except SignatureInvalid:
         return "SignatureInvalid"
     return "accepted"
@@ -207,7 +207,7 @@ def test_non_string_proof_field_is_malformed_not_a_crash(field):
     envelope = _sign(_unsigned_envelope(), "valid", AUTHENTICATION)
     envelope["proof"][field] = 5
     with pytest.raises(DatacredError):
-        verify_envelope(envelope, _resolver("valid"))
+        verify_envelope(envelope, _resolver("valid"), OTHER)
 
 
 @pytest.mark.parametrize("challenge", [0, False, [], {}], ids=["zero", "false", "list", "object"])

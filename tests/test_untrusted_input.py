@@ -180,7 +180,7 @@ def test_the_corpus_verifies():
     assert verify_presentation(vp, CHALLENGE, Resolver([KeyBackend(), StaticBackend(
         {ISSUER: DID_DOCUMENT})]), at=AT, registry_source=StaticRegistrySource(
         {REGISTRY_URL: REGISTRY})).valid
-    assert verify_envelope(ENVELOPE, Resolver([KeyBackend()])).sender == HOLDER
+    assert verify_envelope(ENVELOPE, Resolver([KeyBackend()]), ISSUER).sender == HOLDER
     assert len(paths(CREDENTIAL)) > 30
 
 
@@ -220,7 +220,7 @@ def test_a_changed_registry_is_refused_or_parsed_as_it_is(mutation):
 def test_a_changed_envelope_is_refused_or_parsed_as_it_is(mutation):
     envelope = mutated(ENVELOPE, *mutation)
     parsed(MessageEnvelope.from_json, envelope)
-    outcome(lambda: verify_envelope(envelope, Resolver([KeyBackend()])))
+    outcome(lambda: verify_envelope(envelope, Resolver([KeyBackend()]), ISSUER))
 
 
 @PROPERTY
@@ -274,8 +274,8 @@ PARSERS = {"credential": VerifiableCredential.from_json, "presentation":
 def verified(kind: str, document: dict) -> bool:
     """Whether the signed document of this kind verifies, in place of the corpus's."""
     if kind == "envelope":
-        return not isinstance(outcome(lambda: verify_envelope(document, Resolver([KeyBackend()]))),
-                              DatacredError)
+        return not isinstance(outcome(lambda: verify_envelope(document, Resolver([KeyBackend()]),
+                                                              ISSUER)), DatacredError)
     if kind == "presentation":
         resolver = Resolver([KeyBackend(), StaticBackend({ISSUER: DID_DOCUMENT})])
         source = StaticRegistrySource({REGISTRY_URL: REGISTRY})
