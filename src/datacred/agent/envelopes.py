@@ -3,8 +3,8 @@
 Authenticity lives at the message layer, not the transport: every envelope
 carries, under ``proof`` like every other signed document, a proof by the
 sender's DID key over the canonical envelope bytes (signatureValue excluded).
-A receiver refuses an envelope addressed to another DID, then resolves the
-sender's DID and verifies before touching the body.
+A receiver refuses an envelope addressed to another DID (addressed_envelope),
+then resolves the sender's DID and verifies (check_sender) before touching the body.
 
 One message is not an envelope: a proof response is the holder's presentation
 in an unsigned ``{"type", "from", "to", "body"}``, since the presentation's own
@@ -17,7 +17,8 @@ from __future__ import annotations
 import uuid
 from dataclasses import dataclass
 
-from ..errors import DatacredError, SignatureInvalid, WrongRecipient
+from ..errors import DatacredError, DocumentInvalid, MalformedSignature, SignatureInvalid
+from ..errors import WrongRecipient
 from ..jsonfile import ANY, OBJECT, TEXT, json_object, known_members, member, refusal
 from ..keys import KeyPair
 from ..proofs import AUTHENTICATION, Proof, attach_proof, check_proof, format_timestamp, utc_now
@@ -32,7 +33,6 @@ CREDENTIAL_ISSUE = f"{PROTOCOL}/credential-issue"
 CREDENTIAL_ACK = f"{PROTOCOL}/credential-ack"
 PROOF_REQUEST = f"{PROTOCOL}/proof-request"
 PROOF_RESPONSE = f"{PROTOCOL}/proof-response"
-PROBLEM_REPORT = f"{PROTOCOL}/problem-report"
 
 _malformed = refusal(SignatureInvalid, "malformed envelope: ")
 _MEMBERS = frozenset({"id", "type", "from", "to", "createdAt", "body", "proof"})
@@ -99,24 +99,31 @@ def build_envelope(
 
 
 def verify_envelope(obj: dict, resolver: Resolver, recipient: str) -> MessageEnvelope:
-    """Parse an envelope addressed to recipient, the receiving agent's DID, and verify
-    its signature against the sender's DID.
+    """The envelope obj holds, addressed to recipient, the receiving agent's DID, and
+    signed by its sender: addressed_envelope, then check_sender."""
+    return check_sender(obj, addressed_envelope(obj, recipient), resolver)
 
-    Raises WrongRecipient, before the sender is resolved, when the envelope is
-    addressed to another DID; SignatureInvalid for every other refusal: the
-    envelope or its proof is malformed, it is unsigned or has no canonical form,
-    the sender does not resolve, the key is not the sender's, or the signature
-    fails.
-    """
+
+def addressed_envelope(obj: dict, recipient: str) -> MessageEnvelope:
+    """The envelope obj holds, resolving nothing: WrongRecipient when it is addressed to
+    another DID than recipient, SignatureInvalid when it or its proof is malformed."""
     try:
         envelope = MessageEnvelope.from_json(obj)
-        if envelope.recipient != recipient:
-            raise WrongRecipient(f"envelope {envelope.id} is addressed to "
-                                 f"{envelope.recipient}, not {recipient}")
+    except (MalformedSignature, DocumentInvalid) as exc:  # a malformed proof
+        raise SignatureInvalid(f"malformed envelope: {exc}") from exc
+    if envelope.recipient != recipient:
+        raise WrongRecipient(f"envelope {envelope.id} is addressed to "
+                             f"{envelope.recipient}, not {recipient}")
+    return envelope
+
+
+def check_sender(obj: dict, envelope: MessageEnvelope, resolver: Resolver) -> MessageEnvelope:
+    """envelope, the parse of obj, once obj's signature verifies against the sender's DID;
+    else SignatureInvalid: it is unsigned or has no canonical form, the sender does not
+    resolve, the key is not the sender's, or the signature fails."""
+    try:
         result, _ = check_proof(obj, envelope.sender, resolver, role="Sender")
-    except (SignatureInvalid, WrongRecipient):
-        raise
-    except DatacredError as exc:  # a malformed proof, or a body with no canonical form
+    except DatacredError as exc:  # a body with no canonical form
         raise SignatureInvalid(f"malformed envelope: {exc}") from exc
     if result.status is not CheckStatus.VALID:
         raise SignatureInvalid(f"envelope {envelope.id}: {result.reason} {result.detail}".rstrip())

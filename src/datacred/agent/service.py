@@ -1,14 +1,15 @@
 """The agent process: HTTP service plus client-side protocol operations.
 
 Transport is one POST /inbox endpoint per agent taking a signed envelope and
-returning the signed response envelope (or a 4xx problem-report, also for a
-body field of the wrong type). The one reply that is not signed as an
-envelope is a proof response: the holder's presentation signs it, and
-_check_proof_response states what makes it the target's answer. Request
-bodies are bounded before they are read, and every body and reply is read under
-jsonfile's I-JSON rules. Envelope POSTs go through resolver.request_json, over
-request_bytes's kept-alive connections: https, or plain http to loopback under
-allowInsecureHttp, and no redirects.
+returning the signed response envelope, or a proof response, which the holder's
+presentation signs (_check_proof_response says when it is the target's answer).
+An agent signs nothing else: _send_error answers every refusal, on every route,
+with an unsigned {"error": <error class name>, "detail": ...}, and a requester
+reads any reply of status 400 or more as one. Request bodies are bounded before
+they are read, and every body and reply is read under jsonfile's I-JSON rules.
+Envelope POSTs go through resolver.request_json, over request_bytes's kept-alive
+connections: https, or plain http to loopback under allowInsecureHttp, and no
+redirects.
 Agents also serve their own did:web document and, for publishers, the
 revocation registry, so the whole trust root stays on the agent's origin.
 
@@ -73,7 +74,9 @@ from ..errors import (
     CredentialRejected,
     DatacredError,
     DocumentInvalid,
+    Forbidden,
     NoMatchingCredential,
+    NotFound,
     PayloadTooLarge,
     PolicyRejected,
     PortInUse,
@@ -84,7 +87,7 @@ from ..errors import (
     UnsupportedMessage,
     WrongIssuerKey,
 )
-from ..jsonfile import ANY, OBJECT, TEXT, load_json, member, parse_json, string_list, write_json
+from ..jsonfile import ANY, OBJECT, TEXT, member, parse_json, string_list, write_json
 from ..keys import KeyPair, generate_keypair
 from ..presentation import (
     VerifiablePresentation,
@@ -103,11 +106,12 @@ from .envelopes import (
     CONNECTION_RESPONSE,
     CREDENTIAL_ACK,
     CREDENTIAL_ISSUE,
-    PROBLEM_REPORT,
     PROOF_REQUEST,
     PROOF_RESPONSE,
     MessageEnvelope,
+    addressed_envelope,
     build_envelope,
+    check_sender,
     verify_envelope,
 )
 from .state import AgentState, Connection
@@ -316,17 +320,13 @@ class Agent:
             raise SignatureInvalid(f"malformed envelope: {exc}") from exc
         except DatacredError as exc:  # refused URL, transport failure, redirect, error page
             raise Unreachable(str(exc)) from exc
-        if status >= 400 and "error" in raw:  # refused before signing
-            code, detail = raw["error"], raw.get("detail", "")
-            raise _PEER_ERRORS.get(str(code), AgentError)(f"{code} ({status}): {detail}")
+        if status >= 400:  # a refusal: {"error": code, "detail": ...}
+            code = raw.get("error", status)
+            raise _PEER_ERRORS.get(str(code), AgentError)(f"{code}: {raw.get('detail', '')}")
         expect = _PROTOCOL[message_type][0]
         if raw.get("type") == expect == PROOF_RESPONSE:
             return raw
         envelope = verify_envelope(raw, self.resolver, self.did.text)
-        if envelope.type == PROBLEM_REPORT:
-            code = envelope.body.get("code", "")
-            detail = envelope.body.get("detail", "")
-            raise _PEER_ERRORS.get(str(code), AgentError)(f"{code}: {detail}")
         if envelope.type != expect:
             raise AgentError(f"expected {expect}, got {envelope.type}")
         return envelope
@@ -444,40 +444,23 @@ class Agent:
 
     # --- inbound envelope handling ---
 
-    def handle_envelope(self, raw: dict) -> tuple[int, dict]:
-        """Process one inbound envelope; returns (http status, response JSON).
-
-        A failure is answered with problem_report, addressed to the verified sender,
-        or to ``unknown`` when the envelope itself is refused: this agent signs no
-        report to a DID that the envelope only claims. A proof request that succeeds
-        is answered with an unsigned proof response.
-        """
-        sender = "unknown"
-        try:
-            envelope = verify_envelope(raw, self.resolver, self.did.text)
-            sender = envelope.sender
-            if not isinstance(envelope.type, str) or envelope.type not in _PROTOCOL:
-                raise UnsupportedMessage(f"no handler for {envelope.type}")
-            reply, handler = _PROTOCOL[envelope.type]
-            body = handler(self, envelope)
-        except DatacredError as exc:
-            return self.problem_report(exc, sender)
+    def handle_envelope(self, raw: dict) -> dict:
+        """The reply to one inbound envelope; a refusal raises its DatacredError. What
+        costs nothing is checked before the sender is resolved: the recipient, the message
+        type and, for anything but a connection request, a connection with the sender."""
+        envelope = addressed_envelope(raw, self.did.text)
+        kind, sender = envelope.type, envelope.sender
+        if not isinstance(kind, str) or kind not in _PROTOCOL:
+            raise UnsupportedMessage(f"no handler for {kind}")
+        # Only connection-protocol messages may arrive outside an active connection.
+        if kind != CONNECTION_REQUEST and self.state.connection_for_did(sender) is None:
+            raise ConnectionInactive(f"no active connection with {sender}")
+        check_sender(raw, envelope, self.resolver)
+        reply, handler = _PROTOCOL[kind]
+        body = handler(self, envelope)
         if reply == PROOF_RESPONSE:  # signed once, by the presentation in its body
-            return 200, {"type": reply, "from": self.did.text, "to": sender, "body": body}
-        return 200, build_envelope(self.key, self.did.text, sender, reply, body)
-
-    def problem_report(self, exc: DatacredError, sender: str = "unknown") -> tuple[int, dict]:
-        """(http status, signed problem report) answering exc: its code is the error's class
-        name and its status an AgentError's http_status, or AgentError's for any other
-        DatacredError."""
-        status = exc.http_status if isinstance(exc, AgentError) else AgentError.http_status
-        # The report is signed, so a lone surrogate the sender put in is escaped.
-        detail = str(exc).encode("utf-8", "backslashreplace").decode("utf-8")
-        body = {"code": type(exc).__name__, "detail": detail}
-        import logging
-        logging.getLogger(__name__).info("problem answering %s: %s: %s", sender,
-                                         body["code"], detail)
-        return status, build_envelope(self.key, self.did.text, sender, PROBLEM_REPORT, body)
+            return {"type": reply, "from": self.did.text, "to": sender, "body": body}
+        return build_envelope(self.key, self.did.text, sender, reply, body)
 
     def _on_connection_request(self, envelope: MessageEnvelope) -> dict:
         if not self.config.policy.auto_accept_connections:
@@ -524,9 +507,6 @@ class Agent:
         return {"credentialId": credential.id}
 
     def _on_proof_request(self, envelope: MessageEnvelope) -> dict:
-        # Only connection-protocol messages may arrive outside an active connection.
-        if self.state.connection_for_did(envelope.sender) is None:
-            raise ConnectionInactive(f"no active connection with {envelope.sender}")
         challenge = member(envelope.body, "challenge", TEXT, BadRequest, "")
         requested = string_list(envelope.body, "requestedAttributes", BadRequest, [])
         if not challenge:
@@ -714,7 +694,13 @@ class _RequestHandler(socketserver.StreamRequestHandler):
         self._send(status, json.dumps(obj).encode("utf-8"))
 
     def _send_error(self, status: int, exc: DatacredError) -> None:
-        self._send_json(status, {"error": type(exc).__name__, "detail": str(exc)})
+        """Refuse a request: the one answer, {"error": exc's class name, "detail": its
+        message}, unsigned, with any lone surrogate escaped so an I-JSON reader reads it."""
+        detail = str(exc).encode("utf-8", "backslashreplace").decode("utf-8")
+        import logging
+        logging.getLogger(__name__).info("refused %s: %s: %s", self.client_address[0],
+                                         type(exc).__name__, detail)
+        self._send_json(status, {"error": type(exc).__name__, "detail": detail})
 
     def _refuse(self, status: int, exc: DatacredError) -> None:
         """Answer status and hang up, reading what the peer still sends (at most
@@ -731,7 +717,7 @@ class _RequestHandler(socketserver.StreamRequestHandler):
             left -= len(data)
 
     def _read_json(self) -> dict:
-        """The JSON object the body holds, read by load_json; a bad or oversized
+        """The JSON object the body holds, read by parse_json; a bad or oversized
         Content-Length is refused unread."""
         length = self.headers.get("content-length", "")
         if not length.isdecimal():
@@ -740,7 +726,7 @@ class _RequestHandler(socketserver.StreamRequestHandler):
             raise PayloadTooLarge(f"body of {size} bytes exceeds {MAX_BODY_BYTES}")
         if self.headers.get("expect", "").lower() == "100-continue":
             self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        return load_json(self.rfile.read(size), "request body")
+        return parse_json(self.rfile.read(size), "request body")
 
     def _dispatch(self) -> None:
         """Answer a GET or POST: a public route, else a row of the admin table."""
@@ -750,34 +736,27 @@ class _RequestHandler(socketserver.StreamRequestHandler):
                 body = self._read_json()
             except AgentError as exc:
                 # The unread body would be parsed as the next request, so hang up.
-                self._refuse(exc.http_status, exc)
-                return
-            except (ValueError, RecursionError) as exc:  # bytes that are not JSON
-                self._send_error(400, BadRequest(f"request body: invalid JSON: {exc}"))
-                return
+                return self._refuse(exc.http_status, exc)
             except DocumentInvalid as exc:  # at the inbox, a malformed envelope
-                if self.path == "/inbox":
-                    self._send_json(*agent.problem_report(SignatureInvalid(str(exc))))
-                else:
-                    self._send_error(400, BadRequest(str(exc)))
-                return
+                refusal = SignatureInvalid if self.path == "/inbox" else BadRequest
+                return self._send_error(400, refusal(str(exc)))
             if self.path == "/inbox":
-                self._send_json(*agent.handle_envelope(body))
-                return
+                try:
+                    return self._send_json(200, agent.handle_envelope(body))
+                except DatacredError as exc:
+                    return self._send_error(getattr(exc, "http_status", 400), exc)
         elif self.path == "/.well-known/did.json":
-            self._send_json(200, agent.did_document.to_json())
-            return
+            return self._send_json(200, agent.did_document.to_json())
         elif self.path == "/registry" and agent.config.role == "publisher" and agent.state.registry:
             payload, etag = agent.registry_reply()
             tags = self.headers.get("if-none-match", "").split(",")
             fresh = etag in (tag.strip().removeprefix("W/") for tag in tags)
-            self._send(304 if fresh else 200, payload, f"ETag: {etag}\r\n")
-            return
+            return self._send(304 if fresh else 200, payload, f"ETag: {etag}\r\n")
         route = _ADMIN_ROUTES.get((self.command, self.path))
         if route is None:
-            self._send_json(404, {"error": "NotFound", "detail": self.path})
+            self._send_error(404, NotFound(self.path))
         elif not is_loopback_host(self.client_address[0]):
-            self._send_json(403, {"error": "Forbidden", "detail": "admin API is loopback-only"})
+            self._send_error(403, Forbidden("admin API is loopback-only"))
         else:
             try:
                 self._send_json(200, route(agent, body))

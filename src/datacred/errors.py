@@ -99,7 +99,7 @@ class FetchFailed(DatacredError):
 
 
 class NotFound(DatacredError):
-    """The DID document location returned 404."""
+    """The DID document location returned 404, or an agent has no such route."""
 
 
 class DocumentInvalid(DatacredError):
@@ -139,8 +139,8 @@ class EmptyChallenge(DatacredError):
 class AgentError(DatacredError):
     """Base class for agent protocol and lifecycle failures.
 
-    An inbox answers a failure with a problem report whose code is the
-    class name and whose HTTP status is the class's http_status.
+    An inbox answers a failure with {"error": the class name, "detail": the
+    message}, unsigned, and the class's http_status.
     """
 
     http_status = 400
@@ -162,10 +162,14 @@ class RoleForbidden(AgentError):
     """Operation is not permitted for this agent role."""
 
 
+class Forbidden(AgentError):
+    """An admin route was called from an address that is not loopback."""
+
+
 class Refused(AgentError):
     """Base class for the failures an inbox reports to its peer.
 
-    A caller turns a problem report back into the subclass its code names;
+    A requester turns a refusal's "error" back into the subclass it names;
     any other code becomes a plain AgentError.
     """
 

@@ -2,8 +2,9 @@
 
 A check is Valid, Invalid, or Indeterminate. Indeterminate means the check
 could not be completed (typically a network failure) and is never collapsed
-into a false Valid or Invalid. The overall outcome is Valid only when every
-check is Valid.
+into a false Valid or Invalid. A report's overall outcome is Valid only when
+every check, and every report nested in it, is Valid; else it is Invalid if
+any is Invalid, else Indeterminate.
 """
 
 from __future__ import annotations
@@ -28,34 +29,41 @@ class CheckResult:
         return {"status": self.status.value, "reason": self.reason, "detail": self.detail}
 
 
-def _overall(statuses: list[CheckStatus]) -> CheckStatus:
-    if any(s is CheckStatus.INVALID for s in statuses):
-        return CheckStatus.INVALID
-    if any(s is CheckStatus.INDETERMINATE for s in statuses):
-        return CheckStatus.INDETERMINATE
-    return CheckStatus.VALID
-
-
 @dataclass
-class VerificationReport:
-    """Outcome of verifying one credential."""
+class _Report:
+    """Named checks and notes, under the one outcome rule the module states."""
 
     checks: dict[str, CheckResult] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
-    issuer: str = ""
-    credential_id: str = ""
-    claims: dict = field(default_factory=dict)
+
+    def _nested(self) -> list["_Report"]:
+        return []
 
     @property
     def overall(self) -> CheckStatus:
-        return _overall([c.status for c in self.checks.values()])
+        statuses = {c.status for c in self.checks.values()}
+        statuses.update(report.overall for report in self._nested())
+        return next((s for s in (CheckStatus.INVALID, CheckStatus.INDETERMINATE)
+                     if s in statuses), CheckStatus.VALID)
 
     @property
     def valid(self) -> bool:
         return self.overall is CheckStatus.VALID
 
     def reasons(self) -> list[str]:
-        return [c.reason for c in self.checks.values() if c.status is not CheckStatus.VALID]
+        out = [c.reason for c in self.checks.values() if c.status is not CheckStatus.VALID]
+        for report in self._nested():
+            out.extend(report.reasons())
+        return out
+
+
+@dataclass
+class VerificationReport(_Report):
+    """Outcome of verifying one credential."""
+
+    issuer: str = ""
+    credential_id: str = ""
+    claims: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -69,13 +77,14 @@ class VerificationReport:
 
 
 @dataclass
-class PresentationReport:
+class PresentationReport(_Report):
     """Outcome of verifying a presentation and every credential inside it."""
 
-    checks: dict[str, CheckResult] = field(default_factory=dict)
     credential_reports: list[VerificationReport] = field(default_factory=list)
     holder: str = ""
-    notes: list[str] = field(default_factory=list)
+
+    def _nested(self) -> list[VerificationReport]:
+        return self.credential_reports
 
     @property
     def issuers(self) -> list[str]:
@@ -85,22 +94,6 @@ class PresentationReport:
             if report.issuer and report.issuer not in seen:
                 seen.append(report.issuer)
         return seen
-
-    @property
-    def overall(self) -> CheckStatus:
-        statuses = [c.status for c in self.checks.values()]
-        statuses += [r.overall for r in self.credential_reports]
-        return _overall(statuses)
-
-    @property
-    def valid(self) -> bool:
-        return self.overall is CheckStatus.VALID
-
-    def reasons(self) -> list[str]:
-        out = [c.reason for c in self.checks.values() if c.status is not CheckStatus.VALID]
-        for report in self.credential_reports:
-            out.extend(report.reasons())
-        return out
 
     def to_json(self) -> dict:
         return {

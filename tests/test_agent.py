@@ -21,7 +21,6 @@ from datacred.agent.envelopes import (
     CONNECTION_RESPONSE,
     CREDENTIAL_ACK,
     CREDENTIAL_ISSUE,
-    PROBLEM_REPORT,
     PROOF_REQUEST,
     PROOF_RESPONSE,
     build_envelope,
@@ -56,6 +55,9 @@ from datacred.proofs import ASSERTION, attach_proof, parse_timestamp
 from datacred.resolver import KeyBackend, Resolver, WebBackend
 
 pytestmark = pytest.mark.usefixtures("fast_wallet_kdf")
+
+# The type of the signed refusal that agents sent before refusals were plain JSON.
+PROBLEM_REPORT = "datacred/1.0/problem-report"
 
 LISTING_CLAIMS = {
     "Hash of Data": fingerprint_bytes(b"the published dataset").digest,
@@ -273,8 +275,8 @@ def test_corrupted_handshake_signature_rejected(agent_factory):
     envelope["body"]["endpoint"] = "http://evil.example"  # tamper after signing
     response = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5)
     assert response.status_code == 400
-    assert response.json()["type"] == PROBLEM_REPORT
-    assert response.json()["body"]["code"] == "SignatureInvalid"
+    assert sorted(response.json()) == ["detail", "error"]
+    assert response.json()["error"] == "SignatureInvalid"
     assert dataset.list_connections() == []
 
 
@@ -311,9 +313,9 @@ def test_a_lone_surrogate_is_answered_with_a_problem_report(agent_factory, where
         envelope["from"] = sender.did.text + "\ud800"
     response = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5)
     assert response.status_code == 400
-    assert response.json()["type"] == PROBLEM_REPORT
-    assert response.json()["body"]["code"] == "SignatureInvalid"
-    assert not {"\ud800", "\udfff"} & set(response.json()["body"]["detail"])
+    assert sorted(response.json()) == ["detail", "error"]
+    assert response.json()["error"] == "SignatureInvalid"
+    assert not {"\ud800", "\udfff"} & set(response.json()["detail"])
     assert dataset.list_connections() == []
 
 
@@ -414,8 +416,8 @@ def test_receipt_rejection_names_the_failed_check(agent_factory, resign, reason)
     )
     response = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5)
     assert response.status_code == 400
-    body = response.json()["body"]
-    assert body["code"] == "CredentialRejected"
+    body = response.json()
+    assert body["error"] == "CredentialRejected"
     assert body["detail"].startswith(reason)
     assert dataset.list_credentials() == []
 
@@ -446,8 +448,8 @@ def test_credential_with_unreadable_dates_rejected_on_receipt(agent_factory, dat
     )
     response = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5)
     assert response.status_code == 400
-    body = response.json()["body"]
-    assert body["code"] == "CredentialRejected"
+    body = response.json()
+    assert body["error"] == "CredentialRejected"
     assert body["detail"].startswith("temporal: BadTimestamps")
     assert dataset.list_credentials() == []
 
@@ -493,7 +495,7 @@ def test_remote_rejects_issue_without_connection(agent_factory):
     )
     response = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5)
     assert response.status_code == 400
-    assert response.json()["body"]["code"] == "ConnectionInactive"
+    assert response.json()["error"] == "ConnectionInactive"
     assert dataset.list_credentials() == []
 
 
@@ -510,7 +512,7 @@ def test_tampered_in_flight_credential_rejected(agent_factory):
     )
     response = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5)
     assert response.status_code == 400
-    assert response.json()["body"]["code"] == "CredentialRejected"
+    assert response.json()["error"] == "CredentialRejected"
     assert dataset.list_credentials() == []
 
 
@@ -526,7 +528,7 @@ def test_credential_for_someone_else_rejected(agent_factory):
     )
     response = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5)
     assert response.status_code == 400
-    assert response.json()["body"]["code"] == "CredentialRejected"
+    assert response.json()["error"] == "CredentialRejected"
 
 
 # --- proof exchange ---
@@ -1083,7 +1085,7 @@ def test_proof_request_without_connection_rejected(agent_factory):
     )
     response = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5)
     assert response.status_code == 400
-    assert response.json()["body"]["code"] == "ConnectionInactive"
+    assert response.json()["error"] == "ConnectionInactive"
 
 
 @pytest.mark.parametrize("message_type, body", [
@@ -1104,8 +1106,8 @@ def test_malformed_body_gets_problem_report(agent_factory, message_type, body):
     )
     response = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5)
     assert response.status_code == 400
-    assert response.json()["type"] == PROBLEM_REPORT
-    assert response.json()["body"]["code"] == "BadRequest"
+    assert sorted(response.json()) == ["detail", "error"]
+    assert response.json()["error"] == "BadRequest"
     assert len(dataset.list_connections()) == 1
 
 
@@ -1118,8 +1120,8 @@ def test_credential_with_non_object_subject_gets_problem_report(agent_factory):
     )
     response = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5)
     assert response.status_code == 400
-    assert response.json()["type"] == PROBLEM_REPORT
-    assert response.json()["body"]["code"] == "CredentialRejected"
+    assert sorted(response.json()) == ["detail", "error"]
+    assert response.json()["error"] == "CredentialRejected"
     assert dataset.list_credentials() == []
 
 
@@ -1128,7 +1130,7 @@ def test_non_object_envelope_gets_problem_report(agent_factory, payload):
     dataset = agent_factory("dataset")
     response = requests.post(dataset.base_url + "/inbox", json=payload, timeout=5)
     assert response.status_code == 400
-    assert response.json()["body"]["code"] == "SignatureInvalid"
+    assert response.json()["error"] == "SignatureInvalid"
 
 
 def stub_did(json_server) -> str:
@@ -1144,11 +1146,36 @@ def test_an_envelope_to_another_did_is_refused_before_its_sender_is_resolved(age
                               CONNECTION_REQUEST, {"connectionId": "c", "endpoint": "http://x"})
     response = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5)
     assert response.status_code == 400
-    assert response.json()["body"]["code"] == "WrongRecipient"
-    # A refused envelope's from is only claimed, so the signed report is not addressed to it.
-    assert response.json()["to"] == "unknown"
+    assert response.json()["error"] == "WrongRecipient"
+    # A refused envelope's from is only claimed, so the refusal is addressed to no one.
+    assert sorted(response.json()) == ["detail", "error"]
     assert json_server.request_count == 0
     assert dataset.list_connections() == []
+
+
+@pytest.mark.parametrize("message_type, code", [
+    (PROOF_REQUEST, "ConnectionInactive"),
+    (CREDENTIAL_ISSUE, "ConnectionInactive"),
+    (f"{PROOF_REQUEST}-v2", "UnsupportedMessage"),
+], ids=["proof-request", "credential-issue", "unknown-type"])
+def test_an_unconnected_sender_is_refused_before_it_is_resolved(agent_factory, json_server,
+                                                                message_type, code):
+    """The inbox fetched the sender's did:web document before any check but the recipient."""
+    dataset = agent_factory("dataset")
+    envelope = build_envelope(generate_keypair(), stub_did(json_server), dataset.did.text,
+                              message_type, {"connectionId": "c", "challenge": "e" * 32})
+    response = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5)
+    assert json_server.request_count == 0
+    assert (response.status_code, response.json()["error"]) == (400, code)
+
+
+def test_a_requester_its_peer_cannot_resolve_reads_the_peers_refusal(agent_factory):
+    """The peer signed its refusal to unknown, so the requester read WrongRecipient."""
+    dataset = agent_factory("dataset", allow_insecure_http=False)
+    user = agent_factory("user")  # a did:web on plain http, which dataset does not fetch
+    with pytest.raises(SignatureInvalid, match="^SignatureInvalid: .*SenderUnresolvable"):
+        user.connect(**dataset.invitation())
+    assert dataset.list_connections() == user.list_connections() == []
 
 
 # A body that is JSON to json.loads but not I-JSON: each change goes into the body member.
@@ -1167,7 +1194,7 @@ def test_an_inbox_body_that_is_not_i_json_is_refused_before_its_sender_is_resolv
     response = requests.post(dataset.base_url + "/inbox", data=text.encode(), timeout=5,
                              headers={"Content-Type": "application/json"})
     assert response.status_code == 400
-    assert response.json()["body"]["code"] == "SignatureInvalid"  # a malformed envelope
+    assert response.json()["error"] == "SignatureInvalid"  # a malformed envelope
     assert json_server.request_count == 0
     assert dataset.list_connections() == []
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from datacred.errors import DocumentInvalid, FetchFailed
-from datacred.jsonfile import append_line, load_json, parse_json, read_json, write_json
+from datacred.jsonfile import append_line, parse_json, read_json, write_json
 
 scalars = (
     st.none()
@@ -86,16 +86,13 @@ def test_text_that_is_not_i_json_is_document_invalid(tmp_path, text, reason):
         read_json(path)
 
 
-@pytest.mark.parametrize("text, refusal", [
-    (b"{broken", ValueError), (b"[" * 100_000, RecursionError), (b'{"a": "\xff"}', ValueError),
-    (b'{"a": 1, "a": 2}', DocumentInvalid), (b'{"a": NaN}', DocumentInvalid),
-    (b'{"a": "\\ud800"}', DocumentInvalid), (b"[]", DocumentInvalid),
+@pytest.mark.parametrize("text", [
+    b"{broken", b"[" * 100_000, b'{"a": "\xff"}', b'{"a": 1, "a": 2}', b'{"a": NaN}',
+    b'{"a": "\\ud800"}', b"[]",
 ], ids=["syntax", "too-deep", "not-utf-8", "repeated", "nan", "surrogate", "list"])
-def test_load_json_leaves_only_the_decoders_refusals_as_they_are(text, refusal):
-    """An agent's inbox answers bytes that are not JSON as a bad body, and JSON that breaks
-    a rule as a malformed envelope; parse_json refuses both as DocumentInvalid."""
-    with pytest.raises(refusal):
-        load_json(text, "doc")
+def test_parse_json_refuses_bytes_that_are_not_json_as_a_broken_rule(text):
+    """Bytes that are not JSON and JSON that breaks a rule are one refusal, which an agent's
+    inbox answers as a malformed envelope."""
     with pytest.raises(DocumentInvalid, match="^doc: "):
         parse_json(text, "doc")
 

@@ -1,7 +1,9 @@
 """What an agent answers a refused request with: the HTTP status and code on every surface.
 
-The inbox answers with a signed problem report, a bad request body with a
-JSON error, and the admin API with a JSON error that relays a peer's refusal.
+Every surface, the inbox, the request body check and the admin API (which relays a
+peer's refusal), answers with one plain, unsigned problem report: a JSON object of
+exactly the members ``error``, the code, and ``detail``. Every case reads it through
+``refusal``.
 """
 
 import json
@@ -10,11 +12,11 @@ import pytest
 import requests
 
 from datacred.agent.config import Policy
+from datacred import proofs
 from datacred.agent.envelopes import (
     CONNECTION_REQUEST,
     CREDENTIAL_ACK,
     CREDENTIAL_ISSUE,
-    PROBLEM_REPORT,
     PROOF_REQUEST,
     build_envelope,
 )
@@ -34,10 +36,18 @@ from test_agent import connected_pair, raw_post
 pytestmark = pytest.mark.usefixtures("fast_wallet_kdf")
 
 
+def refusal(status: int, body: bytes) -> tuple[int, str]:
+    """(status, code) of an answer that must be a plain refusal: a JSON object of exactly
+    the members error and detail, so it carries no proof."""
+    answer = json.loads(body)
+    assert sorted(answer) == ["detail", "error"]
+    assert isinstance(answer["detail"], str)
+    return status, answer["error"]
+
+
 def inbox(receiver, payload):
     response = requests.post(receiver.base_url + "/inbox", json=payload, timeout=5)
-    assert response.json()["type"] == PROBLEM_REPORT
-    return response.status_code, response.json()["body"]["code"]
+    return refusal(response.status_code, response.content)
 
 
 def send(sender, receiver, message_type, body):
@@ -47,12 +57,12 @@ def send(sender, receiver, message_type, body):
 
 def admin(agent, route, body):
     response = requests.post(agent.base_url + route, json=body, timeout=30)
-    return response.status_code, response.json()["error"]
+    return refusal(response.status_code, response.content)
 
 
 def body_with_length(agent, content_length):
     head, _, body = raw_post(agent.base_url, content_length).partition(b"\r\n\r\n")
-    return int(head.split()[1]), json.loads(body)["error"]
+    return refusal(int(head.split()[1]), body)
 
 
 def signature_invalid(agent_factory):
@@ -169,11 +179,8 @@ def test_refusal_status_and_code(agent_factory, case, status, code):
 def test_peer_code_maps_back_only_to_an_inbox_refusal(agent_factory, json_server, code, error):
     """A code no inbox sends, such as a local failure's name, is a plain AgentError."""
     publisher = agent_factory("publisher")
-    key = generate_keypair()
-    did, _ = generate_did_key(key.public_key)
-    report = build_envelope(key, did.text, publisher.did.text, PROBLEM_REPORT,
-                            {"code": code, "detail": "refused"})
-    json_server.set("/inbox", report)
+    did, _ = generate_did_key(generate_keypair().public_key)
+    json_server.set("/inbox", {"error": code, "detail": "refused"}, status=400)
     with pytest.raises(AgentError, match="refused") as excinfo:
         publisher.connect(did=did.text, endpoint=json_server.url(""))
     assert type(excinfo.value) is error
@@ -185,7 +192,7 @@ def test_peer_refusal_before_any_envelope_keeps_its_code(agent_factory):
     publisher, dataset, connection = connected_pair(agent_factory)
     schema = CredentialSchema(id="urn:test:blob", name="blob",
                               attributes=(SchemaAttribute("blob", "string"),))
-    with pytest.raises(PayloadTooLarge, match="413"):
+    with pytest.raises(PayloadTooLarge, match="^PayloadTooLarge: body of"):
         publisher.issue_over_connection(connection.connection_id, {"blob": "x" * (2 << 20)},
                                         schema=schema)
     assert dataset.list_credentials() == []
@@ -202,7 +209,32 @@ def test_plain_json_refusal_maps_back_by_its_code(agent_factory, json_server, st
     publisher = agent_factory("publisher")
     did, _ = generate_did_key(generate_keypair().public_key)
     json_server.set("/inbox", reply, status=status)
-    with pytest.raises(AgentError, match=f"\\({status}\\)") as excinfo:
+    with pytest.raises(AgentError, match=f"^{reply['error']}: ") as excinfo:
         publisher.connect(did=did.text, endpoint=json_server.url(""))
     assert type(excinfo.value) is error
     assert publisher.list_connections() == []
+
+
+@pytest.mark.parametrize("payload, code", [
+    ("5", "SignatureInvalid"),
+    ('{"x": 1}', "SignatureInvalid"),
+    ('{"a": 1, "a": 2}', "SignatureInvalid"),
+    ("wrong-recipient", "WrongRecipient"),
+], ids=["int", "object", "repeated-name", "wrong-recipient"])
+def test_answering_a_refused_envelope_signs_nothing(agent_factory, monkeypatch, payload, code):
+    """Each was a problem report that the agent signed, to a sender it had not verified;
+    a WrongRecipient detail echoes the sender's own id and to."""
+    dataset = agent_factory("dataset")
+    if payload == "wrong-recipient":
+        key = generate_keypair()
+        did, _ = generate_did_key(key.public_key)
+        envelope = build_envelope(key, did.text, "did:web:other.example", PROOF_REQUEST,
+                                  {"challenge": "e" * 32})
+        payload = json.dumps(envelope)
+    signed = []
+    sign = proofs.sign
+    monkeypatch.setattr(proofs, "sign", lambda *args: (signed.append(args), sign(*args))[1])
+    response = requests.post(dataset.base_url + "/inbox", data=payload.encode(), timeout=5,
+                             headers={"Content-Type": "application/json"})
+    assert signed == []
+    assert refusal(response.status_code, response.content) == (400, code)

@@ -203,7 +203,7 @@ def test_non_string_proof_field_is_malformed_not_a_crash(field):
     result, _ = check_proof(document, SIGNER, _resolver("valid"))
     assert (result.status.value, result.reason) == ("Invalid", "MalformedProof")
 
-    # An agent answers DatacredError with a SignatureInvalid problem report.
+    # An agent answers DatacredError with a plain SignatureInvalid refusal.
     envelope = _sign(_unsigned_envelope(), "valid", AUTHENTICATION)
     envelope["proof"][field] = 5
     with pytest.raises(DatacredError):
