@@ -1,15 +1,14 @@
-"""Signed message envelopes exchanged between agents.
+"""Message envelopes exchanged between agents.
 
-Authenticity lives at the message layer, not the transport: every envelope
-carries, under ``proof`` like every other signed document, a proof by the
-sender's DID key over the canonical envelope bytes (signatureValue excluded).
-A receiver refuses an envelope addressed to another DID (addressed_envelope),
-then resolves the sender's DID and verifies (check_sender) before touching the body.
-
-One message is not an envelope: a proof response is the holder's presentation
-in an unsigned ``{"type", "from", "to", "body"}``, since the presentation's own
-proof, bound to the request by ``challenge`` and to the requester by
-``domain``, is what authenticates it (agent.service states the rule).
+Authenticity lives at the message layer, not the transport. Each message is signed
+once: a type in SIGNED carries, under ``proof`` like every other signed document, a
+proof by the sender's DID key over the canonical envelope bytes (signatureValue
+excluded). A credential issue is authenticated by its credential's issuer proof; a
+proof response, an unsigned ``{"type", "from", "to", "body"}``, by the holder's
+presentation, bound by ``challenge`` and ``domain``; a credential ack, the same plain
+shape, by nothing (agent.service states the rule). A receiver refuses an envelope
+addressed to another DID (addressed_envelope), then, for a SIGNED type, resolves the
+sender's DID and verifies (check_sender) before touching the body.
 """
 
 from __future__ import annotations
@@ -33,6 +32,8 @@ CREDENTIAL_ISSUE = f"{PROTOCOL}/credential-issue"
 CREDENTIAL_ACK = f"{PROTOCOL}/credential-ack"
 PROOF_REQUEST = f"{PROTOCOL}/proof-request"
 PROOF_RESPONSE = f"{PROTOCOL}/proof-response"
+
+SIGNED = frozenset({CONNECTION_REQUEST, CONNECTION_RESPONSE, PROOF_REQUEST})  # envelope proofs
 
 _malformed = refusal(SignatureInvalid, "malformed envelope: ")
 _MEMBERS = frozenset({"id", "type", "from", "to", "createdAt", "body", "proof"})
@@ -79,9 +80,9 @@ class MessageEnvelope:
 
 
 def build_envelope(
-    key: KeyPair, sender_did: str, recipient_did: str, message_type: str, body: dict
+    key: KeyPair | None, sender_did: str, recipient_did: str, message_type: str, body: dict
 ) -> dict:
-    """Construct and sign an envelope, returning its wire JSON."""
+    """Construct an envelope, signed by key unless it is None, returning its wire JSON."""
     envelope = MessageEnvelope(
         id=str(uuid.uuid4()),
         type=message_type,
@@ -89,13 +90,11 @@ def build_envelope(
         recipient=recipient_did,
         created_at=format_timestamp(utc_now()),
         body=body,
-    )
-    return attach_proof(
-        envelope.to_json(),
-        key,
-        verification_method=sender_did,
-        proof_purpose=AUTHENTICATION,
-    )
+    ).to_json()
+    if key is None:  # a type not in SIGNED
+        return envelope
+    return attach_proof(envelope, key, verification_method=sender_did,
+                        proof_purpose=AUTHENTICATION)
 
 
 def verify_envelope(obj: dict, resolver: Resolver, recipient: str) -> MessageEnvelope:

@@ -1,11 +1,12 @@
 """The agent process: HTTP service plus client-side protocol operations.
 
-Transport is one POST /inbox endpoint per agent taking a signed envelope and
-returning the signed response envelope, or a proof response, which the holder's
-presentation signs (_check_proof_response says when it is the target's answer).
-An agent signs nothing else: _send_error answers every refusal, on every route,
-with an unsigned {"error": <error class name>, "detail": ...}, and a requester
-reads any reply of status 400 or more as one. Request bodies are bounded before
+Transport is one POST /inbox endpoint per agent taking an envelope and returning
+the reply. A message is signed once, where envelopes.SIGNED says: a credential issue
+by its credential's issuer (check_receipt), a proof response by the holder's
+presentation (_check_proof_response), and a credential ack, a plain reply, not at
+all. _send_error answers every refusal, on every route, with an unsigned
+{"error": <error class name>, "detail": ...}, and a requester reads any reply of
+status 400 or more as one. Request bodies are bounded before
 they are read, and every body and reply is read under jsonfile's I-JSON rules.
 Envelope POSTs go through resolver.request_json, over request_bytes's kept-alive
 connections: https, or plain http to loopback under allowInsecureHttp, and no
@@ -17,10 +18,10 @@ A connection is stored once the peer has accepted it, so a failed connect
 leaves no record. A proof request keeps its challenge only for the call:
 the exact comparison with the presented one is the replay protection.
 
-A dataset agent stores a received credential only if credential.check_receipt
-passes, the verifier's own signature, schema and date checks; a refusal names
-the failed check and the verifier's reason. It answers proof requests from its
-credentials kept newest first, an index rebuilt only when the wallet changes.
+A dataset agent stores a received credential from its sender, to itself, once, only
+if credential.check_receipt passes, the verifier's own signature, schema and date
+checks; a refusal names the failed check and the verifier's reason. It answers proof
+requests from its credentials kept newest first, an index rebuilt on wallet changes.
 
 GET /.well-known/did.json, GET /registry and POST /inbox are public. A
 publisher encodes its registry once per change and serves those bytes with
@@ -86,6 +87,7 @@ from ..errors import (
     Unreachable,
     UnsupportedMessage,
     WrongIssuerKey,
+    WrongRecipient,
 )
 from ..jsonfile import ANY, OBJECT, TEXT, member, parse_json, string_list, write_json
 from ..keys import KeyPair, generate_keypair
@@ -108,6 +110,7 @@ from .envelopes import (
     CREDENTIAL_ISSUE,
     PROOF_REQUEST,
     PROOF_RESPONSE,
+    SIGNED,
     MessageEnvelope,
     addressed_envelope,
     build_envelope,
@@ -123,6 +126,7 @@ IDLE_TIMEOUT = 5.0  # seconds a kept-alive connection may wait for its next requ
 _DRAIN_BYTES = 16 * MAX_BODY_BYTES  # read and dropped after a refusal, before hanging up
 
 _PEER_ERRORS = {cls.__name__: cls for cls in Refused.__subclasses__()}  # code -> error
+STATUS_ISSUED = 20  # the latest issuance records /status lists
 
 
 def _issued_at(vc: VerifiableCredential) -> datetime:
@@ -292,7 +296,8 @@ class Agent:
         }
         if self.config.role == "publisher":
             out["registryUrl"] = f"{self.base_url}/registry"
-            out["issued"] = list(self.state.issued)
+            out["issuedCount"] = len(self.state.issued)
+            out["issued"] = self.state.issued[-STATUS_ISSUED:]
         return out
 
     def list_connections(self) -> list[dict]:
@@ -308,9 +313,10 @@ class Agent:
         self, their_did: str, endpoint: str, message_type: str, body: dict
     ) -> MessageEnvelope | dict:
         """Send a request; returns the reply _PROTOCOL pairs with its type: an envelope
-        verified as addressed to this agent, or a proof response's JSON, which
-        _check_proof_response alone authenticates."""
-        payload = build_envelope(self.key, self.did.text, their_did, message_type, body)
+        verified as addressed to this agent and signed by their_did, or a reply of a type
+        not in SIGNED as JSON, which the caller checks."""
+        key = self.key if message_type in SIGNED else None
+        payload = build_envelope(key, self.did.text, their_did, message_type, body)
         url = endpoint.rstrip("/") + "/inbox"
         try:
             # A redirect would re-post the signed envelope to wherever it points.
@@ -324,8 +330,10 @@ class Agent:
             code = raw.get("error", status)
             raise _PEER_ERRORS.get(str(code), AgentError)(f"{code}: {raw.get('detail', '')}")
         expect = _PROTOCOL[message_type][0]
-        if raw.get("type") == expect == PROOF_RESPONSE:
+        if raw.get("type") == expect and expect not in SIGNED:
             return raw
+        if raw.get("from") != their_did:  # refused before anything is resolved
+            raise SignatureInvalid(f"reply from {raw.get('from')}, expected {their_did}")
         envelope = verify_envelope(raw, self.resolver, self.did.text)
         if envelope.type != expect:
             raise AgentError(f"expected {expect}, got {envelope.type}")
@@ -336,14 +344,12 @@ class Agent:
         if self.config.role == "dataset":
             raise RoleForbidden("dataset agents never initiate connections")
         connection = Connection(str(uuid.uuid4()), self.did.text, did, endpoint)
-        envelope = self._exchange(
+        self._exchange(
             did,
             endpoint,
             CONNECTION_REQUEST,
             {"connectionId": connection.connection_id, "endpoint": self.base_url},
         )
-        if envelope.sender != did:
-            raise SignatureInvalid(f"connection response from {envelope.sender}, expected {did}")
         with self._lock:
             self.state.add_connection(connection)
         return connection
@@ -384,12 +390,16 @@ class Agent:
                     "subject": connection.their_did,
                 }
             )
-        self._exchange(
+        ack = self._exchange(
             connection.their_did,
             connection.their_endpoint,
             CREDENTIAL_ISSUE,
             {"connectionId": connection_id, "credential": credential.to_json()},
         )
+        if ack.get("to") != self.did.text:
+            raise WrongRecipient(f"ack is addressed to {ack.get('to')}, not {self.did.text}")
+        if member(ack, "body", OBJECT, AgentError, {}).get("credentialId") != credential.id:
+            raise AgentError(f"the ack names another credential than {credential.id}")
         return credential
 
     def request_proof(
@@ -455,12 +465,13 @@ class Agent:
         # Only connection-protocol messages may arrive outside an active connection.
         if kind != CONNECTION_REQUEST and self.state.connection_for_did(sender) is None:
             raise ConnectionInactive(f"no active connection with {sender}")
-        check_sender(raw, envelope, self.resolver)
+        if kind in SIGNED:
+            check_sender(raw, envelope, self.resolver)
         reply, handler = _PROTOCOL[kind]
         body = handler(self, envelope)
-        if reply == PROOF_RESPONSE:  # signed once, by the presentation in its body
-            return {"type": reply, "from": self.did.text, "to": sender, "body": body}
-        return build_envelope(self.key, self.did.text, sender, reply, body)
+        if reply in SIGNED:
+            return build_envelope(self.key, self.did.text, sender, reply, body)
+        return {"type": reply, "from": self.did.text, "to": sender, "body": body}
 
     def _on_connection_request(self, envelope: MessageEnvelope) -> dict:
         if not self.config.policy.auto_accept_connections:
@@ -494,6 +505,8 @@ class Agent:
                 member(body, "credential", ANY, DatacredError))
         except DatacredError as exc:
             raise CredentialRejected(f"malformed credential: {exc}") from exc
+        if credential.issuer != envelope.sender:
+            raise CredentialRejected(f"credential issuer {credential.issuer} is not the sender")
         if credential.subject_id != self.did.text:
             raise CredentialRejected(
                 f"credential subject {credential.subject_id} is not this agent"
@@ -501,9 +514,11 @@ class Agent:
         for name, result in check_receipt(credential, self.resolver).items():
             if result.status is not CheckStatus.VALID:
                 raise CredentialRejected(f"{name}: {result.reason} {result.detail}")
+        label, entry = CREDENTIAL_LABEL_PREFIX + credential.id, credential.to_json()
         with self._lock:
-            self.wallet.put(CREDENTIAL_LABEL_PREFIX + credential.id, credential.to_json())
-            self.wallet.save()
+            if label not in self.wallet or self.wallet.get(label) != entry:
+                self.wallet.put(label, entry)
+                self.wallet.save()
         return {"credentialId": credential.id}
 
     def _on_proof_request(self, envelope: MessageEnvelope) -> dict:
@@ -522,8 +537,8 @@ class Agent:
         return {"presentation": presentation.to_json()}
 
 
-# The protocol: request type -> (reply type, the receiving agent's handler). Every
-# reply is a signed envelope but a proof response, which _check_proof_response checks.
+# The protocol: request type -> (reply type, the receiving agent's handler). A reply
+# type in SIGNED is a signed envelope; the others are plain replies their requester checks.
 _PROTOCOL = {
     CONNECTION_REQUEST: (CONNECTION_RESPONSE, Agent._on_connection_request),
     CREDENTIAL_ISSUE: (CREDENTIAL_ACK, Agent._on_credential_issue),

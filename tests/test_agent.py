@@ -25,7 +25,7 @@ from datacred.agent.envelopes import (
     PROOF_RESPONSE,
     build_envelope,
 )
-from datacred.agent.service import CREDENTIAL_LABEL_PREFIX, MAX_BODY_BYTES, Agent
+from datacred.agent.service import CREDENTIAL_LABEL_PREFIX, MAX_BODY_BYTES, STATUS_ISSUED, Agent
 from datacred.agent.state import AgentState, Connection
 from datacred.agent.config import AgentConfig, Policy
 from datacred.cli import main
@@ -47,7 +47,7 @@ from datacred.errors import (
     Unreachable,
     WrongRecipient,
 )
-from datacred.did import generate_did_key
+from datacred.did import generate_did_key, parse_did
 from datacred.fingerprint import fingerprint_bytes
 from datacred.keys import generate_keypair
 from datacred.presentation import create_presentation
@@ -531,6 +531,74 @@ def test_credential_for_someone_else_rejected(agent_factory):
     assert response.json()["error"] == "CredentialRejected"
 
 
+def test_an_issue_signs_once_and_verifies_once_across_both_agents(agent_factory, monkeypatch,
+                                                                 verifies):
+    """The issue and the ack were signed envelopes: 3 signs, 3 verifies, 6 canonical forms."""
+    publisher, dataset, connection = connected_pair(agent_factory)
+    verifies.clear()
+    canonicalized, signed = [], []
+    canonical, sign = proofs.canonicalize, proofs.sign
+    monkeypatch.setattr(proofs, "canonicalize",
+                        lambda value: (canonicalized.append(value), canonical(value))[1])
+    monkeypatch.setattr(proofs, "sign", lambda *args: (signed.append(args), sign(*args))[1])
+    publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
+    # The credential's proof, made by the publisher and checked by the dataset agent.
+    assert (len(signed), len(verifies), len(canonicalized)) == (1, 1, 2)
+    assert len(dataset.list_credentials()) == 1
+
+
+def post_issue(publisher, dataset, connection, credential: dict) -> requests.Response:
+    """An unsigned credential-issue from publisher, posted to dataset's inbox."""
+    envelope = build_envelope(None, publisher.did.text, dataset.did.text, CREDENTIAL_ISSUE,
+                              {"connectionId": connection.connection_id, "credential": credential})
+    return requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5)
+
+
+def test_a_credential_its_sender_did_not_issue_is_refused_before_it_is_resolved(
+        agent_factory, json_server):
+    """The issue message is unsigned, so a connected sender could pass on anyone's
+    credential, and the inbox would fetch the issuer's did:web document."""
+    publisher, dataset, connection = connected_pair(agent_factory)
+    stranger = parse_did(stub_did(json_server))
+    credential = issue_credential(generate_keypair(), stranger, dataset.did,
+                                  DATASET_PROVENANCE_V1, LISTING_CLAIMS)
+    response = post_issue(publisher, dataset, connection, credential.to_json())
+    assert (response.status_code, response.json()["error"]) == (400, "CredentialRejected")
+    assert "is not the sender" in response.json()["detail"]
+    assert json_server.request_count == 0
+    assert dataset.list_credentials() == []
+
+
+def test_a_repeated_credential_issue_is_acked_and_writes_nothing(agent_factory):
+    """The second issue of an equal credential appended a record to the wallet file."""
+    publisher, dataset, connection = connected_pair(agent_factory)
+    credential = issue_credential(publisher.key, publisher.did, dataset.did,
+                                  DATASET_PROVENANCE_V1, LISTING_CLAIMS).to_json()
+    wallet = pathlib.Path(dataset.config.wallet_path)
+    replies = [post_issue(publisher, dataset, connection, credential)]
+    stored = wallet.read_bytes()
+    replies.append(post_issue(publisher, dataset, connection, credential))
+    assert wallet.read_bytes() == stored
+    for response in replies:
+        assert response.status_code == 200
+        assert response.json() == {"type": CREDENTIAL_ACK, "from": dataset.did.text,
+                                   "to": publisher.did.text,
+                                   "body": {"credentialId": credential["id"]}}
+    assert [vc["id"] for vc in dataset.list_credentials()] == [credential["id"]]
+
+
+def test_an_ack_naming_another_credential_is_refused(agent_factory, json_server):
+    """The ack's credentialId was never compared with the credential sent."""
+    publisher = agent_factory("publisher")
+    did = generate_did_key(generate_keypair().public_key)[0].text
+    publisher.state.add_connection(Connection("c-1", publisher.did.text, did,
+                                              json_server.url("")))
+    json_server.set("/inbox", {"type": CREDENTIAL_ACK, "from": did, "to": publisher.did.text,
+                               "body": {"credentialId": "urn:uuid:another"}})
+    with pytest.raises(AgentError, match="the ack names another credential than urn:uuid:"):
+        publisher.issue_over_connection("c-1", LISTING_CLAIMS)
+
+
 # --- proof exchange ---
 
 def test_request_proof_end_to_end(agent_factory):
@@ -757,6 +825,15 @@ def test_issue_appends_one_issuance_record_and_saves_no_state(agent_factory, mon
     assert [r["credentialId"] for r in publisher.status()["issued"]] == [c.id for c in credentials]
     publisher = agent_factory.restart(publisher)
     assert all(publisher.find_status_id(c.id) for c in credentials)
+
+
+def test_status_lists_the_latest_issuance_records(agent_factory):
+    publisher, dataset, connection = connected_pair(agent_factory)
+    credentials = [publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
+                   for _ in range(STATUS_ISSUED + 1)]
+    status = publisher.status()
+    assert status["issuedCount"] == STATUS_ISSUED + 1
+    assert [r["credentialId"] for r in status["issued"]] == [c.id for c in credentials[1:]]
 
 
 def test_stored_credentials_follow_direct_wallet_changes(agent_factory, monkeypatch):
@@ -1256,6 +1333,19 @@ def test_a_signed_reply_addressed_to_another_did_is_refused(agent_factory, json_
             publisher.issue_over_connection("c-1", LISTING_CLAIMS)
         else:
             publisher.connect(did=did, endpoint=json_server.url(""))
+
+
+def test_a_reply_from_another_did_is_refused_before_it_is_resolved(agent_factory, json_server):
+    """The reply's did:web sender was resolved, and only then compared with the peer."""
+    publisher = agent_factory("publisher")
+    did = generate_did_key(generate_keypair().public_key)[0].text
+    json_server.set("/inbox", build_envelope(generate_keypair(), stub_did(json_server),
+                                             publisher.did.text, CONNECTION_RESPONSE,
+                                             {"connectionId": "c-1", "endpoint": "http://x"}))
+    with pytest.raises(SignatureInvalid, match=f"expected {did}"):
+        publisher.connect(did=did, endpoint=json_server.url(""))
+    assert json_server.request_count == 1  # the POST to /inbox
+    assert publisher.list_connections() == []
 
 
 def raw_post(base_url: str, content_length: str) -> bytes:
