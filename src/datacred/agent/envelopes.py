@@ -8,7 +8,8 @@ proof response, an unsigned ``{"type", "from", "to", "body"}``, by the holder's
 presentation, bound by ``challenge`` and ``domain``; a credential ack, the same plain
 shape, by nothing (agent.service states the rule). A receiver refuses an envelope
 addressed to another DID (addressed_envelope), then, for a SIGNED type, resolves the
-sender's DID and verifies (check_sender) before touching the body.
+sender's DID and verifies (check_sender) before touching the body. The proof of a type
+not in SIGNED is dropped unread.
 """
 
 from __future__ import annotations
@@ -105,7 +106,12 @@ def verify_envelope(obj: dict, resolver: Resolver, recipient: str) -> MessageEnv
 
 def addressed_envelope(obj: dict, recipient: str) -> MessageEnvelope:
     """The envelope obj holds, resolving nothing: WrongRecipient when it is addressed to
-    another DID than recipient, SignatureInvalid when it or its proof is malformed."""
+    another DID than recipient, SignatureInvalid when it, or a SIGNED type's proof, is
+    malformed."""
+    if isinstance(obj, dict) and "proof" in obj:
+        kind = obj.get("type")
+        if not (isinstance(kind, str) and kind in SIGNED):  # a proof no one reads
+            obj = {name: value for name, value in obj.items() if name != "proof"}
     try:
         envelope = MessageEnvelope.from_json(obj)
     except (MalformedSignature, DocumentInvalid) as exc:  # a malformed proof

@@ -14,9 +14,10 @@ redirects.
 Agents also serve their own did:web document and, for publishers, the
 revocation registry, so the whole trust root stays on the agent's origin.
 
-A connection is stored once the peer has accepted it, so a failed connect
-leaves no record. A proof request keeps its challenge only for the call:
-the exact comparison with the presented one is the replay protection.
+A connection is stored once the peer has accepted it, and an issuance is logged
+once its ack is accepted, so a failed connect or issue leaves no record. A proof
+request keeps its challenge only for the call: the exact comparison with the
+presented one is the replay protection.
 
 A dataset agent stores a received credential from its sender, to itself, once, only
 if credential.check_receipt passes, the verifier's own signature, schema and date
@@ -382,14 +383,6 @@ class Agent:
             expiration_date=expiration_date,
             status=status,
         )
-        with self._lock:
-            self.state.record_issued(
-                {
-                    "credentialId": credential.id,
-                    "statusId": status.status_id if status else None,
-                    "subject": connection.their_did,
-                }
-            )
         ack = self._exchange(
             connection.their_did,
             connection.their_endpoint,
@@ -400,6 +393,10 @@ class Agent:
             raise WrongRecipient(f"ack is addressed to {ack.get('to')}, not {self.did.text}")
         if member(ack, "body", OBJECT, AgentError, {}).get("credentialId") != credential.id:
             raise AgentError(f"the ack names another credential than {credential.id}")
+        with self._lock:
+            self.state.record_issued({"credentialId": credential.id,
+                                      "statusId": status.status_id if status else None,
+                                      "subject": connection.their_did})
         return credential
 
     def request_proof(
@@ -546,6 +543,9 @@ _PROTOCOL = {
 }
 
 
+RESPONDER_IS_TARGET = CheckResult(CheckStatus.VALID, "ResponderIsTarget")
+
+
 def _check_proof_response(
     agent: Agent, reply: dict, target: str, challenge: str
 ) -> PresentationReport:
@@ -575,7 +575,7 @@ def _check_proof_response(
     signature = report.checks["holderSignature"]
     if signature.status is not CheckStatus.VALID:
         raise SignatureInvalid(f"proof response: {signature.reason} {signature.detail}".rstrip())
-    report.checks["responder"] = CheckResult(CheckStatus.VALID, "ResponderIsTarget")
+    report.checks["responder"] = RESPONDER_IS_TARGET
     return report
 
 

@@ -417,12 +417,19 @@ class FileRegistrySource:
 # --- verification ---
 
 
+SCHEMA_CONFORMANT = CheckResult(CheckStatus.VALID, "SchemaConformant")
+TIMESTAMPS_WELL_FORMED = CheckResult(CheckStatus.VALID, "TimestampsWellFormed")
+TEMPORALLY_VALID = CheckResult(CheckStatus.VALID, "TemporallyValid")
+NO_STATUS = CheckResult(CheckStatus.VALID, "NoStatus")
+NOT_REVOKED = CheckResult(CheckStatus.VALID, "NotRevoked")
+
+
 def _check_schema(vc: VerifiableCredential) -> CheckResult:
     try:
         vc.schema.validate_claims(vc.claims)
     except SchemaMismatch as exc:
         return CheckResult(CheckStatus.INVALID, "SchemaViolation", str(exc))
-    return CheckResult(CheckStatus.VALID, "SchemaConformant")
+    return SCHEMA_CONFORMANT
 
 
 def _check_temporal(vc: VerifiableCredential, at: datetime | None = None) -> CheckResult:
@@ -436,12 +443,12 @@ def _check_temporal(vc: VerifiableCredential, at: datetime | None = None) -> Che
         detail = f"expiration {vc.expiration_date} not after issuance {vc.issuance_date}"
         return CheckResult(CheckStatus.INVALID, "BadTimestamps", detail)
     if at is None:
-        return CheckResult(CheckStatus.VALID, "TimestampsWellFormed")
+        return TIMESTAMPS_WELL_FORMED
     if at < issued:
         return CheckResult(CheckStatus.INVALID, "NotYetValid", f"checked at {format_timestamp(at)}")
     if expires is not None and at >= expires:
         return CheckResult(CheckStatus.INVALID, "Expired", f"expired {vc.expiration_date}")
-    return CheckResult(CheckStatus.VALID, "TemporallyValid")
+    return TEMPORALLY_VALID
 
 
 def _updated_before(registry: dict, seen: dict) -> bool:
@@ -457,7 +464,7 @@ def _check_revocation(
     vc: VerifiableCredential, resolver: Resolver, registry_source
 ) -> CheckResult:
     if vc.status is None:
-        return CheckResult(CheckStatus.VALID, "NoStatus")
+        return NO_STATUS
     url = vc.status.registry_url
     try:
         reply, known = resolver.fetch_registry(registry_source, url)
@@ -486,7 +493,7 @@ def _check_revocation(
         resolver.remember_registry(url, (digest, located[0], registry, revoked, len(reply)))
     if vc.status.status_id in revoked:
         return CheckResult(CheckStatus.INVALID, "Revoked", f"status id {vc.status.status_id}")
-    return CheckResult(CheckStatus.VALID, "NotRevoked")
+    return NOT_REVOKED
 
 
 def check_receipt(vc: VerifiableCredential, resolver: Resolver) -> dict[str, CheckResult]:

@@ -102,6 +102,11 @@ def create_presentation(
     return presentation
 
 
+HOLDER_SIGNATURE_VALID = CheckResult(CheckStatus.VALID, "HolderSignatureValid")
+CHALLENGE_MATCH = CheckResult(CheckStatus.VALID, "ChallengeMatch")
+SUBJECTS_MATCH = CheckResult(CheckStatus.VALID, "SubjectsMatch")
+
+
 def verify_presentation(
     vp: VerifiablePresentation,
     expected_challenge: str,
@@ -122,33 +127,26 @@ def verify_presentation(
 
     signature, _ = check_proof(vp.to_json(), vp.holder, resolver, role="Holder")
     if signature.status is CheckStatus.VALID:
-        signature = CheckResult(CheckStatus.VALID, "HolderSignatureValid")
+        signature = HOLDER_SIGNATURE_VALID
     report.checks["holderSignature"] = signature
 
     presented = vp.proof.challenge if vp.proof else None
     if presented and expected_challenge and presented == expected_challenge:
-        report.checks["challenge"] = CheckResult(CheckStatus.VALID, "ChallengeMatch")
+        report.checks["challenge"] = CHALLENGE_MATCH
     else:
-        report.checks["challenge"] = CheckResult(
-            CheckStatus.INVALID,
-            "ChallengeMismatch",
-            f"presented {presented!r}, expected {expected_challenge!r}",
-        )
+        detail = f"presented {presented!r}, expected {expected_challenge!r}"
+        report.checks["challenge"] = CheckResult(CheckStatus.INVALID, "ChallengeMismatch", detail)
 
+    strangers = [vc.id for vc in vp.credentials if vc.subject_id != vp.holder]
     if not vp.credentials:
         report.checks["subjectBinding"] = CheckResult(
-            CheckStatus.INVALID, "NoCredentials", "presentation embeds no credentials"
-        )
+            CheckStatus.INVALID, "NoCredentials", "presentation embeds no credentials")
+    elif strangers:
+        detail = f"holder {vp.holder} is not the subject of {', '.join(strangers)}"
+        report.checks["subjectBinding"] = CheckResult(CheckStatus.INVALID, "HolderNotSubject",
+                                                      detail)
     else:
-        strangers = [vc.id for vc in vp.credentials if vc.subject_id != vp.holder]
-        if strangers:
-            report.checks["subjectBinding"] = CheckResult(
-                CheckStatus.INVALID,
-                "HolderNotSubject",
-                f"holder {vp.holder} is not the subject of {', '.join(strangers)}",
-            )
-        else:
-            report.checks["subjectBinding"] = CheckResult(CheckStatus.VALID, "SubjectsMatch")
+        report.checks["subjectBinding"] = SUBJECTS_MATCH
 
     if signature.status is not CheckStatus.VALID:
         report.notes.append("credentials not verified: the holder's signature does not hold")

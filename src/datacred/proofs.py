@@ -165,6 +165,11 @@ def verify_proof(document: dict, public_key: bytes) -> bool:
     return verify_signature(public_key, signing_bytes(document), proof.signature())
 
 
+SIGNATURE_VALID = CheckResult(CheckStatus.VALID, "SignatureValid")
+SIGNATURE_MISMATCH = CheckResult(CheckStatus.INVALID, "SignatureMismatch")
+MISSING_PROOF = CheckResult(CheckStatus.INVALID, "MissingProof")
+
+
 def check_proof(
     document: dict, signer: str, resolver, role: str = "Issuer", verified: bytes | None = None
 ) -> tuple[CheckResult, tuple[bytes, str] | None]:
@@ -179,7 +184,7 @@ def check_proof(
     """
     proof_obj = document.get("proof")
     if not isinstance(proof_obj, dict):
-        return CheckResult(CheckStatus.INVALID, "MissingProof"), None
+        return MISSING_PROOF, None
     try:
         proof = Proof.from_json(proof_obj)
     except (MalformedSignature, DocumentInvalid) as exc:
@@ -200,7 +205,7 @@ def check_proof(
         return CheckResult(CheckStatus.INVALID, "UnknownVerificationMethod", detail), None
     public_key, _ = located
     if public_key == verified:
-        return CheckResult(CheckStatus.VALID, "SignatureValid"), located
+        return SIGNATURE_VALID, located
     message = signing_bytes(document)
     seen = (public_key, proof.signature_value, hashlib.sha256(message).digest())
     try:
@@ -210,5 +215,5 @@ def check_proof(
     except (MalformedSignature, MalformedKey) as exc:
         return CheckResult(CheckStatus.INVALID, "MalformedProof", str(exc)), located
     if not ok:
-        return CheckResult(CheckStatus.INVALID, "SignatureMismatch"), located
-    return CheckResult(CheckStatus.VALID, "SignatureValid"), located
+        return SIGNATURE_MISMATCH, located
+    return SIGNATURE_VALID, located

@@ -5,6 +5,9 @@ could not be completed (typically a network failure) and is never collapsed
 into a false Valid or Invalid. A report's overall outcome is Valid only when
 every check, and every report nested in it, is Valid; else it is Invalid if
 any is Invalid, else Indeterminate.
+
+A check is immutable: a fixed outcome, a status and reason with no detail, is one
+module constant next to the check that returns it, shared by every report.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ class CheckStatus(str, Enum):
     INDETERMINATE = "Indeterminate"
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     status: CheckStatus
     reason: str
@@ -29,7 +32,7 @@ class CheckResult:
         return {"status": self.status.value, "reason": self.reason, "detail": self.detail}
 
 
-@dataclass
+@dataclass(slots=True)
 class _Report:
     """Named checks and notes, under the one outcome rule the module states."""
 
@@ -57,7 +60,7 @@ class _Report:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationReport(_Report):
     """Outcome of verifying one credential."""
 
@@ -76,7 +79,7 @@ class VerificationReport(_Report):
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class PresentationReport(_Report):
     """Outcome of verifying a presentation and every credential inside it."""
 

@@ -599,6 +599,51 @@ def test_an_ack_naming_another_credential_is_refused(agent_factory, json_server)
         publisher.issue_over_connection("c-1", LISTING_CLAIMS)
 
 
+@pytest.mark.parametrize("refusal", ["rejected", "another credential"])
+def test_a_refused_issue_leaves_no_issuance_record(agent_factory, json_server, refusal):
+    """The record was appended before the exchange, so an issue the dataset agent
+    refused, or whose ack the publisher refused, stayed in the log and in /status."""
+    publisher = agent_factory("publisher")
+    did = generate_did_key(generate_keypair().public_key)[0].text
+    publisher.state.add_connection(Connection("c-1", publisher.did.text, did,
+                                              json_server.url("")))
+    if refusal == "rejected":
+        json_server.set("/inbox", {"error": "CredentialRejected", "detail": "schema: ..."},
+                        status=400)
+    else:
+        json_server.set("/inbox", {"type": CREDENTIAL_ACK, "from": did, "to": publisher.did.text,
+                                   "body": {"credentialId": "urn:uuid:another"}})
+    with pytest.raises(CredentialRejected if refusal == "rejected" else AgentError):
+        publisher.issue_over_connection("c-1", LISTING_CLAIMS)
+    assert publisher.state.issued == []
+    assert publisher.status()["issuedCount"] == 0
+    log = publisher.state.issued_path
+    assert not log.exists() or log.read_bytes().splitlines() == []
+
+
+def test_a_proof_on_an_unsigned_message_type_is_not_read(agent_factory):
+    """A credential issue's proof is ignored, yet a malformed one was parsed and the
+    issue refused SignatureInvalid."""
+    publisher, dataset, connection = connected_pair(agent_factory)
+    malformed = {"type": "Ed25519Signature2020"}
+    credential = issue_credential(publisher.key, publisher.did, dataset.did,
+                                  DATASET_PROVENANCE_V1, LISTING_CLAIMS).to_json()
+    issue = build_envelope(None, publisher.did.text, dataset.did.text, CREDENTIAL_ISSUE,
+                           {"connectionId": connection.connection_id, "credential": credential})
+    response = requests.post(dataset.base_url + "/inbox", json={**issue, "proof": malformed},
+                             timeout=5)
+    assert response.status_code == 200, response.json()
+    assert response.json()["body"] == {"credentialId": credential["id"]}
+    assert [vc["id"] for vc in dataset.list_credentials()] == [credential["id"]]
+
+    request = build_envelope(None, publisher.did.text, dataset.did.text, PROOF_REQUEST,
+                             {"requestedAttributes": ["Hash of Data"], "challenge": "c" * 32})
+    response = requests.post(dataset.base_url + "/inbox", json={**request, "proof": malformed},
+                             timeout=5)
+    assert response.status_code == 400
+    assert response.json()["error"] == "SignatureInvalid"
+
+
 # --- proof exchange ---
 
 def test_request_proof_end_to_end(agent_factory):
