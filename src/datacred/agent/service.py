@@ -341,16 +341,19 @@ class Agent:
         return envelope
 
     def connect(self, did: str, endpoint: str) -> Connection:
-        """Connect from an invitation; recorded only once the peer has accepted."""
+        """Connect from an invitation; recorded only once the peer has accepted its id."""
         if self.config.role == "dataset":
             raise RoleForbidden("dataset agents never initiate connections")
         connection = Connection(str(uuid.uuid4()), self.did.text, did, endpoint)
-        self._exchange(
+        reply = self._exchange(
             did,
             endpoint,
             CONNECTION_REQUEST,
             {"connectionId": connection.connection_id, "endpoint": self.base_url},
         )
+        accepted = reply.body.get("connectionId")
+        if accepted != connection.connection_id:
+            raise AgentError(f"peer accepted {accepted!r}, not {connection.connection_id}")
         with self._lock:
             self.state.add_connection(connection)
         return connection

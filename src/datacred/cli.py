@@ -38,6 +38,7 @@ from .jsonfile import read_json, write_json
 from .keys import KeyPair, generate_keypair
 from .presentation import VerifiablePresentation, create_presentation, verify_presentation
 from .proofs import parse_timestamp
+from .reports import CheckStatus, worst
 from .resolver import DirectoryBackend, KeyBackend, Resolver, WebBackend, request_json
 from .wallet import Wallet
 
@@ -50,17 +51,14 @@ class OperationalError(click.ClickException):
     exit_code = 2
 
 
-def operational_errors(command):
-    """Map toolkit and I/O errors to exit code 2, keeping 1 for Invalid outcomes."""
+class _Main(click.Group):
+    """The one error boundary: a toolkit or I/O error from any command or option set exits 2."""
 
-    @functools.wraps(command)
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx):
         try:
-            return command(*args, **kwargs)
+            return super().invoke(ctx)
         except (DatacredError, OSError) as exc:
             raise OperationalError(f"{type(exc).__name__}: {exc}") from exc
-
-    return wrapper
 
 
 wallet_option = click.option("--wallet", "-w", required=True, help="Path to the wallet file.")
@@ -84,11 +82,24 @@ def _open_wallet(path: str, passphrase_env: str) -> Wallet:
     return Wallet.open(path, passphrase)
 
 
-def _get_keypair(wallet: Wallet, label: str) -> KeyPair:
-    entry = wallet.get(label)
-    if not isinstance(entry, KeyPair):
-        raise OperationalError(f"wallet entry {label!r} is not a keypair")
-    return entry
+def signing_key(label_opts=("--key-label",)):
+    """--wallet, --passphrase-env and the key label (label_opts): the command gets `keypair`."""
+
+    def decorate(command):
+        @wallet_option
+        @passphrase_env_option
+        @click.option(*label_opts, "key_label", default="default", show_default=True,
+                      help="Key label.")
+        @functools.wraps(command)
+        def wrapper(wallet: str, passphrase_env: str, key_label: str, **kwargs):
+            entry = _open_wallet(wallet, passphrase_env).get(key_label)
+            if not isinstance(entry, KeyPair):
+                raise OperationalError(f"wallet entry {key_label!r} is not a keypair")
+            return command(keypair=entry, **kwargs)
+
+        return wrapper
+
+    return decorate
 
 
 def _emit(obj, out: str | None = None) -> None:
@@ -139,11 +150,27 @@ def _build_verification_context(
     resolver = Resolver(backends=[KeyBackend(), WebBackend(allow_insecure_loopback=insecure_http)])
     if registry and not registry.startswith(("http://", "https://")):
         return resolver, FileRegistrySource(registry)
-    if registry:
-        return resolver, _PinnedRegistrySource(
-            HttpRegistrySource(allow_insecure_loopback=insecure_http), registry
-        )
-    return resolver, HttpRegistrySource(allow_insecure_loopback=insecure_http)
+    http = HttpRegistrySource(allow_insecure_loopback=insecure_http)
+    return resolver, _PinnedRegistrySource(http, registry) if registry else http
+
+
+def verification_context(command):
+    """The verify options: the command gets `resolver`, `registry_source`, `moment`, `as_json`."""
+
+    @click.option("--offline-bundle", default=None, type=click.Path(exists=True),
+                  help="Verify using only documents in this bundle directory.")
+    @click.option("--registry", default=None, help="Registry override: URL or local file.")
+    @click.option("--at", "at_time", default=None, help="Verify as of this timestamp (...Z).")
+    @click.option("--insecure-http", is_flag=True, help="Allow plain http to loopback (tests).")
+    @json_option
+    @functools.wraps(command)
+    def wrapper(offline_bundle: str | None, registry: str | None, at_time: str | None,
+                insecure_http: bool, **kwargs):
+        resolver, source = _build_verification_context(offline_bundle, insecure_http, registry)
+        moment = parse_timestamp(at_time) if at_time else None
+        return command(resolver=resolver, registry_source=source, moment=moment, **kwargs)
+
+    return wrapper
 
 
 def _print_report(report_json: dict, as_json: bool, heading: str) -> None:
@@ -166,7 +193,7 @@ def _print_report(report_json: dict, as_json: bool, heading: str) -> None:
         click.echo(f"  trust anchors: {', '.join(report_json['issuers'])}")
 
 
-@click.group()
+@click.group(cls=_Main)
 def main() -> None:
     """Issue, hold, and verify dataset credentials."""
 
@@ -176,7 +203,6 @@ def main() -> None:
 @passphrase_env_option
 @click.option("--label", "-l", default="default", show_default=True, help="Key label.")
 @click.option("--seed-hex", default=None, help="Optional 32-byte seed as hex (testing).")
-@operational_errors
 def keygen(wallet: str, passphrase_env: str, label: str, seed_hex: str | None) -> None:
     """Generate an Ed25519 keypair into the wallet."""
     store = _open_wallet(wallet, passphrase_env)
@@ -195,15 +221,10 @@ def did() -> None:
 
 @did.command("create-web")
 @click.option("--domain", required=True, help="Host (and %3A-escaped port) for did:web.")
-@wallet_option
-@passphrase_env_option
-@click.option("--label", "-l", default="default", show_default=True, help="Key label.")
+@signing_key(("--label", "-l"))
 @click.option("--out", default=None, help="Write the document here instead of stdout.")
-@operational_errors
-def did_create_web(domain: str, wallet: str, passphrase_env: str, label: str, out: str | None) -> None:
+def did_create_web(keypair: KeyPair, domain: str, out: str | None) -> None:
     """Emit a did:web document for the operator to host at the well-known path."""
-    store = _open_wallet(wallet, passphrase_env)
-    keypair = _get_keypair(store, label)
     document = one_key_document(parse_did(f"did:web:{domain}"), keypair.public_key)
     _emit(document.to_json(), out)
 
@@ -212,7 +233,6 @@ def did_create_web(domain: str, wallet: str, passphrase_env: str, label: str, ou
 @click.argument("did_text")
 @click.option("--insecure-http", is_flag=True, help="Allow plain http to loopback (tests).")
 @click.option("--offline-bundle", default=None, help="Resolve from a bundle, no network.")
-@operational_errors
 def did_resolve(did_text: str, insecure_http: bool, offline_bundle: str | None) -> None:
     """Resolve a DID and print its document."""
     resolver, _ = _build_verification_context(offline_bundle, insecure_http, None)
@@ -223,32 +243,26 @@ def did_resolve(did_text: str, insecure_http: bool, offline_bundle: str | None) 
 @main.command("hash")
 @click.argument("path", type=click.Path(exists=True))
 @click.option("--out", default=None, help="Write the fingerprint here instead of stdout.")
-@operational_errors
 def hash_command(path: str, out: str | None) -> None:
     """Fingerprint a file or directory (tree form auto-detected)."""
     _emit(fingerprint_path(path).to_json(), out)
 
 
 @main.command()
-@wallet_option
-@passphrase_env_option
+@signing_key()
 @click.option("--issuer", required=True, help="Issuer DID (its key must be in the wallet).")
 @click.option("--subject", required=True, help="Subject DID the claims are about.")
 @click.option("--schema", default=DATASET_PROVENANCE_V1.name, show_default=True,
               help="Built-in schema name or path to a schema JSON file.")
 @click.option("--claim", "claims", multiple=True, help="Claim as 'name=value'; repeatable.")
-@click.option("--key-label", default="default", show_default=True)
 @click.option("--expires", default=None, help="Expiration timestamp (UTC, ...Z).")
 @click.option("--status-registry", default=None, help="Revocation registry URL to reference.")
 @click.option("--status-id", default=None, help="Status id within the registry.")
 @click.option("--out", default=None, help="Write the credential here instead of stdout.")
-@operational_errors
-def issue(wallet: str, passphrase_env: str, issuer: str, subject: str, schema: str,
-          claims: tuple[str, ...], key_label: str, expires: str | None,
+def issue(keypair: KeyPair, issuer: str, subject: str, schema: str,
+          claims: tuple[str, ...], expires: str | None,
           status_registry: str | None, status_id: str | None, out: str | None) -> None:
     """Issue a signed credential about a subject."""
-    store = _open_wallet(wallet, passphrase_env)
-    keypair = _get_keypair(store, key_label)
     status = None
     if status_registry:
         status = CredentialStatus(
@@ -276,36 +290,21 @@ def issue(wallet: str, passphrase_env: str, issuer: str, subject: str, schema: s
 @click.argument("credential_file", type=click.Path(exists=True))
 @click.option("--data", default=None, type=click.Path(exists=True),
               help="Also check the dataset-hash claim against this file or directory.")
-@click.option("--offline-bundle", default=None, type=click.Path(exists=True),
-              help="Verify using only documents in this bundle directory.")
-@click.option("--registry", default=None, help="Registry override: URL or local file.")
-@click.option("--at", "at_time", default=None, help="Verify as of this timestamp (...Z).")
-@click.option("--insecure-http", is_flag=True, help="Allow plain http to loopback (tests).")
-@json_option
-@operational_errors
-def verify(credential_file: str, data: str | None, offline_bundle: str | None,
-           registry: str | None, at_time: str | None, insecure_http: bool,
-           as_json: bool) -> None:
+@verification_context
+def verify(credential_file: str, data: str | None, resolver: Resolver, registry_source,
+           moment, as_json: bool) -> None:
     """Verify a credential; exit 1 when any check is not Valid."""
     credential = VerifiableCredential.from_json(read_json(credential_file))
-    resolver, registry_source = _build_verification_context(
-        offline_bundle, insecure_http, registry
-    )
-    moment = parse_timestamp(at_time) if at_time else None
-    report = verify_credential(
-        credential, resolver, at=moment, registry_source=registry_source
-    )
+    report = verify_credential(credential, resolver, at=moment, registry_source=registry_source)
     report_json = report.to_json()
-    ok = report.valid
+    overall = report.overall
     if data is not None:
         binding = check_binding_claim(credential, data)
         report_json["binding"] = binding.to_json()
-        if not binding.matched:
-            ok = False
-            if not binding.ambiguous:
-                report_json["overall"] = "Invalid"
-            elif report.valid:
-                report_json["overall"] = "Indeterminate"
+        overall = worst((overall, CheckStatus.VALID if binding.matched
+                         else CheckStatus.INDETERMINATE if binding.ambiguous
+                         else CheckStatus.INVALID))
+        report_json["overall"] = overall.value
     report_json["networkFetches"] = resolver.network_fetch_count
     _print_report(report_json, as_json, "credential")
     if not as_json and data is not None:
@@ -313,25 +312,20 @@ def verify(credential_file: str, data: str | None, offline_bundle: str | None,
         if binding.ambiguous:
             outcome = f"AMBIGUOUS - {binding.detail}"
         click.echo(f"  data binding: {outcome}")
-    sys.exit(0 if ok else 1)
+    sys.exit(0 if overall is CheckStatus.VALID else 1)
 
 
 @main.command()
-@wallet_option
-@passphrase_env_option
+@signing_key()
 @click.option("--credential", "credential_files", multiple=True, required=True,
               type=click.Path(exists=True), help="Credential file; repeatable.")
 @click.option("--challenge", required=True, help="Challenge issued by the verifier.")
-@click.option("--key-label", default="default", show_default=True)
 @click.option("--holder", default=None,
               help="Holder DID; defaults to the first credential's subject.")
 @click.option("--out", default=None, help="Write the presentation here instead of stdout.")
-@operational_errors
-def present(wallet: str, passphrase_env: str, credential_files: tuple[str, ...],
-            challenge: str, key_label: str, holder: str | None, out: str | None) -> None:
+def present(keypair: KeyPair, credential_files: tuple[str, ...], challenge: str,
+            holder: str | None, out: str | None) -> None:
     """Wrap credentials in a holder-signed presentation over a challenge."""
-    store = _open_wallet(wallet, passphrase_env)
-    keypair = _get_keypair(store, key_label)
     credentials = [
         VerifiableCredential.from_json(read_json(path)) for path in credential_files
     ]
@@ -343,25 +337,13 @@ def present(wallet: str, passphrase_env: str, credential_files: tuple[str, ...],
 @main.command("verify-presentation")
 @click.argument("presentation_file", type=click.Path(exists=True))
 @click.option("--challenge", required=True, help="The challenge this verifier issued.")
-@click.option("--offline-bundle", default=None, type=click.Path(exists=True))
-@click.option("--registry", default=None, help="Registry override: URL or local file.")
-@click.option("--at", "at_time", default=None, help="Verify as of this timestamp (...Z).")
-@click.option("--insecure-http", is_flag=True)
-@json_option
-@operational_errors
-def verify_presentation_command(presentation_file: str, challenge: str,
-                                offline_bundle: str | None, registry: str | None,
-                                at_time: str | None, insecure_http: bool,
-                                as_json: bool) -> None:
+@verification_context
+def verify_presentation_command(presentation_file: str, challenge: str, resolver: Resolver,
+                                registry_source, moment, as_json: bool) -> None:
     """Verify a presentation against a challenge; exit 1 on any failure."""
     presentation = VerifiablePresentation.from_json(read_json(presentation_file))
-    resolver, registry_source = _build_verification_context(
-        offline_bundle, insecure_http, registry
-    )
-    moment = parse_timestamp(at_time) if at_time else None
-    report = verify_presentation(
-        presentation, challenge, resolver, at=moment, registry_source=registry_source
-    )
+    report = verify_presentation(presentation, challenge, resolver, at=moment,
+                                 registry_source=registry_source)
     report_json = report.to_json()
     report_json["networkFetches"] = resolver.network_fetch_count
     _print_report(report_json, as_json, "presentation")
@@ -375,16 +357,10 @@ def registry() -> None:
 
 @registry.command("init")
 @click.option("--issuer", required=True, help="Issuer DID controlling the registry.")
-@wallet_option
-@passphrase_env_option
-@click.option("--key-label", default="default", show_default=True)
+@signing_key()
 @click.option("--registry", "registry_file", required=True, help="Registry file to create.")
-@operational_errors
-def registry_init(issuer: str, wallet: str, passphrase_env: str, key_label: str,
-                  registry_file: str) -> None:
+def registry_init(keypair: KeyPair, issuer: str, registry_file: str) -> None:
     """Create a fresh, signed, empty revocation registry file."""
-    store = _open_wallet(wallet, passphrase_env)
-    keypair = _get_keypair(store, key_label)
     document = new_registry(parse_did(issuer), keypair)
     _emit(document.to_json(), registry_file)
     click.echo(f"registry written to {registry_file}", err=True)
@@ -394,15 +370,9 @@ def registry_init(issuer: str, wallet: str, passphrase_env: str, key_label: str,
 @click.option("--registry", "registry_file", required=True, type=click.Path(exists=True),
               help="Registry file to update in place.")
 @click.option("--status-id", required=True, help="Status id to revoke.")
-@wallet_option
-@passphrase_env_option
-@click.option("--key-label", default="default", show_default=True)
-@operational_errors
-def revoke_command(registry_file: str, status_id: str, wallet: str,
-                   passphrase_env: str, key_label: str) -> None:
+@signing_key()
+def revoke_command(keypair: KeyPair, registry_file: str, status_id: str) -> None:
     """Add a status id to a registry file and re-sign it."""
-    store = _open_wallet(wallet, passphrase_env)
-    keypair = _get_keypair(store, key_label)
     document = RevocationRegistry.from_json(read_json(registry_file))
     updated = revoke_registry_entry(document, status_id, keypair)
     _emit(updated.to_json(), registry_file)
@@ -420,7 +390,6 @@ def bundle() -> None:
               help="DID document JSON to include; repeatable.")
 @click.option("--registry", "registry_file", default=None, type=click.Path(exists=True))
 @click.option("--out", required=True, help="Bundle directory to create.")
-@operational_errors
 def bundle_create(credential_file: str, did_documents: tuple[str, ...],
                   registry_file: str | None, out: str) -> None:
     """Lay out credential.json, dids.json, and registry.json for offline use.
@@ -453,16 +422,26 @@ def agent() -> None:
     """Run and drive credential-exchange agents."""
 
 
-def _admin_url(admin: str | None, config: str | None) -> str:
-    if admin:
-        return admin.rstrip("/")
-    if config:
-        from .agent.config import WILDCARD_HOSTS, AgentConfig
-        cfg = AgentConfig.load(config)
-        # An agent listening on every interface answers its admin API on loopback.
-        host = "127.0.0.1" if cfg.listen_host in WILDCARD_HOSTS else cfg.listen_host
-        return f"http://{host}:{cfg.listen_port}"
-    raise OperationalError("provide --admin URL or --config FILE")
+def admin_url(command):
+    """--admin or --config: the command gets the running agent's admin base URL as `url`."""
+
+    @click.option("--admin", default=None, help="Admin base URL of a running agent.")
+    @click.option("--config", "config_file", default=None, type=click.Path(exists=True))
+    @functools.wraps(command)
+    def wrapper(admin: str | None, config_file: str | None, **kwargs):
+        if admin:
+            url = admin.rstrip("/")
+        elif config_file:
+            from .agent.config import WILDCARD_HOSTS, AgentConfig
+            cfg = AgentConfig.load(config_file)
+            # An agent listening on every interface answers its admin API on loopback.
+            host = "127.0.0.1" if cfg.listen_host in WILDCARD_HOSTS else cfg.listen_host
+            url = f"http://{host}:{cfg.listen_port}"
+        else:
+            raise OperationalError("provide --admin URL or --config FILE")
+        return command(url=url, **kwargs)
+
+    return wrapper
 
 
 def _admin_request(url: str, body: dict | None = None) -> dict | list:
@@ -476,7 +455,6 @@ def _admin_request(url: str, body: dict | None = None) -> dict | list:
 
 @agent.command("serve")
 @click.option("--config", "config_file", required=True, type=click.Path(exists=True))
-@operational_errors
 def agent_serve(config_file: str) -> None:
     """Provision an agent from a config file and serve until interrupted."""
     from .agent import Agent, AgentConfig
@@ -491,50 +469,37 @@ def agent_serve(config_file: str) -> None:
 
 
 @agent.command("status")
-@click.option("--admin", default=None, help="Admin base URL of a running agent.")
-@click.option("--config", "config_file", default=None, type=click.Path(exists=True))
-@operational_errors
-def agent_status(admin: str | None, config_file: str | None) -> None:
-    _emit(_admin_request(_admin_url(admin, config_file) + "/status"))
+@admin_url
+def agent_status(url: str) -> None:
+    _emit(_admin_request(url + "/status"))
 
 
 @agent.command("connect")
-@click.option("--admin", default=None)
-@click.option("--config", "config_file", default=None, type=click.Path(exists=True))
+@admin_url
 @click.option("--did", "target_did", required=True)
 @click.option("--endpoint", required=True)
-@operational_errors
-def agent_connect(admin: str | None, config_file: str | None, target_did: str,
-                  endpoint: str) -> None:
-    url = _admin_url(admin, config_file)
+def agent_connect(url: str, target_did: str, endpoint: str) -> None:
     _emit(_admin_request(url + "/connect", {"did": target_did, "endpoint": endpoint}))
 
 
 @agent.command("issue")
-@click.option("--admin", default=None)
-@click.option("--config", "config_file", default=None, type=click.Path(exists=True))
+@admin_url
 @click.option("--connection", "connection_id", required=True)
 @click.option("--claim", "claims", multiple=True, help="Claim as 'name=value'; repeatable.")
-@operational_errors
-def agent_issue(admin: str | None, config_file: str | None, connection_id: str,
-                claims: tuple[str, ...]) -> None:
-    url = _admin_url(admin, config_file)
+def agent_issue(url: str, connection_id: str, claims: tuple[str, ...]) -> None:
     _emit(_admin_request(url + "/issue",
                          {"connectionId": connection_id, "claims": _parse_claims(claims)}))
 
 
 @agent.command("request-proof")
-@click.option("--admin", default=None)
-@click.option("--config", "config_file", default=None, type=click.Path(exists=True))
+@admin_url
 @click.option("--target", required=True, help="DID of the agent holding the credentials.")
 @click.option("--attrs", required=True, help="Comma-separated attribute names.")
 @click.option("--endpoint", default=None, help="Target endpoint if not yet connected.")
 @json_option
-@operational_errors
-def agent_request_proof(admin: str | None, config_file: str | None, target: str,
-                        attrs: str, endpoint: str | None, as_json: bool) -> None:
+def agent_request_proof(url: str, target: str, attrs: str, endpoint: str | None,
+                        as_json: bool) -> None:
     """Ask a running agent to request and verify proof; exit 1 if not Valid."""
-    url = _admin_url(admin, config_file)
     body = {"target": target, "attributes": [a.strip() for a in attrs.split(",") if a.strip()]}
     if endpoint:
         body["endpoint"] = endpoint
@@ -544,14 +509,10 @@ def agent_request_proof(admin: str | None, config_file: str | None, target: str,
 
 
 @agent.command("revoke")
-@click.option("--admin", default=None)
-@click.option("--config", "config_file", default=None, type=click.Path(exists=True))
+@admin_url
 @click.option("--status-id", default=None)
 @click.option("--credential-id", default=None)
-@operational_errors
-def agent_revoke(admin: str | None, config_file: str | None, status_id: str | None,
-                 credential_id: str | None) -> None:
-    url = _admin_url(admin, config_file)
+def agent_revoke(url: str, status_id: str | None, credential_id: str | None) -> None:
     body = {}
     if status_id:
         body["statusId"] = status_id

@@ -2,9 +2,9 @@
 
 A check is Valid, Invalid, or Indeterminate. Indeterminate means the check
 could not be completed (typically a network failure) and is never collapsed
-into a false Valid or Invalid. A report's overall outcome is Valid only when
-every check, and every report nested in it, is Valid; else it is Invalid if
-any is Invalid, else Indeterminate.
+into a false Valid or Invalid. A report's overall outcome is the worst of its
+checks' and its nested reports' outcomes: Valid only when every one is Valid;
+else Invalid if any is Invalid, else Indeterminate.
 
 A check is immutable: a fixed outcome, a status and reason with no detail, is one
 module constant next to the check that returns it, shared by every report.
@@ -20,6 +20,12 @@ class CheckStatus(str, Enum):
     VALID = "Valid"
     INVALID = "Invalid"
     INDETERMINATE = "Indeterminate"
+
+
+def worst(statuses) -> CheckStatus:
+    """The one outcome rule over a collection of statuses, as the module states it."""
+    return next((s for s in (CheckStatus.INVALID, CheckStatus.INDETERMINATE)
+                 if s in statuses), CheckStatus.VALID)
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,8 +52,7 @@ class _Report:
     def overall(self) -> CheckStatus:
         statuses = {c.status for c in self.checks.values()}
         statuses.update(report.overall for report in self._nested())
-        return next((s for s in (CheckStatus.INVALID, CheckStatus.INDETERMINATE)
-                     if s in statuses), CheckStatus.VALID)
+        return worst(statuses)
 
     @property
     def valid(self) -> bool:

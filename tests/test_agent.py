@@ -1393,6 +1393,19 @@ def test_a_reply_from_another_did_is_refused_before_it_is_resolved(agent_factory
     assert publisher.list_connections() == []
 
 
+def test_a_connection_response_naming_another_connection_is_refused(agent_factory,
+                                                                    json_server):
+    """The peer signed its reply, but it accepted a connection the publisher never proposed."""
+    publisher = agent_factory("publisher")
+    key = generate_keypair()
+    did = generate_did_key(key.public_key)[0].text
+    json_server.set("/inbox", build_envelope(key, did, publisher.did.text, CONNECTION_RESPONSE,
+                                             {"connectionId": "c-other", "endpoint": "http://x"}))
+    with pytest.raises(AgentError, match="accepted .c-other."):
+        publisher.connect(did=did, endpoint=json_server.url(""))
+    assert publisher.list_connections() == []
+
+
 def raw_post(base_url: str, content_length: str) -> bytes:
     """POST /inbox with only headers sent; everything the agent answers before hanging up."""
     parts = urlsplit(base_url)
