@@ -17,8 +17,7 @@ from __future__ import annotations
 import uuid
 from dataclasses import dataclass
 
-from ..errors import DatacredError, DocumentInvalid, MalformedSignature, SignatureInvalid
-from ..errors import WrongRecipient
+from ..errors import DatacredError, DocumentInvalid, SignatureInvalid, WrongRecipient
 from ..jsonfile import ANY, OBJECT, TEXT, json_object, known_members, member, refusal
 from ..keys import KeyPair
 from ..proofs import AUTHENTICATION, Proof, attach_proof, check_proof, format_timestamp, utc_now
@@ -67,6 +66,10 @@ class MessageEnvelope:
     def from_json(cls, obj: dict) -> "MessageEnvelope":
         obj = json_object(obj, _malformed)
         proof = member(obj, "proof", OBJECT, _malformed, None)
+        try:
+            proof = None if proof is None else Proof.from_json(proof)
+        except DocumentInvalid as exc:  # a malformed proof, refused as the envelope is
+            raise _malformed(str(exc)) from exc
         envelope = cls(
             id=member(obj, "id", TEXT, _malformed),
             type=member(obj, "type", ANY, _malformed),  # handle_envelope refuses an unknown type
@@ -74,7 +77,7 @@ class MessageEnvelope:
             recipient=member(obj, "to", TEXT, _malformed),
             created_at=member(obj, "createdAt", TEXT, _malformed),
             body=dict(member(obj, "body", OBJECT, _malformed)),
-            proof=None if proof is None else Proof.from_json(proof),
+            proof=proof,
         )
         known_members(obj, _MEMBERS, _malformed)
         return envelope
@@ -112,10 +115,7 @@ def addressed_envelope(obj: dict, recipient: str) -> MessageEnvelope:
         kind = obj.get("type")
         if not (isinstance(kind, str) and kind in SIGNED):  # a proof no one reads
             obj = {name: value for name, value in obj.items() if name != "proof"}
-    try:
-        envelope = MessageEnvelope.from_json(obj)
-    except (MalformedSignature, DocumentInvalid) as exc:  # a malformed proof
-        raise SignatureInvalid(f"malformed envelope: {exc}") from exc
+    envelope = MessageEnvelope.from_json(obj)
     if envelope.recipient != recipient:
         raise WrongRecipient(f"envelope {envelope.id} is addressed to "
                              f"{envelope.recipient}, not {recipient}")

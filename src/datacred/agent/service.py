@@ -276,7 +276,7 @@ class Agent:
                         if known is None or known[0] is not entry:
                             try:
                                 vc = VerifiableCredential.from_json(entry)
-                            except DatacredError:  # no credential, so never presented
+                            except DocumentInvalid:  # no credential, so never presented
                                 continue
                             known = (entry, vc, _issued_at(vc))
                         parsed[label] = known
@@ -502,8 +502,8 @@ class Agent:
             )
         try:
             credential = VerifiableCredential.from_json(
-                member(body, "credential", ANY, DatacredError))
-        except DatacredError as exc:
+                member(body, "credential", ANY, DocumentInvalid))
+        except DocumentInvalid as exc:
             raise CredentialRejected(f"malformed credential: {exc}") from exc
         if credential.issuer != envelope.sender:
             raise CredentialRejected(f"credential issuer {credential.issuer} is not the sender")
@@ -562,9 +562,9 @@ def _check_proof_response(
     """
     try:
         presentation = VerifiablePresentation.from_json(
-            member(member(reply, "body", OBJECT, DatacredError), "presentation", OBJECT,
-                   DatacredError))
-    except DatacredError as exc:
+            member(member(reply, "body", OBJECT, DocumentInvalid), "presentation", OBJECT,
+                   DocumentInvalid))
+    except DocumentInvalid as exc:
         raise SignatureInvalid(f"malformed proof response: {exc}") from exc
     proof = presentation.proof
     if presentation.holder != target:

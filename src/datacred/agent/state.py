@@ -38,9 +38,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..credential import RevocationRegistry
-from ..errors import DatacredError, DocumentInvalid
-from ..jsonfile import LIST, TEXT, append_line, json_object, member, parse_json, read_json
-from ..jsonfile import read_lines, refusal, write_json, write_lines
+from ..errors import DocumentInvalid
+from ..jsonfile import LIST, TEXT, append_line, json_object, member, parse_json, parsed
+from ..jsonfile import read_json, read_lines, refusal, write_json, write_lines
 
 _CONNECTION = ("connectionId", "myDid", "theirDid", "theirEndpoint")  # strings, and createdAt
 _bad_connection = refusal(DocumentInvalid, "bad connection record: ")
@@ -76,14 +76,6 @@ class Connection:
 
 def _encode(obj: dict) -> bytes:
     return json.dumps(obj).encode("ascii")
-
-
-def _parsed(parse, value, name):
-    """parse(value); a DatacredError it raises is raised again as DocumentInvalid naming name."""
-    try:
-        return parse(value)
-    except DatacredError as exc:
-        raise DocumentInvalid(f"{name}: {exc}") from exc
 
 
 def _issuance_record(record, name: str) -> dict:
@@ -150,7 +142,7 @@ class AgentState:
                 raise invalid(f"{name!r} belongs to a state document from before the logs")
             # Records in another state were left by connects that never completed.
             active = [c for c in records if type(c) is not dict or c.get("state") == "active"]
-            connections = [_parsed(Connection.from_json, c, self.path) for c in active]
+            connections = [parsed(Connection.from_json, c, self.path) for c in active]
             self.connections = {c.connection_id: c for c in connections}
         if self.issued_path.exists():
             lines, self._issued_end = read_lines(self.issued_path)
@@ -168,13 +160,13 @@ class AgentState:
         if not lines:
             raise DocumentInvalid(f"{path}: no registry snapshot")
         registry = parse_json(lines[0], f"{path}: line 1")
-        _parsed(RevocationRegistry.from_json, registry, f"{path}: line 1")
+        parsed(RevocationRegistry.from_json, registry, f"{path}: line 1")
         entries = [parse_json(line, f"{path}: line {n}") for n, line in enumerate(lines[1:], 2)]
         revoked = [*registry["revoked"], *(entry.get("revoke") for entry in entries)]
         if entries:
             registry = {"issuer": registry["issuer"], "revoked": revoked,
                         "updated": entries[-1].get("updated"), "proof": entries[-1].get("proof")}
-            _parsed(RevocationRegistry.from_json, registry, path)
+            parsed(RevocationRegistry.from_json, registry, path)
         self._snapshot_ids = len(revoked) - len(entries)
         self.registry, self.revoked = registry, set(revoked)
 

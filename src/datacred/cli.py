@@ -34,7 +34,7 @@ from .credential import (
 from .did import DidDocument, generate_did_key, one_key_document, parse_did
 from .errors import DatacredError
 from .fingerprint import fingerprint_path, normalize_digest
-from .jsonfile import read_json, write_json
+from .jsonfile import parsed, read_json, write_json
 from .keys import KeyPair, generate_keypair
 from .presentation import VerifiablePresentation, create_presentation, verify_presentation
 from .proofs import parse_timestamp
@@ -119,10 +119,14 @@ def _parse_claims(pairs: tuple[str, ...]) -> dict:
     return claims
 
 
+def _read(path: str, parse):
+    return parsed(parse, read_json(path), path)
+
+
 def _load_schema(name_or_path: str) -> CredentialSchema:
     if name_or_path == DATASET_PROVENANCE_V1.name:
         return DATASET_PROVENANCE_V1
-    return CredentialSchema.from_json(read_json(name_or_path))
+    return _read(name_or_path, CredentialSchema.from_json)
 
 
 class _PinnedRegistrySource:
@@ -142,12 +146,13 @@ class _PinnedRegistrySource:
 def _build_verification_context(
     offline_bundle: str | None, insecure_http: bool, registry: str | None
 ):
-    """Resolver plus registry source for verify commands."""
+    """Resolver plus registry source for verify commands: registry, else the bundle's file."""
     if offline_bundle:
-        resolver = Resolver(backends=[KeyBackend(), DirectoryBackend(offline_bundle)])
-        registry_source = FileRegistrySource(Path(offline_bundle) / "registry.json")
-        return resolver, registry_source
-    resolver = Resolver(backends=[KeyBackend(), WebBackend(allow_insecure_loopback=insecure_http)])
+        backend = DirectoryBackend(offline_bundle)
+        registry = registry or str(Path(offline_bundle) / "registry.json")
+    else:
+        backend = WebBackend(allow_insecure_loopback=insecure_http)
+    resolver = Resolver(backends=[KeyBackend(), backend])
     if registry and not registry.startswith(("http://", "https://")):
         return resolver, FileRegistrySource(registry)
     http = HttpRegistrySource(allow_insecure_loopback=insecure_http)
@@ -265,9 +270,9 @@ def issue(keypair: KeyPair, issuer: str, subject: str, schema: str,
     """Issue a signed credential about a subject."""
     status = None
     if status_registry:
-        status = CredentialStatus(
-            registry_url=status_registry, status_id=status_id or str(uuid.uuid4())
-        )
+        status = CredentialStatus(status_registry, status_id or str(uuid.uuid4()))
+    elif status_id:
+        raise click.UsageError("--status-id needs --status-registry: it names an entry there")
     loaded_schema = _load_schema(schema)
     parsed_claims = _parse_claims(claims)
     for attribute in loaded_schema.attributes:
@@ -294,7 +299,7 @@ def issue(keypair: KeyPair, issuer: str, subject: str, schema: str,
 def verify(credential_file: str, data: str | None, resolver: Resolver, registry_source,
            moment, as_json: bool) -> None:
     """Verify a credential; exit 1 when any check is not Valid."""
-    credential = VerifiableCredential.from_json(read_json(credential_file))
+    credential = _read(credential_file, VerifiableCredential.from_json)
     report = verify_credential(credential, resolver, at=moment, registry_source=registry_source)
     report_json = report.to_json()
     overall = report.overall
@@ -326,9 +331,7 @@ def verify(credential_file: str, data: str | None, resolver: Resolver, registry_
 def present(keypair: KeyPair, credential_files: tuple[str, ...], challenge: str,
             holder: str | None, out: str | None) -> None:
     """Wrap credentials in a holder-signed presentation over a challenge."""
-    credentials = [
-        VerifiableCredential.from_json(read_json(path)) for path in credential_files
-    ]
+    credentials = [_read(path, VerifiableCredential.from_json) for path in credential_files]
     holder_did = parse_did(holder) if holder else parse_did(credentials[0].subject_id)
     presentation = create_presentation(keypair, holder_did, credentials, challenge)
     _emit(presentation.to_json(), out)
@@ -341,7 +344,7 @@ def present(keypair: KeyPair, credential_files: tuple[str, ...], challenge: str,
 def verify_presentation_command(presentation_file: str, challenge: str, resolver: Resolver,
                                 registry_source, moment, as_json: bool) -> None:
     """Verify a presentation against a challenge; exit 1 on any failure."""
-    presentation = VerifiablePresentation.from_json(read_json(presentation_file))
+    presentation = _read(presentation_file, VerifiablePresentation.from_json)
     report = verify_presentation(presentation, challenge, resolver, at=moment,
                                  registry_source=registry_source)
     report_json = report.to_json()
@@ -373,7 +376,7 @@ def registry_init(keypair: KeyPair, issuer: str, registry_file: str) -> None:
 @signing_key()
 def revoke_command(keypair: KeyPair, registry_file: str, status_id: str) -> None:
     """Add a status id to a registry file and re-sign it."""
-    document = RevocationRegistry.from_json(read_json(registry_file))
+    document = _read(registry_file, RevocationRegistry.from_json)
     updated = revoke_registry_entry(document, status_id, keypair)
     _emit(updated.to_json(), registry_file)
     click.echo(f"revoked {status_id}", err=True)
@@ -396,24 +399,18 @@ def bundle_create(credential_file: str, did_documents: tuple[str, ...],
 
     Every input is read and parsed before the first write, which writes each as read.
     """
-    def parsed(path, parse):
-        document = read_json(path)
-        try:
-            return document, parse(document)
-        except DatacredError as exc:
-            raise OperationalError(f"{path}: {type(exc).__name__}: {exc}") from exc
-
-    credential, _ = parsed(credential_file, VerifiableCredential.from_json)
-    index = {}
+    credential = read_json(credential_file)
+    parsed(VerifiableCredential.from_json, credential, credential_file)
+    files = {"credential.json": credential, "dids.json": {}}
     for path in did_documents:
-        document, did_document = parsed(path, DidDocument.from_json)
-        index[did_document.id] = document
-    registry_doc = parsed(registry_file, RevocationRegistry.from_json)[0] if registry_file else None
+        document = read_json(path)
+        files["dids.json"][parsed(DidDocument.from_json, document, path).id] = document
+    if registry_file:
+        files["registry.json"] = read_json(registry_file)
+        parsed(RevocationRegistry.from_json, files["registry.json"], registry_file)
     directory = Path(out)
-    write_json(directory / "credential.json", credential)
-    write_json(directory / "dids.json", index)
-    if registry_doc is not None:
-        write_json(directory / "registry.json", registry_doc)
+    for name, document in files.items():
+        write_json(directory / name, document)
     click.echo(f"bundle written to {directory}", err=True)
 
 

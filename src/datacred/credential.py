@@ -83,12 +83,9 @@ _CREDENTIAL_MEMBERS = frozenset({"@context", "id", "type", "issuer", "issuanceDa
 _REGISTRY_MEMBERS = frozenset({"issuer", "revoked", "updated", "proof"})
 _HEX_DIGEST_RE = re.compile(r"[0-9a-f]{64}|[0-9a-f]{128}")
 _DATE_RE = re.compile(r"\d{4}-\d\d-\d\d", re.ASCII)
-_malformed = refusal(DatacredError, "malformed credential: ")
-_malformed_schema = refusal(SchemaMismatch, "malformed schema: ")
-_malformed_registry = refusal(DatacredError, "malformed registry: ")
-_unknown = refusal(DocumentInvalid, "malformed credential: ")
-_unknown_schema = refusal(DocumentInvalid, "malformed schema: ")
-_unknown_registry = refusal(DocumentInvalid, "malformed registry: ")
+_malformed = refusal(DocumentInvalid, "malformed credential: ")
+_malformed_schema = refusal(DocumentInvalid, "malformed schema: ")
+_malformed_registry = refusal(DocumentInvalid, "malformed registry: ")
 
 
 class SchemaAttribute(NamedTuple):
@@ -103,7 +100,7 @@ class SchemaAttribute(NamedTuple):
         obj = json_object(obj, _malformed_schema)
         attribute = cls(member(obj, "name", TEXT, _malformed_schema),
                         member(obj, "kind", TEXT, _malformed_schema))
-        known_members(obj, _ATTRIBUTE_MEMBERS, _unknown_schema)
+        known_members(obj, _ATTRIBUTE_MEMBERS, _malformed_schema)
         return attribute
 
 
@@ -161,14 +158,15 @@ class CredentialSchema:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CredentialSchema":
-        schema = cls(
-            id=member(obj, "id", TEXT, _malformed_schema),
-            name=member(obj, "name", TEXT, _malformed_schema),
-            attributes=tuple(map(SchemaAttribute.from_json,
-                                 member(obj, "attributes", LIST, _malformed_schema))),
-        )
-        known_members(obj, _SCHEMA_MEMBERS, _unknown_schema)
-        return schema
+        fields = (member(obj, "id", TEXT, _malformed_schema),
+                  member(obj, "name", TEXT, _malformed_schema),
+                  tuple(map(SchemaAttribute.from_json,
+                            member(obj, "attributes", LIST, _malformed_schema))))
+        known_members(obj, _SCHEMA_MEMBERS, _malformed_schema)
+        try:
+            return cls(*fields)
+        except SchemaMismatch as exc:  # a vocabulary the schema refuses
+            raise _malformed_schema(str(exc)) from None
 
 
 DATASET_PROVENANCE_V1 = CredentialSchema(
@@ -194,7 +192,7 @@ class CredentialStatus(NamedTuple):
     def from_json(cls, obj: dict) -> "CredentialStatus":
         status = cls(member(obj, "registry", TEXT, _malformed),
                      member(obj, "statusId", TEXT, _malformed))
-        known_members(obj, _STATUS_MEMBERS, _unknown)
+        known_members(obj, _STATUS_MEMBERS, _malformed)
         return status
 
 
@@ -237,7 +235,7 @@ class VerifiableCredential:
     def from_json(cls, obj: dict) -> "VerifiableCredential":
         types = string_list(json_object(obj, _malformed), "type", _malformed)
         if CREDENTIAL_TYPE not in types:
-            raise DatacredError(f"type {types!r} does not include {CREDENTIAL_TYPE}")
+            raise _malformed(f"type {types!r} does not include {CREDENTIAL_TYPE}")
         claims = dict(member(obj, "credentialSubject", OBJECT, _malformed))
         subject_id = member(claims, "id", TEXT, _malformed)
         del claims["id"]
@@ -256,7 +254,7 @@ class VerifiableCredential:
             context=list(string_list(obj, "@context", _malformed)),
             type=list(types),
         )
-        known_members(obj, _CREDENTIAL_MEMBERS, _unknown)
+        known_members(obj, _CREDENTIAL_MEMBERS, _malformed)
         return credential
 
 
@@ -334,7 +332,7 @@ class RevocationRegistry:
             updated=member(obj, "updated", TEXT, _malformed_registry),
             proof=None if proof is None else Proof.from_json(proof),
         )
-        known_members(obj, _REGISTRY_MEMBERS, _unknown_registry)
+        known_members(obj, _REGISTRY_MEMBERS, _malformed_registry)
         return registry
 
 
@@ -356,7 +354,7 @@ def check_registry_key(registry: dict, issuer_key: KeyPair) -> None:
     try:
         if verify_proof(registry, issuer_key.public_key):
             return
-    except MalformedSignature:
+    except (DocumentInvalid, MalformedSignature):
         pass
     raise WrongIssuerKey(f"key does not control registry for {registry.get('issuer')}")
 
@@ -474,7 +472,7 @@ def _check_revocation(
         else:
             name = getattr(registry_source, "path", url)  # a bundle's file, else the URL
             key, registry = None, RevocationRegistry.from_json(parse_json(reply, name)).to_json()
-    except (FetchFailed, DatacredError) as exc:
+    except DatacredError as exc:
         return CheckResult(CheckStatus.INDETERMINATE, "RegistryUnavailable", str(exc))
 
     # Never trust a status list until it verifies under the issuer's key.

@@ -135,7 +135,10 @@ class DidDocument:
 
     def validate(self) -> None:
         """Enforce structural invariants before the document is trusted."""
-        parse_did(self.id)
+        try:
+            parse_did(self.id)
+        except MalformedDid as exc:
+            raise _invalid_document(f"id {exc}") from None
         methods = self.authentication + self.assertion_method
         if not methods:
             raise DocumentInvalid(f"{self.id}: no verification methods")

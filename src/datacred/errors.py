@@ -39,7 +39,7 @@ class MalformedKey(DatacredError):
 
 
 class MalformedSignature(DatacredError):
-    """Signature material is structurally invalid, distinct from a failed check."""
+    """Signature bytes are not base58 or not 64 bytes long, distinct from a failed check."""
 
 
 # --- wallet ---
@@ -103,13 +103,14 @@ class NotFound(DatacredError):
 
 
 class DocumentInvalid(DatacredError):
-    """A fetched DID document fails validation, or a JSON file is not JSON or not an object."""
+    """A JSON document is not JSON or not an object, or a field is missing, mistyped or
+    unknown: the one refusal of every parser of a document, naming where it came from."""
 
 
 # --- credentials ---
 
 class SchemaMismatch(DatacredError):
-    """Claims do not conform to the credential schema."""
+    """Claims do not conform to a credential schema, or a schema built in code is not one."""
 
 
 class BadDates(DatacredError):

@@ -32,14 +32,15 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import AlgorithmUnsupported, DatacredError, SymlinkEscape, UnreadablePath
+from .errors import AlgorithmUnsupported, DatacredError, DocumentInvalid, SymlinkEscape
+from .errors import UnreadablePath
 from .jsonfile import LIST, TEXT, json_object, member, refusal
 
 ALGORITHM = "sha256"
 _READ_CHUNK = 1 << 18  # unbuffered os.read size; the last read of every file returns EOF
 _READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)  # O_BINARY: no newline mapping on Windows
 _MANIFEST_HEAD = b'[{"digest":"'  # how every non-empty canonical manifest starts
-_malformed = refusal(DatacredError, "malformed fingerprint: ")
+_malformed = refusal(DocumentInvalid, "malformed fingerprint: ")
 
 
 class ManifestEntry(NamedTuple):
@@ -257,7 +258,7 @@ def _manifest_reading(data: bytes | str | Path, digest: str) -> tuple[int, int] 
     try:  # JSON that starts with "[" is a list
         entries = list(map(ManifestEntry.from_json, json.loads(data.decode("utf-8"))))
         same = manifest_digest(entries) == digest
-    except (ValueError, RecursionError, DatacredError):
+    except (ValueError, RecursionError, DocumentInvalid):
         return None  # not UTF-8 or JSON, nested too deep, a lone surrogate, or not entries
     return (len(data), len(entries)) if same else None
 

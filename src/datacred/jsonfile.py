@@ -22,7 +22,7 @@ through ``known_members``, a member it does not read: a signature is checked on
 what ``to_json`` writes back, so a member left out would pass unchecked. A
 refusal raises the error the caller passes, called with ``missing field 'name'``,
 ``fields must be <kinds>: 'name' is <kind>``, ``must be an object, not <kind>``
-or ``unknown member 'name'``.
+or ``unknown member 'name'``: every document's parser passes DocumentInvalid.
 """
 
 from __future__ import annotations
@@ -104,6 +104,14 @@ def member(obj: dict, name: str, kinds: tuple, error, default=REQUIRED):
 def refusal(error: type, prefix: str):
     """The error argument that raises error(prefix + message), naming the document."""
     return lambda message: error(prefix + message)
+
+
+def parsed(parse, value, name):
+    """parse(value), a DocumentInvalid it raises prefixed with name, where value came from."""
+    try:
+        return parse(value)
+    except DocumentInvalid as exc:
+        raise DocumentInvalid(f"{name}: {exc}") from exc
 
 
 def json_object(value, error) -> dict:

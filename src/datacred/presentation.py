@@ -17,7 +17,7 @@ from datetime import datetime
 
 from .credential import VerifiableCredential, verify_credential
 from .did import Did, parse_did
-from .errors import DatacredError, DocumentInvalid, EmptyChallenge, EmptyCredentials
+from .errors import DocumentInvalid, EmptyChallenge, EmptyCredentials
 from .jsonfile import LIST, OBJECT, TEXT, known_members, member, refusal, string_list
 from .keys import KeyPair
 from .proofs import AUTHENTICATION, Proof, attach_proof, check_proof, utc_now
@@ -26,8 +26,7 @@ from .resolver import Resolver
 
 PRESENTATION_CONTEXT = "https://www.w3.org/2018/credentials/v1"
 PRESENTATION_TYPE = "VerifiablePresentation"
-_malformed = refusal(DatacredError, "malformed presentation: ")
-_unknown = refusal(DocumentInvalid, "malformed presentation: ")
+_malformed = refusal(DocumentInvalid, "malformed presentation: ")
 _MEMBERS = frozenset({"@context", "type", "holder", "verifiableCredential", "proof"})
 
 
@@ -61,7 +60,7 @@ class VerifiablePresentation:
     def from_json(cls, obj: dict) -> "VerifiablePresentation":
         types = string_list(obj, "type", _malformed)
         if PRESENTATION_TYPE not in types:
-            raise DatacredError(f"type {types!r} does not include {PRESENTATION_TYPE}")
+            raise _malformed(f"type {types!r} does not include {PRESENTATION_TYPE}")
         credentials = member(obj, "verifiableCredential", LIST, _malformed)
         proof = member(obj, "proof", OBJECT, _malformed, None)
         presentation = cls(
@@ -71,7 +70,7 @@ class VerifiablePresentation:
             context=list(string_list(obj, "@context", _malformed)),
             type=list(types),
         )
-        known_members(obj, _MEMBERS, _unknown)
+        known_members(obj, _MEMBERS, _malformed)
         return presentation
 
 

@@ -51,8 +51,7 @@ AUTHENTICATION = "authentication"
 
 _TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 _TIMESTAMP_RE = re.compile(r"(\d{4})-(\d\d)-(\d\d)[Tt](\d\d):(\d\d):(\d\d)[Zz]", re.ASCII)
-_malformed = refusal(MalformedSignature, "proof ")
-_unknown = refusal(DocumentInvalid, "malformed proof: ")
+_malformed = refusal(DocumentInvalid, "malformed proof: ")
 _MEMBERS = frozenset({"type", "created", "verificationMethod", "proofPurpose", "signatureValue",
                       "challenge", "domain"})
 
@@ -115,7 +114,7 @@ class Proof(NamedTuple):
             challenge=member(obj, "challenge", TEXT, _malformed, None),
             domain=member(obj, "domain", TEXT, _malformed, None),
         )
-        known_members(obj, _MEMBERS, _unknown)
+        known_members(obj, _MEMBERS, _malformed)
         return proof
 
     def signature(self) -> Signature:
@@ -158,10 +157,10 @@ def attach_proof(
 def verify_proof(document: dict, public_key: bytes) -> bool:
     """Check the document's proof against a public key.
 
-    Returns False for a failed signature; raises MalformedSignature when the
-    proof block itself is structurally unusable.
+    Returns False for a failed signature; raises DocumentInvalid when the proof block is
+    missing or malformed, and MalformedSignature when its signature bytes are unusable.
     """
-    proof = Proof.from_json(member(document, "proof", OBJECT, MalformedSignature))
+    proof = Proof.from_json(member(document, "proof", OBJECT, _malformed))
     return verify_signature(public_key, signing_bytes(document), proof.signature())
 
 
@@ -187,7 +186,7 @@ def check_proof(
         return MISSING_PROOF, None
     try:
         proof = Proof.from_json(proof_obj)
-    except (MalformedSignature, DocumentInvalid) as exc:
+    except DocumentInvalid as exc:
         return CheckResult(CheckStatus.INVALID, "MalformedProof", str(exc)), None
     method = proof.verification_method
     if base_did(method) != signer:

@@ -1578,3 +1578,20 @@ def test_admin_post_with_mistyped_field_is_bad_request(agent_factory, route, bod
     assert response.status_code == 400, response.text
     assert response.json()["error"] == "BadRequest"
     assert publisher.list_connections() == []
+
+
+@pytest.mark.parametrize("change, detail", [
+    ({"name": None}, "malformed schema: fields must be strings: 'name' is null"),
+    ({"attributes": [{"name": "Hash of Data", "kind": "ab"}]},
+     "malformed schema: schema dataset-provenance-v1: unknown kind 'ab' for 'Hash of Data'"),
+], ids=["mistyped", "unknown-kind"])
+def test_admin_issue_with_a_malformed_schema_block_is_document_invalid(agent_factory, change,
+                                                                       detail):
+    """A mistyped schema block was answered SchemaMismatch, the code of claims that do not
+    meet a schema; its unknown member was already DocumentInvalid."""
+    publisher = agent_factory("publisher")
+    body = {"connectionId": "c", "claims": {},
+            "schema": {**DATASET_PROVENANCE_V1.to_json(), **change}}
+    response = requests.post(publisher.base_url + "/issue", json=body, timeout=5)
+    assert response.status_code == 400, response.text
+    assert response.json() == {"error": "DocumentInvalid", "detail": detail}

@@ -298,7 +298,44 @@ def test_verify_empty_proof_exits_2(runner, workspace):
     (workspace / "cred.json").write_text(json.dumps(credential))
     result = invoke(runner, "verify", "cred.json")
     assert result.exit_code == 2, result.output
-    assert "proof missing field" in result.stderr
+    assert "DocumentInvalid: cred.json: malformed proof: missing field 'type'" in result.stderr
+
+
+@pytest.mark.parametrize("args, refusal", [
+    (["verify", "bad.json"], "malformed credential: missing field 'type'"),
+    (["verify-presentation", "bad.json", "--challenge", "c"],
+     "malformed presentation: missing field 'type'"),
+    (["present", "--credential", "bad.json", "--challenge", "c", "--wallet", "w.json",
+      "--key-label", "k"], "malformed credential: missing field 'type'"),
+    (["revoke", "--registry", "bad.json", "--status-id", "s1", "--wallet", "w.json",
+      "--key-label", "k"], "malformed registry: missing field 'issuer'"),
+    (["issue", "--schema", "bad.json", "--issuer", "did:web:x.example", "--subject",
+      "did:web:y.example", "--wallet", "w.json", "--key-label", "k"],
+     "malformed schema: missing field 'id'"),
+    (["bundle", "create", "--credential", "bad.json", "--out", "bundle"],
+     "malformed credential: missing field 'type'"),
+], ids=["verify", "verify-presentation", "present", "revoke", "issue-schema", "bundle-create"])
+def test_every_command_that_parses_a_file_names_it_when_it_is_malformed(runner, workspace,
+                                                                         args, refusal):
+    """verify and verify-presentation used to print `DatacredError: malformed ...` naming no
+    file, and bundle create the file and then that class."""
+    must(runner, "keygen", "--wallet", "w.json", "--label", "k")
+    (workspace / "bad.json").write_text("{}")
+    result = invoke(runner, *args)
+    assert result.exit_code == 2, result.output
+    assert f"Error: DocumentInvalid: bad.json: {refusal}" in result.stderr
+    assert not (workspace / "bundle").exists()
+
+
+def test_issue_with_a_status_id_but_no_status_registry_exits_2(runner, workspace):
+    """It exited 0 and wrote a credential with no credentialStatus, which no registry
+    can ever revoke."""
+    issuer, subject = make_identities(runner)
+    result = invoke(runner, *issue_args(issuer["did"], subject["did"], "ab" * 32,
+                                        "--status-id", "s1"))
+    assert result.exit_code == 2, result.output
+    assert "--status-id needs --status-registry" in result.stderr
+    assert not (workspace / "cred.json").exists()
 
 
 def test_malformed_json_input_exits_2_with_location(runner, workspace):
@@ -468,6 +505,22 @@ def make_offline_bundle(runner):
 OFFLINE_VERIFY = ("verify", "bundle/credential.json", "--offline-bundle", "bundle", "--json")
 
 
+def test_offline_verify_reads_the_registry_override_instead_of_the_bundles(runner, workspace):
+    """With --offline-bundle, --registry was ignored: a credential the override revokes
+    verified Valid against the bundle's registry.json and exited 0."""
+    make_offline_bundle(runner)
+    (workspace / "revoked.json").write_text((workspace / "reg.json").read_text())
+    must(runner, "revoke", "--registry", "revoked.json", "--status-id", "s1",
+         "--wallet", "w.json", "--key-label", "issuer")
+    intact = stdout_json(must(runner, *OFFLINE_VERIFY))["checks"]["revocation"]
+    assert intact["reason"] == "NotRevoked"
+    result = invoke(runner, *OFFLINE_VERIFY, "--registry", "revoked.json")
+    assert result.exit_code == 1, result.output
+    report = stdout_json(result)
+    assert report["checks"]["revocation"]["reason"] == "Revoked"
+    assert report["networkFetches"] == 0
+
+
 def test_bundle_with_bad_did_document_writes_nothing(runner, workspace):
     issuer, subject = make_identities(runner)
     digest = stdout_json(must(runner, "hash", "data.bin"))["digest"]
@@ -486,7 +539,9 @@ def test_bundle_with_bad_did_document_writes_nothing(runner, workspace):
 @pytest.mark.parametrize("option, content, error", [
     ("--credential", {"not": "a credential"}, "missing field 'type'"),
     ("--registry", {"issuer": 5}, "malformed registry"),
-], ids=["credential", "registry"])
+    ("--did-document", {"id": "not-a-did"},
+     "DocumentInvalid: bad.json: DID document id 'not-a-did': missing did: prefix"),
+], ids=["credential", "registry", "did-document"])
 def test_bundle_with_an_input_that_does_not_parse_writes_nothing(runner, workspace, option,
                                                                  content, error):
     issuer, subject = make_identities(runner)

@@ -30,7 +30,7 @@ from datacred.credential import (
     verify_credential,
 )
 from datacred.did import DidDocument, VerificationMethod, generate_did_key
-from datacred.errors import DatacredError, MalformedSignature, SignatureInvalid
+from datacred.errors import DatacredError, DocumentInvalid, SignatureInvalid
 from datacred.fingerprint import fingerprint_bytes
 from datacred.keys import generate_keypair
 from datacred.presentation import VerifiablePresentation, create_presentation, verify_presentation
@@ -214,7 +214,7 @@ def test_non_string_proof_field_is_malformed_not_a_crash(field):
 def test_a_falsy_challenge_that_is_not_a_string_is_malformed(challenge):
     document = _sign(_unsigned_credential(), "valid", ASSERTION)
     document["proof"]["challenge"] = challenge
-    with pytest.raises(MalformedSignature, match="must be strings"):
+    with pytest.raises(DocumentInvalid, match="^malformed proof: fields must be strings"):
         Proof.from_json(document["proof"])
     result, _ = check_proof(document, SIGNER, _resolver("valid"))
     assert (result.status.value, result.reason) == ("Invalid", "MalformedProof")

@@ -28,14 +28,16 @@ from datacred.cli import main
 from datacred.credential import (
     CREDENTIAL_CONTEXT,
     DATASET_PROVENANCE_V1,
+    CredentialSchema,
+    CredentialStatus,
     RevocationRegistry,
     StaticRegistrySource,
     VerifiableCredential,
     verify_credential,
 )
 from datacred.did import DidDocument, generate_did_key, one_key_document, parse_did
-from datacred.errors import DatacredError, DocumentInvalid, MalformedSignature
-from datacred.fingerprint import fingerprint_bytes
+from datacred.errors import DatacredError, DocumentInvalid, SignatureInvalid
+from datacred.fingerprint import DatasetFingerprint, ManifestEntry, fingerprint_bytes
 from datacred.jsonfile import parse_json
 from datacred.keys import generate_keypair
 from datacred.presentation import VerifiablePresentation, verify_presentation
@@ -163,12 +165,17 @@ def verify(credential: dict, registry: dict, did: dict):
                                              at=AT, registry_source=source))
 
 
+REFUSAL = {MessageEnvelope.from_json: SignatureInvalid}  # a wire code; else DocumentInvalid
+
+
 def parsed(parse, document: dict):
-    """parse(document), or None when a DatacredError refuses it; a document parse accepts
+    """parse(document), or None when parse refuses it with its one class: SignatureInvalid
+    for an envelope, DocumentInvalid for every other document. A document parse accepts
     must come back from its to_json unchanged."""
     try:
         value = parse(document)
-    except DatacredError:
+    except DatacredError as exc:
+        assert type(exc) is REFUSAL.get(parse, DocumentInvalid), repr(exc)
         return None
     assert value.to_json() == document
     return value
@@ -305,8 +312,8 @@ def test_a_member_added_to_a_did_document_is_ignored():
 
 
 @pytest.mark.parametrize("kind, path, code, reason", [
-    ("credential", (), 2, "DocumentInvalid: malformed credential: unknown member 'evidence'"),
-    ("credential", ("proof",), 2, "DocumentInvalid: malformed proof: unknown member 'evidence'"),
+    ("credential", (), 2, "DocumentInvalid: {file}: malformed credential: unknown member"),
+    ("credential", ("proof",), 2, "DocumentInvalid: {file}: malformed proof: unknown member"),
     ("registry", (), 1, "RegistryUnavailable"),
 ], ids=["credential", "credential-proof", "registry"])
 def test_offline_verify_of_a_document_with_an_added_member_is_not_valid(tmp_path, kind, path,
@@ -319,7 +326,7 @@ def test_offline_verify_of_a_document_with_an_added_member_is_not_valid(tmp_path
     result = CliRunner().invoke(main, ["verify", str(tmp_path / "credential.json"),
                                        "--offline-bundle", str(tmp_path)])
     assert result.exit_code == code, result.output
-    assert reason in result.output
+    assert reason.format(file=tmp_path / "credential.json") in result.output
     assert "unknown member 'evidence'" in result.output
 
 
@@ -378,8 +385,79 @@ def test_a_present_falsy_proof_is_refused_not_absent(kind, falsy):
 
 def test_a_null_challenge_is_refused_not_absent():
     """It used to parse as no challenge, so to_json left out a member the holder signed."""
-    with pytest.raises(MalformedSignature, match="must be strings"):
+    with pytest.raises(DocumentInvalid, match="^malformed proof: fields must be strings"):
         Proof.from_json({**PRESENTATION["proof"], "challenge": None})
+
+
+TREE = {"algorithm": "sha256", "digest": "0" * 64, "form": "tree",
+        "manifest": [{"path": "a.csv", "digest": "1" * 64}]}
+DOCUMENTS = {  # kind: (its parser, a document it reads, the document its refusal names)
+    "credential": (VerifiableCredential.from_json, CREDENTIAL, "credential"),
+    "credentialStatus": (CredentialStatus.from_json, CREDENTIAL["credentialStatus"],
+                         "credential"),
+    "schema": (CredentialSchema.from_json, CREDENTIAL["credentialSchema"], "schema"),
+    "registry": (RevocationRegistry.from_json, REGISTRY, "registry"),
+    "presentation": (VerifiablePresentation.from_json, PRESENTATION, "presentation"),
+    "proof": (Proof.from_json, PRESENTATION["proof"], "proof"),
+    "fingerprint": (DatasetFingerprint.from_json, TREE, "fingerprint"),
+    "manifestEntry": (ManifestEntry.from_json, TREE["manifest"][0], "fingerprint"),
+}
+HASH_ATTRIBUTE = DATASET_PROVENANCE_V1.attributes[0].to_json()
+
+
+@pytest.mark.parametrize("kind, path, value, message", [
+    ("credential", ("issuer",), DELETE, "missing field 'issuer'"),
+    ("credential", ("issuer",), 5, "fields must be strings: 'issuer' is an integer"),
+    ("credential", (ADDED,), "x", f"unknown member {ADDED!r}"),
+    ("credential", ("type",), ["VerifiablePresentation"],
+     "type ['VerifiablePresentation'] does not include VerifiableCredential"),
+    ("credential", ("credentialStatus", "statusId"), DELETE, "missing field 'statusId'"),
+    ("credentialStatus", ("statusId",), DELETE, "missing field 'statusId'"),
+    ("credentialStatus", ("registry",), 5, "fields must be strings: 'registry' is an integer"),
+    ("credentialStatus", (ADDED,), "x", f"unknown member {ADDED!r}"),
+    ("schema", ("name",), DELETE, "missing field 'name'"),
+    ("schema", ("attributes",), "ab", "fields must be lists: 'attributes' is a string"),
+    ("schema", (ADDED,), "x", f"unknown member {ADDED!r}"),
+    ("schema", ("attributes", 0, "kind"), "ab",
+     "schema dataset-provenance-v1: unknown kind 'ab' for 'Hash of Data'"),
+    ("schema", ("attributes",), [HASH_ATTRIBUTE, HASH_ATTRIBUTE],
+     "schema dataset-provenance-v1: duplicate attribute names"),
+    ("schema", ("attributes",), [], "schema dataset-provenance-v1: needs at least one attribute"),
+    ("registry", ("revoked",), DELETE, "missing field 'revoked'"),
+    ("registry", ("revoked",), ["s-0", 5], "fields must be lists of strings: 'revoked' holds "
+                                           "an integer"),
+    ("registry", (ADDED,), "x", f"unknown member {ADDED!r}"),
+    ("presentation", ("holder",), DELETE, "missing field 'holder'"),
+    ("presentation", ("verifiableCredential",), {},
+     "fields must be lists: 'verifiableCredential' is an object"),
+    ("presentation", (ADDED,), "x", f"unknown member {ADDED!r}"),
+    ("presentation", ("type",), [],
+     "type [] does not include VerifiablePresentation"),
+    ("proof", ("signatureValue",), DELETE, "missing field 'signatureValue'"),
+    ("proof", ("challenge",), None, "fields must be strings: 'challenge' is null"),
+    ("proof", (ADDED,), "x", f"unknown member {ADDED!r}"),
+    ("fingerprint", ("digest",), DELETE, "missing field 'digest'"),
+    ("fingerprint", ("form",), 5, "fields must be strings: 'form' is an integer"),
+    ("fingerprint", ("manifest", 0), "a.csv", "must be an object, not a string"),
+    ("manifestEntry", ("path",), DELETE, "missing field 'path'"),
+    ("manifestEntry", ("digest",), [], "fields must be strings: 'digest' is a list"),
+], ids=["credential-missing", "credential-mistyped", "credential-unknown", "credential-type",
+        "credential-status-missing", "credentialStatus-missing", "credentialStatus-mistyped",
+        "credentialStatus-unknown", "schema-missing", "schema-mistyped", "schema-unknown",
+        "schema-unknown-kind", "schema-duplicate-names", "schema-no-attributes",
+        "registry-missing", "registry-mistyped", "registry-unknown", "presentation-missing",
+        "presentation-mistyped", "presentation-unknown", "presentation-type", "proof-missing",
+        "proof-mistyped", "proof-unknown", "fingerprint-missing", "fingerprint-mistyped",
+        "fingerprint-entry-mistyped", "manifestEntry-missing", "manifestEntry-mistyped"])
+def test_every_parser_refuses_a_malformed_document_with_one_class(kind, path, value, message):
+    """A missing or mistyped field of a credential, presentation, registry or fingerprint was
+    a bare DatacredError, of a proof MalformedSignature, and a schema's refused vocabulary
+    SchemaMismatch, so no caller could catch a malformed document apart from a failed check."""
+    parse, document, name = DOCUMENTS[kind]
+    with pytest.raises(DocumentInvalid) as refused:
+        parse(mutated(document, path, value))
+    assert type(refused.value) is DocumentInvalid
+    assert str(refused.value) == f"malformed {name}: {message}"
 
 
 def test_an_issuance_record_whose_credential_id_is_no_string_is_document_invalid(tmp_path):
