@@ -66,6 +66,7 @@ from ..credential import (
     check_registry_key,
     issue_credential,
     sign_registry,
+    verification_sources,
 )
 from ..did import Did, DidDocument, generate_did_key, one_key_document, parse_did
 from ..errors import (
@@ -100,8 +101,7 @@ from ..presentation import (
 )
 from ..proofs import parse_timestamp
 from ..reports import CheckResult, CheckStatus, PresentationReport
-from ..resolver import HeadRefused, KeyBackend, Resolver, WebBackend, is_loopback_host
-from ..resolver import read_head, request_json
+from ..resolver import HeadRefused, Resolver, is_loopback_host, read_head, request_json
 from ..wallet import Wallet
 from .config import WILDCARD_HOSTS, AgentConfig
 from .envelopes import (
@@ -231,9 +231,7 @@ class Agent:
             except WrongIssuerKey as exc:
                 raise DocumentInvalid(f"{self.state.registry_path}: {exc}") from exc
 
-        insecure = config.allow_insecure_http
-        self.resolver = Resolver([KeyBackend(), WebBackend(allow_insecure_loopback=insecure)])
-        self.registry_source = HttpRegistrySource(allow_insecure_loopback=insecure)
+        self.resolver, self.registry_source = verification_sources(config.allow_insecure_http)
 
         self._thread = threading.Thread(
             target=lambda: self._server.serve_forever(poll_interval=0.05),
@@ -364,19 +362,13 @@ class Agent:
         claims: dict,
         schema: CredentialSchema | None = None,
         expiration_date: datetime | str | None = None,
-        with_status: bool = True,
     ) -> VerifiableCredential:
-        """Issue a credential to the connected dataset agent and await its ack."""
+        """Issue a revocable credential to the connected dataset agent and await its ack."""
         if self.config.role != "publisher":
             raise RoleForbidden("only publisher agents issue credentials")
         connection = self.state.connections.get(connection_id)
         if connection is None:
             raise ConnectionInactive(f"no active connection {connection_id}")
-        status = None
-        if with_status:
-            status = CredentialStatus(
-                registry_url=f"{self.base_url}/registry", status_id=str(uuid.uuid4())
-            )
         credential = issue_credential(
             self.key,
             self.did,
@@ -384,7 +376,7 @@ class Agent:
             schema or DATASET_PROVENANCE_V1,
             claims,
             expiration_date=expiration_date,
-            status=status,
+            status=CredentialStatus(f"{self.base_url}/registry", str(uuid.uuid4())),
         )
         ack = self._exchange(
             connection.their_did,
@@ -398,7 +390,7 @@ class Agent:
             raise AgentError(f"the ack names another credential than {credential.id}")
         with self._lock:
             self.state.record_issued({"credentialId": credential.id,
-                                      "statusId": status.status_id if status else None,
+                                      "statusId": credential.status.status_id,
                                       "subject": connection.their_did})
         return credential
 
@@ -432,11 +424,10 @@ class Agent:
         if self.config.role != "publisher":
             raise RoleForbidden("only publisher agents hold a revocation registry")
         with self._lock:
-            state = self.state
-            if status_id not in state.revoked:
-                issuer, revoked = state.registry["issuer"], state.registry["revoked"]
-                state.record_registry(sign_registry(issuer, [*revoked, status_id], self.key))
-            registry = state.registry
+            issuer, revoked = self.state.registry["issuer"], self.state.registry["revoked"]
+            if status_id not in revoked:
+                self.state.record_registry(sign_registry(issuer, [*revoked, status_id], self.key))
+            registry = self.state.registry
         return RevocationRegistry.from_json(registry)
 
     def registry_reply(self) -> tuple[bytes, str]:
@@ -595,7 +586,6 @@ def _admin_issue(agent: Agent, body: dict) -> dict:
         member(body, "claims", OBJECT, BadRequest),
         schema=None if schema is None else CredentialSchema.from_json(schema),
         expiration_date=member(body, "expirationDate", TEXT, BadRequest, "") or None,
-        with_status=member(body, "withStatus", (bool,), BadRequest, True),
     ).to_json()
 
 

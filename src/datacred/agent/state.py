@@ -94,8 +94,7 @@ class AgentState:
         self.issued_path = self.path.with_suffix(".issued.jsonl")
         self.registry_path = self.path.with_suffix(".registry.jsonl")
         self.connections: dict[str, Connection] = {}
-        self.registry: dict | None = None  # publisher's signed revocation registry
-        self.revoked: set[str] = set()  # the registry's revoked ids
+        self.registry: dict | None = None  # publisher's signed registry: its only revoked ids
         self.issued: list[dict] = []  # publisher's issuance records, as in the log
         self.status_ids: dict = {}  # credential id -> status id, of the first record for it
         self._issued_end = 0  # where the issuance log's complete lines end
@@ -128,10 +127,9 @@ class AgentState:
             line = {"revoke": revoked[-1], "updated": registry["updated"],
                     "proof": registry["proof"]}
             self._registry_end = append_line(self.registry_path, _encode(line), self._registry_end)
-            self.revoked.add(revoked[-1])
         else:
             self._registry_end = write_lines(self.registry_path, [_encode(registry)])
-            self._snapshot_ids, self.revoked = len(revoked), set(revoked)
+            self._snapshot_ids = len(revoked)
         self.registry = registry
 
     def load(self) -> None:
@@ -167,8 +165,7 @@ class AgentState:
             registry = {"issuer": registry["issuer"], "revoked": revoked,
                         "updated": entries[-1].get("updated"), "proof": entries[-1].get("proof")}
             parsed(RevocationRegistry.from_json, registry, path)
-        self._snapshot_ids = len(revoked) - len(entries)
-        self.registry, self.revoked = registry, set(revoked)
+        self.registry, self._snapshot_ids = registry, len(revoked) - len(entries)
 
     def save(self) -> None:
         """Replace the state document; issuance records and the registry stay in their logs."""

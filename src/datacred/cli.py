@@ -21,14 +21,13 @@ from .credential import (
     DATASET_PROVENANCE_V1,
     CredentialSchema,
     CredentialStatus,
-    FileRegistrySource,
-    HttpRegistrySource,
     RevocationRegistry,
     VerifiableCredential,
     check_binding_claim,
     issue_credential,
     new_registry,
     revoke as revoke_registry_entry,
+    verification_sources,
     verify_credential,
 )
 from .did import DidDocument, generate_did_key, one_key_document, parse_did
@@ -39,7 +38,7 @@ from .keys import KeyPair, generate_keypair
 from .presentation import VerifiablePresentation, create_presentation, verify_presentation
 from .proofs import parse_timestamp
 from .reports import CheckStatus, worst
-from .resolver import DirectoryBackend, KeyBackend, Resolver, WebBackend, request_json
+from .resolver import Resolver, request_json
 from .wallet import Wallet
 
 PASSPHRASE_ENV = "DATACRED_PASSPHRASE"
@@ -129,34 +128,14 @@ def _load_schema(name_or_path: str) -> CredentialSchema:
     return _read(name_or_path, CredentialSchema.from_json)
 
 
-class _PinnedRegistrySource:
-    """Fetches whatever URL the credential names from one fixed override URL, its path:
-    a malformed reply's error names it, as it names a bundle's registry file."""
-
-    network = True
-
-    def __init__(self, inner, url: str):
-        self._inner = inner
-        self.path = url
-
-    def fetch(self, _url: str, etag: str | None = None) -> bytes | None:
-        return self._inner.fetch(self.path, etag)
-
-
-def _build_verification_context(
-    offline_bundle: str | None, insecure_http: bool, registry: str | None
-):
-    """Resolver plus registry source for verify commands: registry, else the bundle's file."""
-    if offline_bundle:
-        backend = DirectoryBackend(offline_bundle)
-        registry = registry or str(Path(offline_bundle) / "registry.json")
-    else:
-        backend = WebBackend(allow_insecure_loopback=insecure_http)
-    resolver = Resolver(backends=[KeyBackend(), backend])
-    if registry and not registry.startswith(("http://", "https://")):
-        return resolver, FileRegistrySource(registry)
-    http = HttpRegistrySource(allow_insecure_loopback=insecure_http)
-    return resolver, _PinnedRegistrySource(http, registry) if registry else http
+def _parsed_option(parse):
+    """An option callback: parse(value), None for no value, a usage error for a ValueError."""
+    def callback(_ctx, _param, value):
+        try:
+            return parse(value) if value else None
+        except ValueError as exc:
+            raise click.BadParameter(str(exc)) from None
+    return callback
 
 
 def verification_context(command):
@@ -165,15 +144,14 @@ def verification_context(command):
     @click.option("--offline-bundle", default=None, type=click.Path(exists=True),
                   help="Verify using only documents in this bundle directory.")
     @click.option("--registry", default=None, help="Registry override: URL or local file.")
-    @click.option("--at", "at_time", default=None, help="Verify as of this timestamp (...Z).")
+    @click.option("--at", "moment", default=None, callback=_parsed_option(parse_timestamp),
+                  help="Verify as of this timestamp (...Z).")
     @click.option("--insecure-http", is_flag=True, help="Allow plain http to loopback (tests).")
     @json_option
     @functools.wraps(command)
-    def wrapper(offline_bundle: str | None, registry: str | None, at_time: str | None,
-                insecure_http: bool, **kwargs):
-        resolver, source = _build_verification_context(offline_bundle, insecure_http, registry)
-        moment = parse_timestamp(at_time) if at_time else None
-        return command(resolver=resolver, registry_source=source, moment=moment, **kwargs)
+    def wrapper(offline_bundle: str | None, registry: str | None, insecure_http: bool, **kwargs):
+        resolver, source = verification_sources(insecure_http, offline_bundle, registry)
+        return command(resolver=resolver, registry_source=source, **kwargs)
 
     return wrapper
 
@@ -207,11 +185,11 @@ def main() -> None:
 @wallet_option
 @passphrase_env_option
 @click.option("--label", "-l", default="default", show_default=True, help="Key label.")
-@click.option("--seed-hex", default=None, help="Optional 32-byte seed as hex (testing).")
-def keygen(wallet: str, passphrase_env: str, label: str, seed_hex: str | None) -> None:
+@click.option("--seed-hex", "seed", default=None, callback=_parsed_option(bytes.fromhex),
+              help="Optional 32-byte seed as hex (testing).")
+def keygen(wallet: str, passphrase_env: str, label: str, seed: bytes | None) -> None:
     """Generate an Ed25519 keypair into the wallet."""
     store = _open_wallet(wallet, passphrase_env)
-    seed = bytes.fromhex(seed_hex) if seed_hex else None
     keypair = generate_keypair(seed)
     store.put(label, keypair)
     store.save()
@@ -240,9 +218,8 @@ def did_create_web(keypair: KeyPair, domain: str, out: str | None) -> None:
 @click.option("--offline-bundle", default=None, help="Resolve from a bundle, no network.")
 def did_resolve(did_text: str, insecure_http: bool, offline_bundle: str | None) -> None:
     """Resolve a DID and print its document."""
-    resolver, _ = _build_verification_context(offline_bundle, insecure_http, None)
-    document = resolver.resolve(did_text)
-    _emit(document.to_json())
+    resolver, _ = verification_sources(insecure_http, offline_bundle)
+    _emit(resolver.resolve(did_text).to_json())
 
 
 @main.command("hash")

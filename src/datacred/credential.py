@@ -16,7 +16,8 @@ Every revocation check fetches the registry's bytes and matches its issuer and
 the status id. A ``Resolver`` parses and verifies a registry once per change of
 those bytes: it reuses the last one that verified at a URL for the same SHA-256
 (or a 304 to a GET conditional on it) while the issuer still publishes its key.
-A registry older than the one kept for its URL, by the same issuer, is a rollback.
+A registry by the issuer of the one kept for its URL is a rollback when it was updated
+earlier or lacks an id the kept one revoked: ``updated`` has one-second resolution.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .proofs import (
     verify_proof,
 )
 from .reports import CheckResult, CheckStatus, VerificationReport
-from .resolver import Resolver, fetch_bytes
+from .resolver import DirectoryBackend, KeyBackend, Resolver, WebBackend, fetch_bytes
 
 CREDENTIAL_CONTEXT = "https://www.w3.org/2018/credentials/v1"
 CREDENTIAL_TYPE = "VerifiableCredential"
@@ -377,16 +378,18 @@ def revoke(
 
 
 class HttpRegistrySource:
-    """Fetch revocation registries under resolver.request_bytes's transport policy. A
+    """Fetch revocation registries under resolver.request_bytes's transport policy: from the
+    url asked, or from path, a fixed --registry URL that then names a malformed reply. A
     source's fetch(url, etag=None) gives the bytes; this one None for a 304 to etag."""
 
     network = True
 
-    def __init__(self, allow_insecure_loopback: bool = False):
+    def __init__(self, allow_insecure_loopback: bool = False, path: str | None = None):
         self.allow_insecure_loopback = allow_insecure_loopback
+        self.path = path
 
     def fetch(self, url: str, etag: str | None = None) -> bytes | None:
-        return fetch_bytes(url, self.allow_insecure_loopback, etag)
+        return fetch_bytes(self.path or url, self.allow_insecure_loopback, etag)
 
 
 class StaticRegistrySource:
@@ -410,6 +413,21 @@ class FileRegistrySource:
 
     def fetch(self, url: str, etag: str | None = None) -> bytes:
         return read_bytes(self.path)
+
+
+def verification_sources(allow_insecure_loopback: bool = False, offline_bundle: str | None = None,
+                         registry: str | None = None) -> tuple:
+    """(Resolver, registry source) of a verification: DID documents from offline_bundle, else
+    the web; registries from registry, a URL or file, else the bundle's, else each credential's."""
+    if offline_bundle:
+        backend = DirectoryBackend(offline_bundle)
+        registry = registry or str(Path(offline_bundle) / "registry.json")
+    else:
+        backend = WebBackend(allow_insecure_loopback=allow_insecure_loopback)
+    resolver = Resolver(backends=[KeyBackend(), backend])
+    if registry and not registry.startswith(("http://", "https://")):
+        return resolver, FileRegistrySource(registry)
+    return resolver, HttpRegistrySource(allow_insecure_loopback, registry)
 
 
 # --- verification ---
@@ -449,18 +467,22 @@ def _check_temporal(vc: VerifiableCredential, at: datetime | None = None) -> Che
     return TEMPORALLY_VALID
 
 
-def _updated_before(registry: dict, seen: dict) -> bool:
-    """Whether registry is seen's issuer's and was updated before it."""
+def _rollback(registry: dict, revoked: frozenset, kept: tuple | None) -> str | None:
+    """Why registry, revoking revoked, rolls back kept, the entry remembered for its URL:
+    by kept's issuer, it lacks an id kept revoked or was updated earlier; else None."""
+    if kept is None or registry["issuer"] != kept[2]["issuer"]:
+        return None
+    updated, seen = registry["updated"], kept[2]["updated"]
+    if not kept[3] <= revoked:
+        return f"updated {updated}, lacking {len(kept[3] - revoked)} ids revoked as of {seen} seen"
     try:  # a date that does not parse is not compared
-        earlier = parse_timestamp(registry["updated"]) < parse_timestamp(seen["updated"])
+        earlier = parse_timestamp(updated) < parse_timestamp(seen)
     except ValueError:
-        return False
-    return earlier and registry["issuer"] == seen["issuer"]
+        return None
+    return f"updated {updated}, before {seen} seen" if earlier else None
 
 
-def _check_revocation(
-    vc: VerifiableCredential, resolver: Resolver, registry_source
-) -> CheckResult:
+def _check_revocation(vc: VerifiableCredential, resolver: Resolver, registry_source) -> CheckResult:
     if vc.status is None:
         return NO_STATUS
     url = vc.status.registry_url
@@ -470,7 +492,7 @@ def _check_revocation(
         if known is not None and digest == known[0]:  # bytes parsed and verified before
             _, key, registry, revoked, _ = known
         else:
-            name = getattr(registry_source, "path", url)  # a bundle's file, else the URL
+            name = getattr(registry_source, "path", None) or url  # a bundle's file, else a URL
             key, registry = None, RevocationRegistry.from_json(parse_json(reply, name)).to_json()
     except DatacredError as exc:
         return CheckResult(CheckStatus.INDETERMINATE, "RegistryUnavailable", str(exc))
@@ -483,11 +505,10 @@ def _check_revocation(
     if result.status is not CheckStatus.VALID:
         detail = f"registry proof: {result.reason} {result.detail}".rstrip()
         return CheckResult(CheckStatus.INDETERMINATE, "RegistryInvalid", detail)
-    if located[0] != key:  # its signature was checked just now: remember it, unless older
-        if known is not None and _updated_before(registry, known[2]):
-            detail = f"updated {registry['updated']}, before {known[2]['updated']} seen at {url}"
-            return CheckResult(CheckStatus.INDETERMINATE, "RegistryRollback", detail)
+    if located[0] != key:  # its signature was checked just now: keep it, unless a rollback
         revoked = frozenset(registry["revoked"])
+        if why := _rollback(registry, revoked, known):
+            return CheckResult(CheckStatus.INDETERMINATE, "RegistryRollback", f"{why} at {url}")
         resolver.remember_registry(url, (digest, located[0], registry, revoked, len(reply)))
     if vc.status.status_id in revoked:
         return CheckResult(CheckStatus.INVALID, "Revoked", f"status id {vc.status.status_id}")

@@ -1561,16 +1561,15 @@ def test_admin_post_with_non_object_body_is_bad_request(agent_factory, route):
     ("/issue", {"connectionId": [1], "claims": {}}),
     ("/issue", {"connectionId": "c", "claims": ["Hash of Data"]}),
     ("/issue", {"connectionId": "c", "claims": {}, "schema": "dataset-provenance-v1"}),
-    ("/issue", {"connectionId": "c", "claims": {}, "withStatus": "no"}),
     ("/request-proof", {"target": "did:key:z6Mk", "attributes": "Hash of Data"}),
     ("/request-proof", {"target": "did:key:z6Mk", "attributes": [1]}),
     ("/request-proof", {"target": ["did:key:z6Mk"]}),
     ("/revoke", {"statusId": 5}),
     ("/revoke", {"credentialId": {"id": "urn:uuid:x"}}),
 ], ids=["connect-did-int", "connect-did-missing", "issue-connection-id-list",
-        "issue-claims-list", "issue-schema-string", "issue-with-status-string",
-        "proof-attributes-string", "proof-attribute-int", "proof-target-list",
-        "revoke-status-id-int", "revoke-credential-id-object"])
+        "issue-claims-list", "issue-schema-string", "proof-attributes-string",
+        "proof-attribute-int", "proof-target-list", "revoke-status-id-int",
+        "revoke-credential-id-object"])
 def test_admin_post_with_mistyped_field_is_bad_request(agent_factory, route, body):
     """Admin bodies follow the inbox's type rule: answered 400, never dropped or coerced."""
     publisher = agent_factory("publisher")
@@ -1578,6 +1577,25 @@ def test_admin_post_with_mistyped_field_is_bad_request(agent_factory, route, bod
     assert response.status_code == 400, response.text
     assert response.json()["error"] == "BadRequest"
     assert publisher.list_connections() == []
+
+
+def test_admin_issue_gives_a_revocable_credential_whatever_with_status_says(agent_factory):
+    """withStatus is no longer read: false gave a credential with no credentialStatus,
+    which no registry could revoke."""
+    publisher, dataset, connection = connected_pair(agent_factory)
+    body = {"connectionId": connection.connection_id, "claims": LISTING_CLAIMS,
+            "withStatus": False}
+    issued = requests.post(publisher.base_url + "/issue", json=body, timeout=30)
+    assert issued.status_code == 200, issued.text
+    status = issued.json()["credentialStatus"]
+    assert status["registry"] == publisher.base_url + "/registry"
+    revoked = requests.post(publisher.base_url + "/revoke",
+                            json={"credentialId": issued.json()["id"]}, timeout=5)
+    assert revoked.status_code == 200, revoked.text
+    assert revoked.json()["revoked"] == [status["statusId"]]
+    report = agent_factory("user").request_proof(dataset.did.text, ["Hash of Data"],
+                                                 endpoint=dataset.base_url)
+    assert report.credential_reports[0].checks["revocation"].reason == "Revoked"
 
 
 @pytest.mark.parametrize("change, detail", [

@@ -338,6 +338,24 @@ def test_issue_with_a_status_id_but_no_status_registry_exits_2(runner, workspace
     assert not (workspace / "cred.json").exists()
 
 
+@pytest.mark.parametrize("args, option", [
+    (["verify", "bad.json", "--at", "yesterday"], "--at"),
+    (["verify-presentation", "bad.json", "--challenge", "c", "--at", "2026-13-01T00:00:00Z"],
+     "--at"),
+    (["keygen", "--wallet", "bad.json", "--seed-hex", "zz"], "--seed-hex"),
+], ids=["verify-at", "verify-presentation-at", "keygen-seed-hex"])
+def test_an_option_value_that_does_not_parse_exits_2_naming_the_option(
+    runner, workspace, args, option
+):
+    """It raised ValueError, a traceback and exit 1, the code of a negative outcome. The
+    value is refused before the file or wallet, which here would not parse, is read."""
+    (workspace / "bad.json").write_text("{}")
+    result = invoke(runner, *args)
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}'" in result.stderr
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_malformed_json_input_exits_2_with_location(runner, workspace):
     (workspace / "broken.json").write_text('{"a": ')
     result = invoke(runner, "verify", "broken.json")

@@ -91,7 +91,7 @@ def test_unchanged_bytes_cost_no_canonicalization_or_verify(
 def test_changed_bytes_are_checked_again(bundle_registry, canonicalizations):
     vc, warm, source = credential(), context(), FileRegistrySource(bundle_registry)
     assert outcome(vc, warm, source) == ("Valid", "NotRevoked")
-    bundle_registry.write_bytes(registry_bytes(["other", "s-1"]))
+    bundle_registry.write_bytes(registry_bytes(["other", "s-2", "s-1"]))
     canonicalizations.clear()
     assert outcome(vc, warm, source) == ("Invalid", "Revoked")
     assert len(canonicalizations) == 1

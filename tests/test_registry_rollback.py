@@ -1,5 +1,8 @@
 """Rollback refusal: a Resolver that verified a registry at a URL refuses an older one
-of the same issuer served there later, however validly it is signed."""
+of the same issuer served there later, or one lacking an id it revoked, however validly
+it is signed."""
+
+import pytest
 
 from datacred.credential import (
     DATASET_PROVENANCE_V1,
@@ -83,3 +86,16 @@ def test_an_update_that_does_not_parse_is_not_compared():
     vc, warm, source = credential(), context(), StaticRegistrySource()
     assert serve(source, vc, warm, registry(T2)) == ("Valid", "NotRevoked")
     assert serve(source, vc, warm, registry("yesterday")) == ("Valid", "NotRevoked")
+
+
+@pytest.mark.parametrize("updated", [T1, T2], ids=["same-second", "later"])
+def test_a_registry_lacking_a_kept_revocation_is_a_rollback(updated):
+    """`updated` has one-second resolution: {s-1} served after {s-1, s-2}, both signed in
+    the same second, read s-2 as NotRevoked."""
+    vc, warm, source = credential(status_id="s-2"), context(), StaticRegistrySource()
+    assert serve(source, vc, warm, registry(T1, ["s-1", "s-2"])) == ("Invalid", "Revoked")
+    assert serve(source, vc, warm, registry(updated, ["s-1"])) == (
+        "Indeterminate", "RegistryRollback")
+    source.registries[URL] = registry(updated, ["s-1"])
+    assert _check_revocation(vc, warm, source).detail == (
+        f"updated {updated}, lacking 1 ids revoked as of {T1} seen at {URL}")
