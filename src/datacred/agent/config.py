@@ -8,28 +8,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import BadConfig, DocumentInvalid, FetchFailed
-from ..jsonfile import ANY, OBJECT, TEXT, member, read_json, refusal, string_list, write_json
+from ..jsonfile import ANY, OBJECT, Field, json_document, read_json, refusal, string_list
+from ..jsonfile import write_json
 
 ROLES = ("publisher", "dataset", "user")
 DEFAULT_PASSPHRASE_ENV = "DATACRED_PASSPHRASE"
 WILDCARD_HOSTS = ("0.0.0.0", "")  # bind every interface, but name no reachable host
 _bad_policy = refusal(BadConfig, "policy ")
 _OPTIONAL = (str, type(None))
-# Config key -> (attribute, accepted types), checked by jsonfile.member: a type
-# must match exactly, so True is no port and a truthy "false" no boolean.
-_KEYS = {
-    "role": ("role", TEXT),
-    "walletPath": ("wallet_path", TEXT),
-    "passphraseEnv": ("passphrase_env", TEXT),
-    "listenHost": ("listen_host", TEXT),
-    "listenPort": ("listen_port", (int,)),
-    "publicBaseUrl": ("public_base_url", _OPTIONAL),
-    "didMethod": ("did_method", TEXT),
-    "webDomain": ("web_domain", _OPTIONAL),
-    "allowInsecureHttp": ("allow_insecure_http", (bool,)),
-    "statePath": ("state_path", _OPTIONAL),
-    "keyLabel": ("key_label", TEXT),
-}
 
 
 def _is_ipv6_literal(host: str) -> bool:
@@ -39,6 +25,17 @@ def _is_ipv6_literal(host: str) -> bool:
         return False
 
 
+def _sharable(ids):
+    name = "sharableCredentialIds"
+    return ids if ids == "all" else string_list({name: ids}, name, _bad_policy)
+
+
+# A type must match exactly, so True is no port and a truthy "false" no boolean.
+@json_document(_bad_policy,
+               Field("autoAcceptConnections", "auto_accept_connections", (bool,), optional=True),
+               Field("sharableCredentialIds", "sharable_credential_ids", ANY, optional=True,
+                     parse=_sharable),
+               closed=False)
 @dataclass
 class Policy:
     """What an agent will do without being asked twice."""
@@ -51,20 +48,37 @@ class Policy:
             return True
         return credential_id in self.sharable_credential_ids
 
-    def to_json(self) -> dict:
-        return {
-            "autoAcceptConnections": self.auto_accept_connections,
-            "sharableCredentialIds": self.sharable_credential_ids,
-        }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Policy":
-        return cls(
-            auto_accept_connections=obj.get("autoAcceptConnections", True),
-            sharable_credential_ids=obj.get("sharableCredentialIds", "all"),
-        )
+def _in_range(**fields) -> "AgentConfig":
+    config = AgentConfig(**fields)
+    if not 0 <= config.listen_port <= 65535:
+        raise BadConfig(f"listenPort must be in 0-65535, got {config.listen_port}")
+    if config.role not in ROLES:
+        raise BadConfig(f"role must be one of {ROLES}, got {config.role!r}")
+    if config.did_method not in ("key", "web"):
+        raise BadConfig(f"did method must be key or web, got {config.did_method!r}")
+    if not config.wallet_path:
+        raise BadConfig("wallet path is required")
+    if _is_ipv6_literal(config.listen_host):
+        # The server binds IPv4, and http://<host>:<port> would need brackets.
+        raise BadConfig(f"listenHost {config.listen_host!r} is IPv6; agents listen on IPv4")
+    return config
 
 
+@json_document(
+    BadConfig, Field("role", "role"), Field("walletPath", "wallet_path"),
+    Field("passphraseEnv", "passphrase_env", optional=True),
+    Field("listenHost", "listen_host", optional=True),
+    Field("listenPort", "listen_port", (int,), optional=True),
+    Field("publicBaseUrl", "public_base_url", _OPTIONAL, optional=True),
+    Field("didMethod", "did_method", optional=True),
+    Field("webDomain", "web_domain", _OPTIONAL, optional=True),
+    Field("allowInsecureHttp", "allow_insecure_http", (bool,), optional=True),
+    Field("statePath", "state_path", _OPTIONAL, optional=True),
+    Field("keyLabel", "key_label", optional=True),
+    Field("policy", "policy", OBJECT, optional=True, parse=Policy.from_json,
+          emit=Policy.to_json),
+    closed=False, build=_in_range)
 @dataclass
 class AgentConfig:
     role: str
@@ -81,26 +95,10 @@ class AgentConfig:
     policy: Policy = field(default_factory=Policy)
 
     def validate(self) -> None:
+        """Refuse a config built in code that from_json would refuse as JSON."""
         if not isinstance(self.policy, Policy):
             raise BadConfig(f"policy must be a Policy, got {self.policy!r}")
-        obj = self.to_json()
-        for key, (_, kinds) in _KEYS.items():
-            member(obj, key, kinds, BadConfig)
-        policy = obj["policy"]
-        member(policy, "autoAcceptConnections", (bool,), _bad_policy)
-        if policy["sharableCredentialIds"] != "all":
-            string_list(policy, "sharableCredentialIds", _bad_policy)
-        if not 0 <= self.listen_port <= 65535:
-            raise BadConfig(f"listenPort must be in 0-65535, got {self.listen_port}")
-        if self.role not in ROLES:
-            raise BadConfig(f"role must be one of {ROLES}, got {self.role!r}")
-        if self.did_method not in ("key", "web"):
-            raise BadConfig(f"did method must be key or web, got {self.did_method!r}")
-        if not self.wallet_path:
-            raise BadConfig("wallet path is required")
-        if _is_ipv6_literal(self.listen_host):
-            # The server binds IPv4, and http://<host>:<port> would need brackets.
-            raise BadConfig(f"listenHost {self.listen_host!r} is IPv6; agents listen on IPv4")
+        AgentConfig.from_json(self.to_json())
 
     def resolve_passphrase(self) -> str:
         passphrase = os.environ.get(self.passphrase_env)
@@ -112,20 +110,6 @@ class AgentConfig:
         if self.state_path:
             return Path(self.state_path)
         return Path(self.wallet_path + ".state.json")
-
-    def to_json(self) -> dict:
-        out = {key: getattr(self, attribute) for key, (attribute, _) in _KEYS.items()}
-        return dict(out, policy=self.policy.to_json())
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "AgentConfig":
-        for required in ("role", "walletPath"):
-            member(obj, required, ANY, BadConfig)
-        values = {attribute: obj[key] for key, (attribute, _) in _KEYS.items() if key in obj}
-        policy = Policy.from_json(member(obj, "policy", OBJECT, BadConfig, {}))
-        config = cls(**values, policy=policy)
-        config.validate()
-        return config
 
     @classmethod
     def load(cls, path: str | Path) -> "AgentConfig":

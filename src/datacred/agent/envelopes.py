@@ -18,7 +18,7 @@ import uuid
 from dataclasses import dataclass
 
 from ..errors import DatacredError, DocumentInvalid, SignatureInvalid, WrongRecipient
-from ..jsonfile import ANY, OBJECT, TEXT, json_object, known_members, member, refusal
+from ..jsonfile import ANY, OBJECT, Field, json_document, refusal
 from ..keys import KeyPair
 from ..proofs import AUTHENTICATION, Proof, attach_proof, check_proof, format_timestamp, utc_now
 from ..reports import CheckStatus
@@ -36,9 +36,21 @@ PROOF_RESPONSE = f"{PROTOCOL}/proof-response"
 SIGNED = frozenset({CONNECTION_REQUEST, CONNECTION_RESPONSE, PROOF_REQUEST})  # envelope proofs
 
 _malformed = refusal(SignatureInvalid, "malformed envelope: ")
-_MEMBERS = frozenset({"id", "type", "from", "to", "createdAt", "body", "proof"})
 
 
+def _proof(obj: dict) -> Proof:
+    try:
+        return Proof.from_json(obj)
+    except DocumentInvalid as exc:  # a malformed proof, refused as the envelope is
+        raise _malformed(str(exc)) from exc
+
+
+@json_document(
+    _malformed, Field("id", "id"),
+    Field("type", "type", ANY),  # handle_envelope refuses an unknown type
+    Field("from", "sender"), Field("to", "recipient"), Field("createdAt", "created_at"),
+    Field("body", "body", OBJECT, parse=dict),
+    Field("proof", "proof", OBJECT, optional=True, omit=None, parse=_proof, emit=Proof.to_json))
 @dataclass
 class MessageEnvelope:
     id: str
@@ -48,39 +60,6 @@ class MessageEnvelope:
     created_at: str
     body: dict
     proof: Proof | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "id": self.id,
-            "type": self.type,
-            "from": self.sender,
-            "to": self.recipient,
-            "createdAt": self.created_at,
-            "body": self.body,
-        }
-        if self.proof is not None:
-            out["proof"] = self.proof.to_json()
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MessageEnvelope":
-        obj = json_object(obj, _malformed)
-        proof = member(obj, "proof", OBJECT, _malformed, None)
-        try:
-            proof = None if proof is None else Proof.from_json(proof)
-        except DocumentInvalid as exc:  # a malformed proof, refused as the envelope is
-            raise _malformed(str(exc)) from exc
-        envelope = cls(
-            id=member(obj, "id", TEXT, _malformed),
-            type=member(obj, "type", ANY, _malformed),  # handle_envelope refuses an unknown type
-            sender=member(obj, "from", TEXT, _malformed),
-            recipient=member(obj, "to", TEXT, _malformed),
-            created_at=member(obj, "createdAt", TEXT, _malformed),
-            body=dict(member(obj, "body", OBJECT, _malformed)),
-            proof=proof,
-        )
-        known_members(obj, _MEMBERS, _malformed)
-        return envelope
 
 
 def build_envelope(

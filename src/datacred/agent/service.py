@@ -91,7 +91,8 @@ from ..errors import (
     WrongIssuerKey,
     WrongRecipient,
 )
-from ..jsonfile import ANY, OBJECT, TEXT, member, parse_json, string_list, write_json
+from ..jsonfile import ANY, OBJECT, STRINGS, TEXT, Field, json_reader, member, parse_json
+from ..jsonfile import string_list, write_json
 from ..keys import KeyPair, generate_keypair
 from ..presentation import (
     VerifiablePresentation,
@@ -573,35 +574,36 @@ def _check_proof_response(
     return report
 
 
-def _admin_connect(agent: Agent, body: dict) -> dict:
-    return agent.connect(
-        member(body, "did", TEXT, BadRequest), member(body, "endpoint", TEXT, BadRequest)
-    ).to_json()
+# The admin bodies: each a dict of the attributes it holds.
+_CONNECT = json_reader(BadRequest, Field("did", "did"), Field("endpoint", "endpoint"))
+_ISSUE = json_reader(
+    BadRequest, Field("connectionId", "connection_id"), Field("claims", "claims", OBJECT),
+    Field("schema", "schema", OBJECT, optional=True, parse=CredentialSchema.from_json),
+    Field("expirationDate", "expiration_date", optional=True),
+    Field("withStatus", "with_status", ANY, optional=True))  # read, and ignored
+_REQUEST_PROOF = json_reader(BadRequest, Field("target", "target"),
+                             Field("attributes", "attributes", STRINGS, optional=True),
+                             Field("endpoint", "endpoint", optional=True))
+_REVOKE = json_reader(BadRequest, Field("statusId", "status_id", optional=True),
+                      Field("credentialId", "credential_id", optional=True))
 
 
 def _admin_issue(agent: Agent, body: dict) -> dict:
-    schema = member(body, "schema", OBJECT, BadRequest, None)
+    body = _ISSUE(body)
     return agent.issue_over_connection(
-        member(body, "connectionId", TEXT, BadRequest),
-        member(body, "claims", OBJECT, BadRequest),
-        schema=None if schema is None else CredentialSchema.from_json(schema),
-        expiration_date=member(body, "expirationDate", TEXT, BadRequest, "") or None,
-    ).to_json()
+        body["connection_id"], body["claims"], schema=body.get("schema"),
+        expiration_date=body.get("expiration_date") or None).to_json()
 
 
 def _admin_request_proof(agent: Agent, body: dict) -> dict:
-    return agent.request_proof(
-        member(body, "target", TEXT, BadRequest),
-        string_list(body, "attributes", BadRequest, []),
-        endpoint=member(body, "endpoint", TEXT, BadRequest, "") or None,
-    ).to_json()
+    body = _REQUEST_PROOF(body)
+    return agent.request_proof(body["target"], body.get("attributes", []),
+                               endpoint=body.get("endpoint") or None).to_json()
 
 
 def _admin_revoke(agent: Agent, body: dict) -> dict:
-    status_id = member(body, "statusId", TEXT, BadRequest, "")
-    credential_id = member(body, "credentialId", TEXT, BadRequest, "")
-    if not status_id and credential_id:
-        status_id = agent.find_status_id(credential_id)
+    body = _REVOKE(body)
+    status_id = body.get("status_id") or agent.find_status_id(body.get("credential_id"))
     if not status_id:
         raise AgentError("revoke needs a statusId or a known credentialId")
     return agent.revoke_status(status_id).to_json()
@@ -612,7 +614,7 @@ _ADMIN_ROUTES = {
     ("GET", "/status"): lambda agent, _: agent.status(),
     ("GET", "/connections"): lambda agent, _: agent.list_connections(),
     ("GET", "/credentials"): lambda agent, _: agent.list_credentials(),
-    ("POST", "/connect"): _admin_connect,
+    ("POST", "/connect"): lambda agent, body: agent.connect(**_CONNECT(body)).to_json(),
     ("POST", "/issue"): _admin_issue,
     ("POST", "/request-proof"): _admin_request_proof,
     ("POST", "/revoke"): _admin_revoke,

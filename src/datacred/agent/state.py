@@ -39,13 +39,15 @@ from pathlib import Path
 
 from ..credential import RevocationRegistry
 from ..errors import DocumentInvalid
-from ..jsonfile import LIST, TEXT, append_line, json_object, member, parse_json, parsed
-from ..jsonfile import read_json, read_lines, refusal, write_json, write_lines
-
-_CONNECTION = ("connectionId", "myDid", "theirDid", "theirEndpoint")  # strings, and createdAt
-_bad_connection = refusal(DocumentInvalid, "bad connection record: ")
+from ..jsonfile import LIST, Field, append_line, json_document, json_reader, member, parse_json
+from ..jsonfile import parsed, read_json, read_lines, refusal, write_json, write_lines
 
 
+@json_document(refusal(DocumentInvalid, "bad connection record: "),
+               Field("connectionId", "connection_id"), Field("myDid", "my_did"),
+               Field("theirDid", "their_did"), Field("theirEndpoint", "their_endpoint"),
+               Field("state", "state", optional=True),
+               Field("createdAt", "created_at", (int, float)), closed=False)
 @dataclass
 class Connection:
     """One active peer relationship; recorded only once both sides agree."""
@@ -55,35 +57,17 @@ class Connection:
     their_did: str
     their_endpoint: str
     created_at: float = field(default_factory=time.time)
-
-    def to_json(self) -> dict:
-        return {
-            "connectionId": self.connection_id,
-            "myDid": self.my_did,
-            "theirDid": self.their_did,
-            "theirEndpoint": self.their_endpoint,
-            "state": "active",
-            "createdAt": self.created_at,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Connection":
-        """A stored connection; DocumentInvalid when a field is missing or mistyped."""
-        obj = json_object(obj, _bad_connection)
-        return cls(*(member(obj, name, TEXT, _bad_connection) for name in _CONNECTION),
-                   created_at=member(obj, "createdAt", (int, float), _bad_connection))
+    state: str = "active"  # load reads only the active records
 
 
 def _encode(obj: dict) -> bytes:
     return json.dumps(obj).encode("ascii")
 
 
-def _issuance_record(record, name: str) -> dict:
-    """record, which must be an object with a credentialId and an optional statusId."""
-    invalid = refusal(DocumentInvalid, f"{name}: ")
-    member(json_object(record, invalid), "credentialId", TEXT, invalid)
-    member(record, "statusId", (str, type(None)), invalid, None)
-    return record
+# An issuance record: it names a credential, and the status id that withdraws it.
+_ISSUANCE = json_reader(DocumentInvalid, Field("credentialId", "credential_id"),
+                        Field("statusId", "status_id", (str, type(None)), optional=True),
+                        closed=False)
 
 
 class AgentState:
@@ -147,7 +131,9 @@ class AgentState:
             self.issued = []
             for number, line in enumerate(lines, 1):
                 name = f"{self.issued_path}: line {number}"
-                self.issued.append(_issuance_record(parse_json(line, name), name))
+                record = parse_json(line, name)
+                parsed(_ISSUANCE, record, name)
+                self.issued.append(record)
         self.status_ids = {r.get("credentialId"): r.get("statusId") for r in reversed(self.issued)}
         if self.registry_path.exists():
             self._load_registry()

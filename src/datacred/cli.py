@@ -188,8 +188,10 @@ def main() -> None:
 @click.option("--seed-hex", "seed", default=None, callback=_parsed_option(bytes.fromhex),
               help="Optional 32-byte seed as hex (testing).")
 def keygen(wallet: str, passphrase_env: str, label: str, seed: bytes | None) -> None:
-    """Generate an Ed25519 keypair into the wallet."""
+    """Generate an Ed25519 keypair into the wallet, under a label it does not hold yet."""
     store = _open_wallet(wallet, passphrase_env)
+    if label in store:  # replacing the entry would lose its key, and what it signs
+        raise OperationalError(f"wallet {wallet} already holds {label!r}")
     keypair = generate_keypair(seed)
     store.put(label, keypair)
     store.save()

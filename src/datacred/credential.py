@@ -49,12 +49,13 @@ from .fingerprint import (
     data_form,
     normalize_digest,
 )
-from .jsonfile import ANY, LIST, OBJECT, TEXT, VALUE, json_object, known_members, member
-from .jsonfile import parse_json, read_bytes, refusal, string_list
+from .jsonfile import ANY, LIST, OBJECT, STRINGS, TEXT, VALUE, Field, each, json_document
+from .jsonfile import member, parse_json, read_bytes, refusal, type_list
 from .keys import KeyPair
 from .proofs import (
     ASSERTION,
     AUTHENTICATION,
+    PROOF_FIELD,
     Proof,
     attach_proof,
     check_proof,
@@ -74,14 +75,6 @@ ETHICS_CLAIM = "Data Ethically Sourced"
 # A "date" value is YYYY-MM-DD or a timestamp parse_timestamp reads; date.fromisoformat's
 # wider forms (20260501, 2026-W18-5) depend on the Python version and are refused.
 ATTRIBUTE_KINDS = ("string", "hex-digest", "yes-no", "date")
-# The members each from_json reads; it refuses any other, which no check would see.
-_ATTRIBUTE_MEMBERS = frozenset({"name", "kind"})
-_SCHEMA_MEMBERS = frozenset({"id", "name", "attributes"})
-_STATUS_MEMBERS = frozenset({"registry", "statusId"})
-_CREDENTIAL_MEMBERS = frozenset({"@context", "id", "type", "issuer", "issuanceDate",
-                                 "expirationDate", "credentialSubject", "credentialSchema",
-                                 "credentialStatus", "proof"})
-_REGISTRY_MEMBERS = frozenset({"issuer", "revoked", "updated", "proof"})
 _HEX_DIGEST_RE = re.compile(r"[0-9a-f]{64}|[0-9a-f]{128}")
 _DATE_RE = re.compile(r"\d{4}-\d\d-\d\d", re.ASCII)
 _malformed = refusal(DocumentInvalid, "malformed credential: ")
@@ -89,22 +82,22 @@ _malformed_schema = refusal(DocumentInvalid, "malformed schema: ")
 _malformed_registry = refusal(DocumentInvalid, "malformed registry: ")
 
 
+@json_document(_malformed_schema, Field("name", "name"), Field("kind", "kind"))
 class SchemaAttribute(NamedTuple):
     name: str
     kind: str
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "kind": self.kind}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "SchemaAttribute":
-        obj = json_object(obj, _malformed_schema)
-        attribute = cls(member(obj, "name", TEXT, _malformed_schema),
-                        member(obj, "kind", TEXT, _malformed_schema))
-        known_members(obj, _ATTRIBUTE_MEMBERS, _malformed_schema)
-        return attribute
+def _schema(**fields) -> "CredentialSchema":
+    try:
+        return CredentialSchema(**fields)
+    except SchemaMismatch as exc:  # a vocabulary the schema refuses
+        raise _malformed_schema(str(exc)) from None
 
 
+@json_document(_malformed_schema, Field("id", "id"), Field("name", "name"),
+               Field("attributes", "attributes", LIST, **each(SchemaAttribute, tuple)),
+               build=_schema)
 @dataclass(frozen=True)
 class CredentialSchema:
     """Named attribute vocabulary a credential's claims must conform to."""
@@ -150,25 +143,6 @@ class CredentialSchema:
                 except ValueError:
                     raise SchemaMismatch(f"{name!r}: not a date: {value!r}") from None
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "name": self.name,
-            "attributes": [a.to_json() for a in self.attributes],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CredentialSchema":
-        fields = (member(obj, "id", TEXT, _malformed_schema),
-                  member(obj, "name", TEXT, _malformed_schema),
-                  tuple(map(SchemaAttribute.from_json,
-                            member(obj, "attributes", LIST, _malformed_schema))))
-        known_members(obj, _SCHEMA_MEMBERS, _malformed_schema)
-        try:
-            return cls(*fields)
-        except SchemaMismatch as exc:  # a vocabulary the schema refuses
-            raise _malformed_schema(str(exc)) from None
-
 
 DATASET_PROVENANCE_V1 = CredentialSchema(
     id="urn:datacred:schema:dataset-provenance-v1",
@@ -180,23 +154,34 @@ DATASET_PROVENANCE_V1 = CredentialSchema(
 )
 
 
+@json_document(_malformed, Field("registry", "registry_url"), Field("statusId", "status_id"))
 class CredentialStatus(NamedTuple):
     """Pointer to the issuer's revocation registry entry for a credential."""
 
     registry_url: str
     status_id: str
 
-    def to_json(self) -> dict:
-        return {"registry": self.registry_url, "statusId": self.status_id}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "CredentialStatus":
-        status = cls(member(obj, "registry", TEXT, _malformed),
-                     member(obj, "statusId", TEXT, _malformed))
-        known_members(obj, _STATUS_MEMBERS, _malformed)
-        return status
+def _credential(subject: dict, **fields) -> "VerifiableCredential":
+    claims = dict(subject)
+    subject_id = member(claims, "id", TEXT, _malformed)
+    del claims["id"]
+    return VerifiableCredential(subject_id=subject_id, claims=claims, **fields)
 
 
+@json_document(
+    _malformed,
+    Field("@context", "context", STRINGS), Field("id", "id"),
+    Field("type", "type", STRINGS, parse=type_list(CREDENTIAL_TYPE, _malformed)),
+    Field("issuer", "issuer"),
+    Field("issuanceDate", "issuance_date", ANY),  # _check_temporal judges it
+    Field("credentialSubject", "subject", OBJECT),
+    Field("credentialSchema", "schema", OBJECT, parse=CredentialSchema.from_json,
+          emit=CredentialSchema.to_json),
+    Field("expirationDate", "expiration_date", VALUE, optional=True, omit=None),
+    Field("credentialStatus", "status", OBJECT, optional=True, omit=None,
+          parse=CredentialStatus.from_json, emit=CredentialStatus.to_json),
+    PROOF_FIELD, first="type", build=_credential)
 @dataclass
 class VerifiableCredential:
     """Signed claim set about a subject DID."""
@@ -213,50 +198,10 @@ class VerifiableCredential:
     context: list[str] = field(default_factory=lambda: [CREDENTIAL_CONTEXT])
     type: list[str] = field(default_factory=lambda: [CREDENTIAL_TYPE])
 
-    def to_json(self) -> dict:
-        subject = {"id": self.subject_id, **self.claims}
-        out = {
-            "@context": list(self.context),
-            "id": self.id,
-            "type": list(self.type),
-            "issuer": self.issuer,
-            "issuanceDate": self.issuance_date,
-            "credentialSubject": subject,
-            "credentialSchema": self.schema.to_json(),
-        }
-        if self.expiration_date is not None:
-            out["expirationDate"] = self.expiration_date
-        if self.status is not None:
-            out["credentialStatus"] = self.status.to_json()
-        if self.proof is not None:
-            out["proof"] = self.proof.to_json()
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "VerifiableCredential":
-        types = string_list(json_object(obj, _malformed), "type", _malformed)
-        if CREDENTIAL_TYPE not in types:
-            raise _malformed(f"type {types!r} does not include {CREDENTIAL_TYPE}")
-        claims = dict(member(obj, "credentialSubject", OBJECT, _malformed))
-        subject_id = member(claims, "id", TEXT, _malformed)
-        del claims["id"]
-        status = member(obj, "credentialStatus", OBJECT, _malformed, None)
-        proof = member(obj, "proof", OBJECT, _malformed, None)
-        credential = cls(
-            id=member(obj, "id", TEXT, _malformed),
-            issuer=member(obj, "issuer", TEXT, _malformed),
-            issuance_date=member(obj, "issuanceDate", ANY, _malformed),  # _check_temporal judges it
-            expiration_date=member(obj, "expirationDate", VALUE, _malformed, None),
-            subject_id=subject_id,
-            claims=claims,
-            schema=CredentialSchema.from_json(member(obj, "credentialSchema", OBJECT, _malformed)),
-            status=None if status is None else CredentialStatus.from_json(status),
-            proof=None if proof is None else Proof.from_json(proof),
-            context=list(string_list(obj, "@context", _malformed)),
-            type=list(types),
-        )
-        known_members(obj, _CREDENTIAL_MEMBERS, _malformed)
-        return credential
+    @property
+    def subject(self) -> dict:
+        """The credentialSubject: the subject's id, then the claims."""
+        return {"id": self.subject_id, **self.claims}
 
 
 def issue_credential(
@@ -308,6 +253,8 @@ def issue_credential(
 # --- revocation registry ---
 
 
+@json_document(_malformed_registry, Field("issuer", "issuer"),
+               Field("revoked", "revoked", STRINGS), Field("updated", "updated"), PROOF_FIELD)
 @dataclass
 class RevocationRegistry:
     """Issuer-signed list of revoked credential status ids."""
@@ -316,25 +263,6 @@ class RevocationRegistry:
     revoked: list[str]
     updated: str
     proof: Proof | None = None
-
-    def to_json(self) -> dict:
-        out = {"issuer": self.issuer, "revoked": list(self.revoked), "updated": self.updated}
-        if self.proof is not None:
-            out["proof"] = self.proof.to_json()
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RevocationRegistry":
-        obj = json_object(obj, _malformed_registry)
-        proof = member(obj, "proof", OBJECT, _malformed_registry, None)
-        registry = cls(
-            issuer=member(obj, "issuer", TEXT, _malformed_registry),
-            revoked=list(string_list(obj, "revoked", _malformed_registry)),
-            updated=member(obj, "updated", TEXT, _malformed_registry),
-            proof=None if proof is None else Proof.from_json(proof),
-        )
-        known_members(obj, _REGISTRY_MEMBERS, _malformed_registry)
-        return registry
 
 
 def sign_registry(issuer: str, revoked: list[str], issuer_key: KeyPair) -> dict:

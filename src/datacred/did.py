@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .base58 import b58decode, b58encode
 from .errors import BadKey, DocumentInvalid, MalformedDid, WrongMethod
-from .jsonfile import ANY, LIST, TEXT, json_object, member, refusal
+from .jsonfile import ANY, LIST, Field, each, json_document, refusal
 
 DID_CONTEXT = "https://w3id.org/did/v1"
 KEY_TYPE = "Ed25519VerificationKey2018"
@@ -82,6 +82,10 @@ def did_web_url(did: Did) -> str:
     return f"https://{host}/{path}/did.json"
 
 
+@json_document(
+    _invalid_method, Field("id", "id"), Field("type", "type"), Field("controller", "controller"),
+    # Any key is read: public_key_bytes refuses one that is not base58 text.
+    Field("publicKeyBase58", "public_key_base58", ANY), closed=False)
 @dataclass
 class VerificationMethod:
     """One public key published in a DID document."""
@@ -104,32 +108,26 @@ class VerificationMethod:
             self._raw = raw
         return self._raw
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "type": self.type,
-            "controller": self.controller,
-            "publicKeyBase58": self.public_key_base58,
-        }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "VerificationMethod":
-        obj = json_object(obj, _invalid_method)
-        return cls(
-            id=member(obj, "id", TEXT, _invalid_method),
-            type=member(obj, "type", TEXT, _invalid_method),
-            controller=member(obj, "controller", TEXT, _invalid_method),
-            # Any key is read: public_key_bytes refuses one that is not base58 text.
-            public_key_base58=member(obj, "publicKeyBase58", ANY, _invalid_method),
-        )
+def _validated(**fields) -> "DidDocument":
+    document = DidDocument(**fields)
+    document.validate()
+    return document
 
 
+@json_document(_invalid_document, Field("@context", "context", (str, list), optional=True),
+               Field("id", "id"),
+               Field("authentication", "authentication", LIST, optional=True,
+                     **each(VerificationMethod)),
+               Field("assertionMethod", "assertion_method", LIST, optional=True, omit=[],
+                     **each(VerificationMethod)),
+               closed=False, build=_validated)
 @dataclass
 class DidDocument:
     """Resolvable public-key document for an identifier."""
 
     id: str
-    authentication: list[VerificationMethod]
+    authentication: list[VerificationMethod] = field(default_factory=list)
     assertion_method: list[VerificationMethod] = field(default_factory=list)
     context: str | list[str] = DID_CONTEXT
 
@@ -171,30 +169,6 @@ class DidDocument:
         if base_did(verification_method_id) == self.id and self.authentication:
             return self.authentication[0].public_key_bytes(), "authentication"
         return None
-
-    def to_json(self) -> dict:
-        out = {
-            "@context": self.context,
-            "id": self.id,
-            "authentication": [m.to_json() for m in self.authentication],
-        }
-        if self.assertion_method:
-            out["assertionMethod"] = [m.to_json() for m in self.assertion_method]
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DidDocument":
-        obj = json_object(obj, _invalid_document)
-        doc = cls(
-            id=member(obj, "id", TEXT, _invalid_document),
-            authentication=list(map(VerificationMethod.from_json,
-                                    member(obj, "authentication", LIST, _invalid_document, []))),
-            assertion_method=list(map(VerificationMethod.from_json,
-                                      member(obj, "assertionMethod", LIST, _invalid_document, []))),
-            context=member(obj, "@context", (str, list), _invalid_document, DID_CONTEXT),
-        )
-        doc.validate()
-        return doc
 
 
 def one_key_document(did: Did, public_key: bytes) -> DidDocument:

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .errors import AlgorithmUnsupported, DatacredError, DocumentInvalid, SymlinkEscape
 from .errors import UnreadablePath
-from .jsonfile import LIST, TEXT, json_object, member, refusal
+from .jsonfile import LIST, Field, each, json_document, refusal
 
 ALGORITHM = "sha256"
 _READ_CHUNK = 1 << 18  # unbuffered os.read size; the last read of every file returns EOF
@@ -43,19 +43,17 @@ _MANIFEST_HEAD = b'[{"digest":"'  # how every non-empty canonical manifest start
 _malformed = refusal(DocumentInvalid, "malformed fingerprint: ")
 
 
+@json_document(_malformed, Field("path", "path"), Field("digest", "digest"), closed=False)
 class ManifestEntry(NamedTuple):
     path: str
     digest: str
 
-    def to_json(self) -> dict:
-        return {"path": self.path, "digest": self.digest}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "ManifestEntry":
-        obj = json_object(obj, _malformed)
-        return cls(member(obj, "path", TEXT, _malformed), member(obj, "digest", TEXT, _malformed))
-
-
+@json_document(_malformed, Field("algorithm", "algorithm"), Field("digest", "digest"),
+               Field("form", "form"),
+               Field("manifest", "manifest", LIST, optional=True, omit=None,
+                     **each(ManifestEntry, tuple)),
+               closed=False)
 @dataclass(frozen=True)
 class DatasetFingerprint:
     """Digest plus enough structure to recheck it against data later."""
@@ -64,22 +62,6 @@ class DatasetFingerprint:
     digest: str
     form: str  # "file" | "tree"
     manifest: tuple[ManifestEntry, ...] | None = None
-
-    def to_json(self) -> dict:
-        out = {"algorithm": self.algorithm, "digest": self.digest, "form": self.form}
-        if self.manifest is not None:
-            out["manifest"] = [entry.to_json() for entry in self.manifest]
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DatasetFingerprint":
-        manifest = member(obj, "manifest", LIST, _malformed, None)
-        return cls(
-            algorithm=member(obj, "algorithm", TEXT, _malformed),
-            digest=member(obj, "digest", TEXT, _malformed),
-            form=member(obj, "form", TEXT, _malformed),
-            manifest=None if manifest is None else tuple(map(ManifestEntry.from_json, manifest)),
-        )
 
 
 @dataclass

@@ -14,22 +14,30 @@ files that grow by appending one line. A crash mid-append can leave a last
 line with no newline; that torn tail is not part of the log: ``read_lines``
 leaves it out and the next ``append_line`` cuts it off. No write is fsynced.
 
-Untrusted JSON has one shape rule, which every ``from_json`` applies through
-``member``, ``string_list`` and ``json_object``: a member that is present has its
-type, and a type matches exactly, so ``true`` is no integer, a string no list
-and ``null`` no absent member. A signed document's ``from_json`` also refuses,
-through ``known_members``, a member it does not read: a signature is checked on
-what ``to_json`` writes back, so a member left out would pass unchecked. A
-refusal raises the error the caller passes, called with ``missing field 'name'``,
-``fields must be <kinds>: 'name' is <kind>``, ``must be an object, not <kind>``
-or ``unknown member 'name'``: every document's parser passes DocumentInvalid.
+Every document is declared once, as a table of ``Field``s that ``json_document``
+compiles into the class's ``from_json`` and ``to_json``; ``to_json`` writes the members
+in table order and leaves out only those whose field says when.
+
+Untrusted JSON has one shape rule, which ``from_json`` applies: the document is a JSON
+object, a member that is present has its type, and a type matches exactly, so ``true``
+is no integer, a string no list and ``null`` no absent member. A closed document (every
+signed one, and an admin body) also refuses a member it does not read: a signature is
+checked on what ``to_json`` writes back, so a member left out would pass unchecked. An
+open document (a DID document and its keys, a fingerprint, a keypair, a connection
+record, the agent config) ignores such a member. A refusal raises the document's error,
+called with ``missing field 'name'``, ``fields must be <kinds>: 'name' is <kind>``,
+``must be an object, not <kind>`` or ``unknown member 'name'``. A check across
+fields (a credential's subject id, a DID document's controllers) lives in ``build``,
+which makes the object from the fields read.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .errors import DocumentInvalid, FetchFailed
 
@@ -128,13 +136,115 @@ def known_members(obj: dict, names: frozenset, error) -> None:
         raise error(f"unknown member {unknown!r}")
 
 
-def string_list(obj: dict, name: str, error, default=REQUIRED) -> list[str]:
-    """member(obj, name, LIST, error, default), whose items must all be strings."""
-    value = member(obj, name, LIST, error, default)
-    if value is not default and not set(map(type, value)) <= _STRING:
+def _strings(value: list, name: str, error) -> list:
+    if not set(map(type, value)) <= _STRING:
         item = next(item for item in value if type(item) is not str)
         raise error(f"fields must be lists of strings: {name!r} holds {_kind(item)}")
     return value
+
+
+def string_list(obj: dict, name: str, error, default=REQUIRED) -> list[str]:
+    """member(obj, name, LIST, error, default), whose items must all be strings."""
+    value = member(obj, name, LIST, error, default)
+    return value if value is default else _strings(value, name, error)
+
+
+STRINGS = (list,)  # the kinds of a list of strings: a LIST told apart by identity
+NEVER = object()  # the omit of a field that to_json always writes
+
+
+class Field(NamedTuple):
+    """A member of a JSON document and the attribute (and constructor keyword) holding it;
+    parse turns the member into the attribute, emit back. A STRINGS list is copied."""
+
+    name: str
+    attribute: str
+    kinds: tuple = TEXT
+    optional: bool = False  # when absent, the constructor's default
+    omit: object = NEVER  # to_json leaves the member out when the attribute equals this
+    parse: Callable | None = None
+    emit: Callable | None = None
+
+
+def _parse(field: Field, error) -> Callable | None:
+    if field.kinds is not STRINGS:
+        return field.parse
+    name, then = field.name, field.parse or list
+    return lambda value: then(_strings(value, name, error))
+
+
+def json_reader(error, *fields: Field, build: Callable = dict, closed: bool = True,
+                first: str | None = None) -> Callable:
+    """The parse of a document of these fields, read in order (first's field before the
+    others), into build(**attributes); error(message) refuses it. A closed document
+    refuses a member it does not read."""
+    names = frozenset(field.name for field in fields)
+    readers = tuple((f.name, f.attribute, f.kinds, f.optional, _parse(f, error))
+                    for f in sorted(fields, key=lambda field: field.name != first))
+
+    def from_json(obj):
+        if type(obj) is not dict:
+            json_object(obj, error)
+        values = {}
+        for name, attribute, kinds, optional, parse in readers:
+            value = obj.get(name, REQUIRED)
+            if type(value) not in kinds:
+                if value is REQUIRED and optional:
+                    continue
+                member(obj, name, kinds, error)  # raises: missing, or mistyped
+            values[attribute] = value if parse is None else parse(value)
+        if closed and not names.issuperset(obj):
+            known_members(obj, names, error)
+        return build(**values)
+
+    return from_json
+
+
+def json_writer(fields: tuple) -> Callable:
+    """The to_json of a document of these fields: its members in order, each left out
+    when its attribute equals the field's omit."""
+    writers = tuple((f.name, f.attribute, f.omit, list if f.kinds is STRINGS else f.emit)
+                    for f in fields)
+
+    def to_json(self) -> dict:
+        out = {}
+        for name, attribute, omit, emit in writers:
+            value = getattr(self, attribute)
+            if omit is NEVER or value != omit:
+                out[name] = value if emit is None else emit(value)
+        return out
+
+    return to_json
+
+
+def json_document(error, *fields: Field, build: Callable | None = None, **options):
+    """Class decorator: the class's from_json, json_reader's (making the object by build,
+    else by the class itself), its to_json, json_writer's, and json_fields, the table."""
+
+    def compile(cls):
+        cls.json_fields = fields
+        cls.from_json = staticmethod(json_reader(error, *fields, build=build or cls, **options))
+        cls.to_json = json_writer(fields)
+        return cls
+
+    return compile
+
+
+def each(cls: type, into: Callable = list) -> dict:
+    """The parse and emit of a list of cls's documents, parsed into an ``into``."""
+    return {"parse": lambda items: into(map(cls.from_json, items)),
+            "emit": lambda documents: [document.to_json() for document in documents]}
+
+
+def type_list(kind: str, error) -> Callable:
+    """The parse of a STRINGS ``type`` field, which must name kind."""
+
+    def parse(types: list) -> list:
+        if kind not in types:
+            raise error(f"type {types!r} does not include {kind}")
+        return list(types)
+
+    return parse
 
 
 def read_json(path: str | Path) -> dict:

@@ -25,7 +25,8 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 from .base58 import b58decode, b58encode
-from .errors import BadSeedLength, MalformedKey, MalformedSignature
+from .errors import BadSeedLength, DocumentInvalid, MalformedKey, MalformedSignature
+from .jsonfile import Field, json_document, refusal
 
 SEED_LENGTH = 32
 PUBLIC_KEY_LENGTH = 32
@@ -41,6 +42,10 @@ _SONAMES = ("libsodium.so.23", "libsodium.so.26", "libsodium.23.dylib", "libsodi
 _sodium = None  # libsodium's (detached sign, detached verify) once looked up; False without it
 
 
+@json_document(refusal(DocumentInvalid, "malformed keypair: "),
+               Field("publicKeyBase58", "public_key", parse=b58decode, emit=b58encode),
+               Field("privateKeyBase58", "private_key", parse=b58decode, emit=b58encode),
+               closed=False)
 @dataclass(frozen=True)
 class KeyPair:
     """An Ed25519 keypair as raw 32-byte seed and derived public key."""
@@ -63,19 +68,6 @@ class KeyPair:
     @property
     def public_key_base58(self) -> str:
         return b58encode(self.public_key)
-
-    def to_json(self) -> dict:
-        return {
-            "publicKeyBase58": self.public_key_base58,
-            "privateKeyBase58": b58encode(self.private_key),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "KeyPair":
-        return cls(
-            public_key=b58decode(obj["publicKeyBase58"]),
-            private_key=b58decode(obj["privateKeyBase58"]),
-        )
 
 
 @dataclass(frozen=True)

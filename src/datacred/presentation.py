@@ -18,16 +18,15 @@ from datetime import datetime
 from .credential import VerifiableCredential, verify_credential
 from .did import Did, parse_did
 from .errors import DocumentInvalid, EmptyChallenge, EmptyCredentials
-from .jsonfile import LIST, OBJECT, TEXT, known_members, member, refusal, string_list
+from .jsonfile import LIST, STRINGS, Field, each, json_document, refusal, type_list
 from .keys import KeyPair
-from .proofs import AUTHENTICATION, Proof, attach_proof, check_proof, utc_now
+from .proofs import AUTHENTICATION, PROOF_FIELD, Proof, attach_proof, check_proof, utc_now
 from .reports import CheckResult, CheckStatus, PresentationReport
 from .resolver import Resolver
 
 PRESENTATION_CONTEXT = "https://www.w3.org/2018/credentials/v1"
 PRESENTATION_TYPE = "VerifiablePresentation"
 _malformed = refusal(DocumentInvalid, "malformed presentation: ")
-_MEMBERS = frozenset({"@context", "type", "holder", "verifiableCredential", "proof"})
 
 
 def new_challenge() -> str:
@@ -35,6 +34,13 @@ def new_challenge() -> str:
     return secrets.token_hex(16)
 
 
+@json_document(
+    _malformed,
+    Field("@context", "context", STRINGS),
+    Field("type", "type", STRINGS, parse=type_list(PRESENTATION_TYPE, _malformed)),
+    Field("holder", "holder"),
+    Field("verifiableCredential", "credentials", LIST, **each(VerifiableCredential)),
+    PROOF_FIELD, first="type")
 @dataclass
 class VerifiablePresentation:
     """Credentials wrapped and signed by their holder for one verifier."""
@@ -44,34 +50,6 @@ class VerifiablePresentation:
     proof: Proof | None = None
     context: list[str] = field(default_factory=lambda: [PRESENTATION_CONTEXT])
     type: list[str] = field(default_factory=lambda: [PRESENTATION_TYPE])
-
-    def to_json(self) -> dict:
-        out = {
-            "@context": list(self.context),
-            "type": list(self.type),
-            "holder": self.holder,
-            "verifiableCredential": [vc.to_json() for vc in self.credentials],
-        }
-        if self.proof is not None:
-            out["proof"] = self.proof.to_json()
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "VerifiablePresentation":
-        types = string_list(obj, "type", _malformed)
-        if PRESENTATION_TYPE not in types:
-            raise _malformed(f"type {types!r} does not include {PRESENTATION_TYPE}")
-        credentials = member(obj, "verifiableCredential", LIST, _malformed)
-        proof = member(obj, "proof", OBJECT, _malformed, None)
-        presentation = cls(
-            holder=member(obj, "holder", TEXT, _malformed),
-            credentials=list(map(VerifiableCredential.from_json, credentials)),
-            proof=None if proof is None else Proof.from_json(proof),
-            context=list(string_list(obj, "@context", _malformed)),
-            type=list(types),
-        )
-        known_members(obj, _MEMBERS, _malformed)
-        return presentation
 
 
 def create_presentation(

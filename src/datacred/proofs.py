@@ -41,7 +41,7 @@ from .errors import (
     NotFound,
     UnsupportedMethod,
 )
-from .jsonfile import OBJECT, TEXT, known_members, member, refusal
+from .jsonfile import OBJECT, Field, json_document, member, refusal
 from .keys import KeyPair, Signature, sign, verify_signature
 from .reports import CheckResult, CheckStatus
 
@@ -52,8 +52,6 @@ AUTHENTICATION = "authentication"
 _TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 _TIMESTAMP_RE = re.compile(r"(\d{4})-(\d\d)-(\d\d)[Tt](\d\d):(\d\d):(\d\d)[Zz]", re.ASCII)
 _malformed = refusal(DocumentInvalid, "malformed proof: ")
-_MEMBERS = frozenset({"type", "created", "verificationMethod", "proofPurpose", "signatureValue",
-                      "challenge", "domain"})
 
 
 def utc_now() -> datetime:
@@ -78,6 +76,11 @@ def parse_timestamp(text: str) -> datetime:
     raise ValueError(f"{text!r} is not an RFC 3339 UTC timestamp")
 
 
+@json_document(_malformed, Field("type", "type"), Field("created", "created"),
+               Field("verificationMethod", "verification_method"),
+               Field("proofPurpose", "proof_purpose"), Field("signatureValue", "signature_value"),
+               Field("challenge", "challenge", optional=True, omit=None),
+               Field("domain", "domain", optional=True, omit=None))
 class Proof(NamedTuple):
     """Signature block embedded in a signed JSON document."""
 
@@ -89,36 +92,13 @@ class Proof(NamedTuple):
     domain: str | None = None
     type: str = PROOF_TYPE
 
-    def to_json(self) -> dict:
-        out = {
-            "type": self.type,
-            "created": self.created,
-            "verificationMethod": self.verification_method,
-            "proofPurpose": self.proof_purpose,
-            "signatureValue": self.signature_value,
-        }
-        if self.challenge is not None:
-            out["challenge"] = self.challenge
-        if self.domain is not None:
-            out["domain"] = self.domain
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Proof":
-        proof = cls(
-            type=member(obj, "type", TEXT, _malformed),
-            created=member(obj, "created", TEXT, _malformed),
-            verification_method=member(obj, "verificationMethod", TEXT, _malformed),
-            proof_purpose=member(obj, "proofPurpose", TEXT, _malformed),
-            signature_value=member(obj, "signatureValue", TEXT, _malformed),
-            challenge=member(obj, "challenge", TEXT, _malformed, None),
-            domain=member(obj, "domain", TEXT, _malformed, None),
-        )
-        known_members(obj, _MEMBERS, _malformed)
-        return proof
-
     def signature(self) -> Signature:
         return Signature.from_base58(self.signature_value)
+
+
+# The proof member of a signed document: optional, and written only when present.
+PROOF_FIELD = Field("proof", "proof", OBJECT, optional=True, omit=None, parse=Proof.from_json,
+                    emit=Proof.to_json)
 
 
 def signing_bytes(document: dict) -> bytes:

@@ -1566,10 +1566,15 @@ def test_admin_post_with_non_object_body_is_bad_request(agent_factory, route):
     ("/request-proof", {"target": ["did:key:z6Mk"]}),
     ("/revoke", {"statusId": 5}),
     ("/revoke", {"credentialId": {"id": "urn:uuid:x"}}),
+    ("/connect", {"did": "did:key:z6Mk", "endpoint": "http://127.0.0.1:1", "endpiont": "x"}),
+    ("/issue", {"connectionId": "c", "claims": {}, "expirationdate": "2020-01-01T00:00:00Z"}),
+    ("/request-proof", {"target": "did:key:z6Mk", "attribute": ["Hash of Data"]}),
+    ("/revoke", {"statusId": "s", "credentialid": "urn:uuid:x"}),
 ], ids=["connect-did-int", "connect-did-missing", "issue-connection-id-list",
         "issue-claims-list", "issue-schema-string", "proof-attributes-string",
         "proof-attribute-int", "proof-target-list", "revoke-status-id-int",
-        "revoke-credential-id-object"])
+        "revoke-credential-id-object", "connect-unknown-member", "issue-unknown-member",
+        "proof-unknown-member", "revoke-unknown-member"])
 def test_admin_post_with_mistyped_field_is_bad_request(agent_factory, route, body):
     """Admin bodies follow the inbox's type rule: answered 400, never dropped or coerced."""
     publisher = agent_factory("publisher")
@@ -1577,6 +1582,19 @@ def test_admin_post_with_mistyped_field_is_bad_request(agent_factory, route, bod
     assert response.status_code == 400, response.text
     assert response.json()["error"] == "BadRequest"
     assert publisher.list_connections() == []
+
+
+def test_admin_issue_with_a_misspelled_member_names_it_and_issues_nothing(agent_factory):
+    """The admin bodies dropped a member they did not read: "expirationdate" was answered
+    200 with a credential that never expires."""
+    publisher, dataset, connection = connected_pair(agent_factory)
+    body = {"connectionId": connection.connection_id, "claims": LISTING_CLAIMS,
+            "expirationdate": "2020-01-01T00:00:00Z"}
+    response = requests.post(publisher.base_url + "/issue", json=body, timeout=30)
+    assert response.status_code == 400, response.text
+    assert response.json() == {"error": "BadRequest",
+                               "detail": "unknown member 'expirationdate'"}
+    assert publisher.state.issued == [] and dataset.stored_credentials() == []
 
 
 def test_admin_issue_gives_a_revocable_credential_whatever_with_status_says(agent_factory):

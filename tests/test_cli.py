@@ -22,6 +22,7 @@ from datacred.did import generate_did_key
 from datacred.fingerprint import fingerprint_bytes
 from datacred.keys import generate_keypair
 from datacred.proofs import ASSERTION, attach_proof
+from datacred.wallet import Wallet
 from conftest import PASSPHRASE
 
 pytestmark = pytest.mark.usefixtures("fast_wallet_kdf")
@@ -84,6 +85,19 @@ def test_keygen_deterministic_seed(runner, workspace):
         must(runner, "keygen", "--wallet", "w.json", "--label", "z", "--seed-hex", "00" * 32)
     )
     assert info["did"] == "did:key:z6MkiTBz1ymuepAQ4HEHYSF1H8quG5GLVVQR3djdX3mDooWp"
+
+
+def test_keygen_on_a_label_the_wallet_holds_exits_2_and_keeps_its_key(runner, workspace):
+    """A second keygen under the default label printed a new DID, exited 0 and replaced
+    the first key, so an issuer lost the key that signs its registry."""
+    first = stdout_json(must(runner, "keygen", "--wallet", "w.json"))
+    before = (workspace / "w.json").read_bytes()
+    result = invoke(runner, "keygen", "--wallet", "w.json")
+    assert result.exit_code == 2, result.output
+    assert "already holds 'default'" in result.stderr
+    assert (workspace / "w.json").read_bytes() == before
+    entry = Wallet.open(workspace / "w.json", PASSPHRASE).get("default")
+    assert entry.public_key_base58 == first["publicKeyBase58"]
 
 
 @pytest.mark.parametrize("kdf", [{"name": "scrypt"}, "scrypt"], ids=["without-cost", "string"])

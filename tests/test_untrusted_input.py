@@ -460,6 +460,16 @@ def test_every_parser_refuses_a_malformed_document_with_one_class(kind, path, va
     assert str(refused.value) == f"malformed {name}: {message}"
 
 
+@pytest.mark.parametrize("kind", sorted(DOCUMENTS))
+def test_every_parser_refuses_a_document_that_is_no_object(kind):
+    """A fingerprint, schema, credential status, proof or presentation given a list raised
+    AttributeError ('list' object has no attribute 'get')."""
+    parse, _, name = DOCUMENTS[kind]
+    with pytest.raises(DocumentInvalid) as refused:
+        parse([])
+    assert str(refused.value) == f"malformed {name}: must be an object, not a list"
+
+
 def test_an_issuance_record_whose_credential_id_is_no_string_is_document_invalid(tmp_path):
     """A list as credentialId used to raise a bare TypeError (unhashable) from load."""
     state = AgentState(tmp_path / "agent.state.json")
