@@ -91,8 +91,7 @@ from ..errors import (
     WrongIssuerKey,
     WrongRecipient,
 )
-from ..jsonfile import ANY, OBJECT, STRINGS, TEXT, Field, json_reader, member, parse_json
-from ..jsonfile import string_list, write_json
+from ..jsonfile import ANY, OBJECT, STRINGS, Field, json_reader, member, parse_json, write_json
 from ..keys import KeyPair, generate_keypair
 from ..presentation import (
     VerifiablePresentation,
@@ -468,11 +467,11 @@ class Agent:
     def _on_connection_request(self, envelope: MessageEnvelope) -> dict:
         if not self.config.policy.auto_accept_connections:
             raise PolicyRejected("connections are not auto-accepted")
-        body = envelope.body
-        endpoint = member(body, "endpoint", TEXT, BadRequest, "")
+        body = _CONNECTION_REQUEST(envelope.body)
+        endpoint = body.get("endpoint")
         if not endpoint:
             raise BadRequest("connection request carries no endpoint")
-        connection_id = member(body, "connectionId", TEXT, BadRequest, "") or str(uuid.uuid4())
+        connection_id = body.get("connection_id") or str(uuid.uuid4())
         with self._lock:
             existing = self.state.connections.get(connection_id)
             # A proposed id may only reuse a record with the same peer;
@@ -485,8 +484,8 @@ class Agent:
         return {"connectionId": connection_id, "endpoint": self.base_url}
 
     def _on_credential_issue(self, envelope: MessageEnvelope) -> dict:
-        body = envelope.body
-        connection_id = member(body, "connectionId", TEXT, BadRequest, "")
+        body = _CREDENTIAL_ISSUE(envelope.body)
+        connection_id = body.get("connection_id", "")
         connection = self.state.connections.get(connection_id)
         if connection is None or connection.their_did != envelope.sender:
             raise ConnectionInactive(
@@ -514,8 +513,8 @@ class Agent:
         return {"credentialId": credential.id}
 
     def _on_proof_request(self, envelope: MessageEnvelope) -> dict:
-        challenge = member(envelope.body, "challenge", TEXT, BadRequest, "")
-        requested = string_list(envelope.body, "requestedAttributes", BadRequest, [])
+        body = _PROOF_REQUEST(envelope.body)
+        challenge, requested = body.get("challenge"), body.get("requested", [])
         if not challenge:
             raise BadRequest("proof request carries no challenge")
         may_share = self.config.policy.may_share
@@ -574,7 +573,13 @@ def _check_proof_response(
     return report
 
 
-# The admin bodies: each a dict of the attributes it holds.
+# The inbox and admin bodies: each a dict of the attributes it holds.
+_CONNECTION_REQUEST = json_reader(BadRequest, Field("endpoint", "endpoint", optional=True),
+                                  Field("connectionId", "connection_id", optional=True))
+_CREDENTIAL_ISSUE = json_reader(BadRequest, Field("connectionId", "connection_id", optional=True),
+                                Field("credential", "credential", ANY, optional=True))
+_PROOF_REQUEST = json_reader(BadRequest, Field("challenge", "challenge", optional=True),
+                             Field("requestedAttributes", "requested", STRINGS, optional=True))
 _CONNECT = json_reader(BadRequest, Field("did", "did"), Field("endpoint", "endpoint"))
 _ISSUE = json_reader(
     BadRequest, Field("connectionId", "connection_id"), Field("claims", "claims", OBJECT),

@@ -13,11 +13,14 @@ the only acceptance rule: ``check_receipt`` is the part a holder runs before
 storing a credential, and ``issue_credential`` refuses dates they reject.
 
 Every revocation check fetches the registry's bytes and matches its issuer and
-the status id. A ``Resolver`` parses and verifies a registry once per change of
-those bytes: it reuses the last one that verified at a URL for the same SHA-256
-(or a 304 to a GET conditional on it) while the issuer still publishes its key.
-A registry by the issuer of the one kept for its URL is a rollback when it was updated
-earlier or lacks an id the kept one revoked: ``updated`` has one-second resolution.
+the status id. A registry is parsed and verified once per process for the same
+bytes: a ``Resolver`` reuses the last one that verified at a URL for the same
+SHA-256 (or a 304 to a GET conditional on it), else one that verified in any
+resolver for that SHA-256 (``Resolver.shared_registry``), while the issuer, as
+this resolver resolves it, still publishes the key it verified under. A registry
+new to a resolver at its URL, by the issuer of the one kept there, is a rollback
+when it was updated earlier or lacks an id the kept one revoked: ``updated`` has
+one-second resolution.
 """
 
 from __future__ import annotations
@@ -417,11 +420,13 @@ def _check_revocation(vc: VerifiableCredential, resolver: Resolver, registry_sou
     try:
         reply, known = resolver.fetch_registry(registry_source, url)
         digest = known[0] if reply is None else hashlib.sha256(reply).digest()
-        if known is not None and digest == known[0]:  # bytes parsed and verified before
-            _, key, registry, revoked, _ = known
+        kept = known is not None and digest == known[0]  # what this resolver keeps for url
+        if entry := known if kept else resolver.shared_registry(digest):  # verified before
+            _, key, registry, revoked, _ = entry
         else:
             name = getattr(registry_source, "path", None) or url  # a bundle's file, else a URL
-            key, registry = None, RevocationRegistry.from_json(parse_json(reply, name)).to_json()
+            registry = RevocationRegistry.from_json(parse_json(reply, name)).to_json()
+            key, revoked = None, frozenset(registry["revoked"])
     except DatacredError as exc:
         return CheckResult(CheckStatus.INDETERMINATE, "RegistryUnavailable", str(exc))
 
@@ -433,8 +438,7 @@ def _check_revocation(vc: VerifiableCredential, resolver: Resolver, registry_sou
     if result.status is not CheckStatus.VALID:
         detail = f"registry proof: {result.reason} {result.detail}".rstrip()
         return CheckResult(CheckStatus.INDETERMINATE, "RegistryInvalid", detail)
-    if located[0] != key:  # its signature was checked just now: keep it, unless a rollback
-        revoked = frozenset(registry["revoked"])
+    if not kept:  # new to this resolver at url: keep it, unless a rollback
         if why := _rollback(registry, revoked, known):
             return CheckResult(CheckStatus.INDETERMINATE, "RegistryRollback", f"{why} at {url}")
         resolver.remember_registry(url, (digest, located[0], registry, revoked, len(reply)))

@@ -42,9 +42,16 @@ _SONAMES = ("libsodium.so.23", "libsodium.so.26", "libsodium.23.dylib", "libsodi
 _sodium = None  # libsodium's (detached sign, detached verify) once looked up; False without it
 
 
+def _key_bytes(text: str) -> bytes:
+    try:
+        return b58decode(text)
+    except ValueError as exc:  # not base58 text
+        raise DocumentInvalid(f"malformed keypair: {exc}") from None
+
+
 @json_document(refusal(DocumentInvalid, "malformed keypair: "),
-               Field("publicKeyBase58", "public_key", parse=b58decode, emit=b58encode),
-               Field("privateKeyBase58", "private_key", parse=b58decode, emit=b58encode),
+               Field("publicKeyBase58", "public_key", parse=_key_bytes, emit=b58encode),
+               Field("privateKeyBase58", "private_key", parse=_key_bytes, emit=b58encode),
                closed=False)
 @dataclass(frozen=True)
 class KeyPair:

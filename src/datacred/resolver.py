@@ -13,8 +13,9 @@ last used. The resolver counts its backend fetches, network ones apart, so
 callers can assert cache behavior and prove offline verification made no
 network fetch; registry GETs count as network fetches too. It also
 remembers, for ``verified_once``, the last VERIFIED_PROOFS signatures it saw
-verify and, for ``fetch_registry``, the last VERIFIED_REGISTRIES registries
-within VERIFIED_REGISTRY_BYTES of replies.
+verify, trusted as it read their signers, and, for ``fetch_registry``, the last
+VERIFIED_REGISTRIES registries within VERIFIED_REGISTRY_BYTES of replies; the
+process keeps as many, by the SHA-256 of their bytes, for ``shared_registry``.
 
 ``request_bytes`` is datacred's only HTTP client, with one transport policy for
 DID documents, registries, agent envelopes and the admin client; a registry
@@ -52,7 +53,7 @@ from .jsonfile import parse_json, read_json
 CACHE_TTL = 300.0  # seconds a resolved document is served from the cache
 CACHED_DOCUMENTS = 1024  # resolved documents a Resolver keeps, least recently used out
 VERIFIED_PROOFS = 1024  # verified signatures a Resolver remembers, least recently used out
-VERIFIED_REGISTRIES = 4  # verified registries a Resolver keeps, least recently used out
+VERIFIED_REGISTRIES = 4  # verified registries a Resolver, and the process, keeps, LRU out
 VERIFIED_REGISTRY_BYTES = 4 << 20  # and the reply bytes they may total
 _HTTP_TIMEOUT = 5.0
 # Replies are read up to this size: a registry of 400,000 revoked ids at
@@ -60,6 +61,8 @@ _HTTP_TIMEOUT = 5.0
 MAX_RESPONSE_BYTES = 16 << 20
 MAX_LINE = 65536  # bytes in a start, field or chunk-size line, on both ends, as in http.client
 MAX_HEADERS = 100  # field lines in a message head, on both ends, as in http.client
+_shared_registries: OrderedDict[bytes, tuple] = OrderedDict()  # every Resolver's, by digest
+_shared_lock = threading.Lock()
 
 
 @functools.lru_cache(maxsize=256)
@@ -440,18 +443,29 @@ class Resolver:
                 self.network_fetch_count += 1
         return source.fetch(url, entry and f'"{entry[0].hex()}"'), entry
 
+    def shared_registry(self, digest: bytes) -> tuple | None:
+        """The entry remember_registry last kept in any resolver of the process for a reply
+        of this SHA-256, or None; the caller checks that its issuer publishes the key."""
+        with _shared_lock:
+            if (entry := _shared_registries.get(digest)) is not None:
+                _shared_registries.move_to_end(digest)
+            return entry
+
     def remember_registry(self, url: str, entry: tuple) -> None:
         """Keep entry, (SHA-256 of the bytes, key, registry, frozenset of its revoked
-        ids, reply size), of a registry that verified, for the VERIFIED_REGISTRIES URLs
-        last used while their replies total at most VERIFIED_REGISTRY_BYTES; a larger
-        reply is not kept. Kept, 4 MiB of replies take about 14 MiB with UUID ids and at
-        worst 47 MiB (840,000 two-character ids), as tracemalloc measures them."""
-        with self._lock:
-            self._registries.pop(url, None)
-            if entry[-1] <= VERIFIED_REGISTRY_BYTES:
-                _keep(self._registries, url, entry, VERIFIED_REGISTRIES)
-            while sum(kept[-1] for kept in self._registries.values()) > VERIFIED_REGISTRY_BYTES:
-                self._registries.popitem(last=False)
+        ids, reply size), of a registry that verified, by url here and by digest in the
+        process, each for the VERIFIED_REGISTRIES keys last used while their replies total
+        at most VERIFIED_REGISTRY_BYTES; a larger reply is not kept. Kept, 4 MiB of replies
+        take about 14 MiB with UUID ids and at worst 47 MiB (840,000 two-character ids), as
+        tracemalloc measures them, and an entry both keep once. None changes once kept."""
+        shared = (_shared_lock, _shared_registries, entry[0])
+        for lock, lru, key in (self._lock, self._registries, url), shared:
+            with lock:
+                lru.pop(key, None)
+                if entry[-1] <= VERIFIED_REGISTRY_BYTES:
+                    _keep(lru, key, entry, VERIFIED_REGISTRIES)
+                while sum(kept[-1] for kept in lru.values()) > VERIFIED_REGISTRY_BYTES:
+                    lru.popitem(last=False)
 
 
 def _keep(lru: OrderedDict, key, value, bound: int) -> None:

@@ -148,7 +148,7 @@ class Wallet:
             raise CorruptWallet(f"{path}: no snapshot record")
 
         raw: dict[str, dict] = {}
-        chain = lines[0]
+        chain, wallet = lines[0], cls(path, passphrase, wallet_id=wallet_id)
         try:
             cipher = _derive_key(passphrase, salt, kdf_params)
             for index, (nonce, ciphertext) in enumerate(records):
@@ -165,11 +165,10 @@ class Wallet:
                 for label in change["remove"]:
                     raw.pop(label, None)
                 chain = nonce
-        except (ValueError, OverflowError) as exc:  # scrypt parameters or nonce refused
+            wallet._entries = {label: _decode_entry(obj) for label, obj in raw.items()}
+        except (ValueError, OverflowError, DocumentInvalid) as exc:  # scrypt, a nonce, a key
             raise CorruptWallet(f"{path}: {exc}") from exc
 
-        wallet = cls(path, passphrase, wallet_id=wallet_id)
-        wallet._entries = {label: _decode_entry(obj) for label, obj in raw.items()}
         if kdf_params == _DEFAULT_KDF:
             wallet._passphrase, wallet._key = None, (salt, cipher)
             wallet._end, wallet._records, wallet._chain = end, len(records) - 1, chain

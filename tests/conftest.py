@@ -9,7 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from datacred import keys, proofs, wallet
+from datacred import keys, proofs, resolver, wallet
 from datacred.agent import Agent, AgentConfig, Policy
 from datacred.did import generate_did_key
 from datacred.keys import generate_keypair
@@ -29,6 +29,13 @@ def _ed25519_backend_choice(request, monkeypatch):
     on a system without one; datacred subprocesses that tests start still look for it."""
     if request.config.getoption("--without-libsodium"):
         monkeypatch.setattr(keys, "_sodium", False)
+
+
+@pytest.fixture(autouse=True)
+def _no_shared_registry():
+    """Each test starts with no registry verified in the process: one signed by the same
+    fixed key within the same second would otherwise skip the next test's checks."""
+    resolver._shared_registries.clear()
 
 
 @pytest.fixture(params=["libsodium", "cryptography"])

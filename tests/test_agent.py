@@ -1233,6 +1233,29 @@ def test_malformed_body_gets_problem_report(agent_factory, message_type, body):
     assert len(dataset.list_connections()) == 1
 
 
+@pytest.mark.parametrize("message_type, body, unknown", [
+    (PROOF_REQUEST, {"requestedattributes": ["Country"], "challenge": "e" * 32},
+     "requestedattributes"),
+    (CREDENTIAL_ISSUE, {"connectionId": None, "credential": {}, "credentialid": "x"},
+     "credentialid"),
+    (CONNECTION_REQUEST, {"endpoint": "http://127.0.0.1:1", "connectionid": "c"}, "connectionid"),
+], ids=["proof-request", "credential-issue", "connection-request"])
+def test_an_inbox_body_with_an_unknown_member_is_refused_naming_it(agent_factory, message_type,
+                                                                   body, unknown):
+    """A misspelled requestedAttributes was dropped, and the newest credential presented."""
+    publisher, dataset, connection = connected_pair(agent_factory)
+    publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
+    if "connectionId" in body:
+        body["connectionId"] = connection.connection_id
+    envelope = build_envelope(
+        publisher.key, publisher.did.text, dataset.did.text, message_type, body
+    )
+    response = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5)
+    assert (response.status_code, response.json()) == (
+        400, {"error": "BadRequest", "detail": f"unknown member {unknown!r}"})
+    assert len(dataset.list_connections()) == len(dataset.list_credentials()) == 1
+
+
 def test_credential_with_non_object_subject_gets_problem_report(agent_factory):
     publisher, dataset, connection = connected_pair(agent_factory)
     credential = {"type": ["VerifiableCredential"], "credentialSubject": ["abc"]}

@@ -12,7 +12,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 import ed25519_oracle as oracle
 from datacred.base58 import b58decode, b58encode
-from datacred.errors import BadSeedLength, MalformedKey, MalformedSignature
+from datacred.errors import BadSeedLength, DocumentInvalid, MalformedKey, MalformedSignature
 from datacred.keys import KeyPair, Signature, generate_keypair, sign, verify_signature
 
 RFC8032_VECTORS = [
@@ -119,6 +119,13 @@ def test_keypair_rejects_mismatched_public_key():
     a, b = generate_keypair(), generate_keypair()
     with pytest.raises(MalformedKey):
         KeyPair(public_key=b.public_key, private_key=a.private_key)
+
+
+@pytest.mark.parametrize("member", ["publicKeyBase58", "privateKeyBase58"])
+def test_keypair_with_a_key_that_is_not_base58_is_document_invalid(member):
+    document = {**generate_keypair(b"\x01" * 32).to_json(), member: "0OIl"}
+    with pytest.raises(DocumentInvalid, match="^malformed keypair: invalid base58 character '0'$"):
+        KeyPair.from_json(document)
 
 
 def test_signature_base58_roundtrip():

@@ -1,6 +1,8 @@
-"""The verified-registry memo each Resolver keeps: a registry is parsed, canonicalized
-and verified once per verification context, and reused only for the same bytes (or
-a 304 to their digest) while its issuer still publishes the key it verified under."""
+"""The verified-registry memos: each Resolver keeps the registry that last verified at a
+URL, and the process the registries that verified last, by the SHA-256 of their bytes. A
+registry is parsed, canonicalized and verified once per process, and reused only for the
+same bytes (or a 304 to their digest) while the issuer, as the reusing context resolves
+it, still publishes the key it verified under."""
 
 import hashlib
 import json
@@ -120,17 +122,28 @@ def test_an_unresolvable_issuer_on_a_warm_hit_is_fetched_once(bundle_registry, m
     assert warm.fetch_count == fetched + 1
 
 
-def test_resolvers_share_no_registry(bundle_registry, canonicalizations):
+def test_a_second_context_reuses_the_registry_while_it_resolves_the_same_key(
+    bundle_registry, canonicalizations, verifies
+):
     vc, source = credential(), FileRegistrySource(bundle_registry)
     first, second = context(), context()
-    canonicalizations.clear()
-    assert outcome(vc, first, source) == outcome(vc, second, source) == ("Valid", "NotRevoked")
-    assert len(canonicalizations) == 2
+    canonicalizations.clear(), verifies.clear()
+    assert outcome(vc, first, source) == ("Valid", "NotRevoked")
+    assert (len(canonicalizations), len(verifies)) == (1, 1)
+    assert outcome(vc, second, source) == ("Valid", "NotRevoked")
+    assert (len(canonicalizations), len(verifies), second.fetch_count) == (1, 1, 1)
+
+    rotated = context()
+    rotated.backends[1].documents[ISSUER] = one_key_document(
+        parse_did(ISSUER), generate_keypair(b"\x04" * 32).public_key).to_json()
+    assert outcome(vc, rotated, source) == ("Indeterminate", "RegistryInvalid")
+    unresolvable = Resolver(backends=[KeyBackend()])
+    assert outcome(vc, unresolvable, source) == ("Indeterminate", "RegistryInvalid")
 
 
 def test_the_memo_keeps_the_registries_used_last(canonicalizations):
     urls = [f"https://issuer.example/registry/{n}" for n in range(resolver.VERIFIED_REGISTRIES + 1)]
-    source = StaticRegistrySource({url: json.loads(registry_bytes()) for url in urls})
+    source = StaticRegistrySource({url: json.loads(registry_bytes([url])) for url in urls})
     vcs, warm = [credential(url=url) for url in urls], context()
     for vc in vcs:
         assert outcome(vc, warm, source) == ("Valid", "NotRevoked")
@@ -143,10 +156,11 @@ def test_the_memo_keeps_the_registries_used_last(canonicalizations):
 
 
 def test_the_memo_keeps_replies_within_its_byte_budget(monkeypatch, canonicalizations):
-    reply = registry_bytes()
-    monkeypatch.setattr(resolver, "VERIFIED_REGISTRY_BYTES", 2 * len(reply) + len(reply) // 2)
     urls = [f"https://issuer.example/registry/{n}" for n in range(3)]
-    source = StaticRegistrySource({url: json.loads(reply) for url in urls})
+    replies = {url: registry_bytes([url]) for url in urls}  # of one size
+    size = len(replies[urls[0]])
+    monkeypatch.setattr(resolver, "VERIFIED_REGISTRY_BYTES", 2 * size + size // 2)
+    source = StaticRegistrySource({url: json.loads(reply) for url, reply in replies.items()})
     vcs, warm = [credential(url=url) for url in urls], context()
     for vc in vcs:
         assert outcome(vc, warm, source) == ("Valid", "NotRevoked")
@@ -198,15 +212,16 @@ def test_a_failing_registry_is_checked_again(bundle_registry, canonicalizations,
 
 
 def test_threads_sharing_a_context_get_every_outcome_right():
-    """More threads than CPUs, more URLs than the memo keeps, a switch every microsecond."""
+    """More threads than CPUs, two contexts, more URLs than the memos keep, a switch
+    every microsecond."""
     urls = [f"https://issuer.example/registry/{n}" for n in range(resolver.VERIFIED_REGISTRIES + 2)]
-    source = StaticRegistrySource({url: json.loads(registry_bytes(["other", "s-2"]))
+    source = StaticRegistrySource({url: json.loads(registry_bytes(["other", "s-2", url]))
                                    for url in urls})
     vcs = [(credential(status_id, url), status_id == "s-2") for url in urls
            for status_id in ("s-1", "s-2")]
-    shared, wrong = context(), []
+    contexts, wrong = (context(), context()), []
 
-    def check():
+    def check(shared):
         for vc, revoked in vcs * 3:
             if outcome(vc, shared, source)[1] != ("Revoked" if revoked else "NotRevoked"):
                 wrong.append(vc.status)
@@ -214,7 +229,7 @@ def test_threads_sharing_a_context_get_every_outcome_right():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=check) for _ in range(4)]
+        threads = [threading.Thread(target=check, args=(contexts[n % 2],)) for n in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -222,7 +237,8 @@ def test_threads_sharing_a_context_get_every_outcome_right():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert wrong == [] and len(shared._registries) == resolver.VERIFIED_REGISTRIES
+    assert wrong == [] and len(resolver._shared_registries) == resolver.VERIFIED_REGISTRIES
+    assert [len(shared._registries) for shared in contexts] == [resolver.VERIFIED_REGISTRIES] * 2
 
 
 def signed(**fields) -> dict:

@@ -407,8 +407,8 @@ def test_offline_verify_and_verify_presentation_do_a_fixed_amount_of_work(
     assert verified.exit_code == 0 and presented.exit_code == 0, verified.output + presented.output
     assert json.loads(verified.stdout)["overall"] == "Valid"
     assert json.loads(presented.stdout)["overall"] == "Valid"
-    # verify: credential and registry; verify-presentation: presentation, its
-    # credential and the registry, in a context of its own.
-    assert len(canonicalized) == 5
-    assert len(verifies) == 5
+    # verify: credential and registry; verify-presentation: presentation and its
+    # credential, in a context of its own, which reuses the registry verify checked.
+    assert len(canonicalized) == 4
+    assert len(verifies) == 4
     assert parsed == []

@@ -291,6 +291,14 @@ def test_version_1_file_is_corrupt_wallet_naming_the_file(tmp_path, indent):
     assert path.read_bytes() == before
 
 
+def test_a_keypair_entry_that_is_not_base58_is_corrupt_wallet_naming_the_file(tmp_path):
+    path = tmp_path / "w.json"
+    keypair = {**generate_keypair(b"\x01" * 32).to_json(), "privateKeyBase58": "0"}
+    write_version_2(path, "pw", {"k": {"kind": "keypair", "keypair": keypair}})
+    with pytest.raises(CorruptWallet, match=re.escape(f"{path}: malformed keypair: invalid")):
+        Wallet.open(path, "pw")
+
+
 def test_non_default_kdf_is_rekeyed_at_first_save(tmp_path, key_derivations):
     path = tmp_path / "w.json"
     cheap = {"name": "scrypt", "n": 2**12, "r": 8, "p": 1}
