@@ -9,7 +9,7 @@ presentation, bound by ``challenge`` and ``domain``; a credential ack, the same 
 shape, by nothing (agent.service states the rule). A receiver refuses an envelope
 addressed to another DID (addressed_envelope), then, for a SIGNED type, resolves the
 sender's DID and verifies (check_sender) before touching the body. The proof of a type
-not in SIGNED is dropped unread.
+not in SIGNED is dropped unread. An inbox refuses a stale SIGNED one first (check_fresh).
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ from __future__ import annotations
 import uuid
 from dataclasses import dataclass
 
-from ..errors import DatacredError, DocumentInvalid, SignatureInvalid, WrongRecipient
+from ..errors import DatacredError, DocumentInvalid, SignatureInvalid, StaleMessage, WrongRecipient
 from ..jsonfile import ANY, OBJECT, Field, json_document, refusal
 from ..keys import KeyPair
-from ..proofs import AUTHENTICATION, Proof, attach_proof, check_proof, format_timestamp, utc_now
+from ..proofs import AUTHENTICATION, Proof, attach_proof, check_proof, format_timestamp
+from ..proofs import parse_timestamp, utc_now
 from ..reports import CheckStatus
 from ..resolver import Resolver
 
@@ -34,6 +35,7 @@ PROOF_REQUEST = f"{PROTOCOL}/proof-request"
 PROOF_RESPONSE = f"{PROTOCOL}/proof-response"
 
 SIGNED = frozenset({CONNECTION_REQUEST, CONNECTION_RESPONSE, PROOF_REQUEST})  # envelope proofs
+MESSAGE_WINDOW = 300  # seconds a signed envelope's createdAt may lie from now, either way
 
 _malformed = refusal(SignatureInvalid, "malformed envelope: ")
 
@@ -99,6 +101,17 @@ def addressed_envelope(obj: dict, recipient: str) -> MessageEnvelope:
         raise WrongRecipient(f"envelope {envelope.id} is addressed to "
                              f"{envelope.recipient}, not {recipient}")
     return envelope
+
+
+def check_fresh(envelope: MessageEnvelope) -> None:
+    """Refuse envelope, by StaleMessage, unless its createdAt is within MESSAGE_WINDOW."""
+    created = envelope.created_at
+    try:
+        if abs((parse_timestamp(created) - utc_now()).total_seconds()) <= MESSAGE_WINDOW:
+            return
+    except ValueError:  # not a timestamp
+        pass
+    raise StaleMessage(f"{envelope.id}: createdAt {created!r} is over {MESSAGE_WINDOW} s from now")
 
 
 def check_sender(obj: dict, envelope: MessageEnvelope, resolver: Resolver) -> MessageEnvelope:

@@ -115,6 +115,7 @@ from .envelopes import (
     MessageEnvelope,
     addressed_envelope,
     build_envelope,
+    check_fresh,
     check_sender,
     verify_envelope,
 )
@@ -447,10 +448,12 @@ class Agent:
 
     def handle_envelope(self, raw: dict) -> dict:
         """The reply to one inbound envelope; a refusal raises its DatacredError. What
-        costs nothing is checked before the sender is resolved: the recipient, the message
-        type and, for anything but a connection request, a connection with the sender."""
+        costs nothing is checked before the sender is resolved: the recipient, a signed
+        envelope's age, the type and, for all but a connection request, a connection."""
         envelope = addressed_envelope(raw, self.did.text)
         kind, sender = envelope.type, envelope.sender
+        if isinstance(kind, str) and kind in SIGNED:
+            check_fresh(envelope)
         if not isinstance(kind, str) or kind not in _PROTOCOL:
             raise UnsupportedMessage(f"no handler for {kind}")
         # Only connection-protocol messages may arrive outside an active connection.

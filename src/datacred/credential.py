@@ -60,10 +60,10 @@ from .proofs import (
     AUTHENTICATION,
     PROOF_FIELD,
     Proof,
-    attach_proof,
     check_proof,
     format_timestamp,
     parse_timestamp,
+    sign_document,
     utc_now,
     verify_proof,
 )
@@ -185,9 +185,9 @@ def _credential(subject: dict, **fields) -> "VerifiableCredential":
     Field("credentialStatus", "status", OBJECT, optional=True, omit=None,
           parse=CredentialStatus.from_json, emit=CredentialStatus.to_json),
     PROOF_FIELD, first="type", build=_credential)
-@dataclass
+@dataclass(frozen=True)
 class VerifiableCredential:
-    """Signed claim set about a subject DID."""
+    """Signed claim set about a subject DID; keeps the JSON read or signed."""
 
     id: str
     issuer: str
@@ -200,6 +200,7 @@ class VerifiableCredential:
     proof: Proof | None = None
     context: list[str] = field(default_factory=lambda: [CREDENTIAL_CONTEXT])
     type: list[str] = field(default_factory=lambda: [CREDENTIAL_TYPE])
+    _json: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def subject(self) -> dict:
@@ -244,13 +245,7 @@ def issue_credential(
     dates = _check_temporal(credential)
     if dates.status is not CheckStatus.VALID:
         raise BadDates(dates.detail)
-    signed = attach_proof(
-        credential.to_json(),
-        issuer_key,
-        verification_method=issuer,
-        proof_purpose=ASSERTION,
-    )
-    return VerifiableCredential.from_json(signed)
+    return sign_document(credential, issuer_key, issuer, ASSERTION)
 
 
 # --- revocation registry ---
@@ -258,26 +253,31 @@ def issue_credential(
 
 @json_document(_malformed_registry, Field("issuer", "issuer"),
                Field("revoked", "revoked", STRINGS), Field("updated", "updated"), PROOF_FIELD)
-@dataclass
+@dataclass(frozen=True)
 class RevocationRegistry:
-    """Issuer-signed list of revoked credential status ids."""
+    """Issuer-signed list of revoked credential status ids; keeps the JSON read or signed."""
 
     issuer: str
     revoked: list[str]
     updated: str
     proof: Proof | None = None
+    _json: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+
+def _signed_registry(issuer: str, revoked: list[str], issuer_key: KeyPair) -> RevocationRegistry:
+    registry = RevocationRegistry(issuer, revoked, format_timestamp(utc_now()))
+    return sign_document(registry, issuer_key, issuer, ASSERTION)
 
 
 def sign_registry(issuer: str, revoked: list[str], issuer_key: KeyPair) -> dict:
     """The JSON of issuer's registry of the revoked ids, updated now and signed."""
-    registry = {"issuer": issuer, "revoked": revoked, "updated": format_timestamp(utc_now())}
-    return attach_proof(registry, issuer_key, issuer, ASSERTION)
+    return _signed_registry(issuer, revoked, issuer_key).to_json()
 
 
 def new_registry(issuer_did: Did | str, issuer_key: KeyPair) -> RevocationRegistry:
     """Create an empty, signed revocation registry for an issuer."""
     issuer = issuer_did.text if isinstance(issuer_did, Did) else parse_did(issuer_did).text
-    return RevocationRegistry.from_json(sign_registry(issuer, [], issuer_key))
+    return _signed_registry(issuer, [], issuer_key)
 
 
 def check_registry_key(registry: dict, issuer_key: KeyPair) -> None:
@@ -302,7 +302,7 @@ def revoke(
     revoked = list(registry.revoked)
     if status_id not in revoked:
         revoked.append(status_id)
-    return RevocationRegistry.from_json(sign_registry(registry.issuer, revoked, issuer_key))
+    return _signed_registry(registry.issuer, revoked, issuer_key)
 
 
 # --- registry sources ---

@@ -172,9 +172,9 @@ class DidDocument:
 
 
 def one_key_document(did: Did, public_key: bytes) -> DidDocument:
-    """The minimal document: one authentication key, published under the DID itself."""
-    key = b58encode(public_key)
-    method = VerificationMethod(id=did.text, controller=did.text, public_key_base58=key)
+    """The minimal document, valid as made: one authentication key, under the DID itself."""
+    method = VerificationMethod(did.text, did.text, b58encode(public_key))
+    method._raw = public_key
     return DidDocument(id=did.text, authentication=[method])
 
 

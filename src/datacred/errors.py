@@ -183,6 +183,10 @@ class WrongRecipient(Refused):
     """A signed envelope is addressed to another DID than the agent that reads it."""
 
 
+class StaleMessage(Refused):
+    """A signed envelope's createdAt is not a timestamp within the window around now."""
+
+
 class BadRequest(Refused):
     """A request body or field is missing, mistyped or empty."""
 

@@ -16,13 +16,14 @@ leaves it out and the next ``append_line`` cuts it off. No write is fsynced.
 
 Every document is declared once, as a table of ``Field``s that ``json_document``
 compiles into the class's ``from_json`` and ``to_json``; ``to_json`` writes the members
-in table order and leaves out only those whose field says when.
+in table order and leaves out only those whose field says when; a closed dataclass with a
+``_json`` field returns, read-only, the JSON it was read or signed as (``kept``), if any.
 
 Untrusted JSON has one shape rule, which ``from_json`` applies: the document is a JSON
 object, a member that is present has its type, and a type matches exactly, so ``true``
 is no integer, a string no list and ``null`` no absent member. A closed document (every
-signed one, and an admin body) also refuses a member it does not read: a signature is
-checked on what ``to_json`` writes back, so a member left out would pass unchecked. An
+signed one, and an admin body) also refuses a member it does not read, so the JSON read
+is exactly what its fields write back and a signature on it covers every field. An
 open document (a DID document and its keys, a fingerprint, a keypair, a connection
 record, the agent config) ignores such a member. A refusal raises the document's error,
 called with ``missing field 'name'``, ``fields must be <kinds>: 'name' is <kind>``,
@@ -217,14 +218,25 @@ def json_writer(fields: tuple) -> Callable:
     return to_json
 
 
+def kept(document, obj: dict):
+    """document, keeping obj, the JSON its fields write, for to_json: not in a replaced copy."""
+    object.__setattr__(document, "_json", obj)
+    return document
+
+
 def json_document(error, *fields: Field, build: Callable | None = None, **options):
     """Class decorator: the class's from_json, json_reader's (making the object by build,
-    else by the class itself), its to_json, json_writer's, and json_fields, the table."""
+    else by the class), its to_json, json_writer's or a ``_json`` field's, and json_fields."""
 
     def compile(cls):
+        read = json_reader(error, *fields, build=build or cls, **options)
+        write = json_writer(fields)
         cls.json_fields = fields
-        cls.from_json = staticmethod(json_reader(error, *fields, build=build or cls, **options))
-        cls.to_json = json_writer(fields)
+        if "_json" in getattr(cls, "__dataclass_fields__", ()):
+            cls.from_json = staticmethod(lambda obj: kept(read(obj), obj))
+            cls.to_json = lambda self: write(self) if self._json is None else self._json
+        else:
+            cls.from_json, cls.to_json = staticmethod(read), write
         return cls
 
     return compile

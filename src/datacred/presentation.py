@@ -20,7 +20,7 @@ from .did import Did, parse_did
 from .errors import DocumentInvalid, EmptyChallenge, EmptyCredentials
 from .jsonfile import LIST, STRINGS, Field, each, json_document, refusal, type_list
 from .keys import KeyPair
-from .proofs import AUTHENTICATION, PROOF_FIELD, Proof, attach_proof, check_proof, utc_now
+from .proofs import AUTHENTICATION, PROOF_FIELD, Proof, check_proof, sign_document, utc_now
 from .reports import CheckResult, CheckStatus, PresentationReport
 from .resolver import Resolver
 
@@ -41,15 +41,16 @@ def new_challenge() -> str:
     Field("holder", "holder"),
     Field("verifiableCredential", "credentials", LIST, **each(VerifiableCredential)),
     PROOF_FIELD, first="type")
-@dataclass
+@dataclass(frozen=True)
 class VerifiablePresentation:
-    """Credentials wrapped and signed by their holder for one verifier."""
+    """Credentials signed by their holder for one verifier; keeps the JSON read or signed."""
 
     holder: str
     credentials: list[VerifiableCredential]
     proof: Proof | None = None
     context: list[str] = field(default_factory=lambda: [PRESENTATION_CONTEXT])
     type: list[str] = field(default_factory=lambda: [PRESENTATION_TYPE])
+    _json: dict | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def create_presentation(
@@ -67,16 +68,8 @@ def create_presentation(
         raise EmptyChallenge("a presentation proof requires a challenge")
     holder = holder_did.text if isinstance(holder_did, Did) else parse_did(holder_did).text
     presentation = VerifiablePresentation(holder=holder, credentials=list(credentials))
-    signed = attach_proof(
-        presentation.to_json(),
-        holder_key,
-        verification_method=holder,
-        proof_purpose=AUTHENTICATION,
-        challenge=challenge,
-        domain=domain,
-    )
-    presentation.proof = Proof.from_json(signed["proof"])
-    return presentation
+    return sign_document(presentation, holder_key, holder, AUTHENTICATION, challenge=challenge,
+                         domain=domain)
 
 
 HOLDER_SIGNATURE_VALID = CheckResult(CheckStatus.VALID, "HolderSignatureValid")

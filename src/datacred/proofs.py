@@ -25,6 +25,7 @@ that does not exist is refused too.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import re
 from datetime import datetime, timezone
@@ -41,7 +42,7 @@ from .errors import (
     NotFound,
     UnsupportedMethod,
 )
-from .jsonfile import OBJECT, Field, json_document, member, refusal
+from .jsonfile import OBJECT, Field, json_document, kept, member, refusal
 from .keys import KeyPair, Signature, sign, verify_signature
 from .reports import CheckResult, CheckStatus
 
@@ -132,6 +133,12 @@ def attach_proof(
     signature = sign(key, signing_bytes(signed))
     signed["proof"] = {**proof, "signatureValue": signature.to_base58()}
     return signed
+
+
+def sign_document(document, key: KeyPair, method: str, purpose: str, **options):
+    """A copy of document with attach_proof's proof, keeping the JSON it was signed as."""
+    signed = attach_proof(document.to_json(), key, method, purpose, **options)
+    return kept(dataclasses.replace(document, proof=Proof.from_json(signed["proof"])), signed)
 
 
 def verify_proof(document: dict, public_key: bytes) -> bool:

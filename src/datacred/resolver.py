@@ -1,9 +1,9 @@
 """DID resolution with pluggable backends and a cache.
 
-Backends, tried in order:
+Backends, tried in order, each returning a validated ``DidDocument``:
 
-- KeyBackend        did:key, synthesized locally, never touches the network
-- WebBackend        did:web over HTTPS
+- KeyBackend        did:key, derived from the key the DID encodes: no JSON, no network
+- WebBackend        did:web over HTTPS, parsed and validated
 - StaticBackend     in-memory map, for tests
 - DirectoryBackend  documents read from an offline bundle's dids.json
 
@@ -300,13 +300,13 @@ def fetch_bytes(url: str, allow_insecure_loopback: bool, etag: str | None = None
 
 
 class KeyBackend:
-    """Synthesizes documents for did:key identifiers."""
+    """Derives documents for did:key identifiers from the key each one encodes."""
 
     def supports(self, did: Did) -> bool:
         return did.method == "key"
 
-    def fetch(self, did: Did) -> dict:  # every id did_key_public_key accepts re-encodes to itself
-        return one_key_document(did, did_key_public_key(did)).to_json()
+    def fetch(self, did: Did) -> DidDocument:  # an id did_key_public_key accepts is valid
+        return one_key_document(did, did_key_public_key(did))
 
 
 class WebBackend:
@@ -326,9 +326,10 @@ class WebBackend:
             return "http" + url[len("https"):]
         return url
 
-    def fetch(self, did: Did) -> dict:
+    def fetch(self, did: Did) -> DidDocument:
         url = self._url(did)
-        return parse_json(fetch_bytes(url, self.allow_insecure_loopback), url)
+        return DidDocument.from_json(parse_json(fetch_bytes(url, self.allow_insecure_loopback),
+                                                url))
 
 
 class StaticBackend:
@@ -340,11 +341,10 @@ class StaticBackend:
     def supports(self, did: Did) -> bool:
         return did.text in self.documents
 
-    def fetch(self, did: Did) -> dict:
-        try:
-            return self.documents[did.text]
-        except KeyError:
-            raise NotFound(did.text) from None
+    def fetch(self, did: Did) -> DidDocument:
+        if did.text not in self.documents:
+            raise NotFound(did.text)
+        return DidDocument.from_json(self.documents[did.text])
 
 
 class DirectoryBackend:
@@ -363,11 +363,10 @@ class DirectoryBackend:
     def supports(self, did: Did) -> bool:
         return did.text in self._documents
 
-    def fetch(self, did: Did) -> dict:
-        try:
-            return self._documents[did.text]
-        except KeyError:
-            raise NotFound(did.text) from None
+    def fetch(self, did: Did) -> DidDocument:
+        if did.text not in self._documents:
+            raise NotFound(did.text)
+        return DidDocument.from_json(self._documents[did.text])
 
 
 class Resolver:
@@ -383,7 +382,7 @@ class Resolver:
         self.network_fetch_count = 0  # of those, and registries, asked with network = True
 
     def resolve(self, did: Did | str) -> DidDocument:
-        """Fetch, validate, and cache the document for a DID.
+        """Fetch and cache the document for a DID, validated by its backend.
 
         The returned document's id always equals the requested DID; anything
         else is rejected as DocumentInvalid.
@@ -407,8 +406,7 @@ class Resolver:
             self.fetch_count += 1
             if getattr(backend, "network", False):
                 self.network_fetch_count += 1
-        raw = backend.fetch(did)
-        document = DidDocument.from_json(raw)
+        document = backend.fetch(did)
         if document.id != did.text:
             raise DocumentInvalid(
                 f"document id {document.id} does not match requested {did.text}"

@@ -1,11 +1,12 @@
 """Agent service: provisioning, connections, issuance, proof exchange, admin API."""
 
+import dataclasses
 import json
 import pathlib
 import re
 import socket
 import time
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
 from urllib.parse import urlsplit
 
@@ -23,6 +24,8 @@ from datacred.agent.envelopes import (
     CREDENTIAL_ISSUE,
     PROOF_REQUEST,
     PROOF_RESPONSE,
+    MESSAGE_WINDOW,
+    MessageEnvelope,
     build_envelope,
 )
 from datacred.agent.service import CREDENTIAL_LABEL_PREFIX, MAX_BODY_BYTES, STATUS_ISSUED, Agent
@@ -51,7 +54,14 @@ from datacred.did import generate_did_key, parse_did
 from datacred.fingerprint import fingerprint_bytes
 from datacred.keys import generate_keypair
 from datacred.presentation import create_presentation
-from datacred.proofs import ASSERTION, attach_proof, parse_timestamp
+from datacred.proofs import (
+    ASSERTION,
+    AUTHENTICATION,
+    attach_proof,
+    format_timestamp,
+    parse_timestamp,
+    utc_now,
+)
 from datacred.resolver import KeyBackend, Resolver, WebBackend
 
 pytestmark = pytest.mark.usefixtures("fast_wallet_kdf")
@@ -1169,8 +1179,8 @@ def test_an_altered_presentation_is_refused_not_reported_invalid(agent_factory, 
     """The reply's envelope signature held, so the altered presentation was an Invalid report."""
     def altered(*args, **kwargs):
         presentation = create_presentation(*args, **kwargs)
-        presentation.proof = presentation.proof._replace(created="2020-01-01T00:00:00Z")
-        return presentation
+        return dataclasses.replace(
+            presentation, proof=presentation.proof._replace(created="2020-01-01T00:00:00Z"))
 
     monkeypatch.setattr("datacred.agent.service.create_presentation", altered)
     publisher, dataset, connection = connected_pair(agent_factory)
@@ -1195,6 +1205,42 @@ def test_an_unsigned_problem_report_answering_a_proof_request_is_refused(agent_f
                                "body": {"code": "NoMatchingCredential", "detail": "none"}})
     with pytest.raises(SignatureInvalid, match="MissingProof"):
         user.request_proof(dataset.did.text, ["Hash of Data"])
+
+
+def envelope_created_at(sender, receiver, created_at: str, body: dict) -> dict:
+    """A proof request from sender to receiver, signed by sender, created at created_at."""
+    envelope = MessageEnvelope(id="e-1", type=PROOF_REQUEST, sender=sender.did.text,
+                               recipient=receiver.did.text, created_at=created_at, body=body)
+    return attach_proof(envelope.to_json(), sender.key, sender.did.text, AUTHENTICATION)
+
+
+@pytest.mark.parametrize("created_at", ["1999-01-01T00:00:00Z", "2999-01-01T00:00:00Z",
+                                        "yesterday", "2026-13-01T00:00:00Z"],
+                         ids=["past", "future", "not-a-timestamp", "no-such-date"])
+def test_a_stale_proof_request_is_refused_before_anything_is_resolved(agent_factory,
+                                                                      monkeypatch, created_at):
+    """A captured proof request was answered whenever it was replayed: one created in
+    1999 got a presentation of the dataset's newest credential."""
+    publisher, dataset, connection = connected_pair(agent_factory)
+    publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
+    resolve, resolved = dataset.resolver.resolve, []
+    monkeypatch.setattr(dataset.resolver, "resolve",
+                        lambda did: resolved.append(did) or resolve(did))
+    envelope = envelope_created_at(publisher, dataset, created_at,
+                                   {"requestedAttributes": ["Hash of Data"], "challenge": "e" * 32})
+    response = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5)
+    assert (response.status_code, response.json()["error"]) == (400, "StaleMessage")
+    assert resolved == []
+
+
+def test_a_proof_request_within_the_window_is_answered(agent_factory):
+    publisher, dataset, connection = connected_pair(agent_factory)
+    publisher.issue_over_connection(connection.connection_id, LISTING_CLAIMS)
+    created = format_timestamp(utc_now() - timedelta(seconds=MESSAGE_WINDOW - 30))
+    envelope = envelope_created_at(publisher, dataset, created,
+                                   {"requestedAttributes": ["Hash of Data"], "challenge": "e" * 32})
+    response = requests.post(dataset.base_url + "/inbox", json=envelope, timeout=5)
+    assert (response.status_code, response.json()["type"]) == (200, PROOF_RESPONSE)
 
 
 def test_proof_request_without_connection_rejected(agent_factory):

@@ -1,5 +1,6 @@
 """Presentations: challenge freshness, subject binding, tamper completeness."""
 
+import dataclasses
 import json
 import random
 
@@ -152,7 +153,7 @@ def test_the_domain_is_signed_like_the_challenge(holder_credential, key_resolver
     assert again.to_json() == vp.to_json()
     assert verify_presentation(again, challenge, key_resolver).valid
 
-    again.proof = again.proof._replace(domain="did:web:b.example")
+    again = dataclasses.replace(again, proof=again.proof._replace(domain="did:web:b.example"))
     check = verify_presentation(again, challenge, key_resolver).checks["holderSignature"]
     assert (check.status, check.reason) == (CheckStatus.INVALID, "SignatureMismatch")
 

@@ -31,7 +31,7 @@ from datacred.errors import (
     PolicyRejected,
 )
 from datacred.keys import generate_keypair
-from test_agent import connected_pair, raw_post
+from test_agent import connected_pair, envelope_created_at, raw_post
 
 pytestmark = pytest.mark.usefixtures("fast_wallet_kdf")
 
@@ -79,6 +79,12 @@ def wrong_recipient(agent_factory):
     envelope = build_envelope(publisher.key, publisher.did.text, publisher.did.text,
                               PROOF_REQUEST, {"challenge": "e" * 32})
     return inbox(dataset, envelope)
+
+
+def stale_message(agent_factory):
+    publisher, dataset, _ = connected_pair(agent_factory)
+    return inbox(dataset, envelope_created_at(publisher, dataset, "1999-01-01T00:00:00Z",
+                                              {"challenge": "e" * 32}))
 
 
 def unsupported_message(agent_factory):
@@ -150,6 +156,7 @@ def admin_bad_request(agent_factory):
     (signature_invalid, 400, "SignatureInvalid"),
     (bad_request, 400, "BadRequest"),
     (wrong_recipient, 400, "WrongRecipient"),
+    (stale_message, 400, "StaleMessage"),
     (unsupported_message, 400, "UnsupportedMessage"),
     (unsupported_type_not_a_string, 400, "UnsupportedMessage"),
     (policy_rejected, 403, "PolicyRejected"),
