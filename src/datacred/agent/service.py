@@ -217,8 +217,6 @@ class Agent:
             )
             self.did = parse_did(f"did:web:{domain}")
             self.did_document = one_key_document(self.did, self.key.public_key)
-        did_path = config.resolved_state_path().with_suffix(".did.json")
-        write_json(did_path, self.did_document.to_json())
 
         self.state = AgentState(config.resolved_state_path())
         self.state.load()
@@ -226,11 +224,17 @@ class Agent:
             self.state.record_registry(sign_registry(self.did.text, [], self.key))
             self.state.save()
         elif config.role == "publisher":
-            # Checked once here, so revoke_status extends only a registry this key signed.
+            # Checked once here, so revoke_status extends only a registry this agent signed.
+            registry, path = self.state.registry, self.state.registry_path
             try:
-                check_registry_key(self.state.registry, self.key)
+                check_registry_key(registry.to_json(), self.key)
             except WrongIssuerKey as exc:
-                raise DocumentInvalid(f"{self.state.registry_path}: {exc}") from exc
+                raise DocumentInvalid(f"{path}: {exc}") from exc
+            if registry.issuer != self.did.text:
+                raise DocumentInvalid(f"{path}: registry issuer {registry.issuer}"
+                                      f" is not this agent's DID {self.did.text}")
+        did_path = config.resolved_state_path().with_suffix(".did.json")
+        write_json(did_path, self.did_document.to_json())
 
         self.resolver, self.registry_source = verification_sources(config.allow_insecure_http)
 
@@ -425,18 +429,18 @@ class Agent:
         if self.config.role != "publisher":
             raise RoleForbidden("only publisher agents hold a revocation registry")
         with self._lock:
-            issuer, revoked = self.state.registry["issuer"], self.state.registry["revoked"]
-            if status_id not in revoked:
-                self.state.record_registry(sign_registry(issuer, [*revoked, status_id], self.key))
             registry = self.state.registry
-        return RevocationRegistry.from_json(registry)
+            if status_id not in registry.revoked:
+                revoked = [*registry.revoked, status_id]
+                self.state.record_registry(sign_registry(registry.issuer, revoked, self.key))
+            return self.state.registry
 
     def registry_reply(self) -> tuple[bytes, str]:
         """The registry's JSON bytes and their ETag, the quoted hex SHA-256 of the
         bytes; encoded at the first call after each change of the registry."""
         registry, reply = self.state.registry, self._registry_reply
         if reply is None or reply[0] is not registry:
-            payload = json.dumps(registry).encode("utf-8")
+            payload = json.dumps(registry.to_json()).encode("utf-8")
             reply = (registry, payload, f'"{hashlib.sha256(payload).hexdigest()}"')
             self._registry_reply = reply
         return reply[1], reply[2]

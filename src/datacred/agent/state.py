@@ -15,12 +15,12 @@ Three files sit next to the wallet:
   publisher's issuance records, one JSON object per line. ``record_issued``
   appends one line, so an issue never rewrites the state document.
 - the registry log (suffix ``.registry.jsonl``) holds the publisher's signed
-  registry: a snapshot, the whole registry, then one line per id revoked since,
+  registry: the first one whole, then one line per id revoked since,
   ``{"revoke": id, "updated": ..., "proof": ...}``, the last of which holds the
-  registry's ``updated`` and ``proof``. ``record_registry`` appends a line, unless
-  the appended lines would then outnumber the snapshot's ids: then the registry
-  is written as the new snapshot, so n revocations rewrite the log about log2(n)
-  times.
+  registry's ``updated`` and ``proof``. ``record_registry`` creates the log with
+  the first registry and appends a line, about 360 bytes, for each revocation;
+  the log is never rewritten. A log whose first line already revokes ids, as
+  earlier versions compacted it, reads the same way.
 
 Torn tail: a crash mid-append can leave a last line with no newline. ``load``
 ignores it and the next append cuts it off. No write is fsynced.
@@ -78,12 +78,11 @@ class AgentState:
         self.issued_path = self.path.with_suffix(".issued.jsonl")
         self.registry_path = self.path.with_suffix(".registry.jsonl")
         self.connections: dict[str, Connection] = {}
-        self.registry: dict | None = None  # publisher's signed registry: its only revoked ids
+        self.registry: RevocationRegistry | None = None  # publisher's: its only revoked ids
         self.issued: list[dict] = []  # publisher's issuance records, as in the log
         self.status_ids: dict = {}  # credential id -> status id, of the first record for it
         self._issued_end = 0  # where the issuance log's complete lines end
         self._registry_end = 0  # where the registry log's complete lines end
-        self._snapshot_ids = 0  # revoked ids in the registry log's snapshot
 
     def connection_for_did(self, their_did: str) -> Connection | None:
         for connection in self.connections.values():
@@ -103,17 +102,15 @@ class AgentState:
         self.issued.append(record)
         self.status_ids.setdefault(record.get("credentialId"), record.get("statusId"))
 
-    def record_registry(self, registry: dict) -> None:
-        """Make registry, a signed registry's JSON, the publisher's: the first one, or
-        the current one with one more id at the end of its revoked list."""
-        revoked = registry["revoked"]
-        if self.registry is not None and len(revoked) <= 2 * self._snapshot_ids:
-            line = {"revoke": revoked[-1], "updated": registry["updated"],
-                    "proof": registry["proof"]}
-            self._registry_end = append_line(self.registry_path, _encode(line), self._registry_end)
+    def record_registry(self, registry: RevocationRegistry) -> None:
+        """Make registry the publisher's: the first one, which creates the log, or the
+        current one with one more id at the end of its revoked list, appended as a line."""
+        obj = registry.to_json()
+        if self.registry is None:
+            self._registry_end = write_lines(self.registry_path, [_encode(obj)])
         else:
-            self._registry_end = write_lines(self.registry_path, [_encode(registry)])
-            self._snapshot_ids = len(revoked)
+            line = {"revoke": obj["revoked"][-1], "updated": obj["updated"], "proof": obj["proof"]}
+            self._registry_end = append_line(self.registry_path, _encode(line), self._registry_end)
         self.registry = registry
 
     def load(self) -> None:
@@ -143,15 +140,15 @@ class AgentState:
         lines, self._registry_end = read_lines(path)
         if not lines:
             raise DocumentInvalid(f"{path}: no registry snapshot")
-        registry = parse_json(lines[0], f"{path}: line 1")
-        parsed(RevocationRegistry.from_json, registry, f"{path}: line 1")
+        name = f"{path}: line 1"
+        registry = parsed(RevocationRegistry.from_json, parse_json(lines[0], name), name)
         entries = [parse_json(line, f"{path}: line {n}") for n, line in enumerate(lines[1:], 2)]
-        revoked = [*registry["revoked"], *(entry.get("revoke") for entry in entries)]
         if entries:
-            registry = {"issuer": registry["issuer"], "revoked": revoked,
-                        "updated": entries[-1].get("updated"), "proof": entries[-1].get("proof")}
-            parsed(RevocationRegistry.from_json, registry, path)
-        self.registry, self._snapshot_ids = registry, len(revoked) - len(entries)
+            obj = {"issuer": registry.issuer,
+                   "revoked": [*registry.revoked, *(entry.get("revoke") for entry in entries)],
+                   "updated": entries[-1].get("updated"), "proof": entries[-1].get("proof")}
+            registry = parsed(RevocationRegistry.from_json, obj, path)
+        self.registry = registry
 
     def save(self) -> None:
         """Replace the state document; issuance records and the registry stay in their logs."""

@@ -264,20 +264,16 @@ class RevocationRegistry:
     _json: dict | None = field(default=None, init=False, repr=False, compare=False)
 
 
-def _signed_registry(issuer: str, revoked: list[str], issuer_key: KeyPair) -> RevocationRegistry:
+def sign_registry(issuer: str, revoked: list[str], issuer_key: KeyPair) -> RevocationRegistry:
+    """Issuer's registry of the revoked ids, updated now and signed; it keeps its JSON."""
     registry = RevocationRegistry(issuer, revoked, format_timestamp(utc_now()))
     return sign_document(registry, issuer_key, issuer, ASSERTION)
-
-
-def sign_registry(issuer: str, revoked: list[str], issuer_key: KeyPair) -> dict:
-    """The JSON of issuer's registry of the revoked ids, updated now and signed."""
-    return _signed_registry(issuer, revoked, issuer_key).to_json()
 
 
 def new_registry(issuer_did: Did | str, issuer_key: KeyPair) -> RevocationRegistry:
     """Create an empty, signed revocation registry for an issuer."""
     issuer = issuer_did.text if isinstance(issuer_did, Did) else parse_did(issuer_did).text
-    return _signed_registry(issuer, [], issuer_key)
+    return sign_registry(issuer, [], issuer_key)
 
 
 def check_registry_key(registry: dict, issuer_key: KeyPair) -> None:
@@ -294,15 +290,13 @@ def check_registry_key(registry: dict, issuer_key: KeyPair) -> None:
 def revoke(
     registry: RevocationRegistry, status_id: str, issuer_key: KeyPair
 ) -> RevocationRegistry:
-    """Add a status id to the revoked list and re-sign; idempotent.
-
-    The supplied key must verify the registry's current proof (check_registry_key).
-    """
+    """Add a status id to the revoked list and re-sign; a registry that holds the id
+    is returned unchanged. The supplied key must verify the registry's current proof
+    (check_registry_key)."""
     check_registry_key(registry.to_json(), issuer_key)
-    revoked = list(registry.revoked)
-    if status_id not in revoked:
-        revoked.append(status_id)
-    return _signed_registry(registry.issuer, revoked, issuer_key)
+    if status_id in registry.revoked:
+        return registry
+    return sign_registry(registry.issuer, [*registry.revoked, status_id], issuer_key)
 
 
 # --- registry sources ---

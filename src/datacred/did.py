@@ -70,12 +70,12 @@ def did_web_url(did: Did) -> str:
     """Map a did:web identifier to the URL of its document.
 
     ``did:web:host`` uses the well-known path; extra colon-separated
-    segments become path components; ``%3A`` in the host carries a port.
+    segments become path components; ``%3A`` or ``%3a`` in the host carries a port.
     """
     if did.method != "web":
         raise WrongMethod(f"{did.text} is not did:web")
     segments = did.method_specific_id.split(":")
-    host = segments[0].replace("%3A", ":")
+    host = segments[0].replace("%3A", ":").replace("%3a", ":")
     if len(segments) == 1:
         return f"https://{host}/.well-known/did.json"
     path = "/".join(segments[1:])

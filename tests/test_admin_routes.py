@@ -54,7 +54,7 @@ def test_admin_route_refuses_a_remote_peer(agent_factory, monkeypatch, route):
     response = requests.request(method, publisher.base_url + path, json=body, timeout=10)
     assert (response.status_code, response.json()["error"]) == (403, "Forbidden")
     assert snapshot(publisher) == before
-    assert status_id not in publisher.state.registry["revoked"]
+    assert status_id not in publisher.state.registry.revoked
 
     # The public routes still answer the same peer.
     for path in ("/.well-known/did.json", "/registry"):

@@ -831,7 +831,7 @@ def test_a_state_document_from_before_the_logs_is_document_invalid(tmp_path, mem
     if logs:
         state.issued_path.write_bytes(b'{"credentialId": "urn:uuid:2"}\n')
         registry = sign_registry("did:web:publisher.example", [], generate_keypair())
-        state.registry_path.write_bytes(json.dumps(registry).encode() + b"\n")
+        state.registry_path.write_bytes(json.dumps(registry.to_json()).encode() + b"\n")
     before = {p: p.read_bytes() for p in (path, state.issued_path, state.registry_path)
               if p.exists()}
     with pytest.raises(DocumentInvalid, match=re.escape(f"{path}: '{min(members)}'")):

@@ -74,6 +74,15 @@ def test_web_url_with_port():
         did_web_url(parse_did("did:web:127.0.0.1%3A8443"))
         == "https://127.0.0.1:8443/.well-known/did.json"
     )
+    # Percent-encoding is case-insensitive (RFC 3986 section 2.1).
+    assert (
+        did_web_url(parse_did("did:web:localhost%3a8443"))
+        == "https://localhost:8443/.well-known/did.json"
+    )
+    assert (
+        did_web_url(parse_did("did:web:localhost%3a8443:datasets:ds1"))
+        == "https://localhost:8443/datasets/ds1/did.json"
+    )
 
 
 def test_web_url_wrong_method():

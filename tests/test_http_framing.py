@@ -314,7 +314,7 @@ def test_registry_is_served_with_its_digest_as_etag_and_a_304(agent_factory):
         start, fields = read_head(lines)
         body = lines.read(int(fields["content-length"]))
         etag = fields["etag"]
-        assert (start, json.loads(body)) == ("HTTP/1.1 200 OK", publisher.state.registry)
+        assert (start, json.loads(body)) == ("HTTP/1.1 200 OK", publisher.state.registry.to_json())
         assert etag == '"%s"' % hashlib.sha256(body).hexdigest()
         for tags in (etag, f'"other", W/{etag}'):
             sock.sendall(get + f"If-None-Match: {tags}\r\n\r\n".encode())

@@ -189,7 +189,8 @@ def test_registries_of_the_benchmark_sizes_all_stay_in_the_memo(canonicalization
     """Four registries of 2,000 UUIDs, more than any benchmark workload's."""
     urls = [f"https://issuer.example/registry/{n}" for n in range(resolver.VERIFIED_REGISTRIES)]
     ids = [f"{n:08d}-0000-4000-8000-000000000000" for n in range(2000)]
-    source = StaticRegistrySource({url: sign_registry(ISSUER, ids, ISSUER_KEY) for url in urls})
+    source = StaticRegistrySource(
+        {url: sign_registry(ISSUER, ids, ISSUER_KEY).to_json() for url in urls})
     vcs, warm = [credential(url=url) for url in urls], context()
     for vc in vcs:
         assert outcome(vc, warm, source) == ("Valid", "NotRevoked")

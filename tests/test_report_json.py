@@ -51,7 +51,7 @@ def bundle(path, *, with_issuer: bool = True, registry_key=ISSUER_KEY):
         documents[ISSUER] = one_key_document(Did("web", "issuer.example"), ISSUER_KEY.public_key)
     (path / "dids.json").write_text(json.dumps({did: d.to_json() for did, d in documents.items()}))
     (path / "registry.json").write_text(json.dumps(sign_registry(ISSUER, ["s0", "s2"],
-                                                                 registry_key)))
+                                                                 registry_key).to_json()))
     return Resolver([KeyBackend(), DirectoryBackend(path)]), FileRegistrySource(
         path / "registry.json")
 

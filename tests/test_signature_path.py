@@ -379,7 +379,7 @@ def write_bundle(path, challenge: str) -> None:
         "credential.json": signed,
         "presentation.json": presentation,
         "dids.json": {issuer: document.to_json()},
-        "registry.json": sign_registry(issuer, ["s0"], issuer_key),
+        "registry.json": sign_registry(issuer, ["s0"], issuer_key).to_json(),
     }.items():
         (path / name).write_text(json.dumps(obj))
 
